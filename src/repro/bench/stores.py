@@ -28,9 +28,10 @@ GB = 1024**3
 # KVell 32 GB DRAM, MatrixKV 26 GB DRAM + 8 GB NVM.
 DEFAULT_DATASET = 20 * MB
 
-# Simulated per-SSD capacity.  Small enough to keep chunk bookkeeping
-# cheap, large enough that GC stays out of the way unless an experiment
-# asks for space pressure.
+# Simulated per-SSD capacity.  Sets where GC starts, so changing it
+# moves virtual-time results (host cost does not depend on it): large
+# enough that GC stays out of the way unless an experiment asks for
+# space pressure.
 DEFAULT_SSD_CAPACITY = 2 * GB
 
 

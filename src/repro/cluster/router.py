@@ -253,8 +253,20 @@ class PrismCluster:
         for shard in self.shards:
             for key, value in shard.store.stats().items():
                 totals[key] = totals.get(key, 0.0) + value
-        put = self.bytes_put
-        totals["waf"] = self.ssd_bytes_written() / put if put else 0.0
+        # Ratios do not add: recompute each from its summed parts.
+        totals["waf"] = self.waf()
+        if "rc_hits" in totals:
+            lookups = totals["rc_hits"] + totals["rc_misses"]
+            totals["rc_hit_ratio"] = totals["rc_hits"] / lookups if lookups else 0.0
+        if "tier_demoted_bytes" in totals:
+            totals["tier_demotion_waf"] = totals["tier_demoted_bytes"] / max(
+                1, self.bytes_put
+            )
+            for tier in ("fast", "cold"):
+                cap = totals[f"tier_{tier}_capacity_bytes"]
+                totals[f"tier_{tier}_occupancy"] = (
+                    totals[f"tier_{tier}_used_bytes"] / cap if cap else 0.0
+                )
         totals["cluster_shards"] = float(
             sum(1 for s in self.shards if s.state != STATE_RETIRED)
         )

@@ -100,7 +100,19 @@ class ValueStorage:
         self.mirror_write_failures = 0
         self.ring = IOUring(ssd, queue_depth)
         self.num_chunks = ssd.capacity // chunk_size
-        self._free: deque = deque(range(self.num_chunks))
+        if self.num_chunks == 0:
+            raise ValueError(
+                f"ssd {ssd.name} of {ssd.capacity}B cannot hold one "
+                f"{chunk_size}B chunk"
+            )
+        # Free chunks, in allocation order: holes recovery found below
+        # the highest live chunk, then the never-used ids
+        # [_next_unused, num_chunks), then ids released since, oldest
+        # first.  Only touched ids are stored, so DRAM scales with data
+        # written, not with device capacity.
+        self._holes: deque = deque()
+        self._next_unused = 0
+        self._released: deque = deque()
         self._chunks: Dict[int, _ChunkInfo] = {}
         self._alloc_lock = VLock(name=f"vs{vs_id}-chunk-alloc")
         self._open_sync: Dict[int, int] = {}  # tid -> open chunk (ablation)
@@ -113,7 +125,12 @@ class ValueStorage:
     # ------------------------------------------------------------------
     @property
     def free_chunks(self) -> int:
-        return len(self._free)
+        return (
+            len(self._holes)
+            + self.num_chunks
+            - self._next_unused
+            + len(self._released)
+        )
 
     @property
     def used_chunks(self) -> int:
@@ -132,9 +149,15 @@ class ValueStorage:
         try:
             if thread is not None:
                 thread.spend(50e-9)
-            if not self._free:
+            if self._holes:
+                chunk_id = self._holes.popleft()
+            elif self._next_unused < self.num_chunks:
+                chunk_id = self._next_unused
+                self._next_unused += 1
+            elif self._released:
+                chunk_id = self._released.popleft()
+            else:
                 raise StorageError(f"vs{self.vs_id}: no free chunks")
-            chunk_id = self._free.popleft()
             self._chunks[chunk_id] = _ChunkInfo()
             return chunk_id
         finally:
@@ -242,8 +265,7 @@ class ValueStorage:
             # garbage, which is exactly what reusing the chunk erases.
             for cid, _, _ in pending:
                 if cid in self._chunks:
-                    del self._chunks[cid]
-                    self._free.append(cid)
+                    self._release_chunk(cid)
             raise
         self.crash_point.maybe_crash("vs.write.done")
         return placements, done
@@ -384,7 +406,7 @@ class ValueStorage:
 
     def _release_chunk(self, chunk_id: int) -> None:
         del self._chunks[chunk_id]
-        self._free.append(chunk_id)
+        self._released.append(chunk_id)
 
     # ------------------------------------------------------------------
     # garbage collection (greedy, §5.2)
@@ -415,11 +437,14 @@ class ValueStorage:
         untouched chunks return to the free list.
         """
         self._chunks.clear()
-        self._free = deque(range(self.num_chunks))
         by_chunk: Dict[int, List[Tuple[int, int, int]]] = {}
         for (chunk_id, offset), (hsit_idx, size) in live.items():
             by_chunk.setdefault(chunk_id, []).append((offset, hsit_idx, size))
-        remaining = deque(cid for cid in self._free if cid not in by_chunk)
+        self._next_unused = max(by_chunk, default=-1) + 1
+        self._holes = deque(
+            cid for cid in range(self._next_unused) if cid not in by_chunk
+        )
+        self._released.clear()
         for chunk_id, slots in by_chunk.items():
             info = _ChunkInfo()
             for offset, hsit_idx, size in slots:
@@ -428,4 +453,3 @@ class ValueStorage:
                 info.live_bytes += size
                 info.write_head = max(info.write_head, offset + self.header_size + size)
             self._chunks[chunk_id] = info
-        self._free = remaining

@@ -1,40 +1,20 @@
-"""Health-off bit-identity against the pre-health seed (golden file).
+"""Health-off bit-identity against the committed digest manifest.
 
-``tests/cluster/golden_cluster_a.metrics.json`` was generated by the
-exact recipe below on the tree *before* the gray-failure subsystem
-(health scoring, circuit breakers, hedged reads, fail-slow injection)
-existed.  With ``ClusterConfig.health=None`` (the default) and no slow
-faults configured, the penalty-returning injector hooks, the split
-read path, and the runner's gray-plan plumbing must all leave a seeded
-cluster YCSB-A run byte-identical to that seed — same metrics JSON,
-same final virtual time, bit for bit.
+With ``ClusterConfig.health=None`` (the default) and no slow faults
+configured, the penalty-returning injector hooks, the split read path,
+and the runner's gray-plan plumbing must all leave a seeded cluster
+YCSB-A run byte-identical — same metrics JSON, same final virtual
+time, bit for bit.  The digest in ``tests/digests.json`` pins the tree
+as of PR 12 (the pre-health golden blob this test used to read was
+never committed; see ``tests/digests.py``).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from repro.bench.cluster import YCSB_A_UNIFORM
-from repro.bench.runner import preload
-from repro.cluster.router import ClusterConfig, PrismCluster
-from repro.cluster.runner import run_cluster_workload
-
-GOLDEN = Path(__file__).parent / "golden_cluster_a.metrics.json"
-# repr() of the seed run's final virtual clock (bit-exact float).
-GOLDEN_FINAL_VTIME = "0.03134988998929076"
+from tests import digests
 
 
 def test_health_off_cluster_run_is_byte_identical_to_seed():
-    cluster = PrismCluster(
-        ClusterConfig(
-            num_shards=2, replication_factor=2, replication_mode="quorum"
-        )
-    )
-    preload(cluster, 800, num_threads=2, seed=1)
-    result = run_cluster_workload(
-        cluster, YCSB_A_UNIFORM, 1600, 800, clients_per_shard=2, seed=3
-    )
-    payload = json.dumps(result.run.metrics, sort_keys=True, indent=1) + "\n"
-    assert payload == GOLDEN.read_text()
-    assert repr(cluster.clock.now) == GOLDEN_FINAL_VTIME
+    cluster, digest = digests.cluster_a()
+    assert cluster.config.health is None
+    assert digest == digests.expected("cluster_a")

@@ -13,7 +13,8 @@ from repro.core.prism import Prism
 from repro.faults.injector import FaultConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.vthread import VThread
-from tests.conftest import small_prism_config
+from repro.storage.specs import QLC_SSD_SPEC
+from tests.conftest import MB, small_prism_config
 
 
 def small_factory(shard_id, clock):
@@ -243,6 +244,42 @@ class TestFacade:
         assert isinstance(c.gc_events, list)
         c.flush()
         c.close()
+
+    def test_stats_ratios_are_recomputed_not_summed(self):
+        def factory(shard_id, clock):
+            config = small_prism_config(
+                faults=FaultConfig(seed=9000 + shard_id),
+                enable_read_cache=True,
+                enable_tiering=True,
+                cold_ssd_spec=QLC_SSD_SPEC.with_capacity(64 * MB),
+            )
+            return Prism(config, clock=clock)
+
+        c = PrismCluster(
+            ClusterConfig(num_shards=4, replication_factor=2), shard_factory=factory
+        )
+        t = VThread(1, c.clock)
+        fill(c, 200, t)
+        c.flush()
+        for _ in range(3):
+            for i in range(200):
+                c.get(b"key%04d" % i, t)
+        stats = c.stats()
+        assert stats["rc_hits"] > 0 and stats["rc_misses"] > 0
+        assert 0.0 <= stats["rc_hit_ratio"] <= 1.0
+        assert stats["rc_hit_ratio"] == stats["rc_hits"] / (
+            stats["rc_hits"] + stats["rc_misses"]
+        )
+        for tier in ("fast", "cold"):
+            assert stats[f"tier_{tier}_occupancy"] == (
+                stats[f"tier_{tier}_used_bytes"]
+                / stats[f"tier_{tier}_capacity_bytes"]
+            )
+        assert stats["tier_fast_occupancy"] > 0.0
+        assert stats["tier_demotion_waf"] == stats["tier_demoted_bytes"] / c.bytes_put
+        # The scenario discriminates: per-shard ratios, summed, exceed 1.
+        per_shard = sum(s.store.stats()["rc_hit_ratio"] for s in c.shards)
+        assert per_shard > 1.0
 
     def test_merged_shard_metrics(self):
         c = build()

@@ -1,6 +1,20 @@
-import pytest
+import tracemalloc
+from collections import deque
 
-from repro.core.value_storage import ValueStorage
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.core.config import PrismConfig
+from repro.core.prism import Prism
+from repro.core.value_storage import RECORD_HEADER, ValueStorage
 from repro.storage.base import StorageError
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC
 from repro.storage.ssd import SSDDevice
@@ -149,8 +163,121 @@ def test_chunk_size_validation(ssd):
         ValueStorage(0, ssd, chunk_size=100)
 
 
+def test_zero_chunk_device_rejected():
+    tiny = SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(256 * 1024))
+    with pytest.raises(ValueError, match=r"262144B.*524288B"):
+        ValueStorage(0, tiny)
+
+
+def test_bookkeeping_is_independent_of_device_capacity():
+    """Catalog-size devices (2 x 1 TB fast + 2 x 8 TB cold = 37.7 M
+    chunk ids): building, crashing and recovering an empty store must
+    cost what the data costs — nothing."""
+    tracemalloc.start()
+    try:
+        store = Prism(PrismConfig(enable_tiering=True))
+        store.crash()
+        store.recover()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(vs.num_chunks for vs in store.storages) > 30_000_000
+    assert all(vs.free_chunks == vs.num_chunks for vs in store.storages)
+    assert peak < 8 * MB
+
+
 def test_space_stats(vs):
     assert vs.free_fraction() == 1.0
     vs.write_records(0.0, [(1, b"x")])
     assert vs.used_bytes() == CHUNK
     assert vs.free_fraction() < 1.0
+
+
+SMALL_CHUNK = 4096
+FULL_VALUE = b"x" * (SMALL_CHUNK - RECORD_HEADER)  # one record = one chunk
+
+
+class FreeListMachine(RuleBasedStateMachine):
+    """The lazy free list against the eager ``deque(range(n))`` it
+    replaced (kept here as the oracle): same allocation order and same
+    ``free_chunks`` after every allocate / release / failed-write
+    rollback / ``rebuild_from``."""
+
+    @initialize(n=st.integers(min_value=1, max_value=300))
+    def setup(self, n):
+        ssd = SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(n * SMALL_CHUNK))
+        self.vs = ValueStorage(0, ssd, chunk_size=SMALL_CHUNK)
+        self.model = deque(range(n))
+        self.used = []  # chunk ids holding one live record, oldest first
+
+    def _write(self, count):
+        return self.vs.write_records(0.0, [(7, FULL_VALUE)] * count)[0]
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def allocate(self, data):
+        count = data.draw(st.integers(1, min(8, len(self.model))))
+        expected = [self.model.popleft() for _ in range(count)]
+        assert [cid for cid, _, _ in self._write(count)] == expected
+        self.used += expected
+
+    @precondition(lambda self: not self.model)
+    @rule()
+    def allocate_when_full(self):
+        with pytest.raises(StorageError, match="no free chunks"):
+            self._write(1)
+
+    @precondition(lambda self: self.used)
+    @rule(data=st.data())
+    def release(self, data):
+        cid = self.used.pop(data.draw(st.integers(0, len(self.used) - 1)))
+        self.vs.invalidate(cid, 0)  # last live record: the chunk is freed
+        self.model.append(cid)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def failed_write(self, data):
+        count = data.draw(st.integers(1, min(8, len(self.model))))
+        fail_at = data.draw(st.integers(0, count - 1))
+        real_write, calls = self.vs.ssd.write_async, iter(range(count))
+
+        def failing(at, offset, payload):
+            if next(calls) == fail_at:
+                raise StorageError("injected write failure")
+            return real_write(at, offset, payload)
+
+        self.vs.ssd.write_async = failing
+        try:
+            with pytest.raises(StorageError, match="injected"):
+                self._write(count)
+        finally:
+            del self.vs.ssd.write_async
+        self.model.extend([self.model.popleft() for _ in range(count)])
+
+    @rule(data=st.data())
+    def rebuild(self, data):
+        keep = data.draw(st.sets(st.sampled_from(self.used))) if self.used else set()
+        live = {(cid, 0): (7, len(FULL_VALUE)) for cid in keep}
+        self.vs.rebuild_from(live)
+        self.model = deque(
+            cid for cid in range(self.vs.num_chunks) if cid not in keep
+        )
+        self.used = [cid for cid in self.used if cid in keep]
+
+    @invariant()
+    def counts_match(self):
+        assert self.vs.free_chunks == len(self.model)
+        assert self.vs.used_chunks == len(self.used)
+
+    def teardown(self):
+        # Drain: the whole remaining order, not just the prefix the
+        # rules happened to allocate.
+        drained = [self.vs._allocate_chunk(None) for _ in range(len(self.model))]
+        assert drained == list(self.model)
+        assert self.vs.free_chunks == 0
+
+
+TestFreeList = FreeListMachine.TestCase
+TestFreeList.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
