@@ -375,15 +375,6 @@ def _tiering(args):
     return {"tiered": tiered, "spread": spread, "allfast": allfast}
 
 
-def _perf(args):
-    from repro.perf import run_perf
-
-    smoke = getattr(args, "smoke", False)
-    print(f"Perf — simulator wall-clock suite ({'smoke' if smoke else 'full'})")
-    run_perf(smoke=smoke)
-    return None  # run_perf writes BENCH_PERF.json itself
-
-
 def _media(args):
     results = media_matrix()
     print("Extension — emerging media (Kops)")
@@ -409,7 +400,6 @@ COMMANDS = {
     "cluster": _cluster,
     "faults": _faults,
     "grayfail": _grayfail,
-    "perf": _perf,
     "rebalance": _rebalance,
     "scalars": _scalars,
     "scrub": _scrub,
@@ -437,7 +427,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="tiny fast configuration (CI smoke; cache, cluster, grayfail, "
-             "perf, rebalance, scrub, and tiering)",
+             "rebalance, scrub, and tiering)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cache.read_cache import ReadCache
 from repro.core import pointers as ptr
 from repro.core.config import PrismConfig
-from repro.core.containment import resolve_partial_publish
+from repro.core.containment import PublishEntry, resolve_partial_publish
 from repro.core.epoch import EpochManager
 from repro.core.hsit import ENTRY_BYTES, HSIT
 from repro.core.pwb import PersistentWriteBuffer, PWBFullError
@@ -53,6 +53,13 @@ from repro.storage.nvm import NVMDevice
 from repro.storage.ssd import SSDDevice
 from repro.index.pactree import PACTree
 from repro.tiering import TierManager
+
+
+# One record to relocate: (hsit_idx, value, old_vs, old_chunk, old_off) —
+# a containment.PublishEntry with the value in place of the placement.
+# old_vs None means the old copy is not in Value Storage (it sits in a
+# PWB), so there is no slot or read-cache entry to retire.
+RelocationEntry = Tuple[int, bytes, Optional[ValueStorage], int, int]
 
 
 class _WholeStoreCrash:
@@ -220,11 +227,7 @@ class Prism:
             )
             self.retry_exec.injector = self.injector
             self.nvm.attach_injector(self.injector)
-            for ssd in self.ssds:
-                ssd.attach_injector(self.injector)
-            for ssd in self.cold_ssds:
-                ssd.attach_injector(self.injector)
-            for ssd in self.mirror_ssds:
+            for ssd in self.ssds + self.cold_ssds + self.mirror_ssds:
                 ssd.attach_injector(self.injector)
             # Failed flushes retry inside the device, covering every
             # persist point (PWB appends, HSIT publishes) at once.
@@ -263,24 +266,19 @@ class Prism:
         if self._crashed:
             raise RuntimeError("store crashed; call recover() first")
 
-    def _pwb_for(self, thread: VThread) -> PersistentWriteBuffer:
-        return self.pwbs[thread.tid % len(self.pwbs)]
-
     def _vs_dead(self, vs: ValueStorage) -> bool:
         return self.injector is not None and self.injector.is_dead(vs.ssd.name)
 
-    def _healthy_storages(self) -> List[ValueStorage]:
-        """Value Storages whose device still works (degraded mode §ISSUE).
+    def _alive(self, storages: List[ValueStorage]) -> List[ValueStorage]:
+        """``storages`` minus those whose device is dead (degraded mode).
 
-        With no injector every storage is healthy and this is the plain
-        list — zero overhead on the fault-free path.
+        With no injector this is the list passed in — zero overhead on
+        the fault-free path.
         """
         if self.injector is None:
-            return self.storages
-        healthy = [vs for vs in self.storages if not self.injector.is_dead(vs.ssd.name)]
-        if not healthy:
-            raise NoHealthyStorageError("every Value Storage device is dead")
-        return healthy
+            return storages
+        is_dead = self.injector.is_dead
+        return [vs for vs in storages if not is_dead(vs.ssd.name)]
 
     def _retrying_write(
         self, vs: ValueStorage, at: float, records: List[Tuple[int, bytes]]
@@ -309,21 +307,26 @@ class Prism:
         dead — degraded, but writable beats read-only.
         """
         tier = self.tiering
-        if tier is None or not tier.temperature_policy:
-            return self._healthy_storages()
-        fast = self.storages[: tier.num_fast]
-        if self.injector is not None:
-            fast = [
-                vs for vs in fast if not self.injector.is_dead(vs.ssd.name)
-            ]
-            if not fast:
-                return self._healthy_storages()
-        return fast
+        if tier is not None and tier.temperature_policy:
+            fast = self._alive(self.storages[: tier.num_fast])
+            if fast:
+                return fast
+        healthy = self._alive(self.storages)
+        if not healthy:
+            raise NoHealthyStorageError("every Value Storage device is dead")
+        return healthy
 
-    def _pick_storage(self, at: float) -> ValueStorage:
-        """Prefer an idle healthy Value Storage; else least loaded (§5.2)."""
-        candidates = self._placement_storages()
-        start = next(self._rr_storage)
+    @staticmethod
+    def _idle_else_least_loaded(
+        candidates: List[ValueStorage], start: int, at: float
+    ) -> ValueStorage:
+        """Idle scan from a rotating ``start``, else least loaded (§5.2).
+
+        Background reclaimers all run at quiet timestamps where every
+        ring reports zero in-flight, so a bare ``min`` would tie-break
+        onto the first device forever and saturate it while its
+        siblings idle.
+        """
         n = len(candidates)
         for i in range(n):
             vs = candidates[(start + i) % n]
@@ -331,30 +334,24 @@ class Prism:
                 return vs
         return min(candidates, key=lambda s: s.ring.inflight_at(at))
 
+    def _pick_storage(self, at: float) -> ValueStorage:
+        """Where new data goes: a healthy placement storage."""
+        return self._idle_else_least_loaded(
+            self._placement_storages(), next(self._rr_storage), at
+        )
+
     def _pick_cold_storage(self, at: float) -> Optional[ValueStorage]:
-        """Healthy cold Value Storage with free space: rotating-start
-        idle scan, else least loaded.  Background reclaimers all run at
-        quiet timestamps where every ring reports zero in-flight, so a
-        bare ``min`` would tie-break onto the first device forever and
-        saturate it while its siblings idle."""
-        tier = self.tiering
-        cold = self.storages[tier.num_fast :]
-        if self.injector is not None:
-            cold = [
-                vs for vs in cold if not self.injector.is_dead(vs.ssd.name)
-            ]
-        cold = [vs for vs in cold if vs.free_chunks > 0]
+        """A healthy cold Value Storage with free space, or None."""
+        cold = [
+            vs
+            for vs in self._alive(self.storages[self.tiering.num_fast :])
+            if vs.free_chunks > 0
+        ]
         if not cold:
             return None
-        start = next(self._rr_cold)
-        n = len(cold)
-        for i in range(n):
-            vs = cold[(start + i) % n]
-            if vs.ring.idle_at(at):
-                return vs
-        return min(cold, key=lambda s: s.ring.inflight_at(at))
+        return self._idle_else_least_loaded(cold, next(self._rr_cold), at)
 
-    def _promotion_target(self, at: float) -> Optional[ValueStorage]:
+    def _promotion_target(self) -> Optional[ValueStorage]:
         """A healthy fast Value Storage with promotion headroom.
 
         None when every fast storage is dead or below the headroom
@@ -362,23 +359,20 @@ class Prism:
         against the next demotion round.
         """
         tier = self.tiering
-        fast = self.storages[: tier.num_fast]
-        if self.injector is not None:
-            fast = [
-                vs for vs in fast if not self.injector.is_dead(vs.ssd.name)
-            ]
-        fast = [vs for vs in fast if vs.free_fraction() > tier.fast_headroom]
-        if not fast:
-            return None
-        return max(fast, key=lambda s: s.free_chunks)
+        fast = [
+            vs
+            for vs in self._alive(self.storages[: tier.num_fast])
+            if vs.free_fraction() > tier.fast_headroom
+        ]
+        return max(fast, key=lambda s: s.free_chunks, default=None)
 
     @staticmethod
     def _batch_fits(vs: ValueStorage, records) -> bool:
         """Would ``vs.write_records`` find enough free chunks for this
         batch?  Mirrors its greedy first-fit packing exactly."""
         chunks, room = 0, 0
-        for _idx, value in records:
-            need = vs.record_bytes(len(value))
+        for entry in records:
+            need = vs.record_bytes(len(entry[1]))
             if need > room:
                 chunks += 1
                 room = vs.chunk_size
@@ -393,19 +387,7 @@ class Prism:
             for vs in self._placement_storages()
             if self._batch_fits(vs, records)
         ]
-        if not fits:
-            return None
-        return min(fits, key=lambda s: s.ring.inflight_at(at))
-
-    def _fast_tier_pressure(self) -> bool:
-        """Is the fast tier close enough to its GC threshold that
-        reclaim should stop honoring recency protection?  Placing
-        borderline records cold now beats GC demoting them moments
-        later (one write instead of two)."""
-        fast = self.storages[: self.tiering.num_fast]
-        free = sum(vs.free_chunks for vs in fast)
-        total = sum(vs.num_chunks for vs in fast)
-        return free / total < max(0.25, 2 * self.config.gc_free_threshold)
+        return min(fits, key=lambda s: s.ring.inflight_at(at), default=None)
 
     def _tick(self) -> None:
         if self._crashed:
@@ -545,24 +527,12 @@ class Prism:
             op="vs_append",
         )
 
-    def _supersede(
-        self, idx: int, old: ptr.Location, thread: Optional[VThread]
-    ) -> None:
-        """Invalidate whatever the old forward pointer referenced."""
-        if old.in_vs:
-            self.storages[old.vs_id].invalidate(old.chunk_id, old.vs_offset)
-        entry_id = self.hsit.read_svc(idx, thread)
-        if entry_id is not None:
-            self.hsit.clear_svc(idx, thread)
-            self.svc.invalidate(entry_id, thread)
-        if self.read_cache is not None:
-            self.read_cache.invalidate_idx(idx)
-
     def _supersede_word(
         self, idx: int, old_word: int, thread: Optional[VThread]
     ) -> None:
-        """:meth:`_supersede` on a raw location word (write hot path —
-        extracts VS fields with bit ops instead of decoding)."""
+        """Invalidate whatever the old forward pointer referenced: its
+        Value Storage slot (VS fields extracted with bit ops — this is
+        the write hot path), the SVC entry, the read-cache copy."""
         if old_word & ptr.MEDIUM_MASK == ptr.MEDIUM_VS_BITS:
             self.storages[(old_word >> ptr.VS_ID_SHIFT) & ptr.VS_ID_MASK].invalidate(
                 (old_word >> ptr.VS_CHUNK_SHIFT) & ptr.VS_CHUNK_MASK,
@@ -615,7 +585,9 @@ class Prism:
             return
         # Scan the region and check well-coupledness (two NVM reads per
         # value: the backward pointer and the HSIT forward pointer).
-        live: List[Tuple[int, bytes]] = []
+        # Survivors are relocation entries with no Value Storage copy
+        # to supersede: the old copy is the PWB window itself.
+        live: List[RelocationEntry] = []
         count = 0
         # Well-coupled iff the (dirty-cleared) forward pointer encodes
         # exactly this buffer and offset — one word comparison per
@@ -628,76 +600,22 @@ class Prism:
             count += 1
             word = nvm_load_word(None, hsit_base + hsit_idx * ENTRY_BYTES)
             if word & ~ptr.DIRTY_BIT == expect_base | offset:
-                live.append((hsit_idx, value))
+                live.append((hsit_idx, value, None, 0, 0))
         self.nvm.charge_read(bg, min(region, pwb.capacity) + 16 * count)
         if live:
-            # Reclaim is the first placement decision (ISSUE 9):
-            # records that are neither frequent nor recent skip the
-            # fast tier entirely and land cold — PrismDB's tiered
-            # compaction, applied at PWB drain time.
-            tier = self.tiering
-            cold_batch: List[Tuple[int, bytes]] = []
-            if tier is not None and tier.temperature_policy:
-                tracker = tier.tracker
-                pressure = self._fast_tier_pressure()
-                hot_batch = []
-                for hsit_idx, value in live:
-                    if tracker.is_hot(hsit_idx, pressure):
-                        hot_batch.append((hsit_idx, value))
-                    else:
-                        cold_batch.append((hsit_idx, value))
-            else:
-                hot_batch = live
-            if cold_batch:
-                cvs = self._pick_cold_storage(bg.now)
-                if cvs is None:
-                    # No cold capacity left: everything stays fast.
-                    hot_batch = live
-                else:
-                    if not self._reclaim_batch(
-                        pwb, cvs, cold_batch, bg, start_at, "tier.demote"
-                    ):
-                        return
-                    tier.cold_reclaims += len(cold_batch)
-                    self.metrics.counter("tier.cold_reclaims").inc(
-                        len(cold_batch)
-                    )
-                    self._maybe_gc(cvs, bg.now)
-            if hot_batch:
-                try:
-                    vs = self._pick_storage(bg.now)
-                except NoHealthyStorageError:
-                    self.events.emit(
-                        start_at, "reclaim_failed", pwb_id=pwb.pwb_id,
-                        phase="write",
-                    )
-                    self.metrics.counter("faults.reclaim_failures").inc()
-                    return
-                label = "reclaim"
-                if (
-                    tier is not None
-                    and tier.temperature_policy
-                    and not self._batch_fits(vs, hot_batch)
-                ):
-                    # Hard pressure: the fast tier cannot hold its own
-                    # hot set.  Spill the batch cold rather than wedge
-                    # the PWB; re-access promotes survivors back once
-                    # GC frees fast chunks.
-                    alt = self._fast_fit_storage(hot_batch, bg.now)
-                    if alt is not None:
-                        vs = alt
-                    else:
-                        cvs = self._pick_cold_storage(bg.now)
-                        if cvs is not None:
-                            vs, label = cvs, "tier.demote"
-                if not self._reclaim_batch(
-                    pwb, vs, hot_batch, bg, start_at, label
-                ):
-                    return
-                if label == "tier.demote":
-                    tier.spills += len(hot_batch)
-                    self.metrics.counter("tier.spills").inc(len(hot_batch))
-                self._maybe_gc(vs, bg.now)
+            phase = self._place_reclaimed(live, bg)
+            if phase is not None:
+                # Leave the PWB window unreleased: a failed write never
+                # stuck, and after a partial publish some entries still
+                # point into the window.  Records stay readable in NVM
+                # and the next trigger rescans (entries published by an
+                # earlier batch are no longer well-coupled and drop out
+                # of that scan), on a healthier storage if one exists.
+                self.events.emit(
+                    start_at, "reclaim_failed", pwb_id=pwb.pwb_id, phase=phase
+                )
+                self.metrics.counter("faults.reclaim_failures").inc()
+                return
         pwb.pending_release = (upto, bg.now)
         pwb.reclaim_done_at = bg.now
         self.reclaims += 1
@@ -708,72 +626,128 @@ class Prism:
             region_bytes=region,
             scanned_records=count,
             live_records=len(live),
-            live_bytes=sum(len(v) for _, v in live),
+            live_bytes=sum(len(entry[1]) for entry in live),
             duration=bg.now - start_at,
         )
 
-    def _reclaim_batch(
-        self,
-        pwb: PersistentWriteBuffer,
-        vs: ValueStorage,
-        records: List[Tuple[int, bytes]],
-        bg: VThread,
-        start_at: float,
-        label: str,
-    ) -> bool:
-        """Write one reclaim batch into ``vs`` and publish it.
+    def _place_reclaimed(
+        self, live: List[RelocationEntry], bg: VThread
+    ) -> Optional[str]:
+        """Choose destinations for one reclaim's survivors and move them;
+        returns None or the phase at which a batch failed.
 
-        Returns False on failure, leaving the PWB window unreleased so
-        the next trigger rescans it (records already published by an
-        earlier batch are no longer well-coupled and drop out of that
-        scan).  ``label`` names the crash points: "reclaim" for the
-        fast tier — bit-identical to the pre-tiering path — and
-        "tier.demote" for cold placement.
+        Reclaim is the first placement decision (ISSUE 9): under the
+        temperature policy, records that are neither frequent nor
+        recent skip the fast tier and land cold — PrismDB's tiered
+        compaction, applied at PWB drain time.
+        """
+        tier = self.tiering
+        temperature = tier is not None and tier.temperature_policy
+        hot, cold = live, []
+        if temperature:
+            hot, cold = tier.split_reclaim(live, self.storages[: tier.num_fast])
+        if cold:
+            cvs = self._pick_cold_storage(bg.now)
+            if cvs is None:
+                hot = live  # no cold capacity left: everything stays fast
+            else:
+                phase = self._relocate(cvs, cold, bg, "tier.demote")
+                if phase is not None:
+                    return phase
+                tier.cold_reclaims += len(cold)
+                self.metrics.counter("tier.cold_reclaims").inc(len(cold))
+                self._maybe_gc(cvs, bg.now)
+        if hot:
+            try:
+                vs = self._pick_storage(bg.now)
+            except NoHealthyStorageError:
+                return "write"
+            label = "reclaim"
+            if temperature and not self._batch_fits(vs, hot):
+                # Hard pressure: the fast tier cannot hold its own hot
+                # set.  Spill the batch cold rather than wedge the PWB;
+                # re-access promotes survivors back once GC frees fast
+                # chunks.
+                alt = self._fast_fit_storage(hot, bg.now)
+                if alt is not None:
+                    vs = alt
+                else:
+                    cvs = self._pick_cold_storage(bg.now)
+                    if cvs is not None:
+                        vs, label = cvs, "tier.demote"
+            phase = self._relocate(vs, hot, bg, label)
+            if phase is not None:
+                return phase
+            if label == "tier.demote":
+                tier.spills += len(hot)
+                self.metrics.counter("tier.spills").inc(len(hot))
+            self._maybe_gc(vs, bg.now)
+        return None
+
+    # ------------------------------------------------------------------
+    # the relocation primitive: write -> publish -> contain
+    # ------------------------------------------------------------------
+    def _relocate(
+        self,
+        dest: ValueStorage,
+        entries: List[RelocationEntry],
+        bg: VThread,
+        label: str,
+    ) -> Optional[str]:
+        """Move live records into fresh chunks of ``dest``.
+
+        The one data-movement path: reclaim, GC, tier demotion and tier
+        promotion each select survivors, choose ``dest``, and call this.
+        It writes the batch, then per record swings the HSIT forward
+        pointer and retires the old Value Storage copy — its slot and
+        the read-cache entry coupled to it (``old_vs`` None: the old
+        copy is in a PWB, retired when the caller releases the window).
+        ``label`` names the crash points ``<label>.pre_publish`` and
+        ``<label>.published``.
+
+        Returns None when the whole batch landed, else the failing
+        phase: ``"write"`` changed nothing (write_records released its
+        chunks); ``"publish"`` was resolved by containment — published
+        entries stand, unpublished placements are dropped.  Either way
+        the caller aborts its round rather than re-move entries whose
+        old slots may already be invalid.
         """
         try:
-            placements, done = self._retrying_write(vs, bg.now, records)
-        except (StorageError, NoHealthyStorageError):
-            # The write never stuck (write_records released its
-            # chunks).  Leave the PWB untouched: records stay
-            # readable in NVM and the next trigger retries, on a
-            # healthier storage if one exists.
-            self.events.emit(
-                start_at, "reclaim_failed", pwb_id=pwb.pwb_id, phase="write"
+            placements, done = self._retrying_write(
+                dest, bg.now, [(entry[0], entry[1]) for entry in entries]
             )
-            self.metrics.counter("faults.reclaim_failures").inc()
-            return False
+        except StorageError:
+            return "write"
         bg.wait_until(done)
         self.crash_point.maybe_crash(label + ".pre_publish")
+        batch: List[PublishEntry] = [
+            (idx, placement, old_vs, old_chunk, old_off)
+            for (idx, _v, old_vs, old_chunk, old_off), placement in zip(
+                entries, placements
+            )
+        ]
         published = 0
+        rc = self.read_cache
+        publish_word = self.hsit.publish_location_word
+        encode_vs = ptr.encode_vs
+        dest_id = dest.vs_id
         try:
-            for (hsit_idx, _value), (chunk_id, offset, _size) in zip(
-                records, placements
-            ):
-                self.hsit.publish_location_word(
-                    hsit_idx, ptr.encode_vs(vs.vs_id, chunk_id, offset), bg
-                )
+            for idx, (chunk_id, offset, _sz), old_vs, old_chunk, old_off in batch:
+                publish_word(idx, encode_vs(dest_id, chunk_id, offset), bg)
                 published += 1
+                if old_vs is not None:
+                    old_vs.invalidate(old_chunk, old_off)
+                    if rc is not None:
+                        # The chunk the cached copy was coupled to is
+                        # being freed; drop it with the publish rather
+                        # than risk serving from a reference into a
+                        # reclaimed region.
+                        rc.invalidate_idx(idx)
         except DeviceError:
-            # Containment: placements that never published would be
-            # valid-but-unreachable; drop them.  Published entries
-            # stand, but the PWB window must NOT be released while
-            # any entry still points into it.
-            resolve_partial_publish(
-                self.hsit,
-                vs,
-                [
-                    (hsit_idx, placement, None, 0, 0)
-                    for (hsit_idx, _v), placement in zip(records, placements)
-                ],
-                published,
-            )
-            self.events.emit(
-                start_at, "reclaim_failed", pwb_id=pwb.pwb_id, phase="publish"
-            )
-            self.metrics.counter("faults.reclaim_failures").inc()
-            return False
+            resolve_partial_publish(self.hsit, dest, batch, published)
+            return "publish"
         self.crash_point.maybe_crash(label + ".published")
-        return True
+        return None
 
     # ------------------------------------------------------------------
     # garbage collection in Value Storage (§5.2)
@@ -798,12 +772,13 @@ class Prism:
         start_at = bg.now
         free_before = vs.free_chunks
         victims = vs.gc_victims(self.config.gc_batch_chunks)
-        moves: List[Tuple[int, bytes, int, int]] = []
+        moves: List[RelocationEntry] = []
         read_done = bg.now
         # Bound once: the slot loop runs per live record per victim.
         moves_append = moves.append
         live_records_of = vs.live_records_of
         read_record_raw = vs.read_record_raw
+        phase: Optional[str] = None
         try:
             for chunk_id in victims:
                 for slot in live_records_of(chunk_id):
@@ -830,90 +805,32 @@ class Prism:
                             )
                             continue
                         value = fetched[0]
-                    moves_append((slot.hsit_idx, value, chunk_id, slot.offset))
+                    moves_append((slot.hsit_idx, value, vs, chunk_id, slot.offset))
                 read_done = max(
                     read_done,
                     vs.ssd.read_async(bg.now, chunk_id * vs.chunk_size, vs.chunk_size),
                 )
         except DeviceError:
-            # Nothing moved or invalidated yet: abort this GC round.
-            self.events.emit(start_at, "gc_failed", vs_id=vs.vs_id, phase="read")
-            self.metrics.counter("faults.gc_failures").inc()
-            return
-        bg.wait_until(read_done)
-        tier = self.tiering
-        if tier is not None and tier.temperature_policy and moves:
-            kept = self._tiered_gc_partition(vs, moves, bg, start_at)
-            if kept is None:
-                # A cross-tier relocation failed mid-batch; containment
-                # already restored consistency.  Abort this GC round —
+            phase = "read"  # nothing moved or invalidated yet
+        else:
+            bg.wait_until(read_done)
+            tier = self.tiering
+            if tier is not None and tier.temperature_policy and moves:
+                # A cross-tier batch that fails was already contained;
                 # every un-relocated record is still valid in place.
-                self.events.emit(
-                    start_at, "gc_failed", vs_id=vs.vs_id, phase="relocate"
-                )
-                self.metrics.counter("faults.gc_failures").inc()
-                return
-            moves = kept
-        if not moves:
-            self.events.emit(
-                start_at,
-                "gc",
-                vs_id=vs.vs_id,
-                victim_chunks=len(victims),
-                moved_records=0,
-                moved_bytes=0,
-                chunks_freed=vs.free_chunks - free_before,
-                duration=bg.now - start_at,
-            )
-            return
-        try:
-            placements, done = self._retrying_write(
-                vs, bg.now, [(idx, value) for idx, value, _, _ in moves]
-            )
-        except StorageError:
-            self.events.emit(start_at, "gc_failed", vs_id=vs.vs_id, phase="write")
+                moves = self._gc_cross_tier(vs, moves, bg, start_at)
+                if moves is None:
+                    phase = "relocate"
+            if phase is None and moves:
+                phase = self._relocate(vs, moves, bg, "gc")
+        if phase is not None:
+            self.events.emit(start_at, "gc_failed", vs_id=vs.vs_id, phase=phase)
             self.metrics.counter("faults.gc_failures").inc()
             return
-        bg.wait_until(done)
-        self.crash_point.maybe_crash("gc.pre_publish")
-        published = 0
-        rc = self.read_cache
-        publish_word = self.hsit.publish_location_word
-        encode_vs = ptr.encode_vs
-        invalidate = vs.invalidate
-        vs_id = vs.vs_id
-        try:
-            for (idx, value, old_chunk, old_off), (chunk_id, offset, _sz) in zip(
-                moves, placements
-            ):
-                publish_word(idx, encode_vs(vs_id, chunk_id, offset), bg)
-                published += 1
-                invalidate(old_chunk, old_off)
-                if rc is not None:
-                    # GC freed the chunk the cached copy was coupled
-                    # to; drop it with the relocation publish rather
-                    # than risk serving from a reference into a
-                    # reclaimed region.
-                    rc.invalidate_idx(idx)
-        except DeviceError:
-            resolve_partial_publish(
-                self.hsit,
-                vs,
-                [
-                    (idx, placement, vs, old_chunk, old_off)
-                    for (idx, _v, old_chunk, old_off), placement in zip(
-                        moves, placements
-                    )
-                ],
-                published,
-            )
-            self.events.emit(start_at, "gc_failed", vs_id=vs.vs_id, phase="publish")
-            self.metrics.counter("faults.gc_failures").inc()
-            return
-        self.crash_point.maybe_crash("gc.published")
-        vs.gc_runs += 1
-        moved_bytes = sum(len(value) for _, value, _, _ in moves)
-        vs.gc_moved_bytes += moved_bytes
+        moved_bytes = sum(len(entry[1]) for entry in moves)
+        if moves:
+            vs.gc_runs += 1
+            vs.gc_moved_bytes += moved_bytes
         self.events.emit(
             start_at,
             "gc",
@@ -928,144 +845,66 @@ class Prism:
     # ------------------------------------------------------------------
     # tiered placement (ISSUE 9)
     # ------------------------------------------------------------------
-    def _tiered_gc_partition(
+    def _gc_cross_tier(
         self,
         vs: ValueStorage,
-        moves: List[Tuple[int, bytes, int, int]],
+        moves: List[RelocationEntry],
         bg: VThread,
         start_at: float,
-    ) -> Optional[List[Tuple[int, bytes, int, int]]]:
+    ) -> Optional[List[RelocationEntry]]:
         """Split GC survivors by temperature and relocate across tiers.
 
         Fast-tier GC demotes cold survivors to the cold pool (how
         aggressively scales with space pressure); cold-tier GC promotes
         rewarmed survivors back to fast.  Returns the moves that stay
-        in ``vs`` for the normal local rewrite, or None when a
-        relocation batch failed and the whole GC round must abort.
+        in ``vs`` for the normal local rewrite, or None when the
+        cross-tier batch failed and the whole GC round must abort.
         """
         tier = self.tiering
-        tracker = tier.tracker
-        keep: List[Tuple[int, bytes, int, int]] = []
-        batch: List[Tuple[int, bytes, int, int]] = []
-        if not tier.is_cold_vs(vs.vs_id):
-            # Demotion ladder: the emptier the storage, the more the
-            # recency/frequency protections relax — at the bottom rung
-            # everything movable leaves, or GC livelocks rewriting hot
-            # data into a tier with no room for it.
-            free_frac = vs.free_fraction()
-            thr = self.config.gc_free_threshold
-            pressure = self._fast_tier_pressure()
-            for mv in moves:
-                if free_frac < thr * 0.25:
-                    hot = False
-                elif free_frac < thr * 0.5:
-                    hot = tracker.frequency(mv[0]) >= tracker.hot_threshold
-                else:
-                    hot = tracker.is_hot(mv[0], pressure)
-                (keep if hot else batch).append(mv)
-            if not batch:
-                return moves
-            dest = self._pick_cold_storage(bg.now)
-            if dest is None:
-                return moves  # cold pool full/dead: rewrite locally
-            if not self._relocate_batch(vs, dest, batch, bg, "tier.demote"):
-                return None
-            nbytes = sum(len(v) for _, v, _, _ in batch)
-            tier.demotions += len(batch)
-            tier.demoted_bytes += nbytes
-            self.metrics.counter("tier.demotions").inc(len(batch))
-            self.events.emit(
-                start_at,
-                "tier_demote",
-                src_vs=vs.vs_id,
-                dest_vs=dest.vs_id,
-                records=len(batch),
-                bytes=nbytes,
-            )
-            self._maybe_gc(dest, bg.now)
-            return keep
-        # Cold-tier GC: survivors that warmed back up go fast again.
-        for mv in moves:
-            if tracker.should_promote(mv[0]):
-                batch.append(mv)
-            else:
-                keep.append(mv)
+        promote = tier.is_cold_vs(vs.vs_id)
+        keep, batch = tier.split_gc(vs, moves, self.storages[: tier.num_fast])
         if not batch:
             return moves
-        dest = self._promotion_target(bg.now)
+        if promote:
+            dest, label = self._promotion_target(), "tier.promote"
+        else:
+            dest, label = self._pick_cold_storage(bg.now), "tier.demote"
         if dest is None:
-            return moves  # no fast headroom: stay cold for now
-        if not self._relocate_batch(vs, dest, batch, bg, "tier.promote"):
+            # Cold pool full/dead, or no fast headroom: rewrite locally.
+            return moves
+        if self._relocate(dest, batch, bg, label) is not None:
             return None
-        nbytes = sum(len(v) for _, v, _, _ in batch)
-        tier.promotions += len(batch)
-        tier.promoted_bytes += nbytes
-        self.metrics.counter("tier.promotions").inc(len(batch))
+        fields = {"trigger": "gc"} if promote else {}
+        self._tier_moved(batch, dest, bg, start_at, **fields, src_vs=vs.vs_id)
+        return keep
+
+    def _tier_moved(
+        self,
+        batch: List[RelocationEntry],
+        dest: ValueStorage,
+        bg: VThread,
+        start_at: float,
+        **fields: object,
+    ) -> None:
+        """Account one landed cross-tier batch — a promotion when
+        ``dest`` is fast, else a demotion; GC follows it to ``dest``."""
+        tier = self.tiering
+        records = len(batch)
+        nbytes = sum(len(entry[1]) for entry in batch)
+        if not tier.is_cold_vs(dest.vs_id):
+            tier.promotions += records
+            tier.promoted_bytes += nbytes
+            counter, kind = "tier.promotions", "tier_promote"
+        else:
+            tier.demotions += records
+            tier.demoted_bytes += nbytes
+            counter, kind = "tier.demotions", "tier_demote"
+        self.metrics.counter(counter).inc(records)
         self.events.emit(
-            start_at,
-            "tier_promote",
-            trigger="gc",
-            src_vs=vs.vs_id,
-            dest_vs=dest.vs_id,
-            records=len(batch),
+            start_at, kind, **fields, dest_vs=dest.vs_id, records=records,
             bytes=nbytes,
         )
         self._maybe_gc(dest, bg.now)
-        return keep
-
-    def _relocate_batch(
-        self,
-        src: ValueStorage,
-        dest: ValueStorage,
-        batch: List[Tuple[int, bytes, int, int]],
-        bg: VThread,
-        label: str,
-    ) -> bool:
-        """Move live records from ``src`` to ``dest`` (cross-tier GC).
-
-        Entries are ``(hsit_idx, value, old_chunk, old_off)`` within
-        ``src``.  Publish-then-invalidate per record, with the standard
-        partial-publish containment on failure.  Returns False when the
-        batch did not fully land: a failed write changed nothing, a
-        partial publish was resolved by containment — either way the
-        caller must abort its GC round rather than re-move entries
-        whose old slots may already be invalid.
-        """
-        records = [(idx, value) for idx, value, _, _ in batch]
-        try:
-            placements, done = self._retrying_write(dest, bg.now, records)
-        except (StorageError, NoHealthyStorageError):
-            return False
-        bg.wait_until(done)
-        self.crash_point.maybe_crash(label + ".pre_publish")
-        published = 0
-        rc = self.read_cache
-        try:
-            for (idx, _value, old_chunk, old_off), (chunk_id, offset, _sz) in zip(
-                batch, placements
-            ):
-                self.hsit.publish_location_word(
-                    idx, ptr.encode_vs(dest.vs_id, chunk_id, offset), bg
-                )
-                published += 1
-                src.invalidate(old_chunk, old_off)
-                if rc is not None:
-                    rc.invalidate_idx(idx)
-        except DeviceError:
-            resolve_partial_publish(
-                self.hsit,
-                dest,
-                [
-                    (idx, placement, src, old_chunk, old_off)
-                    for (idx, _v, old_chunk, old_off), placement in zip(
-                        batch, placements
-                    )
-                ],
-                published,
-            )
-            return False
-        self.crash_point.maybe_crash(label + ".published")
-        return True
 
     def _drain_promotions(self) -> None:
         """Background promotion: republish warmed-up cold values fast.
@@ -1076,7 +915,7 @@ class Prism:
         whose word has changed since (client put, delete, or a GC
         relocation) is dropped — promotion never clobbers a newer
         value.  The drain runs synchronously in code, so nothing can
-        intervene between this check and the publish below.
+        intervene between this check and the publish.
         """
         tier = self.tiering
         bg = self._bg_tier
@@ -1084,65 +923,22 @@ class Prism:
             bg.now = self.clock.now
         start_at = bg.now
         hsit = self.hsit
-        fresh: List[Tuple[int, int, bytes]] = []
+        fresh: List[RelocationEntry] = []
         for idx, expected, value in tier.take_pending():
             if ptr.clear_dirty(hsit.location_word(idx)) != expected:
                 tier.promotions_stale += 1
                 continue
-            fresh.append((idx, expected, value))
+            old = ptr.decode(expected)
+            fresh.append(
+                (idx, value, self.storages[old.vs_id], old.chunk_id, old.vs_offset)
+            )
         if not fresh:
             return
-        dest = self._promotion_target(bg.now)
+        dest = self._promotion_target()
         if dest is None:
             return  # no fast headroom; the cold copies stay valid
-        try:
-            placements, done = self._retrying_write(
-                dest, bg.now, [(idx, value) for idx, _e, value in fresh]
-            )
-        except (StorageError, NoHealthyStorageError):
-            return
-        bg.wait_until(done)
-        self.crash_point.maybe_crash("tier.promote.pre_publish")
-        olds = [ptr.decode(expected) for _i, expected, _v in fresh]
-        published = 0
-        rc = self.read_cache
-        try:
-            for (idx, _e, _value), old, (chunk_id, offset, _sz) in zip(
-                fresh, olds, placements
-            ):
-                self.hsit.publish_location_word(
-                    idx, ptr.encode_vs(dest.vs_id, chunk_id, offset), bg
-                )
-                published += 1
-                self.storages[old.vs_id].invalidate(old.chunk_id, old.vs_offset)
-                if rc is not None:
-                    rc.invalidate_idx(idx)
-        except DeviceError:
-            resolve_partial_publish(
-                self.hsit,
-                dest,
-                [
-                    ((f[0]), placement, self.storages[old.vs_id],
-                     old.chunk_id, old.vs_offset)
-                    for f, old, placement in zip(fresh, olds, placements)
-                ],
-                published,
-            )
-            return
-        self.crash_point.maybe_crash("tier.promote.published")
-        nbytes = sum(len(value) for _i, _e, value in fresh)
-        tier.promotions += len(fresh)
-        tier.promoted_bytes += nbytes
-        self.metrics.counter("tier.promotions").inc(len(fresh))
-        self.events.emit(
-            start_at,
-            "tier_promote",
-            trigger="read",
-            dest_vs=dest.vs_id,
-            records=len(fresh),
-            bytes=nbytes,
-        )
-        self._maybe_gc(dest, bg.now)
+        if self._relocate(dest, fresh, bg, "tier.promote") is None:
+            self._tier_moved(fresh, dest, bg, start_at, trigger="read")
 
     # ------------------------------------------------------------------
     # read path
@@ -1486,11 +1282,7 @@ class Prism:
         self.svc.crash()
         if self.read_cache is not None:
             self.read_cache.crash()
-        for ssd in self.ssds:
-            ssd.crash()
-        for ssd in self.cold_ssds:
-            ssd.crash()
-        for ssd in self.mirror_ssds:
+        for ssd in self.ssds + self.cold_ssds + self.mirror_ssds:
             ssd.crash()
         if self.tiering is not None:
             self.tiering.crash()
@@ -1508,9 +1300,7 @@ class Prism:
     # ------------------------------------------------------------------
     def ssd_bytes_written(self) -> int:
         # Cold-tier writes count too: WAF must charge demotion traffic.
-        return sum(ssd.bytes_written for ssd in self.ssds) + sum(
-            ssd.bytes_written for ssd in self.cold_ssds
-        )
+        return sum(ssd.bytes_written for ssd in self.ssds + self.cold_ssds)
 
     def waf(self) -> float:
         """SSD-level write amplification (SSD writes / application writes)."""

@@ -173,30 +173,24 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
             flush_ok = False
         if flush_ok:
             rt.wait_until(done)
+            batch = [
+                (idx, placement, None, 0, 0)
+                for (idx, _v), placement in zip(publish_items, placements)
+            ]
             published = 0
             try:
-                for i, ((idx, _value), (chunk_id, offset, _sz)) in enumerate(
-                    zip(publish_items, placements)
-                ):
-                    old = prism.hsit.publish_location(
+                for i, (idx, (chunk_id, offset, _sz), *_old) in enumerate(batch):
+                    old_word = prism.hsit.publish_location_word(
                         idx, ptr.encode_vs(vs.vs_id, chunk_id, offset), rt
                     )
                     if i >= len(pwb_flush):
                         # Repaired records replace a corrupt VS slot
                         # that the bitmap rebuild above re-created;
                         # retire the old copy.
-                        prism._supersede(idx, old, rt)
+                        prism._supersede_word(idx, old_word, rt)
                     published += 1
             except DeviceError:
-                resolve_partial_publish(
-                    prism.hsit,
-                    vs,
-                    [
-                        (idx, placement, None, 0, 0)
-                        for (idx, _v), placement in zip(publish_items, placements)
-                    ],
-                    published,
-                )
+                resolve_partial_publish(prism.hsit, vs, batch, published)
                 flush_ok = False
             else:
                 flushed = len(pwb_flush)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core import pointers as ptr
-from repro.faults.errors import UnrecoverableCorruptionError
+from repro.core.containment import resolve_partial_publish
+from repro.faults.errors import DeviceError, UnrecoverableCorruptionError
 from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
 
@@ -89,6 +90,43 @@ def fetch_value(
     return None
 
 
+def _rewrite(store: "Prism", entries: list, thread: VThread):
+    """Write re-materialised records onto a healthy storage and flip
+    their pointers; returns that storage.
+
+    Entries are ``(hsit_idx, value, old_vs, old_chunk, old_off)`` as for
+    ``Prism._relocate``, which a repair does not call: its caller needs
+    the typed write error, and ``_supersede_word`` retires the old copy
+    (it also drops the SVC entry — a timed NVM access the movers skip).
+    The containment is the same: a device error mid-batch leaves
+    published records published, drops the placements that never
+    published, and propagates.
+    """
+    target = store._pick_storage(thread.now)
+    placements, done = store._retrying_write(
+        target, thread.now, [(entry[0], entry[1]) for entry in entries]
+    )
+    thread.wait_until(done)
+    batch = [
+        (idx, placement, old_vs, old_chunk, old_off)
+        for (idx, _v, old_vs, old_chunk, old_off), placement in zip(
+            entries, placements
+        )
+    ]
+    published = 0
+    try:
+        for idx, (chunk_id, offset, _sz), _vs, _chunk, _off in batch:
+            old_word = store.hsit.publish_location_word(
+                idx, ptr.encode_vs(target.vs_id, chunk_id, offset), thread
+            )
+            store._supersede_word(idx, old_word, thread)
+            published += 1
+    except DeviceError:
+        resolve_partial_publish(store.hsit, target, batch, published)
+        raise
+    return target
+
+
 def read_repair(
     store: "Prism",
     idx: int,
@@ -120,14 +158,7 @@ def read_repair(
         )
         raise UnrecoverableCorruptionError(vs.ssd.name, where, key)
     value, source = fetched
-    target = store._pick_storage(thread.now)
-    placements, done = store._retrying_write(target, thread.now, [(idx, value)])
-    thread.wait_until(done)
-    new_chunk, new_off, _size = placements[0]
-    old = store.hsit.publish_location(
-        idx, ptr.encode_vs(target.vs_id, new_chunk, new_off), thread
-    )
-    store._supersede(idx, old, thread)
+    target = _rewrite(store, [(idx, value, vs, chunk_id, offset)], thread)
     store.metrics.counter("corruption.repaired").inc()
     store.events.emit(
         at,
@@ -174,22 +205,15 @@ def rebuild_storage(
     rt.now = store.clock.now
     start = rt.now
     report = RebuildReport(vs_id=vs_id)
-    pending: List[Tuple[int, bytes]] = []
+    pending: list = []  # (hsit_idx, value, old_vs, old_chunk, old_off)
 
     def _flush_batch() -> None:
         if not pending:
             return
-        target = store._pick_storage(rt.now)
-        placements, done = store._retrying_write(target, rt.now, list(pending))
-        rt.wait_until(done)
-        for (idx, value), (chunk_id, offset, _sz) in zip(pending, placements):
-            old = store.hsit.publish_location(
-                idx, ptr.encode_vs(target.vs_id, chunk_id, offset), rt
-            )
-            store._supersede(idx, old, rt)
-            report.records_repaired += 1
-            report.bytes_restored += len(value)
-            store.metrics.counter("corruption.repaired").inc()
+        _rewrite(store, pending, rt)
+        report.records_repaired += len(pending)
+        report.bytes_restored += sum(len(entry[1]) for entry in pending)
+        store.metrics.counter("corruption.repaired").inc(len(pending))
         pending.clear()
 
     for _key, idx in list(store.index.items()):
@@ -211,7 +235,7 @@ def rebuild_storage(
                 offset=loc.vs_offset,
             )
             continue
-        pending.append((idx, fetched[0]))
+        pending.append((idx, fetched[0], vs, loc.chunk_id, loc.vs_offset))
         if len(pending) >= batch:
             _flush_batch()
     _flush_batch()

@@ -14,7 +14,7 @@ key protection) and drop the stale promotion instead of publishing it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, List, Sequence, Set, Tuple
 
 from repro.core.config import TIER_TEMPERATURE, PrismConfig
 from repro.tiering.temperature import TemperatureTracker
@@ -32,6 +32,7 @@ class TierManager:
         self.num_fast = cfg.num_ssds
         self.num_cold = cfg.num_cold_ssds
         self.fast_headroom = cfg.tier_fast_headroom
+        self.gc_free_threshold = cfg.gc_free_threshold
         self.tracker = TemperatureTracker(
             sketch_width=cfg.tier_sketch_width,
             hot_threshold=cfg.tier_hot_threshold,
@@ -59,6 +60,53 @@ class TierManager:
 
     def is_cold_vs(self, vs_id: int) -> bool:
         return vs_id >= self.num_fast
+
+    # -- hot/cold decisions (temperature policy) --------------------------
+    # ``fast`` is the fast-tier Value Storages; entries are the store's
+    # relocation entries, whose first field is the HSIT index.
+
+    def fast_pressure(self, fast: Sequence) -> bool:
+        """Is the fast tier close enough to its GC threshold that
+        reclaim should stop honoring recency protection?  Placing
+        borderline records cold now beats GC demoting them moments
+        later (one write instead of two)."""
+        free = sum(vs.free_chunks for vs in fast)
+        total = sum(vs.num_chunks for vs in fast)
+        return free / total < max(0.25, 2 * self.gc_free_threshold)
+
+    @staticmethod
+    def _split(entries: list, stays) -> Tuple[list, list]:
+        keep, leave = [], []
+        for entry in entries:
+            (keep if stays(entry[0]) else leave).append(entry)
+        return keep, leave
+
+    def split_reclaim(self, live: list, fast: Sequence) -> Tuple[list, list]:
+        """``(hot, cold)``: which PWB survivors go fast, and which skip
+        the fast tier and land cold."""
+        pressure = self.fast_pressure(fast)
+        return self._split(live, lambda idx: self.tracker.is_hot(idx, pressure))
+
+    def split_gc(self, vs, moves: list, fast: Sequence) -> Tuple[list, list]:
+        """``(keep, leave)``: which GC survivors of ``vs`` are rewritten
+        in place, and which cross to the other tier."""
+        tracker = self.tracker
+        if self.is_cold_vs(vs.vs_id):
+            # Cold-tier GC: survivors that warmed back up go fast again.
+            return self._split(moves, lambda idx: not tracker.should_promote(idx))
+        # Demotion ladder: the emptier the storage, the more the
+        # recency/frequency protections relax — at the bottom rung
+        # everything movable leaves, or GC livelocks rewriting hot data
+        # into a tier with no room for it.
+        free_frac = vs.free_fraction()
+        thr = self.gc_free_threshold
+        if free_frac < thr * 0.25:
+            return [], moves
+        if free_frac < thr * 0.5:
+            hot = tracker.hot_threshold
+            return self._split(moves, lambda idx: tracker.frequency(idx) >= hot)
+        pressure = self.fast_pressure(fast)
+        return self._split(moves, lambda idx: tracker.is_hot(idx, pressure))
 
     # -- promotion queue ------------------------------------------------
 

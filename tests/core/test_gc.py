@@ -94,3 +94,13 @@ def test_gc_runs_off_critical_path(tight_store):
     assert sum(vs.gc_runs for vs in tight_store.storages) > 0
     # An in-path GC would cost milliseconds; bounded stalls only.
     assert worst < 2e-3
+
+
+def test_space_squeezed_run_is_byte_identical_to_seed():
+    """Reclaim + local GC under space pressure: metrics, final vtime,
+    mover event log and crash-label census match the manifest
+    (``tests/digests.py``; the scenario fails if GC stops running)."""
+    from tests import digests
+
+    _store, digest = digests.ycsb_a_gc()
+    assert digest == digests.expected("ycsb_a_gc")

@@ -10,6 +10,10 @@ The manifest pins the tree as of PR 12: the per-feature golden JSON
 blobs PRs 6-9 compared against were never committed (``.gitignore``'s
 ``*.metrics.json`` rule kept them out), so it was generated on that PR's
 parent commit.  The final-vtime reprs equal the ones those PRs pinned.
+The mover scenarios (``ycsb_a_gc``, ``tiered_gc``) were added by PR 13
+and generated on its parent commit, before the relocation paths were
+merged into one; they also digest the mover event log and a
+crash-label census.
 
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
@@ -29,9 +33,17 @@ from repro.bench.runner import preload, run_workload
 from repro.bench.stores import build_prism
 from repro.cluster.router import ClusterConfig, PrismCluster
 from repro.cluster.runner import run_cluster_workload
+from repro.faults.crash_sweep import (
+    CrashSweep,
+    default_ops,
+    default_store_factory,
+    tiered_store_factory,
+)
+from repro.storage.specs import QLC_SSD_SPEC
 from repro.workloads.ycsb import WORKLOADS
 
 MANIFEST = Path(__file__).with_name("digests.json")
+KB = 1024
 
 
 def _digest(store, metrics: dict) -> Dict[str, str]:
@@ -40,6 +52,35 @@ def _digest(store, metrics: dict) -> Dict[str, str]:
         "metrics_sha256": hashlib.sha256(payload.encode()).hexdigest(),
         "final_vtime": repr(store.clock.now),
     }
+
+
+# Event kinds the data movers emit (plus every ``*_failed``).
+MOVER_EVENTS = ("reclaim", "gc", "tier_demote", "tier_promote")
+
+
+def _mover_digest(store, metrics: dict, factory, covered) -> Dict[str, str]:
+    """:func:`_digest` plus what the data movers did: the event log of
+    every reclaim / GC / tier move / failure, and the crash-label
+    census of ``factory``'s store under the default sweep workload.
+
+    ``covered`` names the ``stats()`` counters that must be non-zero,
+    so an anchor cannot silently stop exercising the path it guards.
+    """
+    stats = store.stats()
+    idle = [name for name in covered if not stats[name] > 0]
+    if idle:
+        raise AssertionError(f"scenario no longer exercises: {idle}")
+    events = [
+        [e["kind"], sorted(e.items())]
+        for e in store.events
+        if e["kind"] in MOVER_EVENTS or e["kind"].endswith("_failed")
+    ]
+    census = CrashSweep(factory, default_ops()).discover()
+    digest = _digest(store, metrics)
+    for name, view in (("events", events), ("crash_labels", census)):
+        payload = json.dumps(view, sort_keys=True)
+        digest[f"{name}_sha256"] = hashlib.sha256(payload.encode()).hexdigest()
+    return digest
 
 
 def ycsb_a() -> Tuple[object, Dict[str, str]]:
@@ -52,6 +93,46 @@ def ycsb_a() -> Tuple[object, Dict[str, str]]:
     preload(store, 1500, num_threads=4)
     result = run_workload(store, WORKLOADS["A"], 3000, 1500, 4)
     return store, _digest(store, result.metrics)
+
+
+def ycsb_a_gc() -> Tuple[object, Dict[str, str]]:
+    """Space-squeezed store (Fig. 17 shape, small): Value Storage is 2x
+    the dataset and GC triggers early, so reclaim and local GC both run."""
+    keys = 1500
+    store = build_prism(
+        num_threads=4, num_ssds=2, dataset_bytes=keys * KB, expected_keys=keys,
+        ssd_capacity=keys * KB, chunk_size=64 * KB, gc_free_threshold=0.3,
+    )
+    preload(store, keys, num_threads=4)
+    result = run_workload(store, WORKLOADS["A"], 4000, keys, 4)
+    return store, _mover_digest(
+        store, result.metrics, default_store_factory, ("reclaims", "gc_runs")
+    )
+
+
+def tiered_gc() -> Tuple[object, Dict[str, str]]:
+    """Temperature tiering with the fast tier at half the dataset: one
+    fast + one cold SSD sized so reclaim-cold, GC demotion, spill, and
+    read- and GC-triggered promotion all fire (and, with the fast tier
+    this tight, some GC rounds fail for lack of room)."""
+    keys = 600
+    store = build_prism(
+        num_threads=4, num_ssds=1, dataset_bytes=keys * KB, expected_keys=keys,
+        ssd_capacity=keys * KB // 2, chunk_size=16 * KB, gc_free_threshold=0.3,
+        enable_tiering=True, num_cold_ssds=1,
+        cold_ssd_spec=QLC_SSD_SPEC.with_capacity(2 * keys * KB),
+        tier_hot_threshold=3, tier_promote_threshold=2, tier_recency_window=64,
+    )
+    preload(store, keys, num_threads=4)
+    result = run_workload(store, WORKLOADS["A"], 6000, keys, 4)
+    triggers = {e["trigger"] for e in store.events.of_kind("tier_promote")}
+    if triggers != {"read", "gc"}:
+        raise AssertionError(f"promotion triggers exercised: {triggers}")
+    return store, _mover_digest(
+        store, result.metrics, tiered_store_factory,
+        ("reclaims", "gc_runs", "tier_demotions", "tier_promotions",
+         "tier_spills", "tier_cold_reclaims"),
+    )
 
 
 def cluster_a() -> Tuple[object, Dict[str, str]]:
@@ -70,6 +151,8 @@ def cluster_a() -> Tuple[object, Dict[str, str]]:
 
 SCENARIOS: Dict[str, Callable[[], Tuple[object, Dict[str, str]]]] = {
     "ycsb_a": ycsb_a,
+    "ycsb_a_gc": ycsb_a_gc,
+    "tiered_gc": tiered_gc,
     "cluster_a": cluster_a,
 }
 

@@ -8,6 +8,7 @@ from repro.core.checker import audit
 from repro.core.prism import Prism
 from repro.faults.errors import (
     CorruptionError,
+    DeviceError,
     ReadDegradedError,
     UnrecoverableCorruptionError,
 )
@@ -171,6 +172,58 @@ class TestDeadDevice:
                 degraded += 1
         assert degraded == 0
         assert store.metrics.gauge("repair.rebuild_seconds").value == report.duration
+        assert audit(store).ok
+
+    def test_rebuild_publish_failure_mid_batch_is_contained(self, store, monkeypatch):
+        """A device error on the third publish of a rebuild batch: the
+        records written but never published must not stay valid-and-
+        unreachable (audit I4), published ones stay published, and a
+        second rebuild finishes the job."""
+        _load(store)
+        expect = {key: store.get(key) for key, _idx in store.index.items()}
+        on_dead = len(_vs_keys(store)[0])
+        assert on_dead > 3
+        store.injector.kill_device(store.storages[0].ssd.name)
+        real = store.hsit.publish_location_word
+        calls = []
+
+        def failing(idx, word, thread=None):
+            calls.append(idx)
+            if len(calls) == 3:
+                raise DeviceError("nvm0", "injected publish failure")
+            return real(idx, word, thread)
+
+        monkeypatch.setattr(store.hsit, "publish_location_word", failing)
+        with pytest.raises(DeviceError):
+            rebuild_storage(store, 0)
+        monkeypatch.undo()
+        assert audit(store).ok, audit(store).violations[:3]
+        assert len(_vs_keys(store)[0]) == on_dead - 2
+        report = rebuild_storage(store, 0)
+        assert report.ok
+        assert report.records_repaired == on_dead - 2
+        assert not _vs_keys(store)[0]
+        assert audit(store).ok
+        for key, value in expect.items():
+            assert store.get(key) == value
+
+    def test_read_repair_publish_failure_is_contained(self, store, monkeypatch):
+        """Same fault on the single-record path: the rewritten copy must
+        not stay valid-and-unreachable, and the next read heals."""
+        _load(store)
+        key, _loc = _vs_keys(store)[0][0]
+        expect = store.get(key)
+        store.injector.kill_device(store.storages[0].ssd.name)
+
+        def failing(idx, word, thread=None):
+            raise DeviceError("nvm0", "injected publish failure")
+
+        monkeypatch.setattr(store.hsit, "publish_location_word", failing)
+        with pytest.raises(DeviceError):
+            store.get(key)
+        monkeypatch.undo()
+        assert audit(store).ok, audit(store).violations[:3]
+        assert store.get(key) == expect
         assert audit(store).ok
 
     def test_rebuild_counts_losses_without_mirror(self):

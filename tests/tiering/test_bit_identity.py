@@ -19,3 +19,12 @@ def test_tiering_off_run_is_byte_identical_to_seed():
     assert store.tiering is None
     assert store.cold_ssds == []
     assert digest == digests.expected("ycsb_a")
+
+
+def test_tiered_mover_run_is_byte_identical_to_seed():
+    """Every tier mover in one seeded run (reclaim-cold, GC demotion,
+    spill, read- and GC-triggered promotion): metrics, final vtime,
+    mover event log and crash-label census all match the manifest.
+    The scenario itself fails if a mover stops firing."""
+    _store, digest = digests.tiered_gc()
+    assert digest == digests.expected("tiered_gc")
