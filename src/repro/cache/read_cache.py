@@ -187,7 +187,8 @@ class ReadCache:
         }
 
     def crash(self) -> None:
-        """DRAM loses everything."""
+        """DRAM loses everything, the admission sketch included."""
+        self.sketch = FrequencySketch(width=self.sketch.width)
         self.entries.clear()
         self._by_idx.clear()
         self.used = 0

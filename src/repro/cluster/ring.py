@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 _HASH_BYTES = 8  # 64-bit ring positions
 
@@ -60,13 +60,6 @@ class LastShardError(RingError):
         self.shard_id = shard_id
 
 
-def _hash64(data: bytes, seed: int) -> int:
-    digest = hashlib.blake2b(
-        data, digest_size=_HASH_BYTES, key=seed.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
 class HashRing:
     """A consistent-hash ring over integer shard ids."""
 
@@ -80,9 +73,14 @@ class HashRing:
             raise ValueError(f"need at least one vnode per shard: {vnodes}")
         self.vnodes = vnodes
         self.seed = seed
+        self._hash_key = seed.to_bytes(8, "little")  # blake2b key
         self._points: List[Tuple[int, int]] = []  # (position, shard_id)
         self._keys: List[int] = []  # positions only, for bisect
         self._shards: Set[int] = set()
+        # No-exclude successor walks, (bisect index, n) -> shard ids.
+        # A pure function of the points, so membership changes clear
+        # it; at most len(points) + 1 entries per distinct n.
+        self._successors: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         for shard_id in shard_ids:
             self.add_shard(shard_id)
 
@@ -98,7 +96,7 @@ class HashRing:
 
     def _vnode_points(self, shard_id: int) -> List[Tuple[int, int]]:
         return [
-            (_hash64(b"%d#%d" % (shard_id, v), self.seed), shard_id)
+            (self.key_position(b"%d#%d" % (shard_id, v)), shard_id)
             for v in range(self.vnodes)
         ]
 
@@ -107,6 +105,7 @@ class HashRing:
         if shard_id in self._shards:
             raise DuplicateShardError(shard_id)
         self._shards.add(shard_id)
+        self._successors.clear()
         for point in self._vnode_points(shard_id):
             idx = bisect.bisect_left(self._points, point)
             self._points.insert(idx, point)
@@ -125,6 +124,7 @@ class HashRing:
         if len(self._shards) == 1:
             raise LastShardError(shard_id)
         self._shards.discard(shard_id)
+        self._successors.clear()
         self._points = [p for p in self._points if p[1] != shard_id]
         self._keys = [pos for pos, _ in self._points]
 
@@ -148,7 +148,12 @@ class HashRing:
     # lookups
     # ------------------------------------------------------------------
     def key_position(self, key: bytes) -> int:
-        return _hash64(key, self.seed)
+        """Where ``key`` hashes to on the ring (a vnode is the position
+        of the key ``b"<shard>#<replica>"``)."""
+        digest = hashlib.blake2b(
+            key, digest_size=_HASH_BYTES, key=self._hash_key
+        ).digest()
+        return int.from_bytes(digest, "big")
 
     def lookup(self, key: bytes) -> int:
         """The shard owning ``key`` (its primary)."""
@@ -177,13 +182,22 @@ class HashRing:
             raise ValueError(f"preference list needs n >= 1: {n}")
         if not self._points:
             raise ValueError("empty ring")
-        banned = exclude or set()
-        available = self._shards - banned
-        want = min(n, len(available))
+        start = bisect.bisect_right(self._keys, self.key_position(key))
+        if exclude:
+            return self._walk(start, n, exclude)
+        memo = self._successors
+        found = memo.get((start, n))
+        if found is None:
+            found = memo[(start, n)] = tuple(self._walk(start, n, frozenset()))
+        return list(found)  # fresh: callers may mutate their answer
+
+    def _walk(self, start: int, n: int, banned: AbstractSet[int]) -> List[int]:
+        """Collect up to ``n`` distinct unbanned shards clockwise from
+        point index ``start`` (the unmemoized preference walk)."""
+        want = min(n, len(self._shards - banned))
         result: List[int] = []
         if want == 0:
             return result
-        start = bisect.bisect_right(self._keys, self.key_position(key))
         total = len(self._points)
         for step in range(total):
             shard = self._points[(start + step) % total][1]

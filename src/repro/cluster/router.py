@@ -61,7 +61,7 @@ from repro.faults.errors import (
     NoHealthyStorageError,
 )
 from repro.faults.injector import FaultConfig, slow_store_devices
-from repro.obs.metrics import EventLog, MetricsRegistry, merge_registries
+from repro.obs.metrics import Counter, EventLog, MetricsRegistry, merge_registries
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
 
@@ -199,6 +199,8 @@ class PrismCluster:
         self._hot_sketch: Optional[FrequencySketch] = None
         if cfg.hot_key_threshold is not None:
             self._hot_sketch = FrequencySketch(width=1024)
+        self._hot_reads_registry: Optional[MetricsRegistry] = None
+        self._hot_reads: Optional[Counter] = None  # of that registry
         # Gray-failure defense: health monitor plus one reusable
         # virtual thread for speculative (hedged) reads.  Both are None
         # with health off, so the undefended read path is untouched.
@@ -383,9 +385,16 @@ class PrismCluster:
             # Hot-key defense: replicated reads only for keys the
             # router has detected as hot; the cold tail keeps its
             # primary so per-shard read caches stay warm.
-            sketch.add(key)
-            if sketch.estimate(key) >= self.config.hot_key_threshold:
-                self.metrics.counter("cluster.hot_spread_reads").inc()
+            if sketch.add(key) >= self.config.hot_key_threshold:
+                metrics = self.metrics
+                if metrics is not self._hot_reads_registry:
+                    # Resolved on the first hot read (not at build
+                    # time: the instrument must not appear earlier in
+                    # the metrics JSON) and again when a runner swaps
+                    # the registry.
+                    self._hot_reads_registry = metrics
+                    self._hot_reads = metrics.counter("cluster.hot_spread_reads")
+                self._hot_reads.inc()
                 return candidates[next(self._spread_rr) % len(candidates)]
         return candidates[0]
 

@@ -120,9 +120,14 @@ def test_refresh_in_place_adjusts_used_bytes(thread):
 def test_crash_clears_everything(thread):
     cache = make_cache()
     warm(cache, b"k", 1, b"v", thread, touches=1)
+    width = cache.sketch.width
     cache.crash()
     assert len(cache) == 0
     assert cache.used == 0
+    # The admission sketch lives in the same DRAM: popularity learned
+    # before the power failure must not steer admission after it.
+    assert cache.sketch.estimate(b"k") == 0
+    assert cache.sketch.size == 0 and cache.sketch.width == width
     assert cache.lookup(b"k", thread) is None
 
 

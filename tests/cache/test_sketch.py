@@ -1,10 +1,17 @@
-"""FrequencySketch unit tests: counting, saturation, aging, determinism."""
+"""FrequencySketch unit tests: counting, saturation, aging, determinism,
+a differential test against the list-of-lists implementation it
+replaced, and the hot path's call budget."""
 
 from __future__ import annotations
 
-import pytest
+import zlib
+from typing import List
 
-from repro.cache.sketch import FrequencySketch
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cache.sketch import _SALTS, FrequencySketch
+from tests.conftest import count_calls
 
 
 def test_estimate_tracks_adds():
@@ -67,3 +74,102 @@ def test_depth_bounds():
         FrequencySketch(depth=0)
     with pytest.raises(ValueError):
         FrequencySketch(depth=5)
+
+
+def test_max_count_must_fit_a_byte():
+    FrequencySketch(max_count=255)
+    with pytest.raises(ValueError, match="255"):
+        FrequencySketch(max_count=256)
+    with pytest.raises(ValueError):
+        FrequencySketch(max_count=0)
+
+
+class _ListOfListsSketch:
+    """The implementation the flat byte table replaced, kept as the
+    oracle: one Python list per row, indexes and minimum through
+    comprehensions, aging one counter at a time."""
+
+    def __init__(self, width, depth, max_count, sample_factor):
+        self.depth = depth
+        self.max_count = max_count
+        self.sample_size = width * sample_factor
+        self.size = 0
+        self._mask = width - 1
+        self.rows: List[List[int]] = [[0] * width for _ in range(depth)]
+
+    def _indexes(self, key):
+        mask = self._mask
+        return [zlib.crc32(key, _SALTS[row]) & mask for row in range(self.depth)]
+
+    def add(self, key):
+        idxs = self._indexes(key)
+        rows = self.rows
+        current = min(rows[r][i] for r, i in enumerate(idxs))
+        if current >= self.max_count:
+            return
+        for r, i in enumerate(idxs):
+            if rows[r][i] == current:
+                rows[r][i] = current + 1
+        self.size += 1
+        if self.size >= self.sample_size:
+            self._age()
+
+    def estimate(self, key):
+        rows = self.rows
+        return min(rows[r][i] for r, i in enumerate(self._indexes(key)))
+
+    def _age(self):
+        for row in self.rows:
+            for i, value in enumerate(row):
+                if value:
+                    row[i] = value >> 1
+        self.size >>= 1
+
+
+_POOL = [b"key-%d" % i for i in range(24)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    width=st.sampled_from([2, 4, 8, 16, 32, 64]),
+    depth=st.integers(min_value=1, max_value=4),
+    max_count=st.sampled_from([1, 3, 15, 255]),
+    sample_factor=st.integers(min_value=1, max_value=3),
+    steps=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=len(_POOL) - 1)),
+        max_size=300,
+    ),
+)
+def test_flat_table_matches_list_of_lists(width, depth, max_count, sample_factor, steps):
+    """Same salts, same indexes, same aging points: every estimate and
+    ``size`` agree after every step, and ``add`` returns what a
+    following ``estimate`` reads — also on the step that ages."""
+    new = FrequencySketch(width, depth, max_count, sample_factor)
+    old = _ListOfListsSketch(width, depth, max_count, sample_factor)
+    for is_add, k in steps:
+        key = _POOL[k]
+        if is_add:
+            old.add(key)
+            assert new.add(key) == new.estimate(key)
+        else:
+            assert new.estimate(key) == old.estimate(key)
+        assert new.size == old.size
+        assert [new.estimate(p) for p in _POOL] == [old.estimate(p) for p in _POOL]
+    # Row r of the old sketch is the flat table's slice at r * width.
+    assert bytes(new._table) == bytes(c for row in old.rows for c in row)
+
+
+def test_add_return_on_the_aging_step():
+    sketch = FrequencySketch(width=2, depth=2, sample_factor=2)  # ages every 4th add
+    returned = [sketch.add(b"a") for _ in range(4)]
+    assert returned == [1, 2, 3, 2]  # the 4th add bumps to 4, then halves
+    assert sketch.estimate(b"a") == 2 and sketch.size == 2
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_call_budget(depth):
+    """One frame plus one crc32 per row — no helper, comprehension,
+    generator or ``min`` on the path every read takes three times."""
+    sketch = FrequencySketch(width=64, depth=depth)
+    assert count_calls(sketch.add, b"k") <= 1 + depth
+    assert count_calls(sketch.estimate, b"k") <= 1 + depth

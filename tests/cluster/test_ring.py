@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.ring import HashRing
+from tests.conftest import count_calls
 
 KEYS = [b"key-%05d" % i for i in range(400)]
 
@@ -123,3 +124,81 @@ class TestStability:
             ring.add_shard(0)
         with pytest.raises(ValueError):
             ring.remove_shard(5)
+
+
+def _rebuilt(ring: HashRing) -> HashRing:
+    """The same membership built from scratch: nothing memoized."""
+    return HashRing(sorted(ring.shards), vnodes=ring.vnodes, seed=ring.seed)
+
+
+class TestSuccessorMemo:
+    """``preference_list`` without ``exclude`` answers from a memo of
+    successor walks; it must be indistinguishable from walking."""
+
+    @staticmethod
+    def _check(ring: HashRing) -> None:
+        fresh = _rebuilt(ring)
+        outsider = {-1}  # excludes no member, but forces the walking path
+        victim = min(ring.shards)
+        for key in KEYS[:40]:
+            for n in (1, 2, 3):
+                memoized = ring.preference_list(key, n)
+                assert memoized == ring.preference_list(key, n, exclude=outsider)
+                assert memoized == fresh.preference_list(key, n)
+                # Whoever gets the answer owns it.
+                memoized.append(99)
+                memoized[0] = -7
+                assert ring.preference_list(key, n) == fresh.preference_list(key, n)
+            if len(ring) > 1:
+                assert (
+                    ring.preference_list(key, 2, exclude={victim})
+                    == fresh.with_shard_removed(victim).preference_list(key, 2)
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shards=st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "with_added", "with_removed"]),
+                st.integers(min_value=0, max_value=9),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_matches_unmemoized_walk_across_membership_changes(self, shards, ops):
+        ring = HashRing(shards, vnodes=8)
+        self._check(ring)  # warms the memo the first change must drop
+        for op, sid in ops:
+            member = sid in ring.shards
+            if op in ("add", "with_added") and member:
+                continue
+            if op in ("remove", "with_removed") and (not member or len(ring) == 1):
+                continue
+            if op == "add":
+                ring.add_shard(sid)
+            elif op == "remove":
+                ring.remove_shard(sid)
+            else:
+                derive = ring.with_shard_added if op == "with_added" else ring.with_shard_removed
+                before = ring.shards
+                derived = derive(sid)
+                assert ring.shards == before
+                self._check(ring)  # the source ring still answers for itself
+                ring = derived
+            self._check(ring)
+
+    def test_memo_is_bounded_by_ring_points(self):
+        ring = HashRing(range(4), vnodes=16)
+        for i in range(5000):
+            ring.preference_list(b"key-%d" % i, 2)
+        assert len(ring._successors) <= 4 * 16 + 1
+
+
+def test_call_budget_warm_preference_list():
+    """Hash, bisect, one dict lookup: the per-key walk (and its
+    ``min``/``len``/``append`` calls) only runs on a memo miss or with
+    ``exclude``."""
+    ring = HashRing(range(4))
+    ring.preference_list(b"k", 2)
+    assert count_calls(ring.preference_list, b"k", 2) <= 9

@@ -118,6 +118,24 @@ class TestReplicationModes:
         for i in range(30):
             assert c.get(b"key%04d" % i, t) == b"val%04d" % i
 
+    def test_hot_spread_counter_follows_a_registry_swap(self):
+        """The router keeps the counter it resolved on the first hot
+        read; a runner that installs its own registry must still see
+        its run's hot reads, and nothing before the first hot read."""
+        c = build(read_policy="spread", hot_key_threshold=2)
+        t = VThread(1, c.clock)
+        c.put(b"k", b"v", t)
+        c.get(b"k", t)
+        assert "cluster.hot_spread_reads" not in c.metrics.counters
+        c.get(b"k", t)
+        c.get(b"k", t)
+        first = c.metrics
+        assert first.counters["cluster.hot_spread_reads"].value == 2
+        c.metrics = MetricsRegistry()
+        c.get(b"k", t)
+        assert c.metrics.counters["cluster.hot_spread_reads"].value == 1
+        assert first.counters["cluster.hot_spread_reads"].value == 2
+
     def test_async_queue_drains_on_flush(self):
         c = build(num_shards=2, replication_factor=2, replication_mode="async")
         t = VThread(1, c.clock)

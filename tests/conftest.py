@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core.config import PrismConfig
@@ -14,6 +16,27 @@ from repro.storage.ssd import SSDDevice
 
 KB = 1024
 MB = 1024**2
+
+
+def count_calls(fn, *args) -> int:
+    """Python and C calls ``fn(*args)`` makes, its own frame included —
+    the events ``cProfile`` (and so perfbench's ``host_calls_per_op``)
+    counts.  Deterministic, so a test can pin a hot path's call budget.
+    """
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls - 1  # the closing sys.setprofile is itself a c_call
 
 
 def small_prism_config(**overrides) -> PrismConfig:
