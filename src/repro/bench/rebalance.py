@@ -15,7 +15,7 @@ uniform YCSB-A:
 Acceptance gates (:func:`check_rebalance`):
 
 * **zero lost acked writes and zero stale reads after cutover** — the
-  :class:`~repro.cluster.runner.WriteLedger` audit must come back
+  :class:`~repro.faults.ledger.WriteLedger` audit must come back
   clean (``lost_acked == 0 and wrong_value == 0``);
 * **bounded blip** — read p99 *during* the migration window must stay
   within ``blip_factor`` (default 2×) of the steady-state read p99 of

@@ -1,111 +1,47 @@
-"""Crash exploration at cluster scope: a shard dies at every reachable
-crash point, and the *router* must keep its contract.
+"""Crash-sweep scenarios at cluster scope, and the registry of all of
+them.
 
-The single-store sweep (:mod:`repro.faults.crash_sweep`) verifies that
-power failure + recovery preserves durability on one node.  Here the
-failure model is harsher — the crashed shard never comes back.  The
-cluster-level contract, at replication factor ≥ 2 with quorum acks:
+The engine is :class:`repro.faults.crash_sweep.CrashSweep`; this module
+only says what a crash *means* once the system is a cluster.  The
+failure model is harsher than on a single store — the crashed shard
+never comes back — so ``on_crash`` is :meth:`PrismCluster.fail_shard`,
+and the engine's contract (at replication factor ≥ 2 with quorum acks)
+has to be kept by the *router*: reads route around the dead shard,
+re-replication restores RF, an in-flight write is never half-replicated
+into view, and a key overwritten after the failover is never served at
+its pre-failover value.
 
-* **acknowledged durability** — every mutation the router acknowledged
-  before the crash is served afterwards with its exact value (reads
-  route around the dead shard; re-replication restores RF);
-* **pending atomicity** — the operation in flight when the crash point
-  fired is observed either fully applied or fully absent, never torn
-  and never half-replicated into view;
-* **no stale reads** — a key overwritten after the failover must never
-  be served at its pre-failover value.
-
-Mechanics: shard 0's :class:`~repro.storage.crash.CrashPoint` runs the
-discovery pass (every label its store reaches while serving its slice
-of the workload); then, per label, a fresh identical cluster replays
-the workload with that label armed.  When the simulated crash fires the
-driver — playing the client — treats shard 0 as dead
-(:meth:`PrismCluster.fail_shard`), finishes the workload on the
-survivors, and verifies the contract with reads through the router.
-
-Run directly::
+:data:`SCENARIOS` lists every scenario the sweep knows — the
+single-store ones defined beside the engine included — and is what the
+CLI flags, CI and the table in ``docs/simulation-model.md`` ("Fault
+model") select from::
 
     PYTHONPATH=src python -m repro.faults.crash_sweep --cluster
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.errors import ClusterError
 from repro.cluster.router import ClusterConfig, PrismCluster
-from repro.core.config import PrismConfig
 from repro.core.prism import Prism
-from repro.faults.crash_sweep import Op, default_ops
+from repro.faults.crash_sweep import STORE_SCENARIOS, Scenario, tight_store_config
 from repro.faults.errors import StorageError
 from repro.faults.injector import FaultConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import VirtualClock
-from repro.storage.crash import SimulatedCrash
-from repro.storage.specs import FLASH_SSD_GEN4_SPEC
-
-CRASH_SHARD = 0  # the member whose crash points are explored
-
-
-@dataclass
-class ClusterLabelOutcome:
-    """Verdict for one armed label at cluster scope."""
-
-    label: str
-    occurrence: int
-    fired: bool
-    violations: List[str] = field(default_factory=list)
-    keys_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.fired and not self.violations
-
-
-@dataclass
-class ClusterSweepReport:
-    labels: Dict[str, int] = field(default_factory=dict)
-    outcomes: List[ClusterLabelOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.outcomes) and all(o.ok for o in self.outcomes)
-
-    def summary(self) -> str:
-        lines = [
-            f"cluster crash sweep: {len(self.labels)} labels on shard "
-            f"{CRASH_SHARD}, {len(self.outcomes)} shard deaths injected"
-        ]
-        for outcome in self.outcomes:
-            if not outcome.ok:
-                lines.append(f"  FAIL {outcome.label}#{outcome.occurrence}")
-                for v in outcome.violations[:5]:
-                    lines.append(f"       {v}")
-        lines.append("PASS" if self.ok else "FAIL")
-        return "\n".join(lines)
+from repro.storage.crash import CrashPoint
 
 
 def default_cluster_factory() -> PrismCluster:
-    """A 3-shard RF=2 quorum cluster of deliberately tight stores, so
-    the per-shard workload slice reaches reclamation and GC labels."""
+    """A 3-shard RF=2 quorum cluster of the sweep's deliberately tight
+    stores, so each shard's workload slice reaches its crash labels."""
 
     def shard_factory(shard_id: int, clock: VirtualClock) -> Prism:
-        kb = 1024
         return Prism(
-            PrismConfig(
-                num_threads=2,
-                num_ssds=2,
-                ssd_spec=FLASH_SSD_GEN4_SPEC.with_capacity(512 * kb),
-                chunk_size=16 * kb,
-                pwb_capacity=32 * kb,
-                gc_free_threshold=0.4,
-                svc_capacity=32 * kb,
-                hsit_capacity=50_000,
-                enable_checksums=True,
-                faults=FaultConfig(seed=9000 + shard_id),
-            ),
+            tight_store_config(faults=FaultConfig(seed=9000 + shard_id)),
             metrics=MetricsRegistry(prefix=f"shard{shard_id}/"),
             clock=clock,
         )
@@ -118,199 +54,71 @@ def default_cluster_factory() -> PrismCluster:
     )
 
 
-class ClusterCrashSweep:
-    """Kills one shard at every reachable crash point; audits the router.
+@dataclass(frozen=True)
+class ClusterScenario(Scenario):
+    """Shard ``watch`` (None: the member that joins mid-run) dies at
+    each of its own store's crash labels; the driver — playing the
+    client — fails it over and finishes the workload on the survivors.
 
     With ``gray_shard`` set, that shard's devices are latency-inflated
-    (``gray_multiplier``×, no errors) from the start of every replay —
-    the compound scenario: one member fail-slow while another
-    fail-stops mid-operation.  The durability contract is unchanged;
-    gray slowness must never cost an acknowledged write.
+    10× (no errors) from the start of every replay — the compound
+    scenario: one member fail-slow while another fail-stops
+    mid-operation.  The durability contract is unchanged; gray slowness
+    must never cost an acknowledged write.
     """
 
-    def __init__(
-        self,
-        cluster_factory: Callable[[], PrismCluster] = default_cluster_factory,
-        ops: Optional[List[Op]] = None,
-        gray_shard: Optional[int] = None,
-        gray_multiplier: float = 10.0,
-    ) -> None:
-        self.cluster_factory = cluster_factory
-        self.ops = list(ops) if ops is not None else default_ops()
-        if gray_shard is not None and gray_shard == CRASH_SHARD:
-            raise ValueError(
-                f"gray shard must differ from the crash shard {CRASH_SHARD}"
-            )
-        self.gray_shard = gray_shard
-        self.gray_multiplier = gray_multiplier
+    factory: Callable[[], PrismCluster] = default_cluster_factory
+    watch: Optional[int] = 0
+    gray_shard: Optional[int] = None
 
-    def _make_cluster(self) -> PrismCluster:
-        cluster = self.cluster_factory()
-        if self.gray_shard is not None:
-            cluster.slow_shard(
-                self.gray_shard, 0.0, multiplier=self.gray_multiplier
+    clean_errors = (ClusterError, StorageError)
+    headline = (
+        "cluster crash sweep: {workload} labels on shard {watched}, "
+        "{crashes} shard deaths injected"
+    )
+
+    def __post_init__(self) -> None:
+        if self.gray_shard is not None and self.gray_shard == self.watch:
+            raise ValueError(
+                f"gray shard must differ from the crash shard {self.watch}"
             )
+
+    def build(self) -> PrismCluster:
+        cluster = self.factory()
+        if self.gray_shard is not None:
+            cluster.slow_shard(self.gray_shard, 0.0, multiplier=10.0)
         return cluster
 
-    @staticmethod
-    def _apply_op(cluster: PrismCluster, op: Op) -> None:
-        kind = op[0]
-        if kind == "put":
-            cluster.put(op[1], op[2])
-        elif kind == "delete":
-            cluster.delete(op[1])
-        elif kind == "get":
-            cluster.get(op[1])
-        elif kind == "scan":
-            cluster.scan(op[1], op[2])
-        else:
-            raise ValueError(f"unknown workload op: {op!r}")
+    def watched(self, cluster: PrismCluster) -> int:
+        # add_shard numbers the joining member after the initial ones.
+        return cluster.config.num_shards if self.watch is None else self.watch
 
-    def discover(self) -> Dict[str, int]:
-        """Labels shard 0's store reaches while serving the workload."""
-        cluster = self._make_cluster()
-        point = cluster.shards[CRASH_SHARD].store.crash_point
-        point.start_recording()
-        for op in self.ops:
-            self._apply_op(cluster, op)
-        point.stop_recording()
-        return dict(point.seen)
+    def crash_point(self, cluster: PrismCluster) -> CrashPoint:
+        return cluster.shards[self.watched(cluster)].store.crash_point
 
-    def verify_label(self, label: str, occurrence: int = 1) -> ClusterLabelOutcome:
-        """One shard death at one label, then audit through the router."""
-        cluster = self._make_cluster()
-        point = cluster.shards[CRASH_SHARD].store.crash_point
-        point.arm(label, occurrence)
-        acked: Dict[bytes, Optional[bytes]] = {}
-        pending: Optional[Op] = None
-        crashed = False
-        for op in self.ops:
-            try:
-                self._apply_op(cluster, op)
-            except SimulatedCrash:
-                # The node died mid-operation.  The router's client-side
-                # view: this op never acknowledged; the shard is gone.
-                crashed = True
-                pending = op
-                cluster.fail_shard(CRASH_SHARD)
-                continue
-            except (ClusterError, StorageError):
-                continue  # op failed cleanly post-failover; not acked
-            if op[0] == "put":
-                acked[op[1]] = op[2]
-            elif op[0] == "delete":
-                acked[op[1]] = None
-        outcome = ClusterLabelOutcome(
-            label=label, occurrence=occurrence, fired=point.fired == label
-        )
-        if not outcome.fired:
-            point.disarm()
-            return outcome
-        assert crashed, f"label {label} fired but no crash surfaced"
-        outcome.violations = self._audit(cluster, acked, pending)
-        outcome.keys_checked = len(acked)
-        return outcome
+    def on_crash(self, cluster: PrismCluster) -> None:
+        cluster.fail_shard(self.watched(cluster))
 
-    def _audit(
-        self,
-        cluster: PrismCluster,
-        acked: Dict[bytes, Optional[bytes]],
-        pending: Optional[Op],
-        crash_shard: int = CRASH_SHARD,
-    ) -> List[str]:
-        violations: List[str] = []
-        if crash_shard not in {s.shard_id for s in cluster.shards if not s.up}:
-            violations.append("crashed shard never marked down")
-        pend_key = (
-            pending[1] if pending and pending[0] in ("put", "delete") else None
-        )
-        for key, value in acked.items():
-            if key == pend_key:
-                # The pending op superseded this ack only if it came
-                # later; acked{} already holds the final acked value,
-                # and the pending mutation may or may not have applied.
-                old, new = value, (
-                    pending[2] if pending[0] == "put" else None
-                )
-                got = self._read(cluster, key, violations)
-                if got != old and got != new:
-                    shown = got[:16] if got is not None else None
-                    violations.append(
-                        f"pending {pending[0]} on {key!r} torn: got {shown!r}"
-                    )
-                continue
-            got = self._read(cluster, key, violations)
-            if value is None:
-                if got is not None:
-                    violations.append(
-                        f"deleted key {key!r} resurrected as {got[:16]!r}"
-                    )
-            elif got != value:
-                shown = got[:16] if got is not None else None
-                violations.append(
-                    f"acked key {key!r} wrong after failover: "
-                    f"expected {value[:16]!r}, got {shown!r}"
-                )
-        return violations
+    def settle(self, cluster: PrismCluster) -> None:
+        cluster.finish_rebalance()
 
-    @staticmethod
-    def _read(
-        cluster: PrismCluster, key: bytes, violations: List[str]
-    ) -> Optional[bytes]:
-        try:
-            return cluster.get(key)
-        except (ClusterError, StorageError) as exc:
-            violations.append(f"key {key!r} unreadable after failover: {exc}")
-            return None
-
-    def run(self, jobs: Optional[int] = None) -> ClusterSweepReport:
-        """Discover serially, then verify every label (``jobs`` wide).
-
-        Each verification replays on a fresh cluster, so the label
-        list partitions cleanly across workers; outcomes come back in
-        label order, identical to the serial sweep.
-        """
-        from repro.parallel import parallel_map
-
-        report = ClusterSweepReport()
-        report.labels = self.discover()
-        tasks = [(self, label, 1) for label in sorted(report.labels)]
-        report.outcomes = parallel_map(_cluster_verify_task, tasks, jobs=jobs)
-        return report
-
-    def fuzz(
-        self, trials: int, seed: int = 0, jobs: Optional[int] = None
-    ) -> List[ClusterLabelOutcome]:
-        """Seeded random (label, occurrence) draws, later occurrences."""
-        from repro.parallel import parallel_map
-
-        labels = sorted(self.discover().items())
-        rng = random.Random(seed)
-        draws: List[tuple] = []
-        for _ in range(trials):
-            if not labels:
-                break
-            label, count = labels[rng.randrange(len(labels))]
-            draws.append((self, label, rng.randint(1, count)))
-        return parallel_map(_cluster_verify_task, draws, jobs=jobs)
+    def invariants(self, cluster: PrismCluster) -> List[str]:
+        sid = self.watched(cluster)
+        if cluster.shards[sid].up:
+            return [f"crashed shard {sid} never marked down"]
+        return []
 
 
-def _cluster_verify_task(
-    sweep: "ClusterCrashSweep", label: str, occurrence: int
-) -> ClusterLabelOutcome:
-    """One armed shard death on a fresh cluster (spawn-safe)."""
-    return sweep.verify_label(label, occurrence)
-
-
-class RebalanceCrashSweep(ClusterCrashSweep):
+@dataclass(frozen=True)
+class RebalanceScenario(ClusterScenario):
     """Shard death at every crash label reached *during a live
     migration* — the crash-safety half of the elasticity contract.
 
-    A membership change triggers at ``trigger_fraction`` of the
-    workload; discovery then records which crash labels the watched
-    shard's store reaches inside the migration window, and each replay
-    arms one of those in-window occurrences and kills the shard when
-    it fires.  Three roles cover the interesting deaths:
+    The membership change (``add`` a shard, or drain shard 0 when not)
+    triggers a third of the way into the workload and opens the
+    explored window; the window closes when the migration resolves
+    (draining the copy stream at settle time is still inside it).  The
+    registry's three roles cover the interesting deaths:
 
     * ``source`` — shard 0 (an old owner streaming keys out) dies
       while a new member is being added;
@@ -326,201 +134,37 @@ class RebalanceCrashSweep(ClusterCrashSweep):
     explore — so the scale-in role kills the member with inbound
     stream writes instead; the draining shard's own (state-less) death
     is covered by the direct kill-mid-drain tests.
-
-    The audit is the parent's: every acknowledged write readable with
-    its exact value through the router, the pending operation atomic.
     """
 
-    ROLES = ("source", "target", "leaving")
+    role: str = "source"  # names the sweep in its report
+    add: bool = True
 
-    def __init__(
-        self,
-        cluster_factory: Callable[[], PrismCluster] = default_cluster_factory,
-        ops: Optional[List[Op]] = None,
-        role: str = "source",
-        trigger_fraction: float = 1.0 / 3.0,
-        bandwidth: float = 32.0 * 1024,
-    ) -> None:
-        super().__init__(cluster_factory, ops)
-        if role not in self.ROLES:
-            raise ValueError(f"unknown rebalance-crash role: {role}")
-        self.role = role
-        self.action = "remove" if role == "leaving" else "add"
-        # The member whose crash points are explored ("target" watches
-        # the joining shard, which only exists after the trigger).
-        self.watch_sid = 1 if role == "leaving" else CRASH_SHARD
-        self.trigger_at = max(1, int(len(self.ops) * trigger_fraction))
-        self.bandwidth = bandwidth
-        # Label counts on the watched shard *before* the migration
-        # window opens; replays arm the (before + k)-th occurrence so
-        # the crash always lands inside the window.
-        self._before: Dict[str, int] = {}
+    TRIGGER_FRACTION = 1.0 / 3.0
+    BANDWIDTH = 32.0 * 1024  # 1/256 of the default: the stream outlasts the ops
 
-    def _trigger(self, cluster: PrismCluster) -> int:
-        if self.action == "add":
-            return cluster.add_shard(bandwidth=self.bandwidth)
-        cluster.remove_shard(CRASH_SHARD, bandwidth=self.bandwidth)
-        return CRASH_SHARD
+    @property
+    def headline(self) -> str:
+        return f"[role={self.role}] {ClusterScenario.headline}"
 
-    def discover(self) -> Dict[str, int]:
-        """Labels the watched shard reaches inside the migration window."""
-        cluster = self._make_cluster()
-        point = None
-        before: Dict[str, int] = {}
-        window_end: Optional[Dict[str, int]] = None
-        if self.role != "target":
-            point = cluster.shards[self.watch_sid].store.crash_point
-            point.start_recording()
-        for i, op in enumerate(self.ops):
-            if i == self.trigger_at:
-                sid = self._trigger(cluster)
-                if self.role == "target":
-                    point = cluster.shards[sid].store.crash_point
-                    point.start_recording()
-                else:
-                    before = dict(point.seen)
-            self._apply_op(cluster, op)
-            if (
-                point is not None
-                and i >= self.trigger_at
-                and window_end is None
-                and not cluster.rebalancing
-            ):
-                window_end = dict(point.seen)
-        if window_end is None:
-            # The stream outlived the workload: its drain is still part
-            # of the migration window.
-            cluster.finish_rebalance()
-            window_end = dict(point.seen)
-        point.stop_recording()
-        self._before = before
-        return {
-            label: count - before.get(label, 0)
-            for label, count in window_end.items()
-            if count > before.get(label, 0)
-        }
-
-    def verify_label(self, label: str, occurrence: int = 1) -> ClusterLabelOutcome:
-        """One in-window shard death, then audit through the router."""
-        cluster = self._make_cluster()
-        point = None
-        crash_sid = self.watch_sid
-        if self.role != "target":
-            point = cluster.shards[self.watch_sid].store.crash_point
-            point.arm(label, self._before.get(label, 0) + occurrence)
-        acked: Dict[bytes, Optional[bytes]] = {}
-        pending: Optional[Op] = None
-        crashed = False
-        for i, op in enumerate(self.ops):
-            if i == self.trigger_at:
-                sid = self._trigger(cluster)
-                if self.role == "target":
-                    crash_sid = sid
-                    point = cluster.shards[sid].store.crash_point
-                    point.arm(label, occurrence)
-            try:
-                self._apply_op(cluster, op)
-            except SimulatedCrash:
-                crashed = True
-                pending = op
-                cluster.fail_shard(crash_sid)
-                continue
-            except (ClusterError, StorageError):
-                continue  # failed cleanly; not acked
-            if op[0] == "put":
-                acked[op[1]] = op[2]
-            elif op[0] == "delete":
-                acked[op[1]] = None
-        if not crashed:
-            # The armed occurrence may sit in the tail of the copy
-            # stream, past the last client op.
-            try:
-                cluster.finish_rebalance()
-            except SimulatedCrash:
-                crashed = True
-                cluster.fail_shard(crash_sid)
-        cluster.finish_rebalance()
-        fired = point is not None and point.fired == label
-        outcome = ClusterLabelOutcome(
-            label=label, occurrence=occurrence, fired=fired
-        )
-        if not fired:
-            if point is not None:
-                point.disarm()
-            return outcome
-        assert crashed, f"label {label} fired but no crash surfaced"
-        outcome.violations = self._audit(
-            cluster, acked, pending, crash_shard=crash_sid
-        )
-        outcome.keys_checked = len(acked)
-        return outcome
+    def at_op(self, cluster: PrismCluster, i: int, n: int) -> bool:
+        trigger_at = max(1, int(n * self.TRIGGER_FRACTION))
+        if i == trigger_at:
+            if self.add:
+                cluster.add_shard(bandwidth=self.BANDWIDTH)
+            else:
+                cluster.remove_shard(0, bandwidth=self.BANDWIDTH)
+            return True
+        return i > trigger_at and cluster.rebalancing
 
 
-def rebalance_main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.crash_sweep --rebalance",
-        description=(
-            "Kill a shard at every crash point reached during a live "
-            "migration (source, target, and leaving roles); audit the "
-            "router."
-        ),
-    )
-    parser.add_argument("--ops", type=int, default=300, help="workload length")
-    parser.add_argument("--keys", type=int, default=60, help="key-space size")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument(
-        "--role", choices=RebalanceCrashSweep.ROLES + ("all",), default="all",
-        help="which migration participant dies",
-    )
-    parser.add_argument(
-        "--fuzz", type=int, default=0,
-        help="extra randomized (label, occurrence) trials per role",
-    )
-    args = parser.parse_args(argv)
-    roles = (
-        RebalanceCrashSweep.ROLES if args.role == "all" else (args.role,)
-    )
-    ok = True
-    for role in roles:
-        sweep = RebalanceCrashSweep(
-            ops=default_ops(args.ops, args.keys, args.seed), role=role
-        )
-        report = sweep.run()
-        if args.fuzz:
-            report.outcomes.extend(sweep.fuzz(args.fuzz, seed=args.seed))
-        print(f"[role={role}] {report.summary()}")
-        ok = ok and report.ok
-    return 0 if ok else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.crash_sweep --cluster",
-        description="Kill a shard at every crash point; audit the router.",
-    )
-    parser.add_argument("--ops", type=int, default=300, help="workload length")
-    parser.add_argument("--keys", type=int, default=60, help="key-space size")
-    parser.add_argument("--seed", type=int, default=7, help="workload seed")
-    parser.add_argument(
-        "--fuzz", type=int, default=0,
-        help="extra randomized (label, occurrence) trials",
-    )
-    args = parser.parse_args(argv)
-    sweep = ClusterCrashSweep(
-        ops=default_ops(args.ops, args.keys, args.seed)
-    )
-    report = sweep.run()
-    if args.fuzz:
-        report.outcomes.extend(sweep.fuzz(args.fuzz, seed=args.seed))
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    import sys
-
-    sys.exit(main())
+SCENARIOS: Dict[str, Scenario] = {
+    **STORE_SCENARIOS,
+    "cluster": ClusterScenario(),
+    "gray": ClusterScenario(gray_shard=1),
+    "rebalance-source": RebalanceScenario(role="source", watch=0),
+    "rebalance-target": RebalanceScenario(role="target", watch=None),
+    "rebalance-leaving": RebalanceScenario(role="leaving", watch=1, add=False),
+}
+REBALANCE_ROLES = tuple(
+    s.role for s in SCENARIOS.values() if isinstance(s, RebalanceScenario)
+)

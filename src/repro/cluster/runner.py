@@ -8,15 +8,13 @@ acked-write ledger and optional mid-run shard failure.
 parallelism scales with the cluster), and adds two things the
 single-store driver has no use for:
 
-* a :class:`WriteLedger` recording every *acknowledged* write as a
-  virtual-time interval ``(start, end, value)``.  After the run the
-  ledger audits the cluster: for each key the final value must be one
-  a linearizable history could produce — the value of some acked write
-  not wholly superseded by a later acked write, or of an *interrupted*
-  write (one that raised mid-operation and may or may not have
-  applied).  An acked write that disappears entirely is reported as
-  ``lost_acked`` — the number the RF≥2 quorum acceptance gate requires
-  to be zero;
+* a :class:`~repro.faults.ledger.WriteLedger` recording every write
+  as a virtual-time interval ``(start, end, value)`` — acknowledged,
+  or *interrupted* (raised mid-operation: may or may not have
+  applied).  After the run :func:`audit_ledger` reads every key back
+  and judges it by the ledger's one rule; an acked write that
+  disappears entirely is ``lost_acked`` — the number the RF≥2 quorum
+  acceptance gate requires to be zero;
 * a :class:`KillPlan` that fails a chosen shard once a chosen fraction
   of operations has executed, exercising failover under load.
 
@@ -30,22 +28,19 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.bench.runner import RunResult
 from repro.cluster.errors import ClusterError, ShardOverloadedError
 from repro.cluster.router import DEFAULT_REBALANCE_BANDWIDTH, PrismCluster
 from repro.faults.errors import StorageError
+from repro.faults.ledger import WriteLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.stats import LatencyRecorder, Timeline
 from repro.sim.vthread import VThread
 from repro.storage.crash import SimulatedCrash
 from repro.workloads.generator import OpStream
 from repro.workloads.ycsb import WorkloadSpec
-
-# An acked or interrupted write: (start, end, value-or-None-for-delete)
-WriteRecord = Tuple[float, float, Optional[bytes]]
-
 
 @dataclass
 class KillPlan:
@@ -106,67 +101,26 @@ class RebalancePlan:
             )
 
 
-class WriteLedger:
-    """Every write the cluster acknowledged, as virtual-time intervals."""
+def audit_ledger(
+    ledger: WriteLedger, cluster: PrismCluster, thread: VThread
+) -> Dict[str, object]:
+    """Read every written key back through the router and judge the
+    final values; an unreadable key counts as absent."""
 
-    def __init__(self) -> None:
-        self.acked: Dict[bytes, List[WriteRecord]] = {}
-        self.interrupted: Dict[bytes, List[WriteRecord]] = {}
+    def read(key: bytes) -> Optional[bytes]:
+        try:
+            return cluster.get(key, thread)
+        except (ClusterError, StorageError):
+            return None
 
-    def ack(self, key: bytes, start: float, end: float, value: Optional[bytes]) -> None:
-        self.acked.setdefault(key, []).append((start, end, value))
-
-    def interrupt(
-        self, key: bytes, start: float, end: float, value: Optional[bytes]
-    ) -> None:
-        self.interrupted.setdefault(key, []).append((start, end, value))
-
-    def legal_values(self, key: bytes) -> Set[Optional[bytes]]:
-        """Values a linearizable final read of ``key`` may return.
-
-        An acked write is *superseded* when another acked write began
-        strictly after it ended — then its value must no longer win.
-        Interrupted writes may or may not have applied, so any
-        non-superseded interrupted value is also legal (as is the state
-        with none of them applied).
-        """
-        acked = self.acked.get(key, [])
-        legal: Set[Optional[bytes]] = {
-            value
-            for _start, end, value in acked
-            if not any(s > end for s, _e, _v in acked)
-        }
-        for start, end, value in self.interrupted.get(key, []):
-            if not any(s > end for s, _e, _v in acked):
-                legal.add(value)
-        if not acked:
-            legal.add(None)  # never (successfully) written
-        return legal
-
-    def audit(self, cluster: PrismCluster, thread: VThread) -> Dict[str, object]:
-        """Read every written key back and judge the final values."""
-        lost: List[bytes] = []
-        stale_or_wrong: List[bytes] = []
-        checked = 0
-        for key in sorted(set(self.acked) | set(self.interrupted)):
-            checked += 1
-            try:
-                final = cluster.get(key, thread)
-            except (ClusterError, StorageError):
-                final = None
-            legal = self.legal_values(key)
-            if final in legal:
-                continue
-            if final is None:
-                lost.append(key)
-            else:
-                stale_or_wrong.append(key)
-        return {
-            "keys_checked": checked,
-            "lost_acked": len(lost),
-            "wrong_value": len(stale_or_wrong),
-            "lost_keys_sample": [k.decode("latin-1") for k in lost[:5]],
-        }
+    illegal = list(ledger.illegal_finals(read))
+    lost = [key for key, final, _legal in illegal if final is None]
+    return {
+        "keys_checked": len(ledger.keys()),
+        "lost_acked": len(lost),
+        "wrong_value": len(illegal) - len(lost),  # stale or foreign
+        "lost_keys_sample": [k.decode("latin-1") for k in lost[:5]],
+    }
 
 
 @dataclass
@@ -348,10 +302,9 @@ def run_cluster_workload(
                 else:
                     raise ValueError(f"unknown op kind: {op.kind}")
             except ShardOverloadedError:
+                # Shed before any work: definitively not applied, so a
+                # shed write is neither acked nor in doubt.
                 shed += 1
-                if is_write:
-                    # Shed before any work: definitively not applied.
-                    pass
             except (ClusterError, StorageError, SimulatedCrash):
                 failed += 1
                 if is_write:
@@ -429,7 +382,7 @@ def run_cluster_workload(
         cluster.flush()
         audit_thread = VThread(num_threads, cluster.clock, name="auditor")
         audit_thread.now = start + duration
-        audit_report = ledger.audit(cluster, audit_thread)
+        audit_report = audit_ledger(ledger, cluster, audit_thread)
     metrics_dict: Optional[Dict[str, object]] = None
     if registry is not None:
         if gray_plan is not None:

@@ -17,7 +17,10 @@ I6  no forward pointer is left durably dirty outside an in-flight
     update;
 I7  (with checksums enabled) every valid record's stored CRC32 matches
     its header + payload — on Value Storage and in the PWB live
-    windows alike; silent corruption never hides from an audit.
+    windows alike; silent corruption never hides from an audit;
+I8  the persistent HSIT free list is acyclic, stays inside the
+    allocated range, and names no entry the index still reaches (a
+    double free would hand a live key's entry to the next insert).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple, TYPE_CHECKING
 
 from repro.core import pointers as ptr
+from repro.core.hsit import FreeListError
 from repro.faults.errors import CorruptionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -188,6 +192,14 @@ def audit(store: "Prism") -> AuditReport:
                         f"I7: corrupt PWB record at pwb {pwb.pwb_id} "
                         f"off {off}: {exc}"
                     )
+    # I8: the free list is well-formed and disjoint from live entries.
+    try:
+        for idx in store.hsit.free_entries():
+            if idx in seen_entries:
+                report.fail(f"I8: HSIT entry {idx} is on the free list but "
+                            "still reachable from the index")
+    except FreeListError as exc:
+        report.fail(f"I8: {exc}")
     # I5 (capacity): accounted bytes match live entries.
     live_bytes = sum(
         e.charged for e in store.svc.entries.values() if not e.freed

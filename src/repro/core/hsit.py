@@ -25,7 +25,7 @@ location words; deleted entries join it only after two epochs
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.core import pointers as ptr
 from repro.sim.resources import VLock
@@ -36,6 +36,11 @@ from repro.storage.nvm import NVMDevice
 
 ENTRY_BYTES = 16
 _CAS_COST = 25e-9
+
+
+class FreeListError(StorageError):
+    """The persistent free list is malformed (a double free, or a link
+    outside the allocated range): walking it further would never end."""
 
 
 class HSIT:
@@ -129,19 +134,42 @@ class HSIT:
             if thread is not None:
                 self._alloc_lock.release(thread)
 
-    def allocated_entries(self) -> int:
+    @property
+    def next_unused(self) -> int:
+        """First never-allocated index (untimed)."""
+        return self._header_words(None)[1]
+
+    def free_entries(self) -> Iterator[int]:
+        """Walk the persistent free list (untimed), head first.
+
+        A well-formed list names each entry once and only entries below
+        ``next_unused``, so it ends within ``next_unused`` steps; a
+        link that breaks either rule raises :class:`FreeListError`
+        instead of sending the walker round a cycle forever.
+        """
         head_plus1, next_unused = self._header_words(None)
-        free = 0
+        seen = set()
         while head_plus1:
-            free += 1
-            head_plus1 = ptr.free_link_of(
-                self._load_word(None, self._addr(head_plus1 - 1))
-            )
-        return next_unused - free
+            idx = head_plus1 - 1
+            if idx >= next_unused:
+                raise FreeListError(
+                    f"HSIT free list links to never-allocated entry {idx} "
+                    f"(next unused is {next_unused})"
+                )
+            if idx in seen:
+                raise FreeListError(
+                    f"HSIT free list revisits entry {idx} after "
+                    f"{len(seen)} steps (freed twice)"
+                )
+            seen.add(idx)
+            yield idx
+            head_plus1 = ptr.free_link_of(self._load_word(None, self._addr(idx)))
+
+    def allocated_entries(self) -> int:
+        return self.next_unused - sum(1 for _ in self.free_entries())
 
     def nvm_bytes(self) -> int:
-        _, next_unused = self._header_words(None)
-        return 16 + next_unused * ENTRY_BYTES
+        return 16 + self.next_unused * ENTRY_BYTES
 
     # ------------------------------------------------------------------
     # the flush-on-read location protocol

@@ -1279,6 +1279,7 @@ class Prism:
         self.nvm.crash()
         self.index.crash()
         self.dram.crash()
+        self.epoch.crash()
         self.svc.crash()
         if self.read_cache is not None:
             self.read_cache.crash()

@@ -250,12 +250,8 @@ def _mirror_copy(prism: "Prism", vs, loc: ptr.Location, idx: int):
 def _reclaim_unreachable(prism: "Prism", reachable: set, rt: VThread) -> int:
     """Free HSIT entries no key maps to (and not already free)."""
     hsit = prism.hsit
-    _, next_unused = hsit._header_words(None)
-    free_set = set()
-    head_plus1, _ = hsit._header_words(None)
-    while head_plus1:
-        free_set.add(head_plus1 - 1)
-        head_plus1 = ptr.free_link_of(hsit.location_word(head_plus1 - 1))
+    next_unused = hsit.next_unused
+    free_set = set(hsit.free_entries())
     leaked = 0
     for idx in range(next_unused):
         if idx in reachable or idx in free_set:

@@ -427,8 +427,10 @@ class ScanAwareValueCache:
         return sum(1 for e in self.entries.values() if not e.freed)
 
     def crash(self) -> None:
-        """DRAM loses everything."""
+        """DRAM loses everything — the entry-id allocator included, so
+        post-recovery entries reuse pre-crash ids."""
         self.entries.clear()
+        self._next_id = 0
         self.inactive.clear()
         self.active.clear()
         self._pending.clear()

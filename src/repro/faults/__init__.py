@@ -1,6 +1,6 @@
 """Fault injection, retrying IO, degraded mode, and crash exploration.
 
-The subsystem has four layers:
+The subsystem has five parts:
 
 * :mod:`repro.faults.errors` — the typed failure hierarchy under
   :class:`~repro.storage.base.StorageError`;
@@ -9,10 +9,15 @@ The subsystem has four layers:
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`/:class:`RetryExecutor`
   for bounded retries with virtual-time backoff and escalation to
   permanent device death;
-* :mod:`repro.faults.crash_sweep` — automated crash exploration: it
-  discovers every named crash point a workload reaches, crashes at each
-  one, recovers, and checks the durability contract and the cross-media
-  audit.
+* :mod:`repro.faults.ledger` — :class:`WriteLedger`, the one rule for
+  what a final read of a key may legally return (shared by the crash
+  sweep and the cluster workload runner);
+* :mod:`repro.faults.crash_sweep` — automated crash exploration, one
+  engine for every scope: it discovers every named crash point a
+  scenario's workload reaches, crashes at each one, lets the scenario
+  react (recover the store / fail the shard), keeps the workload
+  going, and audits the durability contract.  The scenarios are
+  registered in ``repro.cluster.crash_sweep.SCENARIOS``.
 
 See the "Fault model" section of ``docs/simulation-model.md``.
 """

@@ -90,11 +90,6 @@ class CrashPoint:
         self.fired = ""
         self.active = True
 
-    def disarm(self) -> None:
-        self._armed = ""
-        self._countdown = 0
-        self.active = self.recording
-
     def start_recording(self) -> None:
         """Begin counting every label reached (crash-point discovery)."""
         self.recording = True

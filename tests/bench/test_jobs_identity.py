@@ -1,17 +1,18 @@
 """Acceptance: ``--jobs N`` output is byte-identical to ``--jobs 1``.
 
-One bench experiment and one crash sweep, each run serially and with a
-4-worker pool, compared at the byte level — the merged metrics JSON
-and the printed report for the experiment, the full verdict list for
-the sweep.  Any nondeterminism introduced by the fan-out (completion
-order leaking into merge order, worker-local state, pickling drift)
-fails these tests.
+One bench experiment and two crash-sweep scenarios (single store and
+cluster), each run serially and with a 4-worker pool, compared at the
+byte level — the merged metrics JSON and the printed report for the
+experiment, the full verdict list for the sweeps.  Any nondeterminism
+introduced by the fan-out (completion order leaking into merge order,
+worker-local state, pickling drift) fails these tests.
 """
 
 from __future__ import annotations
 
 from repro.bench.__main__ import main
-from repro.faults.crash_sweep import CrashSweep, default_ops, default_store_factory
+from repro.cluster.crash_sweep import SCENARIOS
+from repro.faults.crash_sweep import CrashSweep, default_ops
 
 
 def _run_cli(monkeypatch, capsys, tmp_path, jobs: int) -> tuple[bytes, str]:
@@ -42,10 +43,11 @@ def test_bench_experiment_byte_identical_across_jobs(
 
 def test_crash_sweep_byte_identical_across_jobs():
     ops = default_ops(160)
-    serial = CrashSweep(default_store_factory, ops).run(jobs=1)
-    pooled = CrashSweep(default_store_factory, ops).run(jobs=4)
-    assert serial.outcomes, "sweep found nothing to crash"
-    assert [str(o) for o in pooled.outcomes] == [str(o) for o in serial.outcomes]
-    assert pooled.summary() == serial.summary()
-    assert pooled.workload_labels == serial.workload_labels
-    assert pooled.recovery_labels == serial.recovery_labels
+    for name in ("store", "cluster"):
+        serial = CrashSweep(SCENARIOS[name], ops).run(jobs=1)
+        pooled = CrashSweep(SCENARIOS[name], ops).run(jobs=4)
+        assert serial.outcomes, f"{name}: sweep found nothing to crash"
+        assert pooled.outcomes == serial.outcomes, name
+        assert pooled.summary() == serial.summary()
+        assert pooled.workload_labels == serial.workload_labels
+        assert pooled.recovery_labels == serial.recovery_labels

@@ -5,14 +5,15 @@ run); the full-size bench gates are marked ``slow_gray``.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.bench import grayfail as gf
-from repro.cluster.crash_sweep import ClusterCrashSweep
+from repro.cluster.crash_sweep import SCENARIOS, ClusterScenario
 from repro.cluster.health import HealthConfig
 from repro.cluster.runner import GrayPlan
-from repro.faults.crash_sweep import default_ops
+from repro.faults.crash_sweep import CrashSweep, default_ops
 
 SMOKE = dict(num_keys=800, num_ops=2500)
 
@@ -94,13 +95,14 @@ class TestDeterminism:
 class TestGrayCrashSweep:
     def test_gray_shard_must_differ_from_crash_shard(self):
         with pytest.raises(ValueError):
-            ClusterCrashSweep(gray_shard=0)
+            ClusterScenario(gray_shard=0)
 
     def test_kill_under_gray_keeps_durability(self):
-        sweep = ClusterCrashSweep(
-            ops=default_ops(120, 30, seed=7), gray_shard=1
-        )
-        report = sweep.run()
+        """The registered ``gray`` scenario (shard 1 slow) runs with the
+        others in tests/faults/test_crash_sweep.py; this is ``--gray 2``
+        — the *other* survivor slow while shard 0 dies."""
+        scenario = replace(SCENARIOS["gray"], gray_shard=2)
+        report = CrashSweep(scenario, default_ops(120, 30, seed=7)).run()
         assert report.ok, report.summary()
 
 
@@ -112,11 +114,6 @@ class TestFullGates:
         assert ok_tail, msg
         ok_cost, msg = gf.check_overhead(results["defended"])
         assert ok_cost, msg
-
-    def test_full_gray_crash_sweep(self):
-        sweep = ClusterCrashSweep(gray_shard=1)
-        report = sweep.run()
-        assert report.ok, report.summary()
 
 
 class TestHealthyDefenseOverhead:

@@ -24,10 +24,7 @@ from repro.cluster.admission import (
     KIND_WRITE,
     AdmissionController,
 )
-from repro.cluster.crash_sweep import (
-    RebalanceCrashSweep,
-    default_cluster_factory,
-)
+from repro.cluster.crash_sweep import default_cluster_factory
 from repro.cluster.errors import RebalanceInProgressError, ShardDrainingError
 from repro.cluster.health import HealthConfig, HealthMonitor
 from repro.cluster.rebalance import plan_moves
@@ -39,11 +36,11 @@ from repro.cluster.ring import (
 )
 from repro.cluster.runner import (
     RebalancePlan,
-    WriteLedger,
+    audit_ledger,
     run_cluster_workload,
 )
 from repro.cluster.shard import STATE_DRAINING, STATE_RETIRED
-from repro.faults.crash_sweep import default_ops
+from repro.faults.ledger import WriteLedger
 from repro.obs.metrics import EventLog, MetricsRegistry
 from repro.sim.vthread import VThread
 from repro.workloads.ycsb import WorkloadSpec
@@ -400,7 +397,7 @@ class TestLedgerMidMigration:
                 cluster.delete(k, t)
                 ledger.ack(k, start, t.now, None)
         cluster.finish_rebalance()
-        report = ledger.audit(cluster, t)
+        report = audit_ledger(ledger, cluster, t)
         assert report["lost_acked"] == 0
         assert report["wrong_value"] == 0
         assert report["keys_checked"] == len(KEYS)
@@ -455,20 +452,10 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# crash sweep + bench gates (slow: full replay matrices)
+# bench gates (slow: full-size runs).  The crash sweep over the three
+# migration roles runs with every other scenario in
+# tests/faults/test_crash_sweep.py.
 # ----------------------------------------------------------------------
-@pytest.mark.slow_rebalance
-class TestRebalanceSweep:
-    @pytest.mark.parametrize("role", RebalanceCrashSweep.ROLES)
-    def test_sweep_role_passes(self, role):
-        sweep = RebalanceCrashSweep(
-            ops=default_ops(160, 40, 7), role=role
-        )
-        report = sweep.run()
-        assert report.labels, "no crash labels reached inside the window"
-        assert report.ok, report.summary()
-
-
 @pytest.mark.slow_rebalance
 class TestBenchGates:
     def test_rebalance_gates_pass_smoke(self):

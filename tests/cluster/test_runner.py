@@ -5,9 +5,10 @@ import pytest
 
 from repro.bench.runner import preload, run_workload
 from repro.cluster import ClusterConfig, PrismCluster
-from repro.cluster.runner import KillPlan, WriteLedger, run_cluster_workload
+from repro.cluster.runner import KillPlan, run_cluster_workload
 from repro.core.prism import Prism
 from repro.faults.injector import FaultConfig
+from repro.faults.ledger import WriteLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.ycsb import WorkloadSpec
 from tests.conftest import small_prism_config
@@ -64,6 +65,48 @@ class TestWriteLedger:
         lg = WriteLedger()
         lg.interrupt(b"k", 0.0, 1.0, b"maybe")
         assert lg.legal_values(b"k") == {None, b"maybe"}
+
+    # The crash sweep replays one op at a time and uses the op index as
+    # a degenerate interval (start == end); the same rule then yields
+    # what its hand-written audits used to spell out case by case.
+    @pytest.mark.parametrize(
+        "history, legal",
+        [
+            # acked-exact: only the last acknowledged value
+            ([("ack", b"v1"), ("ack", b"v2")], {b"v2"}),
+            # deleted-absent
+            ([("ack", b"v1"), ("ack", None)], {None}),
+            # pending put over an acked value: old or new
+            ([("ack", b"old"), ("interrupt", b"new")], {b"old", b"new"}),
+            # pending put on a never-acked key: new or absent
+            ([("interrupt", b"new")], {b"new", None}),
+            # pending delete: old or absent
+            ([("ack", b"old"), ("interrupt", None)], {b"old", None}),
+            # pending delete of a never-acked key: absent either way
+            ([("interrupt", None)], {None}),
+            # an interrupted op a later ack superseded must not resurface
+            ([("interrupt", b"torn"), ("ack", b"v2")], {b"v2"}),
+            ([("ack", b"v1"), ("interrupt", None), ("ack", b"v3")], {b"v3"}),
+        ],
+    )
+    def test_sequential_replay_rule(self, history, legal):
+        lg = WriteLedger()
+        for i, (verdict, value) in enumerate(history):
+            getattr(lg, verdict)(b"k", i, i, value)
+        assert lg.legal_values(b"k") == legal
+
+    def test_illegal_finals_reads_every_written_key_back(self):
+        lg = WriteLedger()
+        lg.ack(b"a", 0, 0, b"1")
+        lg.ack(b"b", 1, 1, b"2")
+        lg.interrupt(b"c", 2, 2, b"3")
+        boom = OSError("unreadable")
+        finals = {b"a": b"1", b"b": b"stale", b"c": boom}
+        assert lg.keys() == [b"a", b"b", b"c"]
+        assert list(lg.illegal_finals(finals.__getitem__)) == [
+            (b"b", b"stale", {b"2"}),
+            (b"c", boom, {b"3", None}),  # an exception is never legal
+        ]
 
 
 class TestRunWithoutFailure:

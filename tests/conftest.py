@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
@@ -16,6 +17,17 @@ from repro.storage.ssd import SSDDevice
 
 KB = 1024
 MB = 1024**2
+
+# Tier-1 runs the same Hypothesis examples on every run and every
+# checkout: derived from each test's source, no example database.  The
+# per-test ``@settings(max_examples=...)`` inherit from whichever
+# profile is loaded when their module is imported.  Randomised
+# exploration is opt-in through Hypothesis's own pytest flag, which is
+# applied after this file loads:
+#     pytest --hypothesis-profile explore tests/core/test_prism_stateful.py
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
 
 
 def count_calls(fn, *args) -> int:

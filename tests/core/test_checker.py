@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import pointers as ptr
 from repro.core.checker import audit
+from repro.core.hsit import FreeListError
 from repro.core.prism import Prism
 from repro.sim.vthread import VThread
 from tests.conftest import small_prism_config
@@ -128,6 +129,50 @@ class TestCorruptionDetected:
         store.svc.used += 1234
         report = audit(store)
         assert any("accounting drift" in v for v in report.violations)
+
+
+class TestFreeListInvariant:
+    """I8: a double free must be visible to the audit — and must stop
+    recovery with a typed error, not send its walk round a cycle."""
+
+    def _double_free(self, store, t):
+        for key in (b"a", b"b", b"keep"):
+            store.put(key, b"v", t)
+        a, b = store.index.lookup(b"a"), store.index.lookup(b"b")
+        store.delete(b"a", t)
+        store.delete(b"b", t)
+        store.epoch.drain()  # both entries join the free list...
+        store.hsit.free(a)  # ...and a stale retirement frees one again
+        return a
+
+    def test_clean_free_list_passes(self, store, t):
+        store.put(b"k", b"v", t)
+        store.delete(b"k", t)
+        store.epoch.drain()
+        assert list(store.hsit.free_entries())
+        assert audit(store).ok
+
+    def test_double_free_is_reported(self, store, t):
+        a = self._double_free(store, t)
+        violations = audit(store).violations
+        assert any(
+            v.startswith("I8") and f"revisits entry {a}" in v for v in violations
+        ), violations
+
+    def test_double_free_makes_recovery_raise_not_spin(self, store, t):
+        self._double_free(store, t)
+        store.crash()
+        with pytest.raises(FreeListError):
+            store.recover()
+
+    def test_free_entry_still_reachable_is_reported(self, store, t):
+        store.put(b"k", b"v", t)
+        idx = store.index.lookup(b"k")
+        store.hsit.free(idx)  # freed under a live key
+        violations = audit(store).violations
+        assert any(
+            v.startswith("I8") and "still reachable" in v for v in violations
+        ), violations
 
 
 class TestChecksumInvariant:

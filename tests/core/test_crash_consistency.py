@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core.checker import audit
 from repro.core.prism import Prism
 from repro.core import pointers as ptr
 from repro.sim.vthread import VThread
@@ -85,6 +86,60 @@ class TestBasicDurability:
         store.crash()
         store.recover()
         assert store.get(b"k", t) == b"v2"
+
+
+class TestRetirementsDieWithTheCrash:
+    """Epoch retirements are DRAM closures.  One that outlived a power
+    failure would free its HSIT (or SVC) entry a second time — after
+    recovery reclaimed it and a later operation reused it."""
+
+    def test_flushed_put_after_delete_crash_reuse_survives(self):
+        """ROADMAP item 1's sequence: the deleted key's entry is
+        reclaimed as leaked by the first recovery and reused by the
+        second put; the stale retirement then freed it under that put,
+        and the second recovery dropped a flushed, acked value as
+        ill-coupled."""
+        store = Prism(small_prism_config(num_threads=1))
+        k = b"k"
+        store.put(k, b"first")
+        store.delete(k)
+        store.crash()
+        assert store.recover().leaked_entries_reclaimed == 1
+        store.flush()
+        store.put(k, b"second")
+        store.flush()
+        store.crash()
+        report = store.recover()
+        assert report.ill_coupled_dropped == 0
+        assert report.recovered_keys == 1
+        assert store.get(k) == b"second"
+        assert audit(store).ok
+
+    def test_evicted_svc_entry_does_not_free_its_ids_next_owner(self):
+        """The SVC twin: an invalidated cache entry's physical free is
+        still pending when the power fails; after recovery the entry id
+        is handed out again, and the stale free must not take the new
+        owner's copy with it."""
+        store = Prism(small_prism_config(num_threads=1))
+        k = b"k"
+        store.put(k, b"first")
+        store.flush()
+        assert store.get(k) == b"first"  # admitted to the SVC
+        old_id = store.hsit.read_svc(store.index.lookup(k))
+        assert old_id is not None
+        store.put(k, b"second")  # invalidates the copy: retirement pending
+        assert store.epoch.pending >= 1
+        store.crash()
+        store.recover()
+        store.flush()
+        assert store.get(k) == b"second"  # re-admitted
+        new_id = store.hsit.read_svc(store.index.lookup(k))
+        assert new_id == old_id, "the id was not reused; the test proves nothing"
+        for _ in range(4):
+            store.epoch.try_advance()  # the stale retirement would be due
+        assert new_id in store.svc.entries
+        assert audit(store).ok
+        assert store.get(k) == b"second"
 
 
 class TestCrashWindows:

@@ -92,3 +92,17 @@ def test_reclaimed_counter(mgr):
     mgr.retire(lambda: None)
     mgr.drain()
     assert mgr.reclaimed == 1
+
+
+def test_crash_drops_retirements_and_pins(mgr):
+    ran = []
+    mgr.enter(1)  # an operation is in flight when the power fails
+    mgr.retire(lambda: ran.append("stale"))
+    mgr.crash()
+    assert mgr.pending == 0
+    mgr.exit(1)  # the interrupted operation still unwinds through exit
+    for _ in range(4):
+        mgr.enter(1)
+        mgr.exit(1)
+        assert mgr.try_advance()  # nothing pinned survives to block it
+    assert ran == [] and mgr.reclaimed == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.core import pointers as ptr
-from repro.core.hsit import HSIT
+from repro.core.hsit import HSIT, FreeListError
 from repro.storage.base import StorageError
 from repro.storage.nvm import NVMDevice
 
@@ -40,6 +40,39 @@ class TestAllocation:
         hsit.allocate()
         hsit.free(a)
         assert hsit.allocated_entries() == 1
+
+    def test_free_entries_walks_head_first(self, hsit):
+        a, b, c = (hsit.allocate() for _ in range(3))
+        hsit.free(a)
+        hsit.free(c)
+        assert list(hsit.free_entries()) == [c, a]
+        assert hsit.next_unused == 3
+        assert hsit.allocated_entries() == 1  # b
+
+    def test_double_free_ends_the_walk_with_a_typed_error(self, hsit):
+        a, b = hsit.allocate(), hsit.allocate()
+        hsit.free(a)
+        hsit.free(b)
+        hsit.free(a)  # a → b → a → ...: the list is now a cycle
+        with pytest.raises(FreeListError, match=f"revisits entry {a}"):
+            list(hsit.free_entries())
+        with pytest.raises(FreeListError):
+            hsit.allocated_entries()
+
+    def test_self_loop_is_caught_on_the_second_step(self, hsit):
+        a = hsit.allocate()
+        hsit.free(a)
+        hsit.free(a)
+        with pytest.raises(FreeListError, match="after 1 steps"):
+            list(hsit.free_entries())
+
+    def test_link_past_next_unused_is_a_typed_error(self, hsit, nvm):
+        a = hsit.allocate()
+        hsit.free(a)
+        # Corrupt the link: point it at an entry that was never handed out.
+        nvm.persist(None, hsit._addr(a), ptr.encode_free_link(41).to_bytes(8, "little"))
+        with pytest.raises(FreeListError, match="never-allocated entry 40"):
+            list(hsit.free_entries())
 
     def test_invalid_capacity(self, nvm):
         with pytest.raises(ValueError):

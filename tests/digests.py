@@ -33,12 +33,7 @@ from repro.bench.runner import preload, run_workload
 from repro.bench.stores import build_prism
 from repro.cluster.router import ClusterConfig, PrismCluster
 from repro.cluster.runner import run_cluster_workload
-from repro.faults.crash_sweep import (
-    CrashSweep,
-    default_ops,
-    default_store_factory,
-    tiered_store_factory,
-)
+from repro.faults.crash_sweep import STORE_SCENARIOS, CrashSweep, default_ops
 from repro.storage.specs import QLC_SSD_SPEC
 from repro.workloads.ycsb import WORKLOADS
 
@@ -58,10 +53,10 @@ def _digest(store, metrics: dict) -> Dict[str, str]:
 MOVER_EVENTS = ("reclaim", "gc", "tier_demote", "tier_promote")
 
 
-def _mover_digest(store, metrics: dict, factory, covered) -> Dict[str, str]:
+def _mover_digest(store, metrics: dict, scenario: str, covered) -> Dict[str, str]:
     """:func:`_digest` plus what the data movers did: the event log of
     every reclaim / GC / tier move / failure, and the crash-label
-    census of ``factory``'s store under the default sweep workload.
+    census of the named sweep scenario under the default workload.
 
     ``covered`` names the ``stats()`` counters that must be non-zero,
     so an anchor cannot silently stop exercising the path it guards.
@@ -75,7 +70,7 @@ def _mover_digest(store, metrics: dict, factory, covered) -> Dict[str, str]:
         for e in store.events
         if e["kind"] in MOVER_EVENTS or e["kind"].endswith("_failed")
     ]
-    census = CrashSweep(factory, default_ops()).discover()
+    census = CrashSweep(STORE_SCENARIOS[scenario], default_ops()).discover()
     digest = _digest(store, metrics)
     for name, view in (("events", events), ("crash_labels", census)):
         payload = json.dumps(view, sort_keys=True)
@@ -106,7 +101,7 @@ def ycsb_a_gc() -> Tuple[object, Dict[str, str]]:
     preload(store, keys, num_threads=4)
     result = run_workload(store, WORKLOADS["A"], 4000, keys, 4)
     return store, _mover_digest(
-        store, result.metrics, default_store_factory, ("reclaims", "gc_runs")
+        store, result.metrics, "store", ("reclaims", "gc_runs")
     )
 
 
@@ -129,7 +124,7 @@ def tiered_gc() -> Tuple[object, Dict[str, str]]:
     if triggers != {"read", "gc"}:
         raise AssertionError(f"promotion triggers exercised: {triggers}")
     return store, _mover_digest(
-        store, result.metrics, tiered_store_factory,
+        store, result.metrics, "tiered",
         ("reclaims", "gc_runs", "tier_demotions", "tier_promotions",
          "tier_spills", "tier_cold_reclaims"),
     )

@@ -2,55 +2,21 @@
 
 The demotion and promotion paths publish forward pointers exactly like
 reclaim and GC do, so a power failure at any point inside them must
-leave a recoverable store that honors the durability contract.
+leave a recoverable store that honors the durability contract.  The
+sweep itself runs as the ``tiered`` scenario in
+tests/faults/test_crash_sweep.py; this pins that the scenario's store
+is tight enough to get there.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.faults.crash_sweep import CrashSweep, default_ops, tiered_store_factory
-
-TIER_LABELS = {
-    "tier.demote.pre_publish",
-    "tier.demote.published",
-    "tier.promote.pre_publish",
-    "tier.promote.published",
-}
+from repro.cluster.crash_sweep import SCENARIOS
+from repro.faults.crash_sweep import CrashSweep, default_ops
+from tests.faults.test_crash_sweep import TIER_LABELS
 
 
 def test_workload_reaches_every_tier_crash_label():
-    sweep = CrashSweep(tiered_store_factory, default_ops())
+    sweep = CrashSweep(SCENARIOS["tiered"], default_ops())
     workload, _recovery = sweep.discover()
     missing = TIER_LABELS - set(workload)
     assert not missing, f"tier crash labels never reached: {missing}"
-
-
-def test_crash_inside_demotion_and_promotion_recovers():
-    """Sweep just the tier labels (the full-label sweep runs under the
-    slow_tiering marker): crash at each, recover, audit, and check
-    acknowledged durability."""
-    sweep = CrashSweep(tiered_store_factory, default_ops())
-    for label in sorted(TIER_LABELS):
-        outcome = sweep.verify_label(label)
-        assert outcome.fired, label
-        assert outcome.ok, (
-            f"{label}: audit={outcome.audit_violations} "
-            f"durability={outcome.durability_violations}"
-        )
-
-
-@pytest.mark.slow_tiering
-def test_full_tiered_crash_sweep_is_green():
-    sweep = CrashSweep(tiered_store_factory, default_ops())
-    report = sweep.run()
-    assert TIER_LABELS <= set(report.workload_labels)
-    assert report.ok, report.summary()
-
-
-@pytest.mark.slow_tiering
-def test_tiered_crash_fuzz_is_green():
-    sweep = CrashSweep(tiered_store_factory, default_ops())
-    outcomes = sweep.fuzz(trials=10, seed=9)
-    bad = [o for o in outcomes if not o.ok]
-    assert not bad, [str(o) for o in bad]
