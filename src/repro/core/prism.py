@@ -1114,11 +1114,14 @@ class Prism:
             misses_setdefault = misses.setdefault
             for key, idx in matches:
                 loc = read_location(idx, thread)
-                if loc.in_pwb:
+                # The medium field, not the in_pwb/is_null properties:
+                # descriptor calls, per key (as in _read_value).
+                medium = loc.medium
+                if medium == ptr.MEDIUM_PWB:
                     _, value = pwbs[loc.pwb_id].read(loc.pwb_offset, thread)
                     results[key] = value
                     continue
-                if loc.is_null:
+                if medium == ptr.MEDIUM_NULL:
                     continue
                 if enable_svc:
                     entry_id = read_svc(idx, thread)
@@ -1171,42 +1174,40 @@ class Prism:
         that locality pays off (fewer, larger SSD reads).
         """
         vs = self.storages[vs_id]
-        ordered = sorted(items)
-        runs: List[List[Tuple[int, int, int, bytes]]] = []
-        for item in ordered:
-            chunk_id, offset, idx, key = item
-            size = vs.slot_size(chunk_id, offset)
-            if runs:
-                last = runs[-1][-1]
-                last_end = last[1] + vs.header_size + vs.slot_size(last[0], last[1])
-                if last[0] == chunk_id and offset == last_end:
-                    runs[-1].append(item)
-                    continue
-            runs.append([item])
-        requests = []
-        spans: List[List[Tuple[int, int, int, bytes]]] = []
-        for run in runs:
-            first_chunk, first_off, _, _ = run[0]
-            last_chunk, last_off, _, _ = run[-1]
-            end = last_off + vs.header_size + vs.slot_size(last_chunk, last_off)
-            requests.append(
-                IORequest(
+        header = vs.header_size
+        chunk_size = vs.chunk_size
+        slot_size = vs.slot_size
+        # One request per run of records that sit back to back in a
+        # chunk, grown as records join it; its context lists them.
+        # run_end is where the next record must start to join.
+        requests: List[IORequest] = []
+        run_chunk = run_end = -1
+        for chunk_id, offset, idx, key in sorted(items):
+            size = slot_size(chunk_id, offset)
+            if chunk_id == run_chunk and offset == run_end:
+                req.size += header + size
+                req.context.append((chunk_id, offset, size, idx, key))
+            else:
+                req = IORequest(
                     "read",
-                    first_chunk * vs.chunk_size + first_off,
-                    end - first_off,
+                    chunk_id * chunk_size + offset,
+                    header + size,
+                    context=[(chunk_id, offset, size, idx, key)],
                 )
-            )
-            spans.append(run)
+                requests.append(req)
+                run_chunk = chunk_id
+            run_end = offset + header + size
         self.combiners[vs_id].read(thread, requests, self.metrics)
         out: List[Tuple[int, bytes, bytes]] = []
-        for req, run in zip(requests, spans):
-            assert req.result is not None
-            base = run[0][1]
-            for chunk_id, offset, idx, key in run:
+        for req in requests:
+            data = req.result
+            assert data is not None
+            base = req.context[0][1]
+            for chunk_id, offset, size, idx, key in req.context:
                 rel = offset - base
-                raw = req.result[rel:]
                 try:
-                    _, value = vs.parse_record(raw)
+                    # Exactly this record's bytes, not the run's tail.
+                    _, value = vs.parse_record(data[rel : rel + header + size])
                 except CorruptionError:
                     self.metrics.counter("corruption.detected").inc()
                     value = self._repair_read(

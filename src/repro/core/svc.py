@@ -21,6 +21,8 @@ store destroyed — later scans over the range need far fewer SSD IOs.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from functools import partial
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.containment import resolve_partial_publish
@@ -157,7 +159,8 @@ class ScanAwareValueCache:
         if entry is None or entry.freed:
             return
         self._logical_free(entry)
-        self.epoch.retire(lambda: self._physically_free(entry_id))
+        # The entries-dict slot goes once no reader can still hold it.
+        self.epoch.retire(partial(self.entries.pop, entry_id, None))
 
     def _logical_free(self, entry: SVCEntry) -> None:
         """Disconnect an entry and release its capacity immediately.
@@ -176,9 +179,6 @@ class ScanAwareValueCache:
         elif entry.list_name == "inactive":
             self.inactive.pop(entry.entry_id, None)
         entry.list_name = ""
-
-    def _physically_free(self, entry_id: int) -> None:
-        self.entries.pop(entry_id, None)
 
     # ------------------------------------------------------------------
     # scan chains
@@ -330,7 +330,7 @@ class ScanAwareValueCache:
         self.hsit.clear_svc(entry.hsit_idx, bg)
         self._logical_free(entry)
         self.evictions += 1
-        self.epoch.retire(lambda eid=entry.entry_id: self._physically_free(eid))
+        self.epoch.retire(partial(self.entries.pop, entry.entry_id, None))
 
     @staticmethod
     def _already_contiguous(locs: List) -> bool:
@@ -356,11 +356,15 @@ class ScanAwareValueCache:
         movable: List[SVCEntry] = []
         for member in chain:
             loc = self.hsit.read_location(member.hsit_idx, bg)
-            if loc.in_vs and storages[loc.vs_id].is_valid(loc.chunk_id, loc.vs_offset):
+            # The medium field, not the in_vs property: a descriptor
+            # call per chain member.
+            if loc.medium == ptr.MEDIUM_VS and storages[loc.vs_id].is_valid(
+                loc.chunk_id, loc.vs_offset
+            ):
                 movable.append(member)
             # PWB-resident members were updated since caching; their
             # cached copy is stale bookkeeping and is simply dropped.
-        movable.sort(key=lambda e: e.key)
+        movable.sort(key=attrgetter("key"))
         if self._already_contiguous(
             [self.hsit.read_location(m.hsit_idx, bg) for m in movable]
         ):
@@ -389,7 +393,7 @@ class ScanAwareValueCache:
                             bg,
                         )
                         published += 1
-                        if old.in_vs:
+                        if old.medium == ptr.MEDIUM_VS:
                             storages[old.vs_id].invalidate(
                                 old.chunk_id, old.vs_offset
                             )

@@ -203,18 +203,20 @@ class PACTree:
         handle, leaf = self._locate(thread, start)
         out: List[Tuple[bytes, int]] = []
         idx = bisect_left(leaf.keys, start)
-        while len(out) < count:
-            for i in range(idx, len(leaf.keys)):
-                out.append((leaf.keys[i], leaf.slots[i]))
-                if len(out) == count:
-                    return out
-            if not leaf.next_handle:
-                break
+        need = count
+        while True:
+            # One slice pair per leaf, not one append per key.
+            keys = leaf.keys[idx : idx + need]
+            out.extend(zip(keys, leaf.slots[idx : idx + need]))
+            need -= len(keys)
+            # A count met at a leaf's last key stops here: the next
+            # leaf is read (and charged) only when more is wanted.
+            if need == 0 or not leaf.next_handle:
+                return out
             handle = leaf.next_handle
             leaf = self.heap.get(handle)
             self.heap.charge_read(thread, handle)
             idx = 0
-        return out
 
     def items(self) -> Iterator[Tuple[bytes, int]]:
         """All pairs in key order (untimed; used by recovery and tests)."""

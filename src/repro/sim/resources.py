@@ -216,6 +216,16 @@ class BandwidthChannel:
 
     # How far behind the newest traffic old buckets are kept (seconds).
     PRUNE_WINDOW = 0.2
+    # Map size above which request() prunes.  The single-bucket path
+    # tests it only when it opened a bucket (``used == 0.0``: a bucket
+    # in the map always holds > 0 bytes); the multi-bucket walk can
+    # open later buckets too and always tests.  That equals testing on
+    # every call as long as a prune leaves at most _PRUNE_TRIGGER
+    # buckets, so that only growth can cross the trigger again.  A
+    # prune keeps PRUNE_WINDOW / bucket + 1 buckets up to the newest
+    # index plus the backlog already booked beyond it: every channel in
+    # the tree uses 10 us buckets, so 20,001 plus a backlog that would
+    # have to span 455 ms of device time to reach 65,536.
     _PRUNE_TRIGGER = 1 << 16
 
     def __init__(
@@ -288,7 +298,7 @@ class BandwidthChannel:
             end = bucket * (idx + new_used / cap)
             if extends_floor and new_used >= cap:
                 self._full_floor = idx + 1
-            if len(used_map) > self._PRUNE_TRIGGER:
+            if used == 0.0 and len(used_map) > self._PRUNE_TRIGGER:
                 self._prune(idx + 1)
             floor_end = at + transfer
             # Never faster than line rate from the actual start.

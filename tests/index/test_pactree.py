@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bisect import bisect_left
+
 from repro.index.pactree import PACTree
 from repro.sim.vthread import VThread
 from repro.storage.nvm import NVMDevice
+from tests.conftest import count_calls
 
 
 @pytest.fixture
@@ -127,3 +130,73 @@ def test_property_matches_dict_and_survives_crash(entries):
     tree.crash()
     tree.recover()
     assert list(tree.items()) == sorted(entries.items())
+
+
+# ---------------------------------------------------------------------------
+# scan: one slice pair per leaf
+# ---------------------------------------------------------------------------
+def _scan_per_key(tree, start, count, thread):
+    """``PACTree.scan`` as it was, one append and one ``len`` per key:
+    the oracle for results and for where the next leaf is charged."""
+    if count <= 0:
+        return []
+    handle, leaf = tree._locate(thread, start)
+    out = []
+    idx = bisect_left(leaf.keys, start)
+    while len(out) < count:
+        for i in range(idx, len(leaf.keys)):
+            out.append((leaf.keys[i], leaf.slots[i]))
+            if len(out) == count:
+                return out
+        if not leaf.next_handle:
+            break
+        handle = leaf.next_handle
+        leaf = tree.heap.get(handle)
+        tree.heap.charge_read(thread, handle)
+        idx = 0
+    return out
+
+
+def _filled(leaf_capacity, keys):
+    tree = PACTree(NVMDevice(), leaf_capacity=leaf_capacity)
+    for i in range(keys):
+        tree.insert(b"k%05d" % i, i)
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.integers(min_value=-1, max_value=130),
+    count=st.integers(min_value=0, max_value=140),
+)
+def test_scan_matches_per_key_walk_and_its_charges(start, count):
+    """Same pairs, same NVM bytes read, same thread clock — including
+    a count met exactly at a leaf's last key (no next-leaf charge) and a
+    range that runs off the end of the chain."""
+    tree, ref = _filled(8, 120), _filled(8, 120)
+    t, rt = VThread(0), VThread(0)
+    key = b"k%05d" % start if start >= 0 else b"a"
+    assert tree.scan(key, count, t) == _scan_per_key(ref, key, count, rt)
+    assert tree.heap.device.bytes_read == ref.heap.device.bytes_read
+    assert repr(t.now) == repr(rt.now)
+
+
+@pytest.mark.parametrize("leaf_capacity", [8, 64])
+def test_scan_call_budget_is_per_leaf(leaf_capacity):
+    """12 calls plus 8 per further leaf visited, whatever the leaves
+    hold: 8x the keys per leaf costs not one call more."""
+    tree = _filled(leaf_capacity, leaf_capacity * 40)
+    t = VThread(0)
+    start = b"k%05d" % (leaf_capacity * 3)
+    for leaves in (0, 3, 9, 19):
+        # Leaves are half full after sequential splits.
+        count = max(1, leaves * leaf_capacity // 2 + 1)
+        visited = []
+        charge = tree.heap.charge_read
+        tree.heap.charge_read = lambda th, h: visited.append(h) or charge(th, h)
+        try:
+            assert len(tree.scan(start, count, t)) == count
+        finally:
+            del tree.heap.charge_read
+        assert len(visited) >= leaves
+        assert count_calls(tree.scan, start, count, t) <= 12 + 8 * len(visited)

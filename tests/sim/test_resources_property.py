@@ -139,3 +139,117 @@ def test_prune_trigger_threshold():
     # Requests older than the horizon are clamped forward, not lost.
     end = ch.request(0.0, 1_000)
     assert end >= ch._horizon * BUCKET
+
+
+# ---------------------------------------------------------------------------
+# request() tests the prune trigger only when it opened a bucket
+# ---------------------------------------------------------------------------
+class _SmallWindow(BandwidthChannel):
+    """Constants shrunk so that a prune fires every dozen requests, in
+    the same proportion as the real ones: the trigger leaves room for
+    the window plus everything the traffic below books ahead of it."""
+
+    PRUNE_WINDOW = 2 * BUCKET
+    _PRUNE_TRIGGER = 12
+
+
+class _TestsEveryCall(_SmallWindow):
+    """``request`` as it was before the size test moved behind
+    ``used == 0.0``: the oracle."""
+
+    def request(self, at, nbytes, latency=0.0):
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+        self.bytes_moved += nbytes
+        transfer = nbytes / self.bandwidth
+        self.busy_time += transfer
+        if nbytes == 0:
+            return at + latency
+        bucket = self.bucket
+        cap = self._capacity
+        used_map = self._used
+        idx = int(at / bucket)
+        if idx < self._horizon:
+            idx = self._horizon
+        full_floor = self._full_floor
+        if idx < full_floor:
+            idx = full_floor
+            extends_floor = True
+        else:
+            extends_floor = idx == full_floor
+        used = used_map.get(idx, 0.0)
+        free = cap - used
+        if free >= nbytes:
+            new_used = used + nbytes
+            used_map[idx] = new_used
+            end = bucket * (idx + new_used / cap)
+            if extends_floor and new_used >= cap:
+                self._full_floor = idx + 1
+            if len(used_map) > self._PRUNE_TRIGGER:
+                self._prune(idx + 1)
+            floor_end = at + transfer
+            return (end if end > floor_end else floor_end) + latency
+        remaining = float(nbytes)
+        end = at
+        while remaining > 0:
+            used = used_map.get(idx, 0.0)
+            free = cap - used
+            if free > 0:
+                take = min(free, remaining)
+                new_used = used + take
+                used_map[idx] = new_used
+                remaining -= take
+                end = bucket * (idx + new_used / cap)
+                if extends_floor and new_used >= cap:
+                    self._full_floor = idx + 1
+                elif extends_floor:
+                    extends_floor = False
+            elif extends_floor:
+                self._full_floor = idx + 1
+            idx += 1
+        if len(used_map) > self._PRUNE_TRIGGER:
+            self._prune(idx)
+        floor_end = at + transfer
+        return (end if end > floor_end else floor_end) + latency
+
+
+# One request: the arrival front moves 1-3 buckets, the request lands
+# up to 2 buckets either side of it (out of order both ways), and it
+# carries nothing, part of a bucket, or up to 2.5 buckets.
+_steps = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=-20, max_value=29),  # tenths of a bucket
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=1, max_value=9_999),
+            st.integers(min_value=10_000, max_value=25_000),
+        ),
+    ),
+    min_size=80,
+    max_size=160,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=_steps)
+def test_prune_test_on_growth_equals_test_on_every_call(steps):
+    new = _SmallWindow(BW, bucket=BUCKET)
+    old = _TestsEveryCall(BW, bucket=BUCKET)
+    front = 2
+    for advance, tenths, nbytes in steps:
+        front += advance
+        at = (front + tenths / 10) * BUCKET
+        assert repr(new.request(at, nbytes, 1e-6)) == repr(
+            old.request(at, nbytes, 1e-6)
+        )
+        assert new._used == old._used
+        assert new._horizon == old._horizon
+        assert new._full_floor == old._full_floor
+        # The invariant the equivalence rests on (resources.py, next to
+        # the constants): only growth can cross the trigger.
+        assert len(new._used) <= new._PRUNE_TRIGGER
+    # A bucket is reachable from at most 5 positions of the front, so
+    # 65 transfers open more than 12 buckets: prunes fired.
+    if sum(1 for step in steps if step[2]) >= 65:
+        assert new._horizon > 0
