@@ -1,0 +1,79 @@
+"""CI's perf gate: run each workload in ``gates.json`` through perfbench
+at its seed, keep the result line as ``PERFBENCH_<workload>.json``, and
+fail when a metric is past its committed ceiling or floor.
+
+    python3 .github/perf/gate.py [workload ...]     # default: every gate
+
+The limits sit 3 % (``host_calls_per_op``) and 1 % (``vt_*``) from the
+value measured when they were last set.  ``host_calls_per_op`` is a
+count that repeats exactly for a seed *and an interpreter version*, so
+each gate names the CPython it was measured on and this script refuses
+to compare under another; virtual-time metrics are exact for a seed on
+any interpreter.  After a deliberate change, re-measure with the
+command this script prints and move the numbers in the same PR.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from typing import List
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+
+
+def load_gates() -> dict:
+    with open(os.path.join(HERE, "gates.json")) as fh:
+        return json.load(fh)
+
+
+def check(gate: dict, result: dict, interpreter: str) -> List[str]:
+    """Every way ``result`` (perfbench's last stdout line) fails ``gate``."""
+    failures = []
+    if not result["correct"]:
+        failures.append(f"run not correct: {result['failed']} failed operations")
+    if interpreter != gate["interpreter"]:
+        failures.append(
+            f"limits were measured on CPython {gate['interpreter']}, "
+            f"this is {interpreter}"
+        )
+    for name, limit in gate["limits"].items():
+        got = result["metrics"][name]["value"]
+        if "ceiling" in limit and got > limit["ceiling"]:
+            failures.append(f"{name} = {got:.3f} is above its ceiling {limit['ceiling']}")
+        if "floor" in limit and got < limit["floor"]:
+            failures.append(f"{name} = {got:.3f} is below its floor {limit['floor']}")
+    return failures
+
+
+def main(argv: List[str]) -> int:
+    gates = load_gates()
+    interpreter = "%d.%d" % sys.version_info[:2]
+    failed = False
+    for workload in argv or sorted(gates):
+        gate = gates[workload]
+        cmd = [sys.executable, "-m", "perfbench", "--workload", workload,
+               "--seed", str(gate["seed"]), "--seconds", "10", "--trace", "0"]
+        print("$", " ".join(cmd), flush=True)
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        print(proc.stdout, end="")
+        if proc.returncode not in (0, 1):  # 1: ran, but not correct
+            print(proc.stderr, file=sys.stderr)
+            return proc.returncode
+        line = proc.stdout.splitlines()[-1]
+        with open(os.path.join(ROOT, f"PERFBENCH_{workload}.json"), "w") as fh:
+            fh.write(line + "\n")
+        failures = check(gate, json.loads(line), interpreter)
+        for failure in failures:
+            print(f"GATE FAILED {workload}: {failure}")
+        if not failures:
+            print(f"gate ok: {workload}")
+        failed = failed or bool(failures)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

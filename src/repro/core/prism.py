@@ -1144,8 +1144,19 @@ class Prism:
                 misses_setdefault(loc.vs_id, []).append(
                     (loc.chunk_id, loc.vs_offset, idx, key)
                 )
+            # Every SSD at once: put each storage's reads on its ring,
+            # then wait one time, for the slowest device.
+            fetches: List[Tuple[int, List[IORequest]]] = []
+            done = thread.now
             for vs_id, items in misses.items():
-                for idx, key, value in self._fetch_merged(vs_id, items, thread):
+                requests, ready = self._submit_merged(vs_id, items, thread)
+                fetches.append((vs_id, requests))
+                if ready > done:
+                    done = ready
+            if fetches:
+                thread.wait_until(done)
+            for vs_id, requests in fetches:
+                for idx, key, value in self._parse_merged(vs_id, requests, thread):
                     results[key] = value
                     if self.config.enable_svc:
                         entry_id = self.svc.admit(idx, key, value, thread)
@@ -1161,17 +1172,19 @@ class Prism:
             self.epoch.exit(thread.tid)
             self._tick()
 
-    def _fetch_merged(
+    def _submit_merged(
         self,
         vs_id: int,
         items: Sequence[Tuple[int, int, int, bytes]],
         thread: VThread,
-    ) -> List[Tuple[int, bytes, bytes]]:
-        """Read records from one Value Storage, merging adjacent ones.
+    ) -> Tuple[List[IORequest], float]:
+        """Put one Value Storage's share of a scan on its ring, adjacent
+        records merged; returns the requests and when the last is done.
 
         Scan-aware reorganization places values of a range contiguously
         in a chunk; merging adjacent records into single IOs is where
-        that locality pays off (fewer, larger SSD reads).
+        that locality pays off (fewer, larger SSD reads).  Nothing waits
+        here: the scan submits to every storage before it waits once.
         """
         vs = self.storages[vs_id]
         header = vs.header_size
@@ -1197,7 +1210,16 @@ class Prism:
                 requests.append(req)
                 run_chunk = chunk_id
             run_end = offset + header + size
-        self.combiners[vs_id].read(thread, requests, self.metrics)
+        return requests, self.combiners[vs_id].submit(thread, requests, self.metrics)
+
+    def _parse_merged(
+        self, vs_id: int, requests: Sequence[IORequest], thread: VThread
+    ) -> List[Tuple[int, bytes, bytes]]:
+        """Split completed :meth:`_submit_merged` requests back into
+        ``(hsit_idx, key, value)``, repairing records that fail their
+        checksum."""
+        vs = self.storages[vs_id]
+        header = vs.header_size
         out: List[Tuple[int, bytes, bytes]] = []
         for req in requests:
             data = req.result

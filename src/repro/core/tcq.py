@@ -76,18 +76,24 @@ class ThreadCombiner:
     def coalescing_limit(self) -> int:
         return self.ring.queue_depth
 
-    def read(
+    def submit(
         self,
         thread: VThread,
         requests: Sequence[IORequest],
         metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> float:
-        """Issue ``requests`` for one thread; returns (and advances the
-        thread to) the completion time of *its* requests.
+        """Put ``requests`` on the ring for one thread without waiting;
+        returns the completion time of *its* requests.
 
-        ``metrics`` attributes the thread's wait to two phases: the
-        combining wait (window close / batch hand-off) and the SSD wait
-        (device service after submission).
+        The thread pays only the CPU of submitting (the leader's
+        syscall and SQEs, or the follower's hand-off), so a caller with
+        reads for several Value Storages submits to each and waits once
+        for the latest ``done``.  ``MODE_SYNC`` — the deliberately
+        naive baseline — still blocks here.
+
+        ``metrics`` attributes the wait the thread now owes to two
+        phases: the combining wait (window close / batch hand-off) and
+        the SSD wait (device service after submission).
         """
         if not requests:
             return thread.now
@@ -164,16 +170,22 @@ class ThreadCombiner:
             clock = thread.clock
             if now > clock._now:
                 clock._now = now
-        submit_at = max(min(floor, done), t)
-        # thread.wait_until(done) inlined.
-        if done > thread.now:
-            thread.now = done
-            clock = thread.clock
-            if done > clock._now:
-                clock._now = done
         if metrics.enabled:
+            submit_at = max(min(floor, done), t)
             metrics.phase("read", "combining_wait", submit_at - t)
             metrics.phase("read", "ssd_wait", max(0.0, done - submit_at))
+        return done
+
+    def read(
+        self,
+        thread: VThread,
+        requests: Sequence[IORequest],
+        metrics: MetricsRegistry = NULL_REGISTRY,
+    ) -> float:
+        """:meth:`submit`, then wait: returns (and advances the thread
+        to) the completion time of its requests."""
+        done = self.submit(thread, requests, metrics)
+        thread.wait_until(done)
         return done
 
     def _place(self, at: float, req: IORequest) -> float:

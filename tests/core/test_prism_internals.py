@@ -49,9 +49,16 @@ class TestMergedScanReads:
             store.hsit.publish_location(idx, ptr.encode_vs(0, chunk, off))
             items.append((chunk, off, idx, b"k%02d" % idx))
         ios_before = vs.ssd.read_ios
-        out = store._fetch_merged(0, items, t)
+        before = t.now
+        requests, done = store._submit_merged(0, items, t)
         assert vs.ssd.read_ios == ios_before + 1  # single merged read
+        assert len(requests) == 1
+        # Submitting costs the syscall and one SQE; the wait is the
+        # caller's, once, after every storage has its reads.
+        assert t.now - before < 3e-6 < done - before
+        out = store._parse_merged(0, requests, t)
         assert [v for _, _, v in out] == [b"v%02d" % i for i in range(10)]
+        assert [(i, k) for i, k, _ in out] == [(i, k) for _, _, i, k in items]
 
     def test_scattered_records_need_separate_ios(self, store, t):
         vs = store.storages[0]
@@ -64,8 +71,10 @@ class TestMergedScanReads:
             store.hsit.publish_location(idx, ptr.encode_vs(0, chunk, off))
             items.append((chunk, off, idx, b"k%d" % i))
         ios_before = vs.ssd.read_ios
-        store._fetch_merged(0, items, t)
+        requests, _ = store._submit_merged(0, items, t)
         assert vs.ssd.read_ios == ios_before + 4
+        out = store._parse_merged(0, requests, t)
+        assert [v for _, _, v in out] == [b"x" * 2000] * 4
 
 
 class TestSupersede:

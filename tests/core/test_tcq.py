@@ -1,23 +1,35 @@
 import pytest
 
 from repro.core.tcq import (
+    FOLLOWER_HANDOFF_COST,
     MODE_SYNC,
     MODE_THREAD_COMBINING,
     MODE_TIMEOUT_ASYNC,
     ThreadCombiner,
 )
+from repro.faults.errors import TransientReadError
+from repro.faults.retry import RetryExecutor, RetryPolicy
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
-from repro.storage.iouring import IORequest, IOUring
+from repro.storage.iouring import (
+    SQE_PREP_COST,
+    SUBMIT_SYSCALL_COST,
+    IORequest,
+    IOUring,
+)
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC
 from repro.storage.ssd import SSDDevice
 
 MB = 1024**2
 
 
+def _ring():
+    return IOUring(SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(64 * MB)), 64)
+
+
 @pytest.fixture
 def ring():
-    return IOUring(SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(64 * MB)), 64)
+    return _ring()
 
 
 def _read(offset=0, size=1024):
@@ -105,10 +117,7 @@ class TestTimeoutStrawman:
 
     def test_tc_beats_ta_for_lone_reader(self, ring):
         tc = ThreadCombiner(ring, mode=MODE_THREAD_COMBINING)
-        ta = ThreadCombiner(
-            IOUring(SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(64 * MB)), 64),
-            mode=MODE_TIMEOUT_ASYNC,
-        )
+        ta = ThreadCombiner(_ring(), mode=MODE_TIMEOUT_ASYNC)
         t1, t2 = VThread(0), VThread(1)
         tc.read(t1, [_read()])
         ta.read(t2, [_read()])
@@ -177,3 +186,148 @@ class TestOversizedLeader:
 
 def test_average_batch_empty(ring):
     assert ThreadCombiner(ring).average_batch() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# read == submit + wait
+# ---------------------------------------------------------------------------
+class _Phases:
+    """A metrics registry that keeps every phase sample, in order."""
+
+    enabled = True
+
+    def __init__(self):
+        self.samples = []
+
+    def phase(self, op, name, seconds):
+        self.samples.append((op, name, seconds))
+
+
+def _by_read(combiner, thread, reqs, metrics):
+    return combiner.read(thread, reqs, metrics)
+
+
+def _by_submit_then_wait(combiner, thread, reqs, metrics):
+    done = combiner.submit(thread, reqs, metrics)
+    thread.wait_until(done)
+    return done
+
+
+def _flaky_reads(device, failures):
+    """The device's next ``failures`` reads fail transiently."""
+    real = device.read_async
+    left = [failures]
+
+    def read_async(at, offset, size):
+        if left[0]:
+            left[0] -= 1
+            raise TransientReadError(device.name, "read")
+        return real(at, offset, size)
+
+    device.read_async = read_async
+
+
+# name -> (mode, failing reads, [(arrival, requests)] one thread each)
+_SCRIPTS = {
+    "leader": (MODE_THREAD_COMBINING, 0, [(0.0, 3)]),
+    "follower": (MODE_THREAD_COMBINING, 0, [(0.0, 2), (0.5e-6, 3), (1.0e-6, 1)]),
+    "qd_split": (MODE_THREAD_COMBINING, 0, [(0.0, 150), (1e-7, 2)]),
+    "retry": (MODE_THREAD_COMBINING, 2, [(0.0, 3), (0.5e-6, 1)]),
+    "timeout": (MODE_TIMEOUT_ASYNC, 0, [(0.0, 2), (50e-6, 2)]),
+    "sync": (MODE_SYNC, 0, [(0.0, 4), (1e-6, 1)]),
+}
+
+
+def _play(script, issue):
+    """Everything observable after running ``script`` through ``issue``."""
+    mode, failures, arrivals = _SCRIPTS[script]
+    ring = _ring()
+    combiner = ThreadCombiner(ring, mode=mode, combine_window=2e-6)
+    if failures:
+        combiner.retry = RetryExecutor(RetryPolicy(max_retries=4, backoff_base=10e-6))
+        _flaky_reads(ring.device, failures)
+    clock = VirtualClock()
+    metrics = _Phases()
+    seen = []
+    for tid, (arrival, count) in enumerate(arrivals):
+        thread = VThread(tid, clock)
+        thread.now = arrival
+        reqs = [_read((tid * 200 + i) * 4096) for i in range(count)]
+        done = issue(combiner, thread, reqs, metrics)
+        seen.append((done, thread.now, thread.cpu_time,
+                     [r.completion for r in reqs]))
+    return {
+        "threads": seen,
+        "clock": clock.now,
+        "batches": (combiner.batches, combiner.combined_requests),
+        "open_window": (combiner._batch_close, combiner._batch_count),
+        "phases": metrics.samples,
+    }
+
+
+@pytest.mark.parametrize("script", sorted(_SCRIPTS))
+def test_read_is_submit_then_wait(script):
+    """Same completion times, thread clocks and CPU, batch accounting,
+    open-window state and phase samples, in leader, follower, QD-split,
+    retried, timeout-batched and synchronous reads."""
+    by_read = _play(script, _by_read)
+    assert repr(by_read) == repr(_play(script, _by_submit_then_wait))
+    assert by_read["phases"], "the script recorded phase samples"
+    if script == "retry":
+        first_done = by_read["threads"][0][0]
+        assert first_done > 20e-6  # two backoffs were charged
+
+
+class TestSubmitDoesNotWait:
+    def test_leader_pays_only_the_submission_cpu(self, ring):
+        combiner = ThreadCombiner(ring, combine_window=1.5e-6)
+        t = VThread(0)
+        reqs = [_read(i * 4096) for i in range(150)]  # QD 64 -> 3 syscalls
+        done = combiner.submit(t, reqs)
+        assert t.now == pytest.approx(3 * SUBMIT_SYSCALL_COST + 150 * SQE_PREP_COST)
+        assert t.cpu_time == t.now
+        assert done == max(r.completion for r in reqs) > 50e-6
+        assert all(r.result is not None for r in reqs)
+
+    def test_follower_pays_only_the_handoff(self, ring):
+        clock = VirtualClock()
+        combiner = ThreadCombiner(ring, combine_window=2e-6)
+        leader, follower = VThread(0, clock), VThread(1, clock)
+        follower.now = 0.5e-6
+        combiner.submit(leader, [_read(0)])
+        done = combiner.submit(follower, [_read(4096)])
+        assert combiner.batches == 1  # joined the leader's batch
+        assert follower.now == pytest.approx(0.5e-6 + FOLLOWER_HANDOFF_COST)
+        assert done > 50e-6
+
+    def test_two_rings_overlap(self):
+        """What the scan does: submit to two devices, wait once.  The
+        thread is done when the slower one is, not after their sum."""
+
+        def pair():
+            return ThreadCombiner(_ring()), ThreadCombiner(_ring())
+
+        small, big = [_read(0)], [_read(0, 64 * 1024)]
+        a, b = pair()
+        serial = VThread(0)
+        a.read(serial, small)
+        b.read(serial, big)
+        a, b = pair()
+        alone = VThread(0)
+        b.read(alone, big)
+        a, b = pair()
+        t = VThread(0)
+        t.wait_until(max(a.submit(t, small), b.submit(t, big)))
+        # Within one submission's CPU of the slower fetch on its own.
+        assert alone.now <= t.now < alone.now + 3e-6
+        assert t.now < serial.now - 40e-6
+
+    def test_sync_mode_still_blocks_in_submit(self, ring):
+        combiner = ThreadCombiner(ring, mode=MODE_SYNC)
+        t = VThread(0)
+        done = combiner.submit(t, [_read(i * 4096) for i in range(4)])
+        assert t.now == done > 50e-6
+
+    def test_empty_submit(self, ring):
+        t = VThread(0)
+        assert ThreadCombiner(ring).submit(t, []) == t.now == 0.0

@@ -15,6 +15,10 @@ and generated on its parent commit, before the relocation paths were
 merged into one; they also digest the mover event log and a
 crash-label census.
 
+The scan scenario (``ycsb_e_scan``) was added by PR 18 and recorded
+*after* that PR made scans fetch from every SSD at once — the change
+was meant to move it, and no earlier scenario reached a multi-SSD scan.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
@@ -49,6 +53,13 @@ def _digest(store, metrics: dict) -> Dict[str, str]:
     }
 
 
+def _require_exercised(counts: Dict[str, float]) -> None:
+    """An anchor must not silently stop exercising the path it guards."""
+    idle = [name for name, count in counts.items() if not count > 0]
+    if idle:
+        raise AssertionError(f"scenario no longer exercises: {idle}")
+
+
 # Event kinds the data movers emit (plus every ``*_failed``).
 MOVER_EVENTS = ("reclaim", "gc", "tier_demote", "tier_promote")
 
@@ -58,13 +69,10 @@ def _mover_digest(store, metrics: dict, scenario: str, covered) -> Dict[str, str
     every reclaim / GC / tier move / failure, and the crash-label
     census of the named sweep scenario under the default workload.
 
-    ``covered`` names the ``stats()`` counters that must be non-zero,
-    so an anchor cannot silently stop exercising the path it guards.
+    ``covered`` names the ``stats()`` counters that must be non-zero.
     """
     stats = store.stats()
-    idle = [name for name in covered if not stats[name] > 0]
-    if idle:
-        raise AssertionError(f"scenario no longer exercises: {idle}")
+    _require_exercised({name: stats[name] for name in covered})
     events = [
         [e["kind"], sorted(e.items())]
         for e in store.events
@@ -130,6 +138,34 @@ def tiered_gc() -> Tuple[object, Dict[str, str]]:
     )
 
 
+def ycsb_e_scan() -> Tuple[object, Dict[str, str]]:
+    """YCSB-E on two SSDs with the SVC at a fifth of the dataset, so
+    scans miss, fetch from both Value Storages at once, chain what they
+    fetched, and evictions write chains back."""
+    keys = 1500
+    store = build_prism(
+        num_threads=4, num_ssds=2, dataset_bytes=keys * KB, expected_keys=keys
+    )
+    preload(store, keys, num_threads=4)
+    # Which scans submit to more than one storage: ``store.scans`` only
+    # moves when a scan returns, so it names the scan a submission
+    # belongs to.
+    submissions: Dict[int, int] = {}
+    submit = store._submit_merged
+
+    def counting(vs_id, items, thread):
+        submissions[store.scans] = submissions.get(store.scans, 0) + 1
+        return submit(vs_id, items, thread)
+
+    store._submit_merged = counting
+    result = run_workload(store, WORKLOADS["E"], 800, keys, 4)
+    _require_exercised({
+        "two-storage scans": sum(1 for n in submissions.values() if n > 1),
+        "scan write-backs": store.stats()["scan_writebacks"],
+    })
+    return store, _digest(store, result.metrics)
+
+
 def cluster_a() -> Tuple[object, Dict[str, str]]:
     """2-shard RF=2 quorum cluster, health off, seeded uniform YCSB-A."""
     cluster = PrismCluster(
@@ -148,6 +184,7 @@ SCENARIOS: Dict[str, Callable[[], Tuple[object, Dict[str, str]]]] = {
     "ycsb_a": ycsb_a,
     "ycsb_a_gc": ycsb_a_gc,
     "tiered_gc": tiered_gc,
+    "ycsb_e_scan": ycsb_e_scan,
     "cluster_a": cluster_a,
 }
 

@@ -1,0 +1,68 @@
+"""CI's perf gate (``.github/perf/``): the committed limits are
+well-formed against BENCHMARK.json, and ``check`` fails what it should.
+The gate's perfbench runs themselves are CI's ``perf-smoke`` job."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "perf_gate", ROOT / ".github" / "perf" / "gate.py"
+)
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
+
+GATES = gate.load_gates()
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _result(workload, correct=True, **moved):
+    """A perfbench result line at the measured values, ``moved`` apart."""
+    metrics = {
+        name: {"value": moved.get(name, limit["measured"]), "unit": ""}
+        for name, limit in GATES[workload]["limits"].items()
+    }
+    return {"correct": correct, "attempted": 10, "failed": 0 if correct else 1,
+            "metrics": metrics}
+
+
+def test_limits_name_benchmark_metrics_on_the_right_side():
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    for workload in GATES:
+        assert workload in workloads
+        assert GATES[workload]["limits"], f"{workload} gates nothing"
+        for name, limit in GATES[workload]["limits"].items():
+            kind = "ceiling" if better[name] == "lower" else "floor"
+            assert set(limit) == {"measured", kind}
+            # 3 % for the call count, 1 % for virtual time; never
+            # tighter than the value it was set from.
+            margin = 0.03 if name.startswith("host_") else 0.01
+            slack = limit[kind] / limit["measured"] - 1
+            assert 0 < (slack if kind == "ceiling" else -slack) <= margin + 1e-3
+
+
+@pytest.mark.parametrize("workload", sorted(GATES))
+def test_check_passes_at_the_measured_values(workload):
+    interpreter = GATES[workload]["interpreter"]
+    assert gate.check(GATES[workload], _result(workload), interpreter) == []
+
+
+@pytest.mark.parametrize("workload", sorted(GATES))
+def test_check_fails_each_metric_past_its_limit(workload):
+    interpreter = GATES[workload]["interpreter"]
+    for name, limit in GATES[workload]["limits"].items():
+        past = limit["ceiling"] * 1.001 if "ceiling" in limit else limit["floor"] * 0.999
+        failures = gate.check(
+            GATES[workload], _result(workload, **{name: past}), interpreter
+        )
+        assert len(failures) == 1 and name in failures[0]
+
+
+def test_check_fails_an_incorrect_run_and_a_foreign_interpreter():
+    g = GATES["ycsb_e_scan"]
+    assert gate.check(g, _result("ycsb_e_scan", correct=False), g["interpreter"])
+    assert gate.check(g, _result("ycsb_e_scan"), "2.7")
