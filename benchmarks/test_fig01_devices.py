@@ -18,7 +18,7 @@ def test_fig01_device_catalog():
     print(f"  flash is {ratio:.1f}x cheaper per TB than NVM (paper: 27.3x)")
     lat = FLASH_SSD_GEN4_SPEC.read_latency / NVM_SPEC.read_latency
     print(f"  NVM read latency is {lat:.0f}x lower than flash (paper: ~167x)")
-    assert len(DEVICE_CATALOG) == 5
+    assert len(DEVICE_CATALOG) == 6  # five paper devices + the QLC cold tier
     assert 27 <= ratio <= 28
     # the paper's central observation: no total order between devices
     assert NVM_SPEC.read_latency < FLASH_SSD_GEN4_SPEC.read_latency

@@ -676,13 +676,16 @@ def gc_timeline(
     num_keys = scaled(6_000) if num_keys is None else num_keys
     num_ops = scaled(30_000) if num_ops is None else num_ops
     data = _dataset_bytes(num_keys, VALUE_SIZE)
-    # Squeeze Value Storage so GC must run: ~3x the dataset per store.
+    # Squeeze Value Storage so GC must run: each of the two stores gets
+    # 1.5x the whole dataset (3x its own half).  The updates of the run
+    # then fill it to the GC threshold about halfway through — the
+    # paper's GC also begins mid-run.
     store = build_prism(
         num_threads=num_threads,
         num_ssds=2,
         dataset_bytes=data,
         expected_keys=num_keys * 2,
-        ssd_capacity=max(16 * MB, 2 * data),
+        ssd_capacity=max(8 * MB, 3 * data // 2),
         gc_free_threshold=0.3,
     )
     preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)

@@ -20,7 +20,12 @@ I7  (with checksums enabled) every valid record's stored CRC32 matches
     windows alike; silent corruption never hides from an audit;
 I8  the persistent HSIT free list is acyclic, stays inside the
     allocated range, and names no entry the index still reaches (a
-    double free would hand a live key's entry to the next insert).
+    double free would hand a live key's entry to the next insert);
+I9  chunk geometry: in every in-use chunk the records are pairwise
+    disjoint and end at or below the write head, which stays inside
+    the chunk; the live counters equal the sums over valid records;
+    and the open chunk (the log head), if any, is in use with room
+    left — a slip in a failed write's retraction shows here.
 """
 
 from __future__ import annotations
@@ -200,6 +205,9 @@ def audit(store: "Prism") -> AuditReport:
                             "still reachable from the index")
     except FreeListError as exc:
         report.fail(f"I8: {exc}")
+    # I9: chunk geometry and live accounting.
+    for vs in store.storages:
+        check_chunk_geometry(vs, report)
     # I5 (capacity): accounted bytes match live entries.
     live_bytes = sum(
         e.charged for e in store.svc.entries.values() if not e.freed
@@ -210,3 +218,35 @@ def audit(store: "Prism") -> AuditReport:
             f"entries sum to {live_bytes}"
         )
     return report
+
+
+def check_chunk_geometry(vs, report: AuditReport) -> None:
+    """I9 for one Value Storage."""
+    where = f"I9: vs{vs.vs_id} chunk"
+    for chunk_id, info in vs._chunks.items():
+        end = 0
+        for offset in sorted(info.slots):
+            slot = info.slots[offset]
+            if offset < end:
+                report.fail(f"{where} {chunk_id}: record at {offset} overlaps "
+                            f"the one ending at {end}")
+            end = offset + vs.header_size + slot.size
+        if not end <= info.write_head <= vs.chunk_size:
+            report.fail(
+                f"{where} {chunk_id}: records end at {end}, write head "
+                f"{info.write_head}, chunk size {vs.chunk_size}"
+            )
+        valid = [slot.size for slot in info.slots.values() if slot.valid]
+        if (info.live_records, info.live_bytes) != (len(valid), sum(valid)):
+            report.fail(
+                f"{where} {chunk_id}: accounts {info.live_records} live "
+                f"records / {info.live_bytes}B, valid slots sum to "
+                f"{len(valid)} / {sum(valid)}B"
+            )
+    head = vs.open_chunk
+    if head is not None:
+        info = vs._chunks.get(head)
+        if info is None:
+            report.fail(f"{where} {head} is the log head but not in use")
+        elif info.write_head >= vs.chunk_size:
+            report.fail(f"{where} {head} is the log head but is full")

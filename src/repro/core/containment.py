@@ -1,7 +1,7 @@
 """Failure containment for multi-record placement publishes.
 
 Reclamation, GC, and scan-aware writeback all follow the same shape:
-write a batch of records into fresh Value Storage chunks, then publish
+append a batch of records to a Value Storage log, then publish
 each new location to the HSIT one entry at a time.  When a device error
 interrupts the publish loop, the batch is split three ways:
 

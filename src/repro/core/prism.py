@@ -285,8 +285,9 @@ class Prism:
     ):
         """write_records with the store's retry policy applied.
 
-        Safe to retry wholesale: on error write_records releases every
-        chunk it allocated, so a repeat attempt starts clean.
+        Safe to retry wholesale: on error write_records retracts its
+        appends from the open chunk and releases the chunks it
+        allocated, so a repeat attempt starts clean.
         """
         if self.injector is None:
             return vs.write_records(at, records)
@@ -366,26 +367,13 @@ class Prism:
         ]
         return max(fast, key=lambda s: s.free_chunks, default=None)
 
-    @staticmethod
-    def _batch_fits(vs: ValueStorage, records) -> bool:
-        """Would ``vs.write_records`` find enough free chunks for this
-        batch?  Mirrors its greedy first-fit packing exactly."""
-        chunks, room = 0, 0
-        for entry in records:
-            need = vs.record_bytes(len(entry[1]))
-            if need > room:
-                chunks += 1
-                room = vs.chunk_size
-            room -= need
-        return chunks <= vs.free_chunks
-
     def _fast_fit_storage(self, records, at: float):
         """Least-loaded healthy fast storage that can host ``records``,
         or None when the whole fast tier is out of room."""
         fits = [
             vs
             for vs in self._placement_storages()
-            if self._batch_fits(vs, records)
+            if vs.fits(records)
         ]
         return min(fits, key=lambda s: s.ring.inflight_at(at), default=None)
 
@@ -663,7 +651,7 @@ class Prism:
             except NoHealthyStorageError:
                 return "write"
             label = "reclaim"
-            if temperature and not self._batch_fits(vs, hot):
+            if temperature and not vs.fits(hot):
                 # Hard pressure: the fast tier cannot hold its own hot
                 # set.  Spill the batch cold rather than wedge the PWB;
                 # re-access promotes survivors back once GC frees fast
@@ -694,7 +682,7 @@ class Prism:
         bg: VThread,
         label: str,
     ) -> Optional[str]:
-        """Move live records into fresh chunks of ``dest``.
+        """Move live records to the log head of ``dest``.
 
         The one data-movement path: reclaim, GC, tier demotion and tier
         promotion each select survivors, choose ``dest``, and call this.
@@ -706,8 +694,8 @@ class Prism:
         ``<label>.published``.
 
         Returns None when the whole batch landed, else the failing
-        phase: ``"write"`` changed nothing (write_records released its
-        chunks); ``"publish"`` was resolved by containment — published
+        phase: ``"write"`` changed nothing (write_records took its
+        appends back); ``"publish"`` was resolved by containment — published
         entries stand, unpublished placements are dropped.  Either way
         the caller aborts its round rather than re-move entries whose
         old slots may already be invalid.

@@ -10,13 +10,19 @@ read path; a mismatch raises a typed
 chunk keeps a validity bitmap *in DRAM* (rebuildable from the HSIT, so
 it needs no persistence), tracking which records are up to date.
 
-Writes happen only in chunk granularity, asynchronously, through the
-io_uring ring — large sequential writes are what flash likes.
-Allocating a free chunk is the *only* critical section of the write
-path (§5.2), modelled by a short virtual lock.
+Writes are batches, asynchronous, through the io_uring ring, and the
+storage is a log: one chunk is *open* (the log head) and a batch
+continues where the previous one ended, rounded up to a 4 KiB device
+page so an append never shares a page with records an earlier IO
+acknowledged.  A fresh chunk is taken only when the next record does
+not fit, so a batch costs the flash it fills, not a whole chunk (the
+paper's ~400 MB reclaim batches span hundreds of chunks; ours are
+scaled ~1000x down and mostly smaller than one).  Allocating a free
+chunk is the *only* critical section of the write path (§5.2),
+modelled by a short virtual lock.  Releasing a chunk TRIMs it.
 
 Garbage collection (§5.2) is greedy: when free chunks run low, the
-chunks with the least live data are merged into fresh chunks; validity
+chunks with the least live data are merged into the log head; validity
 bitmaps — not index traversals — decide liveness.
 """
 
@@ -25,6 +31,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.errors import CorruptionError
@@ -33,7 +40,7 @@ from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
 from repro.storage.crash import NULL_CRASH_POINT
 from repro.storage.iouring import IORequest, IOUring
-from repro.storage.ssd import SSDDevice
+from repro.storage.ssd import PAGE_SIZE, SSDDevice
 
 RECORD_HEADER = 12  # backward pointer (8B) + value size (4B)
 # Checksummed framing adds a CRC32 over header + payload (ISSUE 3).
@@ -46,7 +53,7 @@ def record_crc(header12: bytes, value: bytes) -> int:
     return zlib.crc32(value, zlib.crc32(header12))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot:
     """DRAM bookkeeping for one record in a chunk."""
 
@@ -81,8 +88,11 @@ class ValueStorage:
         checksums: bool = False,
         mirror: Optional[SSDDevice] = None,
     ) -> None:
-        if chunk_size < 4096:
-            raise ValueError(f"chunk size too small: {chunk_size}")
+        if chunk_size < PAGE_SIZE or chunk_size % PAGE_SIZE:
+            raise ValueError(
+                f"chunk size must be a positive multiple of the "
+                f"{PAGE_SIZE}B device page: {chunk_size}"
+            )
         if mirror is not None and mirror.capacity < ssd.capacity:
             raise ValueError(
                 f"mirror {mirror.name} smaller than primary {ssd.name}"
@@ -114,6 +124,10 @@ class ValueStorage:
         self._next_unused = 0
         self._released: deque = deque()
         self._chunks: Dict[int, _ChunkInfo] = {}
+        # The log head: the chunk the next batch continues in, or None
+        # (nothing written yet, the last batch filled its chunk, GC took
+        # the head as a victim, or recovery just rebuilt the bitmaps).
+        self.open_chunk: Optional[int] = None
         self._alloc_lock = VLock(name=f"vs{vs_id}-chunk-alloc")
         self._open_sync: Dict[int, int] = {}  # tid -> open chunk (ablation)
         self.chunk_writes = 0
@@ -167,9 +181,6 @@ class ValueStorage:
     def record_bytes(self, value_len: int) -> int:
         return self.header_size + value_len
 
-    def chunk_payload_capacity(self) -> int:
-        return self.chunk_size
-
     def _frame(self, hsit_idx: int, value: bytes) -> bytes:
         """Build one on-media record: header (+ optional CRC) + value."""
         header = hsit_idx.to_bytes(8, "little") + len(value).to_bytes(4, "little")
@@ -191,81 +202,136 @@ class ValueStorage:
             return at
 
     # ------------------------------------------------------------------
-    # writes (always whole chunks, always async)
+    # writes (batches appended at the log head, always async)
     # ------------------------------------------------------------------
+    def _append_start(self) -> int:
+        """Where the next batch would continue in the open chunk: its
+        write head rounded up to a device page.  ``chunk_size`` (no
+        room) when no chunk is open."""
+        if self.open_chunk is None:
+            return self.chunk_size
+        head = self._chunks[self.open_chunk].write_head
+        return -(-head // PAGE_SIZE) * PAGE_SIZE
+
+    def _split(self, records: Sequence[Tuple[int, bytes]]) -> List[int]:
+        """The packing rule, greedy first-fit: how many of ``records``
+        continue in the open chunk, then how many go into each fresh
+        chunk after it."""
+        chunk_size = self.chunk_size
+        header = self.header_size
+        room = chunk_size - self._append_start()
+        counts = [0]
+        for entry in records:
+            need = header + len(entry[1])
+            if need > room:
+                if need > chunk_size:
+                    raise StorageError(
+                        f"value of {len(entry[1])}B exceeds chunk size {chunk_size}"
+                    )
+                counts.append(0)
+                room = chunk_size
+            counts[-1] += 1
+            room -= need
+        return counts
+
+    def fits(self, records: Sequence[Tuple[int, bytes]]) -> bool:
+        """Would :meth:`write_records` find room for this batch?"""
+        try:
+            return len(self._split(records)) - 1 <= self.free_chunks
+        except StorageError:
+            return False
+
     def write_records(
         self,
         at: float,
         records: Sequence[Tuple[int, bytes]],
         thread: Optional[VThread] = None,
     ) -> Tuple[List[Tuple[int, int, int]], float]:
-        """Write (hsit_idx, value) records, packed into chunks.
+        """Append (hsit_idx, value) records at the log head.
 
-        Starts at virtual time ``at`` (or the thread's clock) and
-        returns ``(placements, done_time)`` where each placement is
-        ``(chunk_id, offset, size)`` in record order.  The caller — a
-        background reclaimer or the GC — updates HSIT forward pointers
-        only after ``done_time``.
+        The batch continues in the open chunk (page-aligned) and takes
+        a fresh chunk only when the next record does not fit; the last
+        chunk it touches stays open for the next batch.  One write IO
+        per chunk touched.  Starts at virtual time ``at`` (or the
+        thread's clock) and returns ``(placements, done_time)`` where
+        each placement is ``(chunk_id, offset, size)`` in record order.
+        The caller — a background reclaimer or the GC — updates HSIT
+        forward pointers only after ``done_time``.
+
+        Failure atomicity: a ``StorageError`` leaves the storage as the
+        call found it, so it is safe to retry wholesale.
         """
         if thread is not None:
             at = max(at, thread.now)
+        counts = self._split(records)
+        if len(counts) - 1 > self.free_chunks:
+            raise StorageError(f"vs{self.vs_id}: no free chunks")
+        reopened = self.open_chunk
+        head_before = self._append_start()
+        if counts[0]:
+            info = self._chunks[reopened]
+            before = (info.write_head, info.live_records, info.live_bytes)
         placements: List[Tuple[int, int, int]] = []
-        done = at
-        pending: List[Tuple[int, bytearray, List[Tuple[int, int, int]]]] = []
-        chunk_id: Optional[int] = None
-        buffer = bytearray()
-        chunk_placements: List[Tuple[int, int, int]] = []
-
-        def _seal() -> None:
-            nonlocal chunk_id, buffer, chunk_placements
-            if chunk_id is None:
-                return
-            pending.append((chunk_id, buffer, chunk_placements))
-            chunk_id, buffer, chunk_placements = None, bytearray(), []
-
-        for hsit_idx, value in records:
-            need = self.record_bytes(len(value))
-            if need > self.chunk_size:
-                raise StorageError(
-                    f"value of {len(value)}B exceeds chunk size {self.chunk_size}"
-                )
-            if chunk_id is None or len(buffer) + need > self.chunk_size:
-                _seal()
-                chunk_id = self._allocate_chunk(thread)
-            offset = len(buffer)
-            buffer += self._frame(hsit_idx, value)
+        # (chunk_id, start offset within the chunk, bytes to write there)
+        pieces: List[Tuple[int, int, bytearray]] = []
+        header = self.header_size
+        frame = self._frame
+        remaining = iter(records)
+        for n, count in enumerate(counts):
+            if n:
+                chunk_id, offset = self._allocate_chunk(thread), 0
+            elif count:
+                chunk_id, offset = reopened, head_before
+            else:
+                continue  # nothing fits behind the head (or none is open)
             info = self._chunks[chunk_id]
-            info.slots[offset] = _Slot(hsit_idx, offset, len(value))
-            info.live_records += 1
-            info.live_bytes += len(value)
-            info.write_head = offset + need
-            placement = (chunk_id, offset, len(value))
-            chunk_placements.append(placement)
-            placements.append(placement)
-        _seal()
+            slots = info.slots
+            buffer = bytearray()
+            pieces.append((chunk_id, offset, buffer))
+            for hsit_idx, value in islice(remaining, count):
+                size = len(value)
+                buffer += frame(hsit_idx, value)
+                slots[offset] = _Slot(hsit_idx, offset, size)
+                info.live_bytes += size
+                placements.append((chunk_id, offset, size))
+                offset += header + size
+            info.live_records += count
+            info.write_head = offset
+        if pieces:
+            # A chunk filled to the brim has no head left to append at.
+            self.open_chunk = chunk_id if offset < self.chunk_size else None
 
+        done = at
         self.crash_point.maybe_crash("vs.write.pre")
         try:
-            for cid, buf, _ in pending:
-                req = IORequest("write", cid * self.chunk_size, len(buf), data=bytes(buf))
+            for chunk_id, offset, buffer in pieces:
+                data = bytes(buffer)
+                req = IORequest(
+                    "write", chunk_id * self.chunk_size + offset, len(data), data=data
+                )
                 self.ring.submit(at, [req])
                 done = max(done, req.completion)
                 self.chunk_writes += 1
                 if self.mirror is not None:
-                    done = max(
-                        done,
-                        self._mirror_write(at, cid * self.chunk_size, bytes(buf)),
-                    )
+                    done = max(done, self._mirror_write(at, req.offset, data))
         except StorageError:
             # Failure atomicity: no HSIT entry will ever point at these
-            # chunks (the caller aborts), so leaving their slots marked
-            # valid would fabricate valid-but-unreachable records.
-            # Release every chunk this call allocated — data already
-            # durable in earlier chunks of the batch is orphaned log
-            # garbage, which is exactly what reusing the chunk erases.
-            for cid, _, _ in pending:
-                if cid in self._chunks:
-                    self._release_chunk(cid)
+            # records (the caller aborts), so leaving their slots valid
+            # would fabricate valid-but-unreachable records.  Release
+            # the chunks this call allocated and take its appends back
+            # out of the chunk it reopened — records published there by
+            # earlier calls are untouched.  Bytes that did reach the
+            # device are orphaned log garbage; TRIM erases them.
+            for chunk_id, _, _ in pieces:
+                if chunk_id != reopened:
+                    self._release_chunk(chunk_id)
+            if counts[0]:
+                info = self._chunks[reopened]
+                for offset in [o for o in info.slots if o >= head_before]:
+                    del info.slots[offset]
+                info.write_head, info.live_records, info.live_bytes = before
+                self._trim(reopened, head_before)
+            self.open_chunk = reopened
             raise
         self.crash_point.maybe_crash("vs.write.done")
         return placements, done
@@ -407,18 +473,47 @@ class ValueStorage:
     def _release_chunk(self, chunk_id: int) -> None:
         del self._chunks[chunk_id]
         self._released.append(chunk_id)
+        if chunk_id == self.open_chunk:
+            self.open_chunk = None
+        self._trim(chunk_id, 0)
+
+    def _trim(self, chunk_id: int, start: int) -> None:
+        """TRIM a chunk from page-aligned ``start`` to its end, mirror
+        copy included: a recycled chunk reads zeros, never checksum-
+        valid records of its previous life (which a torn append could
+        otherwise expose), and simulator memory follows chunks in use.
+        """
+        offset = chunk_id * self.chunk_size + start
+        self.ssd.discard(offset, self.chunk_size - start)
+        if self.mirror is not None:
+            self.mirror.discard(offset, self.chunk_size - start)
 
     # ------------------------------------------------------------------
     # garbage collection (greedy, §5.2)
     # ------------------------------------------------------------------
     def gc_victims(self, count: int) -> List[int]:
-        """Chunks with the least live data, worst first."""
-        sealed = [
-            (info.live_bytes, cid)
+        """Chunks whose collection frees the most bytes, best first.
+
+        A sealed chunk frees everything but its live data, so sealed
+        chunks rank by least live data.  The open chunk's unwritten
+        tail is not garbage — it is where the next batch goes — so it
+        counts as live.  Selecting the open chunk seals it: its
+        survivors must land in a fresh chunk, not behind themselves.
+        """
+        head = self.open_chunk
+        chunk_size = self.chunk_size
+        ranked = sorted(
+            (
+                info.live_bytes
+                + (chunk_size - info.write_head if cid == head else 0),
+                cid,
+            )
             for cid, info in self._chunks.items()
-        ]
-        sealed.sort()
-        return [cid for _, cid in sealed[:count]]
+        )
+        victims = [cid for _, cid in ranked[:count]]
+        if head in victims:
+            self.open_chunk = None
+        return victims
 
     def live_records_of(self, chunk_id: int) -> List[_Slot]:
         info = self._chunks.get(chunk_id)
@@ -434,9 +529,12 @@ class ValueStorage:
 
         ``live`` maps (chunk_id, offset) -> (hsit_idx, size) for every
         record the HSIT proved reachable.  Everything else is garbage;
-        untouched chunks return to the free list.
+        untouched chunks return to the free list.  No chunk is left
+        open: what a crashed append left beyond a chunk's last live
+        record is unknown, so the next batch starts a fresh chunk.
         """
         self._chunks.clear()
+        self.open_chunk = None
         by_chunk: Dict[int, List[Tuple[int, int, int]]] = {}
         for (chunk_id, offset), (hsit_idx, size) in live.items():
             by_chunk.setdefault(chunk_id, []).append((offset, hsit_idx, size))

@@ -25,9 +25,9 @@ from repro.sim.vthread import VThread
 from repro.storage.base import Device, StorageError
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC, DeviceSpec
 
-_PAGE = 4096
-_PAGE_SHIFT = 12  # log2(_PAGE)
-_PAGE_MASK = _PAGE - 1
+PAGE_SIZE = 4096
+_PAGE_SHIFT = 12  # log2(PAGE_SIZE)
+_PAGE_MASK = PAGE_SIZE - 1
 
 
 class SSDDevice(Device):
@@ -45,7 +45,7 @@ class SSDDevice(Device):
     def _page(self, idx: int) -> bytearray:
         page = self._pages.get(idx)
         if page is None:
-            page = bytearray(_PAGE)
+            page = bytearray(PAGE_SIZE)
             self._pages[idx] = page
         return page
 
@@ -60,7 +60,7 @@ class SSDDevice(Device):
         self._check(offset, size)
         # Fast path: access within a single 4 KB page (typical record).
         off = offset & _PAGE_MASK
-        if off + size <= _PAGE:
+        if off + size <= PAGE_SIZE:
             page = self._pages.get(offset >> _PAGE_SHIFT)
             if page is None:
                 return bytes(size)
@@ -68,8 +68,8 @@ class SSDDevice(Device):
         out = bytearray(size)
         pos = 0
         while pos < size:
-            page_idx, off = divmod(offset + pos, _PAGE)
-            take = min(_PAGE - off, size - pos)
+            page_idx, off = divmod(offset + pos, PAGE_SIZE)
+            take = min(PAGE_SIZE - off, size - pos)
             page = self._pages.get(page_idx)
             if page is not None:
                 out[pos : pos + take] = page[off : off + take]
@@ -80,15 +80,34 @@ class SSDDevice(Device):
         size = len(data)
         self._check(offset, size)
         off = offset & _PAGE_MASK
-        if off + size <= _PAGE:
+        if off + size <= PAGE_SIZE:
             self._page(offset >> _PAGE_SHIFT)[off : off + size] = data
             return
         pos = 0
         while pos < size:
-            page_idx, off = divmod(offset + pos, _PAGE)
-            take = min(_PAGE - off, size - pos)
+            page_idx, off = divmod(offset + pos, PAGE_SIZE)
+            take = min(PAGE_SIZE - off, size - pos)
             self._page(page_idx)[off : off + take] = data[pos : pos + take]
             pos += take
+
+    def discard(self, offset: int, size: int) -> None:
+        """TRIM whole pages: the range reads back as zeros afterwards.
+
+        Untimed and not fault-injected: a discard is a command the
+        device only queues (no data moves, the flash erase happens in
+        its own background GC), and the owner issues it for space it
+        has already dropped every reference to.
+        """
+        self._check(offset, size)
+        if (offset | size) & _PAGE_MASK:
+            raise StorageError(
+                f"{self.name}: discard [{offset}, {offset + size}) is not "
+                f"page-aligned"
+            )
+        pages = self._pages
+        for idx in range(offset >> _PAGE_SHIFT, (offset + size) >> _PAGE_SHIFT):
+            if idx in pages:
+                del pages[idx]
 
     # ------------------------------------------------------------------
     # synchronous (timed) IO

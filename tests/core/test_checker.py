@@ -175,6 +175,50 @@ class TestFreeListInvariant:
         ), violations
 
 
+class TestChunkGeometryInvariant:
+    """I9: each way a write's bookkeeping (or its retraction after a
+    failed IO) can slip is a violation of its own."""
+
+    @pytest.fixture
+    def flushed(self, store, t):
+        for i in range(6):
+            store.put(b"k%d" % i, bytes([i + 1]) * 300, t)
+        store.flush()
+        vs = next(vs for vs in store.storages if vs.open_chunk is not None)
+        assert audit(store).ok
+        return store, vs, vs._chunks[vs.open_chunk]
+
+    def _i9(self, store):
+        return [v for v in audit(store).violations if v.startswith("I9")]
+
+    def test_overlapping_records(self, flushed):
+        store, _vs, info = flushed
+        first, second = sorted(info.slots)[:2]
+        info.slots[first].size += second - first  # now runs into its neighbour
+        info.live_bytes += second - first
+        assert any("overlaps" in v for v in self._i9(store))
+
+    def test_write_head_behind_last_record(self, flushed):
+        store, _vs, info = flushed
+        info.write_head -= 1
+        assert any("write head" in v for v in self._i9(store))
+
+    def test_live_accounting_drift(self, flushed):
+        store, _vs, info = flushed
+        info.live_bytes += 1
+        assert any("valid slots sum" in v for v in self._i9(store))
+
+    def test_log_head_not_in_use(self, flushed):
+        store, vs, _info = flushed
+        vs.open_chunk = max(vs._chunks) + 1
+        assert any("not in use" in v for v in self._i9(store))
+
+    def test_full_log_head(self, flushed):
+        store, vs, info = flushed
+        info.write_head = vs.chunk_size
+        assert any("is full" in v for v in self._i9(store))
+
+
 class TestChecksumInvariant:
     def _checked_store(self):
         return Prism(small_prism_config(enable_checksums=True))

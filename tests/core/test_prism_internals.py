@@ -62,14 +62,15 @@ class TestMergedScanReads:
 
     def test_scattered_records_need_separate_ios(self, store, t):
         vs = store.storages[0]
+        idxs = [store.hsit.allocate() for _ in range(8)]
+        placements, _ = vs.write_records(0.0, [(idx, b"x" * 2000) for idx in idxs])
         items = []
-        for i in range(4):
-            idx = store.hsit.allocate()
-            # one record per chunk -> nothing adjacent
-            placements, _ = vs.write_records(0.0, [(idx, b"x" * 2000)])
-            chunk, off, _ = placements[0]
-            store.hsit.publish_location(idx, ptr.encode_vs(0, chunk, off))
-            items.append((chunk, off, idx, b"k%d" % i))
+        # Every other record of the batch: each has a stranger between
+        # it and the next, so nothing the scan wants is adjacent.
+        for i in range(0, 8, 2):
+            chunk, off, _ = placements[i]
+            store.hsit.publish_location(idxs[i], ptr.encode_vs(0, chunk, off))
+            items.append((chunk, off, idxs[i], b"k%d" % i))
         ios_before = vs.ssd.read_ios
         requests, _ = store._submit_merged(0, items, t)
         assert vs.ssd.read_ios == ios_before + 4

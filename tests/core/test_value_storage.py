@@ -1,5 +1,7 @@
+import random
 import tracemalloc
 from collections import deque
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
@@ -12,15 +14,20 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.checker import AuditReport, audit, check_chunk_geometry
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
 from repro.core.value_storage import RECORD_HEADER, ValueStorage
+from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
+from repro.storage.crash import SimulatedCrash
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC
-from repro.storage.ssd import SSDDevice
+from repro.storage.ssd import PAGE_SIZE, SSDDevice
+from tests.conftest import small_prism_config
 
 MB = 1024**2
 CHUNK = 16 * 1024
+FULL_CHUNK_VALUE = b"x" * (CHUNK - RECORD_HEADER)  # one record = one chunk
 
 
 @pytest.fixture
@@ -193,6 +200,38 @@ def test_space_stats(vs):
     assert vs.free_fraction() < 1.0
 
 
+def observable(vs):
+    """Everything a caller can see of the storage's DRAM state."""
+    return (
+        {
+            cid: (
+                info.write_head, info.live_records, info.live_bytes,
+                {o: (s.hsit_idx, s.size, s.valid) for o, s in info.slots.items()},
+            )
+            for cid, info in vs._chunks.items()
+        },
+        vs.free_chunks,
+        vs.open_chunk,
+    )
+
+
+@contextmanager
+def failing_write(ssd, fail_at):
+    """The ``fail_at``-th write IO from now raises; earlier ones land."""
+    real, calls = ssd.write_async, iter(range(fail_at + 1))
+
+    def failing(at, offset, payload):
+        if next(calls) == fail_at:
+            raise StorageError("injected write failure")
+        return real(at, offset, payload)
+
+    ssd.write_async = failing
+    try:
+        yield
+    finally:
+        ssd.write_async = real
+
+
 SMALL_CHUNK = 4096
 FULL_VALUE = b"x" * (SMALL_CHUNK - RECORD_HEADER)  # one record = one chunk
 
@@ -239,19 +278,9 @@ class FreeListMachine(RuleBasedStateMachine):
     def failed_write(self, data):
         count = data.draw(st.integers(1, min(8, len(self.model))))
         fail_at = data.draw(st.integers(0, count - 1))
-        real_write, calls = self.vs.ssd.write_async, iter(range(count))
-
-        def failing(at, offset, payload):
-            if next(calls) == fail_at:
-                raise StorageError("injected write failure")
-            return real_write(at, offset, payload)
-
-        self.vs.ssd.write_async = failing
-        try:
+        with failing_write(self.vs.ssd, fail_at):
             with pytest.raises(StorageError, match="injected"):
                 self._write(count)
-        finally:
-            del self.vs.ssd.write_async
         self.model.extend([self.model.popleft() for _ in range(count)])
 
     @rule(data=st.data())
@@ -281,3 +310,225 @@ TestFreeList = FreeListMachine.TestCase
 TestFreeList.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
+
+
+# ----------------------------------------------------------------------
+# the log head
+# ----------------------------------------------------------------------
+HEAD_CHUNK = 8 * 1024  # two device pages: boundaries come up constantly
+value_sizes = st.one_of(
+    st.integers(1, 64), st.integers(500, 1500), st.integers(3000, 5000)
+)
+
+
+class LogHeadMachine(RuleBasedStateMachine):
+    """Batches appended at the log head against a model of what is
+    live: whatever mix of appends, invalidations, failed IOs, GC rounds
+    and recoveries ran, every live record reads back, the chunk
+    geometry (checker I9) holds and every IO began on a device page."""
+
+    @initialize(n=st.integers(2, 12))
+    def setup(self, n):
+        self.ssd = SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(n * HEAD_CHUNK))
+        self.vs = ValueStorage(0, self.ssd, chunk_size=HEAD_CHUNK)
+        self.live = {}  # (chunk_id, offset) -> (hsit_idx, value)
+        self.next_idx = 0
+        self.io_offsets = []
+        real = self.ssd.write_async
+
+        def recording(at, offset, payload):
+            self.io_offsets.append(offset)
+            return real(at, offset, payload)
+
+        self.ssd.write_async = recording
+
+    def _batch(self, sizes):
+        records = []
+        for size in sizes:
+            records.append((self.next_idx, bytes([self.next_idx % 251 + 1]) * size))
+            self.next_idx += 1
+        return records
+
+    def _append(self, records):
+        """Write if it fits; a batch that does not must change nothing."""
+        before = observable(self.vs)
+        if not self.vs.fits(records):
+            with pytest.raises(StorageError):
+                self.vs.write_records(0.0, records)
+            assert observable(self.vs) == before
+            return False
+        placements, _ = self.vs.write_records(0.0, records)
+        for record, (cid, off, size) in zip(records, placements):
+            assert size == len(record[1])
+            self.live[cid, off] = record
+        return True
+
+    @rule(sizes=st.lists(value_sizes, min_size=1, max_size=40))
+    def append(self, sizes):
+        self._append(self._batch(sizes))
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def invalidate(self, data):
+        place = data.draw(st.sampled_from(sorted(self.live)))
+        del self.live[place]
+        self.vs.invalidate(*place)
+
+    @rule(sizes=st.lists(value_sizes, min_size=1, max_size=40), data=st.data())
+    def failed_append(self, sizes, data):
+        records = self._batch(sizes)
+        if not self.vs.fits(records):
+            return
+        ios = sum(1 for count in self.vs._split(records) if count)
+        before = observable(self.vs)
+        with failing_write(self.ssd, data.draw(st.integers(0, ios - 1))):
+            with pytest.raises(StorageError, match="injected"):
+                self.vs.write_records(0.0, records)
+        assert observable(self.vs) == before
+
+    @precondition(lambda self: self.live)
+    @rule(count=st.integers(1, 3))
+    def collect(self, count):
+        victims = self.vs.gc_victims(count)
+        assert self.vs.open_chunk not in victims  # selecting the head seals it
+        moves = [
+            (cid, slot.offset) for cid in victims
+            for slot in self.vs.live_records_of(cid)
+        ]
+        assert sorted(moves) == sorted(p for p in self.live if p[0] in victims)
+        if self._append([self.live[place] for place in moves]):
+            for place in moves:
+                del self.live[place]
+                self.vs.invalidate(*place)
+            assert not set(victims) & set(self.vs._chunks)
+
+    @rule()
+    def rebuild(self):
+        self.vs.rebuild_from(
+            {place: (idx, len(value)) for place, (idx, value) in self.live.items()}
+        )
+        assert self.vs.open_chunk is None
+
+    @invariant()
+    def live_records_read_back(self):
+        for (cid, off), record in self.live.items():
+            assert self.vs.read_record_raw(cid, off) == record
+
+    @invariant()
+    def geometry_holds(self):
+        report = AuditReport()
+        check_chunk_geometry(self.vs, report)
+        assert report.ok, report.violations
+        assert sum(i.live_records for i in self.vs._chunks.values()) == len(self.live)
+
+    @invariant()
+    def ios_begin_on_a_device_page(self):
+        assert all(offset % PAGE_SIZE == 0 for offset in self.io_offsets)
+        self.io_offsets.clear()
+
+
+TestLogHead = LogHeadMachine.TestCase
+TestLogHead.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+
+
+def test_small_batches_share_chunks(ssd):
+    """200 scan-write-back-sized batches cost the flash they fill (one
+    chunk each before the log head: 200 chunks)."""
+    vs = ValueStorage(0, ssd, chunk_size=512 * 1024)
+    batches, appended = 200, 0
+    for b in range(batches):
+        records = [(b * 60 + i, b"v" * 1024) for i in range(60)]
+        vs.write_records(0.0, records)
+        appended += sum(vs.record_bytes(len(v)) for _, v in records)
+    # Each batch loses less than a page to alignment, each chunk less
+    # than a record at its end.
+    lost = batches * PAGE_SIZE + vs.used_chunks * vs.record_bytes(1024)
+    assert vs.used_chunks <= -(-(appended + lost) // vs.chunk_size) + 1
+    assert vs.chunk_writes <= batches + vs.used_chunks  # one IO per (call, chunk)
+
+
+@pytest.mark.parametrize("label", ["vs.write.pre", "vs.write.done"])
+def test_crash_while_appending_keeps_published_records(label):
+    """A power failure in the middle of an append to a chunk that
+    already holds published records loses none of them."""
+    store = Prism(small_prism_config(num_ssds=1, num_threads=1))
+    t = VThread(0, store.clock)
+    model = {b"a%02d" % i: bytes([i + 1]) * 300 for i in range(10)}
+    for key, value in model.items():
+        store.put(key, value, t)
+    store.flush()
+    (vs,) = store.storages
+    head = vs.open_chunk
+    assert head is not None and vs._chunks[head].live_records == len(model)
+    for i in range(10):
+        store.put(b"b%02d" % i, b"w" * 300, t)  # acked: durable in the PWB
+        model[b"b%02d" % i] = b"w" * 300
+    store.crash_point.arm(label)
+    with pytest.raises(SimulatedCrash):
+        store.flush()
+    store.recover()
+    assert vs.open_chunk != head  # the recovery flush took a fresh chunk
+    for key, value in model.items():
+        assert store.get(key, t) == value
+    assert audit(store).ok
+
+
+def test_released_chunk_is_trimmed():
+    primary = SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(MB), name="p")
+    mirror = SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(MB), name="m")
+    vs = ValueStorage(0, primary, chunk_size=CHUNK, checksums=True, mirror=mirror)
+    keep, _ = vs.write_records(0.0, [(1, b"k" * (CHUNK - 100))])  # fills chunk 0
+    drop, _ = vs.write_records(0.0, [(2, b"d" * 9000)])  # three pages of chunk 1
+    (chunk_id, offset, _size) = drop[0]
+    pages = -(-vs.record_bytes(9000) // PAGE_SIZE)
+    before = len(primary._pages), len(mirror._pages)
+    vs.invalidate(chunk_id, offset)  # last live record: released
+    assert (len(primary._pages), len(mirror._pages)) == (
+        before[0] - pages, before[1] - pages
+    )
+    for device in (primary, mirror):
+        assert device.read_raw(chunk_id * CHUNK, CHUNK) == bytes(CHUNK)
+    assert vs.read_record_raw(*keep[0][:2]) == (1, b"k" * (CHUNK - 100))
+    assert vs.read_record_mirror(*keep[0][:2]) == (1, b"k" * (CHUNK - 100))
+
+
+def test_discard_takes_whole_pages_only(ssd):
+    with pytest.raises(StorageError, match="page-aligned"):
+        ssd.discard(100, PAGE_SIZE)
+    with pytest.raises(StorageError, match="out of range"):
+        ssd.discard(ssd.capacity, PAGE_SIZE)
+
+
+@pytest.mark.parametrize("free", [0, 1, 2])
+def test_fits_is_exactly_write_succeeds(free):
+    """``fits`` and ``write_records`` share one packing walk: across
+    open-chunk fill levels and free-chunk counts they never disagree,
+    and a batch that does not fit changes nothing."""
+    rng = random.Random(free)
+    verdicts = set()
+    for _ in range(150):
+        ssd = SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity((free + 1) * CHUNK))
+        vs = ValueStorage(0, ssd, chunk_size=CHUNK)
+        fill = rng.randrange(0, CHUNK - RECORD_HEADER)
+        if fill:  # an open chunk, written up to a random point
+            vs.write_records(0.0, [(0, b"f" * fill)])
+        else:  # no open chunk: use up the spare one instead
+            vs.write_records(0.0, [(0, FULL_CHUNK_VALUE)])
+        assert vs.free_chunks == free
+        records = [
+            (i + 1, b"r" * rng.choice((10, 700, 3000, 6000)))
+            for i in range(rng.randrange(1, 12))
+        ]
+        before = observable(vs)
+        fits = vs.fits(records)
+        verdicts.add(fits)
+        if fits:
+            vs.write_records(0.0, records)
+        else:
+            with pytest.raises(StorageError, match="no free chunks"):
+                vs.write_records(0.0, records)
+            assert observable(vs) == before
+    assert verdicts == {True, False}
+    assert not vs.fits([(1, b"x" * (CHUNK + 1))])  # no chunk can hold it

@@ -19,6 +19,14 @@ The scan scenario (``ycsb_e_scan``) was added by PR 18 and recorded
 *after* that PR made scans fetch from every SSD at once — the change
 was meant to move it, and no earlier scenario reached a multi-SSD scan.
 
+PR 19 gave Value Storage a log head (batches append to the open chunk
+instead of each taking a fresh one), a deliberate change of simulated
+output wherever a batch is smaller than a chunk: ``ycsb_a``,
+``ycsb_a_gc``, ``tiered_gc`` and ``ycsb_e_scan`` were regenerated,
+``cluster_a`` (which never writes a chunk) did not move.  With chunks
+no longer half empty a fast tier at half the dataset stopped spilling,
+so ``tiered_gc`` squeezes it to a third.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
@@ -114,14 +122,14 @@ def ycsb_a_gc() -> Tuple[object, Dict[str, str]]:
 
 
 def tiered_gc() -> Tuple[object, Dict[str, str]]:
-    """Temperature tiering with the fast tier at half the dataset: one
-    fast + one cold SSD sized so reclaim-cold, GC demotion, spill, and
+    """Temperature tiering with the fast tier at a third of the dataset:
+    one fast + one cold SSD sized so reclaim-cold, GC demotion, spill, and
     read- and GC-triggered promotion all fire (and, with the fast tier
     this tight, some GC rounds fail for lack of room)."""
     keys = 600
     store = build_prism(
         num_threads=4, num_ssds=1, dataset_bytes=keys * KB, expected_keys=keys,
-        ssd_capacity=keys * KB // 2, chunk_size=16 * KB, gc_free_threshold=0.3,
+        ssd_capacity=keys * KB // 3, chunk_size=16 * KB, gc_free_threshold=0.3,
         enable_tiering=True, num_cold_ssds=1,
         cold_ssd_spec=QLC_SSD_SPEC.with_capacity(2 * keys * KB),
         tier_hot_threshold=3, tier_promote_threshold=2, tier_recency_window=64,

@@ -108,10 +108,12 @@ def test_cold_records_land_on_cold_tier():
     stats = store.stats()
     assert stats["tier_cold_reclaims"] + stats["tier_demotions"] > 0
     assert stats["tier_cold_used_bytes"] > 0
+    # Checked before the read-backs: with the promote threshold at 1
+    # and room on the fast tier, each of them promotes what it reads.
+    assert any(tier_of(store, k) == "cold" for k in vals)
     # Every value still reads back exactly.
     for k, v in vals.items():
         assert store.get(k) == v
-    assert any(tier_of(store, k) == "cold" for k in vals)
 
 
 def test_hot_records_stay_fast():
