@@ -1,6 +1,14 @@
 """Benchmark harness: drives any store with N virtual threads and
 collects the metrics the paper reports (throughput, latency
-percentiles, WAF, timelines)."""
+percentiles, WAF, timelines).
+
+Importing the package loads only the driver (``runner``), the
+cost-parity store builders (``stores``) and the table printers
+(``report``).  The experiments built on them — one function per figure
+in ``experiments`` / ``extensions`` / ``cache`` / ``cluster`` /
+``grayfail`` / ``rebalance`` / ``tiering``, one row each in the
+``EXPERIMENTS`` table of ``__main__`` — are imported by whoever runs
+them; ``experiments``'s docstring says how to add one."""
 
 from repro.bench.runner import RunResult, preload, run_workload
 from repro.bench.stores import (

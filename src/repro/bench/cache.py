@@ -18,12 +18,15 @@ All runs are seeded and virtual-time deterministic.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.bench.experiments import scaled
+from repro.bench.cluster import run_legs
+from repro.bench.experiments import sizing, sweep
 from repro.bench.runner import RunResult, preload, run_workload
 from repro.bench.stores import MB, build_prism
-from repro.parallel import parallel_map
+from repro.cluster.router import ClusterConfig
+from repro.cluster.runner import ClusterRunResult
 from repro.workloads.ycsb import WorkloadSpec
 
 # The storm mix: read-heavy, Zipfian tail at extreme skew, with five
@@ -48,14 +51,17 @@ STORM_SSDS = 1
 DEFAULT_CACHE_CAPACITY = 16 * MB
 
 
-def _build(
-    num_keys: int,
-    num_threads: int,
+def storm_run(
+    theta: float,
     cache_capacity: int,
+    num_keys: int,
+    num_ops: int,
+    num_threads: int,
     value_size: int = STORM_VALUE_SIZE,
     num_ssds: int = STORM_SSDS,
-):
-    """A preloaded Prism; ``cache_capacity == 0`` disables the cache.
+) -> RunResult:
+    """One seeded hot-key-storm run on a freshly preloaded Prism at the
+    given cache capacity; ``cache_capacity == 0`` disables the cache.
 
     Storm runs shrink the SVC to 5% of the dataset (from the cost-parity
     default of 20%): the experiment measures the *read-cache* tier, so
@@ -72,31 +78,10 @@ def _build(
         read_cache_capacity=cache_capacity or 8 * MB,
     )
     preload(store, num_keys, value_size=value_size, num_threads=num_threads)
-    return store
-
-
-def storm_run(
-    num_keys: int,
-    num_ops: int,
-    num_threads: int,
-    cache_capacity: int,
-    theta: float = DEFAULT_THETA,
-    seed: int = 2,
-    warmup_ops: Optional[int] = None,
-    value_size: int = STORM_VALUE_SIZE,
-    num_ssds: int = STORM_SSDS,
-) -> RunResult:
-    """One seeded hot-key-storm run at the given cache capacity."""
-    store = _build(
-        num_keys, num_threads, cache_capacity,
-        value_size=value_size, num_ssds=num_ssds,
-    )
-    if warmup_ops is None:
-        warmup_ops = num_ops // 5
     return run_workload(
         store, STORM, num_ops, num_keys,
         num_threads=num_threads, value_size=value_size, theta=theta,
-        seed=seed, warmup_ops=warmup_ops,
+        seed=2, warmup_ops=num_ops // 5,
     )
 
 
@@ -111,16 +96,13 @@ def storm_comparison(
 
     Returns ``(off, on)``.
     """
-    num_keys = num_keys if num_keys is not None else scaled(4_000)
-    num_ops = num_ops if num_ops is not None else scaled(16_000)
-    off, on = parallel_map(
+    num_keys, num_ops = sizing(num_keys, num_ops, 4_000, 16_000)
+    runs = sweep(
         storm_run,
-        [
-            (num_keys, num_ops, num_threads, 0, theta),
-            (num_keys, num_ops, num_threads, cache_capacity, theta),
-        ],
-    )
-    return off, on
+        [(theta, 0), (theta, cache_capacity)],
+        (num_keys, num_ops, num_threads),
+    )[theta]
+    return runs[0], runs[cache_capacity]
 
 
 def cache_sweep(
@@ -134,38 +116,20 @@ def cache_sweep(
     """Hit ratio vs cache size vs skew: a (theta, capacity) grid of
     storm runs with the cache on (1 KB values — the grid is about
     coverage, not device queueing)."""
-    num_keys = num_keys if num_keys is not None else scaled(20_000)
-    num_ops = num_ops if num_ops is not None else scaled(20_000)
-    tasks = [
-        (theta, capacity, num_keys, num_ops, num_threads, value_size)
-        for theta in thetas
-        for capacity in capacities
-    ]
-    units = parallel_map(_sweep_cell, tasks)
-    results: Dict[str, Dict[str, RunResult]] = {
-        f"theta={theta}": {} for theta in thetas
-    }
-    for (theta, capacity, *_rest), result in zip(tasks, units):
-        label = (
-            f"{capacity // MB}MB" if capacity >= MB
-            else f"{capacity // 1024}KB"
-        )
-        results[f"theta={theta}"][label] = result
-    return results
-
-
-def _sweep_cell(
-    theta: float,
-    capacity: int,
-    num_keys: int,
-    num_ops: int,
-    num_threads: int,
-    value_size: int,
-) -> RunResult:
-    return storm_run(
-        num_keys, num_ops, num_threads, capacity, theta=theta,
-        value_size=value_size, num_ssds=2,
+    num_keys, num_ops = sizing(num_keys, num_ops, 20_000, 20_000)
+    grid = sweep(
+        storm_run,
+        product(thetas, capacities),
+        (num_keys, num_ops, num_threads, value_size, 2),
     )
+    return {
+        f"theta={theta}": {_size_label(cap): run for cap, run in row.items()}
+        for theta, row in grid.items()
+    }
+
+
+def _size_label(size: int) -> str:
+    return f"{size // MB}MB" if size >= MB else f"{size // 1024}KB"
 
 
 def hit_ratio(result: RunResult) -> float:
@@ -197,28 +161,6 @@ def check_read_p99(off: RunResult, on: RunResult) -> Tuple[bool, str]:
 # ----------------------------------------------------------------------
 # Cluster hot-key defense (full mode only)
 # ----------------------------------------------------------------------
-def _cached_shard_factory(cache_capacity: int):
-    """Like the default shard factory, plus a per-shard read cache."""
-    from repro.core.config import PrismConfig
-    from repro.core.prism import Prism
-    from repro.faults.injector import FaultConfig
-    from repro.obs.metrics import MetricsRegistry
-
-    def factory(shard_id, clock):
-        config = PrismConfig(
-            faults=FaultConfig(seed=9000 + shard_id),
-            enable_read_cache=True,
-            read_cache_capacity=cache_capacity,
-        )
-        return Prism(
-            config,
-            metrics=MetricsRegistry(prefix=f"shard{shard_id}/"),
-            clock=clock,
-        )
-
-    return factory
-
-
 def cluster_hot_spread(
     num_shards: int = 4,
     num_keys: Optional[int] = None,
@@ -228,7 +170,7 @@ def cluster_hot_spread(
     hot_key_threshold: int = 8,
     theta: float = DEFAULT_THETA,
     value_size: int = STORM_VALUE_SIZE,
-):
+) -> Tuple[ClusterRunResult, ClusterRunResult]:
     """Storm on a replicated cluster: primary reads vs hot-key spread.
 
     Both clusters run RF=2 with per-shard read caches; the second adds
@@ -238,50 +180,26 @@ def cluster_hot_spread(
     the serving capacity the spread doubles.  Returns
     ``(primary, spread)`` as :class:`ClusterRunResult`.
     """
-    num_keys = num_keys if num_keys is not None else scaled(2_000)
-    num_ops = num_ops if num_ops is not None else scaled(16_000)
-    common = (
-        num_shards, num_keys, num_ops, clients_per_shard,
-        cache_capacity, theta, value_size,
-    )
-    primary, spread = parallel_map(
-        _hot_spread_leg,
-        [("primary", None) + common, ("spread", hot_key_threshold) + common],
-    )
-    return primary, spread
-
-
-def _hot_spread_leg(
-    read_policy: str,
-    threshold: Optional[int],
-    num_shards: int,
-    num_keys: int,
-    num_ops: int,
-    clients_per_shard: int,
-    cache_capacity: int,
-    theta: float,
-    value_size: int,
-):
-    from repro.cluster.router import ClusterConfig, PrismCluster
-    from repro.cluster.runner import run_cluster_workload
-
-    cluster = PrismCluster(
-        ClusterConfig(
-            num_shards=num_shards,
-            replication_factor=2,
-            replication_mode="quorum",
-            read_policy=read_policy,
-            hot_key_threshold=threshold,
-        ),
-        shard_factory=_cached_shard_factory(cache_capacity),
-    )
-    preload(
-        cluster, num_keys, value_size=value_size, num_threads=4, seed=1
-    )
-    result = run_cluster_workload(
-        cluster, STORM, num_ops, num_keys,
-        clients_per_shard=clients_per_shard, value_size=value_size,
-        theta=theta, seed=3,
-    )
-    cluster.close()
-    return result
+    num_keys, num_ops = sizing(num_keys, num_ops, 2_000, 16_000)
+    legs = run_legs({
+        read_policy: dict(
+            config=ClusterConfig(
+                num_shards=num_shards,
+                replication_factor=2,
+                replication_mode="quorum",
+                read_policy=read_policy,
+                hot_key_threshold=threshold,
+            ),
+            spec=STORM, num_keys=num_keys, num_ops=num_ops,
+            clients_per_shard=clients_per_shard, seed=3,
+            # Like the default shard, plus a per-shard read cache.
+            shard_overrides=dict(
+                enable_read_cache=True, read_cache_capacity=cache_capacity
+            ),
+            value_size=value_size, theta=theta,
+        )
+        for read_policy, threshold in (
+            ("primary", None), ("spread", hot_key_threshold)
+        )
+    })
+    return legs["primary"], legs["spread"]

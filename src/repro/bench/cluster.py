@@ -11,18 +11,26 @@ Two questions the serving layer must answer:
   background re-replication must complete (recovery time recorded in
   the metrics snapshot).
 
-Both run through :func:`repro.cluster.runner.run_cluster_workload`
-with client counts proportional to the cluster (``clients_per_shard``
-virtual threads per shard).
+Every cluster experiment in this package — these two, ``grayfail``,
+``rebalance`` and the read cache's hot-key spread — is a handful of
+*legs* (:func:`cluster_leg`): one cluster built, loaded, driven through
+:func:`repro.cluster.runner.run_cluster_workload` with client counts
+proportional to the cluster (``clients_per_shard`` virtual threads per
+shard), and closed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
-from repro.bench.experiments import scaled
+from repro.bench.experiments import sizing
 from repro.bench.runner import preload
-from repro.cluster.router import ClusterConfig, PrismCluster
+from repro.cluster.router import (
+    ClusterConfig,
+    PrismCluster,
+    default_shard_factory,
+)
 from repro.cluster.runner import ClusterRunResult, KillPlan, run_cluster_workload
 from repro.parallel import parallel_map
 from repro.workloads.ycsb import WorkloadSpec
@@ -39,22 +47,50 @@ YCSB_A_UNIFORM = WorkloadSpec(
 )
 
 
-def _build(
-    num_shards: int,
-    replication_factor: int,
-    replication_mode: str,
+def cluster_leg(
+    config: ClusterConfig,
+    spec: WorkloadSpec,
     num_keys: int,
+    num_ops: int,
+    clients_per_shard: int,
+    seed: int,
+    shard_overrides: Optional[Mapping] = None,
     preload_threads: int = 4,
-) -> PrismCluster:
+    value_size: int = 1024,
+    theta: float = 0.99,
+    **plan,
+) -> ClusterRunResult:
+    """One cluster run, start to finish: build ``config``'s cluster
+    (every shard the router's default store plus ``shard_overrides``,
+    which are :class:`PrismConfig` fields), load ``num_keys``, run
+    ``spec`` with at most one ``kill_plan`` / ``gray_plan`` /
+    ``rebalance_plan``, close."""
     cluster = PrismCluster(
-        ClusterConfig(
-            num_shards=num_shards,
-            replication_factor=replication_factor,
-            replication_mode=replication_mode,
-        )
+        config,
+        shard_factory=partial(default_shard_factory, **(shard_overrides or {})),
     )
-    preload(cluster, num_keys, num_threads=preload_threads, seed=1)
-    return cluster
+    preload(
+        cluster, num_keys, value_size=value_size,
+        num_threads=preload_threads, seed=1,
+    )
+    result = run_cluster_workload(
+        cluster, spec, num_ops, num_keys,
+        clients_per_shard=clients_per_shard, value_size=value_size,
+        theta=theta, seed=seed, **plan,
+    )
+    cluster.close()
+    return result
+
+
+def _leg(kwargs: Dict) -> ClusterRunResult:
+    return cluster_leg(**kwargs)
+
+
+def run_legs(legs: Mapping[Hashable, Dict]) -> Dict[Hashable, ClusterRunResult]:
+    """Run each labelled leg (the keyword arguments of one
+    :func:`cluster_leg`), fanned out under ``--jobs``; results by
+    label, in the order given."""
+    return dict(zip(legs, parallel_map(_leg, [(leg,) for leg in legs.values()])))
 
 
 def cluster_scaling(
@@ -64,32 +100,18 @@ def cluster_scaling(
     clients_per_shard: int = 4,
 ) -> Dict[int, ClusterRunResult]:
     """Aggregate YCSB-C throughput vs shard count at RF=1."""
-    num_keys = num_keys if num_keys is not None else scaled(20_000)
-    num_ops = num_ops if num_ops is not None else scaled(40_000)
-    units = parallel_map(
-        _scaling_unit,
-        [
-            (shards, num_keys, num_ops, clients_per_shard)
-            for shards in shard_counts
-        ],
-    )
-    return dict(zip(shard_counts, units))
-
-
-def _scaling_unit(
-    shards: int, num_keys: int, num_ops: int, clients_per_shard: int
-) -> ClusterRunResult:
-    cluster = _build(shards, 1, "quorum", num_keys)
-    result = run_cluster_workload(
-        cluster,
-        YCSB_C_UNIFORM,
-        num_ops,
-        num_keys,
-        clients_per_shard=clients_per_shard,
-        seed=2,
-    )
-    cluster.close()
-    return result
+    num_keys, num_ops = sizing(num_keys, num_ops, 20_000, 40_000)
+    return run_legs({
+        shards: dict(
+            config=ClusterConfig(
+                num_shards=shards, replication_factor=1,
+                replication_mode="quorum",
+            ),
+            spec=YCSB_C_UNIFORM, num_keys=num_keys, num_ops=num_ops,
+            clients_per_shard=clients_per_shard, seed=2,
+        )
+        for shards in shard_counts
+    })
 
 
 def cluster_failover(
@@ -107,42 +129,36 @@ def cluster_failover(
     clusters, one undisturbed, one losing ``kill_shard`` at
     ``kill_fraction`` of the ops.
     """
-    num_keys = num_keys if num_keys is not None else scaled(10_000)
-    num_ops = num_ops if num_ops is not None else scaled(20_000)
-    plans = [None, KillPlan(shard_id=kill_shard, at_fraction=kill_fraction)]
-    baseline, killed = parallel_map(
-        _failover_leg,
-        [
-            (
-                plan, num_shards, replication_mode, num_keys, num_ops,
-                clients_per_shard,
-            )
-            for plan in plans
-        ],
+    num_keys, num_ops = sizing(num_keys, num_ops, 10_000, 20_000)
+    baseline = rf2_leg(
+        num_shards, replication_mode, num_keys, num_ops, clients_per_shard,
+        seed=3,
     )
-    return baseline, killed
+    kill = KillPlan(shard_id=kill_shard, at_fraction=kill_fraction)
+    legs = run_legs(
+        {"baseline": baseline, "killed": {**baseline, "kill_plan": kill}}
+    )
+    return legs["baseline"], legs["killed"]
 
 
-def _failover_leg(
-    plan: Optional[KillPlan],
+def rf2_leg(
     num_shards: int,
     replication_mode: str,
     num_keys: int,
     num_ops: int,
     clients_per_shard: int,
-) -> ClusterRunResult:
-    cluster = _build(num_shards, 2, replication_mode, num_keys)
-    result = run_cluster_workload(
-        cluster,
-        YCSB_A_UNIFORM,
-        num_ops,
-        num_keys,
-        clients_per_shard=clients_per_shard,
-        seed=3,
-        kill_plan=plan,
+    seed: int,
+) -> Dict:
+    """The leg failover and rebalance share: uniform YCSB-A on an RF=2
+    cluster of default shards."""
+    return dict(
+        config=ClusterConfig(
+            num_shards=num_shards, replication_factor=2,
+            replication_mode=replication_mode,
+        ),
+        spec=YCSB_A_UNIFORM, num_keys=num_keys, num_ops=num_ops,
+        clients_per_shard=clients_per_shard, seed=seed,
     )
-    cluster.close()
-    return result
 
 
 def check_scaling(results: Dict[int, ClusterRunResult]) -> Tuple[bool, str]:

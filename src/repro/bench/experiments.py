@@ -8,22 +8,26 @@ tables next to the values the paper reports.
 Scale: ``REPRO_SCALE`` (env var, default 1.0) multiplies dataset and
 op counts.  Results are virtual-time metrics, so ratios — not absolute
 Kops — are the comparable quantities.
+
+How to add an experiment: write one *unit* — a module-level function
+of picklable arguments that builds its own store and returns one
+point's result (:func:`mix_unit` already is that for "these workloads
+on this store"); one public *run* function that takes its sizes from
+:func:`sizing`, fans the unit out over its points with :func:`sweep`
+and returns the nested dict; and one row in ``EXPERIMENTS``
+(``repro/bench/__main__.py``) naming the run function, its ``--smoke``
+sizing, a printer and the gates.  The CLI, ``figs``, ``list``, CI's
+``bench-smoke`` job and the digest tests all read that row.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.bench.runner import RunResult, preload, run_workload
-from repro.bench.stores import (
-    build_kvell,
-    build_matrixkv,
-    build_prism,
-    build_rocksdb_nvm,
-    build_slmdb,
-)
-from repro.core.config import PrismConfig
+from repro.bench.stores import build_kvell, build_prism, build_store
 from repro.core.prism import Prism
 from repro.parallel import parallel_map
 from repro.workloads import NUTANIX, WORKLOADS, WorkloadSpec
@@ -48,92 +52,115 @@ NUM_THREADS = 8
 VALUE_SIZE = 1024
 SCAN_OPS_DIVISOR = 5  # scans touch ~50 values each; fewer ops suffice
 
+# Fig. 7's four stores, in the figure's order.
+STANDARD_STORES = ("Prism", "KVell", "MatrixKV", "RocksDB-NVM")
 
-def _dataset_bytes(num_keys: int, value_size: int) -> int:
-    return num_keys * value_size
+
+def sizing(
+    num_keys: Optional[int],
+    num_ops: Optional[int],
+    keys: int = NUM_KEYS,
+    ops: int = NUM_OPS,
+) -> Tuple[int, int]:
+    """``(num_keys, num_ops)``: a size the caller gave stands; ``None``
+    takes the experiment's default (``keys`` / ``ops``) times
+    ``REPRO_SCALE``."""
+    return (
+        scaled(keys) if num_keys is None else num_keys,
+        scaled(ops) if num_ops is None else num_ops,
+    )
 
 
-def _run_series(
-    store,
+def sweep(
+    unit: Callable,
+    points: Iterable[tuple],
+    fixed: tuple = (),
+    pivot: bool = False,
+) -> Dict:
+    """Run ``unit(*point, *fixed)`` at every point — one
+    :func:`parallel_map`, so ``--jobs`` spreads the points over worker
+    processes — and nest the results by the point's elements, in point
+    order: ``out[a][b] = unit(a, b, *fixed)``.  A grid is
+    ``itertools.product`` of its axes.
+
+    ``unit`` must be a module-level function and every argument
+    picklable.  With ``pivot``, the unit returns a dict (one entry per
+    workload) and that level goes above the last axis:
+    ``out[a][workload][b]``, the shape of a figure with one curve per
+    (store, workload) along ``b``.
+    """
+    points = [tuple(point) for point in points]
+    results = parallel_map(unit, [point + tuple(fixed) for point in points])
+    out: Dict = {}
+    for point, result in zip(points, results):
+        cells = [(point, result)]
+        if pivot:
+            cells = [
+                (point[:-1] + (key, point[-1]), value)
+                for key, value in result.items()
+            ]
+        for path, value in cells:
+            node = out
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+    return out
+
+
+def mix_unit(
+    name: str,
     workloads: Sequence[str],
     num_keys: int,
     num_ops: int,
     num_threads: int,
-    value_size: int = VALUE_SIZE,
     theta: float = 0.99,
-    warmup: bool = True,
+    dataset_bytes: Optional[int] = None,
+    num_ssds: int = 2,
+    **prism_overrides,
 ) -> Dict[str, RunResult]:
+    """The workload-series unit (spawn-safe): a fresh store built by
+    name (:func:`~repro.bench.stores.build_store`) at cost parity for
+    the dataset, the dataset loaded — as a measured LOAD run when the
+    series asks for one, unrecorded otherwise — then the other
+    workloads in order on that one store, each after a warm-up of half
+    its length."""
+    if dataset_bytes is None:
+        dataset_bytes = num_keys * VALUE_SIZE
+    prism_overrides.setdefault("expected_keys", num_keys * 3)
+    store = build_store(
+        name, dataset_bytes, num_threads, num_ssds, **prism_overrides
+    )
+    if name == "SLM-DB":
+        num_threads = 1  # single-threaded, like open-source SLM-DB (§7.4)
     results: Dict[str, RunResult] = {}
-    for name in workloads:
-        spec = WORKLOADS[name] if name in WORKLOADS else NUTANIX
-        ops = num_ops if spec.scan == 0 else max(200, num_ops // SCAN_OPS_DIVISOR)
-        if name == "LOAD":
-            results[name] = run_workload(
-                store, spec, num_keys, num_keys, num_threads, value_size, theta
-            )
+    if "LOAD" in workloads:
+        results["LOAD"] = run_workload(
+            store, WORKLOADS["LOAD"], num_keys, num_keys, num_threads,
+            VALUE_SIZE, theta,
+        )
+    else:
+        preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
+    for workload in workloads:
+        if workload == "LOAD":
             continue
-        results[name] = run_workload(
+        spec = WORKLOADS[workload]
+        ops = num_ops if spec.scan == 0 else max(200, num_ops // SCAN_OPS_DIVISOR)
+        results[workload] = run_workload(
             store,
             spec,
             ops,
             num_keys,
             num_threads,
-            value_size,
+            VALUE_SIZE,
             theta,
-            warmup_ops=ops // 2 if warmup else 0,
+            warmup_ops=ops // 2,
         )
     return results
-
-
-def _standard_stores(
-    num_keys: int,
-    num_threads: int,
-    value_size: int = VALUE_SIZE,
-    num_ssds: int = 2,
-) -> Dict[str, Callable[[], object]]:
-    data = _dataset_bytes(num_keys, value_size)
-    return {
-        "Prism": lambda: build_prism(
-            num_threads=num_threads,
-            num_ssds=num_ssds,
-            dataset_bytes=data,
-            expected_keys=num_keys * 3,
-        ),
-        "KVell": lambda: build_kvell(num_ssds=num_ssds, dataset_bytes=data),
-        "MatrixKV": lambda: build_matrixkv(num_ssds=num_ssds, dataset_bytes=data),
-        "RocksDB-NVM": lambda: build_rocksdb_nvm(dataset_bytes=data),
-    }
 
 
 # ----------------------------------------------------------------------
 # Figure 7 + Table 3: YCSB throughput and latency, four stores
 # ----------------------------------------------------------------------
-def _ycsb_unit(
-    name: str,
-    workloads: Tuple[str, ...],
-    num_keys: int,
-    num_ops: int,
-    num_threads: int,
-) -> Dict[str, RunResult]:
-    """One store's full workload series (spawn-safe task unit)."""
-    store = _standard_stores(num_keys, num_threads)[name]()
-    if "LOAD" not in workloads:
-        preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
-        return _run_series(store, workloads, num_keys, num_ops, num_threads)
-    load = run_workload(
-        store, WORKLOADS["LOAD"], num_keys, num_keys, num_threads, VALUE_SIZE
-    )
-    rest = _run_series(
-        store,
-        [w for w in workloads if w != "LOAD"],
-        num_keys,
-        num_ops,
-        num_threads,
-    )
-    rest["LOAD"] = load
-    return rest
-
-
 def ycsb_comparison(
     workloads: Sequence[str] = ("LOAD", "A", "B", "C", "D", "E"),
     num_keys: Optional[int] = None,
@@ -142,20 +169,13 @@ def ycsb_comparison(
     stores: Optional[Sequence[str]] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
     """Fig. 7 / Table 3: Prism vs KVell vs MatrixKV vs RocksDB-NVM."""
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(NUM_OPS) if num_ops is None else num_ops
-    names = [
-        k for k in _standard_stores(num_keys, num_threads)
-        if stores is None or k in stores
-    ]
-    units = parallel_map(
-        _ycsb_unit,
-        [
-            (name, tuple(workloads), num_keys, num_ops, num_threads)
-            for name in names
-        ],
+    num_keys, num_ops = sizing(num_keys, num_ops)
+    names = [k for k in STANDARD_STORES if stores is None or k in stores]
+    return sweep(
+        mix_unit,
+        product(names),
+        (tuple(workloads), num_keys, num_ops, num_threads),
     )
-    return dict(zip(names, units))
 
 
 # ----------------------------------------------------------------------
@@ -168,41 +188,21 @@ def slmdb_comparison(
 ) -> Dict[str, Dict[str, RunResult]]:
     """Fig. 8 / Table 4.  The paper gives both stores 64 MB buffers and
     8 M keys; scaled here, single-threaded like open-source SLM-DB."""
-    num_keys = scaled(8_000) if num_keys is None else num_keys
-    num_ops = scaled(6_000) if num_ops is None else num_ops
-    names = ["Prism", "SLM-DB"]
-    units = parallel_map(
+    num_keys, num_ops = sizing(num_keys, num_ops, 8_000, 6_000)
+    return sweep(
         _slmdb_unit,
-        [(name, tuple(workloads), num_keys, num_ops) for name in names],
+        product(("Prism", "SLM-DB")),
+        (tuple(workloads), num_keys, num_ops),
     )
-    return dict(zip(names, units))
 
 
 def _slmdb_unit(
     name: str, workloads: Tuple[str, ...], num_keys: int, num_ops: int
 ) -> Dict[str, RunResult]:
-    if name == "Prism":
-        store = build_prism(
-            num_threads=1,
-            num_ssds=2,
-            svc_capacity=1 * MB,
-            pwb_total=1 * MB,
-            expected_keys=num_keys * 3,
-        )
-    else:
-        store = build_slmdb()
-    load = run_workload(
-        store, WORKLOADS["LOAD"], num_keys, num_keys, 1, VALUE_SIZE
+    return mix_unit(
+        name, workloads, num_keys, num_ops, 1,
+        svc_capacity=1 * MB, pwb_total=1 * MB,
     )
-    rest = _run_series(
-        store,
-        [w for w in workloads if w != "LOAD"],
-        num_keys,
-        num_ops,
-        1,
-    )
-    rest["LOAD"] = load
-    return rest
 
 
 # ----------------------------------------------------------------------
@@ -220,56 +220,22 @@ def skew_sweep(
 
     Returns results[store][workload][theta]; normalize to theta=0.99
     like the paper."""
-    num_keys = scaled(8_000) if num_keys is None else num_keys
-    num_ops = scaled(8_000) if num_ops is None else num_ops
-    names = list(_standard_stores(num_keys, num_threads)) + ["SLM-DB"]
-    if stores is not None:
-        names = [k for k in names if k in stores]
-    tasks = [
-        (name, theta, tuple(workloads), num_keys, num_ops, num_threads)
-        for name in names
-        for theta in thetas
+    num_keys, num_ops = sizing(num_keys, num_ops, 8_000, 8_000)
+    names = [
+        k for k in STANDARD_STORES + ("SLM-DB",)
+        if stores is None or k in stores
     ]
-    units = parallel_map(_skew_unit, tasks)
-    out: Dict[str, Dict[str, Dict[float, RunResult]]] = {
-        name: {w: {} for w in workloads} for name in names
-    }
-    for (name, theta, *_rest), unit in zip(tasks, units):
-        for w, result in unit.items():
-            out[name][w][theta] = result
-    return out
+    return sweep(
+        _skew_unit,
+        product(names, thetas),
+        (tuple(workloads), num_keys, num_ops, num_threads),
+        pivot=True,
+    )
 
 
-def _skew_unit(
-    name: str,
-    theta: float,
-    workloads: Tuple[str, ...],
-    num_keys: int,
-    num_ops: int,
-    num_threads: int,
-) -> Dict[str, RunResult]:
+def _skew_unit(name: str, theta: float, *series) -> Dict[str, RunResult]:
     """One (store, theta) cell of the skew sweep (fresh store)."""
-    if name == "SLM-DB":
-        store, threads = build_slmdb(), 1
-    else:
-        store = _standard_stores(num_keys, num_threads)[name]()
-        threads = num_threads
-    preload(store, num_keys, VALUE_SIZE, num_threads=threads)
-    out: Dict[str, RunResult] = {}
-    for w in workloads:
-        spec = WORKLOADS[w]
-        ops = num_ops if spec.scan == 0 else max(200, num_ops // SCAN_OPS_DIVISOR)
-        out[w] = run_workload(
-            store,
-            spec,
-            ops,
-            num_keys,
-            threads,
-            VALUE_SIZE,
-            theta=theta,
-            warmup_ops=ops // 2,
-        )
-    return out
+    return mix_unit(name, *series, theta=theta)
 
 
 # ----------------------------------------------------------------------
@@ -282,33 +248,23 @@ def large_dataset(
 ) -> Dict[str, Dict[str, RunResult]]:
     """Fig. 10a: the 1-billion-pair run, scaled 10x over the default
     dataset so cache:data ratios shrink the way the paper's did."""
-    num_keys = scaled(40_000) if num_keys is None else num_keys
-    num_ops = scaled(10_000) if num_ops is None else num_ops
+    num_keys, num_ops = sizing(num_keys, num_ops, 40_000, 10_000)
     # Cache budgets stay at the default (small) dataset's size: the
     # dataset outgrew the hardware, exactly like 1 TB vs 36 GB.
-    small = _dataset_bytes(scaled(NUM_KEYS), VALUE_SIZE)
-    names = ["Prism", "KVell"]
-    units = parallel_map(
+    small = scaled(NUM_KEYS) * VALUE_SIZE
+    return sweep(
         _large_dataset_unit,
-        [(name, small, num_keys, num_ops, num_threads) for name in names],
+        product(("Prism", "KVell")),
+        (small, num_keys, num_ops, num_threads),
     )
-    return dict(zip(names, units))
 
 
 def _large_dataset_unit(
     name: str, small: int, num_keys: int, num_ops: int, num_threads: int
 ) -> Dict[str, RunResult]:
-    if name == "Prism":
-        store = build_prism(
-            num_threads=num_threads,
-            dataset_bytes=small,
-            expected_keys=num_keys * 2,
-        )
-    else:
-        store = build_kvell(dataset_bytes=small)
-    preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
-    return _run_series(
-        store, ("A", "B", "C", "D", "E"), num_keys, num_ops, num_threads
+    return mix_unit(
+        name, ("A", "B", "C", "D", "E"), num_keys, num_ops, num_threads,
+        dataset_bytes=small, expected_keys=num_keys * 2,
     )
 
 
@@ -318,28 +274,20 @@ def nutanix_run(
     num_threads: int = NUM_THREADS,
 ) -> Dict[str, RunResult]:
     """Fig. 10b: the Nutanix production mix, Prism vs KVell."""
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(NUM_OPS) if num_ops is None else num_ops
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
-    names = ["Prism", "KVell"]
-    units = parallel_map(
+    num_keys, num_ops = sizing(num_keys, num_ops)
+    return sweep(
         _nutanix_unit,
-        [(name, data, num_keys, num_ops, num_threads) for name in names],
+        product(("Prism", "KVell")),
+        (num_keys, num_ops, num_threads),
     )
-    return dict(zip(names, units))
 
 
 def _nutanix_unit(
-    name: str, data: int, num_keys: int, num_ops: int, num_threads: int
+    name: str, num_keys: int, num_ops: int, num_threads: int
 ) -> RunResult:
-    if name == "Prism":
-        store = build_prism(
-            num_threads=num_threads,
-            dataset_bytes=data,
-            expected_keys=num_keys * 3,
-        )
-    else:
-        store = build_kvell(dataset_bytes=data)
+    store = build_store(
+        name, num_keys * VALUE_SIZE, num_threads, expected_keys=num_keys * 3
+    )
     preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
     return run_workload(
         store,
@@ -364,29 +312,22 @@ def thread_combining_sweep(
     """Fig. 11: YCSB-C throughput/latency vs queue depth, for
     opportunistic thread combining (TC) and the 100 us timeout
     strawman (TA)."""
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(8_000) if num_ops is None else num_ops
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
-    tasks = [
-        (mode, qd, data, num_keys, num_ops, num_threads)
-        for mode in ("tc", "ta")
-        for qd in queue_depths
-    ]
-    units = parallel_map(_combining_unit, tasks)
-    out: Dict[str, Dict[int, RunResult]] = {"TC": {}, "TA": {}}
-    for (mode, qd, *_rest), result in zip(tasks, units):
-        out[mode.upper()][qd] = result
-    return out
+    num_keys, num_ops = sizing(num_keys, num_ops, ops=8_000)
+    return sweep(
+        _combining_unit,
+        product(("TC", "TA"), queue_depths),
+        (num_keys, num_ops, num_threads),
+    )
 
 
 def _combining_unit(
-    mode: str, qd: int, data: int, num_keys: int, num_ops: int, num_threads: int
+    mode: str, qd: int, num_keys: int, num_ops: int, num_threads: int
 ) -> RunResult:
     store = build_prism(
         num_threads=num_threads,
-        dataset_bytes=data,
+        dataset_bytes=num_keys * VALUE_SIZE,
         expected_keys=num_keys * 2,
-        read_batching=mode,
+        read_batching=mode.lower(),
         queue_depth=qd,
     )
     preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
@@ -412,42 +353,25 @@ def waf_sweep(
     num_threads: int = NUM_THREADS,
 ) -> Dict[int, Dict[str, Dict[float, float]]]:
     """Fig. 12: update-only WAF for Prism / KVell / MatrixKV."""
-    num_keys = scaled(8_000) if num_keys is None else num_keys
-    num_ops = scaled(16_000) if num_ops is None else num_ops
-    tasks = [
-        (value_size, theta, name, num_keys, num_ops, num_threads)
-        for value_size in value_sizes
-        for theta in thetas
-        for name in ("Prism", "KVell", "MatrixKV")
-    ]
-    units = parallel_map(_waf_unit, tasks)
-    out: Dict[int, Dict[str, Dict[float, float]]] = {
-        vs: {"Prism": {}, "KVell": {}, "MatrixKV": {}} for vs in value_sizes
-    }
-    for (value_size, theta, name, *_rest), waf in zip(tasks, units):
-        out[value_size][name][theta] = waf
-    return out
+    num_keys, num_ops = sizing(num_keys, num_ops, 8_000, 16_000)
+    return sweep(
+        _waf_unit,
+        product(value_sizes, ("Prism", "KVell", "MatrixKV"), thetas),
+        (num_keys, num_ops, num_threads),
+    )
 
 
 def _waf_unit(
     value_size: int,
-    theta: float,
     name: str,
+    theta: float,
     num_keys: int,
     num_ops: int,
     num_threads: int,
 ) -> float:
-    data = _dataset_bytes(num_keys, value_size)
-    if name == "Prism":
-        store = build_prism(
-            num_threads=num_threads,
-            dataset_bytes=data,
-            expected_keys=num_keys * 2,
-        )
-    elif name == "KVell":
-        store = build_kvell(dataset_bytes=data)
-    else:
-        store = build_matrixkv(dataset_bytes=data)
+    store = build_store(
+        name, num_keys * value_size, num_threads, expected_keys=num_keys * 2
+    )
     preload(store, num_keys, value_size, num_threads=num_threads)
     ssd_before = store.ssd_bytes_written()
     put_before = store.bytes_put
@@ -480,56 +404,27 @@ def ssd_scaling(
     num_threads: int = NUM_THREADS,
 ) -> Dict[str, Dict[str, Dict[int, RunResult]]]:
     """Figs. 13–14: throughput and latency vs aggregated SSDs."""
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(8_000) if num_ops is None else num_ops
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
-    tasks = [
-        (n, name, tuple(workloads), data, num_keys, num_ops, num_threads)
-        for n in ssd_counts
-        for name in ("Prism", "KVell")
-    ]
-    units = parallel_map(_ssd_scaling_unit, tasks)
-    out: Dict[str, Dict[str, Dict[int, RunResult]]] = {
-        "Prism": {w: {} for w in workloads},
-        "KVell": {w: {} for w in workloads},
-    }
-    for (n, name, *_rest), unit in zip(tasks, units):
-        for w, result in unit.items():
-            out[name][w][n] = result
-    return out
+    num_keys, num_ops = sizing(num_keys, num_ops, ops=8_000)
+    return sweep(
+        _ssd_scaling_unit,
+        product(("Prism", "KVell"), ssd_counts),
+        (tuple(workloads), num_keys, num_ops, num_threads),
+        pivot=True,
+    )
 
 
 def _ssd_scaling_unit(
-    n: int,
     name: str,
+    n: int,
     workloads: Tuple[str, ...],
-    data: int,
     num_keys: int,
     num_ops: int,
     num_threads: int,
 ) -> Dict[str, RunResult]:
-    if name == "Prism":
-        store = build_prism(
-            num_threads=num_threads,
-            num_ssds=n,
-            dataset_bytes=data,
-            expected_keys=num_keys * 2,
-        )
-    else:
-        store = build_kvell(num_ssds=n, dataset_bytes=data)
-    preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
-    return {
-        w: run_workload(
-            store,
-            WORKLOADS[w],
-            num_ops,
-            num_keys,
-            num_threads,
-            VALUE_SIZE,
-            warmup_ops=num_ops // 2,
-        )
-        for w in workloads
-    }
+    return mix_unit(
+        name, workloads, num_keys, num_ops, num_threads,
+        num_ssds=n, expected_keys=num_keys * 2,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -543,16 +438,13 @@ def buffer_size_sweep(
     num_threads: int = NUM_THREADS,
 ) -> Dict[str, Dict[int, Dict[str, RunResult]]]:
     """Fig. 15: (a) LOAD/A vs PWB size, (b) C/E vs SVC size."""
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(8_000) if num_ops is None else num_ops
-    tasks = [
-        ("pwb", size, num_keys, num_ops, num_threads) for size in pwb_sizes
-    ] + [("svc", size, num_keys, num_ops, num_threads) for size in svc_sizes]
-    units = parallel_map(_buffer_unit, tasks)
-    out: Dict[str, Dict[int, Dict[str, RunResult]]] = {"pwb": {}, "svc": {}}
-    for (kind, size, *_rest), unit in zip(tasks, units):
-        out[kind][size] = unit
-    return out
+    num_keys, num_ops = sizing(num_keys, num_ops, ops=8_000)
+    return sweep(
+        _buffer_unit,
+        [("pwb", size) for size in pwb_sizes]
+        + [("svc", size) for size in svc_sizes],
+        (num_keys, num_ops, num_threads),
+    )
 
 
 def _buffer_unit(
@@ -609,58 +501,23 @@ def multicore_scalability(
 ) -> Dict[str, Dict[str, Dict[int, RunResult]]]:
     """Fig. 16: throughput vs core count — Prism, KVell (QD 64 and
     QD 1), MatrixKV."""
-    num_keys = scaled(8_000) if num_keys is None else num_keys
-    num_ops = scaled(8_000) if num_ops is None else num_ops
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
-    names = ["Prism", "KVell(QD64)", "KVell(QD1)", "MatrixKV"]
-    tasks = [
-        (name, t, tuple(workloads), data, num_keys, num_ops)
-        for name in names
-        for t in thread_counts
-    ]
-    units = parallel_map(_multicore_unit, tasks)
-    out: Dict[str, Dict[str, Dict[int, RunResult]]] = {
-        name: {w: {} for w in workloads} for name in names
-    }
-    for (name, t, *_rest), unit in zip(tasks, units):
-        for w, result in unit.items():
-            out[name][w][t] = result
-    return out
+    num_keys, num_ops = sizing(num_keys, num_ops, 8_000, 8_000)
+    return sweep(
+        _multicore_unit,
+        product(
+            ("Prism", "KVell(QD64)", "KVell(QD1)", "MatrixKV"), thread_counts
+        ),
+        (tuple(workloads), num_keys, num_ops),
+        pivot=True,
+    )
 
 
 def _multicore_unit(
-    name: str,
-    t: int,
-    workloads: Tuple[str, ...],
-    data: int,
-    num_keys: int,
-    num_ops: int,
+    name: str, t: int, workloads: Tuple[str, ...], num_keys: int, num_ops: int
 ) -> Dict[str, RunResult]:
-    if name == "Prism":
-        store = build_prism(
-            num_threads=t, dataset_bytes=data, expected_keys=num_keys * 2
-        )
-    elif name == "KVell(QD64)":
-        store = build_kvell(dataset_bytes=data, queue_depth=64)
-    elif name == "KVell(QD1)":
-        store = build_kvell(dataset_bytes=data, queue_depth=1)
-    else:
-        store = build_matrixkv(dataset_bytes=data)
-    preload(store, num_keys, VALUE_SIZE, num_threads=t)
-    out: Dict[str, RunResult] = {}
-    for w in workloads:
-        spec = WORKLOADS[w]
-        ops = num_ops if spec.scan == 0 else max(200, num_ops // SCAN_OPS_DIVISOR)
-        out[w] = run_workload(
-            store,
-            spec,
-            ops,
-            num_keys,
-            t,
-            VALUE_SIZE,
-            warmup_ops=ops // 2,
-        )
-    return out
+    return mix_unit(
+        name, workloads, num_keys, num_ops, t, expected_keys=num_keys * 2
+    )
 
 
 # ----------------------------------------------------------------------
@@ -673,9 +530,8 @@ def gc_timeline(
 ) -> Tuple[RunResult, Prism]:
     """Fig. 17: YCSB-A throughput over time on a space-constrained
     Value Storage, with GC events marked."""
-    num_keys = scaled(6_000) if num_keys is None else num_keys
-    num_ops = scaled(30_000) if num_ops is None else num_ops
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
+    num_keys, num_ops = sizing(num_keys, num_ops, 6_000, 30_000)
+    data = num_keys * VALUE_SIZE
     # Squeeze Value Storage so GC must run: each of the two stores gets
     # 1.5x the whole dataset (3x its own half).  The updates of the run
     # then fill it to the GC threshold about halfway through — the
@@ -704,6 +560,17 @@ def gc_timeline(
 # ----------------------------------------------------------------------
 # §7.6 ablations: the impact of individual techniques
 # ----------------------------------------------------------------------
+# variant -> the PrismConfig fields that switch one technique off.
+ABLATIONS: Dict[str, Dict] = {
+    "full": {},
+    "no-pwb": {"enable_pwb": False},
+    "sync-read": {"read_batching": "sync", "queue_depth": 1},
+    "no-svc": {"enable_svc": False},
+    "no-scan-aware": {"svc_scan_aware": False},
+    "page-granule-svc": {"svc_page_mode": True},
+}
+
+
 def ablations(
     num_keys: Optional[int] = None,
     num_ops: Optional[int] = None,
@@ -712,36 +579,14 @@ def ablations(
     """Per-technique ablation matrix (§7.6 "Impact of individual
     techniques"): async bandwidth-optimized writes (PWB), thread
     combining, SVC, scan-aware eviction."""
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(8_000) if num_ops is None else num_ops
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
-    variants: Dict[str, Dict] = {
-        "full": {},
-        "no-pwb": {"enable_pwb": False},
-        "sync-read": {"read_batching": "sync", "queue_depth": 1},
-        "no-svc": {"enable_svc": False},
-        "no-scan-aware": {"svc_scan_aware": False},
-        "page-granule-svc": {"svc_page_mode": True},
-    }
-    tasks = [
-        (overrides, data, num_keys, num_ops, num_threads)
-        for overrides in variants.values()
-    ]
-    units = parallel_map(_ablation_unit, tasks)
-    return dict(zip(variants, units))
-
-
-def _ablation_unit(
-    overrides: Dict, data: int, num_keys: int, num_ops: int, num_threads: int
-) -> Dict[str, RunResult]:
-    store = build_prism(
-        num_threads=num_threads,
-        dataset_bytes=data,
-        expected_keys=num_keys * 3,
-        **overrides,
+    num_keys, num_ops = sizing(num_keys, num_ops, ops=8_000)
+    return sweep(
+        _ablation_unit, product(ABLATIONS), (num_keys, num_ops, num_threads)
     )
-    preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
-    return _run_series(store, ("A", "C", "E"), num_keys, num_ops, num_threads)
+
+
+def _ablation_unit(variant: str, *sizes) -> Dict[str, RunResult]:
+    return mix_unit("Prism", ("A", "C", "E"), *sizes, **ABLATIONS[variant])
 
 
 # ----------------------------------------------------------------------
@@ -750,7 +595,7 @@ def _ablation_unit(
 def nvm_space(num_keys: Optional[int] = None) -> Dict[str, float]:
     """NVM footprint per key (the paper: ~5.4 GB per 100 M pairs,
     i.e. ~54 B/key for HSIT + key index)."""
-    num_keys = scaled(20_000) if num_keys is None else num_keys
+    num_keys, _ = sizing(num_keys, None, keys=20_000)
     store = build_prism(num_threads=4, expected_keys=num_keys * 2)
     preload(store, num_keys, VALUE_SIZE, num_threads=4)
     store.flush()
@@ -769,8 +614,8 @@ def recovery_comparison(
 ) -> Dict[str, float]:
     """Recovery time: Prism (index+HSIT scan on NVM) vs KVell (full
     SSD scan).  The paper: 6.9 s vs 10.4 s for 100 GB."""
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
+    num_keys, _ = sizing(num_keys, None)
+    data = num_keys * VALUE_SIZE
     prism = build_prism(
         num_threads=num_threads, dataset_bytes=data, expected_keys=num_keys * 2
     )
@@ -802,23 +647,42 @@ def fault_recovery(
     the store (zero invariant violations expected despite faults),
     then crash + recover and report the recovery virtual time.
     """
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(NUM_OPS) if num_ops is None else num_ops
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
-    tasks = [
-        (rate, data, num_keys, num_ops, num_threads) for rate in error_rates
-    ]
-    units = parallel_map(_fault_unit, tasks)
-    out: Dict[str, object] = {"runs": {}, "faults": {}}
-    for rate, (result, stats) in zip(error_rates, units):
+    num_keys, num_ops = sizing(num_keys, num_ops)
+    units = sweep(
+        _fault_unit, product(error_rates), (num_keys, num_ops, num_threads)
+    )
+    return _by_rate(units, "faults")
+
+
+def _by_rate(units: Dict[float, Tuple[RunResult, Dict]], stats_key: str) -> Dict:
+    """Split a rate sweep's ``(run, stats)`` pairs into two dicts keyed
+    by the rate's label."""
+    out: Dict[str, Dict] = {"runs": {}, stats_key: {}}
+    for rate, (result, stats) in units.items():
         label = f"rate={rate:g}"
         out["runs"][label] = result
-        out["faults"][label] = stats
+        out[stats_key][label] = stats
     return out
 
 
+def check_faults(results: Dict[str, object]) -> Tuple[bool, str]:
+    """The gate :func:`fault_recovery` describes: at every error rate
+    the audit finds no violation and recovery brings keys back."""
+    bad = [
+        label
+        for label, stats in results["faults"].items()
+        if stats["audit_violations"] or not stats["recovered_keys"] > 0
+    ]
+    if bad:
+        return False, "audit violations or nothing recovered at " + ", ".join(bad)
+    return True, (
+        f"no audit violation and keys recovered at all "
+        f"{len(results['faults'])} error rates"
+    )
+
+
 def _fault_unit(
-    rate: float, data: int, num_keys: int, num_ops: int, num_threads: int
+    rate: float, num_keys: int, num_ops: int, num_threads: int
 ) -> Tuple[RunResult, Dict[str, float]]:
     from repro.core.checker import audit
     from repro.faults.injector import FaultConfig
@@ -834,7 +698,7 @@ def _fault_unit(
         )
     store = build_prism(
         num_threads=num_threads,
-        dataset_bytes=data,
+        dataset_bytes=num_keys * VALUE_SIZE,
         expected_keys=num_keys * 3,
         faults=faults,
     )
@@ -861,8 +725,6 @@ def _fault_unit(
     return result, stats
 
 
-
-
 # ----------------------------------------------------------------------
 # Integrity: YCSB-A under silent corruption + scrub/repair/rebuild
 # ----------------------------------------------------------------------
@@ -883,26 +745,29 @@ def scrub_sweep(
     with zero wrong values and zero degraded reads — every corrupted
     record either repaired or reported as a typed unrecoverable loss.
     """
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(NUM_OPS) if num_ops is None else num_ops
-    data = _dataset_bytes(num_keys, VALUE_SIZE)
-    tasks = [
-        (rate, corrupt_fraction, data, num_keys, num_ops, num_threads)
-        for rate in bitflip_rates
-    ]
-    units = parallel_map(_scrub_unit, tasks)
-    out: Dict[str, object] = {"runs": {}, "scrub": {}}
-    for rate, (result, stats) in zip(bitflip_rates, units):
-        label = f"rate={rate:g}"
-        out["runs"][label] = result
-        out["scrub"][label] = stats
-    return out
+    num_keys, num_ops = sizing(num_keys, num_ops)
+    units = sweep(
+        _scrub_unit,
+        product(bitflip_rates),
+        (corrupt_fraction, num_keys, num_ops, num_threads),
+    )
+    return _by_rate(units, "scrub")
+
+
+def check_scrub(results: Dict[str, object]) -> Tuple[bool, str]:
+    """The gate :func:`scrub_sweep` describes: no wrong value and no
+    degraded read at any bit-flip rate.  No message: the table above
+    the verdict already shows both columns per rate."""
+    ok = not any(
+        stats["wrong_values"] or stats["degraded_reads"]
+        for stats in results["scrub"].values()
+    )
+    return ok, ""
 
 
 def _scrub_unit(
     rate: float,
     corrupt_fraction: float,
-    data: int,
     num_keys: int,
     num_ops: int,
     num_threads: int,
@@ -925,7 +790,7 @@ def _scrub_unit(
     faults = FaultConfig(seed=29, bitflip_rate=rate, torn_write_rate=rate / 10)
     store = build_prism(
         num_threads=num_threads,
-        dataset_bytes=data,
+        dataset_bytes=num_keys * VALUE_SIZE,
         expected_keys=num_keys * 3,
         faults=faults,
         enable_checksums=True,

@@ -16,29 +16,31 @@ the same cost-parity harness as the evaluation:
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict
 
-from repro.bench.experiments import (
-    NUM_KEYS,
-    NUM_OPS,
-    NUM_THREADS,
-    SCAN_OPS_DIVISOR,
-    VALUE_SIZE,
-    scaled,
-)
-from repro.bench.runner import RunResult, preload, run_workload
-from repro.bench.stores import build_prism
-from repro.parallel import parallel_map
+from repro.bench.experiments import NUM_THREADS, mix_unit, sizing, sweep
+from repro.bench.runner import RunResult
+from repro.bench.stores import DEFAULT_SSD_CAPACITY
 from repro.storage.specs import (
     CXL_NVM_SPEC,
-    FLASH_SSD_GEN4_SPEC,
     OPTANE_SSD_SPEC,
     PCIE5_SSD_SPEC,
     DeviceSpec,
 )
-from repro.workloads import WORKLOADS
 
-GB = 1024**3
+# variant -> the device specs it substitutes into the paper's
+# DCPMM + PCIe Gen4 flash configuration.
+MEDIA: Dict[str, Dict[str, DeviceSpec]] = {
+    "dcpmm+gen4 (paper)": {},
+    "cxl-nvm+gen4": {"nvm_spec": CXL_NVM_SPEC},
+    "dcpmm+optane-ssd": {
+        "ssd_spec": OPTANE_SSD_SPEC.with_capacity(DEFAULT_SSD_CAPACITY)
+    },
+    "dcpmm+gen5": {
+        "ssd_spec": PCIE5_SSD_SPEC.with_capacity(DEFAULT_SSD_CAPACITY)
+    },
+}
 
 
 def media_matrix(
@@ -47,54 +49,10 @@ def media_matrix(
     num_threads: int = NUM_THREADS,
 ) -> Dict[str, Dict[str, RunResult]]:
     """Prism across device generations (§8), workloads A / C / E."""
-    num_keys = scaled(NUM_KEYS) if num_keys is None else num_keys
-    num_ops = scaled(8_000) if num_ops is None else num_ops
-    data = num_keys * VALUE_SIZE
-    variants: Dict[str, Dict[str, DeviceSpec]] = {
-        "dcpmm+gen4 (paper)": {},
-        "cxl-nvm+gen4": {"nvm_spec": CXL_NVM_SPEC},
-        "dcpmm+optane-ssd": {
-            "ssd_spec_base": OPTANE_SSD_SPEC,
-        },
-        "dcpmm+gen5": {
-            "ssd_spec_base": PCIE5_SSD_SPEC,
-        },
-    }
-    tasks = [
-        (label, data, num_keys, num_ops, num_threads) for label in variants
-    ]
-    units = parallel_map(_media_unit, tasks)
-    return dict(zip(variants, units))
+    num_keys, num_ops = sizing(num_keys, num_ops, ops=8_000)
+    return sweep(_media_unit, product(MEDIA), (num_keys, num_ops, num_threads))
 
 
-def _media_unit(
-    label: str, data: int, num_keys: int, num_ops: int, num_threads: int
-) -> Dict[str, RunResult]:
+def _media_unit(label: str, *sizes) -> Dict[str, RunResult]:
     """One device-generation variant of the media matrix."""
-    overrides: Dict[str, DeviceSpec] = {
-        "dcpmm+gen4 (paper)": {},
-        "cxl-nvm+gen4": {"nvm_spec": CXL_NVM_SPEC},
-        "dcpmm+optane-ssd": {"ssd_spec_base": OPTANE_SSD_SPEC},
-        "dcpmm+gen5": {"ssd_spec_base": PCIE5_SSD_SPEC},
-    }[label]
-    kwargs = {}
-    if "nvm_spec" in overrides:
-        kwargs["nvm_spec"] = overrides["nvm_spec"]
-    if "ssd_spec_base" in overrides:
-        kwargs["ssd_spec"] = overrides["ssd_spec_base"].with_capacity(2 * GB)
-    store = build_prism(
-        num_threads=num_threads,
-        dataset_bytes=data,
-        expected_keys=num_keys * 3,
-        **kwargs,
-    )
-    preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
-    out: Dict[str, RunResult] = {}
-    for wl in ("A", "C", "E"):
-        spec = WORKLOADS[wl]
-        ops = num_ops if spec.scan == 0 else max(200, num_ops // SCAN_OPS_DIVISOR)
-        out[wl] = run_workload(
-            store, spec, ops, num_keys, num_threads, VALUE_SIZE,
-            warmup_ops=ops // 2,
-        )
-    return out
+    return mix_unit("Prism", ("A", "C", "E"), *sizes, **MEDIA[label])

@@ -20,43 +20,20 @@ import io
 import os
 from typing import Optional, Tuple
 
-# The paper-figure experiments (fig14 shares fig13's sweep; no fig14
-# command exists).  Heavier sweeps lead so the pool drains evenly.
-FIG_SUITE = (
-    "fig9",
-    "fig16",
-    "fig12",
-    "fig13",
-    "fig7",
-    "fig8",
-    "fig10",
-    "fig11",
-    "fig15",
-    "fig17",
-    "ablations",
-    "media",
-    "scalars",
-)
-
 
 def _run_experiment(
     name: str, scale: Optional[float], smoke: bool
-) -> Tuple[str, Optional[dict]]:
-    """One whole experiment (spawn-safe): returns (stdout, payload)."""
-    import argparse
-
-    if scale is not None:
-        os.environ["REPRO_SCALE"] = str(scale)
+) -> Tuple[str, dict, bool]:
+    """One whole experiment (spawn-safe): returns (stdout, metrics
+    payload, whether its gates passed)."""
     # Imported lazily: this module is itself imported by the CLI.
-    from repro.bench.__main__ import COMMANDS
+    from repro.bench.__main__ import run_experiment
     from repro.bench.report import metrics_payload
 
-    args = argparse.Namespace(smoke=smoke)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        results = COMMANDS[name](args)
-    payload = metrics_payload(name, results) if results is not None else None
-    return buf.getvalue(), payload
+        results, ok = run_experiment(name, scale, smoke)
+    return buf.getvalue(), metrics_payload(name, results), ok
 
 
 def run_figs(
@@ -65,20 +42,23 @@ def run_figs(
     smoke: bool = False,
     metrics_dir: str = ".",
     write_metrics: bool = True,
-) -> int:
-    """Run :data:`FIG_SUITE`; print and persist results in suite order."""
+) -> bool:
+    """Run every ``figure`` entry of ``EXPERIMENTS``; print and persist
+    results in table order.  True if every gate passed."""
+    from repro.bench.__main__ import EXPERIMENTS
     from repro.bench.report import write_metrics_json
     from repro.parallel import parallel_map
 
+    suite = [name for name, entry in EXPERIMENTS.items() if entry.figure]
     outputs = parallel_map(
-        _run_experiment, [(name, scale, smoke) for name in FIG_SUITE], jobs=jobs
+        _run_experiment, [(name, scale, smoke) for name in suite], jobs=jobs
     )
-    for name, (text, payload) in zip(FIG_SUITE, outputs):
+    for name, (text, payload, _ok) in zip(suite, outputs):
         print(f"=== {name} ===")
         print(text, end="")
-        if payload is not None and write_metrics:
+        if write_metrics:
             out = os.path.join(metrics_dir, f"{name}.metrics.json")
             write_metrics_json(out, payload)
             print(f"metrics: {out} ({len(payload['runs'])} runs)")
         print()
-    return 0
+    return all(ok for _text, _payload, ok in outputs)

@@ -32,17 +32,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.bench.experiments import scaled
-from repro.bench.runner import preload
+from repro.bench.cluster import run_legs
+from repro.bench.experiments import sizing
 from repro.cluster.health import HealthConfig
-from repro.cluster.router import ClusterConfig, PrismCluster
-from repro.cluster.runner import ClusterRunResult, GrayPlan, run_cluster_workload
-from repro.core.config import PrismConfig
-from repro.core.prism import Prism
-from repro.faults.injector import FaultConfig
-from repro.obs.metrics import MetricsRegistry
-from repro.parallel import parallel_map
-from repro.sim.clock import VirtualClock
+from repro.cluster.router import ClusterConfig
+from repro.cluster.runner import ClusterRunResult, GrayPlan
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC
 from repro.workloads.ycsb import WorkloadSpec
 
@@ -60,38 +54,40 @@ GRAY_AT_FRACTION = 0.25
 TAIL_GATE = 2.0  # defended p99 must stay within this × healthy p99
 OVERHEAD_GATE = 0.10  # wasted hedges / reads must stay under this
 
-
-def _tight_shard_factory(shard_id: int, clock: VirtualClock) -> Prism:
-    """A store whose reads hit the SSDs: tiny SVC and PWB, so values
-    live on flash and device latency inflation is visible end to end."""
-    return Prism(
-        PrismConfig(
-            num_threads=2,
-            num_ssds=2,
-            ssd_spec=FLASH_SSD_GEN4_SPEC.with_capacity(4 * 1024 * KB),
-            chunk_size=64 * KB,
-            pwb_capacity=64 * KB,
-            svc_capacity=64 * KB,
-            hsit_capacity=50_000,
-            faults=FaultConfig(seed=9000 + shard_id),
-        ),
-        metrics=MetricsRegistry(prefix=f"shard{shard_id}/"),
-        clock=clock,
-    )
+# A store whose reads hit the SSDs: tiny SVC and PWB, so values
+# live on flash and device latency inflation is visible end to end.
+TIGHT_SHARD = dict(
+    num_threads=2,
+    num_ssds=2,
+    ssd_spec=FLASH_SSD_GEN4_SPEC.with_capacity(4 * 1024 * KB),
+    chunk_size=64 * KB,
+    pwb_capacity=64 * KB,
+    svc_capacity=64 * KB,
+    hsit_capacity=50_000,
+)
 
 
-def _build(health: Optional[HealthConfig], num_keys: int) -> PrismCluster:
-    cluster = PrismCluster(
-        ClusterConfig(
+def gray_leg(
+    health: Optional[HealthConfig],
+    num_keys: int,
+    num_ops: int,
+    clients_per_shard: int = 2,
+    **plan,
+) -> Dict:
+    """One leg's :func:`~repro.bench.cluster.cluster_leg` arguments: the
+    3-shard RF=2 quorum cluster of tight shards, defended by ``health``
+    (None: health monitoring off)."""
+    return dict(
+        config=ClusterConfig(
             num_shards=3,
             replication_factor=2,
             replication_mode="quorum",
             health=health,
         ),
-        shard_factory=_tight_shard_factory,
+        spec=READ_HEAVY_UNIFORM, num_keys=num_keys, num_ops=num_ops,
+        clients_per_shard=clients_per_shard, seed=5,
+        shard_overrides=TIGHT_SHARD, preload_threads=2, **plan,
     )
-    preload(cluster, num_keys, num_threads=2, seed=1)
-    return cluster
 
 
 def grayfail_comparison(
@@ -101,47 +97,18 @@ def grayfail_comparison(
     multiplier: float = GRAY_MULTIPLIER,
 ) -> Dict[str, ClusterRunResult]:
     """The three runs: healthy, undefended gray, defended gray."""
-    num_keys = num_keys if num_keys is not None else scaled(2_000)
-    num_ops = num_ops if num_ops is not None else scaled(8_000)
+    num_keys, num_ops = sizing(num_keys, num_ops, 2_000, 8_000)
     plan = GrayPlan(
         shard_id=GRAY_SHARD,
         at_fraction=GRAY_AT_FRACTION,
         multiplier=multiplier,
     )
-    legs = [
-        ("healthy", None, None),
-        ("undefended", None, plan),
-        ("defended", HealthConfig(), plan),
-    ]
-    units = parallel_map(
-        _grayfail_leg,
-        [
-            (health, gray, num_keys, num_ops, clients_per_shard)
-            for _label, health, gray in legs
-        ],
-    )
-    return {label: unit for (label, *_), unit in zip(legs, units)}
-
-
-def _grayfail_leg(
-    health: Optional[HealthConfig],
-    gray: Optional[GrayPlan],
-    num_keys: int,
-    num_ops: int,
-    clients_per_shard: int,
-) -> ClusterRunResult:
-    cluster = _build(health, num_keys)
-    result = run_cluster_workload(
-        cluster,
-        READ_HEAVY_UNIFORM,
-        num_ops,
-        num_keys,
-        clients_per_shard=clients_per_shard,
-        seed=5,
-        gray_plan=gray,
-    )
-    cluster.close()
-    return result
+    sizes = (num_keys, num_ops, clients_per_shard)
+    return run_legs({
+        "healthy": gray_leg(None, *sizes),
+        "undefended": gray_leg(None, *sizes, gray_plan=plan),
+        "defended": gray_leg(HealthConfig(), *sizes, gray_plan=plan),
+    })
 
 
 def read_p99(result: ClusterRunResult) -> float:

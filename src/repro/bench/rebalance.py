@@ -29,14 +29,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.bench.cluster import YCSB_A_UNIFORM, _build
-from repro.bench.experiments import scaled
-from repro.parallel import parallel_map
-from repro.cluster.runner import (
-    ClusterRunResult,
-    RebalancePlan,
-    run_cluster_workload,
-)
+from repro.bench.cluster import rf2_leg, run_legs
+from repro.bench.experiments import sizing
+from repro.cluster.runner import ClusterRunResult, RebalancePlan
 
 # The per-run migration budget: small enough that the copy stream
 # genuinely overlaps with client traffic (the dual-read window is
@@ -59,52 +54,25 @@ def cluster_rebalance(
     :class:`ClusterRunResult` whose ``rebalance`` dict carries the
     migration outcome and phase-split read p99s.
     """
-    num_keys = num_keys if num_keys is not None else scaled(8_000)
-    num_ops = num_ops if num_ops is not None else scaled(16_000)
-    plans = [
-        RebalancePlan(
+    num_keys, num_ops = sizing(num_keys, num_ops, 8_000, 16_000)
+    leg = rf2_leg(
+        num_shards, replication_mode, num_keys, num_ops, clients_per_shard,
+        seed=5,
+    )
+    plans = {
+        "scale_out": RebalancePlan(
             action="add", at_fraction=at_fraction, bandwidth=bandwidth
         ),
-        RebalancePlan(
+        "scale_in": RebalancePlan(
             action="remove",
             shard_id=1,
             at_fraction=at_fraction,
             bandwidth=bandwidth,
         ),
-    ]
-    scale_out, scale_in = parallel_map(
-        _rebalance_leg,
-        [
-            (
-                plan, num_shards, replication_mode, num_keys, num_ops,
-                clients_per_shard,
-            )
-            for plan in plans
-        ],
+    }
+    return run_legs(
+        {label: {**leg, "rebalance_plan": plan} for label, plan in plans.items()}
     )
-    return {"scale_out": scale_out, "scale_in": scale_in}
-
-
-def _rebalance_leg(
-    plan: RebalancePlan,
-    num_shards: int,
-    replication_mode: str,
-    num_keys: int,
-    num_ops: int,
-    clients_per_shard: int,
-) -> ClusterRunResult:
-    cluster = _build(num_shards, 2, replication_mode, num_keys)
-    result = run_cluster_workload(
-        cluster,
-        YCSB_A_UNIFORM,
-        num_ops,
-        num_keys,
-        clients_per_shard=clients_per_shard,
-        seed=5,
-        rebalance_plan=plan,
-    )
-    cluster.close()
-    return result
 
 
 def check_rebalance(

@@ -77,17 +77,18 @@ def latency_table(
     return "\n".join(lines)
 
 
-def paper_expectation(label: str, expected: str, measured: str) -> str:
-    """One line of paper-vs-measured comparison for EXPERIMENTS.md."""
-    return f"  {label:40} paper: {expected:20} measured: {measured}"
-
-
 def iter_run_results(obj, prefix: Tuple = ()) -> Iterator[Tuple[str, RunResult]]:
     """Walk an arbitrarily nested experiment result (dicts keyed by
     store / workload / parameter, tuples, lists) and yield each
-    :class:`RunResult` with a ``/``-joined path naming where it sits."""
+    :class:`RunResult` with a ``/``-joined path naming where it sits.
+    A cluster run (anything carrying its :class:`RunResult` as
+    ``.run``) sits where its wrapper does."""
     if isinstance(obj, RunResult):
         yield "/".join(str(p) for p in prefix) or obj.workload, obj
+    elif isinstance(getattr(obj, "run", None), RunResult):
+        # By shape, not by class: importing ClusterRunResult here would
+        # make ``import repro.bench`` load the whole cluster package.
+        yield from iter_run_results(obj.run, prefix)
     elif isinstance(obj, dict):
         for key, value in obj.items():
             yield from iter_run_results(value, prefix + (key,))

@@ -155,3 +155,45 @@ def build_slmdb(
             **overrides,
         )
     )
+
+
+# The stores of the evaluation, by the name the figures print.  Each
+# entry takes (dataset_bytes, num_threads, num_ssds, prism_overrides)
+# and passes its builder what that store can use: only Prism has
+# client-thread-sized buffers and PrismConfig fields, RocksDB-NVM has
+# no SSD, and SLM-DB's buffers do not follow the dataset.
+STORES = {
+    "Prism": lambda data, threads, ssds, prism: build_prism(
+        num_threads=threads, num_ssds=ssds, dataset_bytes=data, **prism
+    ),
+    "KVell": lambda data, threads, ssds, prism: build_kvell(
+        num_ssds=ssds, dataset_bytes=data
+    ),
+    "KVell(QD1)": lambda data, threads, ssds, prism: build_kvell(
+        num_ssds=ssds, dataset_bytes=data, queue_depth=1
+    ),
+    "KVell(QD64)": lambda data, threads, ssds, prism: build_kvell(
+        num_ssds=ssds, dataset_bytes=data, queue_depth=64
+    ),
+    "MatrixKV": lambda data, threads, ssds, prism: build_matrixkv(
+        num_ssds=ssds, dataset_bytes=data
+    ),
+    "RocksDB-NVM": lambda data, threads, ssds, prism: build_rocksdb_nvm(
+        dataset_bytes=data
+    ),
+    "SLM-DB": lambda data, threads, ssds, prism: build_slmdb(num_ssds=ssds),
+}
+
+
+def build_store(
+    name: str,
+    dataset_bytes: int = DEFAULT_DATASET,
+    num_threads: int = 4,
+    num_ssds: int = 2,
+    **prism_overrides,
+):
+    """The store called ``name`` in the paper's figures, at cost parity
+    for ``dataset_bytes``.  ``prism_overrides`` go to
+    :func:`build_prism` and are dropped for the baselines, so a sweep
+    over Prism's configuration can name its competitors too."""
+    return STORES[name](dataset_bytes, num_threads, num_ssds, prism_overrides)

@@ -23,14 +23,14 @@ All runs are seeded and virtual-time deterministic.
 
 from __future__ import annotations
 
+from itertools import product
 from statistics import median
 from typing import List, Optional, Tuple
 
-from repro.bench.experiments import scaled
+from repro.bench.experiments import sizing, sweep
 from repro.bench.runner import RunResult, preload, run_workload
 from repro.bench.stores import build_prism
 from repro.core.config import TIER_SPREAD, TIER_TEMPERATURE
-from repro.parallel import parallel_map
 from repro.storage.specs import QLC_SSD_SPEC
 from repro.workloads.ycsb import YCSB_B
 
@@ -124,12 +124,12 @@ def _build(mode: str, num_keys: int, num_threads: int, value_size: int):
 
 
 def tier_run(
+    seed: int,
     mode: str,
     num_keys: int,
     num_ops: int,
     num_threads: int = TIER_THREADS,
     theta: float = DEFAULT_THETA,
-    seed: int = GATE_SEEDS[0],
     value_size: int = TIER_VALUE_SIZE,
 ) -> RunResult:
     """One seeded Zipfian read-heavy run (YCSB-B mix) in one mode."""
@@ -165,31 +165,20 @@ def tiering_comparison(
     ``GATE_SEEDS[0]`` and the tiered/spread read-p99 ratio at every
     gate seed, in ``GATE_SEEDS`` order.
     """
-    num_keys = num_keys if num_keys is not None else scaled(3_000)
-    num_ops = num_ops if num_ops is not None else scaled(12_000)
-    runs = parallel_map(
-        _tier_task,
-        [
-            (mode, num_keys, num_ops, num_threads, theta, seed)
-            for seed in GATE_SEEDS
-            for mode in ("tiered", "spread")
-        ]
-        + [("allfast", num_keys, num_ops, num_threads, theta, GATE_SEEDS[0])],
+    num_keys, num_ops = sizing(num_keys, num_ops, 3_000, 12_000)
+    runs = sweep(
+        tier_run,
+        list(product(GATE_SEEDS, ("tiered", "spread")))
+        + [(GATE_SEEDS[0], "allfast")],
+        (num_keys, num_ops, num_threads, theta),
     )
-    allfast = runs.pop()
-    pairs = list(zip(runs[0::2], runs[1::2]))  # (tiered, spread) per seed
-    tiered, spread = pairs[0]
     ratios = [
-        t.per_kind["read"].p99() / s.per_kind["read"].p99() for t, s in pairs
+        runs[seed]["tiered"].per_kind["read"].p99()
+        / runs[seed]["spread"].per_kind["read"].p99()
+        for seed in GATE_SEEDS
     ]
-    return tiered, spread, allfast, ratios
-
-
-def _tier_task(
-    mode: str, num_keys: int, num_ops: int, num_threads: int, theta: float,
-    seed: int,
-) -> RunResult:
-    return tier_run(mode, num_keys, num_ops, num_threads, theta=theta, seed=seed)
+    first = runs[GATE_SEEDS[0]]
+    return first["tiered"], first["spread"], first["allfast"], ratios
 
 
 def cost_per_mop(result: RunResult) -> float:

@@ -22,35 +22,24 @@ model") select from::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.cluster.errors import ClusterError
-from repro.cluster.router import ClusterConfig, PrismCluster
-from repro.core.prism import Prism
-from repro.faults.crash_sweep import STORE_SCENARIOS, Scenario, tight_store_config
+from repro.cluster.router import ClusterConfig, PrismCluster, default_shard_factory
+from repro.faults.crash_sweep import STORE_SCENARIOS, TIGHT_STORE, Scenario
 from repro.faults.errors import StorageError
-from repro.faults.injector import FaultConfig
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.clock import VirtualClock
 from repro.storage.crash import CrashPoint
 
 
 def default_cluster_factory() -> PrismCluster:
     """A 3-shard RF=2 quorum cluster of the sweep's deliberately tight
     stores, so each shard's workload slice reaches its crash labels."""
-
-    def shard_factory(shard_id: int, clock: VirtualClock) -> Prism:
-        return Prism(
-            tight_store_config(faults=FaultConfig(seed=9000 + shard_id)),
-            metrics=MetricsRegistry(prefix=f"shard{shard_id}/"),
-            clock=clock,
-        )
-
     return PrismCluster(
         ClusterConfig(
             num_shards=3, replication_factor=2, replication_mode="quorum"
         ),
-        shard_factory=shard_factory,
+        shard_factory=partial(default_shard_factory, **TIGHT_STORE),
     )
 
 

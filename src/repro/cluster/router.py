@@ -134,11 +134,17 @@ class ClusterConfig:
         return 1  # async: primary only
 
 
-def default_shard_factory(shard_id: int, clock: VirtualClock) -> Prism:
+def default_shard_factory(
+    shard_id: int, clock: VirtualClock, **overrides
+) -> Prism:
     """A modest store per shard, fault-injectable (zero rates — bit-
     identical to no injector) so whole-shard death works, with a
-    shard-prefixed metrics registry so instruments never collide."""
-    config = PrismConfig(faults=FaultConfig(seed=9000 + shard_id))
+    shard-prefixed metrics registry so instruments never collide.
+
+    ``overrides`` are :class:`PrismConfig` fields: the factory of a
+    cluster of differently configured shards is
+    ``functools.partial(default_shard_factory, **overrides)``."""
+    config = PrismConfig(faults=FaultConfig(seed=9000 + shard_id), **overrides)
     return Prism(
         config,
         metrics=MetricsRegistry(prefix=f"shard{shard_id}/"),

@@ -411,24 +411,26 @@ def default_ops(num_ops: int = 300, num_keys: int = 60, seed: int = 7) -> List[O
     return ops
 
 
+# A store tight enough that the default workload reaches the
+# reclamation and GC labels, with checksummed framing so every audit
+# also exercises invariant I7 (stored CRCs match).  The cluster
+# scenarios build every shard from the same fields.
+TIGHT_STORE = dict(
+    num_threads=2,
+    num_ssds=2,
+    ssd_spec=FLASH_SSD_GEN4_SPEC.with_capacity(512 * 1024),
+    chunk_size=16 * 1024,
+    pwb_capacity=32 * 1024,
+    gc_free_threshold=0.4,
+    svc_capacity=32 * 1024,
+    hsit_capacity=50_000,
+    enable_checksums=True,
+)
+
+
 def tight_store_config(**overrides) -> PrismConfig:
-    """A store tight enough that the default workload reaches the
-    reclamation and GC labels, with checksummed framing so every audit
-    also exercises invariant I7 (stored CRCs match)."""
-    kb = 1024
-    config = dict(
-        num_threads=2,
-        num_ssds=2,
-        ssd_spec=FLASH_SSD_GEN4_SPEC.with_capacity(512 * kb),
-        chunk_size=16 * kb,
-        pwb_capacity=32 * kb,
-        gc_free_threshold=0.4,
-        svc_capacity=32 * kb,
-        hsit_capacity=50_000,
-        enable_checksums=True,
-    )
-    config.update(overrides)
-    return PrismConfig(**config)
+    """:data:`TIGHT_STORE` with ``overrides`` applied."""
+    return PrismConfig(**{**TIGHT_STORE, **overrides})
 
 
 def default_store_factory() -> Prism:

@@ -69,6 +69,55 @@ def test_recovery_comparison_structure():
     assert out["kvell_seconds"] > 0
 
 
+def test_fault_recovery_structure():
+    results = ex.fault_recovery(
+        error_rates=(0.0, 5e-3), num_keys=400, num_ops=600, num_threads=2
+    )
+    assert list(results["runs"]) == list(results["faults"]) == [
+        "rate=0", "rate=0.005",
+    ]
+    for label, run in results["runs"].items():
+        assert run.ops == 600
+        assert results["faults"][label]["recovered_keys"] > 0
+    assert results["faults"]["rate=0"]["injected"] == 0
+    ok, msg = ex.check_faults(results)
+    assert ok, msg
+    results["faults"]["rate=0.005"]["recovered_keys"] = 0.0
+    ok, msg = ex.check_faults(results)
+    assert not ok and "rate=0.005" in msg
+
+
+def test_scrub_sweep_structure():
+    results = ex.scrub_sweep(
+        bitflip_rates=(0.0, 1e-3), num_keys=300, num_ops=300, num_threads=2
+    )
+    assert list(results["runs"]) == list(results["scrub"]) == [
+        "rate=0", "rate=0.001",
+    ]
+    for stats in results["scrub"].values():
+        assert stats["at_rest_corrupted"] > 0
+        assert stats["detected"] >= stats["at_rest_corrupted"]
+        assert stats["rebuild_records"] > 0
+    assert ex.check_scrub(results)[0]
+    results["scrub"]["rate=0"]["wrong_values"] = 1.0
+    assert not ex.check_scrub(results)[0]
+
+
+def test_sweep_nests_by_point_and_pivots():
+    grid = ex.sweep(_cell, [("a", 1), ("a", 2), ("b", 1)], ("!",))
+    assert grid == {"a": {1: "a1!", 2: "a2!"}, "b": {1: "b1!"}}
+    pivoted = ex.sweep(_cells, [("a", 1), ("a", 2)], pivot=True)
+    assert pivoted == {"a": {"x": {1: "a1x", 2: "a2x"}, "y": {1: "a1y", 2: "a2y"}}}
+
+
+def _cell(name, n, suffix):
+    return f"{name}{n}{suffix}"
+
+
+def _cells(name, n):
+    return {"x": f"{name}{n}x", "y": f"{name}{n}y"}
+
+
 def test_scale_env(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "2.0")
     assert ex.scale() == 2.0

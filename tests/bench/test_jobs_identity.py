@@ -15,12 +15,8 @@ from repro.cluster.crash_sweep import SCENARIOS
 from repro.faults.crash_sweep import CrashSweep, default_ops
 
 
-def _run_cli(monkeypatch, capsys, tmp_path, jobs: int) -> tuple[bytes, str]:
+def _run_cli(capsys, tmp_path, jobs: int) -> tuple[bytes, str]:
     out_path = tmp_path / f"fig11.jobs{jobs}.metrics.json"
-    # Touch REPRO_JOBS through monkeypatch so teardown restores it
-    # (main() exports the flag into the environment).
-    monkeypatch.setenv("REPRO_JOBS", "1")
-    monkeypatch.setenv("REPRO_SCALE", "1.0")
     assert main([
         "fig11", "--scale", "0.05",
         "--metrics-out", str(out_path),
@@ -29,11 +25,9 @@ def _run_cli(monkeypatch, capsys, tmp_path, jobs: int) -> tuple[bytes, str]:
     return out_path.read_bytes(), capsys.readouterr().out
 
 
-def test_bench_experiment_byte_identical_across_jobs(
-    monkeypatch, capsys, tmp_path
-):
-    serial_json, serial_out = _run_cli(monkeypatch, capsys, tmp_path, jobs=1)
-    pooled_json, pooled_out = _run_cli(monkeypatch, capsys, tmp_path, jobs=4)
+def test_bench_experiment_byte_identical_across_jobs(capsys, tmp_path):
+    serial_json, serial_out = _run_cli(capsys, tmp_path, jobs=1)
+    pooled_json, pooled_out = _run_cli(capsys, tmp_path, jobs=4)
     assert pooled_json == serial_json
     # The printed tables must match too (paths in the trailing
     # "metrics: ..." line differ by construction — drop it).

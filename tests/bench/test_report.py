@@ -57,14 +57,18 @@ def test_run_result_properties():
 
 def test_iter_run_results_walks_nested_structures():
     from repro.bench.report import iter_run_results
+    from repro.cluster.runner import ClusterRunResult
 
+    killed = _result("cluster", "A")
     nested = {
         "Prism": {"A": _result("Prism", "A")},
         "sweep": {64: {"C": _result("Prism", "C")}},
         "pair": (_result("KVell", "A"), "not-a-result"),
+        "failover": {"killed": ClusterRunResult(run=killed)},
     }
     found = dict(iter_run_results(nested))
-    assert set(found) == {"Prism/A", "sweep/64/C", "pair/0"}
+    assert set(found) == {"Prism/A", "sweep/64/C", "pair/0", "failover/killed"}
+    assert found["failover/killed"] is killed
 
 
 def test_metrics_payload_and_writer(tmp_path):

@@ -5,6 +5,7 @@ from repro.bench.stores import (
     build_prism,
     build_rocksdb_nvm,
     build_slmdb,
+    build_store,
 )
 
 MB = 1024**2
@@ -52,3 +53,21 @@ def test_stores_expose_common_interface():
 def test_hsit_sized_for_expected_keys():
     store = build_prism(expected_keys=1000)
     assert store.config.hsit_capacity >= 4000
+
+
+def test_build_store_by_figure_name():
+    """Each legend name builds its store at the cost-parity sizing of
+    the dataset given; Prism's overrides are not the baselines' to take."""
+    prism = build_store("Prism", 100 * MB, 8, 4, expected_keys=1000)
+    assert (prism.config.num_threads, prism.config.num_ssds) == (8, 4)
+    assert prism.config.svc_capacity == 20 * MB
+    assert prism.config.hsit_capacity == 4000
+    for name, depth in (("KVell(QD1)", 1), ("KVell(QD64)", 64)):
+        kvell = build_store(name, 100 * MB, num_ssds=4, expected_keys=1000)
+        assert kvell.config.queue_depth == depth
+        assert kvell.config.num_ssds == 4
+        assert kvell.config.page_cache_bytes == 32 * MB
+    assert build_store("KVell").config == build_kvell().config
+    assert build_store("MatrixKV", 100 * MB).config.container_bytes == 8 * MB
+    assert build_store("RocksDB-NVM", 100 * MB).config.block_cache_bytes == 26 * MB
+    assert build_store("SLM-DB", 100 * MB).config.memtable_bytes == 1 * MB

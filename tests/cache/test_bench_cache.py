@@ -1,8 +1,8 @@
-"""Full read-cache bench gates (slow_cache: excluded from tier-1).
+"""Full read-cache bench gates (``slow``: excluded from tier-1).
 
 Tier-1 covers the cache's unit behavior; these run the actual storm
 and sweep experiments at near-CI-smoke scale and assert the two bench
-gates the `cache-smoke` CI job enforces.
+gates CI's `bench-smoke` job enforces.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 import repro.bench.cache as ca
 
 
-pytestmark = pytest.mark.slow_cache
+pytestmark = pytest.mark.slow
 
 
 @pytest.fixture(scope="module")

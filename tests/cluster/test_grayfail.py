@@ -1,7 +1,7 @@
 """End-to-end gray failure: injection through the router's defenses.
 
 Tier-1 runs a small smoke configuration (cheap enough for every CI
-run); the full-size bench gates are marked ``slow_gray``.
+run); the full-size bench gates are marked ``slow``.
 """
 
 import json
@@ -106,7 +106,7 @@ class TestGrayCrashSweep:
         assert report.ok, report.summary()
 
 
-@pytest.mark.slow_gray
+@pytest.mark.slow
 class TestFullGates:
     def test_full_size_gates(self):
         results = gf.grayfail_comparison()
@@ -125,15 +125,9 @@ class TestHealthyDefenseOverhead:
         0.5-1.5 % on every seed tried (5-9).  At 400 keys / 1,200 ops
         it is 9-11.6 % depending on the seed — a reading of the seed,
         not of the defense, against a 10 % gate."""
-        from repro.cluster.runner import run_cluster_workload
+        from repro.bench.cluster import cluster_leg
 
-        keys, ops = 1200, 4000
-        cluster = gf._build(HealthConfig(), keys)
-        armed = run_cluster_workload(
-            cluster, gf.READ_HEAVY_UNIFORM, ops, keys,
-            clients_per_shard=2, seed=5,
-        )
-        cluster.close()
+        armed = cluster_leg(**gf.gray_leg(HealthConfig(), 1200, 4000))
         counters = armed.run.metrics["counters"]
         assert counters["breaker.opened"] == 0
         ok, msg = gf.check_overhead(armed)

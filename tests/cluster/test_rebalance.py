@@ -456,7 +456,7 @@ class TestDeterminism:
 # migration roles runs with every other scenario in
 # tests/faults/test_crash_sweep.py.
 # ----------------------------------------------------------------------
-@pytest.mark.slow_rebalance
+@pytest.mark.slow
 class TestBenchGates:
     def test_rebalance_gates_pass_smoke(self):
         from repro.bench.rebalance import check_rebalance, cluster_rebalance

@@ -307,6 +307,28 @@ class TestFacade:
         # Shard registries are prefixed; the merged view is not.
         assert merged.to_dict() is not None
 
+    def test_default_factory_takes_config_overrides(self):
+        """One factory for every cluster in src/: the default shard plus
+        PrismConfig fields, for joining members too."""
+        from functools import partial
+
+        from repro.cluster import default_shard_factory
+
+        c = PrismCluster(
+            ClusterConfig(num_shards=2),
+            shard_factory=partial(
+                default_shard_factory, svc_capacity=1 * MB, enable_read_cache=True
+            ),
+        )
+        c.add_shard()
+        c.finish_rebalance()
+        assert len(c.shards) == 3
+        for sid, shard in enumerate(c.shards):
+            config = shard.store.config
+            assert config.svc_capacity == 1 * MB and config.enable_read_cache
+            assert config.faults.seed == 9000 + sid
+            assert shard.store.metrics.prefix == f"shard{sid}/"
+
     def test_shared_clock_enforced(self):
         with pytest.raises(ValueError):
             PrismCluster(

@@ -27,6 +27,13 @@ output wherever a batch is smaller than a chunk: ``ycsb_a``,
 no longer half empty a fast tier at half the dataset stopped spilling,
 so ``tiered_gc`` squeezes it to a third.
 
+The ``bench/<name>`` entries were added by PR 20 and generated on its
+parent commit, before ``repro.bench`` became one experiment table: per
+experiment, the sha256 of what ``python -m repro.bench <name>`` prints
+(minus the ``metrics: <path>`` line) and of the metrics JSON it writes.
+One of them moved in that PR, on purpose: ``bench/faults`` prints a gate
+line it did not have (its metrics digest is the parent's).
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
@@ -35,11 +42,16 @@ A deliberate behaviour change regenerates it, and the diff of
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
+from repro.bench.__main__ import EXPERIMENTS, SMOKE_SCALE
+from repro.bench.__main__ import main as bench_main
 from repro.bench.cluster import YCSB_A_UNIFORM
 from repro.bench.runner import preload, run_workload
 from repro.bench.stores import build_prism
@@ -197,11 +209,43 @@ SCENARIOS: Dict[str, Callable[[], Tuple[object, Dict[str, str]]]] = {
 }
 
 
+def bench_argv(name: str) -> List[str]:
+    """What a ``bench/<name>`` entry is recorded at: ``--smoke`` for the
+    experiments whose table row has a literal smoke sizing, and for the
+    rest ``--scale 0.05`` — the only small sizing the parent of PR 20
+    had for them.  ``tests/bench/test_cli.py`` runs all of them at
+    ``--smoke``, so equal digests also pin that ``--smoke`` *is*
+    ``--scale 0.05`` there."""
+    if EXPERIMENTS[name].smoke:
+        return [name, "--smoke"]
+    return [name, "--scale", str(SMOKE_SCALE)]
+
+
+def bench_digest(argv: List[str]) -> Dict[str, str]:
+    """Run the bench CLI in-process; digest its stdout and metrics JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "metrics.json"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            bench_main([*argv, "--metrics-out", str(out)])  # a failed gate raises
+        printed = "".join(
+            line
+            for line in buf.getvalue().splitlines(keepends=True)
+            if not line.startswith("metrics: ")
+        )
+        return {
+            "stdout_sha256": hashlib.sha256(printed.encode()).hexdigest(),
+            "metrics_sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+        }
+
+
 def expected(name: str) -> Dict[str, str]:
     return json.loads(MANIFEST.read_text())[name]
 
 
 if __name__ == "__main__":
     manifest = {name: run()[1] for name, run in SCENARIOS.items()}
+    for name in EXPERIMENTS:
+        manifest[f"bench/{name}"] = bench_digest(bench_argv(name))
     MANIFEST.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
     print(f"wrote {MANIFEST}")

@@ -194,7 +194,7 @@ def test_cli_rebalance_sweeps_all_roles_by_default(capsys):
     ]
 
 
-@pytest.mark.slow_faults
+@pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_fuzzed_occurrences_all_keep_the_contract(name):
     report = CrashSweep(SCENARIOS[name], default_ops(400)).run(fuzz=30, seed=3)

@@ -109,7 +109,7 @@ def test_scrub_inactive_without_checksums():
     assert scrubber.scrub_once().chunks_scanned == 0
 
 
-@pytest.mark.slow_scrub
+@pytest.mark.slow
 def test_scrub_fuzz_random_corruption_never_serves_wrong_bytes():
     rng = random.Random(7)
     for trial in range(5):
