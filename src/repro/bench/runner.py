@@ -250,6 +250,8 @@ def run_workload(
             op = next(iters[i], None)
             if op is None:
                 live.discard(i)
+                if timeline is not None and timeline.drain_at is None:
+                    timeline.drain_at = thread.now - start
                 continue
             kind = op.kind
             before = thread.now

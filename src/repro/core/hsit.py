@@ -11,12 +11,16 @@ Durable-linearizability protocol for the location word:
 2. flushes the cache line and fences,
 3. stores ``new`` with the dirty bit cleared.
 
-A reader that observes the dirty bit flushes on the writer's behalf
-before using the pointer.  A crash between (1) and (2) rolls the word
-back to the old location — the new value is simply unreachable, which
-is safe because the old value is still well-coupled.  A crash after
-(2) leaves a persisted-but-dirty word; recovery clears stray dirty
-bits.  The simulated NVM reproduces exactly these outcomes.
+A reader loads the whole entry — both words share a cache line, so it
+is one NVM load (:meth:`HSIT.read_entry`), and a caller that knows
+many entries up front loads them as one gather
+(:meth:`HSIT.read_entries`).  A reader that observes the dirty bit
+flushes on the writer's behalf before using the pointer.  A crash
+between (1) and (2) rolls the word back to the old location — the new
+value is simply unreachable, which is safe because the old value is
+still well-coupled.  A crash after (2) leaves a persisted-but-dirty
+word; recovery clears stray dirty bits.  The simulated NVM reproduces
+exactly these outcomes.
 
 Free entries form a persistent free list threaded through null
 location words; deleted entries join it only after two epochs
@@ -25,7 +29,7 @@ location words; deleted entries join it only after two epochs
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import pointers as ptr
 from repro.sim.resources import VLock
@@ -35,6 +39,7 @@ from repro.storage.crash import NULL_CRASH_POINT
 from repro.storage.nvm import NVMDevice
 
 ENTRY_BYTES = 16
+_WORD_MASK = (1 << 64) - 1  # an entry's low word: the location
 _CAS_COST = 25e-9
 
 
@@ -181,15 +186,17 @@ class HSIT:
 
         This is the linearization point of every write in Prism.
         """
-        return ptr.decode(self.publish_location_word(idx, word, thread))
+        return ptr.decode(self.publish_location_word(idx, word, thread)[0])
 
     def publish_location_word(
         self, idx: int, word: int, thread: Optional[VThread] = None
-    ) -> int:
-        """:meth:`publish_location` returning the raw old word.
+    ) -> Tuple[int, int]:
+        """:meth:`publish_location` returning the raw old word and the
+        raw SVC word (cached-copy id + 1, 0 when not cached) beside it.
 
-        The write path supersedes the old location with bit tests on
-        the word, so it skips the Location decode entirely.
+        The CAS loads the whole entry, so the write path supersedes the
+        old location and drops the cached copy with bit tests on the
+        two words: no Location decode, no second load.
         """
         if not 0 <= idx < self.capacity:
             raise StorageError(f"HSIT index out of range: {idx}")
@@ -205,15 +212,17 @@ class HSIT:
         ):
             # Fused CAS sequence (one bounds check, one page lookup);
             # bit-identical timing — see NVMDevice.publish_word.
-            old = nvm.publish_word(
+            old, svc_word = nvm.publish_word(
                 thread,
                 addr,
                 word | ptr.DIRTY_BIT,
                 word & ~ptr.DIRTY_BIT,
                 _CAS_COST,
             )
-            return old & ~ptr.DIRTY_BIT
-        old = nvm.load_word(thread, addr)
+            return old & ~ptr.DIRTY_BIT, svc_word
+        entry = int.from_bytes(nvm.load(thread, addr, ENTRY_BYTES), "little")
+        old = entry & _WORD_MASK
+        svc_word = entry >> 64
         if cp_active:
             cp.maybe_crash("hsit.publish.pre")
         # (1) atomic store of the new pointer with the dirty bit set
@@ -238,32 +247,64 @@ class HSIT:
         nvm.store_word(thread, addr, clean)
         if cp_active:
             cp.maybe_crash("hsit.publish.done")
-        return old & ~ptr.DIRTY_BIT
+        return old & ~ptr.DIRTY_BIT, svc_word
 
-    def read_location(
+    def read_entry(
         self, idx: int, thread: Optional[VThread] = None
-    ) -> ptr.Location:
-        """Read the forward pointer, flushing on the writer's behalf
-        when the dirty bit is observed."""
+    ) -> Tuple[ptr.Location, Optional[int]]:
+        """One 16-byte load of an entry: its forward pointer and its
+        cached-copy id (None when not cached)."""
         if not 0 <= idx < self.capacity:
             raise StorageError(f"HSIT index out of range: {idx}")
         addr = self._base + idx * ENTRY_BYTES
-        nvm = self.nvm
-        word = nvm.load_word(thread, addr)
+        return self._decode_entry(
+            addr, self.nvm.load(thread, addr, ENTRY_BYTES), thread
+        )
+
+    def read_entries(
+        self, idxs: Sequence[int], thread: Optional[VThread] = None
+    ) -> List[Tuple[ptr.Location, Optional[int]]]:
+        """:meth:`read_entry` for each of ``idxs``, loaded as one gather
+        (:meth:`NVMDevice.load_gather`) instead of one round trip each."""
+        base = self._base
+        capacity = self.capacity
+        addrs = []
+        for idx in idxs:
+            if not 0 <= idx < capacity:
+                raise StorageError(f"HSIT index out of range: {idx}")
+            addrs.append(base + idx * ENTRY_BYTES)
+        decode_entry = self._decode_entry
+        return [
+            decode_entry(addr, raw, thread)
+            for addr, raw in zip(
+                addrs, self.nvm.load_gather(thread, addrs, ENTRY_BYTES)
+            )
+        ]
+
+    def _decode_entry(
+        self, addr: int, raw: bytes, thread: Optional[VThread]
+    ) -> Tuple[ptr.Location, Optional[int]]:
+        """Split a loaded entry, flushing on the writer's behalf when
+        the dirty bit is observed."""
+        entry = int.from_bytes(raw, "little")
+        word = entry & _WORD_MASK
         if word & ptr.DIRTY_BIT:
             word &= ~ptr.DIRTY_BIT
+            nvm = self.nvm
             nvm.flush(thread, addr, 8)
             nvm.fence(thread)
             nvm.store_word(thread, addr, word)
             if thread is not None:
-                now = thread.now + _CAS_COST
-                thread.now = now
-                thread.cpu_time += _CAS_COST
-                clock = thread.clock
-                if now > clock._now:
-                    clock._now = now
+                thread.spend(_CAS_COST)
             self.reader_flushes += 1
-        return ptr.decode(word)
+        svc_word = entry >> 64
+        return ptr.decode(word), svc_word - 1 if svc_word else None
+
+    def read_location(
+        self, idx: int, thread: Optional[VThread] = None
+    ) -> ptr.Location:
+        """The forward pointer of :meth:`read_entry`."""
+        return self.read_entry(idx, thread)[0]
 
     def location_word(self, idx: int) -> int:
         """Raw (untimed) access for recovery and tests."""
@@ -305,10 +346,5 @@ class HSIT:
                 clock._now = now
 
     def read_svc(self, idx: int, thread: Optional[VThread] = None) -> Optional[int]:
-        """Cached-copy id, or None when not cached."""
-        if not 0 <= idx < self.capacity:
-            raise StorageError(f"HSIT index out of range: {idx}")
-        word = self.nvm.load_word(thread, self._base + idx * ENTRY_BYTES + 8)
-        if word == 0:
-            return None
-        return word - 1
+        """The cached-copy id of :meth:`read_entry`."""
+        return self.read_entry(idx, thread)[1]

@@ -462,8 +462,8 @@ class Prism:
             if cp.active:
                 cp.maybe_crash("put.appended")
             t0 = thread.now
-            old_word = self.hsit.publish_location_word(idx, word, thread)
-            self._supersede_word(idx, old_word, thread)
+            old_word, svc_word = self.hsit.publish_location_word(idx, word, thread)
+            self._supersede_word(idx, old_word, svc_word, thread)
             if is_new:
                 self.index.insert(key, idx, thread)
                 inserted = True
@@ -516,21 +516,21 @@ class Prism:
         )
 
     def _supersede_word(
-        self, idx: int, old_word: int, thread: Optional[VThread]
+        self, idx: int, old_word: int, svc_word: int, thread: Optional[VThread]
     ) -> None:
-        """Invalidate whatever the old forward pointer referenced: its
-        Value Storage slot (VS fields extracted with bit ops — this is
-        the write hot path), the SVC entry, the read-cache copy."""
+        """Invalidate whatever the entry referenced before a publish
+        (the two words ``publish_location_word`` returns): the old
+        pointer's Value Storage slot (VS fields extracted with bit ops
+        — this is the write hot path), the SVC entry, the read-cache
+        copy."""
         if old_word & ptr.MEDIUM_MASK == ptr.MEDIUM_VS_BITS:
             self.storages[(old_word >> ptr.VS_ID_SHIFT) & ptr.VS_ID_MASK].invalidate(
                 (old_word >> ptr.VS_CHUNK_SHIFT) & ptr.VS_CHUNK_MASK,
                 old_word & ptr.VS_OFFSET_MASK,
             )
-        hsit = self.hsit
-        entry_id = hsit.read_svc(idx, thread)
-        if entry_id is not None:
-            hsit.clear_svc(idx, thread)
-            self.svc.invalidate(entry_id, thread)
+        if svc_word:
+            self.hsit.clear_svc(idx, thread)
+            self.svc.invalidate(svc_word - 1, thread)
         if self.read_cache is not None:
             self.read_cache.invalidate_idx(idx)
 
@@ -977,7 +977,7 @@ class Prism:
         tier = self.tiering
         if tier is not None:
             tier.tracker.touch(idx)
-        loc = self.hsit.read_location(idx, thread)
+        loc, entry_id = self.hsit.read_entry(idx, thread)
         # Compare the medium field directly: the is_null/in_pwb
         # properties are descriptor calls and this runs on every read.
         medium = loc.medium
@@ -991,18 +991,16 @@ class Prism:
                 m.counter("read.pwb_hits").inc()
             return value
         # Value Storage — try the DRAM cache first (Figure 2 ➍ over ➌).
-        if self.config.enable_svc:
-            entry_id = self.hsit.read_svc(idx, thread)
-            if entry_id is not None:
-                t0 = thread.now
-                cached = self.svc.lookup(entry_id, thread)
-                if cached is not None:
-                    if enabled:
-                        m.phase("get", "svc_hit", thread.now - t0)
-                        m.counter("read.svc_hits").inc()
-                    return cached
+        if entry_id is not None and self.config.enable_svc:
+            t0 = thread.now
+            cached = self.svc.lookup(entry_id, thread)
+            if cached is not None:
                 if enabled:
-                    m.phase("get", "svc_miss", thread.now - t0)
+                    m.phase("get", "svc_hit", thread.now - t0)
+                    m.counter("read.svc_hits").inc()
+                return cached
+            if enabled:
+                m.phase("get", "svc_miss", thread.now - t0)
         if enabled:
             m.counter("read.svc_misses").inc()
         vs = self.storages[loc.vs_id]
@@ -1087,21 +1085,24 @@ class Prism:
             matches = self.index.scan(start, count, thread)
             if m.enabled:
                 m.phase("scan", "index_scan", thread.now - t0)
+            # Every HSIT entry the scan needs is known now: one gather,
+            # then the walk below runs on DRAM copies.
+            t0 = thread.now
+            entries = self.hsit.read_entries([idx for _, idx in matches], thread)
+            if m.enabled:
+                m.phase("scan", "hsit_gather", thread.now - t0)
             t0 = thread.now
             results: Dict[bytes, bytes] = {}
             misses: Dict[int, List[Tuple[int, int, int, bytes]]] = {}
-            chain_entries: List[Tuple[bytes, int]] = []
+            cached_as: Dict[bytes, int] = {}  # key -> SVC entry id
             # Bound hot callables once: the loop body runs per matched
             # key and these attribute chains dominated its cost.
-            read_location = self.hsit.read_location
-            read_svc = self.hsit.read_svc
             enable_svc = self.config.enable_svc
             svc_lookup = self.svc.lookup if enable_svc else None
             pwbs = self.pwbs
             storages = self.storages
             misses_setdefault = misses.setdefault
-            for key, idx in matches:
-                loc = read_location(idx, thread)
+            for (key, idx), (loc, entry_id) in zip(matches, entries):
                 # The medium field, not the in_pwb/is_null properties:
                 # descriptor calls, per key (as in _read_value).
                 medium = loc.medium
@@ -1111,14 +1112,12 @@ class Prism:
                     continue
                 if medium == ptr.MEDIUM_NULL:
                     continue
-                if enable_svc:
-                    entry_id = read_svc(idx, thread)
-                    if entry_id is not None:
-                        cached = svc_lookup(entry_id, thread)
-                        if cached is not None:
-                            results[key] = cached
-                            chain_entries.append((key, entry_id))
-                            continue
+                if entry_id is not None and enable_svc:
+                    cached = svc_lookup(entry_id, thread)
+                    if cached is not None:
+                        results[key] = cached
+                        cached_as[key] = entry_id
+                        continue
                 if self._vs_dead(storages[loc.vs_id]):
                     value = self._repair_read(
                         idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset,
@@ -1126,8 +1125,7 @@ class Prism:
                     )
                     results[key] = value
                     if self.config.enable_svc:
-                        entry_id = self.svc.admit(idx, key, value, thread)
-                        chain_entries.append((key, entry_id))
+                        cached_as[key] = self.svc.admit(idx, key, value, thread)
                     continue
                 misses_setdefault(loc.vs_id, []).append(
                     (loc.chunk_id, loc.vs_offset, idx, key)
@@ -1147,11 +1145,12 @@ class Prism:
                 for idx, key, value in self._parse_merged(vs_id, requests, thread):
                     results[key] = value
                     if self.config.enable_svc:
-                        entry_id = self.svc.admit(idx, key, value, thread)
-                        chain_entries.append((key, entry_id))
+                        cached_as[key] = self.svc.admit(idx, key, value, thread)
             if self.config.enable_svc and self.config.svc_scan_aware:
-                chain_entries.sort()
-                self.svc.link_scan_chain([eid for _, eid in chain_entries])
+                # Chained in key order, which is the order of the walk.
+                self.svc.link_scan_chain(
+                    [cached_as[key] for key, _ in matches if key in cached_as]
+                )
             if m.enabled:
                 m.phase("scan", "fetch", thread.now - t0)
             self.scans += 1
@@ -1245,8 +1244,8 @@ class Prism:
             self.crash_point.maybe_crash("delete.begin")
             t0 = thread.now
             self.index.delete(key, thread)
-            old_word = self.hsit.publish_location_word(idx, 0, thread)
-            self._supersede_word(idx, old_word, thread)
+            old_word, svc_word = self.hsit.publish_location_word(idx, 0, thread)
+            self._supersede_word(idx, old_word, svc_word, thread)
             if m.enabled:
                 m.phase("delete", "publish", thread.now - t0)
             self.crash_point.maybe_crash("delete.published")

@@ -180,14 +180,14 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
             published = 0
             try:
                 for i, (idx, (chunk_id, offset, _sz), *_old) in enumerate(batch):
-                    old_word = prism.hsit.publish_location_word(
+                    old_word, svc_word = prism.hsit.publish_location_word(
                         idx, ptr.encode_vs(vs.vs_id, chunk_id, offset), rt
                     )
                     if i >= len(pwb_flush):
                         # Repaired records replace a corrupt VS slot
                         # that the bitmap rebuild above re-created;
                         # retire the old copy.
-                        prism._supersede_word(idx, old_word, rt)
+                        prism._supersede_word(idx, old_word, svc_word, rt)
                     published += 1
             except DeviceError:
                 resolve_partial_publish(prism.hsit, vs, batch, published)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from functools import partial
-from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.containment import resolve_partial_publish
@@ -332,6 +331,11 @@ class ScanAwareValueCache:
         self.evictions += 1
         self.epoch.retire(partial(self.entries.pop, entry.entry_id, None))
 
+    def _locations(self, members: List[SVCEntry], bg: VThread) -> List[ptr.Location]:
+        """Where each member's durable copy is: one HSIT gather."""
+        idxs = [member.hsit_idx for member in members]
+        return [loc for loc, _svc in self.hsit.read_entries(idxs, bg)]
+
     @staticmethod
     def _already_contiguous(locs: List) -> bool:
         """True when a key-sorted chain already sits in one chunk in
@@ -353,21 +357,21 @@ class ScanAwareValueCache:
     ) -> None:
         """Sort a scan chain and rewrite it contiguously (§4.4 ➎➏)."""
         chain = self._chain_of(entry)
-        movable: List[SVCEntry] = []
-        for member in chain:
-            loc = self.hsit.read_location(member.hsit_idx, bg)
+        # One gather serves both the filter and the contiguity test:
+        # nothing runs between them that could move a member.
+        located = [
+            (member, loc)
+            for member, loc in zip(chain, self._locations(chain, bg))
             # The medium field, not the in_vs property: a descriptor
-            # call per chain member.
-            if loc.medium == ptr.MEDIUM_VS and storages[loc.vs_id].is_valid(
-                loc.chunk_id, loc.vs_offset
-            ):
-                movable.append(member)
-            # PWB-resident members were updated since caching; their
-            # cached copy is stale bookkeeping and is simply dropped.
-        movable.sort(key=attrgetter("key"))
-        if self._already_contiguous(
-            [self.hsit.read_location(m.hsit_idx, bg) for m in movable]
-        ):
+            # call per chain member.  PWB-resident members were updated
+            # since caching; their cached copy is stale bookkeeping and
+            # is simply dropped.
+            if loc.medium == ptr.MEDIUM_VS
+            and storages[loc.vs_id].is_valid(loc.chunk_id, loc.vs_offset)
+        ]
+        located.sort(key=lambda pair: pair[0].key)
+        movable = [member for member, _ in located]
+        if self._already_contiguous([loc for _, loc in located]):
             movable = []
         if len(movable) > 1:
             target = min(storages, key=lambda vs: vs.ring.inflight_at(bg.now))
@@ -381,7 +385,8 @@ class ScanAwareValueCache:
                 placements = None
             if placements is not None:
                 bg.wait_until(done)
-                olds = [self.hsit.read_location(m.hsit_idx, bg) for m in movable]
+                # Re-read: a foreground write may have landed meanwhile.
+                olds = self._locations(movable, bg)
                 published = 0
                 try:
                     for member, old, (chunk_id, offset, size) in zip(

@@ -116,10 +116,10 @@ def _rewrite(store: "Prism", entries: list, thread: VThread):
     published = 0
     try:
         for idx, (chunk_id, offset, _sz), _vs, _chunk, _off in batch:
-            old_word = store.hsit.publish_location_word(
+            old_word, svc_word = store.hsit.publish_location_word(
                 idx, ptr.encode_vs(target.vs_id, chunk_id, offset), thread
             )
-            store._supersede_word(idx, old_word, thread)
+            store._supersede_word(idx, old_word, svc_word, thread)
             published += 1
     except DeviceError:
         resolve_partial_publish(store.hsit, target, batch, published)

@@ -77,6 +77,9 @@ class Timeline:
         self.bucket_seconds = bucket_seconds
         self.buckets: Dict[int, int] = {}
         self.events: Dict[int, List[str]] = {}
+        # When the first closed-loop client ran out of operations: from
+        # there on the run is draining, not under full load.
+        self.drain_at: Optional[float] = None
 
     def record(self, at: float, count: int = 1) -> None:
         idx = int(at / self.bucket_seconds)
@@ -97,9 +100,15 @@ class Timeline:
         ]
 
     def min_over_max(self) -> float:
-        """Stability metric: worst bucket over best bucket."""
+        """Stability metric: worst bucket over best bucket, among the
+        buckets the run covered whole and under full load — not the
+        first, and none from the one the drain began in (the last,
+        when no ``drain_at`` was recorded)."""
         series = self.series()
-        interior = series[1:-1] if len(series) > 2 else series
+        end = len(series) - 1
+        if self.drain_at is not None:
+            end = min(end, int(self.drain_at / self.bucket_seconds))
+        interior = series[1:end] or series
         if not interior or max(interior) == 0:
             return 0.0
         return min(interior) / max(interior)

@@ -25,7 +25,7 @@ contract — objects revert to their last committed snapshot on crash.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.vthread import VThread
 from repro.storage.base import Device, OutOfSpaceError, StorageError
@@ -38,6 +38,9 @@ _PAGE_SHIFT = 12  # log2(_PAGE)
 _PAGE_MASK = _PAGE - 1
 # Durable content of a never-written line (shared undo snapshot).
 _ZERO_LINE = bytes(CACHE_LINE)
+# Independent loads one thread keeps in flight (a core's line-fill
+# buffers): the width of one wave of NVMDevice.load_gather.
+LOADS_IN_FLIGHT = 10
 
 
 class NVMDevice(Device):
@@ -148,6 +151,52 @@ class NVMDevice(Device):
                 if end > clock._now:
                     clock._now = end
         return self._read_raw(addr, size)
+
+    def load_gather(
+        self, thread: Optional[VThread], addrs: Sequence[int], size: int
+    ) -> List[bytes]:
+        """Independent ``size``-byte loads issued together.
+
+        The addresses are known up front, so nothing serialises the
+        loads: a wave of up to ``LOADS_IN_FLIGHT`` goes on the read
+        channel at the same instant and the thread waits once, for the
+        last of them; the next wave starts there.  The channel
+        pipelines requests stamped at the same time (one latency, the
+        transfers back to back), which is the memory-level parallelism
+        a lone :meth:`load` per address never asks for.  One address
+        costs exactly ``load(thread, addr, size)``.
+        """
+        capacity = self._capacity
+        nbytes = 0
+        for addr in addrs:
+            if addr < 0 or addr + size > capacity:
+                raise StorageError(
+                    f"{self.name}: load [{addr}, {addr + size}) out of range"
+                )
+            nbytes += size
+        self.bytes_read += nbytes
+        if thread is not None:
+            request = self._read_request
+            latency = self._read_latency
+            issued = now = thread.now
+            room = LOADS_IN_FLIGHT
+            for _ in addrs:
+                if not room:
+                    # The wave is full: the next starts when its last
+                    # load is back.
+                    issued = now
+                    room = LOADS_IN_FLIGHT
+                room -= 1
+                end = request(issued, size, latency)
+                if end > now:
+                    now = end
+            if now > thread.now:
+                thread.now = now
+                clock = thread.clock
+                if now > clock._now:
+                    clock._now = now
+        read_raw = self._read_raw
+        return [read_raw(addr, size) for addr in addrs]
 
     def load_word(self, thread: Optional[VThread], addr: int) -> int:
         """8-byte load returning an int: identical timing/accounting to
@@ -408,36 +457,40 @@ class NVMDevice(Device):
         dirty_word: int,
         clean_word: int,
         cas_cost: float,
-    ) -> int:
+    ) -> Tuple[int, int]:
         """Fused pointer-publish CAS for the HSIT hot path.
 
-        Equivalent to ``load_word`` + ``store_word(dirty)`` + CAS spend
-        + ``flush(addr, 8)`` + ``fence`` + ``store_word(clean)`` with
-        one bounds check and one page lookup.  Every virtual-time
+        Equivalent to ``load(addr, 16)`` + ``store_word(dirty)`` + CAS
+        spend + ``flush(addr, 8)`` + ``fence`` + ``store_word(clean)``
+        with one bounds check and one page lookup.  Every virtual-time
         charge is issued in the same order with the same operands, so
         completion times are bit-identical to the discrete sequence.
         Callers must gate on: a real thread, no active crash points, no
         retry executor, and a disabled injector — the only behaviours
         the discrete steps add beyond this fast path.  Returns the raw
-        previous word.
+        previous word and the word after it (one 16-byte load: an HSIT
+        entry's location and SVC words).
         """
-        if addr < 0 or addr + 8 > self._capacity:
+        if addr < 0 or addr + 16 > self._capacity:
             raise StorageError(
-                f"{self.name}: store [{addr}, {addr + 8}) out of range"
+                f"{self.name}: load [{addr}, {addr + 16}) out of range"
             )
         off = addr & _PAGE_MASK
-        if off + 8 > _PAGE:  # pragma: no cover - HSIT words are 8-aligned
-            old = self.load_word(thread, addr)
+        if off + 16 > _PAGE:  # pragma: no cover - HSIT entries are 16-aligned
+            raw = self.load(thread, addr, 16)
             self.store_word(thread, addr, dirty_word)
             thread.spend(cas_cost)
             self.flush(thread, addr, 8)
             self.fence(thread)
             self.store_word(thread, addr, clean_word)
-            return old
-        # -- load_word --
-        self.bytes_read += 8
+            return (
+                int.from_bytes(raw[:8], "little"),
+                int.from_bytes(raw[8:], "little"),
+            )
+        # -- load(addr, 16) --
+        self.bytes_read += 16
         now = thread.now
-        end = self._read_request(now, 8, self._read_latency)
+        end = self._read_request(now, 16, self._read_latency)
         if end > now:
             now = end
         pages = self._pages
@@ -445,9 +498,10 @@ class NVMDevice(Device):
         page = pages.get(page_idx)
         if page is None:
             page = pages[page_idx] = bytearray(_PAGE)
-            old = 0
+            old = neighbour = 0
         else:
             old = int.from_bytes(page[off : off + 8], "little")
+            neighbour = int.from_bytes(page[off + 8 : off + 16], "little")
         # -- store_word(dirty): the snapshot this store would take is
         # deleted unread by the flush below, so only a pre-existing
         # undo entry needs dropping (done at the flush step)
@@ -485,7 +539,7 @@ class NVMDevice(Device):
         clock = thread.clock
         if now > clock._now:
             clock._now = now
-        return old
+        return old, neighbour
 
     def write_durable(self, thread: Optional[VThread], addr: int, data: bytes) -> None:
         """Bulk non-temporal write (ntstore + sfence): bypasses the

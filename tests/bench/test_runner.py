@@ -86,6 +86,8 @@ def test_timeline_collection(store):
     )
     assert result.timeline is not None
     assert sum(result.timeline.buckets.values()) == 600
+    # The first client to run out of ops marks where the drain began.
+    assert 0 < result.timeline.drain_at <= result.duration
 
 
 def test_different_workloads_use_different_streams(store):

@@ -64,10 +64,11 @@ class TestFetchOverlapsStorages:
         assert both < only0 + only1 - 40e-6
 
     def test_one_ssd_scan_keeps_its_exact_clock(self):
-        """Nothing to overlap: bit-identical to the blocking fetch
-        (value recorded on the parent of the change that split it)."""
+        """Nothing to overlap on one SSD: after the gather of its 20
+        HSIT entries (two waves) the fetch is the blocking fetch, bit
+        for bit."""
         now = _scan_latency(_pairs(0, 1 * KB) + _pairs(1, 12 * KB), [], num_ssds=1)
-        assert repr(now) == "9.224104147273134e-05"
+        assert repr(now) == "8.080159722251125e-05"
 
     def test_fetch_phase_is_end_to_end_while_ssd_waits_overlap(self):
         """``read.ssd_wait`` gets one sample per storage and they
@@ -81,6 +82,23 @@ class TestFetchOverlapsStorages:
         fetch = store.metrics.histogram("phase.scan.fetch")
         assert (waits.count, fetch.count) == (2, 1)
         assert waits.count * waits.average() > fetch.average() > waits.max_ns / 1e3
+
+    def test_hsit_gather_is_its_own_phase(self):
+        """Walk, gather and fetch partition the scan; the gather of 20
+        entries is two waves of one 0.30 us NVM latency each, not 40
+        word loads."""
+        store = Prism(small_prism_config(chunk_size=256 * KB, enable_metrics=True))
+        _place(store, 0, _pairs(0, 1 * KB))
+        _place(store, 1, _pairs(1, 12 * KB))
+        t = VThread(0, store.clock)
+        store.scan(b"k00", 20, t)
+        walk, gather, fetch = (
+            store.metrics.histogram(f"phase.scan.{name}")
+            for name in ("index_scan", "hsit_gather", "fetch")
+        )
+        assert (walk.count, gather.count, fetch.count) == (1, 1, 1)
+        assert 0.60e-6 < gather.total < 0.70e-6
+        assert walk.total + gather.total + fetch.total == pytest.approx(t.now)
 
 
 def test_scan_run_is_byte_identical_to_manifest():
@@ -211,9 +229,10 @@ class TestScanCallBudget:
     """Python + C calls of one ``Prism.scan`` (metrics off), fixed part
     and per-key part, on the two extremes of a range: every value in
     the SVC, and every value cold on flash in one contiguous run.  Per
-    key, a hit is two HSIT word loads and the SVC touch; a miss is two
-    HSIT word loads, the slot size, the record parse and the SVC
-    admission."""
+    key, a hit is its share of the HSIT gather (one channel request,
+    one entry decode) and the SVC touch; a miss is its share of the
+    gather, the slot size, the record parse and the SVC admission.  The
+    fixed part holds the gather's own frames."""
 
     KEYS = 64
 
@@ -222,12 +241,13 @@ class TestScanCallBudget:
         _place(store, 0, [(b"k%02d" % i, bytes([i]) * 512) for i in range(self.KEYS)])
         return store, VThread(0, store.clock)
 
-    # Measured 41.4 per key + 64 and 23.1 per key + 26 on CPython 3.11
-    # (52.4 and 30.0 per key before the scan path went per leaf and per
+    # Measured 35.4 per key + 69 and 17.0 per key + 30 on CPython 3.11
+    # (41.4 + 64 and 23.1 + 26 while each key paid two HSIT word loads;
+    # 52.4 and 30.0 per key before the scan path went per leaf and per
     # run).
     @pytest.mark.parametrize(
         "cached, per_key_budget, fixed_budget",
-        [(False, 42, 70), (True, 24, 30)],
+        [(False, 36, 70), (True, 17.5, 30)],
         ids=["all_miss_range", "all_hit_range"],
     )
     def test_calls_per_returned_key(self, cached, per_key_budget, fixed_budget):

@@ -172,8 +172,12 @@ class TestScanChains:
         svc.link_scan_chain([eid for _, eid in ids])
         svc.process_background(bg, [vs])
         # force eviction of a chain member
+        read_before = hsit.nvm.bytes_read
         svc._writeback_chain(bg, svc.entries[ids[0][1]], [vs])
         assert svc.scan_writebacks == 1
+        # Each of the 5 entries is loaded once to plan the move, once
+        # more after the write (a put may have landed), once by the CAS.
+        assert hsit.nvm.bytes_read - read_before == 3 * 5 * 16
         # all members now contiguous in one chunk, ascending offsets
         locs = [hsit.read_location(idx) for _, idx in idxs]
         assert len({(l.vs_id, l.chunk_id) for l in locs}) == 1
@@ -196,9 +200,11 @@ class TestScanChains:
             ids.append(svc.admit(idx, val, val))
         svc.link_scan_chain(ids)
         writes_before = vs.chunk_writes
+        read_before = hsit.nvm.bytes_read
         svc._writeback_chain(bg, svc.entries[ids[0]], [vs])
         assert vs.chunk_writes == writes_before  # already contiguous
         assert svc.scan_writebacks == 0
+        assert hsit.nvm.bytes_read - read_before == 4 * 16  # one load a member
 
     def test_chain_members_stay_cached_after_writeback(self, env):
         hsit, _, svc, vs, bg = env

@@ -93,6 +93,19 @@ class TestTimeline:
         # interior buckets are all 2 ops -> perfectly stable
         assert tl.min_over_max() == pytest.approx(1.0)
 
+    def test_min_over_max_stops_where_the_drain_began(self):
+        """Clients finishing one after the other thin the last buckets
+        out; that is the run ending, not the store stalling."""
+        tl = Timeline(bucket_seconds=1.0)
+        for bucket, ops in enumerate((1, 4, 4, 5, 2, 1)):
+            for _ in range(ops):
+                tl.record(bucket + 0.5)
+        assert tl.min_over_max() == pytest.approx(2 / 5)  # 4 4 5 2
+        tl.drain_at = 4.2
+        assert tl.min_over_max() == pytest.approx(4 / 5)  # 4 4 5
+        tl.drain_at = 9.0  # past the end: the last bucket is still partial
+        assert tl.min_over_max() == pytest.approx(2 / 5)
+
     def test_series_until(self):
         tl = Timeline(bucket_seconds=1.0)
         tl.record(0.5)

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.vthread import VThread
 from repro.storage.base import OutOfSpaceError, StorageError
-from repro.storage.nvm import CACHE_LINE, NVMDevice, PersistentHeap
+from repro.storage.nvm import CACHE_LINE, LOADS_IN_FLIGHT, NVMDevice, PersistentHeap
 
 
 class TestAllocation:
@@ -167,6 +167,95 @@ class TestTiming:
         assert nvm.bytes_written >= 100
         nvm.load(thread, addr, 100)
         assert nvm.bytes_read == 100
+
+
+class TestLoadGather:
+    """Independent loads issued together: a wave of at most
+    ``LOADS_IN_FLIGHT`` shares one latency, the thread waits once per
+    wave, and the bytes are those ``load`` returns."""
+
+    SIZE = 16
+
+    def _addrs(self, nvm, n):
+        base = nvm.alloc(n * self.SIZE, align=256)
+        for i in range(n):
+            nvm.store(None, base + i * self.SIZE, bytes([i + 1]) * self.SIZE)
+        return [base + i * self.SIZE for i in range(n)]
+
+    def _gathered_at(self, n):
+        nvm, t = NVMDevice(), VThread(0)
+        nvm.load_gather(t, self._addrs(nvm, n), self.SIZE)
+        return nvm, t.now
+
+    def test_returns_what_load_returns(self, nvm):
+        addrs = self._addrs(nvm, 25)[::-1]
+        assert nvm.load_gather(None, addrs, self.SIZE) == [
+            nvm.load(None, addr, self.SIZE) for addr in addrs
+        ]
+
+    def test_one_address_costs_exactly_one_load(self):
+        clocks = []
+        for gather in (True, False):
+            nvm, t = NVMDevice(), VThread(0)
+            (addr,) = self._addrs(nvm, 1)
+            t.spend(3.3e-6)
+            if gather:
+                nvm.load_gather(t, [addr], self.SIZE)
+            else:
+                nvm.load(t, addr, self.SIZE)
+            clocks.append((repr(t.now), repr(t.clock.now), nvm.bytes_read))
+        assert clocks[0] == clocks[1]
+
+    @pytest.mark.parametrize("n", [1, 2, LOADS_IN_FLIGHT, LOADS_IN_FLIGHT + 1, 25, 64])
+    def test_idle_channel_gather_pays_one_latency_per_wave(self, n):
+        """ceil(n / LOADS_IN_FLIGHT) latencies plus the transfers —
+        not the n latencies of n blocking loads."""
+        nvm, elapsed = self._gathered_at(n)
+        latency = nvm.spec.read_latency
+        transfer = self.SIZE / nvm.spec.read_bandwidth
+        waves = -(-n // LOADS_IN_FLIGHT)
+        assert waves * (latency + transfer) <= elapsed + 1e-15
+        assert elapsed <= waves * latency + n * transfer + 1e-15
+        assert nvm.bytes_read == n * self.SIZE
+        assert nvm.read_channel.bytes_moved == n * self.SIZE
+        if n > 1:
+            serial_nvm, t = NVMDevice(), VThread(0)
+            for addr in self._addrs(serial_nvm, n):
+                serial_nvm.load(t, addr, self.SIZE)
+            assert t.now >= n * latency > elapsed
+
+    def test_wave_is_the_channel_requests_stamped_together(self):
+        """Exact clock: each wave's loads are requests on the read
+        channel at the instant the previous wave came back."""
+        n = 2 * LOADS_IN_FLIGHT + 3
+        nvm, elapsed = self._gathered_at(n)
+        twin = NVMDevice()
+        now = 0.0
+        for wave in range(0, n, LOADS_IN_FLIGHT):
+            now = max(
+                twin.read_channel.request(now, self.SIZE, twin.spec.read_latency)
+                for _ in range(min(LOADS_IN_FLIGHT, n - wave))
+            )
+        assert repr(elapsed) == repr(now)
+
+    def test_empty_gather_costs_nothing(self, nvm, thread):
+        thread.spend(1e-6)
+        before = (thread.now, thread.cpu_time, nvm.bytes_read)
+        assert nvm.load_gather(thread, [], self.SIZE) == []
+        assert (thread.now, thread.cpu_time, nvm.bytes_read) == before
+        assert nvm.read_channel.bytes_moved == 0
+
+    def test_untimed_gather_touches_no_channel(self, nvm):
+        addrs = self._addrs(nvm, 12)
+        nvm.load_gather(None, addrs, self.SIZE)
+        assert nvm.bytes_read == 12 * self.SIZE
+        assert nvm.read_channel.bytes_moved == 0
+
+    def test_out_of_range_raises_before_anything_is_charged(self, nvm, thread):
+        addrs = self._addrs(nvm, 3) + [nvm.capacity - 8]
+        with pytest.raises(StorageError):
+            nvm.load_gather(thread, addrs, self.SIZE)
+        assert (thread.now, nvm.bytes_read, nvm.read_channel.bytes_moved) == (0.0, 0, 0)
 
 
 class TestPersistentHeap:
