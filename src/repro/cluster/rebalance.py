@@ -302,6 +302,19 @@ class Migration:
             self._finish()
         return disposed
 
+    def _read_first(self, key: bytes, owners: Iterable[int]) -> object:
+        """``key`` as the first of ``owners`` that is up, serving and
+        answers has it (None: deleted there); ``_MISSING`` if none does."""
+        cluster = self.cluster
+        for sid in owners:
+            if sid in cluster._down or not cluster.shards[sid].serving:
+                continue
+            try:
+                return cluster.shards[sid].store.get(key, self.thread)
+            except (DeviceError, DegradedError):
+                continue
+        return _MISSING
+
     def _copy_key(self, key: bytes) -> None:
         """Stream one key to its new owners under the bandwidth budget."""
         cluster = self.cluster
@@ -311,15 +324,7 @@ class Migration:
         t = self.thread
         down = cluster._down
         copy_start = t.now
-        value = _MISSING
-        for sid in move.old_owners:
-            if sid in down or not cluster.shards[sid].serving:
-                continue
-            try:
-                value = cluster.shards[sid].store.get(key, t)
-            except (DeviceError, DegradedError):
-                continue
-            break
+        value = self._read_first(key, move.old_owners)
         if value is _MISSING:
             # No surviving source holds the key (RF=1 and the owner
             # died): the data is gone; count it rather than hide it.
@@ -465,15 +470,7 @@ class Migration:
         resynced = 0
         for key in sorted(self.fresh):
             move = self.moves[key]
-            value = _MISSING
-            for sid in move.new_owners:
-                if sid in down or not cluster.shards[sid].serving:
-                    continue
-                try:
-                    value = cluster.shards[sid].store.get(key, t)
-                except (DeviceError, DegradedError):
-                    continue
-                break
+            value = self._read_first(key, move.new_owners)
             if value is _MISSING:
                 continue  # no surviving new owner; the old copy stands
             for sid in move.old_owners:

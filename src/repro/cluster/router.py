@@ -20,6 +20,25 @@ horizontally scaled serving layer:
   :class:`~repro.cluster.errors.ShardOverloadedError` instead of
   queueing unboundedly.
 
+Every client operation reaches a shard the same way, through one
+method.  :meth:`PrismCluster._attempt` is the routed path in the order
+it happens — **admit** (the shard's admission controller; a shed or a
+draining rejection is counted and raised untouched), **pump** (apply
+the shard's due asynchronous-replication backlog), **call** (the store
+operation, a bound method plus its arguments) and **account the
+failure** (a ``DeviceError``/``DegradedError`` is recorded against the
+shard's health when a monitor scores this attempt, fails the shard over
+when it condemns it, and is re-raised wrapped so callers need not know
+which errors those are).  What differs between operations is only what
+they loop over: ``get`` tries one candidate at a time (the migration's
+route inside a dual-read window, else the key's read shards filtered by
+breakers and the read policy), ``put``/``delete`` attempt the primary
+and then each replica, retrying once past a draining primary and once
+past a failed-over one, ``scan`` attempts every serving shard and merges
+each key from the first of its owners that answered, and a hedge is one
+more attempt on its own thread.  ``docs/simulation-model.md`` ("Routed
+operation") tabulates what each does with each failure.
+
 The cluster is store-shaped: it exposes ``put``/``get``/``scan``/
 ``delete``/``stats``/``flush`` plus the accounting attributes the
 benchmark driver reads, so :func:`repro.bench.runner.run_workload`
@@ -42,10 +61,16 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cache.sketch import FrequencySketch
-from repro.cluster.admission import KIND_READ, KIND_WRITE, AdmissionController
+from repro.cluster.admission import (
+    KIND_INTERNAL,
+    KIND_READ,
+    KIND_WRITE,
+    AdmissionController,
+)
 from repro.cluster.errors import (
     RebalanceInProgressError,
     ShardDrainingError,
+    ShardOverloadedError,
     ShardUnavailableError,
 )
 from repro.cluster.health import HealthConfig, HealthMonitor
@@ -153,11 +178,12 @@ def default_shard_factory(
 
 
 class _ShardOpError(Exception):
-    """Internal: one shard failed mid-operation (carries which)."""
+    """Internal: a shard's store failed an attempt, and the failure has
+    been accounted for (:meth:`PrismCluster._attempt`); never reaches
+    the client, who gets ``cause``."""
 
-    def __init__(self, shard: Shard, cause: Exception) -> None:
+    def __init__(self, cause: Exception) -> None:
         super().__init__(str(cause))
-        self.shard = shard
         self.cause = cause
 
 
@@ -302,9 +328,6 @@ class PrismCluster:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _thread(self, thread: Optional[VThread]) -> VThread:
-        return thread if thread is not None else self._default_thread
-
     def _admission_for(self, shard_id: int) -> AdmissionController:
         cfg = self.config
         return AdmissionController(
@@ -318,20 +341,7 @@ class PrismCluster:
     def rebalancing(self) -> bool:
         return self._migration is not None
 
-    def _pump_migration(self, at: float) -> Optional[Migration]:
-        """Advance the migrator up to ``at``; returns the migration if
-        it is still active afterwards (it may have just finished)."""
-        mig = self._migration
-        if mig is not None:
-            mig.pump(at)
-        return self._migration
-
-    def _owner_ids(self, key: bytes) -> List[int]:
-        return self.ring.preference_list(key, self.config.replication_factor)
-
-    def _write_shards(
-        self, key: bytes, exclude_draining: bool = False
-    ) -> List[Shard]:
+    def _write_shards(self, key: bytes, exclude_draining: bool) -> List[Shard]:
         """Live owners, primary first — where a write must land.
 
         Mid-migration, writes route to the key's *new* owners (the
@@ -340,19 +350,17 @@ class PrismCluster:
         a :class:`ShardDrainingError`: an operator-drained shard is
         skipped and the ring walk promotes the next owner.
         """
-        mig = self._migration
         exclude = self._down
         if exclude_draining:
             exclude = exclude | {
                 s.shard_id for s in self.shards if s.state == STATE_DRAINING
             }
+        mig = self._migration
         if mig is not None:
-            ids = mig.write_owners(key, exclude if exclude else None)
-        elif not exclude:
-            ids = self._owner_ids(key)
+            ids = mig.write_owners(key, exclude)
         else:
             ids = self.ring.preference_list(
-                key, self.config.replication_factor, exclude=exclude
+                key, self.config.replication_factor, exclude
             )
         if not ids:
             raise ShardUnavailableError(key, self.ring.shards | self._down)
@@ -367,20 +375,15 @@ class PrismCluster:
         received the key yet); once every failure has been rebuilt the
         effective (exclusion-walk) owners all hold the data.
         """
-        if not self._down:
-            return [self.shards[i] for i in self._owner_ids(key)]
-        static = self._owner_ids(key)
+        rf = self.config.replication_factor
+        ids = static = self.ring.preference_list(key, rf)
         if self._unrebuilt:
-            survivors = [i for i in static if i not in self._down]
-            if not survivors:
-                raise ShardUnavailableError(key, static)
-            return [self.shards[i] for i in survivors]
-        live = self.ring.preference_list(
-            key, self.config.replication_factor, exclude=self._down
-        )
-        if not live:
+            ids = [i for i in static if i not in self._down]
+        elif self._down:
+            ids = self.ring.preference_list(key, rf, exclude=self._down)
+        if not ids:
             raise ShardUnavailableError(key, static)
-        return [self.shards[i] for i in live]
+        return [self.shards[i] for i in ids]
 
     def _pick_reader(self, key: bytes, candidates: Sequence[Shard]) -> Shard:
         if self.config.read_policy == READ_SPREAD and len(candidates) > 1:
@@ -404,47 +407,82 @@ class PrismCluster:
                 return candidates[next(self._spread_rr) % len(candidates)]
         return candidates[0]
 
-    def _arm_deadline(self, thread: VThread) -> bool:
-        """Give the op a deadline budget (virtual seconds) when the
-        health config carries one.  Returns True when this call armed
-        it (the caller must clear it when the op finishes)."""
-        health = self._health
-        if (
-            health is None
-            or health.config.op_deadline is None
-            or thread.deadline is not None
-        ):
-            return False
-        thread.deadline = thread.now + health.config.op_deadline
-        return True
-
-    def _admit(self, shard: Shard, at: float, kind: str = KIND_READ) -> None:
-        try:
-            shard.admission.admit(at, kind)
-        except ShardDrainingError:
-            # Not load shedding: the shard is leaving and the caller
-            # retries the write at the key's new owner.
-            self.metrics.counter("rebalance.drain_rejects").inc()
-            raise
-        except Exception:
-            self.metrics.counter("cluster.shed").inc()
-            raise
-
     @staticmethod
     def _permanent(exc: Exception) -> bool:
         """Failures that condemn the whole shard, not just one key."""
         return isinstance(exc, (DeviceDeadError, NoHealthyStorageError))
 
-    def _guard(self, shard: Shard, fn: Callable[[], object]) -> object:
-        """Run one shard-level operation, tagging failures with the shard."""
+    # ------------------------------------------------------------------
+    # the routed path: one client op, one attempt at one shard
+    # ------------------------------------------------------------------
+    def _client_op(self, body: Callable, thread: Optional[VThread], *args):
+        """What every client operation does around its ``body``: fall
+        back to the cluster's own caller thread, let the migrator catch
+        up to the op's start, and give the op its deadline budget
+        (virtual seconds) when the health config carries one — cleared
+        when the op finishes, unless an outer caller armed it first."""
+        if thread is None:
+            thread = self._default_thread
+        if self._migration is not None:
+            self._migration.pump(thread.now)
+        health = self._health
+        armed = (
+            health is not None
+            and health.config.op_deadline is not None
+            and thread.deadline is None
+        )
+        if armed:
+            thread.deadline = thread.now + health.config.op_deadline
         try:
-            return fn()
-        except (DeviceError, DegradedError) as exc:
-            raise _ShardOpError(shard, exc) from exc
+            return body(*args, thread)
+        finally:
+            if armed:
+                thread.deadline = None
 
-    def _handle_failure(self, err: _ShardOpError, at: float) -> None:
-        if self._permanent(err.cause) and err.shard.shard_id not in self._down:
-            self.fail_shard(err.shard.shard_id, at)
+    def _attempt(
+        self,
+        shard: Shard,
+        thread: VThread,
+        kind: str,
+        health: Optional[HealthMonitor],
+        op: Callable,
+        *args,
+    ):
+        """One attempt of ``op(*args, thread)`` at one shard — the whole
+        routed path, in order: admit, pump, call, account the failure.
+
+        ``kind`` is the admission class: ``read``/``write`` for the
+        client's arrival at the shard, ``internal`` for what the router
+        itself fans out behind an admitted op (replica writes, hedges),
+        which is never shed.  ``health`` is the monitor scoring this
+        attempt, None when none is in play (writes, scans, reads inside
+        a migration window).  A shed or draining shard raises its typed
+        error untouched; a store failure is recorded, fails the shard
+        over when it condemns it, and surfaces as :class:`_ShardOpError`
+        so no caller has to know which errors those are.  The caller
+        reports ``admission.complete`` — it alone knows when the op
+        ends (after the hedge for reads, at the quorum ack for writes).
+        """
+        try:
+            shard.admission.admit(thread.now, kind)
+        except ShardDrainingError:
+            # Not load shedding: the shard is leaving and the caller
+            # retries the write at the key's new owner.
+            self.metrics.counter("rebalance.drain_rejects").inc()
+            raise
+        except ShardOverloadedError:
+            self.metrics.counter("cluster.shed").inc()
+            raise
+        if self._async:
+            shard.pump(thread.now)
+        try:
+            return op(*args, thread)
+        except (DeviceError, DegradedError) as exc:
+            if health is not None:
+                health.record_failure(shard.shard_id, thread.now)
+            if self._permanent(exc) and shard.shard_id not in self._down:
+                self.fail_shard(shard.shard_id, thread.now)
+            raise _ShardOpError(exc) from exc
 
     # ------------------------------------------------------------------
     # write path
@@ -452,61 +490,48 @@ class PrismCluster:
     def put(self, key: bytes, value: bytes, thread: Optional[VThread] = None) -> None:
         """Insert or update; durable on the required replica count when
         this returns (primary only under async replication)."""
-        self._mutate(key, value, thread)
+        self._client_op(self._mutate, thread, key, value)
 
     def delete(self, key: bytes, thread: Optional[VThread] = None) -> bool:
         """Remove a key cluster-wide. Returns the primary's verdict."""
-        return bool(self._mutate(key, None, thread))
+        return bool(self._client_op(self._mutate, thread, key, None))
 
-    def _mutate(
-        self, key: bytes, value: Optional[bytes], thread: Optional[VThread]
-    ) -> object:
-        thread = self._thread(thread)
-        if self._migration is not None:
-            self._pump_migration(thread.now)
-        armed = self._arm_deadline(thread)
-        try:
-            last_error: Optional[_ShardOpError] = None
-            for _attempt in range(2):
-                try:
-                    return self._replicated_apply(key, value, thread)
-                except ShardDrainingError:
-                    # The primary is being decommissioned: retry once
-                    # with draining members excluded so the ring walk
-                    # promotes the key's next (new) owner.
-                    return self._replicated_apply(
-                        key, value, thread, exclude_draining=True
-                    )
-                except _ShardOpError as err:
-                    last_error = err
-                    self._handle_failure(err, thread.now)
-                    if not self._permanent(err.cause):
-                        # Transient escape: nothing will change on retry
-                        # beyond the store's own retries; surface it.
-                        break
-            assert last_error is not None
-            raise last_error.cause
-        finally:
-            if armed:
-                thread.deadline = None
+    def _mutate(self, key: bytes, value: Optional[bytes], thread: VThread) -> object:
+        exclude_draining = False
+        last_error: Optional[_ShardOpError] = None
+        # The first try, at most one drain retry, at most one failover.
+        for _ in range(3):
+            try:
+                return self._replicated_apply(key, value, thread, exclude_draining)
+            except ShardDrainingError:
+                if exclude_draining:
+                    raise
+                # The primary is being decommissioned: retry once
+                # with draining members excluded so the ring walk
+                # promotes the key's next (new) owner.
+                exclude_draining = True
+            except _ShardOpError as err:
+                retry = last_error is None and self._permanent(err.cause)
+                last_error = err
+                if not retry:
+                    # Transient escape: nothing will change on retry
+                    # beyond the store's own retries; surface it.
+                    break
+        raise last_error.cause
 
     def _replicated_apply(
         self,
         key: bytes,
         value: Optional[bytes],
         thread: VThread,
-        exclude_draining: bool = False,
+        exclude_draining: bool,
     ) -> object:
-        owners = self._write_shards(key, exclude_draining=exclude_draining)
+        owners = self._write_shards(key, exclude_draining)
         primary, replicas = owners[0], owners[1:]
-        self._admit(primary, thread.now, KIND_WRITE)
-        if self._async:
-            primary.pump(thread.now)
-        result = self._guard(
-            primary,
-            (lambda: primary.store.put(key, value, thread))
-            if value is not None
-            else (lambda: primary.store.delete(key, thread)),
+        args = (key,) if value is None else (key, value)
+        result = self._attempt(
+            primary, thread, KIND_WRITE, None,
+            primary.store.delete if value is None else primary.store.put, *args,
         )
         primary_end = thread.now
         if replicas:
@@ -520,11 +545,10 @@ class PrismCluster:
                 ends: List[float] = []
                 for replica in replicas:
                     thread.now = primary_end
-                    self._guard(
-                        replica,
-                        (lambda r=replica: r.store.put(key, value, thread))
-                        if value is not None
-                        else (lambda r=replica: r.store.delete(key, thread)),
+                    self._attempt(
+                        replica, thread, KIND_INTERNAL, None,
+                        replica.store.delete if value is None else replica.store.put,
+                        *args,
                     )
                     ends.append(thread.now)
                 # The mode's ack count is capped at the owners that
@@ -550,130 +574,80 @@ class PrismCluster:
     # ------------------------------------------------------------------
     def get(self, key: bytes, thread: Optional[VThread] = None) -> Optional[bytes]:
         """Point lookup; returns None for missing keys."""
-        thread = self._thread(thread)
-        if self._migration is not None:
-            if self._pump_migration(thread.now) is not None:
-                return self._get_migrating(key, thread)
-        if self._health is None:
-            return self._get_plain(key, thread)
-        armed = self._arm_deadline(thread)
-        try:
-            return self._get_defended(key, thread)
-        finally:
-            if armed:
-                thread.deadline = None
+        return self._client_op(self._get, thread, key)
 
-    def _get_migrating(self, key: bytes, thread: VThread) -> Optional[bytes]:
-        """The dual-read window: unmoved affected keys are *forwarded*
-        to their old owner; moved/fresh and unaffected keys read from
-        the new ring.  Migration reads bypass the health scorer and
-        hedging entirely — breakers must not trip on (and hedges must
-        not race) migration traffic.
+    def _get(self, key: bytes, thread: VThread) -> Optional[bytes]:
+        """One read loop; what varies is where its candidates come from.
+
+        Settled ring: the key's read shards minus those already tried,
+        minus — with a health monitor — shards whose breaker is open
+        (falling back to the full candidate list if *every* breaker is
+        open — steering must never make a readable key unreadable),
+        and :meth:`_pick_reader` chooses.  After the read completes, if
+        it overran the adaptive hedge delay, the read is hedged
+        (:meth:`_hedge`).
+
+        The dual-read window (a migration is active): unmoved affected
+        keys are *forwarded* to their old owner; moved/fresh and
+        unaffected keys read from the new ring, in route order.
+        Migration reads bypass the health scorer and hedging entirely —
+        breakers must not trip on (and hedges must not race) migration
+        traffic.
+
+        Candidates are recomputed each attempt, so a failure that
+        resolves the migration (abort or fast-forward) re-routes the
+        next attempt on the settled ring.
         """
-        mig = self._migration
-        exclude = self._down if self._down else None
-        ids, forwarded = mig.read_route(key, exclude)
-        if not ids:
-            raise ShardUnavailableError(key, self.ring.shards | self._down)
-        if forwarded:
-            self.metrics.counter("rebalance.forwarded_reads").inc()
+        tried: Set[int] = set()
         last_error: Optional[_ShardOpError] = None
-        for sid in ids:
-            shard = self.shards[sid]
-            if not shard.serving:
-                continue
-            self._admit(shard, thread.now, KIND_READ)
-            if self._async:
-                shard.pump(thread.now)
+        forwarded = False
+        for _ in range(1 + self.config.replication_factor):
+            mig = self._migration
+            if mig is None:
+                health = self._health
+                candidates = [
+                    s for s in self._read_shards(key) if s.shard_id not in tried
+                ]
+            else:
+                health = None
+                ids, forward = mig.read_route(key, self._down or None)
+                if forward and not forwarded:
+                    forwarded = True
+                    self.metrics.counter("rebalance.forwarded_reads").inc()
+                candidates = [
+                    self.shards[i]
+                    for i in ids
+                    if i not in tried and self.shards[i].serving
+                ]
+            if not candidates:
+                break
+            if mig is not None:
+                shard = candidates[0]
+            else:
+                if health is not None:
+                    candidates = [
+                        s for s in candidates if health.allow(s.shard_id, thread.now)
+                    ] or candidates
+                shard = self._pick_reader(key, candidates)
+            tried.add(shard.shard_id)
+            t0 = thread.now
             try:
-                value = self._guard(shard, lambda: shard.store.get(key, thread))
+                value = self._attempt(
+                    shard, thread, KIND_READ, health, shard.store.get, key
+                )
             except _ShardOpError as err:
                 last_error = err
-                self._handle_failure(err, thread.now)
-                if self._migration is None:
-                    # The failure resolved the migration (abort or
-                    # fast-forward) — re-route on the settled ring.
-                    return self.get(key, thread)
                 continue
+            if health is not None:
+                t1 = thread.now
+                health.record_read(shard.shard_id, t1 - t0, t1)
+                if health.config.enable_hedging and t1 - t0 > health.hedge_delay():
+                    value = self._hedge(key, shard, value, t0, t1, thread)
             shard.admission.complete(thread.now)
             return value
         if last_error is not None:
             raise last_error.cause
         raise ShardUnavailableError(key, self.ring.shards | self._down)
-
-    def _get_plain(self, key: bytes, thread: VThread) -> Optional[bytes]:
-        """The undefended read path — byte-for-byte the pre-health one."""
-        tried: Set[int] = set()
-        last_error: Optional[_ShardOpError] = None
-        for _attempt in range(1 + self.config.replication_factor):
-            candidates = [
-                s for s in self._read_shards(key) if s.shard_id not in tried
-            ]
-            if not candidates:
-                break
-            shard = self._pick_reader(key, candidates)
-            tried.add(shard.shard_id)
-            self._admit(shard, thread.now)
-            if self._async:
-                shard.pump(thread.now)
-            try:
-                value = self._guard(shard, lambda: shard.store.get(key, thread))
-            except _ShardOpError as err:
-                last_error = err
-                self._handle_failure(err, thread.now)
-                continue
-            shard.admission.complete(thread.now)
-            return value
-        assert last_error is not None
-        raise last_error.cause
-
-    def _get_defended(self, key: bytes, thread: VThread) -> Optional[bytes]:
-        """Health-aware read: breaker steering plus hedged reads.
-
-        Candidate selection first drops shards whose breaker is open
-        (falling back to the full candidate list if *every* breaker is
-        open — steering must never make a readable key unreadable).
-        After the primary read completes, if it overran the adaptive
-        hedge delay, the read is hedged: a speculative read is modeled
-        at the next healthy replica as if fired ``hedge_delay`` after
-        the primary started, and the caller resumes at whichever
-        completion came first.  Sequential simulation makes the hedge
-        retroactive — the outcome (and the device bandwidth both reads
-        consume) matches an implementation that truly raced them.
-        """
-        health = self._health
-        tried: Set[int] = set()
-        last_error: Optional[_ShardOpError] = None
-        for _attempt in range(1 + self.config.replication_factor):
-            candidates = [
-                s for s in self._read_shards(key) if s.shard_id not in tried
-            ]
-            if not candidates:
-                break
-            allowed = [
-                s for s in candidates if health.allow(s.shard_id, thread.now)
-            ]
-            shard = self._pick_reader(key, allowed or candidates)
-            tried.add(shard.shard_id)
-            self._admit(shard, thread.now)
-            if self._async:
-                shard.pump(thread.now)
-            t0 = thread.now
-            try:
-                value = self._guard(shard, lambda: shard.store.get(key, thread))
-            except _ShardOpError as err:
-                last_error = err
-                health.record_failure(shard.shard_id, thread.now)
-                self._handle_failure(err, thread.now)
-                continue
-            t1 = thread.now
-            health.record_read(shard.shard_id, t1 - t0, t1)
-            if health.config.enable_hedging and t1 - t0 > health.hedge_delay():
-                value = self._hedge(key, shard, value, t0, t1, thread)
-            shard.admission.complete(thread.now)
-            return value
-        assert last_error is not None
-        raise last_error.cause
 
     def _hedge(
         self,
@@ -685,7 +659,15 @@ class PrismCluster:
         thread: VThread,
     ) -> Optional[bytes]:
         """Model the speculative read; returns the winning value and
-        rewinds ``thread.now`` to the earlier completion."""
+        rewinds ``thread.now`` to the earlier completion.
+
+        The speculative read is modeled at the next healthy replica as
+        if fired ``hedge_delay`` after the primary started, and the
+        caller resumes at whichever completion came first.  Sequential
+        simulation makes the hedge retroactive — the outcome (and the
+        device bandwidth both reads consume) matches an implementation
+        that truly raced them.
+        """
         health = self._health
         fired_at = t0 + health.hedge_delay()
         alt: Optional[Shard] = None
@@ -700,12 +682,11 @@ class PrismCluster:
         self.metrics.counter("hedge.fired").inc()
         ht = self._hedge_thread
         ht.now = fired_at
-        if self._async:
-            alt.pump(fired_at)
         try:
-            alt_value = alt.store.get(key, ht)
-        except (DeviceError, DegradedError):
-            health.record_failure(alt.shard_id, ht.now)
+            alt_value = self._attempt(
+                alt, ht, KIND_INTERNAL, health, alt.store.get, key
+            )
+        except _ShardOpError:
             self.metrics.counter("hedge.wasted").inc()
             return primary_value
         t2 = ht.now
@@ -732,57 +713,64 @@ class PrismCluster:
     ) -> List[Tuple[bytes, bytes]]:
         """Range scan across shards: hashing scatters ranges, so every
         live shard scans locally (in parallel virtual time) and the
-        router merges, keeping each key's copy from its read primary."""
-        thread = self._thread(thread)
-        armed = self._arm_deadline(thread)
-        try:
-            return self._scan(start, count, thread)
-        finally:
-            if armed:
-                thread.deadline = None
+        router merges, keeping each key's copy from the first shard in
+        its read order that answered."""
+        return self._client_op(self._scan, thread, start, count)
 
-    def _read_primary(self, key: bytes) -> Optional[Shard]:
-        """The shard whose copy of ``key`` is authoritative right now
-        (migration-aware: the old owner inside the dual-read window)."""
+    def _answering_owner(
+        self, key: bytes, answers: Dict[Shard, object]
+    ) -> Optional[Shard]:
+        """The first of ``answers`` in ``key``'s read order: the shard
+        whose copy is authoritative right now (migration-aware: the old
+        owner inside the dual-read window), else the next owner."""
         mig = self._migration
-        if mig is not None:
-            ids, _forwarded = mig.read_route(
-                key, self._down if self._down else None
-            )
-            return self.shards[ids[0]] if ids else None
-        return self._read_shards(key)[0]
+        if mig is None:
+            owners = self._read_shards(key)
+        else:
+            ids, _forwarded = mig.read_route(key, self._down or None)
+            owners = [self.shards[i] for i in ids]
+        for shard in owners:
+            if shard in answers:
+                return shard
+        return None
 
     def _scan(
         self, start: bytes, count: int, thread: VThread
     ) -> List[Tuple[bytes, bytes]]:
         t0 = thread.now
-        if self._migration is not None:
-            self._pump_migration(t0)
-        ends: List[float] = []
-        merged: Dict[bytes, bytes] = {}
         # Draining members still serve scans — unmoved keys have no
         # other authoritative copy until the migrator hands them off.
         serving = [s for s in self.shards if s.serving]
         if not serving:
             raise ShardUnavailableError(start, self.ring.shards)
+        # Copies of any one key the serving shards hold between them.
+        copies = min(
+            self.config.replication_factor - len(self._unrebuilt), len(serving)
+        )
+        answers: Dict[Shard, List[Tuple[bytes, bytes]]] = {}
+        last_error: Optional[_ShardOpError] = None
+        end = t0
         for shard in serving:
-            self._admit(shard, t0)
-            if self._async:
-                shard.pump(t0)
             thread.now = t0
             try:
-                pairs = self._guard(
-                    shard, lambda: shard.store.scan(start, count, thread)
+                answers[shard] = self._attempt(
+                    shard, thread, KIND_READ, None, shard.store.scan, start, count
                 )
             except _ShardOpError as err:
-                self._handle_failure(err, thread.now)
+                last_error = err
                 continue
-            ends.append(thread.now)
             shard.admission.complete(thread.now)
+            end = max(end, thread.now)
+        thread.now = end
+        if last_error is not None and len(serving) - len(answers) >= copies:
+            # The silent shards could hold every copy of some key: any
+            # merge might be short of it.  Surface it, as ``get`` would.
+            raise last_error.cause
+        merged: Dict[bytes, bytes] = {}
+        for shard, pairs in answers.items():
             for key, value in pairs:
-                if self._read_primary(key) is shard:
+                if self._answering_owner(key, answers) is shard:
                     merged[key] = value
-        thread.now = max(ends) if ends else t0
         return [(key, merged[key]) for key in sorted(merged)[:count]]
 
     # ------------------------------------------------------------------

@@ -11,6 +11,8 @@ never committed; see ``tests/digests.py``).
 
 from __future__ import annotations
 
+import pytest
+
 from tests import digests
 
 
@@ -18,3 +20,16 @@ def test_health_off_cluster_run_is_byte_identical_to_seed():
     cluster, digest = digests.cluster_a()
     assert cluster.config.health is None
     assert digest == digests.expected("cluster_a")
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ["cluster_scan_failover", "cluster_async_spread", "cluster_gray_rebalance"],
+)
+def test_routed_paths_are_byte_identical_to_pr22_parent(scenario):
+    """Scan fan-out across a failover, async pump + spread reads +
+    shedding, and hedging + breakers + a migration window in one run:
+    recorded on PR 22's parent, before the router's routed paths became
+    one ``_attempt`` (each scenario asserts it still reaches its path)."""
+    _cluster, digest = digests.SCENARIOS[scenario]()
+    assert digest == digests.expected(scenario)

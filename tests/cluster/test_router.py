@@ -1,20 +1,28 @@
 """The cluster router: replication, failover, re-replication,
 admission integration, and the store-shaped facade."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     ClusterConfig,
+    ClusterError,
     PrismCluster,
     ShardOverloadedError,
     ShardUnavailableError,
 )
+from repro.cluster.router import default_shard_factory
 from repro.core.prism import Prism
-from repro.faults.injector import FaultConfig
+from repro.faults.errors import StorageError
+from repro.faults.injector import FaultConfig, kill_store_devices
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
 from repro.storage.specs import QLC_SSD_SPEC
-from tests.conftest import MB, small_prism_config
+from tests.conftest import KB, MB, count_calls, small_prism_config
 
 
 def small_factory(shard_id, clock):
@@ -221,6 +229,129 @@ class TestFailover:
         c.kill_shard(1, t.now)
         c.fail_shard(1, t.now)
         assert len(c.events.of_kind("shard_down")) == 1
+
+
+def flash_cluster(keys: int):
+    """3 shards, RF=2 quorum, ``keys`` 1 KB values flushed to flash
+    (PWB and SVC hold 64 KB a shard), and a client thread."""
+    c = PrismCluster(
+        ClusterConfig(num_shards=3, replication_factor=2),
+        shard_factory=partial(
+            default_shard_factory, pwb_capacity=64 * KB, svc_capacity=64 * KB
+        ),
+    )
+    t = VThread(1, c.clock)
+    for i in range(keys):
+        c.put(b"key%04d" % i, b"%04d" % i * 256, t)
+    c.flush()
+    return c, t
+
+
+class TestSilentDeath:
+    """A shard's devices die through the injector and nobody tells the
+    router: the op that finds out must still answer right."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        victim=st.integers(0, 2),
+        first=st.integers(0, 499),
+        count=st.integers(1, 100),
+    )
+    def test_scan_equals_sorted_point_reads(self, victim, first, count):
+        """The dead shard's scan raises a non-permanent error (values
+        are on flash), so nothing fails it over: the scan that
+        discovers the death and every scan after it must take the
+        shard's keys from their surviving owner — not drop them and
+        back-fill later keys (31 of the first 80 went missing)."""
+        c, t = flash_cluster(500)
+        kill_store_devices(c.shards[victim].store, t.now)
+        start = b"key%04d" % first
+        discovering = c.scan(start, count, t)
+        keys = [b"key%04d" % i for i in range(first, 500)][:count]
+        point_reads = [(key, c.get(key, t)) for key in keys]
+        assert discovering == point_reads
+        assert c.scan(start, count, t) == point_reads
+
+    def test_scan_raises_when_silent_shards_could_hold_every_copy(self):
+        c, t = flash_cluster(200)
+        for victim in (0, 1):
+            kill_store_devices(c.shards[victim].store, t.now)
+        with pytest.raises(StorageError):
+            c.scan(b"key0000", 50, t)
+
+    def test_write_retries_never_leak_the_internal_wrapper(self):
+        """The primary is draining and the next owner is silently dead:
+        the drain retry lands on the dead shard, which must be failed
+        over and retried like any other — on the parent of PR 22 that
+        retry sat inside the drain handler and the router's private
+        ``_ShardOpError`` reached the client."""
+        c, t = flash_cluster(200)
+        c.shards[0].start_drain()
+        kill_store_devices(c.shards[1].store, t.now)
+        keys = [
+            key
+            for key in (b"key%04d" % i for i in range(200))
+            if c.ring.preference_list(key, 2) == [0, 1]
+        ]
+        assert keys, "need a key owned by the draining and the dead shard"
+        for key in keys:
+            try:
+                c.put(key, b"new", t)
+            except (ClusterError, StorageError):
+                continue  # typed, so a client can handle it
+            # Acked: it landed on the one owner neither draining nor dead.
+            assert c.shards[2].store.get(key, t) == b"new"
+        assert c._down == {1}
+        assert c.delete(keys[0], t) is True
+
+
+def one_shard_twin():
+    """The 1-shard RF=1 no-fault cluster and the bare store it is
+    bit-identical to (``test_runner.py`` pins that), loaded alike."""
+    cluster = build(num_shards=1, replication_factor=1)
+    bare = small_factory(0, VirtualClock())
+    tc, tb = VThread(1, cluster.clock), VThread(1, bare.clock)
+    fill(cluster, 50, tc)
+    fill(bare, 50, tb)
+    return cluster, tc, bare, tb
+
+
+class TestCallBudget:
+    """What the router adds to a store op, in Python + C calls (the
+    events perfbench's ``host_calls_per_op`` counts).  Measured on the
+    parent of PR 22: get +20, put +19, hit-path read +30."""
+
+    def test_one_shard_get_and_put(self):
+        cluster, tc, bare, tb = one_shard_twin()
+        key = b"key0007"
+        assert count_calls(cluster.get, key, tc) <= count_calls(bare.get, key, tb) + 17
+        assert (
+            count_calls(cluster.put, key, b"new", tc)
+            <= count_calls(bare.put, key, b"new", tb) + 15
+        )
+
+    def test_hit_path_read_on_the_perfbench_cluster_shape(self):
+        """``cluster_b_rf2``: 4 shards, RF=2 quorum, hot-key spread, a
+        queue-depth cap and per-shard read caches; a cold-tail key
+        reads its primary and hits that shard's cache."""
+        c = PrismCluster(
+            ClusterConfig(
+                num_shards=4, replication_factor=2, read_policy="spread",
+                hot_key_threshold=8, max_queue_depth=64,
+            ),
+            shard_factory=partial(
+                default_shard_factory,
+                enable_read_cache=True, read_cache_capacity=8 * MB,
+            ),
+        )
+        t = VThread(1, c.clock)
+        fill(c, 50, t)
+        key = b"key0007"
+        primary = c.shards[c.ring.lookup(key)].store
+        c.get(key, t)
+        c.get(key, t)
+        assert primary.stats()["rc_hits"] >= 1
+        assert count_calls(c.get, key, t) <= count_calls(primary.get, key, t) + 27
 
 
 class TestAdmissionIntegration:

@@ -34,6 +34,13 @@ experiment, the sha256 of what ``python -m repro.bench <name>`` prints
 One of them moved in that PR, on purpose: ``bench/faults`` prints a gate
 line it did not have (its metrics digest is the parent's).
 
+The routed scenarios (``cluster_scan_failover``, ``cluster_async_spread``,
+``cluster_gray_rebalance``) were added by PR 22 and generated on its
+parent commit, before the router's five spellings of a routed attempt
+became one: between them they reach the scan fan-out across a failover,
+the async pump with spread reads and shedding, and hedges, breakers and
+a migration window in one run — paths ``cluster_a`` never enters.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
@@ -47,16 +54,24 @@ import hashlib
 import io
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from repro.bench.__main__ import EXPERIMENTS, SMOKE_SCALE
 from repro.bench.__main__ import main as bench_main
 from repro.bench.cluster import YCSB_A_UNIFORM
+from repro.bench.grayfail import TIGHT_SHARD
 from repro.bench.runner import preload, run_workload
 from repro.bench.stores import build_prism
-from repro.cluster.router import ClusterConfig, PrismCluster
-from repro.cluster.runner import run_cluster_workload
+from repro.cluster.health import HealthConfig
+from repro.cluster.router import ClusterConfig, PrismCluster, default_shard_factory
+from repro.cluster.runner import (
+    GrayPlan,
+    KillPlan,
+    RebalancePlan,
+    run_cluster_workload,
+)
 from repro.faults.crash_sweep import STORE_SCENARIOS, CrashSweep, default_ops
 from repro.storage.specs import QLC_SSD_SPEC
 from repro.workloads.ycsb import WORKLOADS
@@ -200,12 +215,82 @@ def cluster_a() -> Tuple[object, Dict[str, str]]:
     return cluster, _digest(cluster, result.run.metrics)
 
 
+def _routed(config: ClusterConfig, spec, keys: int, ops: int, **plan):
+    """A seeded run through the router over tight shards (values on
+    flash); returns the cluster, the run and its metrics counters."""
+    cluster = PrismCluster(
+        config, shard_factory=partial(default_shard_factory, **TIGHT_SHARD)
+    )
+    preload(cluster, keys, num_threads=2, seed=1)
+    result = run_cluster_workload(
+        cluster, spec, ops, keys, clients_per_shard=2, seed=3, **plan
+    )
+    return cluster, result, result.run.metrics["counters"]
+
+
+def cluster_scan_failover() -> Tuple[object, Dict[str, str]]:
+    """YCSB-E through a 3-shard RF=2 quorum cluster that loses shard 1
+    half way: the scan fan-out and merge, before and after failover."""
+    cluster, result, counters = _routed(
+        ClusterConfig(num_shards=3, replication_factor=2),
+        WORKLOADS["E"], 600, 400, kill_plan=KillPlan(1, 0.5),
+    )
+    _require_exercised({
+        "scans": len(result.run.per_kind["scan"].samples),
+        "failovers": counters["cluster.failovers"],
+    })
+    return cluster, _digest(cluster, result.run.metrics)
+
+
+def cluster_async_spread() -> Tuple[object, Dict[str, str]]:
+    """Async replication, the hot-key spread read policy, a queue-depth
+    cap and a rate limit tight enough to shed: the backlog pump,
+    ``_pick_reader`` and the shed counters."""
+    cluster, result, counters = _routed(
+        ClusterConfig(
+            num_shards=3, replication_factor=2, replication_mode="async",
+            read_policy="spread", hot_key_threshold=4,
+            max_queue_depth=3, rate_limit_ops=400_000.0, rate_burst=16.0,
+        ),
+        WORKLOADS["B"], 600, 2000,
+    )
+    _require_exercised({
+        "ops_shed": result.ops_shed,
+        "cluster.shed": counters["cluster.shed"],
+        "hot spread reads": counters["cluster.hot_spread_reads"],
+        "async applies": sum(s.repl_applied for s in cluster.shards),
+    })
+    return cluster, _digest(cluster, result.run.metrics)
+
+
+def cluster_gray_rebalance() -> Tuple[object, Dict[str, str]]:
+    """Health scoring and hedging armed, one shard gray-failed, and a
+    member added in the same run: breaker steering, the hedge, and the
+    migration window's bypass of both."""
+    cluster, result, counters = _routed(
+        ClusterConfig(num_shards=3, replication_factor=2, health=HealthConfig()),
+        WORKLOADS["B"], 600, 2400,
+        gray_plan=GrayPlan(shard_id=1, at_fraction=0.2, multiplier=10.0),
+        rebalance_plan=RebalancePlan("add", at_fraction=0.6),
+    )
+    _require_exercised({
+        "hedges": counters["hedge.fired"],
+        "breaker trips": counters["breaker.opened"],
+        "forwarded reads": counters["rebalance.forwarded_reads"],
+        "keys moved": counters["rebalance.keys_moved"],
+    })
+    return cluster, _digest(cluster, result.run.metrics)
+
+
 SCENARIOS: Dict[str, Callable[[], Tuple[object, Dict[str, str]]]] = {
     "ycsb_a": ycsb_a,
     "ycsb_a_gc": ycsb_a_gc,
     "tiered_gc": tiered_gc,
     "ycsb_e_scan": ycsb_e_scan,
     "cluster_a": cluster_a,
+    "cluster_scan_failover": cluster_scan_failover,
+    "cluster_async_spread": cluster_async_spread,
+    "cluster_gray_rebalance": cluster_gray_rebalance,
 }
 
 

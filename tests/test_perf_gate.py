@@ -48,6 +48,16 @@ def test_limits_name_benchmark_metrics_on_the_right_side():
         assert ("interpreter" in GATES[workload]) == counts_calls
 
 
+def test_every_workload_gates_virtual_time():
+    """Simulated throughput is exact for a seed on any interpreter, so
+    no workload is left to a host-side count alone (``cluster_b_rf2``
+    was until PR 22; its tail is gated too)."""
+    assert set(GATES) == {w["name"] for w in BENCHMARK["workloads"]}
+    for workload in GATES:
+        assert "vt_kops" in GATES[workload]["limits"], workload
+    assert "vt_tail_us" in GATES["cluster_b_rf2"]["limits"]
+
+
 def _interpreter(workload):
     """The CPython a gate was measured on; any at all where it names
     none (its metrics are exact for a seed on every interpreter)."""
