@@ -15,7 +15,8 @@ Quickstart::
     store.put(b"key", b"value")        # durable on return (NVM buffer)
     store.get(b"key")                  # DRAM cache / NVM / flash
     store.scan(b"k", 10)               # ordered range scan
-    store.crash(); store.recover()     # power-failure semantics
+    store.crash(); store.recover()     # power failure, then a restart:
+                                       # a new engine over the same media
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.

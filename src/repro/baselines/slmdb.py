@@ -26,7 +26,7 @@ from repro.baselines.lsm.sstable import SSTable, _unpack_block
 from repro.index.pactree import PACTree
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
-from repro.storage.nvm import NVMDevice
+from repro.storage.nvm import NVMDevice, PersistentHeap
 from repro.storage.raid import RAID0
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC, NVM_SPEC, DeviceSpec
 from repro.storage.ssd import SSDDevice
@@ -74,7 +74,8 @@ class SLMDB(KVStore):
         raid = RAID0(self.ssds) if len(self.ssds) > 1 else self.ssds[0]
         self.table_store = BlockStore(raid)
         self.memtable = MemTable()
-        self.index = PACTree(self.nvm)  # key -> table_id << 20 | block_no
+        # key -> table_id << 20 | block_no
+        self.index = PACTree(PersistentHeap(self.nvm))
         self.tables: Dict[int, SSTable] = {}
         from collections import OrderedDict
 

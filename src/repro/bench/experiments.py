@@ -713,11 +713,13 @@ def _fault_unit(
         warmup_ops=num_ops // 4,
     )
     report = audit(store)
+    # The restart builds a new executor: the run's retries, then recovery's.
+    retries = store.retry_exec.retries
     store.crash()
     recovery = store.recover(recovery_threads=num_threads)
     stats = {
         "injected": float(store.injector.total_injected) if store.injector else 0.0,
-        "retries": float(store.retry_exec.retries),
+        "retries": float(retries + store.retry_exec.retries),
         "audit_violations": float(len(report.violations)),
         "recovered_keys": float(recovery.recovered_keys),
         "recovery_seconds": recovery.duration,

@@ -301,9 +301,10 @@ def run_workload(
     new_ssd = store.ssd_bytes_written() - ssd_written_before
     waf = (new_ssd / new_put) if new_put else 0.0
     if timeline is not None:
-        for at in getattr(store, "gc_events", []):
-            if at >= start:
-                timeline.mark(at - start, "gc")
+        # The store's structured event log (baselines have none).
+        for event in getattr(store, "events", ()):
+            if event["kind"] == "gc" and event["at"] >= start:
+                timeline.mark(event["at"] - start, "gc")
     metrics_dict: Optional[Dict[str, object]] = None
     if registry is not None:
         if sampler is not None:

@@ -48,8 +48,6 @@ class _Entry:
 class ReadCache:
     """LRU-ordered value cache guarded by a TinyLFU admission sketch."""
 
-    volatile = True  # crashed first by CrashScenario.power_failure
-
     def __init__(
         self,
         dram: DRAMDevice,
@@ -161,7 +159,7 @@ class ReadCache:
         self.used -= entry.charged
 
     # ------------------------------------------------------------------
-    # introspection / lifecycle
+    # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.entries)
@@ -185,10 +183,3 @@ class ReadCache:
             "rc_used_bytes": float(self.used),
             "rc_entries": float(len(self.entries)),
         }
-
-    def crash(self) -> None:
-        """DRAM loses everything, the admission sketch included."""
-        self.sketch = FrequencySketch(width=self.sketch.width)
-        self.entries.clear()
-        self._by_idx.clear()
-        self.used = 0

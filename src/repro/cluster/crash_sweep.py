@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cluster.errors import ClusterError
 from repro.cluster.router import ClusterConfig, PrismCluster, default_shard_factory
+from repro.core.checker import audit
 from repro.faults.crash_sweep import STORE_SCENARIOS, TIGHT_STORE, Scenario
 from repro.faults.errors import StorageError
 from repro.storage.crash import CrashPoint
@@ -93,9 +94,15 @@ class ClusterScenario(Scenario):
 
     def invariants(self, cluster: PrismCluster) -> List[str]:
         sid = self.watched(cluster)
+        found = []
         if cluster.shards[sid].up:
-            return [f"crashed shard {sid} never marked down"]
-        return []
+            found.append(f"crashed shard {sid} never marked down")
+        for shard in cluster.shards:
+            if shard.up:
+                found += [
+                    f"shard {shard.shard_id}: {v}" for v in audit(shard.store).violations
+                ]
+        return found
 
 
 @dataclass(frozen=True)

@@ -264,14 +264,6 @@ class PrismCluster:
         put = self.bytes_put
         return self.ssd_bytes_written() / put if put else 0.0
 
-    @property
-    def gc_events(self) -> List[float]:
-        times: List[float] = []
-        for shard in self.shards:
-            times.extend(shard.store.gc_events)
-        times.sort()
-        return times
-
     def __len__(self) -> int:
         # Replicated copies of a key count once.  Draining members
         # still hold authoritative (unmoved) keys; retired ones hold

@@ -106,18 +106,3 @@ class EpochManager:
             fn()
             self.reclaimed += 1
         self._retired.clear()
-
-    def crash(self) -> None:
-        """Power failure: retirements, pins and quiescent marks are DRAM.
-
-        A retirement that outlived the crash would free its HSIT or SVC
-        entry a second time — after recovery already reclaimed it as
-        leaked, and under whichever key has reused it since.  No
-        operation survives either, so every thread restarts unpinned
-        and quiescent (threads stay registered: the operation the crash
-        interrupted still runs its ``exit`` while unwinding).
-        """
-        self._retired.clear()
-        for tid in self._pinned:
-            self._pinned[tid] = -1
-            self._quiescent[tid] = self.global_epoch

@@ -60,9 +60,10 @@ class HSIT:
         self.nvm = nvm
         self.capacity = capacity
         # header: [free-list head+1 (8B)][next-unused index (8B)]
-        self._header = nvm.alloc(16, align=256)
-        self._base = nvm.alloc(capacity * ENTRY_BYTES, align=256)
+        self._header = nvm.region("hsit.header", 16)
+        self._base = nvm.region("hsit.entries", capacity * ENTRY_BYTES)
         self._alloc_lock = VLock(name="hsit-alloc")
+        # allocations - frees = entries in use (seeded by recovery).
         self.allocations = 0
         self.frees = 0
         self.reader_flushes = 0

@@ -49,7 +49,8 @@ from repro.storage.base import StorageError
 from repro.storage.crash import CrashPoint
 from repro.storage.dram import DRAMDevice
 from repro.storage.iouring import IORequest
-from repro.storage.nvm import NVMDevice
+from repro.storage.media import Media
+from repro.storage.nvm import NVMDevice, RegionMismatchError
 from repro.storage.ssd import SSDDevice
 from repro.index.pactree import PACTree
 from repro.tiering import TierManager
@@ -60,16 +61,6 @@ from repro.tiering import TierManager
 # old_vs None means the old copy is not in Value Storage (it sits in a
 # PWB), so there is no slot or read-cache entry to retire.
 RelocationEntry = Tuple[int, bytes, Optional[ValueStorage], int, int]
-
-
-class _WholeStoreCrash:
-    """Adapter letting a CrashPoint power-fail an entire store."""
-
-    def __init__(self, store: "Prism") -> None:
-        self.store = store
-
-    def power_failure(self) -> None:
-        self.store.crash()
 
 
 class Prism:
@@ -97,19 +88,17 @@ class Prism:
             self.metrics = MetricsRegistry()
         else:
             self.metrics = NULL_REGISTRY
+        # Structured GC/reclaim history (always on: both are rare, and
+        # Figure 17 needs the events regardless of the metrics switch).
+        self.events = EventLog("prism")
 
-        # --- devices ---------------------------------------------------
-        self.nvm = NVMDevice(cfg.nvm_spec)
-        self.dram = DRAMDevice(cfg.dram_spec)
-        self.ssds: List[SSDDevice] = [
-            SSDDevice(cfg.ssd_spec, name=f"ssd{i}") for i in range(cfg.num_ssds)
-        ]
+        # --- media: what a power failure leaves behind ------------------
         # Cold QLC pool (ISSUE 9): extra Value Storages on cheap
         # high-capacity devices.  Empty when tiering is off, so every
         # loop below degenerates to the fast-only layout.
-        self.cold_ssds: List[SSDDevice] = []
+        cold_ssds: List[SSDDevice] = []
         if cfg.enable_tiering:
-            self.cold_ssds = [
+            cold_ssds = [
                 SSDDevice(cfg.cold_ssd_spec, name=f"cssd{i}")
                 for i in range(cfg.num_cold_ssds)
             ]
@@ -118,23 +107,74 @@ class Prism:
         # and a primary death leaves every record recoverable.  Mirrors
         # align with storage order (fast first, then cold), so vs_id
         # indexes both lists.
-        self.mirror_ssds: List[SSDDevice] = []
+        mirror_ssds: List[SSDDevice] = []
         if cfg.mirror_chunks:
-            self.mirror_ssds = [
+            mirror_ssds = [
                 SSDDevice(cfg.ssd_spec, name=f"ssd{i}m")
                 for i in range(cfg.num_ssds)
             ] + [
                 SSDDevice(cfg.cold_ssd_spec, name=f"cssd{i}m")
-                for i in range(len(self.cold_ssds))
+                for i in range(len(cold_ssds))
             ]
+        self.media = Media(
+            NVMDevice(cfg.nvm_spec),
+            DRAMDevice(cfg.dram_spec),
+            [SSDDevice(cfg.ssd_spec, name=f"ssd{i}") for i in range(cfg.num_ssds)],
+            cold_ssds,
+            mirror_ssds,
+        )
+        # The names the paths below (and every observer) use.
+        self.nvm, self.dram = self.media.nvm, self.media.dram
+        self.ssds, self.cold_ssds, self.mirror_ssds = (
+            self.media.ssds, self.media.cold_ssds, self.media.mirror_ssds
+        )
+        # Faults are the environment's, not the engine's: the injector
+        # (dead devices, fault schedule) outlives a restart.
+        self.injector: Optional[FaultInjector] = None
+        if cfg.faults is not None:
+            self.injector = FaultInjector(
+                cfg.faults, events=self.events, metrics=self.metrics
+            )
+            self.nvm.attach_injector(self.injector)
+            for ssd in self.ssds + self.cold_ssds + self.mirror_ssds:
+                ssd.attach_injector(self.injector)
+        # One store-wide crash point shared by every instrumented
+        # component; unarmed it costs one no-op call per label.
+        self.crash_point = CrashPoint(self.crash)
 
-        # --- components --------------------------------------------------
+        # --- lifetime accounting ----------------------------------------
+        # Like the devices' byte counters these count since the store
+        # was built, across restarts (waf() divides one by the other).
+        self.bytes_put = 0
+        self.puts = 0
+        self.gets = 0
+        self.deletes = 0
+        self.scans = 0
+        self.reclaims = 0
+        self._crashed = False
+        self._attach()
+
+    def _attach(self) -> None:
+        """Build the engine — every DRAM-side object — over
+        ``self.media``, as a starting process does: on blank media
+        (``__init__``) or after a power failure (``recover``, which then
+        runs the §5.5 pass).  Nothing built here survives a restart,
+        and on used media nothing here allocates NVM."""
+        cfg = self.config
+        media = self.media
+        nvm = media.nvm
+        # Region sizes are checked as each is claimed; their number is
+        # the one thing no single claim can see.
+        if nvm.regions and len(nvm.regions) != 2 + cfg.num_threads:
+            raise RegionMismatchError(
+                f"media laid out for {len(nvm.regions) - 2} PWBs, not {cfg.num_threads}"
+            )
         self.epoch = EpochManager()
-        self.hsit = HSIT(self.nvm, cfg.hsit_capacity)
-        self.index = PACTree(self.nvm, leaf_capacity=cfg.index_leaf_capacity)
+        self.hsit = HSIT(nvm, cfg.hsit_capacity)
+        self.index = PACTree(media.heap, leaf_capacity=cfg.index_leaf_capacity)
         self.pwbs: List[PersistentWriteBuffer] = [
             PersistentWriteBuffer(
-                self.nvm, i, cfg.pwb_capacity, checksums=cfg.enable_checksums
+                nvm, i, cfg.pwb_capacity, checksums=cfg.enable_checksums
             )
             for i in range(cfg.num_threads)
         ]
@@ -145,9 +185,9 @@ class Prism:
                 cfg.chunk_size,
                 cfg.queue_depth,
                 checksums=cfg.enable_checksums,
-                mirror=self.mirror_ssds[i] if self.mirror_ssds else None,
+                mirror=media.mirror_ssds[i] if media.mirror_ssds else None,
             )
-            for i, ssd in enumerate(self.ssds + self.cold_ssds)
+            for i, ssd in enumerate(media.ssds + media.cold_ssds)
         ]
         self.combiners: List[ThreadCombiner] = [
             ThreadCombiner(
@@ -159,7 +199,7 @@ class Prism:
             for vs in self.storages
         ]
         self.svc = ScanAwareValueCache(
-            self.dram,
+            media.dram,
             cfg.svc_capacity,
             self.hsit,
             self.epoch,
@@ -173,7 +213,7 @@ class Prism:
         self.read_cache: Optional[ReadCache] = None
         if cfg.enable_read_cache:
             self.read_cache = ReadCache(
-                self.dram,
+                media.dram,
                 cfg.read_cache_capacity,
                 sketch_width=cfg.read_cache_sketch_width,
             )
@@ -192,16 +232,6 @@ class Prism:
         self._bg_tier = VThread(-4, self.clock, name="bg-tier", background=True)
         self._default_thread = VThread(0, self.clock, name="caller")
 
-        # --- stats -------------------------------------------------------
-        self.bytes_put = 0
-        self.puts = 0
-        self.gets = 0
-        self.deletes = 0
-        self.scans = 0
-        self.reclaims = 0
-        # Structured GC/reclaim history (always on: both are rare, and
-        # Figure 17 needs the events regardless of the metrics switch).
-        self.events = EventLog("prism")
         self._ops = 0
         # Hot-path caches: _tick()/put() run once per op and two-hop
         # ``self.config.*`` chases show up in profiles.
@@ -210,35 +240,23 @@ class Prism:
         self._pwb_watermark = cfg.pwb_watermark
         self._rr_storage = itertools.count()
         self._rr_cold = itertools.count()
-        self._crashed = False
         # GC reentrancy guard: cross-tier relocation can trigger GC on
         # the destination, which could relocate back and re-enter GC on
         # a storage whose victim records are already mid-move.
         self._gc_active: set = set()
 
-        # --- fault injection & retries ---------------------------------
+        # --- retries ---------------------------------------------------
         self.retry_exec = RetryExecutor(
-            cfg.retry, injector=None, events=self.events, metrics=self.metrics
+            cfg.retry, self.injector, events=self.events, metrics=self.metrics
         )
-        self.injector: Optional[FaultInjector] = None
-        if cfg.faults is not None:
-            self.injector = FaultInjector(
-                cfg.faults, events=self.events, metrics=self.metrics
-            )
-            self.retry_exec.injector = self.injector
-            self.nvm.attach_injector(self.injector)
-            for ssd in self.ssds + self.cold_ssds + self.mirror_ssds:
-                ssd.attach_injector(self.injector)
+        if self.injector is not None:
             # Failed flushes retry inside the device, covering every
             # persist point (PWB appends, HSIT publishes) at once.
-            self.nvm.attach_retry(self.retry_exec)
+            nvm.attach_retry(self.retry_exec)
             for combiner in self.combiners:
                 combiner.retry = self.retry_exec
 
         # --- crash exploration -----------------------------------------
-        # One store-wide crash point shared by every instrumented
-        # component; unarmed it costs one no-op call per label.
-        self.crash_point = CrashPoint(_WholeStoreCrash(self))
         self.hsit.crash_point = self.crash_point
         for pwb in self.pwbs:
             pwb.crash_point = self.crash_point
@@ -251,11 +269,6 @@ class Prism:
     @property
     def name(self) -> str:
         return "Prism"
-
-    @property
-    def gc_events(self) -> List[float]:
-        """GC start times (compat shim over the structured event log)."""
-        return [float(e["at"]) for e in self.events.of_kind("gc")]
 
     def _thread(self, thread: Optional[VThread]) -> VThread:
         return thread if thread is not None else self._default_thread
@@ -1285,23 +1298,19 @@ class Prism:
         self.epoch.drain()
 
     def crash(self) -> None:
-        """Simulate power failure across all devices."""
-        self.nvm.crash()
-        self.index.crash()
-        self.dram.crash()
-        self.epoch.crash()
-        self.svc.crash()
-        if self.read_cache is not None:
-            self.read_cache.crash()
-        for ssd in self.ssds + self.cold_ssds + self.mirror_ssds:
-            ssd.crash()
-        if self.tiering is not None:
-            self.tiering.crash()
+        """Simulate power failure across all devices.  The engine is
+        dead from here on; nothing is wiped, because nothing of it is
+        used again — :meth:`recover` builds another."""
+        self.media.power_failure()
         self._crashed = True
 
     def recover(self, recovery_threads: int = 4) -> "RecoveryReport":
+        """Restart: a new engine over the surviving media, brought up
+        to date by the §5.5 pass.  Handles on components (``store.hsit``,
+        ``store.svc``, ...) taken before this call name dead objects."""
         from repro.core.recovery import recover
 
+        self._attach()
         report = recover(self, recovery_threads=recovery_threads)
         self._crashed = False
         return report

@@ -19,7 +19,7 @@ utilization crosses the watermark; the paper's well-coupledness check
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.value_storage import record_crc
 from repro.faults.errors import CorruptionError
@@ -57,8 +57,10 @@ class PersistentWriteBuffer:
         self.capacity = capacity
         self.checksums = checksums
         self.header_size = CHECKED_RECORD_HEADER if checksums else RECORD_HEADER
-        self.base = nvm.alloc(capacity, align=256)
+        self.base = nvm.region(f"pwb{pwb_id}", capacity)
         # Absolute (monotonic) offsets; ring position = offset % capacity.
+        # The cursors are DRAM: a buffer attached to a region that holds
+        # records starts empty until recovery calls :meth:`adopt`.
         self.head = 0
         self.tail = 0
         # (upto, done_at): a background reclamation has drained
@@ -72,8 +74,8 @@ class PersistentWriteBuffer:
         self.appends = 0
         self.bytes_appended = 0
         # Volatile list of record offsets, oldest first.  Reclamation
-        # iterates it instead of parsing ring padding; recovery never
-        # needs it (live PWB records are found through the HSIT).
+        # iterates it instead of parsing ring padding; recovery finds
+        # live PWB records through the HSIT and hands them to adopt().
         self._offsets: deque = deque()
 
     # ------------------------------------------------------------------
@@ -93,13 +95,6 @@ class PersistentWriteBuffer:
     def record_bytes(self, value_len: int) -> int:
         raw = self.header_size + value_len
         return -(-raw // _ALIGN) * _ALIGN
-
-    def _frame(self, hsit_idx: int, value: bytes) -> bytes:
-        """Build one on-NVM record: header (+ optional CRC32) + value."""
-        header = hsit_idx.to_bytes(8, "little") + len(value).to_bytes(4, "little")
-        if not self.checksums:
-            return header + value
-        return header + record_crc(header, value).to_bytes(4, "little") + value
 
     def _parse(self, header: bytes, value: bytes, offset: int) -> Tuple[int, bytes]:
         """Verify (when enabled) and split a record already loaded."""
@@ -138,7 +133,7 @@ class PersistentWriteBuffer:
         """
         if not value:
             raise ValueError("PWB records must carry a non-empty value")
-        # record_bytes / _advance_over_wrap / _frame inlined: one append
+        # record_bytes / _advance_over_wrap inlined: one append
         # per put makes this the hottest PWB entry point.
         vlen = len(value)
         raw = self.header_size + vlen
@@ -249,10 +244,25 @@ class PersistentWriteBuffer:
             self.pending_release = None
             self.release_through(upto)
 
-    def reset(self) -> None:
-        """Empty the buffer (recovery flushes live records elsewhere)."""
-        self.head = 0
-        self.tail = 0
-        self.pending_release = None
-        self.reclaim_done_at = 0.0
-        self._offsets.clear()
+    # ------------------------------------------------------------------
+    # recovery
+    # ------------------------------------------------------------------
+    def peek(self, offset: int) -> Tuple[int, bytes]:
+        """:meth:`read` for recovery: untimed, and not confined to
+        ``[tail, head)`` — a freshly attached buffer has no cursors."""
+        pos = self.base + offset % self.capacity
+        header = self.nvm.load(None, pos, self.header_size)
+        size = int.from_bytes(header[8:12], "little")
+        value = self.nvm.load(None, pos + self.header_size, size)
+        return self._parse(header, value, offset)
+
+    def adopt(self, offsets: Sequence[int]) -> None:
+        """Take over the live records recovery found but could not move
+        to Value Storage: ``offsets`` (ascending) become the record
+        list, the lowest the tail, the end of the highest the head.
+        Anything else in the region is dead and gets overwritten."""
+        if offsets:
+            last = offsets[-1]
+            self.tail = offsets[0]
+            self.head = last + self.record_bytes(len(self.peek(last)[1]))
+            self._offsets = deque(offsets)

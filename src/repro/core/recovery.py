@@ -1,6 +1,8 @@
 """Cross-media recovery (§5.5).
 
-After a power failure Prism owns no logs to replay.  Instead:
+After a power failure Prism owns no logs to replay.  ``Prism.recover``
+has just attached a new engine to the media — empty caches, bitmaps
+and cursors — and this pass fills it in from NVM and SSD:
 
 1. the Persistent Key Index recovers itself (rebuilds its volatile
    search layer from the durable data layer);
@@ -8,12 +10,13 @@ After a power failure Prism owns no logs to replay.  Instead:
    dirty bits are normalized and SVC words nullified (DRAM is gone);
 3. for entries pointing into a PWB, well-coupledness (backward pointer
    == entry index) validates the record; live PWB records are flushed
-   to Value Storage so the buffers restart empty;
+   to Value Storage so the buffers restart empty (when the flush fails
+   each buffer adopts its live records instead);
 4. for entries pointing into Value Storage, the validity bitmaps are
    reconstructed — the paper's reason the bitmaps may live in DRAM;
 5. HSIT entries that are allocated but unreachable (a crash struck
    between entry allocation and index insertion) are returned to the
-   free list.
+   free list, and the table's in-use count is seeded from the walk.
 
 The recovery virtual time charges the same device traffic the paper
 describes: NVM scans of index + HSIT + live PWB data, plus record
@@ -68,7 +71,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
     live_vs: Dict[int, Dict[Tuple[int, int], Tuple[int, int]]] = {
         vs.vs_id: {} for vs in prism.storages
     }
-    pwb_flush: List[Tuple[int, int, bytes]] = []  # (hsit_idx, pwb_id, value)
+    pwb_flush: List[Tuple[int, int, int, bytes]] = []  # (hsit_idx, pwb_id, offset, value)
     repair_flush: List[Tuple[int, bytes]] = []  # corrupt records healed from mirror
     corrupt_lost = 0
     reachable = set()
@@ -86,8 +89,8 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
             if back != idx:
                 dropped.append(key)
                 continue
-            _, value = pwb.read(loc.pwb_offset)
-            pwb_flush.append((idx, loc.pwb_id, value))
+            _, value = pwb.peek(loc.pwb_offset)
+            pwb_flush.append((idx, loc.pwb_id, loc.pwb_offset, value))
         elif loc.in_vs:
             vs = prism.storages[loc.vs_id]
             base = loc.chunk_id * vs.chunk_size + loc.vs_offset
@@ -153,17 +156,17 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
     for vs in prism.storages:
         vs.rebuild_from(live_vs[vs.vs_id])
 
-    # (3) flush live PWB records out and reset the buffers.  If the
-    # flush cannot complete (devices failing during recovery), the
-    # records — and the HSIT pointers naming them — stay in the PWBs,
-    # which therefore must NOT be reset: the store comes up consistent,
-    # just with non-empty write buffers.
+    # (3) flush live PWB records out, leaving the buffers as they were
+    # attached: empty.  If the flush cannot complete (devices failing
+    # during recovery), the records — and the HSIT pointers naming them
+    # — stay in the PWBs, which adopt them: the store comes up
+    # consistent, just with non-empty write buffers.
     flushed = 0
     corrupt_repaired = 0
     flush_ok = True
-    publish_items = [(idx, value) for idx, _, value in pwb_flush] + repair_flush
+    publish_items = [(idx, value) for idx, _, _, value in pwb_flush] + repair_flush
     if publish_items:
-        nvm_reread = sum(len(value) for _, _, value in pwb_flush)
+        nvm_reread = sum(len(value) for *_, value in pwb_flush)
         if nvm_reread:
             prism.nvm.charge_read(rt, nvm_reread)
         try:
@@ -197,9 +200,11 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
                 corrupt_repaired = len(repair_flush)
                 for _ in repair_flush:
                     prism.metrics.counter("corruption.repaired").inc()
-    if flush_ok:
+    if not flush_ok:
         for pwb in prism.pwbs:
-            pwb.reset()
+            pwb.adopt(sorted(
+                offset for _, pwb_id, offset, _ in pwb_flush if pwb_id == pwb.pwb_id
+            ))
     prism.crash_point.maybe_crash("recover.flushed")
 
     # (5) reclaim allocated-but-unreachable entries (crashed inserts).
@@ -248,7 +253,8 @@ def _mirror_copy(prism: "Prism", vs, loc: ptr.Location, idx: int):
 
 
 def _reclaim_unreachable(prism: "Prism", reachable: set, rt: VThread) -> int:
-    """Free HSIT entries no key maps to (and not already free)."""
+    """Free HSIT entries no key maps to (and not already free), and
+    seed the table's DRAM counters with what is left in use."""
     hsit = prism.hsit
     next_unused = hsit.next_unused
     free_set = set(hsit.free_entries())
@@ -258,5 +264,6 @@ def _reclaim_unreachable(prism: "Prism", reachable: set, rt: VThread) -> int:
             continue
         hsit.free(idx)
         leaked += 1
+    hsit.allocations = hsit.frees + next_unused - len(free_set) - leaked
     prism.nvm.charge_read(rt, 16 * next_unused)
     return leaked

@@ -72,8 +72,6 @@ class SVCEntry:
 class ScanAwareValueCache:
     """2Q value cache with scan-range writeback."""
 
-    volatile = True  # crashed first by CrashScenario.power_failure
-
     def __init__(
         self,
         dram: DRAMDevice,
@@ -434,14 +432,3 @@ class ScanAwareValueCache:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return sum(1 for e in self.entries.values() if not e.freed)
-
-    def crash(self) -> None:
-        """DRAM loses everything — the entry-id allocator included, so
-        post-recovery entries reuse pre-crash ids."""
-        self.entries.clear()
-        self._next_id = 0
-        self.inactive.clear()
-        self.active.clear()
-        self._pending.clear()
-        self.used = 0
-        self.active_bytes = 0

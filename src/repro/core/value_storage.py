@@ -525,16 +525,15 @@ class ValueStorage:
     # recovery
     # ------------------------------------------------------------------
     def rebuild_from(self, live: Dict[Tuple[int, int], Tuple[int, int]]) -> None:
-        """Reconstruct chunk state and validity bitmaps after a crash.
+        """Give a freshly attached storage the chunk state and validity
+        bitmaps of what is on its SSD.
 
         ``live`` maps (chunk_id, offset) -> (hsit_idx, size) for every
         record the HSIT proved reachable.  Everything else is garbage;
-        untouched chunks return to the free list.  No chunk is left
-        open: what a crashed append left beyond a chunk's last live
-        record is unknown, so the next batch starts a fresh chunk.
+        untouched chunks are free.  No chunk is opened: what a crashed
+        append left beyond a chunk's last live record is unknown, so
+        the next batch starts a fresh chunk.
         """
-        self._chunks.clear()
-        self.open_chunk = None
         by_chunk: Dict[int, List[Tuple[int, int, int]]] = {}
         for (chunk_id, offset), (hsit_idx, size) in live.items():
             by_chunk.setdefault(chunk_id, []).append((offset, hsit_idx, size))
@@ -542,7 +541,6 @@ class ValueStorage:
         self._holes = deque(
             cid for cid in range(self._next_unused) if cid not in by_chunk
         )
-        self._released.clear()
         for chunk_id, slots in by_chunk.items():
             info = _ChunkInfo()
             for offset, hsit_idx, size in slots:

@@ -227,7 +227,7 @@ class CrashSweep:
         if point is None:
             raise RuntimeError("the scenario never opened its explored window")
         ended = dict(point.seen)
-        point.scenario.power_failure()
+        point.power_failure()
         scenario.on_crash(system)
         total = point.stop_recording()
         self.watched = scenario.watched(system)
@@ -310,7 +310,7 @@ class CrashSweep:
                 if step is _SETTLE:
                     scenario.settle(system)
                 elif step is _RESTART:
-                    point.scenario.power_failure()
+                    point.power_failure()
                     point.arm(label, outcome.occurrence)
                     scenario.on_crash(system)
                 else:

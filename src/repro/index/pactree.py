@@ -10,8 +10,9 @@ Structure (following PACTree, SOSP '21, which the paper adopts §6):
 * **Search layer** — a volatile B+-tree mapping leaf anchor keys to
   leaf handles.  It is updated *asynchronously* after splits (PACTree's
   key idea for write scalability): lookups tolerate a stale search
-  layer by walking right along the data layer.  On recovery the search
-  layer is rebuilt from the data layer.
+  layer by walking right along the data layer.  A tree attached to a
+  heap that already holds one (a restart) rebuilds its search layer
+  from the data layer in :meth:`PACTree.recover`.
 
 Keys are ``bytes``; slots are small integers (HSIT indices for Prism,
 arbitrary payloads for other users).
@@ -25,7 +26,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.index.btree import BTree
 from repro.sim.resources import VLock
 from repro.sim.vthread import VThread
-from repro.storage.nvm import CACHE_LINE, NVMDevice, PersistentHeap
+from repro.storage.nvm import CACHE_LINE, PersistentHeap
 
 LEAF_CAPACITY = 64
 # Rough on-media footprint of a leaf: packed keys + slots + links.
@@ -53,17 +54,22 @@ class _Leaf:
 class PACTree:
     """Persistent ordered index: bytes key -> int slot."""
 
-    def __init__(self, nvm: NVMDevice, leaf_capacity: int = LEAF_CAPACITY) -> None:
+    def __init__(self, heap: PersistentHeap, leaf_capacity: int = LEAF_CAPACITY) -> None:
         if leaf_capacity < 4:
             raise ValueError(f"leaf capacity must be >= 4: {leaf_capacity}")
-        self.heap = PersistentHeap(nvm)
+        self.heap = heap
         self.leaf_capacity = leaf_capacity
         self._search = BTree(order=64)
         self._size = 0
         self.splits = 0
-        head = _Leaf(anchor=b"")
-        self._head_handle = self.heap.allocate(head, _LEAF_BYTES)
-        self.heap.commit(self._head_handle)
+        if not heap.root:
+            # A blank heap: lay down the head leaf.  Otherwise the data
+            # layer is already there, unknown to this tree's search
+            # layer and size until recover() has walked it.
+            head = heap.allocate(_Leaf(anchor=b""), _LEAF_BYTES)
+            heap.commit(head)
+            heap.root = head
+        self._head_handle = heap.root
         self._search.insert(b"", self._head_handle)
 
     def __len__(self) -> int:
@@ -227,15 +233,12 @@ class PACTree:
             handle = leaf.next_handle or None
 
     # ------------------------------------------------------------------
-    # crash / recovery
+    # recovery
     # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Power failure: leaves revert to committed state, search layer dies."""
-        self.heap.crash()
-        self._search = BTree(order=64)
-
     def recover(self, thread: Optional[VThread] = None) -> int:
-        """Rebuild the volatile search layer from the data layer.
+        """Rebuild everything volatile from the data layer: the search
+        layer, the size, and each leaf's lock (a leaf object stands for
+        NVM bytes; its lock is the DRAM beside them).
 
         Returns the number of live keys found.
         """
@@ -244,6 +247,7 @@ class PACTree:
         handle: Optional[int] = self._head_handle
         while handle:
             leaf = self.heap.get(handle)
+            leaf.lock = VLock(name=f"leaf:{leaf.anchor!r}")
             self.heap.charge_read(thread, handle)
             self._search.insert(leaf.anchor, handle)
             self._size += len(leaf.keys)

@@ -25,11 +25,12 @@ from repro.storage.specs import (
 )
 from repro.storage.base import Device, StorageError, OutOfSpaceError
 from repro.storage.dram import DRAMDevice
-from repro.storage.nvm import NVMDevice, PersistentHeap
+from repro.storage.nvm import NVMDevice, PersistentHeap, RegionMismatchError
 from repro.storage.ssd import SSDDevice
 from repro.storage.iouring import IORequest, IOUring
 from repro.storage.raid import RAID0
-from repro.storage.crash import CrashPoint, CrashScenario, SimulatedCrash
+from repro.storage.crash import CrashPoint, SimulatedCrash
+from repro.storage.media import Media
 
 __all__ = [
     "DeviceSpec",
@@ -45,11 +46,12 @@ __all__ = [
     "DRAMDevice",
     "NVMDevice",
     "PersistentHeap",
+    "RegionMismatchError",
     "SSDDevice",
     "IOUring",
     "IORequest",
     "RAID0",
-    "CrashScenario",
+    "Media",
     "CrashPoint",
     "SimulatedCrash",
 ]

@@ -85,10 +85,6 @@ class Device:
         # devices.  The shared null sentinel keeps the default free.
         self.injector = NULL_INJECTOR
 
-    # Crash ordering: volatile components are crashed first by
-    # CrashScenario.power_failure (DRAM subclasses override to True).
-    volatile = False
-
     def attach_injector(self, injector) -> None:
         """Route this device's timed IO through a fault injector."""
         self.injector = injector
@@ -144,7 +140,8 @@ class Device:
         return self.bytes_written / limit
 
     def crash(self) -> None:
-        """Drop volatile state. Subclasses override."""
+        """Drop volatile state.  Nothing by default: an SSD's completed
+        writes are durable.  DRAM and NVM override."""
 
     def reset_accounting(self) -> None:
         self.bytes_read = 0

@@ -1,9 +1,8 @@
-"""Whole-machine crash orchestration for crash-consistency tests.
+"""Crash points: where a test may pull the plug.
 
-A power failure hits every device at once: DRAM empties, NVM loses
-unflushed cache lines, completed SSD writes survive.  Tests register
-devices (and persistent heaps) with a :class:`CrashScenario` and pull
-the plug at chosen code points.
+A power failure hits every device at once
+(:meth:`repro.storage.media.Media.power_failure`): DRAM empties, NVM
+loses unflushed cache lines, completed SSD writes survive.
 
 :class:`CrashPoint` is the production-side hook: protocol code calls
 ``maybe_crash("label")`` at every boundary where a power failure has a
@@ -16,46 +15,7 @@ uninstrumented code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, runtime_checkable
-
-
-@runtime_checkable
-class Crashable(Protocol):
-    """Anything that reacts to power loss."""
-
-    def crash(self) -> None: ...
-
-
-class CrashScenario:
-    """Coordinates a simultaneous crash across registered components."""
-
-    def __init__(self) -> None:
-        self._components: List[Crashable] = []
-        self.crash_count = 0
-
-    def register(self, component: Crashable) -> Crashable:
-        """Track a component; returns it for chaining."""
-        if not isinstance(component, Crashable):
-            raise TypeError(f"{type(component).__name__} has no crash() method")
-        self._components.append(component)
-        return component
-
-    def power_failure(self) -> None:
-        """Crash every registered component, volatile-first.
-
-        Volatile components (a ``volatile = True`` attribute: DRAM, the
-        SVC) lose their contents before any persistent device rolls
-        back, so crash semantics do not depend on the order tests
-        registered components in — a DRAM cache can never be "read"
-        after NVM already reverted.
-        """
-        ordered = sorted(
-            self._components,
-            key=lambda c: not getattr(c, "volatile", False),
-        )
-        for component in ordered:
-            component.crash()
-        self.crash_count += 1
+from typing import Callable, Dict, Optional
 
 
 class CrashPoint:
@@ -67,10 +27,10 @@ class CrashPoint:
     non-recording points are free.
     """
 
-    def __init__(self, scenario) -> None:
-        # ``scenario`` needs only a ``power_failure()`` method: a real
-        # CrashScenario, or an adapter around a whole store.
-        self.scenario = scenario
+    def __init__(self, power_failure: Optional[Callable[[], None]] = None) -> None:
+        # What firing does before it unwinds the operation: a media's
+        # ``power_failure``, or a whole store's ``crash``.
+        self.power_failure = power_failure
         self._armed: str = ""
         self._countdown: int = 0
         self.fired: str = ""
@@ -111,15 +71,12 @@ class CrashPoint:
             self.fired = label
             self._armed = ""
             self.active = self.recording
-            self.scenario.power_failure()
+            self.power_failure()
             raise SimulatedCrash(label)
 
 
 class _NullCrashPoint(CrashPoint):
     """Shared inert point for components used outside a store."""
-
-    def __init__(self) -> None:
-        super().__init__(scenario=None)
 
     def arm(self, label: str, occurrence: int = 1) -> None:
         raise RuntimeError("cannot arm the null crash point")

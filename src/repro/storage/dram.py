@@ -19,8 +19,6 @@ from repro.storage.specs import DRAM_SPEC, DeviceSpec
 class DRAMDevice(Device):
     """Volatile byte-budget device."""
 
-    volatile = True  # crashed first by CrashScenario.power_failure
-
     def __init__(self, spec: Optional[DeviceSpec] = None, name: str = "dram") -> None:
         super().__init__(spec or DRAM_SPEC, name=name)
         self.used = 0

@@ -66,8 +66,8 @@ class IOUring:
             raise ValueError(f"queue depth must be >= 1: {queue_depth}")
         self.device = device
         self.queue_depth = queue_depth
-        self.batches_submitted = 0
-        self.requests_submitted = 0
+        self.batches_submitted = 0  # submit() calls
+        self.requests_submitted = 0  # SQEs, submit_one's included
         self.io_errors = 0  # CQEs that completed with an error
         self._outstanding = WaitList()  # event-ordered completion times
 
@@ -157,11 +157,6 @@ class IOUring:
         (possibly ahead) clock would change stall decisions for threads
         still behind it."""
         return self._outstanding.count_after(at)
-
-    def average_batch(self) -> float:
-        if self.batches_submitted == 0:
-            return 0.0
-        return self.requests_submitted / self.batches_submitted
 
 
 def split_into_batches(

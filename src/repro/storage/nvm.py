@@ -43,6 +43,11 @@ _ZERO_LINE = bytes(CACHE_LINE)
 LOADS_IN_FLIGHT = 10
 
 
+class RegionMismatchError(StorageError):
+    """What is being attached does not fit the regions laid out on the
+    media (another HSIT capacity, PWB size or PWB count)."""
+
+
 class NVMDevice(Device):
     """Simulated Intel Optane DCPMM with explicit persistence."""
 
@@ -52,6 +57,9 @@ class NVMDevice(Device):
         # line index -> durable content of that line before unflushed stores
         self._undo: Dict[int, bytes] = {}
         self._brk = 0  # bump allocator
+        # Durable table of named regions, name -> (base, nbytes): how a
+        # restarted process finds what an earlier one laid out.
+        self.regions: Dict[str, Tuple[int, int]] = {}
         self.flushes = 0
         self.bytes_flushed = 0
         self.fences = 0
@@ -81,6 +89,19 @@ class NVMDevice(Device):
             )
         self._brk = base + nbytes
         return base
+
+    def region(self, name: str, nbytes: int, align: int = 256) -> int:
+        """Base address of the named region: allocated the first time
+        the name is asked for, the same address every time after.  A
+        size other than the one it was laid out with raises."""
+        known = self.regions.get(name)
+        if known is None:
+            known = self.regions[name] = (self.alloc(nbytes, align), nbytes)
+        elif known[1] != nbytes:
+            raise RegionMismatchError(
+                f"{self.name}: region {name!r} is {known[1]}B, not {nbytes}B"
+            )
+        return known[0]
 
     @property
     def used(self) -> int:
@@ -567,10 +588,12 @@ class NVMDevice(Device):
     # crash
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Power failure: every unflushed line reverts to durable state."""
+        """Power failure: every unflushed line reverts to durable state
+        (and the software that retried flushes is gone)."""
         for line, durable in self._undo.items():
             self._write_raw(line * CACHE_LINE, durable)
         self._undo.clear()
+        self._retry = None
         self.crashes += 1
 
     def unflushed_lines(self) -> int:
@@ -593,6 +616,9 @@ class PersistentHeap:
         self._snapshots: Dict[int, Dict[str, object]] = {}
         self._sizes: Dict[int, int] = {}
         self._next_handle = 1
+        # Durable handle of the owner's entry object (0: none yet) —
+        # what a restarted process starts walking from.
+        self.root = 0
 
     def _fields(self, obj: object) -> Tuple[str, ...]:
         fields = getattr(obj, "persistent_fields", None)

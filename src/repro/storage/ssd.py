@@ -155,9 +155,6 @@ class SSDDevice(Device):
         end = self.charge_write_async(at, len(data))
         return end + penalty if penalty else end
 
-    def crash(self) -> None:
-        """Completed writes are durable; nothing volatile to drop here."""
-
     def scan_time(self, used_bytes: int) -> float:
         """Virtual seconds to sequentially scan ``used_bytes`` of the device.
 

@@ -161,11 +161,3 @@ class TierManager:
                 vs.ssd.bytes_written for vs in cold
             ),
         }
-
-    def crash(self) -> None:
-        """All tier state is DRAM: a crash clears it.  Placement
-        restarts from a cold sketch; the queued promotions die with the
-        process (the cold copies stay durable and readable)."""
-        self.tracker.crash()
-        self._pending.clear()
-        self._queued.clear()

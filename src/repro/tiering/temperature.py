@@ -15,8 +15,8 @@ Two complementary signals, both deterministic and DRAM-resident:
 GC asks :meth:`is_hot` when choosing which survivors stay on the fast
 tier; the read path asks :meth:`should_promote` when a cold-tier read
 suggests the record warmed back up.  Both views live in DRAM only — a
-crash resets the temperature state, which merely restarts placement
-from a cold start (the durable data is unaffected).
+restart builds a new tracker, which merely restarts placement from a
+cold start (the durable data is unaffected).
 """
 
 from __future__ import annotations
@@ -90,9 +90,3 @@ class TemperatureTracker:
     def should_promote(self, idx: int) -> bool:
         """Has a cold-tier record warmed enough to move back up?"""
         return self.frequency(idx) >= self.promote_threshold
-
-    def crash(self) -> None:
-        """DRAM loses the temperature state; placement restarts cold."""
-        self.sketch = FrequencySketch(width=self.sketch.width)
-        self._tick = 0
-        self._last_touch.clear()

@@ -115,8 +115,8 @@ def test_crash_drops_cache_and_recover_serves_correctly():
     store.get(b"k")
     assert len(store.read_cache) > 0
     store.crash()
-    assert len(store.read_cache) == 0
     store.recover()
+    assert len(store.read_cache) == 0
     assert store.get(b"k") == b"v" * 100
 
 

@@ -118,16 +118,25 @@ def test_refresh_in_place_adjusts_used_bytes(thread):
 
 
 def test_crash_clears_everything(thread):
-    cache = make_cache()
-    warm(cache, b"k", 1, b"v", thread, touches=1)
-    width = cache.sketch.width
-    cache.crash()
+    from repro.core.prism import Prism
+    from tests.conftest import small_prism_config
+
+    store = Prism(small_prism_config(enable_read_cache=True))
+    store.put(b"k", b"v", thread)
+    for _ in range(3):
+        store.get(b"k", thread)
+    old = store.read_cache
+    assert len(old) == 1 and old.sketch.estimate(b"k") > 0
+    store.crash()
+    store.recover()
+    cache = store.read_cache
+    assert cache is not old
     assert len(cache) == 0
     assert cache.used == 0
     # The admission sketch lives in the same DRAM: popularity learned
     # before the power failure must not steer admission after it.
     assert cache.sketch.estimate(b"k") == 0
-    assert cache.sketch.size == 0 and cache.sketch.width == width
+    assert cache.sketch.size == 0 and cache.sketch.width == old.sketch.width
     assert cache.lookup(b"k", thread) is None
 
 

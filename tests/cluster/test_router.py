@@ -390,7 +390,7 @@ class TestFacade:
         assert isinstance(c.waf(), float)
         stats = c.stats()
         assert stats["cluster_shards"] == 3.0
-        assert isinstance(c.gc_events, list)
+        assert all(isinstance(s.store.events.of_kind("gc"), list) for s in c.shards)
         c.flush()
         c.close()
 

@@ -9,10 +9,11 @@ from hypothesis import settings
 
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
+from repro.faults.injector import FaultConfig
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
 from repro.storage.nvm import NVMDevice
-from repro.storage.specs import FLASH_SSD_GEN4_SPEC
+from repro.storage.specs import FLASH_SSD_GEN4_SPEC, QLC_SSD_SPEC
 from repro.storage.ssd import SSDDevice
 
 KB = 1024
@@ -64,6 +65,29 @@ def small_prism_config(**overrides) -> PrismConfig:
     )
     defaults.update(overrides)
     return PrismConfig(**defaults)
+
+
+# Feature sets the restart walk and the stateful machine both run
+# under, as overrides for a config builder: alone, each optional
+# subsystem adds DRAM-side state a restart has to rebuild.
+FEATURE_CONFIGS = {
+    "bare": dict(num_threads=1),
+    # An injector with no fault rates: the retry executor is attached
+    # to the NVM device and every publish takes the discrete path.
+    "integrity": dict(
+        num_threads=1, enable_checksums=True, mirror_chunks=True,
+        faults=FaultConfig(seed=5),
+    ),
+    "tiering": dict(
+        num_threads=1, num_ssds=1, enable_tiering=True, num_cold_ssds=1,
+        cold_ssd_spec=QLC_SSD_SPEC.with_capacity(MB),
+        tier_hot_threshold=3, tier_recency_window=32,
+    ),
+    "read_cache": dict(
+        num_threads=1, enable_read_cache=True, read_cache_capacity=64 * KB
+    ),
+    "two_threads": dict(num_threads=2),
+}
 
 
 @pytest.fixture

@@ -94,15 +94,25 @@ def test_reclaimed_counter(mgr):
     assert mgr.reclaimed == 1
 
 
-def test_crash_drops_retirements_and_pins(mgr):
-    ran = []
-    mgr.enter(1)  # an operation is in flight when the power fails
-    mgr.retire(lambda: ran.append("stale"))
-    mgr.crash()
-    assert mgr.pending == 0
-    mgr.exit(1)  # the interrupted operation still unwinds through exit
+def test_crash_drops_retirements_and_pins():
+    """Retirements, pins and quiescent marks are DRAM: the manager a
+    restart builds has none of them, and the old one is never run."""
+    from repro.core.prism import Prism
+    from tests.conftest import small_prism_config
+
+    store = Prism(small_prism_config())
+    store.put(b"k", b"v")
+    store.delete(b"k")  # retires the HSIT entry
+    old = store.epoch
+    old.enter(1)  # an operation is in flight when the power fails
+    assert old.pending == 1
+    store.crash()
+    store.recover()
+    mgr = store.epoch
+    assert mgr is not old and mgr.pending == 0
+    old.exit(1)  # the interrupted operation unwinds through the dead one
     for _ in range(4):
         mgr.enter(1)
         mgr.exit(1)
         assert mgr.try_advance()  # nothing pinned survives to block it
-    assert ran == [] and mgr.reclaimed == 0
+    assert mgr.reclaimed == 0 and old.reclaimed == 0

@@ -47,7 +47,7 @@ def test_gc_triggers_under_space_pressure(tight_store):
     t = VThread(0, tight_store.clock)
     _churn(tight_store, t)
     assert sum(vs.gc_runs for vs in tight_store.storages) > 0
-    assert tight_store.gc_events
+    assert tight_store.events.of_kind("gc")
 
 
 def test_gc_preserves_all_live_values(tight_store):

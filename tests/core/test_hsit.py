@@ -5,7 +5,7 @@ from repro.core import pointers as ptr
 from repro.core.hsit import ENTRY_BYTES, HSIT, FreeListError
 from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
-from repro.storage.crash import CrashPoint, CrashScenario
+from repro.storage.crash import CrashPoint
 from repro.storage.nvm import LOADS_IN_FLIGHT, NVMDevice
 
 
@@ -340,7 +340,7 @@ class TestFusedAndDiscretePublishAgree:
         hsit = HSIT(nvm, capacity=64)
         if discrete:
             # Active, nothing armed: every label is counted, none fires.
-            hsit.crash_point = CrashPoint(CrashScenario())
+            hsit.crash_point = CrashPoint(nvm.crash)
             hsit.crash_point.start_recording()
         t = VThread(0)
         idxs = [hsit.allocate(t) for _ in range(3)]

@@ -2,7 +2,9 @@
 
 Rules interleave puts, gets, deletes, scans, flushes, and full
 crash+recover cycles.  The invariant after every rule: the store's
-visible contents equal the model of acknowledged operations.
+visible contents equal the model of acknowledged operations.  One
+machine per feature set of ``tests.conftest.FEATURE_CONFIGS`` — a
+restart rebuilds every DRAM-side subsystem, so each one gets its turn.
 """
 
 from hypothesis import settings
@@ -17,24 +19,32 @@ from hypothesis import strategies as st
 
 from repro.core.prism import Prism
 from repro.sim.vthread import VThread
-from tests.conftest import small_prism_config
+from tests.conftest import FEATURE_CONFIGS, small_prism_config
 
 keys = st.integers(min_value=0, max_value=60).map(lambda i: b"s%02d" % i)
 values = st.binary(min_size=1, max_size=300)
 
 
 class PrismMachine(RuleBasedStateMachine):
+    features = "bare"
+
     @initialize()
     def setup(self):
-        self.store = Prism(small_prism_config(num_threads=1))
-        self.thread = VThread(0, self.store.clock)
+        self.store = Prism(small_prism_config(**FEATURE_CONFIGS[self.features]))
+        # One client per PWB; writes take turns, so every buffer fills.
+        self.threads = [
+            VThread(tid, self.store.clock)
+            for tid in range(self.store.config.num_threads)
+        ]
+        self.thread = self.threads[0]
         self.model = {}
         self.crashed = False
 
     @precondition(lambda self: not self.crashed)
     @rule(key=keys, value=values)
     def put(self, key, value):
-        self.store.put(key, value, self.thread)
+        writer = self.threads[self.store.puts % len(self.threads)]
+        self.store.put(key, value, writer)
         self.model[key] = value
 
     @precondition(lambda self: not self.crashed)
@@ -80,7 +90,16 @@ class PrismMachine(RuleBasedStateMachine):
             assert len(self.store) == len(self.model)
 
 
-TestPrismStateful = PrismMachine.TestCase
-TestPrismStateful.settings = settings(
-    max_examples=15, stateful_step_count=30, deadline=None
-)
+def _machine(features: str):
+    machine = type(f"PrismMachine_{features}", (PrismMachine,), {"features": features})
+    machine.TestCase.settings = settings(
+        max_examples=15, stateful_step_count=30, deadline=None
+    )
+    return machine.TestCase
+
+
+TestPrismStateful = _machine("bare")
+TestPrismStatefulIntegrity = _machine("integrity")
+TestPrismStatefulTiering = _machine("tiering")
+TestPrismStatefulReadCache = _machine("read_cache")
+TestPrismStatefulTwoThreads = _machine("two_threads")

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pwb import PersistentWriteBuffer, PWBFullError
 from repro.storage.base import StorageError
-from repro.storage.nvm import NVMDevice
+from repro.storage.nvm import NVMDevice, RegionMismatchError
 
 
 @pytest.fixture
@@ -97,12 +97,19 @@ class TestPendingRelease:
         pwb.poll(5.0)
         assert pwb.used == 0
 
-    def test_reset(self, pwb):
+    def test_reset(self, pwb, nvm):
+        """A restart is what resets a buffer: one attached to the same
+        region gets the same bytes, no new NVM, and no cursors."""
         pwb.append(0, b"x")
         pwb.pending_release = (pwb.head, 1.0)
-        pwb.reset()
-        assert pwb.used == 0
-        assert pwb.pending_release is None
+        used = nvm.used
+        fresh = PersistentWriteBuffer(nvm, pwb_id=0, capacity=8192)
+        assert (fresh.base, nvm.used) == (pwb.base, used)
+        assert fresh.used == 0
+        assert fresh.pending_release is None
+        assert fresh.peek(0) == (0, b"x")
+        with pytest.raises(RegionMismatchError):
+            PersistentWriteBuffer(nvm, pwb_id=0, capacity=4096)
 
 
 class TestReclamationIteration:

@@ -29,6 +29,7 @@ from repro.core.prism import Prism
 from repro.faults.errors import DeviceError
 from repro.sim.vthread import VThread
 from repro.storage.specs import QLC_SSD_SPEC
+from repro.tiering import TierManager
 from tests.conftest import KB, small_prism_config
 
 BATCH = 6  # records per mover batch: first, middle and last all differ
@@ -117,7 +118,7 @@ def _gc_demotion() -> Scenario:
     expect = _put_all(store, b"d")
     store.flush()  # recent, so reclaim placed them fast
     assert all(_location(store, k).vs_id == 0 for k in expect)
-    store.tiering.tracker.crash()  # ...and now nothing is hot
+    store.tiering = TierManager(store.config)  # ...and now nothing is hot
     vs = store.storages[0]
     return Scenario(
         store, expect, lambda: store._gc(vs, store.clock.now),
@@ -132,7 +133,8 @@ def _frozen_cold():
         tier_hot_threshold=16, tier_recency_window=0, tier_promote_threshold=1
     )
     expect = _put_all(store, b"p")
-    store.tiering.tracker.crash()  # not even the last put counts as recent
+    # A new tracker: not even the last put counts as recent.
+    store.tiering = TierManager(store.config)
     store.flush()
     assert all(_location(store, k).vs_id == 1 for k in expect)
     return store, expect

@@ -220,9 +220,23 @@ class TestScanChains:
         assert len(live) == 2  # only the victim left the cache
 
 
-def test_crash_empties_cache(env):
-    hsit, _, svc, vs, _ = env
-    _cache_from_vs(hsit, svc, vs, b"k", b"v")
-    svc.crash()
-    assert len(svc) == 0
-    assert svc.used == 0
+def test_crash_empties_cache():
+    """Nothing empties the cache: the restart builds another, and
+    recovery clears the HSIT words that named the old one's entries."""
+    from repro.core.prism import Prism
+    from tests.conftest import small_prism_config
+
+    store = Prism(small_prism_config())
+    store.put(b"k", b"v" * 100)
+    store.flush()
+    assert store.get(b"k") == b"v" * 100  # from Value Storage: admitted
+    idx = store.index.lookup(b"k")
+    old = store.svc
+    assert len(old) == 1 and store.hsit.read_svc(idx) is not None
+    store.crash()
+    store.recover()
+    assert store.svc is not old
+    assert len(store.svc) == 0
+    assert store.svc.used == 0
+    assert store.hsit.read_svc(idx) is None
+    assert store.get(b"k") == b"v" * 100

@@ -143,6 +143,16 @@ class TestSyncAppend:
         assert c1 != c2
 
 
+def restarted(vs, live):
+    """What a restart does to a storage: a new one over the same SSD,
+    given the live map recovery found."""
+    fresh = ValueStorage(
+        vs.vs_id, vs.ssd, vs.chunk_size, checksums=vs.checksums, mirror=vs.mirror
+    )
+    fresh.rebuild_from(live)
+    return fresh
+
+
 class TestRebuild:
     def test_rebuild_from_live_map(self, vs, ssd):
         placements, _ = vs.write_records(0.0, [(1, b"aa"), (2, b"bb"), (3, b"cc")])
@@ -151,7 +161,7 @@ class TestRebuild:
             for (idx, _v), (c, o, s) in zip([(1, b"aa"), (2, b"bb"), (3, b"cc")], placements)
             if idx != 2
         }
-        vs.rebuild_from(live)
+        vs = restarted(vs, live)
         c, o, s = placements[0]
         assert vs.is_valid(c, o)
         with pytest.raises(StorageError):
@@ -160,7 +170,7 @@ class TestRebuild:
 
     def test_rebuild_frees_unreferenced_chunks(self, vs):
         vs.write_records(0.0, [(1, b"x")])
-        vs.rebuild_from({})
+        vs = restarted(vs, {})
         assert vs.used_chunks == 0
         assert vs.free_chunks == vs.num_chunks
 
@@ -287,7 +297,7 @@ class FreeListMachine(RuleBasedStateMachine):
     def rebuild(self, data):
         keep = data.draw(st.sets(st.sampled_from(self.used))) if self.used else set()
         live = {(cid, 0): (7, len(FULL_VALUE)) for cid in keep}
-        self.vs.rebuild_from(live)
+        self.vs = restarted(self.vs, live)
         self.model = deque(
             cid for cid in range(self.vs.num_chunks) if cid not in keep
         )
@@ -404,8 +414,9 @@ class LogHeadMachine(RuleBasedStateMachine):
 
     @rule()
     def rebuild(self):
-        self.vs.rebuild_from(
-            {place: (idx, len(value)) for place, (idx, value) in self.live.items()}
+        self.vs = restarted(
+            self.vs,
+            {place: (idx, len(value)) for place, (idx, value) in self.live.items()},
         )
         assert self.vs.open_chunk is None
 
@@ -469,6 +480,7 @@ def test_crash_while_appending_keeps_published_records(label):
     with pytest.raises(SimulatedCrash):
         store.flush()
     store.recover()
+    (vs,) = store.storages  # the restart built a new one
     assert vs.open_chunk != head  # the recovery flush took a fresh chunk
     for key, value in model.items():
         assert store.get(key, t) == value

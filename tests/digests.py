@@ -41,6 +41,31 @@ became one: between them they reach the scan fan-out across a failover,
 the async pump with spread reads and shedding, and hedges, breakers and
 a migration window in one run — paths ``cluster_a`` never enters.
 
+The restart scenario (``store_crash_resume``) was added by PR 23 and
+generated on its parent commit, before ``Prism.recover`` became a
+reconstruction (a new engine over the surviving media) and the
+per-component ``crash()`` resets were deleted.  It was re-recorded once
+in that PR; the parent-versus-change difference was bisected by letting
+one pre-crash object at a time outlive the restart, and is exactly two
+survivors that no longer survive (``recovery_sha256`` did not move):
+
+* the placement rotor (``Prism._rr_storage``) used to carry on from
+  where the dead process left it; it now starts at 0, so the storages
+  the post-restart reclaims pick rotate differently — that alone moves
+  ``metrics``, ``latencies``, ``events`` and the final vtime (put the
+  old rotor back and all four equal the parent's);
+* component counters are DRAM: ``stats()`` reported ``gc_runs``,
+  ``svc_hits``, ``svc_admissions`` and ``svc_evictions`` since the
+  store was built and now reports them since the restart (``puts``,
+  ``gets``, ``reclaims`` and ``bytes_put`` are the store's lifetime
+  ledger beside the device byte counters, and still span it).
+
+Everything else ISSUE 23 found crossing a power failure (stale ring
+completions, a pre-crash combining window, PWB cursors, lock times,
+background clocks, the epoch tick) moved no byte of this scenario, nor
+of ``bench/scalars`` and ``bench/faults``, the two older entries with a
+crash in them.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
@@ -50,6 +75,7 @@ A deliberate behaviour change regenerates it, and the diff of
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -72,8 +98,16 @@ from repro.cluster.runner import (
     RebalancePlan,
     run_cluster_workload,
 )
-from repro.faults.crash_sweep import STORE_SCENARIOS, CrashSweep, default_ops
+from repro.core.prism import Prism
+from repro.faults.crash_sweep import (
+    STORE_SCENARIOS,
+    CrashSweep,
+    default_ops,
+    tight_store_config,
+)
+from repro.sim.vthread import VThread
 from repro.storage.specs import QLC_SSD_SPEC
+from repro.workloads.generator import OpStream
 from repro.workloads.ycsb import WORKLOADS
 
 MANIFEST = Path(__file__).with_name("digests.json")
@@ -201,6 +235,60 @@ def ycsb_e_scan() -> Tuple[object, Dict[str, str]]:
     return store, _digest(store, result.metrics)
 
 
+def store_crash_resume() -> Tuple[object, Dict[str, str]]:
+    """The crash sweep's tight store (two PWBs, two SSDs, checksums, GC
+    early), YCSB-A from two clients; the power fails half way, the store
+    recovers, and the same clients carry on down the same streams.
+    Digests the store's own registry and, each under its own key, every
+    op's latency, the recovery report, ``stats()`` and the whole event
+    log."""
+    keys, ops, value_size = 300, 2400, 1024
+    store = Prism(tight_store_config(enable_metrics=True))
+    preload(store, keys, value_size, num_threads=2)
+    threads = [VThread(tid, store.clock, name=f"app-{tid}") for tid in range(2)]
+    streams = [
+        OpStream(WORKLOADS["A"], keys, value_size=value_size, seed=11 + tid).ops(ops)
+        for tid in range(2)
+    ]
+    latencies: List[float] = []
+
+    def drive(count: int) -> None:
+        for _ in range(count):
+            thread = min(threads, key=lambda t: (t.now, t.tid))
+            op = next(streams[thread.tid])
+            before = thread.now
+            if op.kind == "read":
+                store.get(op.key, thread)
+            else:
+                store.put(op.key, op.value, thread)
+            latencies.append(thread.now - before)
+
+    drive(ops // 2)
+    before = len(store.events)
+    store.crash()
+    report = store.recover(recovery_threads=2)
+    drive(ops // 2)
+    stats = store.stats()
+    after = {e["kind"] for e in store.events.events[before:]}
+    _require_exercised({
+        "values flushed out of the PWBs by recovery": report.pwb_values_flushed,
+        "reclaims": stats["reclaims"],
+        "gc runs": stats["gc_runs"],
+        "reclaims after the restart": "reclaim" in after,
+        "gc after the restart": "gc" in after,
+    })
+    digest = _digest(store, store.metrics.to_dict())
+    for name, view in (
+        ("latencies", latencies),
+        ("recovery", dataclasses.asdict(report)),
+        ("stats", stats),
+        ("events", [sorted(e.items()) for e in store.events]),
+    ):
+        payload = json.dumps(view, sort_keys=True)
+        digest[f"{name}_sha256"] = hashlib.sha256(payload.encode()).hexdigest()
+    return store, digest
+
+
 def cluster_a() -> Tuple[object, Dict[str, str]]:
     """2-shard RF=2 quorum cluster, health off, seeded uniform YCSB-A."""
     cluster = PrismCluster(
@@ -287,6 +375,7 @@ SCENARIOS: Dict[str, Callable[[], Tuple[object, Dict[str, str]]]] = {
     "ycsb_a_gc": ycsb_a_gc,
     "tiered_gc": tiered_gc,
     "ycsb_e_scan": ycsb_e_scan,
+    "store_crash_resume": store_crash_resume,
     "cluster_a": cluster_a,
     "cluster_scan_failover": cluster_scan_failover,
     "cluster_async_spread": cluster_async_spread,

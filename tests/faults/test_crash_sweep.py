@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.crash_sweep import SCENARIOS
-from repro.core.epoch import EpochManager
+from repro.core.prism import Prism
 from repro.faults.crash_sweep import CrashSweep, default_ops, main
 
 # Protocol points that any non-trivial workload must reach.
@@ -123,11 +123,20 @@ def test_crash_during_recovery_is_idempotent(sweep):
 
 
 def test_sweep_fails_when_retirements_survive_a_crash(monkeypatch):
-    """The sweep can fail: with ``EpochManager.crash`` a no-op (the
-    behaviour before it existed) a pre-crash retirement frees an HSIT
-    entry that recovery already reclaimed and a later put reused — the
-    store scenario must report it, and must terminate doing so."""
-    monkeypatch.setattr(EpochManager, "crash", lambda self: None)
+    """The sweep can fail: let the epoch manager alone outlive the
+    restart (PR 17's bug — its retirements were DRAM nobody wiped) and a
+    pre-crash retirement frees an HSIT entry that recovery already
+    reclaimed and a later put reused — the store scenario must report
+    it, and must terminate doing so."""
+    attach = Prism._attach
+
+    def attach_keeping_epoch(self):
+        survivor = getattr(self, "epoch", None)
+        attach(self)
+        if survivor is not None:
+            self.epoch = self.svc.epoch = survivor
+
+    monkeypatch.setattr(Prism, "_attach", attach_keeping_epoch)
     report = CrashSweep(SCENARIOS["store"], default_ops()).run()
     assert not report.ok
     assert report.summary().endswith("FAIL")

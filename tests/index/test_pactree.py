@@ -7,13 +7,21 @@ from bisect import bisect_left
 
 from repro.index.pactree import PACTree
 from repro.sim.vthread import VThread
-from repro.storage.nvm import NVMDevice
+from repro.storage.nvm import NVMDevice, PersistentHeap
 from tests.conftest import count_calls
 
 
 @pytest.fixture
 def tree(nvm):
-    return PACTree(nvm, leaf_capacity=8)
+    return PACTree(PersistentHeap(nvm), leaf_capacity=8)
+
+
+def restarted(tree):
+    """Power failure, then a new tree attached to the same heap."""
+    tree.heap.crash()
+    fresh = PACTree(tree.heap, leaf_capacity=tree.leaf_capacity)
+    fresh.recover()
+    return fresh
 
 
 class TestBasics:
@@ -40,7 +48,7 @@ class TestBasics:
 
     def test_leaf_capacity_validation(self, nvm):
         with pytest.raises(ValueError):
-            PACTree(nvm, leaf_capacity=2)
+            PACTree(PersistentHeap(nvm), leaf_capacity=2)
 
 
 class TestSplitsAndScan:
@@ -85,16 +93,17 @@ class TestCrashRecovery:
     def test_committed_inserts_survive(self, tree):
         for i in range(100):
             tree.insert(f"k{i:03d}".encode(), i)
-        tree.crash()
-        assert tree.recover() == 100
+        used = tree.heap.device.used
+        tree = restarted(tree)
+        assert len(tree) == 100
+        assert tree.heap.device.used == used  # attaching allocates nothing
         for i in range(100):
             assert tree.lookup(f"k{i:03d}".encode()) == i
 
     def test_search_layer_rebuilt(self, tree):
         for i in range(200):
             tree.insert(f"k{i:03d}".encode(), i)
-        tree.crash()
-        tree.recover()
+        tree = restarted(tree)
         assert tree.scan(b"k100", 5) == [
             (f"k{i:03d}".encode(), i) for i in range(100, 105)
         ]
@@ -103,8 +112,7 @@ class TestCrashRecovery:
         for i in range(50):
             tree.insert(f"k{i:02d}".encode(), i)
         tree.delete(b"k25")
-        tree.crash()
-        tree.recover()
+        tree = restarted(tree)
         assert tree.lookup(b"k25") is None
         assert tree.lookup(b"k24") == 24
 
@@ -123,12 +131,11 @@ class TestCrashRecovery:
     )
 )
 def test_property_matches_dict_and_survives_crash(entries):
-    tree = PACTree(NVMDevice(), leaf_capacity=8)
+    tree = PACTree(PersistentHeap(NVMDevice()), leaf_capacity=8)
     for k, v in entries.items():
         tree.insert(k, v)
     assert list(tree.items()) == sorted(entries.items())
-    tree.crash()
-    tree.recover()
+    tree = restarted(tree)
     assert list(tree.items()) == sorted(entries.items())
 
 
@@ -158,7 +165,7 @@ def _scan_per_key(tree, start, count, thread):
 
 
 def _filled(leaf_capacity, keys):
-    tree = PACTree(NVMDevice(), leaf_capacity=leaf_capacity)
+    tree = PACTree(PersistentHeap(NVMDevice()), leaf_capacity=leaf_capacity)
     for i in range(keys):
         tree.insert(b"k%05d" % i, i)
     return tree

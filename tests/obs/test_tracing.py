@@ -91,14 +91,25 @@ class TestStructuredEvents:
             assert event["scanned_records"] >= event["live_records"] >= 0
             assert event["duration"] >= 0
 
-    def test_gc_events_compat_property(self):
-        """Legacy consumers read gc_events as a list of timestamps."""
+    def test_timeline_gc_marks_come_from_the_event_log(self):
+        """The runner marks the timeline at each ``gc`` event of the
+        measured window — and at nothing else in the log."""
+        from repro.bench.runner import preload, run_workload
+        from repro.workloads.ycsb import WORKLOADS
+
         store = Prism(small_prism_config())
-        store.events.emit(1.25, "gc", vs_id=0, victim_chunks=1,
-                          moved_records=0, moved_bytes=0, chunks_freed=1,
-                          duration=0.0)
-        store.events.emit(2.0, "reclaim", pwb_id=0)
-        assert store.gc_events == [1.25]
+        preload(store, 50, 128)
+        now = store.clock.now
+        gc = dict(vs_id=0, victim_chunks=1, moved_records=0, moved_bytes=0,
+                  chunks_freed=1, duration=0.0)
+        store.events.emit(now - 1.0, "gc", **gc)  # before the window
+        store.events.emit(now + 2.5e-3, "gc", **gc)
+        store.events.emit(now + 4.5e-3, "reclaim", pwb_id=0)
+        result = run_workload(
+            store, WORKLOADS["C"], 20, 50, 1, 128, timeline_bucket=1e-3
+        )
+        assert result.timeline.events == {2: ["gc"]}
+        assert [e["at"] for e in result.metrics["events"]["gc"]] == [now + 2.5e-3]
 
 
 class TestDeviceSampler:

@@ -1,73 +1,88 @@
 import pytest
 
-from repro.storage.crash import CrashPoint, CrashScenario, SimulatedCrash
+from repro.storage.crash import CrashPoint, SimulatedCrash
 from repro.storage.dram import DRAMDevice
+from repro.storage.media import Media
 from repro.storage.nvm import NVMDevice
 from repro.storage.specs import DRAM_SPEC
+from repro.storage.ssd import SSDDevice
 
 
-def test_register_requires_crashable():
-    scenario = CrashScenario()
-    with pytest.raises(TypeError):
-        scenario.register(object())
+def small_media():
+    return Media(NVMDevice(), DRAMDevice(DRAM_SPEC), [SSDDevice()], [], [SSDDevice()])
+
+
+class Leaf:
+    persistent_fields = ("keys",)
+
+    def __init__(self):
+        self.keys = []
 
 
 def test_power_failure_hits_all_components():
-    scenario = CrashScenario()
-    nvm = scenario.register(NVMDevice())
-    dram = scenario.register(DRAMDevice(DRAM_SPEC))
-    addr = nvm.alloc(64)
-    nvm.store(None, addr, b"lost")
-    dram.allocate(100)
-    scenario.power_failure()
-    assert nvm.load(None, addr, 4) == b"\0\0\0\0"
-    assert dram.used == 0
-    assert scenario.crash_count == 1
+    media = small_media()
+    addr = media.nvm.alloc(64)
+    media.nvm.store(None, addr, b"lost")
+    media.dram.allocate(100)
+    media.ssds[0].write_raw(0, b"kept")
+    leaf = Leaf()
+    handle = media.heap.allocate(leaf, 64)
+    media.heap.commit(handle)
+    leaf.keys.append(b"uncommitted")
+    media.power_failure()
+    assert media.nvm.load(None, addr, 4) == b"\0\0\0\0"
+    assert media.dram.used == 0
+    assert media.ssds[0].read_raw(0, 4) == b"kept"
+    assert media.heap.get(handle).keys == []
+    assert media.nvm.crashes == 1
 
 
 def test_crash_point_fires_only_when_armed():
-    scenario = CrashScenario()
-    point = CrashPoint(scenario)
+    media = small_media()
+    point = CrashPoint(media.power_failure)
     point.maybe_crash("after-write")  # unarmed: no-op
     point.arm("after-write")
     with pytest.raises(SimulatedCrash):
         point.maybe_crash("after-write")
     assert point.fired == "after-write"
+    assert media.nvm.crashes == 1
     # disarms after firing
     point.maybe_crash("after-write")
+    assert media.nvm.crashes == 1
 
 
 def test_crash_point_ignores_other_labels():
-    scenario = CrashScenario()
-    point = CrashPoint(scenario)
+    media = small_media()
+    point = CrashPoint(media.power_failure)
     point.arm("b")
     point.maybe_crash("a")
-    assert scenario.crash_count == 0
+    assert media.nvm.crashes == 0
 
 
 def test_power_failure_volatile_components_crash_first():
+    """DRAM is gone before anything persistent rolls back, and every
+    device of the media is hit, mirrors included."""
+    media = small_media()
     order = []
+    for name, device in [
+        ("nvm", media.nvm), ("dram", media.dram), ("ssd", media.ssds[0]),
+        ("mirror", media.mirror_ssds[0]), ("heap", media.heap),
+    ]:
+        device.crash = lambda name=name: order.append(name)
+    media.power_failure()
+    assert order == ["dram", "nvm", "heap", "ssd", "mirror"]
 
-    class Dev:
-        def __init__(self, name, volatile):
-            self.name = name
-            self.volatile = volatile
 
-        def crash(self):
-            order.append(self.name)
-
-    scenario = CrashScenario()
-    scenario.register(Dev("nvm", volatile=False))
-    scenario.register(Dev("dram", volatile=True))
-    scenario.register(Dev("ssd", volatile=False))
-    scenario.register(Dev("svc", volatile=True))
-    scenario.power_failure()
-    assert order[:2] == ["dram", "svc"]  # volatile first, stable order
-    assert order[2:] == ["nvm", "ssd"]
+def test_media_holds_no_engine_after_power_failure():
+    """What retried failed flushes was software: it goes with the power."""
+    media = small_media()
+    media.nvm.attach_retry(object())
+    media.power_failure()
+    assert media.nvm._retry is None
 
 
 def test_crash_point_nth_occurrence():
-    point = CrashPoint(CrashScenario())
+    point = CrashPoint(lambda: None)
     with pytest.raises(ValueError):
         point.arm("loop", occurrence=0)
     point.arm("loop", occurrence=3)
@@ -79,7 +94,7 @@ def test_crash_point_nth_occurrence():
 
 
 def test_crash_point_recording_counts_labels():
-    point = CrashPoint(CrashScenario())
+    point = CrashPoint(lambda: None)
     point.start_recording()
     for _ in range(3):
         point.maybe_crash("a")

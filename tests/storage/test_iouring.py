@@ -95,11 +95,19 @@ class TestSubmission:
         assert ring.inflight_at(0.0) in (2, 3)  # submission costs may reap none
         assert ring.inflight_at(max(r.completion for r in reqs)) == 0
 
-    def test_average_batch(self, ring):
-        assert ring.average_batch() == 0.0
-        ring.submit(0.0, [IORequest("read", 0, 512)] )
+    def test_counters_tell_batches_from_single_sqes(self, ring):
+        """``requests_submitted`` counts every SQE, ``batches_submitted``
+        only ``submit()`` calls — their ratio is not a batch size once
+        ``submit_one`` (the thread combiner's path) is in the mix, which
+        is why the ring has no ``average_batch`` of its own
+        (``ThreadCombiner.average_batch`` counts its own batches)."""
+        ring.submit(0.0, [IORequest("read", 0, 512)])
         ring.submit(0.0, [IORequest("read", 0, 512), IORequest("read", 4096, 512)])
-        assert ring.average_batch() == pytest.approx(1.5)
+        assert (ring.requests_submitted, ring.batches_submitted) == (3, 2)
+        for i in range(4):
+            ring.submit_one(0.0, IORequest("read", i * 4096, 512))
+        assert (ring.requests_submitted, ring.batches_submitted) == (7, 2)
+        assert not hasattr(ring, "average_batch")
 
     def test_invalid_queue_depth(self, ssd):
         with pytest.raises(ValueError):

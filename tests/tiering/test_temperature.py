@@ -54,12 +54,21 @@ def test_promote_threshold_independent_of_hot():
 
 
 def test_crash_clears_all_state():
-    t = TemperatureTracker()
+    from repro.core.prism import Prism
+    from tests.conftest import small_prism_config
+
+    store = Prism(small_prism_config(enable_tiering=True))
+    old = store.tiering.tracker
     for _ in range(5):
-        t.touch(7)
-    t.crash()
+        old.touch(7)
+    store.tiering.enqueue_promotion(7, 0, b"v")
+    store.crash()
+    store.recover()
+    t = store.tiering.tracker
+    assert t is not old
     assert t.frequency(7) == 0
     assert not t.is_recent(7)
+    assert not store.tiering.has_pending()
 
 
 def test_keys_do_not_alias_trivially():
