@@ -10,7 +10,9 @@ The limits sit 3 % (``host_calls_per_op``) and 1 % (``vt_*``, ``waf``,
 an interpreter version*, so a gate that limits it names the CPython it
 was measured on and this script refuses to compare under another;
 virtual-time metrics and byte counts are exact for a seed on any
-interpreter, so a gate on those alone names none and runs anywhere.
+interpreter, so a gate on those alone names none and runs anywhere
+(all four committed gates limit the call count, so CI runs them on the
+one they name).
 After a deliberate change, re-measure with the command this script
 prints and move the numbers in the same PR.
 """

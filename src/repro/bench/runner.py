@@ -1,20 +1,27 @@
 """Virtual-threaded workload execution.
 
-The driver keeps a heap of virtual threads ordered by their local
-clocks and always advances the earliest one, so operations from
-different threads interleave in virtual time exactly as their
-latencies dictate — that interleaving is what feeds contention into
-the shared resources (device channels, locks, IO rings, the thread
-combiner).
+One closed loop (:func:`closed_loop`) drives everything: it keeps a
+heap of virtual threads ordered by their local clocks and always
+advances the earliest one, so operations from different threads
+interleave in virtual time exactly as their latencies dictate — that
+interleaving is what feeds contention into the shared resources
+(device channels, locks, IO rings, the thread combiner).
+
+:func:`preload`, the warm-up and the measured window of
+:func:`run_workload`, :func:`repro.cluster.runner.run_cluster_workload`
+and :func:`repro.workloads.trace.replay` are callers of that loop; they
+differ in the op iterators, sinks and mid-run actions they hand it,
+and the two drivers share :func:`finish_run` for what follows it.
 """
 
 from __future__ import annotations
 
-import heapq
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.faults.ledger import WriteLedger
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sampler import DeviceSampler
 from repro.sim.stats import LatencyRecorder, Timeline
@@ -26,6 +33,12 @@ from repro.workloads.ycsb import WorkloadSpec
 # this into an every-N-ops cadence so short and long runs both get a
 # usable timeseries without unbounded memory.
 SAMPLE_POINTS = 128
+
+# A mid-run action: ``fire(thread)`` runs once, before the first op
+# taken when ``at_op`` ops have executed.
+Action = Tuple[int, Callable[[VThread], None]]
+
+_WRITES = frozenset(("update", "insert", "delete"))
 
 
 @dataclass
@@ -75,14 +88,243 @@ class RunResult:
         )
 
 
-def _make_threads(store, count: int) -> List[VThread]:
-    now = store.clock.now
-    threads = []
-    for tid in range(count):
-        thread = VThread(tid, store.clock, name=f"app-{tid}")
-        thread.now = now
-        threads.append(thread)
-    return threads
+@dataclass
+class Window:
+    """What one pass of :func:`closed_loop` measured."""
+
+    start: float  # virtual time the window opened
+    duration: float  # virtual seconds until the last thread finished
+    latency: LatencyRecorder  # one sample per op, counted failures included
+    per_kind: Dict[str, LatencyRecorder]
+    waf: float  # SSD bytes written per byte put, inside the window
+    shed: int  # ops refused before any work (``shed_errors``)
+    failed: int  # ops that failed part-way (``failed_errors``)
+
+    @property
+    def ops(self) -> int:
+        return len(self.latency.samples)
+
+
+def make_threads(store, count: int, prefix: str = "app") -> List[VThread]:
+    return [VThread(tid, store.clock, name=f"{prefix}-{tid}") for tid in range(count)]
+
+
+def op_streams(
+    spec: WorkloadSpec,
+    num_keys: int,
+    num_threads: int,
+    value_size: int,
+    theta: float,
+    seed: int,
+) -> List[OpStream]:
+    """One stream per client.  Seeds mix in the workload name so
+    back-to-back runs on one store do not replay identical key
+    sequences (which would make every cache look perfect)."""
+    insert_seq = (
+        InsertSequence(0, shuffle_span=4096, seed=seed)
+        if spec.name == "LOAD"
+        else None
+    )
+    mixed_seed = zlib.crc32(f"{seed}:{spec.name}".encode())
+    return [
+        OpStream(
+            spec,
+            num_keys,
+            value_size=value_size,
+            theta=theta,
+            seed=mixed_seed + i,
+            insert_seq=insert_seq,
+        )
+        for i in range(num_threads)
+    ]
+
+
+def split_ops(streams: List[OpStream], num_ops: int) -> List[Iterator[Op]]:
+    """``num_ops`` dealt over the streams, the remainder to the first."""
+    base, extra = divmod(num_ops, len(streams))
+    return [s.ops(base + (1 if i < extra else 0)) for i, s in enumerate(streams)]
+
+
+def closed_loop(
+    target,
+    threads: List[VThread],
+    iters: Sequence[Iterator[Op]],
+    registry: Optional[MetricsRegistry] = None,
+    timeline: Optional[Timeline] = None,
+    sampler: Optional[DeviceSampler] = None,
+    sample_every: int = 1,
+    actions: Sequence[Action] = (),
+    shed_errors: Tuple[type, ...] = (),
+    failed_errors: Tuple[type, ...] = (),
+    ledger: Optional[WriteLedger] = None,
+    read_split: Optional[Callable[[], List[float]]] = None,
+) -> Window:
+    """Pop the earliest virtual thread, run its next op, push it back —
+    until every thread's iterator (``iters[i]`` feeds ``threads[i]``;
+    threads may share one) has run out.
+
+    Everything beyond that is handed in, and costs a ``None``/empty
+    test per op when it is not:
+
+    * sinks — ``registry`` gets ``op.all`` / ``op.<kind>`` histograms,
+      ``timeline`` the completions and the time the first thread ran
+      dry, ``sampler`` a device sample every ``sample_every`` ops and
+      at both ends;
+    * ``actions`` — each fires once, earliest first and ties in the
+      order given; one whose ``at_op`` is the op count fires after the
+      last op, still inside the window;
+    * ``shed_errors`` / ``failed_errors`` — exception classes counted
+      instead of raised (refused before any work / failed part-way);
+      anything else ends the run.  ``ledger`` is fed the writes:
+      acknowledged, or — failed — interrupted;
+    * ``read_split`` — called before each read, returns one more sample
+      list for that read's latency.
+    """
+    start = max([t.now for t in threads])
+    heap = [(t.now, i) for i, t in enumerate(threads)]
+    heapify(heap)
+    pending = sorted(actions, key=lambda action: action[0])[::-1]
+    latency = LatencyRecorder("all")
+    per_kind: Dict[str, LatencyRecorder] = {}
+    # elapsed is non-negative by clock monotonicity, so the recorders'
+    # guard is skipped by appending to the sample lists directly; the
+    # per-kind sinks (sample list append, histogram record) are
+    # resolved on a kind's first op.
+    latency_append = latency.samples.append
+    record_all = registry.histogram("op.all").record if registry is not None else None
+    kind_sinks: Dict[str, tuple] = {}
+    get = target.get
+    put = target.put
+    executed = shed = failed = 0
+    ssd_written_before = target.ssd_bytes_written()
+    bytes_put_before = target.bytes_put
+    if sampler is not None:
+        sampler.sample(start)
+    while heap:
+        _, i = heappop(heap)
+        thread = threads[i]
+        op = next(iters[i], None)
+        if op is None:
+            if timeline is not None and timeline.drain_at is None:
+                timeline.drain_at = thread.now - start
+            continue
+        while pending and executed >= pending[-1][0]:
+            pending.pop()[1](thread)
+        kind = op.kind
+        split = read_split() if read_split is not None and kind == "read" else None
+        before = thread.now
+        try:
+            if kind == "read":
+                get(op.key, thread)
+            elif kind == "update" or kind == "insert":
+                put(op.key, op.value, thread)
+            elif kind == "scan":
+                target.scan(op.key, op.scan_length, thread)
+            elif kind == "delete":
+                target.delete(op.key, thread)
+            else:
+                raise ValueError(f"unknown op kind: {kind}")
+        except shed_errors:
+            # Refused before any work: definitively not applied, so a
+            # shed write is neither acked nor in doubt.
+            shed += 1
+        except failed_errors:
+            failed += 1
+            if ledger is not None and kind in _WRITES:
+                ledger.interrupt(op.key, before, thread.now, op.value)
+        else:
+            if ledger is not None and kind in _WRITES:
+                ledger.ack(op.key, before, thread.now, op.value)
+        elapsed = thread.now - before
+        latency_append(elapsed)
+        sink = kind_sinks.get(kind)
+        if sink is None:
+            recorder = per_kind[kind] = LatencyRecorder(kind)
+            sink = kind_sinks[kind] = (
+                recorder.samples.append,
+                registry.histogram(f"op.{kind}").record
+                if registry is not None
+                else None,
+            )
+        sink[0](elapsed)
+        if record_all is not None:
+            record_all(elapsed)
+            sink[1](elapsed)
+        if split is not None:
+            split.append(elapsed)
+        if timeline is not None:
+            timeline.record(thread.now - start)
+        executed += 1
+        if sampler is not None and executed % sample_every == 0:
+            sampler.sample(thread.now)
+        heappush(heap, (thread.now, i))
+    while pending:
+        pending.pop()[1](thread)
+    duration = max([t.now for t in threads]) - start
+    if sampler is not None:
+        sampler.sample(start + duration)
+    new_put = target.bytes_put - bytes_put_before
+    new_ssd = target.ssd_bytes_written() - ssd_written_before
+    waf = (new_ssd / new_put) if new_put else 0.0
+    return Window(start, duration, latency, per_kind, waf, shed, failed)
+
+
+def window_events(target, start: float) -> List[Dict[str, object]]:
+    """The target's structured events from ``start`` on (the baselines
+    log none), so a window reports only what happened inside it."""
+    return [e for e in getattr(target, "events", ()) if e["at"] >= start]
+
+
+def finish_run(
+    target,
+    workload: str,
+    window: Window,
+    registry: Optional[MetricsRegistry] = None,
+    gauges: Optional[Dict[str, float]] = None,
+    timeline: Optional[Timeline] = None,
+) -> RunResult:
+    """Turn a window into its :class:`RunResult`; with a ``registry``,
+    first complete it — the run gauges plus the caller's ``gauges``,
+    ``stats.*``, and the window's events — and snapshot it."""
+    stats = target.stats()
+    metrics: Optional[Dict[str, object]] = None
+    if registry is not None:
+        for event in window_events(target, window.start):
+            registry.events(str(event["kind"])).events.append(dict(event))
+        run_gauges = {
+            "ops": window.ops, "duration_s": window.duration, "waf": window.waf,
+        }
+        if window.duration > 0:
+            run_gauges["throughput_ops"] = window.ops / window.duration
+        run_gauges.update(gauges or {})
+        run_gauges.update((f"stats.{key}", value) for key, value in stats.items())
+        for name, value in run_gauges.items():
+            registry.gauge(name).set(value)
+        metrics = registry.to_dict()
+    return RunResult(
+        store_name=target.name,
+        workload=workload,
+        ops=window.ops,
+        duration=window.duration,
+        latency=window.latency,
+        per_kind=window.per_kind,
+        waf=window.waf,
+        stats=stats,
+        timeline=timeline,
+        metrics=metrics,
+    )
+
+
+def _redirect_phases(store, registry: MetricsRegistry) -> Optional[MetricsRegistry]:
+    """Point a store that traces phases (``enable_metrics``) at
+    ``registry``; returns its own registry, to be put back after, or
+    ``None`` when it traces none.  Metrics never touch virtual time, so
+    the simulated state is bit-identical either way."""
+    own = getattr(store, "metrics", None)
+    if own is None or not own.enabled:
+        return None
+    store.metrics = registry
+    return own
 
 
 def preload(
@@ -94,31 +336,21 @@ def preload(
 ) -> None:
     """Load the dataset in random order (the paper's LOAD phase),
     without recording metrics."""
-    threads = _make_threads(store, num_threads)
     seq = InsertSequence(0, shuffle_span=min(num_keys, 4096), seed=seed)
-    heap = [(t.now, i) for i, t in enumerate(threads)]
-    heapq.heapify(heap)
-    # Honour the "without recording metrics" contract literally: a
-    # store with phase tracing enabled gets the null registry for the
-    # duration of the load, which also makes preloading large datasets
-    # noticeably faster.  Metrics never touch virtual time, so the
-    # loaded state is bit-identical either way.
-    own = getattr(store, "metrics", None)
-    if own is not None and own.enabled:
-        store.metrics = NULL_REGISTRY
-    else:
-        own = None
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    put = store.put
-    seq_next = seq.next
-    try:
+
+    def inserts() -> Iterator[Op]:
         for _ in range(num_keys):
-            _, i = heappop(heap)
-            thread = threads[i]
-            key = make_key(seq_next())
-            put(key, make_value(key, value_size), thread)
-            heappush(heap, (thread.now, i))
+            key = make_key(seq.next())
+            yield Op("insert", key, make_value(key, value_size))
+
+    # Every thread draws from the one sequence: whichever is earliest
+    # inserts the next key.  "Without recording metrics" is honoured
+    # literally — a phase-tracing store gets the null registry for the
+    # load, which also makes large datasets noticeably faster to load.
+    shared = inserts()
+    own = _redirect_phases(store, NULL_REGISTRY)
+    try:
+        closed_loop(store, make_threads(store, num_threads), [shared] * num_threads)
     finally:
         if own is not None:
             store.metrics = own
@@ -140,10 +372,7 @@ def run_workload(
     """Execute ``num_ops`` of ``spec`` against a loaded store.
 
     ``warmup_ops`` are executed first without being recorded, so the
-    measured window reflects steady-state cache contents.  Stream seeds
-    mix in the workload name so back-to-back runs on one store do not
-    replay identical key sequences (which would make every cache look
-    perfect).
+    measured window reflects steady-state cache contents.
 
     With ``collect_metrics`` (the default) the run gets a fresh
     :class:`MetricsRegistry`: per-op latency histograms (``op.all``
@@ -157,193 +386,30 @@ def run_workload(
     """
     if num_ops < 1:
         raise ValueError(f"need at least one op: {num_ops}")
-    threads = _make_threads(store, num_threads)
-    insert_seq = (
-        InsertSequence(0, shuffle_span=4096, seed=seed)
-        if spec.name == "LOAD"
-        else None
-    )
-    mixed_seed = zlib.crc32(f"{seed}:{spec.name}".encode())
-    streams = [
-        OpStream(
-            spec,
-            num_keys,
-            value_size=value_size,
-            theta=theta,
-            seed=mixed_seed + i,
-            insert_seq=insert_seq,
-        )
-        for i in range(num_threads)
-    ]
+    threads = make_threads(store, num_threads)
+    streams = op_streams(spec, num_keys, num_threads, value_size, theta, seed)
     if warmup_ops:
-        warm_iters = [
-            streams[i].ops(warmup_ops // num_threads) for i in range(num_threads)
-        ]
-        heap = [(t.now, i) for i, t in enumerate(threads)]
-        heapq.heapify(heap)
-        live = set(range(num_threads))
-        while live:
-            _, i = heapq.heappop(heap)
-            if i not in live:
-                continue
-            op = next(warm_iters[i], None)
-            if op is None:
-                live.discard(i)
-                continue
-            _execute(store, op, threads[i])
-            heapq.heappush(heap, (threads[i].now, i))
-    base = num_ops // num_threads
-    extra = num_ops % num_threads
-    iters = [
-        streams[i].ops(base + (1 if i < extra else 0)) for i in range(num_threads)
-    ]
-    latency = LatencyRecorder("all")
-    per_kind: Dict[str, LatencyRecorder] = {}
+        closed_loop(
+            store, threads, [s.ops(warmup_ops // num_threads) for s in streams]
+        )
     timeline = Timeline(timeline_bucket) if timeline_bucket else None
-    registry: Optional[MetricsRegistry] = None
-    sampler: Optional[DeviceSampler] = None
-    restore_store_registry = None
-    sample_every = 0
-    if collect_metrics:
-        registry = MetricsRegistry()
-        own = getattr(store, "metrics", None)
-        if own is not None and own.enabled:
-            # Phase tracing is on: point the store at the per-run
-            # registry so phases and op latencies share one snapshot.
-            restore_store_registry = own
-            store.metrics = registry
-        sampler = DeviceSampler(registry, store)
-        sample_every = max(1, num_ops // SAMPLE_POINTS)
-    start = max(t.now for t in threads)
-    executed = 0
-    heap = [(t.now, i) for i, t in enumerate(threads)]
-    heapq.heapify(heap)
-    live = set(range(num_threads))
-    ssd_written_before = store.ssd_bytes_written()
-    bytes_put_before = store.bytes_put
-    if sampler is not None:
-        sampler.sample(start)
-    # Per-op instruments resolved once, outside the loop: the old
-    # ``setdefault(kind, LatencyRecorder(kind))`` built (and discarded)
-    # a recorder on *every* op, and the registry f-string lookups ran
-    # per op as well.
-    hist_all = registry.histogram("op.all") if registry is not None else None
-    kind_hists: Dict[str, object] = {}
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    # The measured loop runs once per simulated op; the dispatch of
-    # _execute is inlined and the per-op sinks (sample list append +
-    # histogram record, resolved per kind) are bound outside the loop.
-    # elapsed is non-negative by clock monotonicity, so the recorders'
-    # guard is skipped by appending to the sample lists directly.
-    store_get = store.get
-    store_put = store.put
-    latency_append = latency.samples.append
-    hist_all_record = hist_all.record if hist_all is not None else None
-    kind_sinks: Dict[str, tuple] = {}
+    registry = MetricsRegistry() if collect_metrics else None
+    own = _redirect_phases(store, registry) if registry is not None else None
     try:
-        while live:
-            _, i = heappop(heap)
-            if i not in live:
-                continue
-            thread = threads[i]
-            op = next(iters[i], None)
-            if op is None:
-                live.discard(i)
-                if timeline is not None and timeline.drain_at is None:
-                    timeline.drain_at = thread.now - start
-                continue
-            kind = op.kind
-            before = thread.now
-            if kind == "read":
-                store_get(op.key, thread)
-            elif kind == "update" or kind == "insert":
-                store_put(op.key, op.value, thread)
-            elif kind == "scan":
-                store.scan(op.key, op.scan_length, thread)
-            elif kind == "delete":
-                store.delete(op.key, thread)
-            else:
-                raise ValueError(f"unknown op kind: {kind}")
-            elapsed = thread.now - before
-            latency_append(elapsed)
-            sink = kind_sinks.get(kind)
-            if sink is None:
-                recorder = per_kind.get(kind)
-                if recorder is None:
-                    recorder = per_kind[kind] = LatencyRecorder(kind)
-                kind_hist = None
-                if hist_all_record is not None:
-                    kind_hist = kind_hists.get(kind)
-                    if kind_hist is None:
-                        kind_hist = kind_hists[kind] = registry.histogram(
-                            f"op.{kind}"
-                        )
-                sink = kind_sinks[kind] = (
-                    recorder.samples.append,
-                    kind_hist.record if kind_hist is not None else None,
-                )
-            sink[0](elapsed)
-            if hist_all_record is not None:
-                hist_all_record(elapsed)
-                sink[1](elapsed)
-            if timeline is not None:
-                timeline.record(thread.now - start)
-            executed += 1
-            if sampler is not None and executed % sample_every == 0:
-                sampler.sample(thread.now)
-            heappush(heap, (thread.now, i))
+        window = closed_loop(
+            store,
+            threads,
+            split_ops(streams, num_ops),
+            registry=registry,
+            timeline=timeline,
+            sampler=DeviceSampler(registry, store) if registry is not None else None,
+            sample_every=max(1, num_ops // SAMPLE_POINTS),
+        )
     finally:
-        if restore_store_registry is not None:
-            store.metrics = restore_store_registry
-    duration = max(t.now for t in threads) - start
-    new_put = store.bytes_put - bytes_put_before
-    new_ssd = store.ssd_bytes_written() - ssd_written_before
-    waf = (new_ssd / new_put) if new_put else 0.0
+        if own is not None:
+            store.metrics = own
     if timeline is not None:
-        # The store's structured event log (baselines have none).
-        for event in getattr(store, "events", ()):
-            if event["kind"] == "gc" and event["at"] >= start:
-                timeline.mark(event["at"] - start, "gc")
-    metrics_dict: Optional[Dict[str, object]] = None
-    if registry is not None:
-        if sampler is not None:
-            sampler.sample(start + duration)
-        store_events = getattr(store, "events", None)
-        if store_events is not None:
-            for event in getattr(store_events, "events", []):
-                if event["at"] >= start:
-                    registry.events(str(event["kind"])).events.append(dict(event))
-        registry.gauge("ops").set(executed)
-        registry.gauge("duration_s").set(duration)
-        if duration > 0:
-            registry.gauge("throughput_ops").set(executed / duration)
-        registry.gauge("waf").set(waf)
-        for key, value in store.stats().items():
-            registry.gauge(f"stats.{key}").set(value)
-        metrics_dict = registry.to_dict()
-    return RunResult(
-        store_name=store.name,
-        workload=spec.name,
-        ops=executed,
-        duration=duration,
-        latency=latency,
-        per_kind=per_kind,
-        waf=waf,
-        stats=store.stats(),
-        timeline=timeline,
-        metrics=metrics_dict,
-    )
-
-
-def _execute(store, op: Op, thread: VThread) -> None:
-    if op.kind == "read":
-        store.get(op.key, thread)
-    elif op.kind in ("update", "insert"):
-        store.put(op.key, op.value, thread)
-    elif op.kind == "scan":
-        store.scan(op.key, op.scan_length, thread)
-    elif op.kind == "delete":
-        store.delete(op.key, thread)
-    else:
-        raise ValueError(f"unknown op kind: {op.kind}")
+        for event in window_events(store, window.start):
+            if event["kind"] == "gc":
+                timeline.mark(event["at"] - window.start, "gc")
+    return finish_run(store, spec.name, window, registry, timeline=timeline)

@@ -2,8 +2,9 @@
 
 Every durability audit in the repository — the crash sweep's
 (:mod:`repro.faults.crash_sweep`) and the cluster workload runner's
-(:func:`repro.cluster.runner.run_cluster_workload`) — records writes
-here and judges read-backs by the one rule in
+(:func:`repro.cluster.runner.run_cluster_workload`, which hands a
+ledger to the closed loop) — records writes here and judges
+read-backs by the one rule in
 :meth:`WriteLedger.legal_values`.  Intervals are in whatever totally
 ordered unit the driver has: virtual time for concurrent clients, the
 operation index for a sequential replay.

@@ -99,22 +99,13 @@ def read_trace(source: Union[PathLike, IO[str]]) -> Iterator[Op]:
             lines.close()  # type: ignore[union-attr]
 
 
-def replay(store, ops: Iterable[Op], thread=None) -> int:
-    """Apply a trace to a store; returns the operation count."""
-    count = 0
-    for op in ops:
-        if op.kind in ("update", "insert"):
-            store.put(op.key, op.value, thread)
-        elif op.kind == "read":
-            store.get(op.key, thread)
-        elif op.kind == "scan":
-            store.scan(op.key, op.scan_length, thread)
-        elif op.kind == "delete":
-            store.delete(op.key, thread)
-        else:  # pragma: no cover - read_trace never yields others
-            raise ValueError(f"cannot replay op kind: {op.kind}")
-        count += 1
-    return count
+def replay(store, ops: Iterable[Op], thread) -> int:
+    """Apply a trace to a store as one closed-loop client (``thread``);
+    returns the operation count.  An op kind the driver does not know
+    raises ``ValueError``."""
+    from repro.bench.runner import closed_loop
+
+    return closed_loop(store, [thread], [iter(ops)]).ops
 
 
 def capture_workload(

@@ -1,9 +1,16 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.bench.runner import preload, run_workload
+import repro
+from repro.bench.runner import closed_loop, preload, run_workload
 from repro.bench.stores import build_prism
 from repro.core.prism import Prism
+from repro.faults.ledger import WriteLedger
+from repro.sim.vthread import VThread
 from repro.workloads import WORKLOADS
+from repro.workloads.generator import Op
 from tests.conftest import small_prism_config
 
 
@@ -181,3 +188,153 @@ def test_back_to_back_runs_get_fresh_registries():
     assert p1 <= 300 and p2 <= 300
     # The store's own registry is restored after each run.
     assert store.metrics is own
+
+
+# ---------------------------------------------------------------------
+# The one closed loop, driven directly over a store-shaped stub.
+# ---------------------------------------------------------------------
+class Refused(Exception):
+    pass
+
+
+class Broke(Exception):
+    pass
+
+
+class Stub:
+    """Store-shaped: every op takes 1 µs of the calling thread, and a
+    key that names an exception class raises it after taking it."""
+
+    name = "stub"
+    bytes_put = 0
+    raises = {b"refused": Refused, b"broke": Broke}
+
+    def __init__(self):
+        self.log = []
+
+    def _op(self, kind, key, thread):
+        thread.now += 1e-6
+        self.log.append((kind, key))
+        if key in self.raises:
+            raise self.raises[key]()
+
+    def get(self, key, thread):
+        self._op("get", key, thread)
+
+    def put(self, key, value, thread):
+        self._op("put", key, thread)
+
+    def scan(self, key, count, thread):
+        self._op("scan", key, thread)
+
+    def delete(self, key, thread):
+        self._op("delete", key, thread)
+
+    def ssd_bytes_written(self):
+        return 0
+
+
+def reads(*keys):
+    return iter([Op("read", key) for key in keys])
+
+
+def test_actions_fire_once_each_by_op_then_in_the_order_given():
+    stub, fired = Stub(), []
+
+    def action(name):
+        return lambda thread: fired.append((name, len(stub.log)))
+
+    closed_loop(
+        stub,
+        [VThread(0), VThread(1)],
+        [reads(b"a", b"b", b"c"), reads(b"d", b"e", b"f")],
+        actions=[
+            (3, action("tie, given first")),
+            (6, action("at the op count")),
+            (0, action("rounds to op 0")),
+            (3, action("tie, given second")),
+        ],
+    )
+    assert fired == [
+        ("rounds to op 0", 0),  # before the first op
+        ("tie, given first", 3),
+        ("tie, given second", 3),
+        ("at the op count", 6),  # after the last op, inside the window
+    ]
+
+
+def test_counted_errors_feed_the_ledger_and_any_other_ends_the_run():
+    ops = [
+        Op("update", b"a", b"1"),
+        Op("update", b"refused", b"2"),
+        Op("insert", b"broke", b"3"),
+        Op("delete", b"broke"),
+        Op("read", b"broke"),
+        Op("delete", b"d"),
+    ]
+    ledger = WriteLedger()
+    window = closed_loop(
+        Stub(), [VThread(0)], [iter(ops)],
+        shed_errors=(Refused,), failed_errors=(Broke,), ledger=ledger,
+    )
+    assert (window.ops, window.shed, window.failed) == (6, 1, 3)
+    assert len(window.per_kind["update"]) == 2  # a counted failure has a latency
+    # Writes only; a shed write is neither acked nor in doubt.
+    assert {k: [v for _s, _e, v in w] for k, w in ledger.acked.items()} == {
+        b"a": [b"1"], b"d": [None],
+    }
+    assert {k: [v for _s, _e, v in w] for k, w in ledger.interrupted.items()} == {
+        b"broke": [b"3", None],
+    }
+    # Nothing is counted unless the caller says so: a single store's
+    # failed op still ends the run.
+    with pytest.raises(Broke):
+        closed_loop(Stub(), [VThread(0)], [iter(ops)], shed_errors=(Refused,))
+    with pytest.raises(ValueError, match="unknown op kind"):
+        closed_loop(Stub(), [VThread(0)], [iter([Op("mystery", b"k")])])
+
+
+def test_read_split_is_asked_before_each_read_and_only_reads():
+    phases = {b"a": [], b"c": []}
+    asked = []
+    stub = Stub()
+
+    def split():
+        asked.append(len(stub.log))
+        return phases[b"a"] if len(stub.log) < 2 else phases[b"c"]
+
+    ops = [Op("read", b"a"), Op("update", b"b", b"v"), Op("read", b"c")]
+    window = closed_loop(stub, [VThread(0)], [iter(ops)], read_split=split)
+    assert asked == [0, 2]
+    assert phases[b"a"] + phases[b"c"] == window.per_kind["read"].samples
+
+
+def test_threads_may_share_one_iterator():
+    """How ``preload`` deals one key sequence to whichever thread is
+    earliest."""
+    stub = Stub()
+    shared = reads(*(b"%d" % i for i in range(7)))
+    window = closed_loop(stub, [VThread(0), VThread(1), VThread(2)], [shared] * 3)
+    assert window.ops == 7
+    assert [key for _kind, key in stub.log] == [b"%d" % i for i in range(7)]
+
+
+def test_one_function_holds_the_closed_loop():
+    """The loop cannot quietly be copied again: across the bench
+    package, the cluster driver and trace replay, ``heappop`` appears
+    in exactly one function."""
+    src = Path(repro.__file__).parent
+    files = sorted((src / "bench").glob("*.py")) + [
+        src / "cluster" / "runner.py", src / "workloads" / "trace.py",
+    ]
+    holders = [
+        f"{path.relative_to(src).as_posix()}:{node.name}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            getattr(inner, "attr", getattr(inner, "id", None)) == "heappop"
+            for inner in ast.walk(node)
+        )
+    ]
+    assert holders == ["bench/runner.py:closed_loop"]

@@ -5,13 +5,19 @@ import pytest
 
 from repro.bench.runner import preload, run_workload
 from repro.cluster import ClusterConfig, PrismCluster
-from repro.cluster.runner import KillPlan, run_cluster_workload
+from repro.cluster.runner import (
+    GrayPlan,
+    KillPlan,
+    RebalancePlan,
+    run_cluster_workload,
+)
 from repro.core.prism import Prism
 from repro.faults.injector import FaultConfig
 from repro.faults.ledger import WriteLedger
 from repro.obs.metrics import MetricsRegistry
+from repro.workloads.generator import OpStream
 from repro.workloads.ycsb import WorkloadSpec
-from tests.conftest import small_prism_config
+from tests.conftest import count_calls, small_prism_config
 
 SPEC_A = WorkloadSpec(name="A", read=0.5, update=0.5, distribution="uniform")
 
@@ -167,6 +173,112 @@ class TestRunWithKill:
             KillPlan(shard_id=0, at_fraction=0.0)
         with pytest.raises(ValueError):
             KillPlan(shard_id=0, at_fraction=1.0)
+
+    def test_a_later_window_does_not_report_an_earlier_windows_rebuild(self):
+        """Window 1 kills a shard; window 2 on the same cluster kills
+        nothing, so it has no recovery to report."""
+        c = build(num_shards=3, replication_factor=2)
+        preload(c, 300, num_threads=2, seed=1)
+        first = run_cluster_workload(
+            c, SPEC_A, 400, 300, clients_per_shard=2, seed=2,
+            kill_plan=KillPlan(shard_id=1, at_fraction=0.5),
+        )
+        assert first.recovery_seconds > 0
+        second = run_cluster_workload(
+            c, SPEC_A, 400, 300, clients_per_shard=2, seed=3
+        )
+        assert second.killed_shard is None
+        assert second.recovery_seconds is None
+        assert "cluster.recovery_seconds" not in second.run.metrics["gauges"]
+        assert "rebuild" not in second.run.metrics["events"]
+
+
+class TestMidRunActions:
+    def test_plans_due_at_the_same_op_fire_once_each_gray_first(self):
+        c = build(num_shards=3, replication_factor=2)
+        preload(c, 300, num_threads=2, seed=1)
+        res = run_cluster_workload(
+            c, SPEC_A, 600, 300, clients_per_shard=2, seed=2,
+            gray_plan=GrayPlan(shard_id=1, at_fraction=0.5),
+            rebalance_plan=RebalancePlan("add", at_fraction=0.5),
+        )
+        fired = [
+            e for e in c.events
+            if e["kind"] in ("shard_gray_injected", "rebalance_started")
+        ]
+        assert [e["kind"] for e in fired] == [
+            "shard_gray_injected", "rebalance_started",
+        ]
+        assert fired[0]["at"] == fired[1]["at"]
+        assert res.rebalanced_shard == fired[1]["shard"] == 3
+        assert res.rebalance["completed"] and res.audit["lost_acked"] == 0
+
+    def test_a_fraction_that_rounds_to_op_zero_fires_before_the_first_op(self):
+        c = build(num_shards=3, replication_factor=2)
+        preload(c, 100, num_threads=2, seed=1)
+        opened = c.clock.now
+        res = run_cluster_workload(
+            c, SPEC_A, 60, 100, clients_per_shard=1, seed=2,
+            gray_plan=GrayPlan(shard_id=0, at_fraction=0.0),
+            kill_plan=KillPlan(shard_id=1, at_fraction=0.01),
+        )
+        kinds = [e["kind"] for e in c.events if e["at"] == opened]
+        assert kinds.index("shard_gray_injected") > kinds.index("rebuild")
+        assert res.killed_shard == 1 and res.recovery_seconds is not None
+
+    def test_rebalance_plan_validation(self):
+        with pytest.raises(ValueError, match="unknown rebalance action"):
+            RebalancePlan("shuffle")
+        with pytest.raises(ValueError, match="needs the shard_id"):
+            RebalancePlan("remove")
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"must be in \(0, 1\)"):
+                RebalancePlan("add", at_fraction=fraction)
+
+
+class TestDriverCallBudget:
+    """What the driver itself costs per op, in Python + C calls, with
+    the target's ``get`` and the op generator left out: ``heappop``,
+    ``next``, two sample-list appends, the kind-sink lookup and
+    ``heappush``.  Both drivers are the one loop handed different
+    things, so a bare store and a 1-shard cluster pay the same (the
+    cluster driver's own copy paid 9)."""
+
+    DRIVER_CALLS_PER_OP = 6
+    READ_ONLY = WorkloadSpec(name="C", read=1.0, distribution="uniform")
+
+    def per_op(self, target, drive, get):
+        preload(target, 200, value_size=128, num_threads=2, seed=1)
+        outside = (get.__code__, OpStream.ops.__code__)
+
+        def window(num_ops):
+            return count_calls(drive, target, num_ops, outside=outside)
+
+        # Set-up and epilogue cost the same in both windows.
+        return (window(800) - window(400)) / 400
+
+    def test_single_store_driver(self):
+        def drive(store, num_ops):
+            run_workload(
+                store, self.READ_ONLY, num_ops, 200, num_threads=4,
+                value_size=128, collect_metrics=False,
+            )
+
+        store = Prism(small_prism_config(num_threads=4))
+        assert self.per_op(store, drive, Prism.get) == self.DRIVER_CALLS_PER_OP
+
+    def test_cluster_driver_on_one_shard(self):
+        def drive(cluster, num_ops):
+            run_cluster_workload(
+                cluster, self.READ_ONLY, num_ops, 200, clients_per_shard=4,
+                value_size=128, collect_metrics=False, audit=False,
+            )
+
+        cluster = build(num_shards=1, replication_factor=1)
+        assert (
+            self.per_op(cluster, drive, PrismCluster.get)
+            == self.DRIVER_CALLS_PER_OP
+        )
 
 
 class TestBitIdentity:

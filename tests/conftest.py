@@ -31,16 +31,21 @@ settings.register_profile("explore", derandomize=False, print_blob=True)
 settings.load_profile("tier1")
 
 
-def count_calls(fn, *args) -> int:
+def count_calls(fn, *args, outside=()) -> int:
     """Python and C calls ``fn(*args)`` makes, its own frame included —
     the events ``cProfile`` (and so perfbench's ``host_calls_per_op``)
     counts.  Deterministic, so a test can pin a hot path's call budget.
+    Frames running a code object in ``outside``, and everything they
+    call, are left out: what a driver costs around the op it drives.
     """
     calls = 0
+    depth = 0  # frames of ``outside`` code on the stack
 
     def hook(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
+        nonlocal calls, depth
+        if event in ("call", "return") and frame.f_code in outside:
+            depth += 1 if event == "call" else -1
+        elif depth == 0 and event in ("call", "c_call"):
             calls += 1
 
     previous = sys.getprofile()

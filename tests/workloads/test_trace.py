@@ -77,3 +77,13 @@ def test_replay_is_deterministic_across_engines(tmp_path):
     full_a = a.scan(b"u", 1000)
     full_b = b.scan(b"u", 1000)
     assert full_a == full_b
+
+
+def test_replay_is_one_closed_loop_client_and_rejects_an_unknown_kind():
+    store = Prism(small_prism_config())
+    thread = VThread(0, store.clock)
+    ops = [Op("insert", b"k1", b"v1"), Op("read", b"k1"), Op("delete", b"k1")]
+    assert replay(store, ops, thread) == 3
+    assert thread.now > 0 and store.get(b"k1", thread) is None
+    with pytest.raises(ValueError, match="unknown op kind"):
+        replay(store, [Op("mystery", b"k")], thread)
