@@ -1,6 +1,7 @@
 """CI's perf gate: run each workload in ``gates.json`` through perfbench
 at its seed, keep the result line as ``PERFBENCH_<workload>.json``, and
-fail when a metric is past its committed ceiling or floor.
+fail when a metric is past its committed ceiling or floor, or when the
+run's ``vt_digest`` is not the one committed for that seed.
 
     python3 .github/perf/gate.py [workload ...]     # default: every gate
 
@@ -12,7 +13,11 @@ was measured on and this script refuses to compare under another;
 virtual-time metrics and byte counts are exact for a seed on any
 interpreter, so a gate on those alone names none and runs anywhere
 (all four committed gates limit the call count, so CI runs them on the
-one they name).
+one they name).  ``vt_digest`` (the first line perfbench prints) hashes
+every virtual-time result of the window: pinned, it makes the gate
+bit-for-bit, so any change of simulated behaviour fails it until the
+digest is re-recorded on purpose.  It is the same under CPython 3.11
+and 3.12.
 After a deliberate change, re-measure with the command this script
 prints and move the numbers in the same PR.
 """
@@ -34,11 +39,19 @@ def load_gates() -> dict:
         return json.load(fh)
 
 
-def check(gate: dict, result: dict, interpreter: str) -> List[str]:
-    """Every way ``result`` (perfbench's last stdout line) fails ``gate``."""
+def digest_of(stdout: str) -> str:
+    """The ``vt_digest=`` on perfbench's first stdout line."""
+    return stdout.splitlines()[0].split("vt_digest=")[1].split()[0]
+
+
+def check(gate: dict, result: dict, interpreter: str, digest: str) -> List[str]:
+    """Every way ``result`` (perfbench's last stdout line) and ``digest``
+    (its first) fail ``gate``."""
     failures = []
     if not result["correct"]:
         failures.append(f"run not correct: {result['failed']} failed operations")
+    if "vt_digest" in gate and digest != gate["vt_digest"]:
+        failures.append(f"vt_digest = {digest} is not the pinned {gate['vt_digest']}")
     if "host_calls_per_op" in gate["limits"] and interpreter != gate["interpreter"]:
         failures.append(
             f"limits were measured on CPython {gate['interpreter']}, "
@@ -70,7 +83,7 @@ def main(argv: List[str]) -> int:
         line = proc.stdout.splitlines()[-1]
         with open(os.path.join(ROOT, f"PERFBENCH_{workload}.json"), "w") as fh:
             fh.write(line + "\n")
-        failures = check(gate, json.loads(line), interpreter)
+        failures = check(gate, json.loads(line), interpreter, digest_of(proc.stdout))
         for failure in failures:
             print(f"GATE FAILED {workload}: {failure}")
         if not failures:

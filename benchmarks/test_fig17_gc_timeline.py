@@ -41,9 +41,12 @@ def test_gc_actually_ran(outcome):
 
 
 def test_throughput_stays_stable_through_gc(outcome):
-    """The paper's claim: GC does not significantly affect performance."""
+    """The paper's claim: GC does not significantly affect performance.
+    A round reads only the records it moves, on its storage's ring, so
+    the slowest bucket keeps 0.80 of the fastest; whole-chunk victim
+    reads on the read channel left 0.69."""
     result, _ = outcome
-    assert result.timeline.min_over_max() > 0.4
+    assert result.timeline.min_over_max() > 0.79
 
 
 def test_all_data_still_readable(outcome):
@@ -65,11 +68,14 @@ def test_structured_gc_events_recorded(outcome):
         assert event["vs_id"] >= 0
         assert event["duration"] >= 0
         assert event["moved_records"] >= 0
+        # What the round read from flash: its victims' live records.
+        assert event["read_bytes"] >= event["moved_bytes"]
     moved = sum(e["moved_records"] for e in events)
     banner("Figure 17 — structured GC events")
     for event in events[:10]:
         print(f"  t={event['at'] * 1e3:9.3f} ms vs={event['vs_id']} "
               f"chunks={event['victim_chunks']} moved={event['moved_records']} "
+              f"read={event['read_bytes'] / 1e3:.0f}KB "
               f"freed={event['chunks_freed']} "
               f"dur={event['duration'] * 1e6:7.1f} us")
     paper_row("records relocated by GC", "> 0", str(moved))

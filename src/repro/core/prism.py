@@ -22,7 +22,7 @@ path" design.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.read_cache import ReadCache
 from repro.core import pointers as ptr
@@ -773,48 +773,47 @@ class Prism:
         start_at = bg.now
         free_before = vs.free_chunks
         victims = vs.gc_victims(self.config.gc_batch_chunks)
-        moves: List[RelocationEntry] = []
-        read_done = bg.now
-        # Bound once: the slot loop runs per live record per victim.
-        moves_append = moves.append
-        live_records_of = vs.live_records_of
-        read_record_raw = vs.read_record_raw
+        # The bitmaps already say what is live: read exactly that, as
+        # runs of back-to-back records, on the storage's own ring.
+        requests = vs.plan_reads(
+            [
+                (chunk_id, slot.offset, slot.hsit_idx)
+                for chunk_id in victims
+                for slot in vs.live_records_of(chunk_id)
+            ]
+        )
+
+        def heal(chunk_id: int, offset: int, idx: int) -> Optional[bytes]:
+            # A rotted record would poison the GC move; heal it from a
+            # repair source, or leave it in place (it stays valid; a
+            # later read surfaces the typed error and retries the repair).
+            self.metrics.counter("corruption.detected").inc()
+            from repro.repair import fetch_value
+
+            fetched = fetch_value(self, idx, vs.vs_id, chunk_id, offset)
+            if fetched is None:
+                self.events.emit(
+                    bg.now,
+                    "gc_skipped_corrupt",
+                    vs_id=vs.vs_id,
+                    chunk=chunk_id,
+                    offset=offset,
+                )
+                return None
+            return fetched[0]
+
         phase: Optional[str] = None
         try:
-            for chunk_id in victims:
-                for slot in live_records_of(chunk_id):
-                    try:
-                        _, value = read_record_raw(chunk_id, slot.offset)
-                    except CorruptionError:
-                        # A rotted record would poison the GC move; heal
-                        # it from a repair source, or leave it in place
-                        # (it stays valid; a later read surfaces the
-                        # typed error and retries the repair).
-                        self.metrics.counter("corruption.detected").inc()
-                        from repro.repair import fetch_value
-
-                        fetched = fetch_value(
-                            self, slot.hsit_idx, vs.vs_id, chunk_id, slot.offset
-                        )
-                        if fetched is None:
-                            self.events.emit(
-                                bg.now,
-                                "gc_skipped_corrupt",
-                                vs_id=vs.vs_id,
-                                chunk=chunk_id,
-                                offset=slot.offset,
-                            )
-                            continue
-                        value = fetched[0]
-                    moves_append((slot.hsit_idx, value, vs, chunk_id, slot.offset))
-                read_done = max(
-                    read_done,
-                    vs.ssd.read_async(bg.now, chunk_id * vs.chunk_size, vs.chunk_size),
-                )
+            vs.ring.submit(bg.now, requests)
         except DeviceError:
             phase = "read"  # nothing moved or invalidated yet
         else:
-            bg.wait_until(read_done)
+            if requests:
+                bg.wait_until(max([req.completion for req in requests]))
+            moves: List[RelocationEntry] = [
+                (idx, value, vs, chunk_id, offset)
+                for chunk_id, offset, idx, value in vs.parse_reads(requests, heal)
+            ]
             tier = self.tiering
             if tier is not None and tier.temperature_policy and moves:
                 # A cross-tier batch that fails was already contained;
@@ -839,6 +838,7 @@ class Prism:
             victim_chunks=len(victims),
             moved_records=len(moves),
             moved_bytes=moved_bytes,
+            read_bytes=sum([req.size for req in requests]),
             chunks_freed=vs.free_chunks - free_before,
             duration=bg.now - start_at,
         )
@@ -1141,21 +1141,31 @@ class Prism:
                         cached_as[key] = self.svc.admit(idx, key, value, thread)
                     continue
                 misses_setdefault(loc.vs_id, []).append(
-                    (loc.chunk_id, loc.vs_offset, idx, key)
+                    (loc.chunk_id, loc.vs_offset, (idx, key))
                 )
-            # Every SSD at once: put each storage's reads on its ring,
-            # then wait one time, for the slowest device.
+            # Every SSD at once: put each storage's reads on its ring —
+            # records that sit back to back merged into one request,
+            # where scan-aware reorganisation pays off — then wait one
+            # time, for the slowest device.
             fetches: List[Tuple[int, List[IORequest]]] = []
             done = thread.now
             for vs_id, items in misses.items():
-                requests, ready = self._submit_merged(vs_id, items, thread)
+                requests = storages[vs_id].plan_reads(sorted(items))
+                ready = self.combiners[vs_id].submit(thread, requests, m)
                 fetches.append((vs_id, requests))
                 if ready > done:
                     done = ready
             if fetches:
                 thread.wait_until(done)
             for vs_id, requests in fetches:
-                for idx, key, value in self._parse_merged(vs_id, requests, thread):
+
+                def heal(chunk_id: int, offset: int, tag: Tuple[int, bytes]) -> bytes:
+                    m.counter("corruption.detected").inc()
+                    idx, key = tag
+                    return self._repair_read(idx, key, vs_id, chunk_id, offset, thread)
+
+                fetched = storages[vs_id].parse_reads(requests, heal)
+                for _chunk, _offset, (idx, key), value in fetched:
                     results[key] = value
                     if self.config.enable_svc:
                         cached_as[key] = self.svc.admit(idx, key, value, thread)
@@ -1171,72 +1181,6 @@ class Prism:
         finally:
             self.epoch.exit(thread.tid)
             self._tick()
-
-    def _submit_merged(
-        self,
-        vs_id: int,
-        items: Sequence[Tuple[int, int, int, bytes]],
-        thread: VThread,
-    ) -> Tuple[List[IORequest], float]:
-        """Put one Value Storage's share of a scan on its ring, adjacent
-        records merged; returns the requests and when the last is done.
-
-        Scan-aware reorganization places values of a range contiguously
-        in a chunk; merging adjacent records into single IOs is where
-        that locality pays off (fewer, larger SSD reads).  Nothing waits
-        here: the scan submits to every storage before it waits once.
-        """
-        vs = self.storages[vs_id]
-        header = vs.header_size
-        chunk_size = vs.chunk_size
-        slot_size = vs.slot_size
-        # One request per run of records that sit back to back in a
-        # chunk, grown as records join it; its context lists them.
-        # run_end is where the next record must start to join.
-        requests: List[IORequest] = []
-        run_chunk = run_end = -1
-        for chunk_id, offset, idx, key in sorted(items):
-            size = slot_size(chunk_id, offset)
-            if chunk_id == run_chunk and offset == run_end:
-                req.size += header + size
-                req.context.append((chunk_id, offset, size, idx, key))
-            else:
-                req = IORequest(
-                    "read",
-                    chunk_id * chunk_size + offset,
-                    header + size,
-                    context=[(chunk_id, offset, size, idx, key)],
-                )
-                requests.append(req)
-                run_chunk = chunk_id
-            run_end = offset + header + size
-        return requests, self.combiners[vs_id].submit(thread, requests, self.metrics)
-
-    def _parse_merged(
-        self, vs_id: int, requests: Sequence[IORequest], thread: VThread
-    ) -> List[Tuple[int, bytes, bytes]]:
-        """Split completed :meth:`_submit_merged` requests back into
-        ``(hsit_idx, key, value)``, repairing records that fail their
-        checksum."""
-        vs = self.storages[vs_id]
-        header = vs.header_size
-        out: List[Tuple[int, bytes, bytes]] = []
-        for req in requests:
-            data = req.result
-            assert data is not None
-            base = req.context[0][1]
-            for chunk_id, offset, size, idx, key in req.context:
-                rel = offset - base
-                try:
-                    # Exactly this record's bytes, not the run's tail.
-                    _, value = vs.parse_record(data[rel : rel + header + size])
-                except CorruptionError:
-                    self.metrics.counter("corruption.detected").inc()
-                    value = self._repair_read(
-                        idx, key, vs_id, chunk_id, offset, thread
-                    )
-                out.append((idx, key, value))
-        return out
 
     # ------------------------------------------------------------------
     # delete

@@ -1,10 +1,14 @@
 """Garbage collection in Value Storage (§5.2, Figure 17)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.prism import Prism
+from repro.core.value_storage import ValueStorage
 from repro.sim.vthread import VThread
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC
+from repro.storage.ssd import SSDDevice
 from tests.conftest import small_prism_config
 
 KB = 1024
@@ -104,3 +108,218 @@ def test_space_squeezed_run_is_byte_identical_to_seed():
 
     _store, digest = digests.ycsb_a_gc()
     assert digest == digests.expected("ycsb_a_gc")
+
+
+# ----------------------------------------------------------------------
+# what a round reads: its victims' live records, as runs, on the ring
+# ----------------------------------------------------------------------
+def _fragmented_store(value_size, keys, keep, **overrides):
+    """One SSD, GC only when called: ``keys`` values written, then all
+    but the keys ``keep(i)`` names overwritten, so the first chunks are
+    left partly live — the victims the next round picks."""
+    config = dict(
+        num_threads=1,
+        num_ssds=1,
+        ssd_spec=FLASH_SSD_GEN4_SPEC.with_capacity(32 * MB),
+        gc_free_threshold=0.0,
+        enable_svc=False,
+    )
+    config.update(overrides)
+    store = Prism(small_prism_config(**config))
+    t = VThread(0, store.clock)
+    for i in range(keys):
+        store.put(b"f%04d" % i, bytes([i % 251]) * value_size, t)
+    store.flush()
+    for i in range(keys):
+        if not keep(i):
+            store.put(b"f%04d" % i, bytes([(i + 1) % 251]) * value_size, t)
+    store.flush()
+    return store, t
+
+
+def _record_victims(vs):
+    """Wrap ``vs.gc_victims``: the returned dict fills with the round's
+    victims and the flash bytes (header + value) of their live slots."""
+    seen = {}
+    pick = vs.gc_victims
+
+    def gc_victims(count):
+        victims = pick(count)
+        seen["victims"] = victims
+        seen["live_bytes"] = sum(
+            vs.header_size + slot.size
+            for chunk_id in victims
+            for slot in vs.live_records_of(chunk_id)
+        )
+        return victims
+
+    vs.gc_victims = gc_victims
+    return seen
+
+
+def _quiet(store, t):
+    """A time after every device has gone idle."""
+    return max(t.now, store.clock.now, store._bg_gc.now, store._bg_reclaim.now) + 1e-3
+
+
+def test_gc_round_reads_only_its_live_records():
+    """Bytes read from flash are Σ(header + size) over the victims' live
+    slots, not one whole chunk per victim."""
+    store, t = _fragmented_store(1000, 96, keep=lambda i: i % 5 == 0)
+    vs = store.storages[0]
+    seen = _record_victims(vs)
+    before = vs.ssd.bytes_read
+    store._gc(vs, _quiet(store, t))
+    read = vs.ssd.bytes_read - before
+    assert len(seen["victims"]) == store.config.gc_batch_chunks
+    assert read == seen["live_bytes"] < len(seen["victims"]) * vs.chunk_size
+    assert store.events.of_kind("gc")[-1]["read_bytes"] == read
+
+
+def test_gc_round_leaves_the_read_channel_to_foreground_misses():
+    """Eight 512 KiB victims about 10 % live: a foreground miss on the
+    same SSD issued as the round starts — or while its reads are on the
+    channel — waits behind the round's live bytes at most, not behind
+    4 MiB of whole chunks."""
+    store, t = _fragmented_store(
+        8 * KB, 8 * 64, keep=lambda i: i % 10 == 0,
+        chunk_size=512 * KB, pwb_capacity=1 * MB,
+    )
+    vs = store.storages[0]
+    seen = _record_victims(vs)
+    start = _quiet(store, t)
+    store._gc(vs, start)
+    assert len(seen["victims"]) == 8
+    assert seen["live_bytes"] < 0.15 * 8 * vs.chunk_size
+    bound = (
+        2 * vs.ssd.spec.read_latency
+        + seen["live_bytes"] / vs.ssd.read_channel.bandwidth
+    )
+    for i, delay in enumerate((0.0, 10e-6, 20e-6)):
+        reader = VThread(i, store.clock)
+        reader.now = start + delay
+        key = b"f%04d" % (i + 1)
+        assert store.get(key, reader) == bytes([i + 2]) * (8 * KB)
+        assert reader.now - (start + delay) < bound
+
+
+def _run_of_three(store):
+    """A victim-to-be's run of at least three live records, back to back."""
+    vs = store.storages[0]
+    for chunk_id in sorted(vs._chunks):
+        live = vs.live_records_of(chunk_id)
+        for a, b, c in zip(live, live[1:], live[2:]):
+            if a.offset + vs.header_size + a.size == b.offset and (
+                b.offset + vs.header_size + b.size == c.offset
+            ):
+                return [(chunk_id, s.offset, s.hsit_idx) for s in (a, b, c)]
+    raise AssertionError("no multi-record run to rot")
+
+
+def _rot(vs, chunk_id, offset):
+    """Flip payload bytes of one record on the primary SSD only."""
+    at = chunk_id * vs.chunk_size + offset + vs.header_size
+    vs.ssd.write_raw(at, bytes(b ^ 0xFF for b in vs.ssd.read_raw(at, 8)))
+
+
+@pytest.mark.parametrize("mirror", [True, False], ids=["healed", "skipped"])
+def test_corrupt_record_inside_a_run(mirror):
+    """A record rotted in the middle of a multi-record run is healed
+    from the mirror, or left in place with ``gc_skipped_corrupt``; its
+    run-mates move either way."""
+    store, t = _fragmented_store(
+        1000, 96, keep=lambda i: i % 8 < 3,
+        enable_checksums=True, mirror_chunks=mirror, gc_batch_chunks=2,
+    )
+    vs = store.storages[0]
+    seen = _record_victims(vs)
+    (_, _, i0), (chunk_id, offset, rotten), (_, _, i2) = _run_of_three(store)
+    _, value = vs.read_record_raw(chunk_id, offset)
+    _rot(vs, chunk_id, offset)
+    store._gc(vs, _quiet(store, t))
+    assert chunk_id in seen["victims"]
+    for idx in (i0, i2):
+        assert store.hsit.read_location(idx).chunk_id != chunk_id
+    skipped = store.events.of_kind("gc_skipped_corrupt")
+    if mirror:
+        assert not skipped
+        loc = store.hsit.read_location(rotten)
+        assert loc.chunk_id != chunk_id
+        assert vs.read_record_raw(loc.chunk_id, loc.vs_offset) == (rotten, value)
+    else:
+        assert [(e["chunk"], e["offset"]) for e in skipped] == [(chunk_id, offset)]
+        assert vs.is_valid(chunk_id, offset)
+        assert store.hsit.read_location(rotten).vs_offset == offset
+
+
+def test_device_error_on_a_run_read_leaves_every_slot_valid():
+    from repro.faults.errors import TransientReadError
+
+    store, t = _fragmented_store(1000, 96, keep=lambda i: i % 5 == 0)
+    vs = store.storages[0]
+    live = {
+        (chunk_id, slot.offset): slot.hsit_idx
+        for chunk_id in list(vs._chunks)
+        for slot in vs.live_records_of(chunk_id)
+    }
+    reads = []
+    read_async = vs.ssd.read_async
+
+    def failing(at, offset, size):
+        reads.append(offset)
+        if len(reads) == 2:
+            raise TransientReadError(vs.ssd.name, "read")
+        return read_async(at, offset, size)
+
+    vs.ssd.read_async = failing
+    store._gc(vs, _quiet(store, t))
+    assert len(reads) == 2
+    assert store.events.of_kind("gc_failed")[-1]["phase"] == "read"
+    assert not store.events.of_kind("gc")
+    for (chunk_id, offset), idx in live.items():
+        assert vs.is_valid(chunk_id, offset)
+        loc = store.hsit.read_location(idx)
+        assert (loc.chunk_id, loc.vs_offset) == (chunk_id, offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3000), min_size=1, max_size=40),
+    batches=st.lists(st.integers(1, 6), min_size=1, max_size=40),
+    picks=st.lists(st.booleans(), min_size=40, max_size=40),
+)
+def test_planned_runs_read_what_per_record_reads_read(sizes, batches, picks):
+    """The shared run planner returns the bytes one request per record
+    would, in the same order, merged exactly where records touch."""
+    ssd = SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(4 * MB))
+    vs = ValueStorage(0, ssd, chunk_size=16 * KB, checksums=True)
+    # Batches of random sizes: page-aligned appends and chunk spills
+    # leave gaps between some neighbours and none between others.
+    records, pos = [], 0
+    for count in batches:
+        batch = [(pos + i, bytes([pos + i & 0xFF]) * size)
+                 for i, size in enumerate(sizes[pos : pos + count])]
+        if not batch:
+            break
+        placements, _ = vs.write_records(0.0, batch)
+        records += [(c, o, idx) for (idx, _), (c, o, _) in zip(batch, placements)]
+        pos += count
+    wanted = [r for r, keep in zip(records, picks) if keep] or records[:1]
+    requests = vs.plan_reads(wanted)
+    vs.ring.submit(0.0, requests)
+    one_each = [
+        ssd.read_raw(c * vs.chunk_size + o, vs.header_size + vs.slot_size(c, o))
+        for c, o, _ in wanted
+    ]
+    assert b"".join(req.result for req in requests) == b"".join(one_each)
+    # Merged exactly where records touch: no request could join its
+    # predecessor.
+    for before, after in zip(requests, requests[1:]):
+        assert after.offset != before.offset + before.size or (
+            after.context[0][0] != before.context[-1][0]
+        )
+    parsed = vs.parse_reads(requests, heal=None)
+    assert [(c, o, idx) for c, o, idx, _ in parsed] == wanted
+    assert [value for *_, value in parsed] == [
+        vs.read_record_raw(c, o)[1] for c, o, _ in wanted
+    ]

@@ -36,6 +36,16 @@ class TestStoragePicking:
 
 
 class TestMergedScanReads:
+    """The scan's fetch goes through the storage's shared run planner
+    (``ValueStorage.plan_reads`` / ``parse_reads``) and its combiner."""
+
+    @staticmethod
+    def _fetch(store, t, items):
+        vs = store.storages[0]
+        requests = vs.plan_reads(sorted(items))
+        done = store.combiners[0].submit(t, requests)
+        return requests, done
+
     def test_adjacent_records_merge_into_one_io(self, store, t):
         """After reorganization, a scan over a contiguous range costs
         one SSD IO, not one per value."""
@@ -47,18 +57,18 @@ class TestMergedScanReads:
         items = []
         for (idx, _v), (chunk, off, _s) in zip(records, placements):
             store.hsit.publish_location(idx, ptr.encode_vs(0, chunk, off))
-            items.append((chunk, off, idx, b"k%02d" % idx))
+            items.append((chunk, off, (idx, b"k%02d" % idx)))
         ios_before = vs.ssd.read_ios
         before = t.now
-        requests, done = store._submit_merged(0, items, t)
+        requests, done = self._fetch(store, t, items)
         assert vs.ssd.read_ios == ios_before + 1  # single merged read
         assert len(requests) == 1
         # Submitting costs the syscall and one SQE; the wait is the
         # caller's, once, after every storage has its reads.
         assert t.now - before < 3e-6 < done - before
-        out = store._parse_merged(0, requests, t)
-        assert [v for _, _, v in out] == [b"v%02d" % i for i in range(10)]
-        assert [(i, k) for i, k, _ in out] == [(i, k) for _, _, i, k in items]
+        out = vs.parse_reads(requests, heal=None)
+        assert [v for _, _, _, v in out] == [b"v%02d" % i for i in range(10)]
+        assert [tag for _, _, tag, _ in out] == [tag for _, _, tag in items]
 
     def test_scattered_records_need_separate_ios(self, store, t):
         vs = store.storages[0]
@@ -70,12 +80,12 @@ class TestMergedScanReads:
         for i in range(0, 8, 2):
             chunk, off, _ = placements[i]
             store.hsit.publish_location(idxs[i], ptr.encode_vs(0, chunk, off))
-            items.append((chunk, off, idxs[i], b"k%d" % i))
+            items.append((chunk, off, (idxs[i], b"k%d" % i)))
         ios_before = vs.ssd.read_ios
-        requests, _ = store._submit_merged(0, items, t)
+        requests, _ = self._fetch(store, t, items)
         assert vs.ssd.read_ios == ios_before + 4
-        out = store._parse_merged(0, requests, t)
-        assert [v for _, _, v in out] == [b"x" * 2000] * 4
+        out = vs.parse_reads(requests, heal=None)
+        assert [v for _, _, _, v in out] == [b"x" * 2000] * 4
 
 
 class TestSupersede:

@@ -29,6 +29,15 @@ def _result(workload, correct=True, **moved):
             "metrics": metrics}
 
 
+def _check(workload, result, interpreter=None, digest=None):
+    """``gate.check`` on ``workload``'s gate, by default on its own
+    interpreter and pinned digest."""
+    g = GATES[workload]
+    return gate.check(
+        g, result, interpreter or g["interpreter"], digest or g["vt_digest"]
+    )
+
+
 def test_limits_name_benchmark_metrics_on_the_right_side():
     workloads = {w["name"] for w in BENCHMARK["workloads"]}
     better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
@@ -67,28 +76,47 @@ def test_every_workload_gates_the_call_count():
         assert GATES[workload]["interpreter"] == "3.12", workload
 
 
+def test_every_workload_pins_its_digest():
+    """``vt_digest`` at the gate's seed makes every gate bit-for-bit on
+    virtual time; it does not depend on the interpreter."""
+    for workload in GATES:
+        digest = GATES[workload]["vt_digest"]
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef"), workload
+
+
 @pytest.mark.parametrize("workload", sorted(GATES))
 def test_check_passes_at_the_measured_values(workload):
-    g = GATES[workload]
-    assert gate.check(g, _result(workload), g["interpreter"]) == []
+    assert _check(workload, _result(workload)) == []
 
 
 @pytest.mark.parametrize("workload", sorted(GATES))
 def test_check_fails_each_metric_past_its_limit(workload):
-    g = GATES[workload]
-    for name, limit in g["limits"].items():
+    for name, limit in GATES[workload]["limits"].items():
         past = limit["ceiling"] * 1.001 if "ceiling" in limit else limit["floor"] * 0.999
-        failures = gate.check(g, _result(workload, **{name: past}), g["interpreter"])
+        failures = _check(workload, _result(workload, **{name: past}))
         assert len(failures) == 1 and name in failures[0]
+
+
+@pytest.mark.parametrize("workload", sorted(GATES))
+def test_check_fails_a_digest_mismatch(workload):
+    """Every metric inside its limits, one virtual-time bit elsewhere."""
+    other = "0" * 64
+    failures = _check(workload, _result(workload), digest=other)
+    assert len(failures) == 1 and "vt_digest" in failures[0]
+
+
+def test_digest_is_read_from_the_first_line():
+    out = "ycsb_a_gc  vt_digest=%s\nmetric lines\n{}\n" % ("ab" * 32)
+    assert gate.digest_of(out) == "ab" * 32
 
 
 def test_check_fails_an_incorrect_run_and_a_foreign_interpreter():
     g = GATES["ycsb_e_scan"]
-    assert gate.check(g, _result("ycsb_e_scan", correct=False), g["interpreter"])
-    assert gate.check(g, _result("ycsb_e_scan"), "2.7")
+    assert _check("ycsb_e_scan", _result("ycsb_e_scan", correct=False))
+    assert _check("ycsb_e_scan", _result("ycsb_e_scan"), interpreter="2.7")
     # A gate on virtual time and byte counts alone (none is committed
     # since PR 24) names no interpreter and runs on any; it is still a
-    # gate on correctness.
+    # gate on correctness, and pins no digest unless it says so.
     unpinned = {"limits": {"vt_kops": g["limits"]["vt_kops"]}}
-    assert gate.check(unpinned, _result("ycsb_e_scan"), "2.7") == []
-    assert gate.check(unpinned, _result("ycsb_e_scan", correct=False), "2.7")
+    assert gate.check(unpinned, _result("ycsb_e_scan"), "2.7", "0" * 64) == []
+    assert gate.check(unpinned, _result("ycsb_e_scan", correct=False), "2.7", "")
