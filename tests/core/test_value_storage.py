@@ -74,6 +74,11 @@ class TestWriteRead:
     def test_unknown_slot_rejected(self, vs):
         with pytest.raises(StorageError):
             vs.record_request(0, 0)
+        with pytest.raises(StorageError):
+            vs.plan_reads([(0, 0, None)])
+        ((chunk_id, offset, _),) = vs.write_records(0.0, [(1, b"abc")])[0]
+        with pytest.raises(StorageError):
+            vs.plan_reads([(chunk_id, offset + 1, None)])
 
 
 class TestValidityBitmap:
