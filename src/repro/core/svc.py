@@ -135,11 +135,22 @@ class ScanAwareValueCache:
         self.admissions += 1
         return entry_id
 
-    def lookup(self, entry_id: int, thread: Optional[VThread] = None) -> Optional[bytes]:
-        """Fetch a cached value by entry id (None if already freed)."""
-        entry = self.entries.get(entry_id)
-        if entry is None or entry.freed:
-            return None
+    def lookup(
+        self,
+        entry_id: int,
+        thread: Optional[VThread] = None,
+        entry: Optional[SVCEntry] = None,
+    ) -> Optional[bytes]:
+        """Fetch a cached value by entry id (None if already freed).
+
+        ``entry`` is the live entry for ``entry_id`` when the caller
+        already holds it (a scan classifies its keys before it copies),
+        which skips the second dict lookup.
+        """
+        if entry is None:
+            entry = self.entries.get(entry_id)
+            if entry is None or entry.freed:
+                return None
         self.dram.read(thread, len(entry.value))
         self._pending.append(("touch", entry_id))
         self.hits += 1
