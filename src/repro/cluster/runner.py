@@ -306,10 +306,12 @@ def run_cluster_workload(
     audit_report: Dict[str, object] = {}
     if audit:
         # Converge first (drain async replication), then read back on a
-        # fresh thread starting after every client finished.
+        # fresh thread starting after every client finished — at the
+        # last client's own clock: start + duration can round one ulp
+        # below it, where a queue-depth cap still sees that op in flight.
         cluster.flush()
         audit_thread = VThread(num_threads, cluster.clock, name="auditor")
-        audit_thread.now = window.start + window.duration
+        audit_thread.now = max([t.now for t in threads])
         audit_report = audit_ledger(ledger, cluster, audit_thread)
         for key, value in audit_report.items():
             if isinstance(value, (int, float)):

@@ -282,6 +282,24 @@ class HSIT:
             )
         ]
 
+    def location_words(
+        self, idxs: Sequence[int], thread: Optional[VThread] = None
+    ) -> List[int]:
+        """The location words of ``idxs`` as stored (dirty bit and all),
+        loaded as one gather of 8-byte loads: what the PWB reclaimer's
+        well-coupledness test compares."""
+        capacity = self.capacity
+        outside = [idx for idx in idxs if not 0 <= idx < capacity]
+        if outside:
+            raise StorageError(f"HSIT index out of range: {outside[0]}")
+        base = self._base
+        return [
+            int.from_bytes(raw, "little")
+            for raw in self.nvm.load_gather(
+                thread, [base + idx * ENTRY_BYTES for idx in idxs], 8
+            )
+        ]
+
     def _decode_entry(
         self, addr: int, raw: bytes, thread: Optional[VThread]
     ) -> Tuple[ptr.Location, Optional[int]]:

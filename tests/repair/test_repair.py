@@ -118,6 +118,22 @@ class TestReadRepair:
         assert store.get(key) == value  # healed from the PWB copy
         assert store.metrics.counter("corruption.repaired").value >= 1
 
+    def test_pwb_scan_counts_each_byte_once(self):
+        """A fetch that falls through to the PWBs adds each record's
+        header and value to the NVM's bytes read, once."""
+        store = Prism(_integrity_config(mirror_chunks=False))
+        for i in range(6):
+            store.put(b"p%d" % i, bytes([i + 1]) * (300 + i))
+        scanned = sum(
+            pwb.header_size + len(pwb.peek(offset)[1])
+            for pwb in store.pwbs
+            for offset in pwb._offsets
+        )
+        idx = store.index.lookup(b"p3")
+        before = store.nvm.bytes_read
+        assert fetch_value(store, idx, 0, 0, 0) == (bytes([4]) * 303, "pwb")
+        assert store.nvm.bytes_read - before == scanned
+
     def test_fetch_value_reports_source(self, store):
         _load(store)
         key, loc = _vs_keys(store)[0][0]
