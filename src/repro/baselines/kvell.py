@@ -35,6 +35,16 @@ from repro.storage.ssd import SSDDevice
 
 _SLAB_CLASSES = (128, 256, 512, 1024, 2048, 4096)
 _ITEM_HEADER = 6  # key length (2B) + value length (4B)
+PAGE_SIZE = 4096  # the unit of slab IO and of the page cache
+# Worker loop: index lookup, slab math, request management.
+WORKER_CPU_COST = 1.2e-6
+# Client-side enqueue cost.
+INJECTOR_COST = 0.3e-6
+# Worker IO batching window (requests arriving within it share a batch).
+BATCH_WINDOW = 15e-6
+# CPU per candidate when merging per-worker indexes for a scan — KVell
+# has no global order, so every worker over-fetches.
+SCAN_CANDIDATE_CPU = 0.25e-6
 
 
 @dataclass
@@ -46,35 +56,22 @@ class KVellConfig:
     ssd_spec: DeviceSpec = field(default_factory=lambda: FLASH_SSD_GEN4_SPEC)
     page_cache_bytes: int = 64 * 1024 * 1024
     queue_depth: int = 64
-    page_size: int = 4096
-    # Worker loop: index lookup, slab math, request management.
-    worker_cpu_cost: float = 1.2e-6
-    # Client-side enqueue cost.
-    injector_cost: float = 0.3e-6
-    # Worker IO batching window (requests arriving within it share a batch).
-    batch_window: float = 15e-6
-    # CPU per candidate when merging per-worker indexes for a scan —
-    # KVell has no global order, so every worker over-fetches.
-    scan_candidate_cpu: float = 0.25e-6
 
     def __post_init__(self) -> None:
         if self.num_ssds < 1 or self.workers_per_ssd < 1:
             raise ValueError("need at least one SSD and one worker per SSD")
-        if self.page_size % 4096:
-            raise ValueError(f"page size must be 4K-aligned: {self.page_size}")
 
 
 class _Worker:
     """One shard: an index, a slab region, a request queue, an IO ring."""
 
-    def __init__(self, wid: int, ssd: SSDDevice, base: int, size: int, cfg: KVellConfig):
+    def __init__(self, wid: int, ssd: SSDDevice, base: int, size: int, queue_depth: int):
         self.wid = wid
         self.ssd = ssd
         self.base = base
         self.size = size
-        self.cfg = cfg
         self.server = FIFOServer(name=f"kvell-worker-{wid}")
-        self.ring = IOUring(ssd, cfg.queue_depth)
+        self.ring = IOUring(ssd, queue_depth)
         self.index: BTree = BTree(order=64)  # key -> (class, page_no, slot)
         self._pages_allocated = 0
         self._free_slots: Dict[int, List[Tuple[int, int]]] = {c: [] for c in _SLAB_CLASSES}
@@ -100,8 +97,8 @@ class _Worker:
         raise ValueError(f"item of {need}B exceeds the largest slab class")
 
     def _page_offset(self, page_no: int) -> int:
-        offset = self.base + page_no * self.cfg.page_size
-        if offset + self.cfg.page_size > self.base + self.size:
+        offset = self.base + page_no * PAGE_SIZE
+        if offset + PAGE_SIZE > self.base + self.size:
             raise MemoryError(f"kvell worker {self.wid} slab region exhausted")
         return offset
 
@@ -110,7 +107,7 @@ class _Worker:
         if free:
             return free.pop()
         open_page = self._open_pages.get(cls)
-        per_page = self.cfg.page_size // cls
+        per_page = PAGE_SIZE // cls
         if open_page is None or open_page[1] >= per_page:
             page_no = self._pages_allocated
             self._pages_allocated += 1
@@ -125,7 +122,7 @@ class _Worker:
     # ------------------------------------------------------------------
     def _enqueue(self, thread: VThread) -> None:
         """Serve the request through the worker's CPU queue."""
-        _, end = self.server.service(thread.now, self.cfg.worker_cpu_cost)
+        _, end = self.server.service(thread.now, WORKER_CPU_COST)
         thread.wait_until(end)
 
     def _touch_cache(self, page_no: int) -> bool:
@@ -143,9 +140,9 @@ class _Worker:
 
     def _read_page(self, thread: VThread, page_no: int) -> bytes:
         offset = self._page_offset(page_no)
-        data = self.ssd.read_raw(offset, self.cfg.page_size)
+        data = self.ssd.read_raw(offset, PAGE_SIZE)
         if not self._touch_cache(page_no):
-            req = IORequest("read", offset, self.cfg.page_size)
+            req = IORequest("read", offset, PAGE_SIZE)
             done = self.ring.submit_one(thread.now, req)
             thread.wait_until(done)
             self._insert_cache(page_no)
@@ -158,12 +155,12 @@ class _Worker:
         self.ssd.write_raw(offset, data)  # functional state, untimed
         self._insert_cache(page_no)
         if thread.now > self._batch_close:
-            self._batch_close = thread.now + self.cfg.batch_window
+            self._batch_close = thread.now + BATCH_WINDOW
             self._batch_pages = {}
         completion = self._batch_pages.get(page_no)
         if completion is None:
             req = IORequest(
-                "write", offset, self.cfg.page_size, data=bytes(data)
+                "write", offset, PAGE_SIZE, data=bytes(data)
             )
             completion = self.ring.submit_one(self._batch_close, req)
             self._batch_pages[page_no] = completion
@@ -239,7 +236,7 @@ class _Worker:
         return out
 
     def used_bytes(self) -> int:
-        return self._pages_allocated * self.cfg.page_size
+        return self._pages_allocated * PAGE_SIZE
 
 
 class KVell(KVStore):
@@ -256,8 +253,8 @@ class KVell(KVStore):
             ssd = self.ssds[wid % cfg.num_ssds]
             per_worker = ssd.capacity // cfg.workers_per_ssd
             base = (wid // cfg.num_ssds) * per_worker
-            self.workers.append(_Worker(wid, ssd, base, per_worker, cfg))
-        cache_pages = cfg.page_cache_bytes // cfg.page_size
+            self.workers.append(_Worker(wid, ssd, base, per_worker, cfg.queue_depth))
+        cache_pages = cfg.page_cache_bytes // PAGE_SIZE
         for worker in self.workers:
             worker.cache_capacity_pages = max(1, cache_pages // total_workers)
         self._default_thread = VThread(0, self.clock, name="caller")
@@ -278,20 +275,20 @@ class KVell(KVStore):
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes, thread: Optional[VThread] = None) -> None:
         thread = self._thread(thread)
-        thread.spend(self.config.injector_cost)
+        thread.spend(INJECTOR_COST)
         self._route(key).put(thread, key, value)
         self.bytes_put += len(value)
         self.puts += 1
 
     def get(self, key: bytes, thread: Optional[VThread] = None) -> Optional[bytes]:
         thread = self._thread(thread)
-        thread.spend(self.config.injector_cost)
+        thread.spend(INJECTOR_COST)
         self.gets += 1
         return self._route(key).get(thread, key)
 
     def delete(self, key: bytes, thread: Optional[VThread] = None) -> bool:
         thread = self._thread(thread)
-        thread.spend(self.config.injector_cost)
+        thread.spend(INJECTOR_COST)
         return self._route(key).delete(thread, key)
 
     def scan(
@@ -299,12 +296,12 @@ class KVell(KVStore):
     ) -> List[Tuple[bytes, bytes]]:
         """Merge per-worker sorted indexes, then fetch each item's page."""
         thread = self._thread(thread)
-        thread.spend(self.config.injector_cost)
+        thread.spend(INJECTOR_COST)
         candidates: List[Tuple[bytes, _Worker, Tuple[int, int, int]]] = []
         for worker in self.workers:
             for key, entry in worker.range_entries(start, count):
                 candidates.append((key, worker, entry))
-        thread.spend(self.config.scan_candidate_cpu * max(len(candidates), 1))
+        thread.spend(SCAN_CANDIDATE_CPU * max(len(candidates), 1))
         candidates.sort(key=lambda item: item[0])
         selected = candidates[:count]
         # Group page reads per worker and batch them on its ring; pages
@@ -323,11 +320,11 @@ class KVell(KVStore):
             for page_no in pages:
                 offset = worker._page_offset(page_no)
                 pages_data[(wid, page_no)] = worker.ssd.read_raw(
-                    offset, self.config.page_size
+                    offset, PAGE_SIZE
                 )
                 if not worker._touch_cache(page_no):
                     requests.append(
-                        IORequest("read", offset, self.config.page_size)
+                        IORequest("read", offset, PAGE_SIZE)
                     )
                     worker._insert_cache(page_no)
             for req in requests:

@@ -72,15 +72,11 @@ class BlockStore:
     def read(self, thread: Optional[VThread], offset: int, size: int) -> bytes:
         if self.is_nvm:
             return self.device.load(thread, offset, size)
-        if isinstance(self.device, RAID0):
-            return self.device.read(thread, offset, size)
         return self.device.read(thread, offset, size)
 
     def write(self, thread: Optional[VThread], offset: int, data: bytes) -> None:
         if self.is_nvm:
             self.device.write_durable(thread, offset, data)
-        elif isinstance(self.device, RAID0):
-            self.device.write(thread, offset, data)
         else:
             self.device.write(thread, offset, data)
 
@@ -100,11 +96,4 @@ class BlockStore:
     def write_async(self, at: float, offset: int, data: bytes) -> float:
         if self.is_nvm:
             return self.device.write_durable_async(at, offset, data)
-        if isinstance(self.device, RAID0):
-            return self.device.write_async(at, offset, data)
         return self.device.write_async(at, offset, data)
-
-    def bytes_written(self) -> int:
-        if isinstance(self.device, RAID0):
-            return self.device.bytes_written
-        return self.device.bytes_written

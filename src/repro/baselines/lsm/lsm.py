@@ -29,6 +29,32 @@ from repro.storage.ssd import SSDDevice
 
 MB = 1024**2
 
+# Tree shape: compact L0 above this many tables; each level below L1
+# holds LEVEL_RATIO times the one above.
+L0_LIMIT = 4
+LEVEL_RATIO = 10
+# CPU cost of merging one byte during compaction.
+COMPACTION_CPU_PER_BYTE = 2e-9
+# Per-operation CPU costs.  RocksDB-grade software stacks burn a few
+# microseconds per op (WAL framing, skiplist walk, per-level probes,
+# block decode) — the CPU inefficiency Prism's design targets (§3,
+# Lepers et al.).
+WRITE_CPU = 1.5e-6
+# Calibrated to the paper's measured RocksDB-NVM per-op costs (Table 3:
+# ~23 us median on read-only YCSB): Get() walks memtable, versions,
+# per-level filters, and the block cache.
+READ_CPU = 6.0e-6
+# Block-cache miss overhead: pread syscall + checksum + cache fill.
+BLOCK_MISS_OVERHEAD = 8e-6
+# Decoding/binary-searching a block, paid on every block access.
+BLOCK_PARSE_COST = 1.5e-6
+# Merging-iterator Next(): key comparisons, version checks.
+SCAN_ENTRY_CPU = 2.0e-6
+# Sequential scans read ahead this many blocks per IO.
+READAHEAD_BLOCKS = 8
+# Hold time of the (contended) global block-cache mutex per lookup.
+CACHE_LOCK_COST = 1.2e-6
+
 
 @dataclass
 class LSMConfig:
@@ -37,36 +63,13 @@ class LSMConfig:
     num_ssds: int = 2
     ssd_spec: DeviceSpec = field(default_factory=lambda: FLASH_SSD_GEN4_SPEC)
     memtable_bytes: int = 1 * MB
-    l0_limit: int = 4  # compact L0 above this many tables
-    level_ratio: int = 10
     l1_target_bytes: int = 8 * MB
     sstable_target_bytes: int = 2 * MB
     block_cache_bytes: int = 16 * MB
     wal_capacity: int = 64 * MB
-    # CPU cost of merging one byte during compaction.
-    compaction_cpu_per_byte: float = 2e-9
     # Foreground/back-pressure: writers stall once compaction debt
     # (background virtual time ahead of the writer) exceeds this.
     max_compaction_lag: float = 2e-3
-    # Per-operation CPU costs.  RocksDB-grade software stacks burn a
-    # few microseconds per op (WAL framing, skiplist walk, per-level
-    # probes, block decode) — the CPU inefficiency Prism's design
-    # targets (§3, Lepers et al.).
-    write_cpu: float = 1.5e-6
-    # Calibrated to the paper's measured RocksDB-NVM per-op costs
-    # (Table 3: ~23 us median on read-only YCSB): Get() walks memtable,
-    # versions, per-level filters, and the block cache.
-    read_cpu: float = 6.0e-6
-    # Block-cache miss overhead: pread syscall + checksum + cache fill.
-    block_miss_overhead: float = 8e-6
-    # Decoding/binary-searching a block, paid on every block access.
-    block_parse_cost: float = 1.5e-6
-    # Merging-iterator Next(): key comparisons, version checks.
-    scan_entry_cpu: float = 2.0e-6
-    # Sequential scans read ahead this many blocks per IO.
-    readahead_blocks: int = 8
-    # Hold time of the (contended) global block-cache mutex per lookup.
-    cache_lock_cost: float = 1.2e-6
 
     def __post_init__(self) -> None:
         if self.num_ssds < 1:
@@ -112,9 +115,7 @@ class LSMStore(KVStore):
         # One allocator per device: the WAL takes its region from the
         # same block store the SSTables use, so extents never overlap.
         self.table_store = BlockStore(raid)
-        self.wal: Optional[WriteAheadLog] = WriteAheadLog(
-            self.table_store, cfg.wal_capacity
-        )
+        self.wal = WriteAheadLog(self.table_store, cfg.wal_capacity)
 
     def _thread(self, thread: Optional[VThread]) -> VThread:
         return thread if thread is not None else self._default_thread
@@ -137,24 +138,13 @@ class LSMStore(KVStore):
         self._throttle(thread)
         self._write_lock.acquire(thread)
         try:
-            thread.spend(self.config.write_cpu)
-            if self.wal is not None:
-                self.wal.append(key, value, thread)
-            else:
-                self._persist_memtable_entry(key, value, thread)
+            thread.spend(WRITE_CPU)
+            self.wal.append(key, value, thread)
             self.memtable.insert(key, value)
         finally:
             self._write_lock.release(thread)
         if self.memtable.approximate_size >= self.config.memtable_bytes:
             self._rotate_memtable(thread.now)
-
-    def _persist_memtable_entry(
-        self, key: bytes, value: Optional[bytes], thread: VThread
-    ) -> None:
-        """Hook for NVM-resident memtables (SLM-DB has no WAL)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no WAL and no persistent memtable"
-        )
 
     def _throttle(self, thread: VThread) -> None:
         """Write stall: wait while compaction debt exceeds the budget."""
@@ -182,15 +172,14 @@ class LSMStore(KVStore):
             self._bg.wait_until(done)
             self.levels[0].insert(0, table)
             self.flushes += 1
-        if self.wal is not None:
-            self.wal.truncate()
+        self.wal.truncate()
         self._maybe_compact()
 
     # ------------------------------------------------------------------
     # compaction
     # ------------------------------------------------------------------
     def _level_target(self, level: int) -> int:
-        return self.config.l1_target_bytes * self.config.level_ratio ** (level - 1)
+        return self.config.l1_target_bytes * LEVEL_RATIO ** (level - 1)
 
     def _level_size(self, level: int) -> int:
         return sum(t.size for t in self.levels[level])
@@ -199,7 +188,7 @@ class LSMStore(KVStore):
         progressed = True
         while progressed:
             progressed = False
-            if len(self.levels[0]) > self.config.l0_limit:
+            if len(self.levels[0]) > L0_LIMIT:
                 self._compact_l0()
                 progressed = True
                 continue
@@ -244,7 +233,7 @@ class LSMStore(KVStore):
             runs.append(table.all_items())
             total_in += table.size
         self._bg.wait_until(read_done)
-        self._bg.spend(total_in * cfg.compaction_cpu_per_byte)
+        self._bg.spend(total_in * COMPACTION_CPU_PER_BYTE)
         bottom = target_level >= len(self.levels) - 1
         merged = self._merge(runs, drop_tombstones=bottom)
         self._ensure_level(target_level)
@@ -331,12 +320,12 @@ class LSMStore(KVStore):
         every read passes through — the multicore ceiling of LSM
         engines (Figure 16)."""
         self._cache_lock.acquire(thread)
-        thread.spend(self.config.cache_lock_cost)
+        thread.spend(CACHE_LOCK_COST)
         self._cache_lock.release(thread)
 
     def get(self, key: bytes, thread: Optional[VThread] = None) -> Optional[bytes]:
         thread = self._thread(thread)
-        thread.spend(self.config.read_cpu)
+        thread.spend(READ_CPU)
         self.gets += 1
         found, value = self.memtable.get(key)
         if found:
@@ -346,8 +335,8 @@ class LSMStore(KVStore):
             if found:
                 return value
         self._cache_gate(thread)
-        miss = self.config.block_miss_overhead
-        parse = self.config.block_parse_cost
+        miss = BLOCK_MISS_OVERHEAD
+        parse = BLOCK_PARSE_COST
         for table in self.levels[0]:
             found, value = table.get(key, thread, self.block_cache, miss, parse)
             if found:
@@ -374,8 +363,8 @@ class LSMStore(KVStore):
         sources.append(self.memtable.items_from(start))
         for imm in self.immutables:
             sources.append(imm.items_from(start))
-        miss = self.config.block_miss_overhead
-        ra = self.config.readahead_blocks
+        miss = BLOCK_MISS_OVERHEAD
+        ra = READAHEAD_BLOCKS
         for table in self.levels[0]:
             sources.append(
                 table.items_from(start, thread, self.block_cache, miss, ra)
@@ -395,7 +384,7 @@ class LSMStore(KVStore):
         self, start: bytes, count: int, thread: Optional[VThread] = None
     ) -> List[Tuple[bytes, bytes]]:
         thread = self._thread(thread)
-        thread.spend(self.config.read_cpu)
+        thread.spend(READ_CPU)
         self._cache_gate(thread)
         self.scans += 1
         sources = self._sources(start, thread)
@@ -407,7 +396,7 @@ class LSMStore(KVStore):
         heapq.heapify(heap)
         out: List[Tuple[bytes, bytes]] = []
         current_key: Optional[bytes] = None
-        entry_cpu = self.config.scan_entry_cpu
+        entry_cpu = SCAN_ENTRY_CPU
         while heap and len(out) < count:
             key, priority, value, src = heapq.heappop(heap)
             thread.spend(entry_cpu)
@@ -437,8 +426,6 @@ class LSMStore(KVStore):
 
     def recovery_time(self) -> float:
         """Replay the WAL (memtable contents only)."""
-        if self.wal is None:
-            return 0.0
         device = self.wal.store.device
         bw = getattr(device, "spec", None)
         if bw is not None:

@@ -14,7 +14,16 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.baselines.lsm.blockstore import BlockStore
-from repro.baselines.lsm.lsm import LSMConfig, LSMStore, MB
+from repro.baselines.lsm.lsm import (
+    BLOCK_MISS_OVERHEAD,
+    BLOCK_PARSE_COST,
+    COMPACTION_CPU_PER_BYTE,
+    READ_CPU,
+    READAHEAD_BLOCKS,
+    LSMConfig,
+    LSMStore,
+    MB,
+)
 from repro.baselines.lsm.memtable import MemTable
 from repro.baselines.lsm.sstable import SSTable
 from repro.baselines.lsm.wal import WriteAheadLog
@@ -24,6 +33,9 @@ from repro.storage.raid import RAID0
 from repro.storage.specs import NVM_SPEC, DeviceSpec
 from repro.storage.ssd import SSDDevice
 
+# Fraction of the container one column compaction drains.
+COLUMN_FRACTION = 0.25
+
 
 @dataclass
 class MatrixKVConfig(LSMConfig):
@@ -31,8 +43,6 @@ class MatrixKVConfig(LSMConfig):
     # Matrix container budget on NVM (the paper gives MatrixKV 8 GB;
     # scaled down with everything else).
     container_bytes: int = 8 * MB
-    # Fraction of the container one column compaction drains.
-    column_fraction: float = 0.25
 
 
 class MatrixKV(LSMStore):
@@ -67,8 +77,7 @@ class MatrixKV(LSMStore):
         self.rows.insert(0, row)
         self.container_bytes_used += row.approximate_size
         self.flushes += 1
-        if self.wal is not None:
-            self.wal.truncate()
+        self.wal.truncate()
         while self.container_bytes_used > self.config.container_bytes:
             self._column_compaction()
         self._maybe_compact()
@@ -77,7 +86,7 @@ class MatrixKV(LSMStore):
     # column compaction: drain one key column across all rows into L1
     # ------------------------------------------------------------------
     def _column_boundary(self) -> Optional[bytes]:
-        """End key of the column: the lowest ``column_fraction`` of the
+        """End key of the column: the lowest ``COLUMN_FRACTION`` of the
         container's key space (by sorted key volume)."""
         keys: List[bytes] = []
         for row in self.rows:
@@ -85,7 +94,7 @@ class MatrixKV(LSMStore):
         if not keys:
             return None
         keys.sort()
-        cut = max(1, int(len(keys) * self.config.column_fraction))
+        cut = max(1, int(len(keys) * COLUMN_FRACTION))
         if cut >= len(keys):
             return None  # drain everything
         boundary = keys[cut]
@@ -129,7 +138,7 @@ class MatrixKV(LSMStore):
             runs.append(table.all_items())
             total_in += table.size
         self._bg.wait_until(read_done)
-        self._bg.spend(total_in * self.config.compaction_cpu_per_byte)
+        self._bg.spend(total_in * COMPACTION_CPU_PER_BYTE)
         out = self._merge(runs, drop_tombstones=len(self.levels) <= 2)
         write_done = self._bg.now
         new_tables: List[SSTable] = []
@@ -163,7 +172,7 @@ class MatrixKV(LSMStore):
     # ------------------------------------------------------------------
     def get(self, key: bytes, thread: Optional[VThread] = None) -> Optional[bytes]:
         thread = self._thread(thread)
-        thread.spend(self.config.read_cpu)
+        thread.spend(READ_CPU)
         self.gets += 1
         found, value = self.memtable.get(key)
         if found:
@@ -179,8 +188,8 @@ class MatrixKV(LSMStore):
             if found:
                 return value
         self._cache_gate(thread)
-        miss = self.config.block_miss_overhead
-        parse = self.config.block_parse_cost
+        miss = BLOCK_MISS_OVERHEAD
+        parse = BLOCK_PARSE_COST
         for level in range(1, len(self.levels)):
             for table in self.levels[level]:
                 if table.covers(key):
@@ -200,8 +209,8 @@ class MatrixKV(LSMStore):
             sources.append(imm.items_from(start))
         for row in self.rows:
             sources.append(row.items_from(start))
-        miss = self.config.block_miss_overhead
-        ra = self.config.readahead_blocks
+        miss = BLOCK_MISS_OVERHEAD
+        ra = READAHEAD_BLOCKS
         for level in range(1, len(self.levels)):
             tables = self.levels[level]
 

@@ -34,6 +34,21 @@ from repro.storage.ssd import SSDDevice
 MB = 1024**2
 _BLOCK_BITS = 20  # slot encoding: table_id << 20 | block_no
 
+# Selective compaction: merge tables whose live ratio fell below this.
+LIVE_RATIO_THRESHOLD = 0.5
+COMPACTION_CPU_PER_BYTE = 2e-9
+# A persistent NVM skiplist insert is expensive: node allocation,
+# several ordered store+clwb+sfence sequences, and B+-tree bookkeeping
+# (FAST '19 reports write paths of this magnitude).
+WRITE_CPU = 6.0e-6
+READ_CPU = 0.5e-6
+# read() syscall + copy for a page-cache hit (no O_DIRECT).
+PAGE_CACHE_HIT_COST = 1.5e-6
+# Inserting one key into the persistent B+-tree during a flush: NVM
+# node allocation, logging, and splits make this the dominant flush
+# cost (the FAST '19 write path is tens of microseconds).
+INDEX_INSERT_COST = 40e-6
+
 
 @dataclass
 class SLMDBConfig:
@@ -42,20 +57,6 @@ class SLMDBConfig:
     nvm_spec: DeviceSpec = field(default_factory=lambda: NVM_SPEC)
     memtable_bytes: int = 1 * MB  # the paper gives SLM-DB 64 MB; scaled
     sstable_target_bytes: int = 2 * MB
-    # Selective compaction: merge tables whose live ratio fell below this.
-    live_ratio_threshold: float = 0.5
-    compaction_cpu_per_byte: float = 2e-9
-    # A persistent NVM skiplist insert is expensive: node allocation,
-    # several ordered store+clwb+sfence sequences, and B+-tree
-    # bookkeeping (FAST '19 reports write paths of this magnitude).
-    write_cpu: float = 6.0e-6
-    read_cpu: float = 0.5e-6
-    # read() syscall + copy for a page-cache hit (no O_DIRECT).
-    page_cache_hit_cost: float = 1.5e-6
-    # Inserting one key into the persistent B+-tree during a flush:
-    # NVM node allocation, logging, and splits make this the dominant
-    # flush cost (the FAST '19 write path is tens of microseconds).
-    index_insert_cost: float = 40e-6
     max_compaction_lag: float = 2e-3
     # SLM-DB does not support O_DIRECT, so it leans on the OS page
     # cache and "consumes more memory" than the other stores (§7.4).
@@ -108,7 +109,7 @@ class SLMDB(KVStore):
     def put(self, key: bytes, value: bytes, thread: Optional[VThread] = None) -> None:
         thread = self._thread(thread)
         self._throttle(thread)
-        thread.spend(self.config.write_cpu)
+        thread.spend(WRITE_CPU)
         # The memtable is NVM-resident: persist the record itself.
         self.nvm.charge_write(thread, len(key) + len(value) + 16)
         self.memtable.insert(key, value)
@@ -119,7 +120,7 @@ class SLMDB(KVStore):
 
     def delete(self, key: bytes, thread: Optional[VThread] = None) -> bool:
         thread = self._thread(thread)
-        thread.spend(self.config.write_cpu)
+        thread.spend(WRITE_CPU)
         self.nvm.charge_write(thread, len(key) + 16)
         existed = self.get(key, thread) is not None
         self.memtable.insert(key, None)
@@ -187,7 +188,7 @@ class SLMDB(KVStore):
                 used = 0
             used += rec
             old = self.index.lookup(key)
-            worker.spend(self.config.index_insert_cost)
+            worker.spend(INDEX_INSERT_COST)
             self.index.insert(key, self._slot(table.table_id, block_no), worker)
             if old is not None:
                 self._decrement_live(old)
@@ -204,12 +205,11 @@ class SLMDB(KVStore):
     # selective compaction
     # ------------------------------------------------------------------
     def _selective_compaction(self) -> None:
-        cfg = self.config
         victims = [
             t
             for t in self.tables.values()
             if t.entry_count
-            and t.live_entries / t.entry_count < cfg.live_ratio_threshold
+            and t.live_entries / t.entry_count < LIVE_RATIO_THRESHOLD
         ]
         for victim in victims:
             self._compact_table(victim)
@@ -217,7 +217,7 @@ class SLMDB(KVStore):
     def _compact_table(self, victim: SSTable) -> None:
         _, done = self.table_store.read_async(self._bg.now, victim.offset, victim.size)
         self._bg.wait_until(done)
-        self._bg.spend(victim.size * self.config.compaction_cpu_per_byte)
+        self._bg.spend(victim.size * COMPACTION_CPU_PER_BYTE)
         survivors: List[Tuple[bytes, Optional[bytes]]] = []
         for key, value in victim.all_items():
             slot = self.index.lookup(key)
@@ -259,7 +259,7 @@ class SLMDB(KVStore):
     # ------------------------------------------------------------------
     def get(self, key: bytes, thread: Optional[VThread] = None) -> Optional[bytes]:
         thread = self._thread(thread)
-        thread.spend(self.config.read_cpu)
+        thread.spend(READ_CPU)
         self.gets += 1
         found, value = self.memtable.get(key)
         if found:
@@ -271,7 +271,7 @@ class SLMDB(KVStore):
         table = self.tables.get(table_id)
         if table is None:
             return None
-        thread.spend(self.config.page_cache_hit_cost)
+        thread.spend(PAGE_CACHE_HIT_COST)
         block = table.read_block(block_no, thread, self.page_cache)
         self._trim_page_cache()
         for k, v in _unpack_block(block):
@@ -288,7 +288,7 @@ class SLMDB(KVStore):
     ) -> List[Tuple[bytes, bytes]]:
         """Ordered walk of the B+-tree; values scattered across tables."""
         thread = self._thread(thread)
-        thread.spend(self.config.read_cpu)
+        thread.spend(READ_CPU)
         self.scans += 1
         # Merge memtable entries with indexed entries.
         indexed = self.index.scan(start, count * 2, thread)
@@ -316,7 +316,7 @@ class SLMDB(KVStore):
             memo_key = (table_id, block_no)
             block = block_memo.get(memo_key)
             if block is None:
-                thread.spend(self.config.page_cache_hit_cost)
+                thread.spend(PAGE_CACHE_HIT_COST)
                 block = table.read_block(block_no, thread, self.page_cache)
                 self._trim_page_cache()
                 block_memo[memo_key] = block

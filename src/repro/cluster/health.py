@@ -43,6 +43,14 @@ STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half_open"
 
+# Recent read latencies kept for the hedge-delay quantile.
+HEDGE_WINDOW = 128
+# Hedge-delay cap relative to the median: under heavy pollution (a gray
+# shard feeding the window) the raw quantile chases the inflated tail
+# and hedges would never fire; min(Q(q), cap × median) keeps the delay
+# anchored to healthy-majority behaviour.
+HEDGE_MEDIAN_CAP = 3.0
+
 
 @dataclass
 class HealthConfig:
@@ -58,20 +66,12 @@ class HealthConfig:
     min_samples: int = 16  # observations before a shard can be judged
     gray_factor: float = 3.0  # gray when score > factor × peer median
     # -- circuit breaker --
-    enable_breaker: bool = True
     open_after: int = 4  # consecutive gray verdicts that open it
     reset_timeout: float = 2e-3  # virtual secs open before half-open
     probe_successes: int = 3  # healthy half-open probes that close it
     # -- hedged reads --
-    enable_hedging: bool = True
     hedge_quantile: float = 0.95  # fire a hedge past this latency
-    hedge_window: int = 128  # recent read latencies kept for the quantile
     hedge_min_delay: float = 10e-6  # floor (virtual seconds)
-    # Cap relative to the median: under heavy pollution (a gray shard
-    # feeding the window) the raw quantile chases the inflated tail and
-    # hedges would never fire; min(Q(q), cap × median) keeps the delay
-    # anchored to healthy-majority behaviour.
-    hedge_median_cap: float = 3.0
     # -- per-op deadline budget (virtual seconds); None disables --
     op_deadline: Optional[float] = None
 
@@ -94,15 +94,9 @@ class HealthConfig:
             raise ValueError(
                 f"hedge_quantile must be in (0, 1): {self.hedge_quantile}"
             )
-        if self.hedge_window < 2:
-            raise ValueError(f"hedge_window must be >= 2: {self.hedge_window}")
         if self.hedge_min_delay < 0:
             raise ValueError(
                 f"hedge_min_delay must be >= 0: {self.hedge_min_delay}"
-            )
-        if self.hedge_median_cap < 1.0:
-            raise ValueError(
-                f"hedge_median_cap must be >= 1: {self.hedge_median_cap}"
             )
         if self.op_deadline is not None and self.op_deadline <= 0:
             raise ValueError(f"op_deadline must be > 0: {self.op_deadline}")
@@ -224,7 +218,7 @@ class HealthMonitor:
             for sid in range(num_shards)
         }
         # Pooled recent read latencies feeding the hedge-delay quantile.
-        self._recent: Deque[float] = deque(maxlen=config.hedge_window)
+        self._recent: Deque[float] = deque(maxlen=HEDGE_WINDOW)
         self._hedge_delay = float("inf")  # no hedging until warmed up
         self._since_refresh = 0
         # Shards whose observations are ignored while set — live
@@ -309,8 +303,6 @@ class HealthMonitor:
         self._since_refresh += 1
         if self._since_refresh >= 32:
             self._refresh_hedge_delay()
-        if not cfg.enable_breaker:
-            return
         breaker = self.breakers[shard_id]
         # Half-open probes are judged on the probe's own latency (the
         # EWMA is still poisoned by the gray period); closed-state
@@ -335,19 +327,13 @@ class HealthMonitor:
         unwell — counts as a gray verdict (and fails any probe)."""
         if self.exempt and shard_id in self.exempt:
             return
-        if self.config.enable_breaker:
-            self.breakers[shard_id].on_verdict(True, at)
+        self.breakers[shard_id].on_verdict(True, at)
 
     # ------------------------------------------------------------------
     # routing queries
     # ------------------------------------------------------------------
     def allow(self, shard_id: int, at: float) -> bool:
-        if not self.config.enable_breaker:
-            return True
         return self.breakers[shard_id].allow(at)
-
-    def state(self, shard_id: int) -> str:
-        return self.breakers[shard_id].state
 
     def is_gray(self, shard_id: int) -> bool:
         """Current verdict from the smoothed score (no side effects)."""
@@ -366,7 +352,7 @@ class HealthMonitor:
         n = len(ordered)
         q = ordered[min(n - 1, int(self.config.hedge_quantile * n))]
         median = ordered[n // 2]
-        delay = min(q, self.config.hedge_median_cap * median)
+        delay = min(q, HEDGE_MEDIAN_CAP * median)
         if delay < self.config.hedge_min_delay:
             delay = self.config.hedge_min_delay
         self._hedge_delay = delay

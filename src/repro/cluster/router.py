@@ -111,7 +111,6 @@ class ClusterConfig:
     replication_mode: str = MODE_QUORUM  # "async" | "quorum" | "sync"
     read_policy: str = READ_PRIMARY  # "primary" | "spread"
     vnodes: int = 64
-    ring_seed: int = 0
     # Admission control; None disables the corresponding mechanism.
     max_queue_depth: Optional[int] = None
     rate_limit_ops: Optional[float] = None  # tokens (ops) per virtual second
@@ -122,9 +121,6 @@ class ClusterConfig:
     # reading their primary, preserving per-shard cache locality.  None
     # keeps the old spread behavior — round-robin every read.
     hot_key_threshold: Optional[int] = None
-    # Re-replicate automatically when a shard fails.  Off, reads are
-    # restricted to surviving static owners until rebuild() is called.
-    auto_rebuild: bool = True
     # Gray-failure defense (ISSUE 7): latency health scoring, per-shard
     # circuit breakers, and hedged reads.  None (the default) keeps
     # every hook disabled — the router consumes no extra virtual time
@@ -210,13 +206,10 @@ class PrismCluster:
                     f"shard {shard.shard_id} does not share the cluster clock; "
                     "build it with Prism(..., clock=clock)"
                 )
-        self.ring = HashRing(
-            range(cfg.num_shards), vnodes=cfg.vnodes, seed=cfg.ring_seed
-        )
+        self.ring = HashRing(range(cfg.num_shards), vnodes=cfg.vnodes)
         self.metrics = MetricsRegistry()
         self.events = EventLog("cluster")
         self._down: Set[int] = set()
-        self._unrebuilt: Set[int] = set()
         # Live resharding: at most one membership change in flight.
         # Every hook on the hot paths is behind this None check, so a
         # run with no membership change stays byte-identical to the
@@ -359,19 +352,12 @@ class PrismCluster:
         return [self.shards[i] for i in ids]
 
     def _read_shards(self, key: bytes) -> List[Shard]:
-        """Shards that authoritatively hold ``key``.
-
-        With no failures these are the static owners.  While a failed
-        shard's re-replication is still pending, only surviving static
-        owners are trusted (a promoted ring successor may not have
-        received the key yet); once every failure has been rebuilt the
-        effective (exclusion-walk) owners all hold the data.
-        """
+        """Shards that authoritatively hold ``key``: the static owners,
+        or with failures the exclusion-walk owners, which a failed
+        shard's re-replication (:meth:`fail_shard`) has filled."""
         rf = self.config.replication_factor
         ids = static = self.ring.preference_list(key, rf)
-        if self._unrebuilt:
-            ids = [i for i in static if i not in self._down]
-        elif self._down:
+        if self._down:
             ids = self.ring.preference_list(key, rf, exclude=self._down)
         if not ids:
             raise ShardUnavailableError(key, static)
@@ -633,7 +619,7 @@ class PrismCluster:
             if health is not None:
                 t1 = thread.now
                 health.record_read(shard.shard_id, t1 - t0, t1)
-                if health.config.enable_hedging and t1 - t0 > health.hedge_delay():
+                if t1 - t0 > health.hedge_delay():
                     value = self._hedge(key, shard, value, t0, t1, thread)
             shard.admission.complete(thread.now)
             return value
@@ -736,9 +722,7 @@ class PrismCluster:
         if not serving:
             raise ShardUnavailableError(start, self.ring.shards)
         # Copies of any one key the serving shards hold between them.
-        copies = min(
-            self.config.replication_factor - len(self._unrebuilt), len(serving)
-        )
+        copies = min(self.config.replication_factor, len(serving))
         answers: Dict[Shard, List[Tuple[bytes, bytes]]] = {}
         last_error: Optional[_ShardOpError] = None
         end = t0
@@ -783,10 +767,6 @@ class PrismCluster:
         if self._migration is not None:
             raise RebalanceInProgressError(repr(self._migration.snapshot()))
         at = self.clock.now if at is None else at
-        if self._unrebuilt:
-            # Membership change on top of an unhealed failure would mix
-            # two rebalancing regimes; restore RF first.
-            self.rebuild(at)
         sid = len(self.shards)
         factory = shard_factory or self._shard_factory
         store = factory(sid, self.clock)
@@ -825,8 +805,6 @@ class PrismCluster:
                 f"cannot remove shard {shard_id}: state is {shard.state!r} "
                 "(a failed shard is removed by rebuild, not by drain)"
             )
-        if self._unrebuilt:
-            self.rebuild(at)
         shard.start_drain()
         self.events.emit(at, "shard_draining", shard=shard_id)
         self._start_migration(ACTION_REMOVE, shard_id, new_ring, bandwidth, at)
@@ -921,14 +899,13 @@ class PrismCluster:
 
     def fail_shard(self, shard_id: int, at: Optional[float] = None) -> None:
         """Mark a shard down, drop its unsent replication backlog, and
-        (with ``auto_rebuild``) restore every affected key's RF."""
+        restore every affected key's RF."""
         if shard_id in self._down:
             return
         at = self.clock.now if at is None else at
         shard = self.shards[shard_id]
         shard.state = STATE_DOWN
         self._down.add(shard_id)
-        self._unrebuilt.add(shard_id)
         self.metrics.counter("cluster.failovers").inc()
         dropped = shard.drop_all()
         for other in self.shards:
@@ -950,18 +927,14 @@ class PrismCluster:
             # ring, migration-window writes resynced back), any other
             # death fast-forwards the handoff to completion.
             self._migration.on_shard_failed(shard_id, at)
-        if self.config.auto_rebuild:
-            self.rebuild(at)
+        self.rebuild(shard_id, at)
 
-    def rebuild(self, at: Optional[float] = None) -> Dict[str, float]:
-        """Re-replication after failures: for every key a down shard
+    def rebuild(self, failed: int, at: float) -> Dict[str, float]:
+        """Re-replication after ``failed`` went down: for every key it
         owned, copy from a surviving static owner until each effective
         owner holds it.  Runs on a background virtual thread; duration
         lands in ``cluster.recovery_seconds``."""
-        at = self.clock.now if at is None else at
         report = {"keys_copied": 0.0, "keys_lost": 0.0, "duration": 0.0}
-        if not self._unrebuilt:
-            return report
         rt = VThread(-50, self.clock, name="re-replicate", background=True)
         rt.now = at
         start = rt.now
@@ -976,8 +949,8 @@ class PrismCluster:
                     continue
                 seen.add(key)
                 static = self.ring.preference_list(key, rf)
-                if not any(sid in self._unrebuilt for sid in static):
-                    continue  # placement untouched by the failures
+                if failed not in static:
+                    continue  # placement untouched by the failure
                 survivors = [sid for sid in static if sid not in down]
                 # Prefer a surviving static owner (it saw every
                 # post-failure write for the key); fall back to the
@@ -1002,16 +975,14 @@ class PrismCluster:
                     if target.store.index.lookup(key, rt) is None:
                         target.store.put(key, value, rt)
                         report["keys_copied"] += 1
-        # Keys only the dead shards held (possible at RF=1, or when an
+        # Keys only the dead shard held (possible at RF=1, or when an
         # async-replication backlog died with its primary) are gone for
         # good; their index metadata survives in memory, so we can at
         # least count them.
-        for sid in self._unrebuilt:
-            for key, _idx in self.shards[sid].store.index.items():
-                if key not in seen:
-                    seen.add(key)
-                    report["keys_lost"] += 1
-        self._unrebuilt.clear()
+        for key, _idx in self.shards[failed].store.index.items():
+            if key not in seen:
+                seen.add(key)
+                report["keys_lost"] += 1
         report["duration"] = rt.now - start
         self.metrics.gauge("cluster.recovery_seconds").set(report["duration"])
         self.metrics.counter("cluster.rebuilds").inc()

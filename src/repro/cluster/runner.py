@@ -163,16 +163,6 @@ class ClusterRunResult:
     def throughput(self) -> float:
         return self.run.throughput
 
-    def summary(self) -> str:
-        extra = ""
-        if self.killed_shard is not None:
-            extra = (
-                f"  [killed shard {self.killed_shard}; "
-                f"recovery {self.recovery_seconds or 0.0:.6f}s; "
-                f"lost acked {self.audit.get('lost_acked', '?')}]"
-            )
-        return self.run.summary() + extra
-
 
 def _slow_injections(cluster: PrismCluster) -> int:
     return sum(

@@ -47,7 +47,6 @@ class PrismConfig:
     num_ssds: int = 2
     ssd_spec: DeviceSpec = field(default_factory=lambda: FLASH_SSD_GEN4_SPEC)
     nvm_spec: DeviceSpec = field(default_factory=lambda: NVM_SPEC)
-    dram_spec: DeviceSpec = field(default_factory=lambda: DRAM_SPEC)
 
     # Persistent Write Buffer (per thread)
     pwb_capacity: int = 4 * MB
@@ -68,7 +67,6 @@ class PrismConfig:
     # relocation publish invalidates the cached copy synchronously.
     enable_read_cache: bool = False
     read_cache_capacity: int = 8 * MB
-    read_cache_sketch_width: int = 4096
 
     # Value Storage
     chunk_size: int = 512 * 1024
@@ -81,12 +79,8 @@ class PrismConfig:
     combine_window: float = COMBINE_WINDOW
     timeout_window: float = TIMEOUT_WINDOW
 
-    # Index / HSIT
+    # HSIT
     hsit_capacity: int = 1_000_000
-    index_leaf_capacity: int = 64
-
-    # Epochs
-    epoch_advance_every: int = 64  # ops between epoch-advance attempts
 
     # Observability: when True the store builds a real MetricsRegistry
     # and traces per-op phase latencies; when False (default) it holds
@@ -103,9 +97,6 @@ class PrismConfig:
     # dedicated mirror SSD per storage (repair source for corrupt or
     # dead primaries).
     mirror_chunks: bool = False
-    # Background scrubber read budget in bytes of chunk scans per
-    # virtual second.
-    scrub_bandwidth: float = 64 * MB
 
     # Hot/cold tiered data placement (ISSUE 9).  Off by default: the
     # store then builds no cold pool and no temperature tracker, and
@@ -131,7 +122,6 @@ class PrismConfig:
     # Promotion needs this much free-chunk headroom on the fast target,
     # or it would immediately thrash against demotion.
     tier_fast_headroom: float = 0.05
-    tier_sketch_width: int = 8192
 
     # Fault injection: None (default) leaves every device on the no-op
     # null injector — runs are bit-identical to a build without the
@@ -180,10 +170,6 @@ class PrismConfig:
                 raise ValueError(
                     f"tier_fast_headroom must be in [0, 1): {self.tier_fast_headroom}"
                 )
-        if self.scrub_bandwidth <= 0:
-            raise ValueError(
-                f"scrub_bandwidth must be positive: {self.scrub_bandwidth}"
-            )
         if self.read_batching not in (
             MODE_THREAD_COMBINING,
             MODE_TIMEOUT_ASYNC,
@@ -204,5 +190,5 @@ class PrismConfig:
             )
         nvm_bytes = self.pwb_capacity * self.num_threads
         nvm = self.nvm_spec.cost_per_tb * nvm_bytes / tb
-        dram = self.dram_spec.cost_per_tb * self.svc_capacity / tb
+        dram = DRAM_SPEC.cost_per_tb * self.svc_capacity / tb
         return ssd + nvm + dram

@@ -34,19 +34,13 @@ class EpochManager:
     # ------------------------------------------------------------------
     # thread participation
     # ------------------------------------------------------------------
-    def register(self, tid: int) -> None:
-        self._pinned.setdefault(tid, -1)
-        self._quiescent.setdefault(tid, self.global_epoch)
-
     def unregister(self, tid: int) -> None:
         self._pinned.pop(tid, None)
         self._quiescent.pop(tid, None)
 
     def enter(self, tid: int) -> None:
-        """Pin the current epoch for an operation."""
-        # register() inlined: enter() brackets every store operation and
-        # the common case is an already-registered thread.  The pin is
-        # overwritten immediately, so only the quiescent default matters.
+        """Pin the current epoch for an operation; a thread's first
+        ``enter`` registers it."""
         q = self._quiescent
         if tid not in q:
             q[tid] = self.global_epoch

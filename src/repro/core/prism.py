@@ -55,6 +55,8 @@ from repro.storage.ssd import SSDDevice
 from repro.index.pactree import PACTree
 from repro.tiering import TierManager
 
+# Ops between epoch-advance attempts.
+EPOCH_ADVANCE_EVERY = 64
 
 # One record to relocate: (hsit_idx, value, old_vs, old_chunk, old_off) —
 # a containment.PublishEntry with the value in place of the placement.
@@ -118,7 +120,7 @@ class Prism:
             ]
         self.media = Media(
             NVMDevice(cfg.nvm_spec),
-            DRAMDevice(cfg.dram_spec),
+            DRAMDevice(),
             [SSDDevice(cfg.ssd_spec, name=f"ssd{i}") for i in range(cfg.num_ssds)],
             cold_ssds,
             mirror_ssds,
@@ -171,7 +173,7 @@ class Prism:
             )
         self.epoch = EpochManager()
         self.hsit = HSIT(nvm, cfg.hsit_capacity)
-        self.index = PACTree(media.heap, leaf_capacity=cfg.index_leaf_capacity)
+        self.index = PACTree(media.heap)
         self.pwbs: List[PersistentWriteBuffer] = [
             PersistentWriteBuffer(
                 nvm, i, cfg.pwb_capacity, checksums=cfg.enable_checksums
@@ -212,11 +214,7 @@ class Prism:
         # to a build without the cache subsystem.
         self.read_cache: Optional[ReadCache] = None
         if cfg.enable_read_cache:
-            self.read_cache = ReadCache(
-                media.dram,
-                cfg.read_cache_capacity,
-                sketch_width=cfg.read_cache_sketch_width,
-            )
+            self.read_cache = ReadCache(media.dram, cfg.read_cache_capacity)
         # Hot/cold tiered placement (ISSUE 9): None when disabled —
         # every branch below then costs one attribute load and a None
         # check, and runs are bit-identical to a build without the
@@ -235,7 +233,6 @@ class Prism:
         self._ops = 0
         # Hot-path caches: _tick()/put() run once per op and two-hop
         # ``self.config.*`` chases show up in profiles.
-        self._epoch_every = cfg.epoch_advance_every
         self._enable_pwb = cfg.enable_pwb
         self._pwb_watermark = cfg.pwb_watermark
         self._rr_storage = itertools.count()
@@ -396,10 +393,10 @@ class Prism:
             # must not touch (or advance epochs over) post-crash state.
             return
         self._ops += 1
-        if self._ops % self._epoch_every == 0:
+        if self._ops % EPOCH_ADVANCE_EVERY == 0:
             self.epoch.try_advance()
-        # pending_work() inlined: when used <= capacity the backlog is
-        # just len(_pending), so the disjunction below is equivalent.
+        # The SVC's background work: evictions once it is over
+        # capacity, and its queue of deferred requests.
         svc = self.svc
         if svc.used > svc.capacity or len(svc._pending) > 256:
             self._run_cache_maintenance()

@@ -85,10 +85,6 @@ class PersistentWriteBuffer:
     def used(self) -> int:
         return self.head - self.tail
 
-    @property
-    def free_space(self) -> int:
-        return self.capacity - self.used
-
     def utilization(self) -> float:
         return self.used / self.capacity
 

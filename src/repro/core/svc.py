@@ -247,9 +247,6 @@ class ScanAwareValueCache:
     # ------------------------------------------------------------------
     # background maintenance
     # ------------------------------------------------------------------
-    def pending_work(self) -> int:
-        return len(self._pending) + max(0, self.used - self.capacity)
-
     def process_background(
         self,
         bg: VThread,

@@ -75,13 +75,6 @@ class LatencyHistogram:
 
     # -- bucket arithmetic --------------------------------------------
     @staticmethod
-    def _index(ns: int) -> int:
-        if ns < _SUB:
-            return ns
-        exp = ns.bit_length() - (_SUB_BITS + 1)
-        return (exp << _SUB_BITS) + (ns >> exp)
-
-    @staticmethod
     def _midpoint_ns(index: int) -> float:
         if index < 2 * _SUB:  # linear region covers indices [0, 32)
             return float(index) + 0.5
@@ -92,8 +85,8 @@ class LatencyHistogram:
     # -- recording -----------------------------------------------------
     def record(self, seconds: float) -> None:
         # Clamp fp jitter from virtual-time subtraction; observation
-        # must never take the store down.  The bucket index computation
-        # is _index() inlined — record() runs several times per op.
+        # must never take the store down.  Below _SUB a value is its own
+        # bucket; above, the top _SUB_BITS + 1 bits pick it.
         ns = int(seconds * 1e9) if seconds > 0 else 0
         if ns < _SUB:
             idx = ns
@@ -295,10 +288,6 @@ class MetricsRegistry:
             e = self.event_logs[name] = EventLog(name)
         return e
 
-    def attach_events(self, name: str, log: EventLog) -> None:
-        """Expose an externally owned event log through the registry."""
-        self.event_logs[self.prefix + name] = log
-
     def phase(self, op: str, name: str, seconds: float) -> None:
         """Attribute ``seconds`` of an ``op`` to one phase.
 
@@ -456,9 +445,6 @@ class NullRegistry(MetricsRegistry):
 
     def events(self, name: str) -> EventLog:
         return self._events
-
-    def attach_events(self, name: str, log: EventLog) -> None:
-        pass
 
     def phase(self, op: str, name: str, seconds: float) -> None:
         pass

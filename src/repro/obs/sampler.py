@@ -70,5 +70,10 @@ class DeviceSampler:
         pwbs = getattr(self.store, "pwbs", None)
         if pwbs:
             occ = [pwb.utilization() for pwb in pwbs]
-            reg.timeseries("pwb.occupancy.mean").append(now, sum(occ) / len(occ))
+            # Left to right: 3.12's built-in sum() compensates rounding
+            # and would move the last digit between interpreters.
+            total = 0.0
+            for u in occ:
+                total += u
+            reg.timeseries("pwb.occupancy.mean").append(now, total / len(occ))
             reg.timeseries("pwb.occupancy.max").append(now, max(occ))

@@ -24,7 +24,7 @@ scrubbing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.faults.errors import CorruptionError, UnrecoverableCorruptionError
 from repro.repair.repair import read_repair
@@ -33,6 +33,9 @@ from repro.storage.base import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.prism import Prism
+
+# Default read budget: bytes of chunk scans per virtual second.
+SCRUB_BANDWIDTH = 64 * 1024 * 1024
 
 
 @dataclass
@@ -52,12 +55,10 @@ class ScrubReport:
 class Scrubber:
     """Walks chunks, verifies checksums, and repairs what it finds."""
 
-    def __init__(self, store: "Prism", bandwidth: Optional[float] = None) -> None:
+    def __init__(self, store: "Prism", bandwidth: float = SCRUB_BANDWIDTH) -> None:
         self.store = store
-        self.bandwidth = (
-            bandwidth if bandwidth is not None else store.config.scrub_bandwidth
-        )
-        if self.bandwidth <= 0:
+        self.bandwidth = bandwidth
+        if bandwidth <= 0:
             raise ValueError(f"scrub bandwidth must be positive: {bandwidth}")
         self.thread = VThread(-7, store.clock, name="scrubber", background=True)
         self.passes = 0

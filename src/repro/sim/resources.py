@@ -335,8 +335,3 @@ class BandwidthChannel:
             self._horizon = cutoff
         if cutoff > self._full_floor:
             self._full_floor = cutoff
-
-    def utilization(self, horizon: float) -> float:
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)

@@ -635,12 +635,6 @@ class PersistentHeap:
         # what a restarted process starts walking from.
         self.root = 0
 
-    def _fields(self, obj: object) -> Tuple[str, ...]:
-        fields = getattr(obj, "persistent_fields", None)
-        if not fields:
-            raise TypeError(f"{type(obj).__name__} declares no persistent_fields")
-        return fields
-
     @staticmethod
     def _copy(value: object) -> object:
         if isinstance(value, list):

@@ -8,10 +8,7 @@ Storage per SSD — so this module exists for the baselines (and for the
 Fault behaviour: every IO consults each member's fault injector, and a
 member failure surfaces as the device's own :class:`StorageError` with
 ``raid_member`` set to the failing member's index — RAID-0 has no
-redundancy, so the stripe set cannot mask the error.  The one
-concession is :meth:`RAID0.degraded_read`, which (with exactly one
-member dead) returns the surviving extents and reports the dead ones
-as missing ranges instead of failing the whole read.
+redundancy, so the stripe set cannot mask the error.
 """
 
 from __future__ import annotations
@@ -67,13 +64,6 @@ class RAID0:
             exc.raid_member = member
             raise
 
-    def _dead_members(self) -> List[int]:
-        return [
-            i
-            for i, dev in enumerate(self.devices)
-            if dev.injector.is_dead(dev.name)
-        ]
-
     # ------------------------------------------------------------------
     # timed IO — pieces proceed in parallel, caller waits for the last
     # ------------------------------------------------------------------
@@ -112,46 +102,6 @@ class RAID0:
                 dev.bytes_written += length
         if thread is not None:
             thread.wait_until(done)
-
-    def degraded_read(
-        self, thread: Optional[VThread], offset: int, size: int
-    ) -> Tuple[bytes, List[Tuple[int, int]]]:
-        """Best-effort read with exactly one member dead.
-
-        Extents on the dead member come back zero-filled and their
-        logical ``(offset, length)`` ranges are reported in the second
-        return value; surviving members are read (and timed) normally.
-        Raises :class:`StorageError` when no member is dead (use
-        :meth:`read`) or when two or more are (nothing meaningful
-        survives a RAID-0 double failure).
-        """
-        dead = self._dead_members()
-        if len(dead) != 1:
-            raise StorageError(
-                f"degraded_read needs exactly one dead member, have {dead}"
-            )
-        chunks = []
-        missing: List[Tuple[int, int]] = []
-        at = thread.now if thread is not None else 0.0
-        done = at
-        pos = offset
-        for member, dev, dev_off, length in self._extents(offset, size):
-            if member == dead[0]:
-                chunks.append(b"\0" * length)
-                missing.append((pos, length))
-                pos += length
-                continue
-            penalty = self._consult(member, dev, "read", at)
-            chunks.append(dev.read_raw(dev_off, length))
-            dev.read_ios += 1
-            dev.bytes_read += length
-            if thread is not None:
-                end = dev.read_channel.request(thread.now, length, dev.spec.read_latency)
-                done = max(done, end + penalty if penalty else end)
-            pos += length
-        if thread is not None:
-            thread.wait_until(done)
-        return b"".join(chunks), missing
 
     # ------------------------------------------------------------------
     # async IO

@@ -34,7 +34,6 @@ class TierManager:
         self.fast_headroom = cfg.tier_fast_headroom
         self.gc_free_threshold = cfg.gc_free_threshold
         self.tracker = TemperatureTracker(
-            sketch_width=cfg.tier_sketch_width,
             hot_threshold=cfg.tier_hot_threshold,
             promote_threshold=cfg.tier_promote_threshold,
             recency_window=cfg.tier_recency_window,

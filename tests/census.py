@@ -1,0 +1,725 @@
+"""Census: which code the program runs, and which knobs anything sets.
+
+Run from the repository root under CPython 3.12 or later (it needs
+``sys.monitoring``), with pytest and Hypothesis importable::
+
+    PYTHONPATH=src python3.12 -m tests.census            # writes docs/census.md
+
+It records which lines and functions under ``src/repro`` two kinds of
+input reach, all in this one process:
+
+* **tier-1**: ``pytest.main`` with the default (``not slow``) selection;
+* **product**: ``python -m repro.bench <name> --smoke`` for every
+  experiment, the five crash-sweep invocations CI runs,
+  ``perfbench.child --mode untraced`` for every workload at
+  ``--scale 1/3``, and every script under ``examples/``.
+
+Everything runs with ``--jobs 1``; code that only a worker process runs
+is not seen.  A static pass (:func:`knob_sites`) then finds, for each
+field of each config dataclass, every place in the repository that sets
+it to something other than its default.
+
+The report lists the line totals, each function that tier-1 alone or
+nothing reaches, and every knob, each with its verdict: **kept** with
+the reason (:data:`KEPT`), **test added** (:data:`TESTED`), or
+**deleted** (:data:`DELETED`, checked to be gone).  An entry without a
+verdict is printed as **unjudged** and makes the exit status 1.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import dataclasses
+import importlib
+import io
+import os
+import runpy
+import sys
+from pathlib import Path
+from typing import Dict, Iterator, List, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+REPORT = ROOT / "docs" / "census.md"
+# Trees whose code can set a knob; tests are counted apart from the rest.
+SITE_TREES = ("src", "examples", "benchmarks", "perfbench", "tests")
+
+CONFIG_CLASSES = (
+    "repro.core.config:PrismConfig",
+    "repro.faults.retry:RetryPolicy",
+    "repro.faults.injector:FaultConfig",
+    "repro.faults.injector:SlowFault",
+    "repro.cluster.router:ClusterConfig",
+    "repro.cluster.health:HealthConfig",
+    "repro.baselines.lsm.lsm:LSMConfig",
+    "repro.baselines.matrixkv:MatrixKVConfig",
+    "repro.baselines.rocksdb_nvm:RocksDBNVMConfig",
+    "repro.baselines.slmdb:SLMDBConfig",
+    "repro.baselines.kvell:KVellConfig",
+)
+
+CRASH_SWEEPS = ("", "--tiering", "--cluster", "--cluster --gray 1", "--rebalance")
+PERFBENCH_SCALE = 1 / 3
+
+# ----------------------------------------------------------------------
+# Verdicts.  A function is ``module:qualname``; a reason covers every
+# function listed under it.  The rule: code goes only when no input
+# reaches it and no caller in src/, examples/, benchmarks/ or
+# perfbench/ names it; safety code (raises, containment, repair) stays.
+# ----------------------------------------------------------------------
+KEPT: Dict[str, Tuple[str, ...]] = {
+    "`perfbench/trace.py` patches it by name (traced mode)": (
+        "repro.cluster.ring:HashRing.lookup",
+        "repro.cluster.shard:Shard.enqueue",
+        "repro.core.hsit:HSIT.publish_location",
+        "repro.core.hsit:HSIT.read_location",
+        "repro.storage.ssd:SSDDevice.read",
+        "repro.storage.ssd:SSDDevice.write",
+    ),
+    "perfbench's traced mode calls it (`merged_shard_metrics`)": (
+        "repro.cluster.router:PrismCluster.merged_shard_metrics",
+        "repro.obs.metrics:merge_registries",
+        "repro.obs.metrics:LatencyHistogram.merge",
+    ),
+    "`benchmarks/` calls it (pytest-benchmark, not a census input)": (
+        "repro.bench.runner:RunResult.histogram",
+        "repro.sim.stats:Timeline.min_over_max",
+        "repro.storage.specs:format_catalog",
+    ),
+    "writes the metrics JSON; every census input passes `--metrics-out none`": (
+        "repro.bench.report:iter_run_results",
+        "repro.bench.report:metrics_payload",
+        "repro.bench.report:write_metrics_json",
+    ),
+    "reached only at full size": (
+        "repro.bench.cache:cluster_hot_spread",
+        "repro.sim.stats:Timeline.mark",
+        "repro.sim.resources:BandwidthChannel._prune",
+        "repro.baselines.slmdb:SLMDB._compact_table",
+        "repro.baselines.slmdb:SLMDB._decrement_live",
+        "repro.baselines.slmdb:SLMDB._flush_memtable",
+        "repro.baselines.slmdb:SLMDB._index_table",
+        "repro.baselines.slmdb:SLMDB._index_table_compacted",
+        "repro.baselines.slmdb:SLMDB._selective_compaction",
+        "repro.baselines.slmdb:SLMDB._slot",
+        "repro.baselines.slmdb:SLMDB._trim_page_cache",
+        "repro.baselines.slmdb:SLMDB._unslot",
+    ),
+    "behind a CLI command or flag no census input passes (`figs`, `--profile`)": (
+        "repro.bench.__main__:_dump_profile",
+        "repro.bench.figs:_run_experiment",
+        "repro.bench.figs:run_figs",
+    ),
+    "runs in a worker process (`--jobs` > 1), which the census does not follow": (
+        "repro.parallel:_init_worker",
+        "repro.parallel:_invoke",
+    ),
+    "typed error on a failure path (safety code)": (
+        "repro.cluster.errors:RebalanceInProgressError.__init__",
+        "repro.cluster.errors:ShardDrainingError.__init__",
+        "repro.cluster.errors:ShardOverloadedError.__init__",
+        "repro.cluster.errors:ShardUnavailableError.__init__",
+        "repro.cluster.ring:DuplicateShardError.__init__",
+        "repro.cluster.ring:LastShardError.__init__",
+        "repro.cluster.ring:UnknownShardError.__init__",
+        "repro.cluster.router:_ShardOpError.__init__",
+        "repro.faults.errors:DeadlineExceededError.__init__",
+        "repro.faults.errors:DeviceDeadError.__init__",
+        "repro.faults.errors:NoHealthyStorageError.__init__",
+        "repro.faults.errors:ReadDegradedError.__init__",
+        "repro.faults.errors:RetryExhaustedError.__init__",
+        "repro.faults.errors:StuckIOError.__init__",
+        "repro.faults.errors:UnrecoverableCorruptionError.__init__",
+    ),
+    "containment, repair, recovery or failure reporting (safety code)": (
+        "repro.cluster.health:CircuitBreaker._close",
+        "repro.cluster.health:HealthMonitor.record_failure",
+        "repro.cluster.rebalance:Migration.snapshot",
+        "repro.cluster.router:PrismCluster._permanent",
+        "repro.core.checker:AuditReport.fail",
+        "repro.core.containment:resolve_partial_publish",
+        "repro.core.prism:Prism._gc.<locals>.heal",
+        "repro.core.prism:Prism._repair_read",
+        "repro.core.prism:Prism.scan.<locals>.heal",
+        "repro.core.pwb:PersistentWriteBuffer.adopt",
+        "repro.faults.crash_sweep:_shown",
+        "repro.faults.retry:RetryExecutor._give_up",
+        "repro.storage.nvm:PersistentHeap.free",
+        "repro.storage.raid:RAID0.crash",
+    ),
+    "a case only tier-1 sets up: rate limits, health with resharding, a "
+    "full fast tier": (
+        "repro.cluster.admission:TokenBucket.__init__",
+        "repro.cluster.admission:TokenBucket.try_take",
+        "repro.cluster.health:HealthMonitor.register",
+        "repro.cluster.health:HealthMonitor.set_exempt",
+        "repro.core.prism:Prism._fast_fit_storage",
+    ),
+    "null object: answers the interface while the feature is off": (
+        "repro.obs.metrics:NullRegistry.events",
+        "repro.obs.metrics:NullRegistry.gauge",
+        "repro.obs.metrics:NullRegistry.histogram",
+        "repro.obs.metrics:NullRegistry.phase",
+        "repro.obs.metrics:NullRegistry.timeseries",
+        "repro.obs.metrics:_NullEventLog.emit",
+        "repro.obs.metrics:_NullGauge.set",
+        "repro.obs.metrics:_NullHistogram.merge",
+        "repro.obs.metrics:_NullHistogram.record",
+        "repro.obs.metrics:_NullTimeSeries.append",
+        "repro.storage.base:_NullFaultInjector.before_flush",
+        "repro.storage.base:_NullFaultInjector.is_dead",
+        "repro.storage.base:_NullFaultInjector.kill_device",
+        "repro.storage.crash:_NullCrashPoint.arm",
+        "repro.storage.crash:_NullCrashPoint.maybe_crash",
+    ),
+    "abstract method of the `KVStore` interface": (
+        "repro.baselines.interface:KVStore.delete",
+        "repro.baselines.interface:KVStore.get",
+        "repro.baselines.interface:KVStore.put",
+        "repro.baselines.interface:KVStore.scan",
+        "repro.baselines.interface:KVStore.ssd_bytes_written",
+    ),
+    "`KVStore` contract only tier-1 drives (`tests/test_differential.py`)": (
+        "repro.baselines.interface:KVStore.close",
+        "repro.baselines.kvell:KVell.delete",
+        "repro.baselines.kvell:KVell.used_bytes",
+        "repro.baselines.kvell:_Worker.delete",
+        "repro.baselines.lsm.blockstore:BlockStore.used_bytes",
+        "repro.baselines.lsm.blockstore:BlockStore.write",
+        "repro.baselines.lsm.lsm:LSMStore._make_stores",
+        "repro.baselines.lsm.lsm:LSMStore.delete",
+        "repro.baselines.lsm.lsm:LSMStore.flush",
+        "repro.baselines.lsm.lsm:LSMStore.recovery_time",
+        "repro.baselines.rocksdb_nvm:RocksDBNVM.nvm_bytes_written",
+        "repro.baselines.slmdb:SLMDB.delete",
+        "repro.baselines.slmdb:SLMDB.flush",
+        "repro.baselines.slmdb:SLMDB.recovery_time",
+        "repro.storage.nvm:NVMDevice.write_durable",
+        "repro.storage.raid:RAID0.bytes_read",
+        "repro.storage.raid:RAID0.bytes_written",
+        "repro.storage.raid:RAID0.scan_time",
+        "repro.storage.raid:RAID0.write",
+    ),
+    "protocol method, called implicitly (`repr`, `len`, `in`, `hash`, `with`)": (
+        "repro.baselines.lsm.memtable:MemTable.__contains__",
+        "repro.cache.read_cache:ReadCache.__contains__",
+        "repro.cache.read_cache:ReadCache.__len__",
+        "repro.cluster.rebalance:MoveSpec.__repr__",
+        "repro.cluster.ring:HashRing.__len__",
+        "repro.cluster.shard:Shard.__repr__",
+        "repro.core.checker:AuditReport.__str__",
+        "repro.core.pointers:Location.__eq__",
+        "repro.core.pointers:Location.__hash__",
+        "repro.core.pointers:Location.__repr__",
+        "repro.core.pointers:Location._key",
+        "repro.core.svc:ScanAwareValueCache.__len__",
+        "repro.index.btree:BTree.__contains__",
+        "repro.index.btree:BTree.__len__",
+        "repro.obs.metrics:EventLog.__len__",
+        "repro.obs.metrics:LatencyHistogram.__len__",
+        "repro.obs.metrics:TimeSeries.__len__",
+        "repro.sim.clock:VirtualClock.__repr__",
+        "repro.sim.resources:VLock.__enter__",
+        "repro.sim.vthread:VThread.__repr__",
+        "repro.storage.base:Device.__repr__",
+    ),
+    "called through `getattr(chooser, \"grow\")` on inserts; tier-1 drives it": (
+        "repro.workloads.zipfian:HotKeyStormGenerator.grow",
+        "repro.workloads.zipfian:LatestGenerator.grow",
+    ),
+    "test-only API: a candidate to delete with its tests": (
+        "repro.baselines.lsm.bloom:BloomFilter.size_bytes",
+        "repro.baselines.lsm.memtable:MemTable.max_key",
+        "repro.baselines.lsm.memtable:MemTable.min_key",
+        "repro.bench.report:ratio",
+        "repro.bench.runner:RunResult.mops",
+        "repro.cluster.admission:AdmissionController.enabled",
+        "repro.cluster.health:HealthMonitor.is_gray",
+        "repro.cluster.health:HealthMonitor.snapshot",
+        "repro.cluster.ring:HashRing.ownership_histogram",
+        "repro.cluster.ring:HashRing.remove_shard",
+        "repro.cluster.ring:HashRing.shards",
+        "repro.core.checker:AuditReport.ok",
+        "repro.core.epoch:EpochManager.pending",
+        "repro.core.epoch:EpochManager.unregister",
+        "repro.core.hsit:HSIT.allocated_entries",
+        "repro.core.pointers:encode",
+        "repro.core.pointers:medium_of",
+        "repro.core.tcq:ThreadCombiner.average_batch",
+        "repro.faults.injector:FaultInjector.clear_slow_faults",
+        "repro.index.btree:BTree._leftmost",
+        "repro.index.btree:BTree.delete",
+        "repro.index.btree:BTree.items",
+        "repro.index.btree:BTree.keys",
+        "repro.index.btree:BTree.range_items",
+        "repro.obs.metrics:EventLog.of_kind",
+        "repro.repair.repair:RebuildReport.ok",
+        "repro.sim.clock:VirtualClock.observe",
+        "repro.sim.clock:VirtualClock.reset",
+        "repro.sim.resources:FIFOServer.utilization",
+        "repro.sim.stats:LatencyRecorder.record",
+        "repro.sim.stats:LatencyRecorder.summary",
+        "repro.sim.vthread:VThread.fork_background",
+        "repro.storage.base:Device.reset_accounting",
+        "repro.storage.dram:DRAMDevice.allocate",
+        "repro.storage.dram:DRAMDevice.free",
+        "repro.storage.dram:DRAMDevice.release",
+        "repro.storage.dram:DRAMDevice.would_fit",
+        "repro.storage.nvm:NVMDevice.unflushed_lines",
+    ),
+}
+TESTED: Dict[str, str] = {
+    "repro.core.recovery:_mirror_copy":
+        "`tests/repair/test_repair.py::TestRecoveryRepair`",
+}
+# What the last subtraction removed; the report checks each is gone.
+DELETED: Dict[str, str] = {
+    **dict.fromkeys((
+        "repro.core.epoch:EpochManager.register",
+        "repro.obs.metrics:MetricsRegistry.attach_events",
+        "repro.obs.metrics:NullRegistry.attach_events",
+        "repro.obs.metrics:LatencyHistogram._index",
+        "repro.storage.nvm:PersistentHeap._fields",
+        "repro.sim.resources:BandwidthChannel.utilization",
+        "repro.core.pwb:PersistentWriteBuffer.free_space",
+        "repro.core.svc:ScanAwareValueCache.pending_work",
+        "repro.cluster.health:HealthMonitor.state",
+        "repro.cluster.runner:ClusterRunResult.summary",
+        "repro.baselines.lsm.blockstore:BlockStore.bytes_written",
+        "repro.baselines.lsm.lsm:LSMStore._persist_memtable_entry",
+    ), "nothing reached or called it"),
+    **dict.fromkeys((
+        "repro.storage.raid:RAID0.degraded_read",
+        "repro.storage.raid:RAID0._dead_members",
+    ), "only its own tests called it"),
+    **dict.fromkeys((
+        "PrismConfig.dram_spec",
+        "PrismConfig.read_cache_sketch_width",
+        "PrismConfig.index_leaf_capacity",
+        "PrismConfig.epoch_advance_every",
+        "PrismConfig.scrub_bandwidth",
+        "PrismConfig.tier_sketch_width",
+        "ClusterConfig.ring_seed",
+        "ClusterConfig.auto_rebuild",
+        "HealthConfig.enable_hedging",
+        "HealthConfig.hedge_window",
+        "HealthConfig.hedge_median_cap",
+        "LSMConfig.l0_limit",
+        "LSMConfig.level_ratio",
+        "LSMConfig.compaction_cpu_per_byte",
+        "LSMConfig.write_cpu",
+        "LSMConfig.read_cpu",
+        "LSMConfig.block_miss_overhead",
+        "LSMConfig.block_parse_cost",
+        "LSMConfig.scan_entry_cpu",
+        "LSMConfig.readahead_blocks",
+        "LSMConfig.cache_lock_cost",
+        "MatrixKVConfig.column_fraction",
+        "SLMDBConfig.live_ratio_threshold",
+        "SLMDBConfig.compaction_cpu_per_byte",
+        "SLMDBConfig.write_cpu",
+        "SLMDBConfig.read_cpu",
+        "SLMDBConfig.page_cache_hit_cost",
+        "SLMDBConfig.index_insert_cost",
+        "KVellConfig.page_size",
+        "KVellConfig.worker_cpu_cost",
+        "KVellConfig.injector_cost",
+        "KVellConfig.batch_window",
+        "KVellConfig.scan_candidate_cpu",
+    ), "nothing set it; now a module constant or a plain default"),
+    "HealthConfig.enable_breaker":
+        "only its own test set it; the breaker is always on",
+}
+
+
+def _verdict(name: str) -> str:
+    for reason, names in KEPT.items():
+        if name in names:
+            return f"kept: {reason}"
+    if name in TESTED:
+        return f"test added: {TESTED[name]}"
+    return "**unjudged**"
+
+
+# ----------------------------------------------------------------------
+# Static pass: where each config field is set
+# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class Knob:
+    owner: str  # the class that declares the field
+    name: str
+    default: object
+    sites: List[str] = dataclasses.field(default_factory=list)
+
+    @property
+    def label(self) -> str:
+        return f"{self.owner}.{self.name}"
+
+    def split(self) -> Tuple[List[str], List[str]]:
+        tests = [s for s in self.sites if s.startswith("tests/")]
+        return [s for s in self.sites if not s.startswith("tests/")], tests
+
+
+def _config_classes() -> List[type]:
+    classes = []
+    for spec in CONFIG_CLASSES:
+        module, name = spec.split(":")
+        classes.append(getattr(importlib.import_module(module), name))
+    return classes
+
+
+def config_knobs() -> List[Knob]:
+    """Every field a config dataclass declares itself (an inherited
+    field is its base's knob)."""
+    knobs = []
+    for cls in _config_classes():
+        own = cls.__dict__.get("__annotations__", {})
+        for f in dataclasses.fields(cls):
+            if f.name not in own:
+                continue
+            if f.default is not dataclasses.MISSING:
+                default = f.default
+            else:
+                default = f.default_factory()
+            knobs.append(Knob(cls.__name__, f.name, default))
+    return knobs
+
+
+def _python_files() -> Iterator[Path]:
+    for tree in SITE_TREES:
+        yield from sorted((ROOT / tree).rglob("*.py"))
+
+
+def _callee(call: ast.Call) -> str:
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "partial" and call.args:
+        func = call.args[0]
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
+def _is_default(value: ast.AST, knobs: List[Knob]) -> bool:
+    """A literal equal to the default of every knob it could set."""
+    try:
+        literal = ast.literal_eval(value)
+    except ValueError:
+        return False
+    return all(type(literal) is type(k.default) and literal == k.default
+               for k in knobs)
+
+
+def knob_sites() -> List[Knob]:
+    """:func:`config_knobs`, each with every ``path:line`` that sets it
+    to a value other than its default.
+
+    A field is set by a keyword argument, a string key in a dict
+    literal, ``setattr(obj, "name", …)`` or an assignment to
+    ``obj.name`` (not ``self.name``).  Names are matched, not types: a
+    keyword counts for every config with a field of that name, except
+    in a call to a config class, where it counts for that class (or the
+    base that declares the field).  So a shared name such as
+    ``num_ssds`` can look set when it is not; a name nothing uses never
+    looks set.
+    """
+    knobs = config_knobs()
+    by_name: Dict[str, List[Knob]] = {}
+    for knob in knobs:
+        by_name.setdefault(knob.name, []).append(knob)
+    mro = {cls.__name__: {c.__name__ for c in cls.__mro__}
+           for cls in _config_classes()}
+
+    def note(name: str, value: ast.AST, where: str, callee: str = "") -> None:
+        targets = by_name.get(name)
+        if not targets:
+            return
+        if callee in mro:
+            targets = [k for k in targets if k.owner in mro[callee]]
+        if not targets or _is_default(value, targets):
+            return
+        for knob in targets:
+            knob.sites.append(where)
+
+    for path in _python_files():
+        rel = path.relative_to(ROOT).as_posix()
+        tree = ast.parse(path.read_text(), filename=rel)
+        for node in ast.walk(tree):
+            where = f"{rel}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call):
+                callee = _callee(node)
+                for kw in node.keywords:
+                    if kw.arg is not None:
+                        note(kw.arg, kw.value, where, callee)
+                if (callee == "setattr" and len(node.args) == 3
+                        and isinstance(node.args[1], ast.Constant)):
+                    note(str(node.args[1].value), node.args[2], where)
+            elif isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        note(key.value, value, f"{rel}:{key.lineno}")
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if (isinstance(target, ast.Attribute)
+                            and not (isinstance(target.value, ast.Name)
+                                     and target.value.id == "self")):
+                        note(target.attr, node.value, where)
+    return knobs
+
+
+# ----------------------------------------------------------------------
+# Dynamic pass: what each input reaches
+# ----------------------------------------------------------------------
+CO_OPTIMIZED = 0x1  # a function body (not a module or class body)
+
+
+@dataclasses.dataclass
+class Function:
+    name: str  # module:qualname
+    key: Tuple[str, int, str]  # (filename, first line, qualname), as recorded
+    lines: Set[int]
+
+    @property
+    def where(self) -> str:
+        return f"{Path(self.key[0]).relative_to(ROOT).as_posix()}:{self.key[1]}"
+
+
+def _module_name(path: Path) -> str:
+    rel = path.relative_to(SRC.parent).with_suffix("")
+    parts = list(rel.parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def executable() -> Tuple[Dict[str, Set[int]], List[Function]]:
+    """Lines per file that carry code, and every named function."""
+    lines: Dict[str, Set[int]] = {}
+    functions: List[Function] = []
+    for path in sorted(SRC.rglob("*.py")):
+        filename = str(path)
+        code = compile(path.read_text(), filename, "exec")
+        module = _module_name(path)
+        stack = [code]
+        lines[filename] = set()
+        while stack:
+            co = stack.pop()
+            own = {ln for _, _, ln in co.co_lines() if ln}
+            lines[filename] |= own
+            if co.co_flags & CO_OPTIMIZED and not co.co_name.startswith("<"):
+                functions.append(Function(
+                    f"{module}:{co.co_qualname}",
+                    (filename, co.co_firstlineno, co.co_qualname),
+                    own,
+                ))
+            stack.extend(c for c in co.co_consts if hasattr(c, "co_lines"))
+    functions.sort(key=lambda fn: fn.key)
+    return lines, functions
+
+
+class Recorder:
+    """``sys.monitoring`` LINE and PY_START events under ``src/repro``.
+
+    Each event fires once per location and is then disabled, so a
+    recorded phase costs almost nothing after its first pass; starting
+    a new phase re-arms every location."""
+
+    TOOL = 1  # sys.monitoring.COVERAGE_ID; cProfile holds PROFILER_ID
+
+    def __init__(self) -> None:
+        self.prefix = str(SRC) + os.sep
+        self.lines: Set[Tuple[str, int]] = set()
+        self.starts: Set[Tuple[str, int, str]] = set()
+
+    def _line(self, code, line):
+        if code.co_filename.startswith(self.prefix):
+            self.lines.add((code.co_filename, line))
+        return sys.monitoring.DISABLE
+
+    def _start(self, code, offset):
+        if code.co_filename.startswith(self.prefix):
+            self.starts.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+        return sys.monitoring.DISABLE
+
+    @contextlib.contextmanager
+    def phase(self) -> Iterator["Recorder"]:
+        mon = sys.monitoring
+        mon.use_tool_id(self.TOOL, "census")
+        mon.register_callback(self.TOOL, mon.events.LINE, self._line)
+        mon.register_callback(self.TOOL, mon.events.PY_START, self._start)
+        mon.restart_events()
+        mon.set_events(self.TOOL, mon.events.LINE | mon.events.PY_START)
+        try:
+            yield self
+        finally:
+            mon.set_events(self.TOOL, 0)
+            mon.free_tool_id(self.TOOL)
+
+
+@contextlib.contextmanager
+def _quiet() -> Iterator[None]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        yield
+
+
+def _call(main, argv: List[str]) -> None:
+    try:
+        main(argv)
+    except SystemExit:
+        pass  # a failed gate is still a reached gate
+
+
+def run_tier1() -> int:
+    import pytest
+
+    return int(pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+
+
+def run_product() -> None:
+    from repro.bench.__main__ import EXPERIMENTS, main as bench
+    from repro.faults.crash_sweep import main as sweep
+    from perfbench.child import main as child
+    from perfbench.workloads import WORKLOADS
+
+    with _quiet():
+        for name in sorted(EXPERIMENTS):
+            _call(bench, [name, "--smoke", "--metrics-out", "none", "--jobs", "1"])
+        for flags in CRASH_SWEEPS:
+            _call(sweep, flags.split() + ["--ops", "200", "--keys", "40",
+                                          "--fuzz", "10", "--jobs", "1"])
+        for name in sorted(WORKLOADS):
+            _call(child, ["--workload", name, "--seed", "1",
+                          "--scale", repr(PERFBENCH_SCALE), "--mode", "untraced"])
+        argv = sys.argv
+        for path in sorted((ROOT / "examples").glob("*.py")):
+            sys.argv = [str(path)]
+            try:
+                runpy.run_path(str(path), run_name="__main__")
+            finally:
+                sys.argv = argv
+
+
+# ----------------------------------------------------------------------
+# Report
+# ----------------------------------------------------------------------
+def _pct(part: int, whole: int) -> str:
+    return f"{100.0 * part / whole:.1f} %" if whole else "-"
+
+
+def _function_rows(functions: List[Function]) -> List[str]:
+    rows = ["| function | where | lines | verdict |", "|---|---|---:|---|"]
+    for fn in functions:
+        rows.append(f"| `{fn.name}` | `{fn.where}` | {len(fn.lines)} "
+                    f"| {_verdict(fn.name)} |")
+    return rows
+
+
+def _knob_verdict(knob: Knob) -> str:
+    product, tests = knob.split()
+    if product:
+        return f"kept: set at `{product[0]}`"
+    if tests:
+        return f"kept: tier-1 sets it (`{tests[0]}`)"
+    return "**unjudged**"
+
+
+def report(
+    lines: Dict[str, Set[int]],
+    functions: List[Function],
+    tier1: Recorder,
+    product: Recorder,
+    knobs: List[Knob],
+) -> Tuple[str, int]:
+    """The Markdown report and how many entries carry no verdict."""
+    def reached(rec: Recorder) -> Set[Tuple[str, int]]:
+        return {(f, ln) for f, ln in rec.lines if ln in lines.get(f, ())}
+
+    total = sum(len(v) for v in lines.values())
+    by_product = reached(product)
+    by_tier1 = reached(tier1) - by_product
+    nothing = total - len(by_product) - len(by_tier1)
+
+    only_tier1 = [f for f in functions
+                  if f.key in tier1.starts and f.key not in product.starts]
+    unreached = [f for f in functions
+                 if f.key not in tier1.starts and f.key not in product.starts]
+    present = {fn.name for fn in functions} | {k.label for k in knobs}
+
+    out = [
+        "# Census: what runs, and what gets set",
+        "",
+        "Generated by `PYTHONPATH=src python3.12 -m tests.census` "
+        f"(CPython {sys.version.split()[0]}); do not edit by hand.  "
+        "`tests/census.py` says what each input is and holds the verdicts.",
+        "",
+        "## Lines under `src/repro`",
+        "",
+        "| lines | count | share |",
+        "|---|---:|---:|",
+        f"| executable | {total} | 100.0 % |",
+        f"| reached by a product input | {len(by_product)} "
+        f"| {_pct(len(by_product), total)} |",
+        f"| reached by tier-1 only | {len(by_tier1)} | {_pct(len(by_tier1), total)} |",
+        f"| reached by nothing | {nothing} | {_pct(nothing, total)} |",
+        "",
+        "Product inputs: every experiment at `--smoke`, the five CI crash "
+        "sweeps, the four perfbench workloads (`--mode untraced`, "
+        "`--scale 1/3`) and `examples/`.",
+        "",
+        f"## Functions only tier-1 reaches ({len(only_tier1)})",
+        "",
+        *_function_rows(only_tier1),
+        "",
+        f"## Functions nothing reaches ({len(unreached)})",
+        "",
+        *_function_rows(unreached),
+        "",
+        f"## Knobs ({len(knobs)} fields in {len(CONFIG_CLASSES)} config dataclasses)",
+        "",
+        "Set sites are places that give the field a value other than "
+        "its default (`knob_sites`).",
+        "",
+        "| knob | set outside tests | set in tests | verdict |",
+        "|---|---:|---:|---|",
+    ]
+    for knob in knobs:
+        product_sites, test_sites = knob.split()
+        out.append(f"| `{knob.label}` | {len(product_sites)} | {len(test_sites)} "
+                   f"| {_knob_verdict(knob)} |")
+    out += ["", f"## Deleted ({len(DELETED)})", "",
+            "| what | verdict |", "|---|---|"]
+    for name, reason in DELETED.items():
+        verdict = "**still present**" if name in present else "deleted"
+        out.append(f"| `{name}` | {verdict}: {reason} |")
+    unjudged = (
+        sum(1 for fn in only_tier1 + unreached if _verdict(fn.name) == "**unjudged**")
+        + sum(1 for k in knobs if not k.sites)
+        + sum(1 for name in DELETED if name in present)
+    )
+    return "\n".join(out) + "\n", unjudged
+
+
+def main() -> int:
+    if sys.version_info < (3, 12):
+        sys.exit("tests.census needs CPython 3.12 or later (sys.monitoring)")
+    os.chdir(ROOT)
+    # Product first: a module's top level runs once, at its first
+    # import, and is credited to whichever input imported it.
+    tier1, product = Recorder(), Recorder()
+    with product.phase():
+        run_product()
+    with tier1.phase():
+        status = run_tier1()
+    print(f"tier-1 exit status {status}", file=sys.stderr)
+    lines, functions = executable()
+    text, unjudged = report(lines, functions, tier1, product, knob_sites())
+    REPORT.write_text(text)
+    print(f"census: {REPORT} ({unjudged} unjudged)", file=sys.stderr)
+    return 1 if unjudged else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -134,14 +134,6 @@ class TestHealthMonitor:
         m.record_failure(0, at=1.0)
         assert m.breakers[0].state == STATE_OPEN
 
-    def test_enable_breaker_false_never_blocks(self):
-        m = HealthMonitor(3, _config(enable_breaker=False))
-        _warm(m, (0, 1), n=8)
-        for _ in range(8):
-            m.record_read(2, 500 * US, at=1.0)
-        assert m.allow(2, at=1.0)
-        assert m.breakers[2].state == STATE_CLOSED
-
 
 class TestHedgeDelay:
     def test_infinite_until_warm(self):
@@ -149,7 +141,7 @@ class TestHedgeDelay:
         assert m.hedge_delay() == float("inf")
 
     def test_tracks_quantile_with_median_cap_and_floor(self):
-        cfg = _config(hedge_min_delay=10 * US, hedge_median_cap=3.0)
+        cfg = _config(hedge_min_delay=10 * US)
         m = HealthMonitor(2, cfg)
         # 64 samples at 50us: p95 == median == 50us -> delay 50us.
         _warm(m, (0, 1), latency=50 * US, n=32)

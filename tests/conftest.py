@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import pytest
@@ -48,12 +49,18 @@ def count_calls(fn, *args, outside=()) -> int:
         elif depth == 0 and event in ("call", "c_call"):
             calls += 1
 
+    # A collection inside the window would count the finalizers it
+    # runs (an abandoned generator's close, say) as calls of ``fn``.
+    enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
         fn(*args)
     finally:
         sys.setprofile(previous)
+        if enabled:
+            gc.enable()
     return calls - 1  # the closing sys.setprofile is itself a c_call
 
 

@@ -152,3 +152,23 @@ class TestDeviceSampler:
         flushed = registry.series["nvm.bytes_flushed"].values
         assert flushed == sorted(flushed)
         assert flushed[-1] > 0
+
+    def test_occupancy_mean_adds_left_to_right(self):
+        """The same last digit on every interpreter: 3.12's ``sum``
+        rounds 0.1 + 0.2 + 0.3 to 0.6, plain addition does not."""
+
+        class Buffer:
+            def __init__(self, u):
+                self.u = u
+
+            def utilization(self):
+                return self.u
+
+        class Store:
+            pwbs = [Buffer(0.1), Buffer(0.2), Buffer(0.3)]
+
+        registry = MetricsRegistry()
+        DeviceSampler(registry, Store()).sample(0.0)
+        assert registry.series["pwb.occupancy.mean"].values == [
+            ((0.1 + 0.2) + 0.3) / 3
+        ]

@@ -145,6 +145,35 @@ class TestReadRepair:
         assert value == store.get(key)
 
 
+class TestRecoveryRepair:
+    """Recovery CRC-verifies every Value Storage record it walks and
+    re-materialises a rotted one from its mirror copy."""
+
+    def test_rotted_record_heals_from_mirror(self, store):
+        _load(store)
+        key, loc = _vs_keys(store)[0][0]
+        expect = store.get(key)
+        _rot_primary(store, 0, loc)
+        store.crash()
+        report = store.recover()
+        assert report.corrupt_records_repaired == 1
+        assert store.get(key) == expect
+        assert store.metrics.counter("corruption.detected").value == 1
+        assert audit(store).ok
+
+    def test_rotted_mirror_too_is_typed_loss(self, store):
+        _load(store)
+        key, loc = _vs_keys(store)[0][0]
+        _rot_primary(store, 0, loc)
+        _rot_mirror(store, 0, loc)
+        store.crash()
+        report = store.recover()
+        assert report.corrupt_records_lost == 1
+        assert store.metrics.counter("corruption.unrecoverable").value == 1
+        with pytest.raises(UnrecoverableCorruptionError):
+            store.get(key)
+
+
 class TestDeadDevice:
     def test_dead_vs_reads_heal_from_mirror(self, store):
         _load(store)

@@ -101,7 +101,7 @@ def test_crash_propagates_to_members(thread):
 
 
 class TestMemberFaults:
-    """Per-member fault surfacing and single-failure degraded reads."""
+    """Per-member fault surfacing."""
 
     @staticmethod
     def _inject(members, dead=None):
@@ -130,24 +130,3 @@ class TestMemberFaults:
         raid.write(thread, 0, b"q" * (4 * STRIPE))
         self._inject(members, dead=2)
         assert raid.read(thread, 0, 16) == b"q" * 16  # member 0's stripe
-
-    def test_degraded_read_zero_fills_dead_extents(self, raid, members, thread):
-        data = bytes(i % 251 for i in range(4 * STRIPE))
-        raid.write(thread, 0, data)
-        self._inject(members, dead=1)
-        got, missing = raid.degraded_read(thread, 0, 4 * STRIPE)
-        assert missing == [(STRIPE, STRIPE)]
-        expect = data[:STRIPE] + b"\0" * STRIPE + data[2 * STRIPE :]
-        assert got == expect
-
-    def test_degraded_read_requires_exactly_one_dead(self, raid, members, thread):
-        from repro.storage.base import StorageError
-
-        raid.write(thread, 0, b"q" * (4 * STRIPE))
-        inj = self._inject(members)
-        with pytest.raises(StorageError):
-            raid.degraded_read(thread, 0, STRIPE)  # nobody dead: use read()
-        inj.kill_device(members[0].name)
-        inj.kill_device(members[3].name)
-        with pytest.raises(StorageError):
-            raid.degraded_read(thread, 0, STRIPE)  # double failure
