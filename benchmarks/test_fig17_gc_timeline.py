@@ -42,9 +42,13 @@ def test_gc_actually_ran(outcome):
 
 def test_throughput_stays_stable_through_gc(outcome):
     """The paper's claim: GC does not significantly affect performance.
-    A round reads only the records it moves, on its storage's ring, so
-    the slowest bucket keeps 0.80 of the fastest; whole-chunk victim
-    reads on the read channel left 0.69."""
+    The run starts after an unrecorded warm-up of a quarter of its ops,
+    so the SVC is full before the first bucket and every GC round falls
+    inside the window; without it the slowest bucket was the first,
+    before any GC, with the cache still filling.  A round reads only
+    the records it moves, on its storage's ring, so the slowest bucket
+    keeps 0.86 of the fastest; whole-chunk victim reads on the read
+    channel left 0.69."""
     result, _ = outcome
     assert result.timeline.min_over_max() > 0.79
 
