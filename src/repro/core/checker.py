@@ -11,8 +11,10 @@ I2  every reachable forward pointer is *well-coupled*: the record it
 I3  PWB pointers land inside the live window of the right buffer;
 I4  Value Storage pointers name records whose validity bit is set, and
     every *valid* record is reachable (no immortal garbage);
-I5  SVC words point at live cache entries for the same HSIT slot, and
-    cache capacity accounting matches the sum of live entries;
+I5  SVC words point at live cache entries for the same HSIT slot,
+    cache capacity accounting matches the sum of live entries, and
+    every index the SVC will refill from a reclaim has its value in a
+    PWB (a refill sets an SVC word, which only a VS location may have);
 I6  no forward pointer is left durably dirty outside an in-flight
     update;
 I7  (with checksums enabled) every valid record's stored CRC32 matches
@@ -217,6 +219,14 @@ def audit(store: "Prism") -> AuditReport:
             f"I5: SVC accounting drift: used={store.svc.used} but live "
             f"entries sum to {live_bytes}"
         )
+    # I5 (refills): the reclaim that moves the value refills the cache.
+    for idx, key in store.svc.refills.items():
+        if idx not in seen_entries:
+            report.fail(f"I5: refill of entry {idx} ({key!r}), which no key reaches")
+        elif not ptr.decode(ptr.clear_dirty(store.hsit.location_word(idx))).in_pwb:
+            report.fail(
+                f"I5: refill of entry {idx} ({key!r}), whose value is not in a PWB"
+            )
     return report
 
 

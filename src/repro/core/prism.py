@@ -474,6 +474,10 @@ class Prism:
             t0 = thread.now
             old_word, svc_word = self.hsit.publish_location_word(idx, word, thread)
             self._supersede_word(idx, old_word, svc_word, thread)
+            if svc_word and self._enable_pwb:
+                # The update dropped a cached copy: the reclaim that
+                # moves the new value caches it again (_relocate).
+                self.svc.refills[idx] = key
             if is_new:
                 self.index.insert(key, idx, thread)
                 inserted = True
@@ -616,8 +620,13 @@ class Prism:
             (idxs[i], value, None, 0, 0) for i, value in zip(coupled, values)
         ]
         read_bytes = nvm.bytes_read - read_from
+        refreshed = 0
         if live:
+            refreshes = self.svc.refreshes
             phase = self._place_reclaimed(live, bg)
+            refreshed = self.svc.refreshes - refreshes
+            if refreshed:
+                self.metrics.counter("svc.refreshes").inc(refreshed)
             if phase is not None:
                 # Leave the PWB window unreleased: a failed write never
                 # stuck, and after a partial publish some entries still
@@ -642,6 +651,7 @@ class Prism:
             live_records=len(live),
             live_bytes=sum(len(entry[1]) for entry in live),
             read_bytes=read_bytes,
+            svc_refreshed=refreshed,
             duration=bg.now - start_at,
         )
 
@@ -716,9 +726,10 @@ class Prism:
         It writes the batch, then per record swings the HSIT forward
         pointer and retires the old Value Storage copy — its slot and
         the read-cache entry coupled to it (``old_vs`` None: the old
-        copy is in a PWB, retired when the caller releases the window).
-        ``label`` names the crash points ``<label>.pre_publish`` and
-        ``<label>.published``.
+        copy is in a PWB, retired when the caller releases the window;
+        if an update dropped the key's SVC copy, the value is cached
+        again, charged to ``bg``).  ``label`` names the crash points
+        ``<label>.pre_publish`` and ``<label>.published``.
 
         Returns None when the whole batch landed, else the failing
         phase: ``"write"`` changed nothing (write_records took its
@@ -735,19 +746,17 @@ class Prism:
             return "write"
         bg.wait_until(done)
         self.crash_point.maybe_crash(label + ".pre_publish")
-        batch: List[PublishEntry] = [
-            (idx, placement, old_vs, old_chunk, old_off)
-            for (idx, _v, old_vs, old_chunk, old_off), placement in zip(
-                entries, placements
-            )
-        ]
         published = 0
         rc = self.read_cache
+        svc = self.svc
+        refills = svc.refills
         publish_word = self.hsit.publish_location_word
         encode_vs = ptr.encode_vs
         dest_id = dest.vs_id
         try:
-            for idx, (chunk_id, offset, _sz), old_vs, old_chunk, old_off in batch:
+            for (idx, value, old_vs, old_chunk, old_off), (chunk_id, offset, _sz) in zip(
+                entries, placements
+            ):
                 publish_word(idx, encode_vs(dest_id, chunk_id, offset), bg)
                 published += 1
                 if old_vs is not None:
@@ -758,8 +767,23 @@ class Prism:
                         # than risk serving from a reference into a
                         # reclaimed region.
                         rc.invalidate_idx(idx)
+                elif idx in refills:
+                    # An update dropped this key's cached copy; the
+                    # value is in hand, so cache it again, on this
+                    # thread rather than on the next read's.
+                    svc.refill(idx, value, bg)
         except DeviceError:
+            batch: List[PublishEntry] = [
+                (idx, placement, old_vs, old_chunk, old_off)
+                for (idx, _v, old_vs, old_chunk, old_off), placement in zip(
+                    entries, placements
+                )
+            ]
             resolve_partial_publish(self.hsit, dest, batch, published)
+            # The failed publish may have landed, taking the value out of
+            # the PWB without its refill: a refill is never left behind
+            # for a value in Value Storage (checker I5).
+            refills.pop(entries[published][0], None)
             return "publish"
         self.crash_point.maybe_crash(label + ".published")
         return None
@@ -1253,6 +1277,7 @@ class Prism:
             self.index.delete(key, thread)
             old_word, svc_word = self.hsit.publish_location_word(idx, 0, thread)
             self._supersede_word(idx, old_word, svc_word, thread)
+            self.svc.refills.pop(idx, None)
             if m.enabled:
                 m.phase("delete", "publish", thread.now - t0)
             self.crash_point.maybe_crash("delete.published")
@@ -1335,6 +1360,7 @@ class Prism:
             "gc_runs": sum(vs.gc_runs for vs in self.storages),
             "svc_hits": self.svc.hits,
             "svc_admissions": self.svc.admissions,
+            "svc_refreshes": self.svc.refreshes,
             "svc_evictions": self.svc.evictions,
             "scan_writebacks": self.svc.scan_writebacks,
             "waf": self.waf(),

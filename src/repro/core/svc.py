@@ -6,6 +6,11 @@ is no separate cache index.  All bookkeeping (LRU lists, eviction,
 scan-range reorganization) happens off the critical path on a
 background thread that drains a request queue.
 
+An update invalidates the cached copy, then refills it: the put that
+drops a copy leaves the key in :attr:`ScanAwareValueCache.refills`,
+and the PWB reclaim that moves the new value to Value Storage caches
+it again, on the reclaim thread, with the value it already holds.
+
 Eviction uses a 2Q LRU: first-touch values sit on an *inactive* list;
 a second access promotes to the *active* list; the active list's tail
 demotes back when it outgrows its share; evictions come from the
@@ -99,8 +104,14 @@ class ScanAwareValueCache:
         self.used = 0
         self.active_bytes = 0
         self._pending: Deque[Tuple[str, int]] = deque()
+        # hsit_idx -> key, for each key whose cached copy a put to a PWB
+        # dropped: the reclaim that moves the new value to Value Storage
+        # caches it again (:meth:`refill`).  Every index here has its
+        # value in a PWB, so the map never outgrows the PWBs' records.
+        self.refills: Dict[int, bytes] = {}
         self.hits = 0
         self.admissions = 0
+        self.refreshes = 0
         self.evictions = 0
         self.scan_writebacks = 0
         self.writeback_values = 0
@@ -134,6 +145,17 @@ class ScanAwareValueCache:
         self._pending.append(("admit", entry_id))
         self.admissions += 1
         return entry_id
+
+    def refill(self, hsit_idx: int, value: bytes, thread: VThread) -> None:
+        """Cache again the value of a key in :attr:`refills`, which the
+        caller is moving to Value Storage and holds in hand.
+
+        Counted as a refresh, not an admission: an admission is a read
+        that missed, and hit ratios divide by hits plus admissions.
+        """
+        self.admit(hsit_idx, self.refills.pop(hsit_idx), value, thread)
+        self.admissions -= 1
+        self.refreshes += 1
 
     def lookup(
         self,

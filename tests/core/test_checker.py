@@ -124,6 +124,14 @@ class TestCorruptionDetected:
         report = audit(store)
         assert any("I5" in v for v in report.violations)
 
+    def test_refill_of_a_value_not_in_a_pwb(self, store, t):
+        store.put(b"k", b"v", t)
+        store.flush()
+        store.svc.refills[store.index.lookup(b"k")] = b"k"
+        store.svc.refills[4321] = b"gone"
+        violations = [v for v in audit(store).violations if "I5: refill" in v]
+        assert len(violations) == 2
+
     def test_accounting_drift(self, store, t):
         store.put(b"k", b"v", t)
         store.svc.used += 1234

@@ -1,11 +1,12 @@
 """Hypothesis stateful machine: Prism vs a dict model, with crashes.
 
-Rules interleave puts, gets, deletes, scans, flushes, and full
-crash+recover cycles; on a store with chunk mirrors, also bit-rot of a
-record that sits back to back with another (so a scan reads it inside
-a multi-record run) and the death of a primary SSD.  The invariant
-after every rule: the store's visible contents equal the model of
-acknowledged operations.  One machine per feature set of
+Rules interleave puts, gets, deletes, scans, flushes, updates of cached
+keys, and full crash+recover cycles; on a store with chunk mirrors, also
+bit-rot of a record that sits back to back with another (so a scan reads
+it inside a multi-record run) and the death of a primary SSD.  The
+invariants after every rule: the store's visible contents equal the
+model of acknowledged operations, and every pending SVC refill names a
+value still in a PWB.  One machine per feature set of
 ``tests.conftest.FEATURE_CONFIGS`` — a restart rebuilds every DRAM-side
 subsystem, so each one gets its turn.
 """
@@ -20,6 +21,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
+from repro.core.checker import audit
 from repro.core.prism import Prism
 from repro.sim.vthread import VThread
 from tests.conftest import FEATURE_CONFIGS, small_prism_config
@@ -75,6 +77,15 @@ class PrismMachine(RuleBasedStateMachine):
     def flush(self):
         self.store.flush()
 
+    @precondition(lambda self: not self.crashed)
+    @rule(key=keys, value=values)
+    def update_a_cached_key(self, key, value):
+        """Flush, read (a Value Storage read caches the key), update: the
+        next reclaim refills the cache with the new value."""
+        self.store.flush()
+        self.get(key)
+        self.put(key, value)
+
     @precondition(lambda self: not self.crashed and self.store.config.mirror_chunks)
     @rule(pick=st.integers(min_value=0, max_value=1000))
     def rot_in_a_run(self, pick):
@@ -127,6 +138,15 @@ class PrismMachine(RuleBasedStateMachine):
     def contents_match_when_running(self):
         if not self.crashed and hasattr(self, "store"):
             assert len(self.store) == len(self.model)
+
+    @invariant()
+    def refills_wait_in_the_pwbs(self):
+        """I5's refill clause, and the bound it gives the map: no more
+        refills than records in the PWBs."""
+        if not self.crashed and hasattr(self, "store"):
+            store = self.store
+            assert not [v for v in audit(store).violations if "I5: refill" in v]
+            assert len(store.svc.refills) <= sum(len(pwb._offsets) for pwb in store.pwbs)
 
 
 def _machine(features: str):

@@ -100,6 +100,27 @@ def _reclaim() -> Scenario:
     )
 
 
+def _reclaim_refill() -> Scenario:
+    """A reclaim of updates to keys the SVC held: each record it moves
+    also refills the cache, so a publish that fails must leave no
+    refill behind for a value that is no longer in a PWB (I5)."""
+    store = Prism(small_prism_config(enable_checksums=True))
+    expect = _put_all(store, b"h")
+    store.flush()
+    t = VThread(0, store.clock)
+    for key in expect:
+        store.get(key, t)  # cached...
+        expect[key] = expect[key][:800]
+        store.put(key, expect[key], t)  # ...and updated
+    assert len(store.svc.refills) == BATCH
+    pwb = store.pwbs[0]
+    return Scenario(
+        store, expect, lambda: store._reclaim(pwb, store.clock.now),
+        "reclaim", store._bg_reclaim, "reclaim_failed", "reclaim",
+        lambda loc: loc.in_vs,
+    )
+
+
 def _local_gc() -> Scenario:
     store = Prism(small_prism_config(num_ssds=1, enable_checksums=True))
     expect = _put_all(store, b"g")
@@ -176,6 +197,7 @@ def _promotion_drain() -> Scenario:
 
 MOVERS = {
     "reclaim": _reclaim,
+    "reclaim_refill": _reclaim_refill,
     "local_gc": _local_gc,
     "gc_demotion": _gc_demotion,
     "gc_promotion": _gc_promotion,
@@ -233,8 +255,8 @@ def _inject(store: Prism, label: str, bg: VThread, step: str, lands: bool) -> li
     return hit
 
 
-def _kinds(store: Prism) -> list:
-    return [e["kind"] for e in store.events]
+def _kinds(store: Prism, since: int) -> list:
+    return [e["kind"] for e in store.events.events[since:]]
 
 
 @pytest.mark.parametrize("step,lands,phase", FAILURES)
@@ -245,20 +267,21 @@ def test_failed_relocation_is_contained_and_retryable(mover, step, lands, phase)
     hit = _inject(store, sc.label, sc.bg, step, lands)
     pwb = store.pwbs[0]
     window = (pwb.tail, pwb.head, pwb.pending_release)
+    setup_events = len(store.events)
 
     sc.run()
 
     assert hit == [BATCH], f"{mover} never reached _relocate({sc.label!r})"
     report = audit(store)
     assert report.ok, report.violations[:3]
-    assert sc.done_kind not in _kinds(store)
+    assert sc.done_kind not in _kinds(store, setup_events)
     if sc.failed_kind is not None:
         failures = store.events.of_kind(sc.failed_kind)
         assert len(failures) == 1
         # A failed cross-tier batch aborts the GC round that ran it.
         cross_tier = sc.failed_kind == "gc_failed" and sc.label != "gc"
         assert failures[0]["phase"] == ("relocate" if cross_tier else phase)
-    if mover == "reclaim":
+    if sc.label == "reclaim":
         # Some entries may still point into the window: it must stay.
         assert (pwb.tail, pwb.head, pwb.pending_release) == window
     for key, value in sc.expect.items():
@@ -271,13 +294,14 @@ def test_failed_relocation_is_contained_and_retryable(mover, step, lands, phase)
 
     sc.run()  # the retry meets no fault and finishes the job
 
-    if arrived < BATCH or mover in ("reclaim", "local_gc"):
+    if arrived < BATCH or mover in ("reclaim", "reclaim_refill", "local_gc"):
         # (a cross-tier round with nothing left to move emits nothing)
-        assert sc.done_kind in _kinds(store)
+        assert sc.done_kind in _kinds(store, setup_events)
     if sc.failed_kind is not None:
         assert len(store.events.of_kind(sc.failed_kind)) == 1
     report = audit(store)
     assert report.ok, report.violations[:3]
+    assert not store.svc.refills
     for key, value in sc.expect.items():
         assert sc.arrived(_location(store, key))
         assert store.get(key) == value
