@@ -38,6 +38,3 @@ class BloomFilter:
 
     def might_contain(self, key: bytes) -> bool:
         return all(self._bitmap >> pos & 1 for pos in self._positions(key))
-
-    def size_bytes(self) -> int:
-        return self.bits // 8 + 1

@@ -53,12 +53,6 @@ class MemTable:
         for key in self._keys[idx:]:
             yield key, self._data[key]
 
-    def min_key(self) -> Optional[bytes]:
-        return self._keys[0] if self._keys else None
-
-    def max_key(self) -> Optional[bytes]:
-        return self._keys[-1] if self._keys else None
-
     def extract_range(
         self, start: bytes, end: Optional[bytes]
     ) -> List[Tuple[bytes, Optional[bytes]]]:

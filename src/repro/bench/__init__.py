@@ -18,7 +18,7 @@ from repro.bench.stores import (
     build_rocksdb_nvm,
     build_slmdb,
 )
-from repro.bench.report import format_table, ratio
+from repro.bench.report import format_table
 
 __all__ = [
     "RunResult",
@@ -30,5 +30,4 @@ __all__ = [
     "build_rocksdb_nvm",
     "build_slmdb",
     "format_table",
-    "ratio",
 ]

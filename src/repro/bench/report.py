@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.bench.runner import RunResult
-
-
-def ratio(a: float, b: float) -> float:
-    """a / b with a guard (0 when b is 0)."""
-    return a / b if b else 0.0
 
 
 def format_table(

@@ -70,10 +70,6 @@ class RunResult:
         return self.ops / self.duration
 
     @property
-    def mops(self) -> float:
-        return self.throughput / 1e6
-
-    @property
     def kops(self) -> float:
         return self.throughput / 1e3
 

@@ -92,10 +92,6 @@ class AdmissionController:
         self.draining = False
         self.drain_rejects = 0
 
-    @property
-    def enabled(self) -> bool:
-        return self.max_queue_depth is not None or self.bucket is not None
-
     # ------------------------------------------------------------------
     # drain lifecycle (live resharding)
     # ------------------------------------------------------------------

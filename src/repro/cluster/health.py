@@ -72,8 +72,6 @@ class HealthConfig:
     # -- hedged reads --
     hedge_quantile: float = 0.95  # fire a hedge past this latency
     hedge_min_delay: float = 10e-6  # floor (virtual seconds)
-    # -- per-op deadline budget (virtual seconds); None disables --
-    op_deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ewma_alpha <= 1.0:
@@ -98,8 +96,6 @@ class HealthConfig:
             raise ValueError(
                 f"hedge_min_delay must be >= 0: {self.hedge_min_delay}"
             )
-        if self.op_deadline is not None and self.op_deadline <= 0:
-            raise ValueError(f"op_deadline must be > 0: {self.op_deadline}")
 
 
 class ShardHealth:
@@ -364,16 +360,3 @@ class HealthMonitor:
         no hedging off a cold distribution.
         """
         return self._hedge_delay
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            f"shard{sid}": {
-                "score_us": h.score * 1e6,
-                "samples": h.samples,
-                "breaker": self.breakers[sid].state,
-            }
-            for sid, h in sorted(self.shards.items())
-        }

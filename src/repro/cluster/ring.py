@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Set, Tuple
 
 _HASH_BYTES = 8  # 64-bit ring positions
 
@@ -111,23 +111,6 @@ class HashRing:
             self._points.insert(idx, point)
             self._keys.insert(idx, point[0])
 
-    def remove_shard(self, shard_id: int) -> None:
-        """Drop a shard's vnodes; only keys it owned re-map.
-
-        Refuses (typed) to remove an id that is not a member, and to
-        remove the last member — an empty ring cannot route anything,
-        so the caller must know it is decommissioning the whole
-        cluster rather than discover it one failed lookup at a time.
-        """
-        if shard_id not in self._shards:
-            raise UnknownShardError(shard_id, self._shards)
-        if len(self._shards) == 1:
-            raise LastShardError(shard_id)
-        self._shards.discard(shard_id)
-        self._successors.clear()
-        self._points = [p for p in self._points if p[1] != shard_id]
-        self._keys = [pos for pos, _ in self._points]
-
     def with_shard_added(self, shard_id: int) -> "HashRing":
         """A fresh ring with ``shard_id`` added (this one untouched)."""
         return HashRing(
@@ -135,7 +118,13 @@ class HashRing:
         )
 
     def with_shard_removed(self, shard_id: int) -> "HashRing":
-        """A fresh ring with ``shard_id`` removed (this one untouched)."""
+        """A fresh ring with ``shard_id`` removed (this one untouched).
+
+        Refuses (typed) to remove an id that is not a member, and to
+        remove the last member — an empty ring cannot route anything,
+        so the caller must know it is decommissioning the whole
+        cluster rather than discover it one failed lookup at a time.
+        """
         if shard_id not in self._shards:
             raise UnknownShardError(shard_id, self._shards)
         if len(self._shards) == 1:
@@ -241,13 +230,3 @@ class HashRing:
         # Wrapped arc (or a single-member ring, where lo == hi means
         # the whole ring): everything above lo or at-or-below hi.
         return position > lo or position <= hi
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def ownership_histogram(self, keys: Sequence[bytes]) -> Dict[int, int]:
-        """How many of ``keys`` each shard owns (balance check)."""
-        counts: Dict[int, int] = {shard: 0 for shard in self._shards}
-        for key in keys:
-            counts[self.lookup(key)] += 1
-        return counts

@@ -395,27 +395,13 @@ class PrismCluster:
     # ------------------------------------------------------------------
     def _client_op(self, body: Callable, thread: Optional[VThread], *args):
         """What every client operation does around its ``body``: fall
-        back to the cluster's own caller thread, let the migrator catch
-        up to the op's start, and give the op its deadline budget
-        (virtual seconds) when the health config carries one — cleared
-        when the op finishes, unless an outer caller armed it first."""
+        back to the cluster's own caller thread and let the migrator
+        catch up to the op's start."""
         if thread is None:
             thread = self._default_thread
         if self._migration is not None:
             self._migration.pump(thread.now)
-        health = self._health
-        armed = (
-            health is not None
-            and health.config.op_deadline is not None
-            and thread.deadline is None
-        )
-        if armed:
-            thread.deadline = thread.now + health.config.op_deadline
-        try:
-            return body(*args, thread)
-        finally:
-            if armed:
-                thread.deadline = None
+        return body(*args, thread)
 
     def _attempt(
         self,
@@ -877,16 +863,13 @@ class PrismCluster:
         shard_id: int,
         at: Optional[float] = None,
         multiplier: float = 10.0,
-        **kwargs,
     ) -> List[str]:
         """Gray-fail a shard: inflate every device's latency without
         any error — the shard keeps serving, just slowly.  Nothing in
         the fail-stop machinery reacts; only the health monitor (when
         armed) will notice.  Returns the inflated device names."""
         at = self.clock.now if at is None else at
-        names = slow_store_devices(
-            self.shards[shard_id].store, at, multiplier=multiplier, **kwargs
-        )
+        names = slow_store_devices(self.shards[shard_id].store, at, multiplier)
         self.metrics.counter("cluster.gray_injected").inc()
         self.events.emit(
             at,

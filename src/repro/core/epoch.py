@@ -34,10 +34,6 @@ class EpochManager:
     # ------------------------------------------------------------------
     # thread participation
     # ------------------------------------------------------------------
-    def unregister(self, tid: int) -> None:
-        self._pinned.pop(tid, None)
-        self._quiescent.pop(tid, None)
-
     def enter(self, tid: int) -> None:
         """Pin the current epoch for an operation; a thread's first
         ``enter`` registers it."""

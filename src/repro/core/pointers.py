@@ -155,10 +155,6 @@ def is_dirty(word: int) -> bool:
     return bool(word & DIRTY_BIT)
 
 
-def medium_of(word: int) -> int:
-    return (word & _MEDIUM_MASK) >> _MEDIUM_SHIFT
-
-
 def free_link_of(word: int) -> int:
     """Free-list link stored in a null word (index + 1, 0 = end)."""
     return word & _OFFSET48

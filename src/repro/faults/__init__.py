@@ -23,7 +23,6 @@ See the "Fault model" section of ``docs/simulation-model.md``.
 """
 
 from repro.faults.errors import (
-    DeadlineExceededError,
     DegradedError,
     DeviceDeadError,
     DeviceError,
@@ -45,7 +44,6 @@ from repro.faults.injector import (
 from repro.faults.retry import RetryExecutor, RetryPolicy
 
 __all__ = [
-    "DeadlineExceededError",
     "DegradedError",
     "DeviceDeadError",
     "DeviceError",

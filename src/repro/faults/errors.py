@@ -89,25 +89,6 @@ class RetryExhaustedError(DeviceError):
         self.attempts = attempts
 
 
-class DeadlineExceededError(DeviceError):
-    """The operation's deadline budget ran out before a retry could run.
-
-    Raised by the retry layer instead of sleeping a backoff past the
-    caller's per-op deadline: the device may well recover eventually,
-    but this *request* is out of time and the caller (a hedging router,
-    an SLO-bound client) needs the typed give-up now.  The last
-    transient error, when one triggered the check, is chained.
-    """
-
-    def __init__(self, device: str, op: str, deadline: float) -> None:
-        super().__init__(
-            device,
-            op,
-            f"{device}: {op} abandoned — deadline {deadline:.9f} exhausted",
-        )
-        self.deadline = deadline
-
-
 class CorruptionError(StorageError):
     """Stored bytes fail their checksum — silent corruption detected.
 

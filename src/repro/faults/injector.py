@@ -10,8 +10,12 @@ fault) or raises a typed error from :mod:`repro.faults.errors`:
   timeout before :class:`StuckIOError` surfaces (the retry layer
   charges the timeout);
 * failed NVM flushes (the covered lines stay volatile);
+* silent corruption of SSD writes (bit flips, torn writes), which only
+  checksums catch;
 * permanent device death — explicit (:meth:`kill_device`) or declared
-  by the retry layer after too many consecutive failures.
+  by the retry layer after too many consecutive failures;
+* fail-slow (gray failure) — :meth:`add_slow_fault` multiplies a
+  device's per-op latency from a start time on, without raising.
 
 Determinism: faults are drawn from one ``random.Random(seed)`` in
 consult order, and a consult whose rates are all zero draws nothing.
@@ -47,59 +51,28 @@ class SlowFault:
 
     Unlike every other fault kind, fail-slow never raises — the consult
     hooks return an extra virtual-time *penalty* the device adds to the
-    IO's completion.  The penalty for one IO at virtual time ``at`` is::
-
-        add_latency + (multiplier - 1) × base device latency
-        [+ stall_penalty when ``at`` falls inside a stall burst]
-
-    where the base latency is the device spec's per-op latency for the
-    direction (read/write; flush uses the write latency).  The fault is
-    active on ``[start, start + duration)`` of virtual time; stall
-    bursts, when configured, open for ``stall_duration`` at the head of
-    every ``stall_interval`` within the active window.  The schedule is
-    purely a function of virtual time — no randomness is drawn — so two
-    identical runs inject identically and a run with no slow faults is
-    bit-identical to one without the feature.
+    IO's completion.  From ``start`` on, the penalty for one IO is
+    ``(multiplier - 1) × base device latency``, where the base latency
+    is the device spec's per-op latency for the direction (read/write;
+    flush uses the write latency).  The schedule is purely a function
+    of virtual time — no randomness is drawn — so two identical runs
+    inject identically and a run with no slow faults is bit-identical
+    to one without the feature.
     """
 
     devices: Tuple[str, ...] = ()  # empty = every consulted device
     multiplier: float = 1.0
-    add_latency: float = 0.0
     start: float = 0.0
-    duration: float = float("inf")
-    stall_interval: float = 0.0  # 0 disables stall bursts
-    stall_duration: float = 0.0
-    stall_penalty: float = 0.0
 
     def __post_init__(self) -> None:
         if self.multiplier < 1.0:
             raise ValueError(f"multiplier must be >= 1: {self.multiplier}")
-        for name in ("add_latency", "stall_interval", "stall_duration",
-                     "stall_penalty"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0: {getattr(self, name)}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
-        if self.stall_interval > 0 and self.stall_duration > self.stall_interval:
-            raise ValueError(
-                "stall_duration must fit inside stall_interval: "
-                f"{self.stall_duration} > {self.stall_interval}"
-            )
-
-    def active(self, at: float) -> bool:
-        return self.start <= at < self.start + self.duration
 
     def penalty(self, base_latency: float, at: float) -> float:
-        """Extra virtual seconds for one IO at ``at`` (0.0 if inactive)."""
-        if not self.active(at):
+        """Extra virtual seconds for one IO at ``at`` (0.0 before ``start``)."""
+        if at < self.start:
             return 0.0
-        extra = self.add_latency + (self.multiplier - 1.0) * base_latency
-        if (
-            self.stall_interval > 0.0
-            and (at - self.start) % self.stall_interval < self.stall_duration
-        ):
-            extra += self.stall_penalty
-        return extra
+        return (self.multiplier - 1.0) * base_latency
 
 
 @dataclass
@@ -108,9 +81,9 @@ class FaultConfig:
 
     Rates are per *consult* (one timed IO or flush).  ``stuck_timeout``
     is the virtual time a submitter loses before a stuck request
-    surfaces as :class:`StuckIOError`.  ``max_faults`` bounds the total
-    number of injected faults (handy for "exactly one error" tests);
-    ``dead_devices`` names devices that are dead from the start.
+    surfaces as :class:`StuckIOError`.  Device death and fail-slow
+    schedules are not part of the config: they start at run time
+    (:meth:`FaultInjector.kill_device`, :meth:`FaultInjector.add_slow_fault`).
     """
 
     seed: int = 0
@@ -124,12 +97,6 @@ class FaultConfig:
     # get truncated mid-record while the device still reports success.
     bitflip_rate: float = 0.0
     torn_write_rate: float = 0.0
-    max_faults: Optional[int] = None
-    dead_devices: Tuple[str, ...] = ()
-    # Fail-slow (gray-failure) schedules: latency inflation that never
-    # raises.  More can be added at run time with
-    # :meth:`FaultInjector.add_slow_fault`.
-    slow: Tuple[SlowFault, ...] = ()
 
     def __post_init__(self) -> None:
         for name in (
@@ -162,7 +129,7 @@ class FaultInjector:
         self.rng = random.Random(config.seed)
         self.events = events if events is not None else EventLog("faults")
         self.metrics = metrics
-        self.dead: set = set(config.dead_devices)
+        self.dead: set = set()
         self.injected: Dict[str, int] = {}
         self.consults = 0
         # Silent corruptions delivered so far (bit flips, torn writes,
@@ -171,7 +138,7 @@ class FaultInjector:
         self.silent_injected = 0
         # Fail-slow: active schedules, per-device onset announcements,
         # and the count of delayed IOs (``fault.slow_injections``).
-        self._slow: List[SlowFault] = list(config.slow)
+        self._slow: List[SlowFault] = []
         self._slow_seen: set = set()
         self.slow_injections = 0
 
@@ -181,10 +148,6 @@ class FaultInjector:
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
-
-    def _budget_left(self) -> bool:
-        limit = self.config.max_faults
-        return limit is None or self.total_injected < limit
 
     def _emit(self, at: float, device: str, op: str, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
@@ -221,17 +184,8 @@ class FaultInjector:
             "slow_fault_added",
             devices=list(fault.devices) or ["*"],
             multiplier=fault.multiplier,
-            add_latency=fault.add_latency,
             start=fault.start,
         )
-
-    def clear_slow_faults(self, at: float = 0.0) -> int:
-        """Drop every fail-slow schedule (the device recovers)."""
-        count = len(self._slow)
-        self._slow.clear()
-        if count:
-            self.events.emit(at, "slow_faults_cleared", count=count)
-        return count
 
     def slow_penalty(self, device, op: str, at: float) -> float:
         """Extra virtual seconds the IO loses to active fail-slow faults.
@@ -274,16 +228,12 @@ class FaultInjector:
             raise DeviceDeadError(name, op)
         cfg = self.config
         rate = cfg.read_error_rate if op == "read" else cfg.write_error_rate
-        if rate > 0.0 and self._budget_left() and self.rng.random() < rate:
+        if rate > 0.0 and self.rng.random() < rate:
             self._emit(at, name, op, f"{op}_error")
             if op == "read":
                 raise TransientReadError(name, op)
             raise TransientWriteError(name, op)
-        if (
-            cfg.stuck_rate > 0.0
-            and self._budget_left()
-            and self.rng.random() < cfg.stuck_rate
-        ):
+        if cfg.stuck_rate > 0.0 and self.rng.random() < cfg.stuck_rate:
             self._emit(at, name, op, "stuck")
             raise StuckIOError(name, op, timeout=cfg.stuck_timeout)
         if self._slow:
@@ -300,11 +250,7 @@ class FaultInjector:
         if name in self.dead:
             raise DeviceDeadError(name, "flush")
         cfg = self.config
-        if (
-            cfg.flush_error_rate > 0.0
-            and self._budget_left()
-            and self.rng.random() < cfg.flush_error_rate
-        ):
+        if cfg.flush_error_rate > 0.0 and self.rng.random() < cfg.flush_error_rate:
             self._emit(at, name, "flush", "flush_error")
             raise FlushError(name)
         if self._slow:
@@ -334,7 +280,7 @@ class FaultInjector:
         cfg = self.config
         if cfg.bitflip_rate <= 0.0 and cfg.torn_write_rate <= 0.0:
             return data
-        if not data or not self._budget_left():
+        if not data:
             return data
         if cfg.bitflip_rate > 0.0 and self.rng.random() < cfg.bitflip_rate:
             bit = self.rng.randrange(len(data) * 8)
@@ -408,14 +354,7 @@ def kill_store_devices(store, at: float = 0.0) -> List[str]:
 
 
 def slow_store_devices(
-    store,
-    at: float = 0.0,
-    multiplier: float = 10.0,
-    add_latency: float = 0.0,
-    duration: float = float("inf"),
-    stall_interval: float = 0.0,
-    stall_duration: float = 0.0,
-    stall_penalty: float = 0.0,
+    store, at: float = 0.0, multiplier: float = 10.0
 ) -> List[str]:
     """Gray-failure onset for a whole node: every device of one store
     starts serving IO with inflated latency from ``at`` on.
@@ -431,16 +370,6 @@ def slow_store_devices(
         )
     names = store_device_names(store)
     store.injector.add_slow_fault(
-        SlowFault(
-            devices=tuple(names),
-            multiplier=multiplier,
-            add_latency=add_latency,
-            start=at,
-            duration=duration,
-            stall_interval=stall_interval,
-            stall_duration=stall_duration,
-            stall_penalty=stall_penalty,
-        ),
-        at,
+        SlowFault(devices=tuple(names), multiplier=multiplier, start=at), at
     )
     return names

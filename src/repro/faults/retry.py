@@ -15,22 +15,20 @@ Two flavours match the simulator's two timing styles:
 * :meth:`run_at` — background: the callable takes a start time and the
   backoff shifts that time forward.
 
+Backoff before retry ``n`` is ``backoff_base × backoff_factor**n``
+virtual seconds (plus a stuck IO's timeout): a pure function of the
+attempt, so retries draw no randomness.
+
 Retries are observable: every attempt emits a ``retry`` event and bumps
 ``faults.retries``; exhaustion bumps ``faults.retry_exhausted``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, TypeVar
 
-from repro.faults.errors import (
-    DeadlineExceededError,
-    DeviceDeadError,
-    RetryExhaustedError,
-    TransientIOError,
-)
+from repro.faults.errors import DeviceDeadError, RetryExhaustedError, TransientIOError
 from repro.obs.metrics import EventLog, MetricsRegistry, NULL_REGISTRY
 from repro.sim.vthread import VThread
 
@@ -47,14 +45,6 @@ class RetryPolicy:
     # Consecutive failures (across operations) before a device is
     # declared permanently dead.  0 disables escalation.
     fail_threshold: int = 12
-    # Bounded decorrelated jitter: each backoff is drawn uniformly from
-    # ``[delay × (1 - jitter), delay]`` off a seeded stream, so virtual
-    # threads that failed at the same instant stop retrying in lockstep
-    # and a recovering device is not stampeded.  0.0 (the default)
-    # draws nothing — the schedule stays the exact exponential series,
-    # bit-identical to a build without jitter.
-    jitter: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -65,19 +55,10 @@ class RetryPolicy:
             raise ValueError(f"backoff_factor must be >= 1: {self.backoff_factor}")
         if self.fail_threshold < 0:
             raise ValueError(f"fail_threshold must be >= 0: {self.fail_threshold}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1]: {self.jitter}")
-        self._jitter_rng = (
-            random.Random(self.jitter_seed) if self.jitter > 0.0 else None
-        )
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (0-based)."""
-        base = self.backoff_base * (self.backoff_factor**attempt)
-        rng = self._jitter_rng
-        if rng is None or base <= 0.0:
-            return base
-        return base - base * self.jitter * rng.random()
+        return self.backoff_base * (self.backoff_factor**attempt)
 
 
 class RetryExecutor:
@@ -97,7 +78,6 @@ class RetryExecutor:
         self.consecutive: Dict[str, int] = {}
         self.retries = 0
         self.exhausted = 0
-        self.deadline_exceeded = 0
 
     # ------------------------------------------------------------------
     # failure accounting
@@ -142,25 +122,6 @@ class RetryExecutor:
         self.metrics.counter("faults.retry_exhausted").inc()
         raise RetryExhaustedError(device, op, attempts) from exc
 
-    def _past_deadline(
-        self,
-        deadline: Optional[float],
-        at: float,
-        backoff: float,
-        device: str,
-        op: str,
-        exc: Exception,
-    ) -> None:
-        """Give up typed when the next backoff would outlive the deadline."""
-        if deadline is None or at + backoff <= deadline:
-            return
-        self.deadline_exceeded += 1
-        self.metrics.counter("faults.deadline_exceeded").inc()
-        self.events.emit(
-            at, "deadline_exceeded", device=device, op=op, deadline=deadline
-        )
-        raise DeadlineExceededError(device, op, deadline) from exc
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -170,19 +131,8 @@ class RetryExecutor:
         thread: Optional[VThread] = None,
         device: str = "",
         op: str = "",
-        deadline: Optional[float] = None,
     ) -> T:
-        """Foreground retry: backoff advances the calling thread.
-
-        ``deadline`` is an absolute virtual time past which no backoff
-        may sleep; left ``None``, the calling thread's own
-        ``thread.deadline`` (set by SLO-aware callers like the cluster
-        router) applies.  A retry whose backoff would cross the
-        deadline raises :class:`DeadlineExceededError` immediately
-        instead of sleeping on a request that is already out of time.
-        """
-        if deadline is None and thread is not None:
-            deadline = thread.deadline
+        """Foreground retry: backoff advances the calling thread."""
         attempt = 0
         while True:
             try:
@@ -192,10 +142,8 @@ class RetryExecutor:
                 self._note_failure(device, at, exc)
                 if attempt >= self.policy.max_retries:
                     self._give_up(device, op, attempt + 1, exc)
-                backoff = self._backoff(attempt, exc)
-                self._past_deadline(deadline, at, backoff, device, op, exc)
                 if thread is not None:
-                    thread.wait_until(thread.now + backoff)
+                    thread.wait_until(thread.now + self._backoff(attempt, exc))
                 self._record_retry(at, device, op, attempt, exc)
                 attempt += 1
             else:
@@ -208,7 +156,6 @@ class RetryExecutor:
         at: float,
         device: str = "",
         op: str = "",
-        deadline: Optional[float] = None,
     ) -> T:
         """Background retry: ``fn(at)`` re-runs at a later virtual time."""
         attempt = 0
@@ -219,9 +166,7 @@ class RetryExecutor:
                 self._note_failure(device, at, exc)
                 if attempt >= self.policy.max_retries:
                     self._give_up(device, op, attempt + 1, exc)
-                backoff = self._backoff(attempt, exc)
-                self._past_deadline(deadline, at, backoff, device, op, exc)
-                at += backoff
+                at += self._backoff(attempt, exc)
                 self._record_retry(at, device, op, attempt, exc)
                 attempt += 1
             else:

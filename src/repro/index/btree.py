@@ -7,7 +7,7 @@ the code small without affecting correctness of lookups and scans.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator, List, Optional, Tuple
 
 
@@ -75,7 +75,7 @@ class BTree:
         # leftmost spine — floor below the leaf anchor is rare and only
         # happens near the tree's minimum or after lazy deletes.
         best: Optional[Tuple[bytes, Any]] = None
-        for k, v in self.items():
+        for k, v in self.items_from(b""):
             if k > key:
                 break
             best = (k, v)
@@ -143,18 +143,6 @@ class BTree:
     # ------------------------------------------------------------------
     # iteration
     # ------------------------------------------------------------------
-    def _leftmost(self) -> _Node:
-        node = self._root
-        while not node.leaf:
-            node = node.slots[0]
-        return node
-
-    def items(self) -> Iterator[Tuple[bytes, Any]]:
-        leaf: Optional[_Node] = self._leftmost()
-        while leaf is not None:
-            yield from zip(leaf.keys, leaf.slots)
-            leaf = leaf.next
-
     def items_from(self, start: bytes) -> Iterator[Tuple[bytes, Any]]:
         """Iterate (k, v) with k >= start in key order."""
         leaf, _ = self._find_leaf(start)
@@ -165,14 +153,3 @@ class BTree:
                 yield node.keys[i], node.slots[i]
             node = node.next
             idx = 0
-
-    def range_items(self, start: bytes, end: bytes) -> Iterator[Tuple[bytes, Any]]:
-        """Iterate (k, v) with start <= k < end."""
-        for k, v in self.items_from(start):
-            if k >= end:
-                return
-            yield k, v
-
-    def keys(self) -> Iterator[bytes]:
-        for k, _ in self.items():
-            yield k

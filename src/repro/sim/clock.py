@@ -20,13 +20,5 @@ class VirtualClock:
         """Latest virtual time observed anywhere in the simulation."""
         return self._now
 
-    def observe(self, t: float) -> None:
-        """Record that some activity reached virtual time ``t``."""
-        if t > self._now:
-            self._now = t
-
-    def reset(self) -> None:
-        self._now = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now:.9f})"

@@ -50,12 +50,6 @@ class FIFOServer:
         self.requests += 1
         return start, end
 
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` this server was busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / horizon)
-
 
 class VLock:
     """A mutex in virtual time with explicit acquire/release.

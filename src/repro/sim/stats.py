@@ -17,11 +17,6 @@ class LatencyRecorder:
         self.name = name
         self.samples: List[float] = []
 
-    def record(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative latency: {seconds}")
-        self.samples.append(seconds)
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -53,14 +48,6 @@ class LatencyRecorder:
 
     def p99(self) -> float:
         return self.percentile(99)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(len(self.samples)),
-            "avg_us": self.average(),
-            "p50_us": self.median(),
-            "p99_us": self.p99(),
-        }
 
 
 class Timeline:

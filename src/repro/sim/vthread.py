@@ -32,7 +32,7 @@ class VThread:
     """
 
     __slots__ = (
-        "tid", "name", "clock", "now", "background", "cpu_time", "deadline",
+        "tid", "name", "clock", "now", "background", "cpu_time",
     )
 
     def __init__(
@@ -48,18 +48,13 @@ class VThread:
         self.now = self.clock.now
         self.background = background
         self.cpu_time = 0.0
-        # Absolute virtual time this thread's current operation must
-        # finish by, or None.  Set by deadline-aware callers (the
-        # cluster router's per-op budget); honoured by the retry layer,
-        # which refuses to sleep a backoff past it.
-        self.deadline: Optional[float] = None
 
     def spend(self, seconds: float) -> None:
         """Consume CPU time: advance the local clock by ``seconds``."""
         if seconds < 0:
             raise ValueError(f"cannot spend negative time: {seconds}")
-        # Hot path: the clock observation is inlined (instead of calling
-        # VirtualClock.observe) — this method runs several times per
+        # Hot path: the thread moves the clock's high-water mark itself
+        # (no method call) — this method runs several times per
         # simulated operation.
         now = self.now + seconds
         self.now = now
@@ -75,12 +70,6 @@ class VThread:
             clock = self.clock
             if t > clock._now:
                 clock._now = t
-
-    def fork_background(self, name: str) -> "VThread":
-        """Create a background helper sharing this thread's clock."""
-        helper = VThread(tid=-1, clock=self.clock, name=name, background=True)
-        helper.now = self.now
-        return helper
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "bg" if self.background else "fg"

@@ -141,11 +141,7 @@ class Device:
 
     def crash(self) -> None:
         """Drop volatile state.  Nothing by default: an SSD's completed
-        writes are durable.  DRAM and NVM override."""
-
-    def reset_accounting(self) -> None:
-        self.bytes_read = 0
-        self.bytes_written = 0
+        writes are durable.  NVM overrides."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name})"

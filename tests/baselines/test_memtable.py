@@ -44,14 +44,6 @@ def test_items_from():
     assert [k for k, _ in mt.items_from(b"k5")] == [b"k%d" % i for i in range(5, 10)]
 
 
-def test_min_max():
-    mt = MemTable()
-    assert mt.min_key() is None and mt.max_key() is None
-    mt.insert(b"m", b"v")
-    mt.insert(b"a", b"v")
-    assert (mt.min_key(), mt.max_key()) == (b"a", b"m")
-
-
 def test_extract_range():
     mt = MemTable()
     for i in range(10):

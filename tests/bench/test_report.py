@@ -1,12 +1,11 @@
-from repro.bench.report import format_table, latency_table, ratio, throughput_table
+from repro.bench.report import format_table, latency_table, throughput_table
 from repro.bench.runner import RunResult
 from repro.sim.stats import LatencyRecorder
 
 
 def _result(name, workload, throughput_kops=100.0):
     rec = LatencyRecorder()
-    for v in (1e-6, 2e-6, 3e-6):
-        rec.record(v)
+    rec.samples = [1e-6, 2e-6, 3e-6]
     ops = 3000
     return RunResult(
         store_name=name,
@@ -17,11 +16,6 @@ def _result(name, workload, throughput_kops=100.0):
         per_kind={},
         waf=1.5,
     )
-
-
-def test_ratio():
-    assert ratio(10, 4) == 2.5
-    assert ratio(10, 0) == 0.0
 
 
 def test_format_table_contains_cells():
@@ -49,7 +43,6 @@ def test_latency_table():
 
 def test_run_result_properties():
     r = _result("X", "C", 1000)
-    assert r.mops == r.throughput / 1e6
     assert r.kops == r.throughput / 1e3
     empty = RunResult("X", "C", 0, 0.0, LatencyRecorder(), {}, 0.0)
     assert empty.throughput == 0.0

@@ -38,8 +38,6 @@ class TestHealthConfig:
             HealthConfig(gray_factor=1.0)
         with pytest.raises(ValueError):
             HealthConfig(hedge_quantile=1.0)
-        with pytest.raises(ValueError):
-            HealthConfig(op_deadline=0.0)
 
 
 class TestCircuitBreaker:
@@ -160,13 +158,6 @@ class TestHedgeDelay:
 
 
 class TestSnapshotAndMetrics:
-    def test_snapshot_reports_scores_and_states(self):
-        m = HealthMonitor(2, _config())
-        _warm(m, (0, 1), n=4)
-        snap = m.snapshot()
-        assert snap["shard0"]["breaker"] == STATE_CLOSED
-        assert snap["shard0"]["score_us"] == pytest.approx(50.0)
-
     def test_set_metrics_rebinds_breakers(self):
         m = HealthMonitor(2, _config())
         fresh = MetricsRegistry()

@@ -69,15 +69,11 @@ class TestRingMembership:
     def test_remove_last_shard_refused(self):
         ring = HashRing([3])
         with pytest.raises(LastShardError):
-            ring.remove_shard(3)
-        with pytest.raises(LastShardError):
             ring.with_shard_removed(3)
         assert ring.shards == {3}  # untouched after the refusal
 
     def test_remove_unknown_shard_typed(self):
         ring = HashRing([0, 1])
-        with pytest.raises(UnknownShardError):
-            ring.remove_shard(7)
         with pytest.raises(UnknownShardError):
             ring.with_shard_removed(7)
 

@@ -1,5 +1,7 @@
 """Consistent-hash ring: placement, stability, determinism."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,7 @@ class TestLookup:
             assert ring.lookup(key) in {4, 7, 9}
 
     def test_empty_ring_raises(self):
-        # remove_shard refuses to empty the ring, so build it empty.
+        # with_shard_removed refuses to empty a ring, so build it empty.
         ring = HashRing([])
         with pytest.raises(ValueError):
             ring.lookup(b"k")
@@ -34,8 +36,8 @@ class TestLookup:
     def test_balance_is_reasonable(self):
         """With enough vnodes no shard owns a wildly outsized share."""
         ring = HashRing(range(4), vnodes=64)
-        counts = ring.ownership_histogram([b"key-%05d" % i for i in range(4000)])
-        assert min(counts.values()) > 0
+        counts = Counter(ring.lookup(b"key-%05d" % i) for i in range(4000))
+        assert set(counts) == {0, 1, 2, 3}
         assert max(counts.values()) < 3 * (4000 // 4)
 
     def test_seed_changes_placement(self):
@@ -90,7 +92,7 @@ class TestStability:
         victim = min(shards)
         ring = HashRing(shards)
         before = {key: ring.lookup(key) for key in KEYS}
-        ring.remove_shard(victim)
+        ring = ring.with_shard_removed(victim)
         for key, owner in before.items():
             if owner != victim:
                 assert ring.lookup(key) == owner
@@ -101,7 +103,7 @@ class TestStability:
         ring = HashRing(shards)
         before = {key: ring.lookup(key) for key in KEYS}
         ring.add_shard(new)
-        ring.remove_shard(new)
+        ring = ring.with_shard_removed(new)
         assert {key: ring.lookup(key) for key in KEYS} == before
 
     @settings(max_examples=30, deadline=None)
@@ -123,7 +125,7 @@ class TestStability:
         with pytest.raises(ValueError):
             ring.add_shard(0)
         with pytest.raises(ValueError):
-            ring.remove_shard(5)
+            ring.with_shard_removed(5)
 
 
 def _rebuilt(ring: HashRing) -> HashRing:
@@ -160,7 +162,7 @@ class TestSuccessorMemo:
         shards=st.sets(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["add", "remove", "with_added", "with_removed"]),
+                st.sampled_from(["add", "with_added", "with_removed"]),
                 st.integers(min_value=0, max_value=9),
             ),
             max_size=8,
@@ -173,12 +175,10 @@ class TestSuccessorMemo:
             member = sid in ring.shards
             if op in ("add", "with_added") and member:
                 continue
-            if op in ("remove", "with_removed") and (not member or len(ring) == 1):
+            if op == "with_removed" and (not member or len(ring) == 1):
                 continue
             if op == "add":
                 ring.add_shard(sid)
-            elif op == "remove":
-                ring.remove_shard(sid)
             else:
                 derive = ring.with_shard_added if op == "with_added" else ring.with_shard_removed
                 before = ring.shards

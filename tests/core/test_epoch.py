@@ -74,20 +74,6 @@ def test_drain_forces_everything(mgr):
     assert mgr.pending == 0
 
 
-def test_unregister_removes_blocker(mgr):
-    mgr.enter(1)
-    mgr.enter(2)
-    mgr.exit(2)
-    mgr.try_advance()
-    mgr.exit(1)
-    mgr.try_advance()
-    mgr.unregister(1)
-    # only thread 2 matters now
-    mgr.enter(2)
-    mgr.exit(2)
-    assert mgr.try_advance()
-
-
 def test_reclaimed_counter(mgr):
     mgr.retire(lambda: None)
     mgr.drain()

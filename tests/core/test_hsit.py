@@ -287,7 +287,7 @@ def test_entry_reads_agree_with_the_word_by_word_path(entries, picks, timed, str
 class TestEntryLoadTiming:
     def _hsit(self, n=40):
         hsit = _planted([(ptr.encode_vs(0, i, 8 * i), False, i) for i in range(n)])
-        hsit.nvm.reset_accounting()  # set-up read the allocator header
+        hsit.nvm.bytes_read = hsit.nvm.bytes_written = 0  # set-up read the allocator header
         return hsit
 
     def test_lone_entry_costs_exactly_one_16_byte_load(self):

@@ -56,7 +56,7 @@ class TestDirtyBit:
 class TestFreeList:
     def test_free_link_roundtrip(self):
         word = ptr.encode_free_link(42)
-        assert ptr.medium_of(word) == ptr.MEDIUM_NULL
+        assert ptr.decode(word).is_null
         assert ptr.free_link_of(word) == 42
 
     def test_zero_is_end(self):

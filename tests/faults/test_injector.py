@@ -1,4 +1,4 @@
-"""FaultInjector: determinism, rates, budget, device death."""
+"""FaultInjector: determinism, rates, device death."""
 
 import pytest
 
@@ -73,14 +73,9 @@ def test_stuck_io_carries_timeout():
     assert err.value.transient
 
 
-def test_max_faults_budget():
-    inj = FaultInjector(FaultConfig(read_error_rate=1.0, max_faults=2))
-    assert len(_drive(inj, 50)) == 2
-    assert inj.total_injected == 2
-
-
 def test_dead_device_raises_permanently():
-    inj = FaultInjector(FaultConfig(dead_devices=("ssd1",)))
+    inj = FaultInjector(FaultConfig())
+    inj.kill_device("ssd1")
     with pytest.raises(DeviceDeadError):
         inj.before_io(FakeDevice("ssd1"), "read", 0.0)
     with pytest.raises(DeviceDeadError):

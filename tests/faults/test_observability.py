@@ -8,11 +8,12 @@ from tests.conftest import small_prism_config
 
 def _faulty_store() -> Prism:
     # Flush errors fire on the put path's HSIT publish, so a handful of
-    # puts is enough to exercise inject -> retry -> success.
+    # puts is enough to exercise inject -> retry -> success; at this rate
+    # no flush fails five times in a row, so every fault is masked.
     return Prism(
         small_prism_config(
             enable_metrics=True,
-            faults=FaultConfig(seed=2, flush_error_rate=0.2, max_faults=4),
+            faults=FaultConfig(seed=2, flush_error_rate=0.05),
         )
     )
 
@@ -23,8 +24,8 @@ def test_fault_and_retry_events_reach_the_store_log():
         store.put(b"k%03d" % i, b"v" * 300)
     faults = store.events.of_kind("fault")
     retries = store.events.of_kind("retry")
-    assert len(faults) == 4  # max_faults cap respected
-    assert len(retries) == 4  # every one masked by a retry
+    assert faults
+    assert len(retries) == len(faults)  # every one masked by a retry
     for event in faults:
         assert event["fault"] == "flush_error"
         assert event["device"] == store.nvm.name
@@ -39,11 +40,12 @@ def test_counters_track_injections_and_retries():
     for i in range(60):
         store.put(b"k%03d" % i, b"v" * 300)
     counters = store.metrics.counters
-    assert counters["faults.injected.flush_error"].value == 4
-    assert counters["faults.retries"].value == 4
+    injected = store.injector.total_injected
+    assert injected > 0
+    assert counters["faults.injected.flush_error"].value == injected
+    assert counters["faults.retries"].value == injected
     assert "faults.retry_exhausted" not in counters  # nothing gave up
-    assert store.injector.total_injected == 4
-    assert store.retry_exec.retries == 4
+    assert store.retry_exec.retries == injected
 
 
 def test_silent_injector_emits_nothing():

@@ -1,4 +1,4 @@
-"""Fail-slow (gray-failure) injection: penalties, windows, determinism."""
+"""Fail-slow (gray-failure) injection: penalties, onset, determinism."""
 
 import pytest
 
@@ -17,10 +17,16 @@ from repro.storage.specs import FLASH_SSD_GEN4_SPEC
 from repro.storage.ssd import SSDDevice
 
 
-def _ssd(config=None):
+def _injector(*slow, metrics=None):
+    inj = FaultInjector(FaultConfig(), metrics=metrics or MetricsRegistry())
+    for fault in slow:
+        inj.add_slow_fault(fault)
+    return inj
+
+
+def _ssd(*slow):
     ssd = SSDDevice(FLASH_SSD_GEN4_SPEC, name="ssd0")
-    if config is not None:
-        ssd.attach_injector(FaultInjector(config))
+    ssd.attach_injector(_injector(*slow))
     return ssd
 
 
@@ -28,74 +34,54 @@ class TestSlowFaultSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             SlowFault(multiplier=0.5)
-        with pytest.raises(ValueError):
-            SlowFault(add_latency=-1.0)
-        with pytest.raises(ValueError):
-            SlowFault(duration=0.0)
-        with pytest.raises(ValueError):
-            SlowFault(stall_interval=1.0, stall_duration=2.0)
 
-    def test_penalty_combines_multiplier_and_floor(self):
-        fault = SlowFault(multiplier=10.0, add_latency=5e-6)
+    def test_penalty_scales_base_latency(self):
+        fault = SlowFault(multiplier=10.0)
         base = 50e-6
-        assert fault.penalty(base, at=0.0) == pytest.approx(9 * base + 5e-6)
+        assert fault.penalty(base, at=0.0) == pytest.approx(9 * base)
 
-    def test_onset_and_duration_window(self):
-        fault = SlowFault(multiplier=2.0, start=1.0, duration=2.0)
+    def test_penalty_starts_at_onset(self):
+        fault = SlowFault(multiplier=2.0, start=1.0)
         assert fault.penalty(1e-6, at=0.5) == 0.0
         assert fault.penalty(1e-6, at=1.0) > 0.0
-        assert fault.penalty(1e-6, at=2.9) > 0.0
-        assert fault.penalty(1e-6, at=3.0) == 0.0
-
-    def test_stall_bursts_open_at_interval_heads(self):
-        fault = SlowFault(
-            multiplier=1.0, stall_interval=1.0, stall_duration=0.25,
-            stall_penalty=1e-3,
-        )
-        assert fault.penalty(1e-6, at=0.1) == pytest.approx(1e-3)
-        assert fault.penalty(1e-6, at=0.5) == 0.0
-        assert fault.penalty(1e-6, at=2.2) == pytest.approx(1e-3)
+        assert fault.penalty(1e-6, at=1e9) > 0.0  # lasts to the end of the run
 
 
 class TestInjectorSlowPath:
     def test_ssd_read_inflated_by_multiplier(self):
-        ssd = _ssd(FaultConfig(slow=(SlowFault(multiplier=10.0),)))
+        ssd = _ssd(SlowFault(multiplier=10.0))
         slow = VThread(0)
         ssd.write_raw(0, b"x" * 4096)
         ssd.read(slow, 0, 4096)
         fast = VThread(1)
-        _ssd(FaultConfig()).read(fast, 0, 4096)
+        _ssd().read(fast, 0, 4096)
         extra = 9 * FLASH_SSD_GEN4_SPEC.read_latency
         assert slow.now == pytest.approx(fast.now + extra)
         assert ssd.injector.slow_injections == 1
 
     def test_write_uses_write_latency_base(self):
-        ssd = _ssd(FaultConfig(slow=(SlowFault(multiplier=3.0),)))
+        ssd = _ssd(SlowFault(multiplier=3.0))
         thread = VThread(0)
         ssd.write(thread, 0, b"y" * 4096)
         clean = VThread(1)
-        _ssd(FaultConfig()).write(clean, 0, b"y" * 4096)
+        _ssd().write(clean, 0, b"y" * 4096)
         extra = 2 * FLASH_SSD_GEN4_SPEC.write_latency
         assert thread.now == pytest.approx(clean.now + extra)
 
     def test_device_filter_spares_other_devices(self):
-        inj = FaultInjector(
-            FaultConfig(slow=(SlowFault(devices=("other",), multiplier=5.0),))
-        )
+        inj = _injector(SlowFault(devices=("other",), multiplier=5.0))
         ssd = SSDDevice(FLASH_SSD_GEN4_SPEC, name="ssd0")
         ssd.attach_injector(inj)
         thread = VThread(0)
         ssd.read(thread, 0, 4096)
         clean = VThread(1)
-        _ssd(FaultConfig()).read(clean, 0, 4096)
+        _ssd().read(clean, 0, 4096)
         assert thread.now == clean.now
         assert inj.slow_injections == 0
 
     def test_never_raises_and_counts_metrics(self):
         metrics = MetricsRegistry()
-        inj = FaultInjector(
-            FaultConfig(slow=(SlowFault(multiplier=2.0),)), metrics=metrics
-        )
+        inj = _injector(SlowFault(multiplier=2.0), metrics=metrics)
         ssd = SSDDevice(FLASH_SSD_GEN4_SPEC, name="ssd0")
         ssd.attach_injector(inj)
         for i in range(5):
@@ -113,21 +99,17 @@ class TestInjectorSlowPath:
         assert inj.rng.getstate() == state
         assert inj.slow_injections == 0
 
-    def test_add_and_clear_mid_run(self):
+    def test_added_mid_run(self):
         inj = FaultInjector(FaultConfig())
         ssd = SSDDevice(FLASH_SSD_GEN4_SPEC, name="ssd0")
         assert inj.before_io(ssd, "read", 0.0) == 0.0
         inj.add_slow_fault(SlowFault(multiplier=2.0, start=1.0), at=1.0)
+        assert inj.before_io(ssd, "read", 0.5) == 0.0
         assert inj.before_io(ssd, "read", 1.5) > 0.0
-        assert inj.clear_slow_faults(at=2.0) == 1
-        assert inj.before_io(ssd, "read", 2.5) == 0.0
 
     def test_same_schedule_is_deterministic(self):
         def run():
-            ssd = _ssd(FaultConfig(slow=(SlowFault(
-                multiplier=4.0, stall_interval=1e-3, stall_duration=1e-4,
-                stall_penalty=1e-3,
-            ),)))
+            ssd = _ssd(SlowFault(multiplier=4.0, start=1e-3))
             thread = VThread(0)
             for _ in range(50):
                 ssd.read(thread, 0, 4096)

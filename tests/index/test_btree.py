@@ -49,7 +49,7 @@ class TestSplitsAndOrder:
         random.Random(7).shuffle(shuffled)
         for i, k in enumerate(shuffled):
             tree.insert(k, i)
-        assert [k for k, _ in tree.items()] == keys
+        assert [k for k, _ in tree.items_from(b"")] == keys
         assert tree.height > 1
 
     def test_items_from_mid(self, tree):
@@ -63,19 +63,6 @@ class TestSplitsAndOrder:
         tree.insert(b"a", 1)
         tree.insert(b"c", 2)
         assert [k for k, _ in tree.items_from(b"b")] == [b"c"]
-
-    def test_range_items(self, tree):
-        for i in range(50):
-            tree.insert(f"k{i:02d}".encode(), i)
-        got = list(tree.range_items(b"k10", b"k20"))
-        assert len(got) == 10
-        assert got[0][0] == b"k10"
-        assert got[-1][0] == b"k19"
-
-    def test_keys_iterator(self, tree):
-        tree.insert(b"b", 2)
-        tree.insert(b"a", 1)
-        assert list(tree.keys()) == [b"a", b"b"]
 
 
 class TestFloor:

@@ -1,4 +1,5 @@
 from repro.sim.clock import VirtualClock
+from repro.sim.vthread import VThread
 
 
 def test_starts_at_zero():
@@ -7,19 +8,12 @@ def test_starts_at_zero():
 
 def test_observe_advances():
     clock = VirtualClock()
-    clock.observe(1.5)
+    VThread(0, clock).spend(1.5)
     assert clock.now == 1.5
 
 
 def test_observe_never_goes_backwards():
     clock = VirtualClock()
-    clock.observe(2.0)
-    clock.observe(1.0)
+    VThread(0, clock).wait_until(2.0)
+    VThread(1, clock).wait_until(1.0)
     assert clock.now == 2.0
-
-
-def test_reset():
-    clock = VirtualClock()
-    clock.observe(3.0)
-    clock.reset()
-    assert clock.now == 0.0

@@ -28,13 +28,6 @@ class TestFIFOServer:
         with pytest.raises(ValueError):
             FIFOServer().service(0.0, -1.0)
 
-    def test_utilization(self):
-        server = FIFOServer()
-        server.service(0.0, 2.0)
-        assert server.utilization(4.0) == pytest.approx(0.5)
-        assert server.utilization(0.0) == 0.0
-
-
 class TestVLock:
     def test_uncontended_acquire_is_free(self):
         lock = VLock()

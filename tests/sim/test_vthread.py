@@ -42,15 +42,6 @@ def test_threads_share_clock():
     assert b.now == 0.0  # local clocks are independent
 
 
-def test_fork_background_inherits_time():
-    t = VThread(0)
-    t.spend(1e-6)
-    helper = t.fork_background("helper")
-    assert helper.background
-    assert helper.now == t.now
-    assert helper.clock is t.clock
-
-
 def test_new_thread_starts_at_private_clock_zero():
     t = VThread(3)
     assert t.now == 0.0

@@ -23,7 +23,6 @@ def test_power_failure_hits_all_components():
     media = small_media()
     addr = media.nvm.alloc(64)
     media.nvm.store(None, addr, b"lost")
-    media.dram.allocate(100)
     media.ssds[0].write_raw(0, b"kept")
     leaf = Leaf()
     handle = media.heap.allocate(leaf, 64)
@@ -31,7 +30,6 @@ def test_power_failure_hits_all_components():
     leaf.keys.append(b"uncommitted")
     media.power_failure()
     assert media.nvm.load(None, addr, 4) == b"\0\0\0\0"
-    assert media.dram.used == 0
     assert media.ssds[0].read_raw(0, 4) == b"kept"
     assert media.heap.get(handle).keys == []
     assert media.nvm.crashes == 1

@@ -1,6 +1,5 @@
 import pytest
 
-from repro.storage.base import OutOfSpaceError
 from repro.storage.dram import DRAMDevice
 from repro.storage.specs import DRAM_SPEC
 
@@ -10,45 +9,6 @@ MB = 1024**2
 @pytest.fixture
 def dram():
     return DRAMDevice(DRAM_SPEC.with_capacity(1 * MB))
-
-
-def test_allocate_and_release(dram):
-    dram.allocate(1000)
-    assert dram.used == 1000
-    dram.release(400)
-    assert dram.used == 600
-    assert dram.free == 1 * MB - 600
-
-
-def test_allocation_respects_capacity(dram):
-    dram.allocate(1 * MB)
-    with pytest.raises(OutOfSpaceError):
-        dram.allocate(1)
-
-
-def test_release_more_than_used(dram):
-    dram.allocate(10)
-    with pytest.raises(ValueError):
-        dram.release(11)
-
-
-def test_negative_amounts_rejected(dram):
-    with pytest.raises(ValueError):
-        dram.allocate(-1)
-    with pytest.raises(ValueError):
-        dram.release(-1)
-
-
-def test_would_fit(dram):
-    assert dram.would_fit(1 * MB)
-    dram.allocate(1 * MB)
-    assert not dram.would_fit(1)
-
-
-def test_crash_empties(dram):
-    dram.allocate(5000)
-    dram.crash()
-    assert dram.used == 0
 
 
 def test_timed_access_is_fast(dram, thread):
