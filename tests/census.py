@@ -21,9 +21,11 @@ it to something other than its default.
 
 The report lists the line totals, each function that tier-1 alone or
 nothing reaches, and every knob, each with its verdict: **kept** with
-the reason (:data:`KEPT`), **test added** (:data:`TESTED`), or
-**deleted** (:data:`DELETED`, checked to be gone).  An entry without a
-verdict is printed as **unjudged** and makes the exit status 1.
+the reason (:data:`KEPT`; for a knob only tests set,
+:data:`TEST_KNOBS`), **test added** (:data:`TESTED`), or **deleted**
+(:data:`DELETED`, checked to be gone).  An entry without a verdict, or
+filed under a verdict in :data:`RETIRED_VERDICTS`, is printed as
+**unjudged** and makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ KEPT: Dict[str, Tuple[str, ...]] = {
     ),
     "`benchmarks/` calls it (pytest-benchmark, not a census input)": (
         "repro.bench.runner:RunResult.histogram",
+        "repro.obs.metrics:EventLog.of_kind",
         "repro.sim.stats:Timeline.min_over_max",
         "repro.storage.specs:format_catalog",
     ),
@@ -124,7 +127,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.cluster.ring:LastShardError.__init__",
         "repro.cluster.ring:UnknownShardError.__init__",
         "repro.cluster.router:_ShardOpError.__init__",
-        "repro.faults.errors:DeadlineExceededError.__init__",
         "repro.faults.errors:DeviceDeadError.__init__",
         "repro.faults.errors:NoHealthyStorageError.__init__",
         "repro.faults.errors:ReadDegradedError.__init__",
@@ -195,6 +197,7 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.baselines.slmdb:SLMDB.delete",
         "repro.baselines.slmdb:SLMDB.flush",
         "repro.baselines.slmdb:SLMDB.recovery_time",
+        "repro.index.btree:BTree.delete",
         "repro.storage.nvm:NVMDevice.write_durable",
         "repro.storage.raid:RAID0.bytes_read",
         "repro.storage.raid:RAID0.bytes_written",
@@ -228,52 +231,67 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.workloads.zipfian:HotKeyStormGenerator.grow",
         "repro.workloads.zipfian:LatestGenerator.grow",
     ),
-    "test-only API: a candidate to delete with its tests": (
-        "repro.baselines.lsm.bloom:BloomFilter.size_bytes",
-        "repro.baselines.lsm.memtable:MemTable.max_key",
-        "repro.baselines.lsm.memtable:MemTable.min_key",
-        "repro.bench.report:ratio",
-        "repro.bench.runner:RunResult.mops",
-        "repro.cluster.admission:AdmissionController.enabled",
-        "repro.cluster.health:HealthMonitor.is_gray",
-        "repro.cluster.health:HealthMonitor.snapshot",
-        "repro.cluster.ring:HashRing.ownership_histogram",
-        "repro.cluster.ring:HashRing.remove_shard",
-        "repro.cluster.ring:HashRing.shards",
+    "test oracle: the verdict of a report, which the tests assert on": (
         "repro.core.checker:AuditReport.ok",
-        "repro.core.epoch:EpochManager.pending",
-        "repro.core.epoch:EpochManager.unregister",
-        "repro.core.hsit:HSIT.allocated_entries",
-        "repro.core.pointers:encode",
-        "repro.core.pointers:medium_of",
-        "repro.core.tcq:ThreadCombiner.average_batch",
-        "repro.faults.injector:FaultInjector.clear_slow_faults",
-        "repro.index.btree:BTree._leftmost",
-        "repro.index.btree:BTree.delete",
-        "repro.index.btree:BTree.items",
-        "repro.index.btree:BTree.keys",
-        "repro.index.btree:BTree.range_items",
-        "repro.obs.metrics:EventLog.of_kind",
         "repro.repair.repair:RebuildReport.ok",
-        "repro.sim.clock:VirtualClock.observe",
-        "repro.sim.clock:VirtualClock.reset",
-        "repro.sim.resources:FIFOServer.utilization",
-        "repro.sim.stats:LatencyRecorder.record",
-        "repro.sim.stats:LatencyRecorder.summary",
-        "repro.sim.vthread:VThread.fork_background",
-        "repro.storage.base:Device.reset_accounting",
-        "repro.storage.dram:DRAMDevice.allocate",
-        "repro.storage.dram:DRAMDevice.free",
-        "repro.storage.dram:DRAMDevice.release",
-        "repro.storage.dram:DRAMDevice.would_fit",
+    ),
+    "test oracle: a read-only count or view of state the product never "
+    "asks for, which crash, restart, leak and routing tests assert on": (
+        "repro.cluster.health:HealthMonitor.is_gray",
+        "repro.cluster.ring:HashRing.shards",
+        "repro.core.epoch:EpochManager.pending",
+        "repro.core.hsit:HSIT.allocated_entries",
+        "repro.core.tcq:ThreadCombiner.average_batch",
         "repro.storage.nvm:NVMDevice.unflushed_lines",
     ),
+    "test oracle: the inverse of `decode`, which the round-trip "
+    "properties check it against": (
+        "repro.core.pointers:encode",
+    ),
+}
+# Verdicts that judge nothing: an entry still filed under one is unjudged.
+RETIRED_VERDICTS = ("test-only API: a candidate to delete with its tests",)
+# Knobs that only tests set to a non-default value, each with why it is
+# a field and not a constant (``tests/test_knobs.py`` requires one).
+TEST_KNOBS: Dict[str, str] = {
+    "PrismConfig.pwb_watermark":
+        "calibration: how full a PWB gets before reclaim starts",
+    "PrismConfig.gc_batch_chunks":
+        "calibration: how many victim chunks one GC round takes",
+    "RetryPolicy.max_retries": "calibration: retries before a typed give-up",
+    "RetryPolicy.backoff_base": "calibration: virtual seconds before the first retry",
+    "RetryPolicy.backoff_factor": "calibration: growth of each further backoff",
+    "RetryPolicy.fail_threshold":
+        "calibration: consecutive failures that declare a device dead",
+    "FaultConfig.stuck_timeout":
+        "calibration: virtual time a stuck IO costs its submitter",
+    "ClusterConfig.rate_limit_ops":
+        "token-bucket admission: perfbench reads `admission.shed_rate`; goes "
+        "with admission once the next `[benchmark]` change stops reading it",
+    "ClusterConfig.rate_burst":
+        "token-bucket admission: goes with `rate_limit_ops`",
+    "HealthConfig.ewma_alpha": "calibration: weight of the newest latency sample",
+    "HealthConfig.min_samples": "calibration: observations before a shard is judged",
+    "HealthConfig.gray_factor": "calibration: score over peer median that is gray",
+    "HealthConfig.open_after": "calibration: gray verdicts that open a breaker",
+    "HealthConfig.reset_timeout": "calibration: virtual seconds a breaker stays open",
+    "HealthConfig.probe_successes": "calibration: healthy probes that close a breaker",
+    "HealthConfig.hedge_quantile": "calibration: latency quantile that fires a hedge",
+    "HealthConfig.hedge_min_delay": "calibration: floor of the hedge delay",
+    "LSMConfig.memtable_bytes": "LSM sizing: tests shrink it to reach flushes",
+    "LSMConfig.l1_target_bytes": "LSM sizing: tests shrink it to reach compactions",
+    "LSMConfig.sstable_target_bytes": "LSM sizing: tests shrink it to cut many tables",
+    "LSMConfig.wal_capacity": "LSM sizing: tests shrink it to reach WAL wrap",
+    "LSMConfig.max_compaction_lag": "LSM sizing: tests shrink it to reach write stalls",
+    "SLMDBConfig.sstable_target_bytes": "SLM-DB sizing: tests shrink it to cut many tables",
+    "SLMDBConfig.max_compaction_lag": "SLM-DB sizing: tests shrink it to reach write stalls",
+    "SLMDBConfig.os_page_cache_bytes": "SLM-DB sizing: tests shrink it to reach misses",
 }
 TESTED: Dict[str, str] = {
     "repro.core.recovery:_mirror_copy":
         "`tests/repair/test_repair.py::TestRecoveryRepair`",
 }
-# What the last subtraction removed; the report checks each is gone.
+# What the subtractions removed; the report checks each is gone.
 DELETED: Dict[str, str] = {
     **dict.fromkeys((
         "repro.core.epoch:EpochManager.register",
@@ -330,12 +348,65 @@ DELETED: Dict[str, str] = {
     ), "nothing set it; now a module constant or a plain default"),
     "HealthConfig.enable_breaker":
         "only its own test set it; the breaker is always on",
+    **dict.fromkeys((
+        "HealthConfig.op_deadline",
+        "repro.faults.errors:DeadlineExceededError.__init__",
+        "repro.faults.retry:RetryExecutor._past_deadline",
+        "RetryPolicy.jitter",
+        "RetryPolicy.jitter_seed",
+    ), "per-op deadlines and retry jitter: only tests turned them on"),
+    **dict.fromkeys((
+        "FaultConfig.max_faults",
+        "repro.faults.injector:FaultInjector._budget_left",
+        "FaultConfig.dead_devices",
+        "FaultConfig.slow",
+    ), "a second way into the injector; tests call `kill_device` / "
+       "`add_slow_fault`"),
+    **dict.fromkeys((
+        "SlowFault.add_latency",
+        "SlowFault.duration",
+        "SlowFault.stall_interval",
+        "SlowFault.stall_duration",
+        "SlowFault.stall_penalty",
+        "repro.faults.injector:SlowFault.active",
+        "repro.faults.injector:FaultInjector.clear_slow_faults",
+    ), "a fail-slow shape nothing injects; a gray device is `multiplier` "
+       "from `start` on"),
+    **dict.fromkeys((
+        "repro.baselines.lsm.bloom:BloomFilter.size_bytes",
+        "repro.baselines.lsm.memtable:MemTable.max_key",
+        "repro.baselines.lsm.memtable:MemTable.min_key",
+        "repro.bench.report:ratio",
+        "repro.bench.runner:RunResult.mops",
+        "repro.cluster.admission:AdmissionController.enabled",
+        "repro.cluster.health:HealthMonitor.snapshot",
+        "repro.cluster.ring:HashRing.ownership_histogram",
+        "repro.cluster.ring:HashRing.remove_shard",
+        "repro.core.epoch:EpochManager.unregister",
+        "repro.core.pointers:medium_of",
+        "repro.index.btree:BTree._leftmost",
+        "repro.index.btree:BTree.items",
+        "repro.index.btree:BTree.keys",
+        "repro.index.btree:BTree.range_items",
+        "repro.sim.clock:VirtualClock.observe",
+        "repro.sim.clock:VirtualClock.reset",
+        "repro.sim.resources:FIFOServer.utilization",
+        "repro.sim.stats:LatencyRecorder.record",
+        "repro.sim.stats:LatencyRecorder.summary",
+        "repro.sim.vthread:VThread.fork_background",
+        "repro.storage.base:Device.reset_accounting",
+        "repro.storage.dram:DRAMDevice.allocate",
+        "repro.storage.dram:DRAMDevice.crash",
+        "repro.storage.dram:DRAMDevice.free",
+        "repro.storage.dram:DRAMDevice.release",
+        "repro.storage.dram:DRAMDevice.would_fit",
+    ), "test-only API: deleted with its tests"),
 }
 
 
 def _verdict(name: str) -> str:
     for reason, names in KEPT.items():
-        if name in names:
+        if name in names and reason not in RETIRED_VERDICTS:
             return f"kept: {reason}"
     if name in TESTED:
         return f"test added: {TESTED[name]}"
@@ -621,8 +692,8 @@ def _knob_verdict(knob: Knob) -> str:
     product, tests = knob.split()
     if product:
         return f"kept: set at `{product[0]}`"
-    if tests:
-        return f"kept: tier-1 sets it (`{tests[0]}`)"
+    if tests and knob.label in TEST_KNOBS:
+        return f"kept: {TEST_KNOBS[knob.label]} (`{tests[0]}`)"
     return "**unjudged**"
 
 
@@ -696,7 +767,7 @@ def report(
         out.append(f"| `{name}` | {verdict}: {reason} |")
     unjudged = (
         sum(1 for fn in only_tier1 + unreached if _verdict(fn.name) == "**unjudged**")
-        + sum(1 for k in knobs if not k.sites)
+        + sum(1 for k in knobs if _knob_verdict(k) == "**unjudged**")
         + sum(1 for name in DELETED if name in present)
     )
     return "\n".join(out) + "\n", unjudged

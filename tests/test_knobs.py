@@ -1,11 +1,22 @@
 """Knob guard: every config field is set, somewhere, to something other
-than its default.  A field nothing sets is a constant wearing an option's
-clothes; make it a module constant or a plain default instead
-(``python3.12 -m tests.census`` lists them in its knob table)."""
+than its default, and a field only tests set says why it is a field.
+A field nothing sets is a constant wearing an option's clothes; make it
+a module constant or a plain default instead (``python3.12 -m
+tests.census`` lists them in its knob table).  A field only tests set
+is the same unless it is a calibration the tests tune, or goes with a
+subsystem kept for now; ``tests/census.py`` ``TEST_KNOBS`` holds that
+reason, one line per knob."""
 
 import ast
 
-from tests.census import CONFIG_CLASSES, ROOT, knob_sites
+import pytest
+
+from tests.census import CONFIG_CLASSES, ROOT, TEST_KNOBS, knob_sites
+
+
+@pytest.fixture(scope="module")
+def knobs():
+    return knob_sites()
 
 
 def test_every_config_dataclass_is_walked():
@@ -21,6 +32,14 @@ def test_every_config_dataclass_is_walked():
     assert declared <= {spec.split(":")[1] for spec in CONFIG_CLASSES}
 
 
-def test_every_knob_is_set_somewhere():
-    unset = [knob.label for knob in knob_sites() if not knob.sites]
+def test_every_knob_is_set_somewhere(knobs):
+    unset = [knob.label for knob in knobs if not knob.sites]
     assert not unset, f"config fields nothing sets to a non-default value: {unset}"
+
+
+def test_a_knob_only_tests_set_has_a_reason(knobs):
+    test_only = {knob.label for knob in knobs if knob.sites and not knob.split()[0]}
+    bare = sorted(test_only - set(TEST_KNOBS))
+    assert not bare, f"config fields only tests set, with no reason in TEST_KNOBS: {bare}"
+    stale = sorted(set(TEST_KNOBS) - test_only)
+    assert not stale, f"TEST_KNOBS reasons for knobs that are not test-only: {stale}"
