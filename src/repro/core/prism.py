@@ -861,8 +861,12 @@ class Prism:
                     phase = "relocate"
             if phase is None and moves:
                 phase = self._relocate(vs, moves, bg, "gc")
+        # A round that fails after its read has still spent it.
+        read_bytes = 0 if phase == "read" else sum([req.size for req in requests])
         if phase is not None:
-            self.events.emit(start_at, "gc_failed", vs_id=vs.vs_id, phase=phase)
+            self.events.emit(
+                start_at, "gc_failed", vs_id=vs.vs_id, phase=phase, read_bytes=read_bytes
+            )
             self.metrics.counter("faults.gc_failures").inc()
             return
         moved_bytes = sum(len(entry[1]) for entry in moves)
@@ -876,7 +880,7 @@ class Prism:
             victim_chunks=len(victims),
             moved_records=len(moves),
             moved_bytes=moved_bytes,
-            read_bytes=sum([req.size for req in requests]),
+            read_bytes=read_bytes,
             chunks_freed=vs.free_chunks - free_before,
             duration=bg.now - start_at,
         )
@@ -1220,7 +1224,8 @@ class Prism:
                 )
                 results[key] = value
                 if enable_svc:
-                    cached_as[key] = svc.admit(idx, key, value, thread)
+                    # Rewritten from a mirror: a copy, not a landed read.
+                    cached_as[key] = svc.admit(idx, key, value, thread, copied=True)
             if m.enabled:
                 m.phase("scan", "memory_copy", thread.now - t0)
             # 4. Land each run in completion order (plan order on a

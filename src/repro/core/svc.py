@@ -126,11 +126,23 @@ class ScanAwareValueCache:
         return len(value)
 
     def admit(
-        self, hsit_idx: int, key: bytes, value: bytes, thread: Optional[VThread] = None
+        self,
+        hsit_idx: int,
+        key: bytes,
+        value: bytes,
+        thread: Optional[VThread] = None,
+        copied: bool = False,
     ) -> int:
-        """Cache a value just read from Value Storage.
+        """Cache a value read from Value Storage.
 
-        Makes the DRAM copy reachable immediately (HSIT SVC word), then
+        The value is the DRAM buffer a flash read has just landed, and
+        it becomes the entry as it is: the device's DMA wrote those
+        bytes, so they are booked on the DRAM write channel at the
+        landing instant, and the thread does not wait for them (as a
+        page cache fills).  ``copied`` is for a value copied into a new
+        DRAM buffer instead, which the thread waits for.
+
+        Makes the entry reachable immediately (HSIT SVC word), then
         queues the LRU insertion for the background thread.  Returns
         the entry id.
         """
@@ -140,7 +152,10 @@ class ScanAwareValueCache:
         entry = SVCEntry(entry_id, hsit_idx, key, value, charged)
         self.entries[entry_id] = entry
         self.used += charged
-        self.dram.write(thread, len(value))
+        if copied or thread is None:
+            self.dram.charge_write(thread, len(value))
+        else:
+            self.dram.charge_write_async(thread.now, len(value))
         self.hsit.set_svc(hsit_idx, entry_id, thread)
         self._pending.append(("admit", entry_id))
         self.admissions += 1
@@ -148,12 +163,14 @@ class ScanAwareValueCache:
 
     def refill(self, hsit_idx: int, value: bytes, thread: VThread) -> None:
         """Cache again the value of a key in :attr:`refills`, which the
-        caller is moving to Value Storage and holds in hand.
+        caller is moving to Value Storage and holds in hand.  The value
+        came out of an NVM gather, so it is copied into a new DRAM
+        buffer, and the caller's thread waits for that copy.
 
         Counted as a refresh, not an admission: an admission is a read
         that missed, and hit ratios divide by hits plus admissions.
         """
-        self.admit(hsit_idx, self.refills.pop(hsit_idx), value, thread)
+        self.admit(hsit_idx, self.refills.pop(hsit_idx), value, thread, copied=True)
         self.admissions -= 1
         self.refreshes += 1
 

@@ -274,7 +274,8 @@ def test_device_error_on_a_run_read_leaves_every_slot_valid():
     vs.ssd.read_async = failing
     store._gc(vs, _quiet(store, t))
     assert len(reads) == 2
-    assert store.events.of_kind("gc_failed")[-1]["phase"] == "read"
+    failed = store.events.of_kind("gc_failed")[-1]
+    assert (failed["phase"], failed["read_bytes"]) == ("read", 0)
     assert not store.events.of_kind("gc")
     for (chunk_id, offset), idx in live.items():
         assert vs.is_valid(chunk_id, offset)

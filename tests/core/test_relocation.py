@@ -281,6 +281,9 @@ def test_failed_relocation_is_contained_and_retryable(mover, step, lands, phase)
         # A failed cross-tier batch aborts the GC round that ran it.
         cross_tier = sc.failed_kind == "gc_failed" and sc.label != "gc"
         assert failures[0]["phase"] == ("relocate" if cross_tier else phase)
+        if sc.failed_kind == "gc_failed":
+            # The round read its victims before it failed.
+            assert failures[0]["read_bytes"] > 0
     if sc.label == "reclaim":
         # Some entries may still point into the window: it must stay.
         assert (pwb.tail, pwb.head, pwb.pending_release) == window
@@ -305,6 +308,22 @@ def test_failed_relocation_is_contained_and_retryable(mover, step, lands, phase)
     for key, value in sc.expect.items():
         assert sc.arrived(_location(store, key))
         assert store.get(key) == value
+
+
+def test_a_gc_round_that_fails_at_its_write_reports_what_it_read():
+    """The failed round read the same victims as the retry that
+    succeeds: its ``gc_failed`` event carries the same ``read_bytes``
+    as the retry's ``gc`` event."""
+    sc = _local_gc()
+    since = len(sc.store.events)
+    _inject(sc.store, sc.label, sc.bg, "write", False)
+    sc.run()
+    sc.run()
+    events = sc.store.events.events[since:]
+    failed = [e for e in events if e["kind"] == "gc_failed"]
+    done = [e for e in events if e["kind"] == "gc"]
+    assert [e["phase"] for e in failed] == ["write"] and len(done) == 1
+    assert failed[0]["read_bytes"] == done[0]["read_bytes"] > 0
 
 
 # ----------------------------------------------------------------------

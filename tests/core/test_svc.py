@@ -85,6 +85,69 @@ class TestAdmissionLookup:
             )
 
 
+def _fresh_cache():
+    hsit = HSIT(NVMDevice(), capacity=64)
+    return hsit, ScanAwareValueCache(DRAMDevice(DRAM_SPEC), 1 << 20, hsit, EpochManager())
+
+
+def _copy_time(nbytes):
+    """What one DRAM copy of ``nbytes`` costs a thread on an idle channel."""
+    return DRAMDevice(DRAM_SPEC).charge_write(VThread(0), nbytes)
+
+
+class TestDramCharge:
+    """A flash read lands its value in DRAM by DMA, and the SVC keeps
+    that buffer: the bytes are booked on the DRAM write channel but no
+    thread waits for them.  A value copied into a new buffer (a refill
+    from an NVM gather) still makes its thread wait for the copy."""
+
+    VALUE = b"v" * 32 * 1024
+
+    def test_landed_admission_waits_for_no_copy(self):
+        hsit, svc = _fresh_cache()
+        reader = VThread(0)
+        svc.admit(hsit.allocate(), b"k", self.VALUE, reader)
+        assert svc.dram.bytes_written == len(self.VALUE)
+        assert 0 < reader.now < _copy_time(len(self.VALUE))
+
+    def test_refill_waits_for_its_copy_on_the_reclaim_thread(self):
+        """The same value, cached once by a refill and once as a landed
+        read, each on an idle cache: the refill costs one copy more."""
+        hsit, svc = _fresh_cache()
+        idx = hsit.allocate()
+        svc.refills[idx] = b"k"
+        reclaimer = VThread(-1, background=True)
+        svc.refill(idx, self.VALUE, reclaimer)
+        assert svc.dram.bytes_written == len(self.VALUE)
+        assert svc.refreshes == 1 and svc.admissions == 0
+        hsit, svc = _fresh_cache()
+        reader = VThread(0)
+        svc.admit(hsit.allocate(), b"k", self.VALUE, reader)
+        copy = _copy_time(len(self.VALUE))
+        assert reclaimer.now - reader.now == pytest.approx(copy)
+
+    def test_landed_bytes_still_hold_the_write_channel(self):
+        """Four refills booked at the instant a read lands its value end
+        later than the same four alone, by the landed bytes' transfer,
+        though the reader did not wait for them."""
+
+        def refill_burst(landed_first):
+            hsit, svc = _fresh_cache()
+            reader = VThread(0)
+            if landed_first:
+                svc.admit(hsit.allocate(), b"k", self.VALUE, reader)
+                assert reader.now < _copy_time(len(self.VALUE))
+            reclaimer = VThread(-1, background=True)
+            for i in range(4):
+                idx = hsit.allocate()
+                svc.refills[idx] = b"r%d" % i
+                svc.refill(idx, self.VALUE, reclaimer)
+            return reclaimer.now
+
+        transfer = len(self.VALUE) / DRAM_SPEC.write_bandwidth
+        assert refill_burst(True) - refill_burst(False) > 0.9 * transfer
+
+
 class Test2Q:
     def test_admission_goes_to_inactive(self, env):
         hsit, _, svc, vs, bg = env
