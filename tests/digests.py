@@ -92,6 +92,17 @@ tier-1 entries, and ``bench/ablations``, ``fig9``, ``fig16`` and
 and the ``reclaim`` event ``svc_refreshed``.  The crash-label censuses
 did not move.
 
+When a value a flash read lands became the SVC entry without a DRAM
+copy the reader waits for, every entry but ``bench/cluster``,
+``fig12``, ``rebalance`` and ``scalars`` was re-recorded, each for
+the path its scenario misses on: ``ycsb_e_scan`` for the scan's land
+step alone; ``bench/ablations``, ``fig7``, ``fig8``, ``fig9``,
+``fig10``, ``fig16``, ``media`` and ``cluster_scan_failover`` for both
+that and the point-read miss; every other for the point-read miss
+alone.  ``tiered_gc`` also moved because the ``gc_failed`` event gained
+``read_bytes``.  The crash-label censuses and the recovery report did
+not move.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
