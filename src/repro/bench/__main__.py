@@ -249,7 +249,7 @@ def _cluster(results):
 def _cluster_gates(results):
     return [
         ("  scaling gate", *cl.check_scaling(results["scaling"])),
-        ("  failover gate", *cl.check_failover(results["failover"]["killed"])),
+        ("  failover gate", *cl.check_failover(**results["failover"])),
     ]
 
 

@@ -1,8 +1,9 @@
 """Live resharding: crash-safe key migration under traffic.
 
 ``PrismCluster.add_shard`` / ``remove_shard`` change membership while
-the workload is running.  This module owns the per-migration state
-machine that makes that safe:
+the workload is running, and ``fail_shard`` turns a shard's death into
+the same kind of change (the ring without it).  This module owns the
+per-migration state machine that carries out all three:
 
 * **planning** — the :class:`HashRing` pins down exactly the affected
   keys: :func:`plan_moves` compares old- and new-ring preference lists
@@ -17,7 +18,7 @@ machine that makes that safe:
   genuinely interleaves with — and contends for device bandwidth
   with — the live workload.
 * **dual-read window** — until a key has been handed off, reads are
-  *forwarded* to the old owner (counted in
+  *forwarded* to its surviving old owners (counted in
   ``rebalance.forwarded_reads``); once copied, or overwritten by a
   migration-window write, reads route to the new owner.  A range whose
   last key is disposed of emits a ``range_cutover`` event — the
@@ -28,13 +29,16 @@ machine that makes that safe:
   stays green across the transition (zero lost acked writes, no stale
   reads after cutover).
 * **crash safety** — a shard death during migration resolves the
-  migration *synchronously* inside ``fail_shard``, before the normal
-  re-replication runs.  Death of the shard being added aborts the
+  migration *synchronously* inside ``fail_shard``, before the death's
+  own migration starts.  Death of the shard being added aborts the
   migration: old owners are re-synced from the surviving new owners
   (migration-window writes landed there) and routing reverts to the
-  old ring.  Any other death fast-forwards the handoff to completion
-  (safety outranks the bandwidth budget once a member is gone) and
-  lets the rebuild restore RF on the post-migration ring.
+  old ring, which never held the joiner, so nothing more starts.  Any
+  other death fast-forwards the handoff to completion (safety outranks
+  the bandwidth budget once a member is gone); then a ``fail``
+  migration to the ring without the dead member restores RF, paced
+  like any other.  Keys whose every copy died are counted in
+  ``keys_lost``.
 
 Removal is the mirror image: the leaving shard drains (admission
 rejects new writes with a typed
@@ -64,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 ACTION_ADD = "add"
 ACTION_REMOVE = "remove"
+ACTION_FAIL = "fail"  # re-replication after a member died
 
 MIG_COPYING = "copying"
 MIG_DONE = "done"
@@ -134,7 +139,7 @@ def plan_moves(
 
 
 class Migration:
-    """State machine for one membership change (add or remove)."""
+    """State machine for one membership change (add, remove or fail)."""
 
     def __init__(
         self,
@@ -145,13 +150,13 @@ class Migration:
         bandwidth: float,
         at: float,
     ) -> None:
-        if action not in (ACTION_ADD, ACTION_REMOVE):
+        if action not in (ACTION_ADD, ACTION_REMOVE, ACTION_FAIL):
             raise ValueError(f"unknown migration action: {action}")
         if bandwidth <= 0:
             raise ValueError(f"migration bandwidth must be positive: {bandwidth}")
         self.cluster = cluster
         self.action = action
-        self.shard_id = shard_id  # the member joining (add) or leaving (remove)
+        self.shard_id = shard_id  # the member joining, leaving or dead
         self.new_ring = new_ring
         self.bandwidth = bandwidth
         self.state = MIG_COPYING
@@ -197,14 +202,17 @@ class Migration:
 
         Enumeration walks every serving shard's index (sorted, deduped)
         so the plan is deterministic; keys inserted after this snapshot
-        are born on the new ring and never need moving.
+        are born on the new ring and never need moving.  A dead member's
+        index survives in memory: walking it too plans the keys only it
+        held, which the migrator then counts in ``keys_lost``.
         """
         cluster = self.cluster
         seen: set = set()
         keys: List[bytes] = []
-        for shard in cluster.shards:
-            if not shard.serving:
-                continue
+        holders = [shard for shard in cluster.shards if shard.serving]
+        if self.action == ACTION_FAIL:
+            holders.append(cluster.shards[self.shard_id])
+        for shard in holders:
             for key, _idx in shard.store.index.items():
                 if key not in seen:
                     seen.add(key)
@@ -213,7 +221,7 @@ class Migration:
         self.moves = plan_moves(cluster.ring, self.new_ring, keys, rf)
         # Cutover ranges are the changed shard's primary arcs: on the
         # new ring for a joining member (the ranges it takes over), on
-        # the old ring for a leaving one (the ranges it vacates).
+        # the old ring for a leaving or dead one (the ranges it vacates).
         arc_ring = self.new_ring if self.action == ACTION_ADD else cluster.ring
         self._arcs = arc_ring.owned_ranges(self.shard_id)
         self._arc_his = [hi for _lo, hi in self._arcs]
@@ -242,15 +250,20 @@ class Migration:
     ) -> Tuple[List[int], bool]:
         """Owners to read from, plus whether the read is *forwarded*.
 
-        Unmoved affected keys read from the old owner (the dual-read
-        window); everything else reads from the new ring.
+        Unmoved affected keys read from their surviving old owners (the
+        dual-read window) — not the old ring's exclusion walk, which
+        would name a new owner that does not hold the key yet.
+        Everything else, and a key with no old owner left, reads from
+        the new ring.
         """
         rf = self.cluster.config.replication_factor
         if self.state == MIG_COPYING and key in self.moves and key not in self.moved:
-            ids = self.cluster.ring.preference_list(
-                key, rf, exclude=exclude or None
-            )
-            return ids, True
+            ids = [
+                sid for sid in self.moves[key].old_owners
+                if not exclude or sid not in exclude
+            ]
+            if ids:
+                return ids, True
         return (
             self.new_ring.preference_list(key, rf, exclude=exclude or None),
             False,
@@ -326,8 +339,8 @@ class Migration:
         copy_start = t.now
         value = self._read_first(key, move.old_owners)
         if value is _MISSING:
-            # No surviving source holds the key (RF=1 and the owner
-            # died): the data is gone; count it rather than hide it.
+            # No surviving source holds the key (every owner died):
+            # the data is gone; count it rather than hide it.
             self.keys_lost += 1
             cluster.metrics.counter("rebalance.keys_lost").inc()
             return
@@ -342,7 +355,7 @@ class Migration:
             try:
                 cluster.shards[sid].store.put(key, value, t)
             except (DeviceError, DegradedError):
-                continue  # the rebuild pass restores RF later
+                continue  # this target misses the copy
         # Bandwidth budget: the stream never moves faster than
         # ``bandwidth`` bytes per virtual second.
         floor = copy_start + len(value) / self.bandwidth
@@ -410,9 +423,11 @@ class Migration:
         cluster.metrics.gauge("rebalance.cutover_seconds").set(
             self.cutover_at - self.started_at
         )
-        cluster.metrics.gauge("rebalance.duration_seconds").set(
-            self.finished_at - self.started_at
-        )
+        duration = self.finished_at - self.started_at
+        cluster.metrics.gauge("rebalance.duration_seconds").set(duration)
+        if self.action == ACTION_FAIL:
+            # The window in which some key had fewer than RF copies.
+            cluster.metrics.gauge("cluster.recovery_seconds").set(duration)
         cluster.events.emit(
             self.started_at,
             "rebalance_done",
@@ -422,7 +437,7 @@ class Migration:
             keys_lost=self.keys_lost,
             keys_retired=self.keys_retired,
             cutover_seconds=self.cutover_at - self.started_at,
-            duration=self.finished_at - self.started_at,
+            duration=duration,
         )
 
     def pending_retires(self) -> List[bytes]:
@@ -438,11 +453,12 @@ class Migration:
 
     def on_shard_failed(self, shard_id: int, at: float) -> None:
         """A member died mid-migration (``fail_shard`` calls this
-        *before* re-replication).  Death of the joining shard aborts —
-        nothing else can complete its handoff.  Any other death
-        fast-forwards the migration to completion immediately: with a
-        member gone, finishing the handoff (so the rebuild can restore
-        RF on one consistent ring) outranks the bandwidth budget.
+        *before* the death's own migration starts).  Death of the
+        joining shard aborts — nothing else can complete its handoff.
+        Any other death fast-forwards the migration to completion
+        immediately: with a member gone, finishing the handoff (so the
+        next migration starts from one consistent ring) outranks the
+        bandwidth budget.
         """
         if self.state != MIG_COPYING:
             return

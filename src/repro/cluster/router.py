@@ -9,12 +9,12 @@ horizontally scaled serving layer:
 * **replication** — writes apply to the key's primary and replicate to
   ``replication_factor - 1`` further shards, synchronously, at quorum,
   or asynchronously (see :class:`repro.cluster.shard.Shard`);
-* **failover** — a shard whose devices die (via the PR 2
+* **failover** — a shard whose devices die (via the
   :class:`FaultInjector`, or explicitly with :meth:`kill_shard`) is
-  marked down, the router promotes the next live owner on the ring,
-  and a background re-replication pass (:meth:`rebuild`) restores the
-  replication factor of every key the dead shard held — the
-  cluster-level analogue of ``repair.rebuild_storage``;
+  marked down, and its death is a membership change: a ``fail``
+  migration to the ring without it (:mod:`repro.cluster.rebalance`)
+  restores every key's replication factor under the bandwidth budget
+  — the cluster-level analogue of ``repair.rebuild_storage``;
 * **admission control** — per-shard queue-depth caps and token-bucket
   rate limiting shed load with typed
   :class:`~repro.cluster.errors.ShardOverloadedError` instead of
@@ -48,7 +48,7 @@ randomness, and adds no virtual time — a run through it is
 bit-identical to driving the underlying Prism directly.
 
 Like the rest of the simulation, background effects (replication
-pumping, re-replication) execute synchronously in *code* when
+pumping, the migration stream) execute synchronously in *code* when
 triggered but are timestamped on background virtual threads;
 foreground operations feel them only through device-bandwidth
 contention.
@@ -74,8 +74,13 @@ from repro.cluster.errors import (
     ShardUnavailableError,
 )
 from repro.cluster.health import HealthConfig, HealthMonitor
-from repro.cluster.rebalance import ACTION_ADD, ACTION_REMOVE, Migration
-from repro.cluster.ring import HashRing
+from repro.cluster.rebalance import (
+    ACTION_ADD,
+    ACTION_FAIL,
+    ACTION_REMOVE,
+    Migration,
+)
+from repro.cluster.ring import HashRing, LastShardError, UnknownShardError
 from repro.cluster.shard import STATE_DOWN, STATE_DRAINING, STATE_RETIRED, Shard
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
@@ -97,8 +102,8 @@ MODE_SYNC = "sync"
 READ_PRIMARY = "primary"
 READ_SPREAD = "spread"
 
-# Default key-migration stream budget for live resharding, in bytes of
-# value payload per virtual second.
+# Default key-migration stream budget for live resharding and
+# re-replication, in bytes of value payload per virtual second.
 DEFAULT_REBALANCE_BANDWIDTH = 8.0 * 1024 * 1024
 
 
@@ -352,9 +357,10 @@ class PrismCluster:
         return [self.shards[i] for i in ids]
 
     def _read_shards(self, key: bytes) -> List[Shard]:
-        """Shards that authoritatively hold ``key``: the static owners,
-        or with failures the exclusion-walk owners, which a failed
-        shard's re-replication (:meth:`fail_shard`) has filled."""
+        """Shards that authoritatively hold ``key``: its owners on the
+        ring, minus any that are down (a dead shard leaves the ring
+        when its ``fail`` migration finishes; until then reads take
+        the migration's route instead)."""
         rf = self.config.replication_factor
         ids = static = self.ring.preference_list(key, rf)
         if self._down:
@@ -707,8 +713,12 @@ class PrismCluster:
         serving = [s for s in self.shards if s.serving]
         if not serving:
             raise ShardUnavailableError(start, self.ring.shards)
-        # Copies of any one key the serving shards hold between them.
-        copies = min(self.config.replication_factor, len(serving))
+        # Copies of any one key the serving shards hold between them:
+        # one fewer while a dead member is still on the ring (its fail
+        # migration has not moved every key it owned yet).
+        copies = min(self.config.replication_factor, len(serving)) - len(
+            self._down & self.ring.shards
+        )
         answers: Dict[Shard, List[Tuple[bytes, bytes]]] = {}
         last_error: Optional[_ShardOpError] = None
         end = t0
@@ -789,7 +799,8 @@ class PrismCluster:
         if not shard.up:
             raise ValueError(
                 f"cannot remove shard {shard_id}: state is {shard.state!r} "
-                "(a failed shard is removed by rebuild, not by drain)"
+                "(a failed shard leaves the ring by its own fail "
+                "migration, not by drain)"
             )
         shard.start_drain()
         self.events.emit(at, "shard_draining", shard=shard_id)
@@ -822,8 +833,9 @@ class PrismCluster:
         self.metrics.gauge("rebalance.duration_seconds")
         if self._health is not None:
             # Breakers must not trip on migration traffic: the member
-            # being bulk-loaded (add) or drained (remove) is exempt
-            # from health scoring until the migration resolves.
+            # being bulk-loaded (add), drained (remove) or re-replicated
+            # (fail) is exempt from health scoring until the migration
+            # resolves.
             self._health.set_exempt(shard_id, True)
         self.events.emit(
             at,
@@ -882,7 +894,7 @@ class PrismCluster:
 
     def fail_shard(self, shard_id: int, at: Optional[float] = None) -> None:
         """Mark a shard down, drop its unsent replication backlog, and
-        restore every affected key's RF."""
+        start the migration that restores every affected key's RF."""
         if shard_id in self._down:
             return
         at = self.clock.now if at is None else at
@@ -904,79 +916,19 @@ class PrismCluster:
         if dropped:
             self.metrics.counter("cluster.repl.dropped").inc(dropped)
         if self._migration is not None:
-            # Resolve the membership change *before* re-replication so
-            # the rebuild restores RF on one consistent ring: death of
-            # the joining member aborts (routing reverts to the old
-            # ring, migration-window writes resynced back), any other
-            # death fast-forwards the handoff to completion.
+            # Resolve the membership change first, so the re-replication
+            # starts from one consistent ring: death of the joining
+            # member aborts (routing reverts to the old ring,
+            # migration-window writes resynced back), any other death
+            # fast-forwards the handoff to completion.
             self._migration.on_shard_failed(shard_id, at)
-        self.rebuild(shard_id, at)
-
-    def rebuild(self, failed: int, at: float) -> Dict[str, float]:
-        """Re-replication after ``failed`` went down: for every key it
-        owned, copy from a surviving static owner until each effective
-        owner holds it.  Runs on a background virtual thread; duration
-        lands in ``cluster.recovery_seconds``."""
-        report = {"keys_copied": 0.0, "keys_lost": 0.0, "duration": 0.0}
-        rt = VThread(-50, self.clock, name="re-replicate", background=True)
-        rt.now = at
-        start = rt.now
-        rf = self.config.replication_factor
-        down = set(self._down)
-        seen: Set[bytes] = set()
-        for holder in self.shards:
-            if not holder.up:
-                continue
-            for key, _idx in list(holder.store.index.items()):
-                if key in seen:
-                    continue
-                seen.add(key)
-                static = self.ring.preference_list(key, rf)
-                if failed not in static:
-                    continue  # placement untouched by the failure
-                survivors = [sid for sid in static if sid not in down]
-                # Prefer a surviving static owner (it saw every
-                # post-failure write for the key); fall back to the
-                # holder we enumerated from (e.g. a shard promoted
-                # during an earlier failure).
-                sources = survivors + (
-                    [] if holder.shard_id in survivors else [holder.shard_id]
-                )
-                value: Optional[bytes] = None
-                for sid in sources:
-                    try:
-                        value = self.shards[sid].store.get(key, rt)
-                    except (DeviceError, DegradedError):
-                        continue
-                    if value is not None:
-                        break
-                if value is None:
-                    report["keys_lost"] += 1
-                    continue
-                for sid in self.ring.preference_list(key, rf, exclude=down):
-                    target = self.shards[sid]
-                    if target.store.index.lookup(key, rt) is None:
-                        target.store.put(key, value, rt)
-                        report["keys_copied"] += 1
-        # Keys only the dead shard held (possible at RF=1, or when an
-        # async-replication backlog died with its primary) are gone for
-        # good; their index metadata survives in memory, so we can at
-        # least count them.
-        for key, _idx in self.shards[failed].store.index.items():
-            if key not in seen:
-                seen.add(key)
-                report["keys_lost"] += 1
-        report["duration"] = rt.now - start
-        self.metrics.gauge("cluster.recovery_seconds").set(report["duration"])
-        self.metrics.counter("cluster.rebuilds").inc()
-        self.events.emit(
-            start,
-            "rebuild",
-            keys_copied=report["keys_copied"],
-            keys_lost=report["keys_lost"],
-            duration=report["duration"],
+        try:
+            new_ring = self.ring.with_shard_removed(shard_id)
+        except (UnknownShardError, LastShardError):
+            return  # an aborted joiner, or the last member: nothing to move
+        self._start_migration(
+            ACTION_FAIL, shard_id, new_ring, DEFAULT_REBALANCE_BANDWIDTH, at
         )
-        return report
 
     # ------------------------------------------------------------------
     # lifecycle

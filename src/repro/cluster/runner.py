@@ -44,6 +44,7 @@ from repro.bench.runner import (
     window_events,
 )
 from repro.cluster.errors import ClusterError, ShardOverloadedError
+from repro.cluster.rebalance import ACTION_FAIL
 from repro.cluster.router import DEFAULT_REBALANCE_BANDWIDTH, PrismCluster
 from repro.faults.errors import StorageError
 from repro.faults.ledger import WriteLedger
@@ -206,12 +207,13 @@ def run_cluster_workload(
         if plan is not None
     ]
     read_split = None
-    if rebalance_plan is not None:
+    if kill_plan is not None or rebalance_plan is not None:
         # Due at the op count, so after the last op: drain the remaining
         # copy stream (still at the bandwidth budget) inside the window,
         # while the run's metrics registry is installed, so the
-        # cutover/duration gauges land in this run's JSON.
+        # recovery/cutover/duration gauges land in this run's JSON.
         actions.append((num_ops, lambda _thread: cluster.finish_rebalance()))
+    if rebalance_plan is not None:
         # Phase-split read latencies for the elasticity gate: reads while
         # the migration is in flight vs. steady-state reads around it.
         reads = {
@@ -259,28 +261,29 @@ def run_cluster_workload(
                 cluster._health.set_metrics(restore)
     events = window_events(cluster, window.start)
 
-    def last(kind: str) -> Optional[Dict[str, object]]:
-        found = [e for e in events if e["kind"] == kind]
+    def last(kind: str, action: str) -> Optional[Dict[str, object]]:
+        """The window's last ``kind`` event of migration ``action``."""
+        found = [e for e in events if e["kind"] == kind and e["action"] == action]
         return found[-1] if found else None
 
     ok = window.ops - window.shed - window.failed
     gauges: Dict[str, float] = {
         "ops_ok": ok, "ops_shed": window.shed, "ops_failed": window.failed,
     }
-    rebuild = last("rebuild")
-    recovery = float(rebuild["duration"]) if rebuild else None
-    if recovery is not None:
-        gauges["cluster.recovery_seconds"] = recovery
+    # The fail migration's finish set ``cluster.recovery_seconds``.
+    recovered = last("rebalance_done", ACTION_FAIL)
+    recovery = float(recovered["duration"]) if recovered else None
     reb_shard: Optional[int] = None
     reb_report: Dict[str, object] = {}
     if rebalance_plan is not None:
-        reb_shard = last("rebalance_started")["shard"]
-        done = last("rebalance_done")
+        action = rebalance_plan.action
+        reb_shard = last("rebalance_started", action)["shard"]
+        done = last("rebalance_done", action)
         reb_report = {
-            "action": rebalance_plan.action,
+            "action": action,
             "shard": reb_shard,
             "completed": done is not None,
-            "aborted": last("rebalance_aborted") is not None,
+            "aborted": last("rebalance_aborted", action) is not None,
             "read_p99_steady": reads[False].p99(),
             "read_p99_migrating": reads[True].p99(),
             "reads_migrating": len(reads[True].samples),

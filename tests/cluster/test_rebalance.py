@@ -303,6 +303,9 @@ class TestLiveResharding:
         cluster = small_cluster()
         fill(cluster, KEYS[:50])
         cluster.kill_shard(0)
+        with pytest.raises(RebalanceInProgressError):
+            cluster.remove_shard(0)  # its own fail migration is running
+        cluster.finish_rebalance()
         with pytest.raises(ValueError):
             cluster.remove_shard(0)
 
@@ -337,9 +340,25 @@ class TestCrashDuringMigration:
             want = (b"v1-" if i % 4 == 0 else b"v0-") + k
             assert cluster.get(k, t) == want
 
+    def test_joiner_death_starts_no_fail_migration(self):
+        """The aborted joiner never reached the ring, so its death
+        moves nothing: the abort is the only thing that happens."""
+        cluster = small_cluster()
+        t = fill(cluster, KEYS[:60])
+        sid = cluster.add_shard(bandwidth=16 * 1024)
+        before = len(cluster.events)
+        cluster.kill_shard(sid)
+        assert [e["kind"] for e in list(cluster.events)[before:]] == [
+            "shard_down", "rebalance_aborted",
+        ]
+        assert not cluster.rebalancing
+        assert sorted(cluster.ring.shards) == [0, 1, 2]
+        for k in KEYS[:60]:
+            assert cluster.get(k, t) == b"v0-" + k
+
     def test_source_death_fast_forwards(self):
         """An old owner dies mid-stream: the handoff completes
-        immediately and the rebuild restores RF on the new ring."""
+        immediately and a fail migration restores RF on the new ring."""
         cluster = small_cluster()
         t = fill(cluster, KEYS)
         cluster.add_shard(bandwidth=16 * 1024)
@@ -347,8 +366,17 @@ class TestCrashDuringMigration:
             if i % 4 == 0:
                 cluster.put(k, b"v1-" + k, t)
         cluster.kill_shard(0)
-        assert not cluster.rebalancing
-        assert sorted(cluster.ring.shards) == [0, 1, 2, 3]
+        (added,) = cluster.events.of_kind("rebalance_done")
+        assert added["action"] == "add"
+        assert cluster.rebalancing  # the dead owner's fail migration
+        for i, k in enumerate(KEYS):
+            want = (b"v1-" if i % 4 == 0 else b"v0-") + k
+            assert cluster.get(k, t) == want
+        cluster.finish_rebalance()
+        assert [e["action"] for e in cluster.events.of_kind("rebalance_done")] == [
+            "add", "fail",
+        ]
+        assert sorted(cluster.ring.shards) == [1, 2, 3]
         for i, k in enumerate(KEYS):
             want = (b"v1-" if i % 4 == 0 else b"v0-") + k
             assert cluster.get(k, t) == want

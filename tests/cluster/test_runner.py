@@ -190,7 +190,7 @@ class TestRunWithKill:
         assert second.killed_shard is None
         assert second.recovery_seconds is None
         assert "cluster.recovery_seconds" not in second.run.metrics["gauges"]
-        assert "rebuild" not in second.run.metrics["events"]
+        assert "rebalance_done" not in second.run.metrics["events"]
 
 
 class TestMidRunActions:
@@ -222,8 +222,13 @@ class TestMidRunActions:
             gray_plan=GrayPlan(shard_id=0, at_fraction=0.0),
             kill_plan=KillPlan(shard_id=1, at_fraction=0.01),
         )
-        kinds = [e["kind"] for e in c.events if e["at"] == opened]
-        assert kinds.index("shard_gray_injected") > kinds.index("rebuild")
+        kinds = [
+            (e["kind"], e.get("action")) for e in c.events if e["at"] == opened
+        ]
+        assert kinds.index(("shard_gray_injected", None)) > kinds.index(
+            ("rebalance_started", "fail")
+        )
+        assert ("rebalance_done", "fail") in kinds
         assert res.killed_shard == 1 and res.recovery_seconds is not None
 
     def test_rebalance_plan_validation(self):
