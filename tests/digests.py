@@ -103,6 +103,12 @@ alone.  ``tiered_gc`` also moved because the ``gc_failed`` event gained
 ``read_bytes``.  The crash-label censuses and the recovery report did
 not move.
 
+When a shard's death became a paced ``fail`` migration (the live
+resharding migrator) instead of an instant unbudgeted re-replication,
+exactly the two entries whose scenario kills a shard were re-recorded:
+``bench/cluster`` (its failover leg; stdout also gained the
+killed/baseline throughput gate) and ``cluster_scan_failover``.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
