@@ -96,8 +96,8 @@ class Prism:
 
         # --- media: what a power failure leaves behind ------------------
         # Cold QLC pool (ISSUE 9): extra Value Storages on cheap
-        # high-capacity devices.  Empty when tiering is off, so every
-        # loop below degenerates to the fast-only layout.
+        # high-capacity devices.  Empty unless enabled, so every loop
+        # below degenerates to the fast-only layout.
         cold_ssds: List[SSDDevice] = []
         if cfg.enable_tiering:
             cold_ssds = [
@@ -215,19 +215,20 @@ class Prism:
         self.read_cache: Optional[ReadCache] = None
         if cfg.enable_read_cache:
             self.read_cache = ReadCache(media.dram, cfg.read_cache_capacity)
-        # Hot/cold tiered placement (ISSUE 9): None when disabled —
-        # every branch below then costs one attribute load and a None
-        # check, and runs are bit-identical to a build without the
-        # tiering subsystem.
+        # Hot/cold placement (ISSUE 9): the policy that owns every
+        # decision and move between the fast and the cold storages.
+        # None when disabled — each hook below then costs one attribute
+        # load and a None check, and runs are bit-identical to a build
+        # without the subsystem.
         self.tiering: Optional[TierManager] = None
         if cfg.enable_tiering:
-            self.tiering = TierManager(cfg)
+            fast = cfg.num_ssds
+            self.tiering = TierManager(self, self.storages[:fast], self.storages[fast:])
 
         # --- background threads ----------------------------------------
         self._bg_reclaim = VThread(-1, self.clock, name="bg-reclaim", background=True)
         self._bg_gc = VThread(-2, self.clock, name="bg-gc", background=True)
         self._bg_cache = VThread(-3, self.clock, name="bg-cache", background=True)
-        self._bg_tier = VThread(-4, self.clock, name="bg-tier", background=True)
         self._default_thread = VThread(0, self.clock, name="caller")
 
         self._ops = 0
@@ -236,10 +237,9 @@ class Prism:
         self._enable_pwb = cfg.enable_pwb
         self._pwb_watermark = cfg.pwb_watermark
         self._rr_storage = itertools.count()
-        self._rr_cold = itertools.count()
-        # GC reentrancy guard: cross-tier relocation can trigger GC on
-        # the destination, which could relocate back and re-enter GC on
-        # a storage whose victim records are already mid-move.
+        # GC reentrancy guard: a placement move can trigger GC on its
+        # destination, which could move records back and re-enter GC
+        # on a storage whose victim records are already mid-move.
         self._gc_active: set = set()
 
         # --- retries ---------------------------------------------------
@@ -309,19 +309,15 @@ class Prism:
         )
 
     def _placement_storages(self) -> List[ValueStorage]:
-        """Storages eligible for new-data placement.
-
-        Temperature policy: new data lands on the fast tier only
-        (reclaim demotes its cold share explicitly); the spread
-        baseline and a tiering-off store use every healthy storage.
-        Falls back to the full healthy set when the whole fast tier is
-        dead — degraded, but writable beats read-only.
+        """Storages eligible for new-data placement: the healthy ones
+        of the placement policy's list, with no policy every healthy
+        one.  Falls back to the full healthy set when the policy's
+        whole list is dead — degraded, but writable beats read-only.
         """
-        tier = self.tiering
-        if tier is not None and tier.temperature_policy:
-            fast = self._alive(self.storages[: tier.num_fast])
-            if fast:
-                return fast
+        if self.tiering is not None:
+            placement = self._alive(self.tiering.placement)
+            if placement:
+                return placement
         healthy = self._alive(self.storages)
         if not healthy:
             raise NoHealthyStorageError("every Value Storage device is dead")
@@ -351,42 +347,6 @@ class Prism:
             self._placement_storages(), next(self._rr_storage), at
         )
 
-    def _pick_cold_storage(self, at: float) -> Optional[ValueStorage]:
-        """A healthy cold Value Storage with free space, or None."""
-        cold = [
-            vs
-            for vs in self._alive(self.storages[self.tiering.num_fast :])
-            if vs.free_chunks > 0
-        ]
-        if not cold:
-            return None
-        return self._idle_else_least_loaded(cold, next(self._rr_cold), at)
-
-    def _promotion_target(self) -> Optional[ValueStorage]:
-        """A healthy fast Value Storage with promotion headroom.
-
-        None when every fast storage is dead or below the headroom
-        floor — promoting into a full fast tier would just thrash
-        against the next demotion round.
-        """
-        tier = self.tiering
-        fast = [
-            vs
-            for vs in self._alive(self.storages[: tier.num_fast])
-            if vs.free_fraction() > tier.fast_headroom
-        ]
-        return max(fast, key=lambda s: s.free_chunks, default=None)
-
-    def _fast_fit_storage(self, records, at: float):
-        """Least-loaded healthy fast storage that can host ``records``,
-        or None when the whole fast tier is out of room."""
-        fits = [
-            vs
-            for vs in self._placement_storages()
-            if vs.fits(records)
-        ]
-        return min(fits, key=lambda s: s.ring.inflight_at(at), default=None)
-
     def _tick(self) -> None:
         if self._crashed:
             # A simulated power failure fired mid-operation; the unwind
@@ -400,9 +360,8 @@ class Prism:
         svc = self.svc
         if svc.used > svc.capacity or len(svc._pending) > 256:
             self._run_cache_maintenance()
-        tier = self.tiering
-        if tier is not None and tier.has_pending():
-            self._drain_promotions()
+        if self.tiering is not None and self.tiering.pending:
+            self.tiering.drain()
 
     def _run_cache_maintenance(self) -> None:
         if self._bg_cache.now < self.clock.now:
@@ -485,9 +444,8 @@ class Prism:
                 m.phase("put", "publish", thread.now - t0)
             if cp.active:
                 cp.maybe_crash("put.done")
-            tier = self.tiering
-            if tier is not None:
-                tier.tracker.touch(idx)
+            if self.tiering is not None and self.tiering.temperature:
+                self.tiering.tracker.touch(idx)
             self.bytes_put += vlen
             self.puts += 1
             if self._enable_pwb:
@@ -623,7 +581,18 @@ class Prism:
         refreshed = 0
         if live:
             refreshes = self.svc.refreshes
-            phase = self._place_reclaimed(live, bg)
+            if self.tiering is not None and self.tiering.temperature:
+                phase = self.tiering.place_reclaimed(live, bg)
+            else:
+                # The paper's placement: an idle Value Storage (§5.2).
+                try:
+                    vs = self._pick_storage(bg.now)
+                except NoHealthyStorageError:
+                    phase = "write"
+                else:
+                    phase = self._relocate(vs, live, bg, "reclaim")
+                    if phase is None:
+                        self._maybe_gc(vs, bg.now)
             refreshed = self.svc.refreshes - refreshes
             if refreshed:
                 self.metrics.counter("svc.refreshes").inc(refreshed)
@@ -655,60 +624,6 @@ class Prism:
             duration=bg.now - start_at,
         )
 
-    def _place_reclaimed(
-        self, live: List[RelocationEntry], bg: VThread
-    ) -> Optional[str]:
-        """Choose destinations for one reclaim's survivors and move them;
-        returns None or the phase at which a batch failed.
-
-        Reclaim is the first placement decision (ISSUE 9): under the
-        temperature policy, records that are neither frequent nor
-        recent skip the fast tier and land cold — PrismDB's tiered
-        compaction, applied at PWB drain time.
-        """
-        tier = self.tiering
-        temperature = tier is not None and tier.temperature_policy
-        hot, cold = live, []
-        if temperature:
-            hot, cold = tier.split_reclaim(live, self.storages[: tier.num_fast])
-        if cold:
-            cvs = self._pick_cold_storage(bg.now)
-            if cvs is None:
-                hot = live  # no cold capacity left: everything stays fast
-            else:
-                phase = self._relocate(cvs, cold, bg, "tier.demote")
-                if phase is not None:
-                    return phase
-                tier.cold_reclaims += len(cold)
-                self.metrics.counter("tier.cold_reclaims").inc(len(cold))
-                self._maybe_gc(cvs, bg.now)
-        if hot:
-            try:
-                vs = self._pick_storage(bg.now)
-            except NoHealthyStorageError:
-                return "write"
-            label = "reclaim"
-            if temperature and not vs.fits(hot):
-                # Hard pressure: the fast tier cannot hold its own hot
-                # set.  Spill the batch cold rather than wedge the PWB;
-                # re-access promotes survivors back once GC frees fast
-                # chunks.
-                alt = self._fast_fit_storage(hot, bg.now)
-                if alt is not None:
-                    vs = alt
-                else:
-                    cvs = self._pick_cold_storage(bg.now)
-                    if cvs is not None:
-                        vs, label = cvs, "tier.demote"
-            phase = self._relocate(vs, hot, bg, label)
-            if phase is not None:
-                return phase
-            if label == "tier.demote":
-                tier.spills += len(hot)
-                self.metrics.counter("tier.spills").inc(len(hot))
-            self._maybe_gc(vs, bg.now)
-        return None
-
     # ------------------------------------------------------------------
     # the relocation primitive: write -> publish -> contain
     # ------------------------------------------------------------------
@@ -721,8 +636,8 @@ class Prism:
     ) -> Optional[str]:
         """Move live records to the log head of ``dest``.
 
-        The one data-movement path: reclaim, GC, tier demotion and tier
-        promotion each select survivors, choose ``dest``, and call this.
+        The one data-movement path: reclaim, GC and every move of the
+        placement policy select survivors, choose ``dest``, and call this.
         It writes the batch, then per record swings the HSIT forward
         pointer and retires the old Value Storage copy — its slot and
         the read-cache entry coupled to it (``old_vs`` None: the old
@@ -852,11 +767,10 @@ class Prism:
                 (idx, value, vs, chunk_id, offset)
                 for chunk_id, offset, idx, value in vs.parse_reads(requests, heal)
             ]
-            tier = self.tiering
-            if tier is not None and tier.temperature_policy and moves:
-                # A cross-tier batch that fails was already contained;
-                # every un-relocated record is still valid in place.
-                moves = self._gc_cross_tier(vs, moves, bg, start_at)
+            if self.tiering is not None and self.tiering.temperature and moves:
+                # The policy moves what belongs elsewhere first; a batch
+                # that fails was contained, and the round aborts.
+                moves = self.tiering.gc_survivors(vs, moves, bg, start_at)
                 if moves is None:
                     phase = "relocate"
             if phase is None and moves:
@@ -884,104 +798,6 @@ class Prism:
             chunks_freed=vs.free_chunks - free_before,
             duration=bg.now - start_at,
         )
-
-    # ------------------------------------------------------------------
-    # tiered placement (ISSUE 9)
-    # ------------------------------------------------------------------
-    def _gc_cross_tier(
-        self,
-        vs: ValueStorage,
-        moves: List[RelocationEntry],
-        bg: VThread,
-        start_at: float,
-    ) -> Optional[List[RelocationEntry]]:
-        """Split GC survivors by temperature and relocate across tiers.
-
-        Fast-tier GC demotes cold survivors to the cold pool (how
-        aggressively scales with space pressure); cold-tier GC promotes
-        rewarmed survivors back to fast.  Returns the moves that stay
-        in ``vs`` for the normal local rewrite, or None when the
-        cross-tier batch failed and the whole GC round must abort.
-        """
-        tier = self.tiering
-        promote = tier.is_cold_vs(vs.vs_id)
-        keep, batch = tier.split_gc(vs, moves, self.storages[: tier.num_fast])
-        if not batch:
-            return moves
-        if promote:
-            dest, label = self._promotion_target(), "tier.promote"
-        else:
-            dest, label = self._pick_cold_storage(bg.now), "tier.demote"
-        if dest is None:
-            # Cold pool full/dead, or no fast headroom: rewrite locally.
-            return moves
-        if self._relocate(dest, batch, bg, label) is not None:
-            return None
-        fields = {"trigger": "gc"} if promote else {}
-        self._tier_moved(batch, dest, bg, start_at, **fields, src_vs=vs.vs_id)
-        return keep
-
-    def _tier_moved(
-        self,
-        batch: List[RelocationEntry],
-        dest: ValueStorage,
-        bg: VThread,
-        start_at: float,
-        **fields: object,
-    ) -> None:
-        """Account one landed cross-tier batch — a promotion when
-        ``dest`` is fast, else a demotion; GC follows it to ``dest``."""
-        tier = self.tiering
-        records = len(batch)
-        nbytes = sum(len(entry[1]) for entry in batch)
-        if not tier.is_cold_vs(dest.vs_id):
-            tier.promotions += records
-            tier.promoted_bytes += nbytes
-            counter, kind = "tier.promotions", "tier_promote"
-        else:
-            tier.demotions += records
-            tier.demoted_bytes += nbytes
-            counter, kind = "tier.demotions", "tier_demote"
-        self.metrics.counter(counter).inc(records)
-        self.events.emit(
-            start_at, kind, **fields, dest_vs=dest.vs_id, records=records,
-            bytes=nbytes,
-        )
-        self._maybe_gc(dest, bg.now)
-
-    def _drain_promotions(self) -> None:
-        """Background promotion: republish warmed-up cold values fast.
-
-        Runs on the tier VThread, so foreground requests only feel it
-        through device contention.  Fresh-key protection: every queued
-        entry carries the pointer word observed at read time; an entry
-        whose word has changed since (client put, delete, or a GC
-        relocation) is dropped — promotion never clobbers a newer
-        value.  The drain runs synchronously in code, so nothing can
-        intervene between this check and the publish.
-        """
-        tier = self.tiering
-        bg = self._bg_tier
-        if bg.now < self.clock.now:
-            bg.now = self.clock.now
-        start_at = bg.now
-        hsit = self.hsit
-        fresh: List[RelocationEntry] = []
-        for idx, expected, value in tier.take_pending():
-            if ptr.clear_dirty(hsit.location_word(idx)) != expected:
-                tier.promotions_stale += 1
-                continue
-            old = ptr.decode(expected)
-            fresh.append(
-                (idx, value, self.storages[old.vs_id], old.chunk_id, old.vs_offset)
-            )
-        if not fresh:
-            return
-        dest = self._promotion_target()
-        if dest is None:
-            return  # no fast headroom; the cold copies stay valid
-        if self._relocate(dest, fresh, bg, "tier.promote") is None:
-            self._tier_moved(fresh, dest, bg, start_at, trigger="read")
 
     # ------------------------------------------------------------------
     # read path
@@ -1030,7 +846,7 @@ class Prism:
         m = self.metrics
         enabled = m.enabled
         tier = self.tiering
-        if tier is not None:
+        if tier is not None and tier.temperature:
             tier.tracker.touch(idx)
         loc, entry_id = self.hsit.read_entry(idx, thread)
         # Compare the medium field directly: the is_null/in_pwb
@@ -1079,18 +895,7 @@ class Prism:
                     idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread
                 )
         if tier is not None:
-            if tier.is_cold_vs(loc.vs_id):
-                tier.cold_reads += 1
-                if tier.temperature_policy and tier.tracker.should_promote(idx):
-                    # Queue the value for background promotion, tagged
-                    # with the word we read it under (fresh-key guard).
-                    tier.enqueue_promotion(
-                        idx,
-                        ptr.encode_vs(loc.vs_id, loc.chunk_id, loc.vs_offset),
-                        value,
-                    )
-            else:
-                tier.fast_reads += 1
+            tier.flash_read(idx, vs, loc, value)
         if self.config.enable_svc:
             t0 = thread.now
             self.svc.admit(idx, key, value, thread)
@@ -1288,7 +1093,7 @@ class Prism:
             self.crash_point.maybe_crash("delete.published")
             # The HSIT entry rejoins the free list after two epochs (§5.4).
             self.epoch.retire(lambda i=idx: self.hsit.free(i))
-            if self.tiering is not None:
+            if self.tiering is not None and self.tiering.temperature:
                 self.tiering.tracker.forget(idx)
             self.deletes += 1
             return True
@@ -1311,9 +1116,8 @@ class Prism:
                 self._reclaim(pwb, at)
                 pwb.poll(float("inf"))
         self._run_cache_maintenance()
-        if self.tiering is not None:
-            while self.tiering.has_pending():
-                self._drain_promotions()
+        while self.tiering is not None and self.tiering.pending:
+            self.tiering.drain()
         for _ in range(3):
             self.epoch.try_advance()
 
@@ -1343,7 +1147,7 @@ class Prism:
     # statistics
     # ------------------------------------------------------------------
     def ssd_bytes_written(self) -> int:
-        # Cold-tier writes count too: WAF must charge demotion traffic.
+        # Cold-pool writes count too: WAF must charge demotion traffic.
         return sum(ssd.bytes_written for ssd in self.ssds + self.cold_ssds)
 
     def waf(self) -> float:
@@ -1377,8 +1181,8 @@ class Prism:
         # stay byte-identical to builds without the cache subsystem.
         if self.read_cache is not None:
             stats.update(self.read_cache.stats())
-        # Same contract for tiering: the tier.* surface exists only
-        # when the cold pool does.
+        # Same contract for placement: its surface exists only when
+        # the cold pool does.
         if self.tiering is not None:
-            stats.update(self.tiering.stats(self))
+            stats.update(self.tiering.stats())
         return stats

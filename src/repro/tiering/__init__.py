@@ -7,8 +7,9 @@ high-capacity QLC cold SSDs.  A per-key :class:`TemperatureTracker`
 (count-min frequency sketch + an ops-counted recency clock) classifies
 records; GC and reclamation consult it to demote cold survivors onto
 the cold tier, and re-access promotes values back through the normal
-write path.  :class:`TierManager` holds the policy, the promotion
-queue, and the tier.* observability surface.
+write path.  :class:`TierManager` is the one placement policy: every
+tier decision and every tier move, the promotion queue, and the tier.*
+observability surface.
 """
 
 from repro.tiering.temperature import TemperatureTracker

@@ -150,13 +150,11 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.storage.nvm:PersistentHeap.free",
         "repro.storage.raid:RAID0.crash",
     ),
-    "a case only tier-1 sets up: rate limits, health with resharding, a "
-    "full fast tier": (
+    "a case only tier-1 sets up: rate limits, health with resharding": (
         "repro.cluster.admission:TokenBucket.__init__",
         "repro.cluster.admission:TokenBucket.try_take",
         "repro.cluster.health:HealthMonitor.register",
         "repro.cluster.health:HealthMonitor.set_exempt",
-        "repro.core.prism:Prism._fast_fit_storage",
     ),
     "null object: answers the interface while the feature is off": (
         "repro.obs.metrics:NullRegistry.events",

@@ -312,16 +312,16 @@ def _buffered_store(keys, **overrides):
 
 
 def _read_phase(store):
-    """Wrap ``_place_reclaimed``: the returned dict fills with the NVM
-    bytes read between the call below and the survivors' placement."""
+    """Wrap ``_relocate``: the returned dict fills with the NVM bytes
+    read between the call below and the survivors' first move."""
     seen = {}
-    place = store._place_reclaimed
+    relocate = store._relocate
 
-    def placed(live, bg):
-        seen["read"] = store.nvm.bytes_read - seen["before"]
-        return place(live, bg)
+    def moved(dest, entries, bg, label):
+        seen.setdefault("read", store.nvm.bytes_read - seen["before"])
+        return relocate(dest, entries, bg, label)
 
-    store._place_reclaimed = placed
+    store._relocate = moved
     seen["before"] = store.nvm.bytes_read
     return seen
 

@@ -134,12 +134,18 @@ def _local_gc() -> Scenario:
     )
 
 
+def _cold_start(store: Prism) -> None:
+    """A new placement policy over the same storages: its tracker has
+    seen nothing, so nothing is hot — not even the last put."""
+    store.tiering = TierManager(store, store.tiering.fast, store.tiering.cold)
+
+
 def _gc_demotion() -> Scenario:
     store = _tiered()
     expect = _put_all(store, b"d")
     store.flush()  # recent, so reclaim placed them fast
     assert all(_location(store, k).vs_id == 0 for k in expect)
-    store.tiering = TierManager(store.config)  # ...and now nothing is hot
+    _cold_start(store)  # ...and now nothing is hot
     vs = store.storages[0]
     return Scenario(
         store, expect, lambda: store._gc(vs, store.clock.now),
@@ -154,8 +160,7 @@ def _frozen_cold():
         tier_hot_threshold=16, tier_recency_window=0, tier_promote_threshold=1
     )
     expect = _put_all(store, b"p")
-    # A new tracker: not even the last put counts as recent.
-    store.tiering = TierManager(store.config)
+    _cold_start(store)
     store.flush()
     assert all(_location(store, k).vs_id == 1 for k in expect)
     return store, expect
@@ -185,12 +190,12 @@ def _promotion_drain() -> Scenario:
                     ptr.encode_vs(loc.vs_id, loc.chunk_id, loc.vs_offset),
                     value,
                 )
-        store._drain_promotions()
+        store.tiering.drain()
 
     # The drain has no failure event: the cold copies stay valid and a
     # later cold read queues the promotion again.
     return Scenario(
-        store, expect, run, "tier.promote", store._bg_tier, None, "tier_promote",
+        store, expect, run, "tier.promote", store.tiering.bg, None, "tier_promote",
         lambda loc: loc.vs_id == 0,
     )
 

@@ -202,7 +202,6 @@ def test_the_motivations_survivors_are_fresh_after_recover():
         assert pwb.pending_release is None and pwb.reclaim_done_at == 0.0
     # One turn of the rotor: the recovery flush's own placement.
     assert repr(store._rr_storage) == "count(1)"
-    assert repr(store._rr_cold) == "count(0)"
     assert store.retry_exec.consecutive == {} and store.retry_exec.retries == 0
     assert store.nvm._retry is store.retry_exec
     assert store.hsit._alloc_lock.free_at == 0.0
@@ -212,12 +211,49 @@ def test_the_motivations_survivors_are_fresh_after_recover():
         leaf = heap.get(handle)
         assert (leaf.lock.free_at, leaf.lock.acquisitions) == (0.0, 0)
         handle = leaf.next_handle
-    for name in ("_bg_reclaim", "_bg_gc", "_bg_cache", "_bg_tier", "_default_thread"):
+    for name in ("_bg_reclaim", "_bg_gc", "_bg_cache", "_default_thread"):
         thread = getattr(store, name)
         assert thread is not old[name] and thread.cpu_time == 0.0
     assert store._ops == 0 and store._gc_active == set()
     assert store.epoch.global_epoch == 0 and store.epoch.pending == 0
     assert store.stats()["hsit_entries"] == len(store)
+
+
+def test_recover_builds_a_new_placement_policy():
+    """A tiered store's tier thread, cold-tier rotor and promotion queue
+    live on its ``TierManager``, and ``recover()`` builds a new one
+    rather than reusing it."""
+    store = Prism(
+        tight_store_config(**{"enable_checksums": False, **FEATURE_CONFIGS["tiering"]})
+    )
+    run_ops(store, default_ops(1200, 200))
+    old = store.tiering
+    old.enqueue_promotion(7, 0, b"v")
+    assert repr(old._rr_cold) != "count(0)" and old.bg.cpu_time > 0
+    store.crash()
+    store.recover()
+    tiering = store.tiering
+    assert tiering is not old and tiering.store is store
+    assert tiering.bg is not old.bg and tiering.bg.cpu_time == 0.0
+    assert tiering.tracker is not old.tracker and tiering.pending is not old.pending
+    # Nothing queued; the recovery flush places fast, so the cold
+    # rotor has not turned.
+    assert not tiering.pending and repr(tiering._rr_cold) == "count(0)"
+    assert tiering.fast + tiering.cold == store.storages
+
+
+def test_a_store_without_tiering_owns_no_tier_state():
+    """No tier thread, no cold-tier rotor, no promotion queue: with
+    tiering off the policy object and everything it owns is absent."""
+    store = Prism(tight_store_config())
+    run_ops(store, default_ops(300, 50))
+    assert store.tiering is None
+    assert not {"_bg_tier", "_rr_cold"} & set(vars(store))
+    found, _, alive = walk(store)
+    names = {type(obj).__name__ for obj in alive if id(obj) in found}
+    assert not {"TierManager", "TemperatureTracker"} & names
+    threads = [obj for obj in alive if isinstance(obj, VThread)]
+    assert threads and not [t for t in threads if t.name == "bg-tier"]
 
 
 def test_attaching_again_allocates_nothing_and_refuses_another_layout():

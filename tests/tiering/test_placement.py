@@ -46,7 +46,7 @@ def tier_of(store: Prism, key: bytes) -> str:
     assert idx is not None
     loc = ptr.decode(ptr.clear_dirty(store.hsit.location_word(idx)))
     assert loc.in_vs, "value still in PWB; flush first"
-    return "cold" if store.tiering.is_cold_vs(loc.vs_id) else "fast"
+    return "cold" if store.storages[loc.vs_id] in store.tiering.cold else "fast"
 
 
 # ----------------------------------------------------------------------
@@ -61,8 +61,8 @@ def test_tiered_layout_fast_then_cold():
     assert [vs.vs_id for vs in store.storages] == [0, 1, 2, 3, 4]
     assert store.ssds[0].name == "ssd0"
     assert store.cold_ssds[0].name == "cssd0"
-    assert not store.tiering.is_cold_vs(1)
-    assert store.tiering.is_cold_vs(2)
+    assert store.tiering.fast == store.storages[:2]
+    assert store.tiering.cold == store.storages[2:]
 
 
 def test_tiering_off_builds_no_cold_pool():
@@ -170,7 +170,7 @@ def test_stale_promotion_never_clobbers_newer_value():
     new_value = b"new" * 700
     store.put(key, new_value)
     store.tiering.enqueue_promotion(idx, stale_word, b"old" * 700)
-    store._drain_promotions()
+    store.tiering.drain()
     assert store.stats()["tier_promotions_stale"] >= 1
     assert store.get(key) == new_value
     store.flush()
@@ -181,15 +181,34 @@ def test_stale_promotion_never_clobbers_newer_value():
 # spread baseline
 # ----------------------------------------------------------------------
 def test_spread_policy_round_robins_over_every_tier():
+    """Spread is the paper's flat path on tiered hardware: placement
+    over every tier, no tier move, and no temperature state at all."""
     store = build_tiered(tier_policy=TIER_SPREAD, num_cold_ssds=2)
-    for i in range(80):
-        store.put(b"k%04d" % i, bytes([i % 256]) * 2048)
+    vals = {b"k%04d" % i: bytes([i % 256]) * 2048 for i in range(80)}
+    for k, v in vals.items():
+        store.put(k, v)
     store.flush()
     stats = store.stats()
     # The baseline spills onto the cold tier without any demotions.
     assert stats["tier_cold_used_bytes"] > 0
     assert stats["tier_demotions"] == 0
     assert stats["tier_cold_reclaims"] == 0
+    # A round of cold-tier reads, then a flush, promotes nothing.
+    cold = [k for k in vals if tier_of(store, k) == "cold"]
+    assert cold
+    for k in cold:
+        assert store.get(k) == vals[k]
+    store.flush()
+    stats = store.stats()
+    assert stats["tier_cold_reads"] == len(cold)
+    kinds = {event["kind"] for event in store.events.events}
+    assert not kinds & {"tier_demote", "tier_promote"}
+    assert stats["tier_spills"] == 0
+    assert stats["tier_promotions"] == 0
+    assert stats["tier_cold_reclaims"] == 0
+    assert all(tier_of(store, k) == "cold" for k in cold)
+    assert store.tiering.tracker is None
+    assert store.tiering.pending is None
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ def freeze_everything_cold() -> Prism:
 def tier_of(store: Prism, idx: int) -> str:
     loc = ptr.decode(ptr.clear_dirty(store.hsit.location_word(idx)))
     assert loc.in_vs
-    return "cold" if store.tiering.is_cold_vs(loc.vs_id) else "fast"
+    return "cold" if store.storages[loc.vs_id] in store.tiering.cold else "fast"
 
 
 @settings(max_examples=15, deadline=None)

@@ -68,7 +68,7 @@ def test_crash_clears_all_state():
     assert t is not old
     assert t.frequency(7) == 0
     assert not t.is_recent(7)
-    assert not store.tiering.has_pending()
+    assert not store.tiering.pending
 
 
 def test_keys_do_not_alias_trivially():
