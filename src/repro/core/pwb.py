@@ -26,7 +26,7 @@ from repro.faults.errors import CorruptionError
 from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
 from repro.storage.crash import NULL_CRASH_POINT
-from repro.storage.nvm import NVMDevice
+from repro.storage.nvm import PAGE_SIZE, NVMDevice
 
 RECORD_HEADER = 12  # backward pointer (8B) + value size (4B)
 CHECKED_RECORD_HEADER = 16  # backward pointer (8B) + size (4B) + CRC32 (4B)
@@ -241,14 +241,39 @@ class PersistentWriteBuffer:
         return values
 
     def release_through(self, upto: int) -> None:
-        """Advance the tail after a reclamation drained [tail, upto)."""
-        if not self.tail <= upto <= self.head:
+        """Advance the tail after a reclamation drained [tail, upto),
+        and discard the NVM pages that now lie wholly in free space: a
+        recycled window reads zeros, never records of its previous life
+        (which a torn append could otherwise expose), and simulator
+        memory follows the live window.
+
+        Free space after the release is ring offsets ``[head -
+        capacity, upto)``.  The discard takes the released window and
+        the page below it, which the previous release had to keep while
+        the old tail sat in it, and the page above it once nothing is
+        left live."""
+        head = self.head
+        if not self.tail <= upto <= head:
             raise ValueError(
-                f"release {upto} outside [{self.tail}, {self.head}]"
+                f"release {upto} outside [{self.tail}, {head}]"
             )
+        capacity = self.capacity
+        low = max(self.tail - PAGE_SIZE, head - capacity)
+        high = upto if upto < head else min(upto + PAGE_SIZE, low + capacity)
         self.tail = upto
         while self._offsets and self._offsets[0] < upto:
             self._offsets.popleft()
+        # Ring positions [start, end), split at the wrap; each part
+        # rounded inward to whole pages, so a page shared with live
+        # records or with a neighbouring region is kept.
+        start = low % capacity
+        end = start + high - low
+        base = self.base
+        for lo, hi in ((start, min(end, capacity)), (0, end - capacity)):
+            first = -(-(base + lo) // PAGE_SIZE) * PAGE_SIZE
+            last = (base + hi) // PAGE_SIZE * PAGE_SIZE
+            if last > first:
+                self.nvm.discard(first, last - first)
 
     def poll(self, now: float) -> None:
         """Apply a pending release whose reclamation has finished."""

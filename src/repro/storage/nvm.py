@@ -34,9 +34,11 @@ from repro.storage.specs import NVM_SPEC, DeviceSpec
 
 CACHE_LINE = 256  # Optane DCPMM internal access granularity (XPLine)
 _LINE_SHIFT = 8  # log2(CACHE_LINE)
-_PAGE = 4096
+PAGE_SIZE = 4096  # simulated page: what a discard drops
+_PAGE = PAGE_SIZE
 _PAGE_SHIFT = 12  # log2(_PAGE)
 _PAGE_MASK = _PAGE - 1
+_LINES_PER_PAGE_SHIFT = _PAGE_SHIFT - _LINE_SHIFT
 # Durable content of a never-written line (shared undo snapshot).
 _ZERO_LINE = bytes(CACHE_LINE)
 # Independent loads one thread keeps in flight (a core's line-fill
@@ -598,6 +600,39 @@ class NVMDevice(Device):
             self._undo.pop(line, None)
         self._write_raw(addr, data)
         return self.charge_write_async(at, len(data))
+
+    def discard(self, addr: int, size: int) -> None:
+        """Drop whole pages: the range reads back as zeros afterwards.
+
+        :meth:`SSDDevice.discard`'s contract: untimed, not fault-
+        injected, no wear, flush or byte accounting, and issued only
+        for space nothing points at.  A page holding a line with an
+        unflushed store is kept, so :meth:`crash` never rolls that line
+        back into a page whose other lines were zeroed.
+        """
+        if addr < 0 or addr + size > self._capacity:
+            raise StorageError(
+                f"{self.name}: discard [{addr}, {addr + size}) out of range"
+            )
+        if (addr | size) & _PAGE_MASK:
+            raise StorageError(
+                f"{self.name}: discard [{addr}, {addr + size}) is not page-aligned"
+            )
+        undo = self._undo
+        keep = ()
+        if undo:
+            # The unflushed lines inside the range, found by walking the
+            # smaller of the undo map and the range's lines.
+            first, end = addr >> _LINE_SHIFT, (addr + size) >> _LINE_SHIFT
+            if len(undo) < end - first:
+                lines = [line for line in undo if first <= line < end]
+            else:
+                lines = undo.keys() & range(first, end)
+            keep = {line >> _LINES_PER_PAGE_SHIFT for line in lines}
+        pages = self._pages
+        for idx in range(addr >> _PAGE_SHIFT, (addr + size) >> _PAGE_SHIFT):
+            if idx in pages and idx not in keep:
+                del pages[idx]
 
     # ------------------------------------------------------------------
     # crash

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.pwb import PersistentWriteBuffer, PWBFullError
 from repro.storage.base import StorageError
-from repro.storage.nvm import NVMDevice, RegionMismatchError
+from repro.storage.nvm import PAGE_SIZE, NVMDevice, RegionMismatchError
 
 
 @pytest.fixture
@@ -166,6 +166,62 @@ class TestReclamationIteration:
             offsets, _backptrs, headers = pwb.gather_headers(None)
             with pytest.raises(CorruptionError):
                 pwb.gather_values(None, offsets, headers)
+
+
+def _pages_touched(pwb, lo, hi):
+    """The NVM pages ring offsets ``[lo, hi)`` of ``pwb`` touch."""
+    start = lo % pwb.capacity
+    end = start + hi - lo
+    pages = set()
+    for a, b in ((start, min(end, pwb.capacity)), (0, end - pwb.capacity)):
+        if b > a:
+            pages.update(
+                range((pwb.base + a) // PAGE_SIZE, (pwb.base + b - 1) // PAGE_SIZE + 1)
+            )
+    return pages
+
+
+def test_released_window_gives_its_pages_back(nvm):
+    """The counterpart of a TRIMmed flash chunk: across two trips round
+    the ring, a release leaves resident only the pages the live window
+    touches (plus at most two), and the released range reads zeros
+    before the next append, except in pages it shares with live records
+    or a neighbouring region."""
+    nvm.persist(None, nvm.region("before", 1000), b"b" * 1000)
+    pwb = PersistentWriteBuffer(nvm, 0, capacity=8 * PAGE_SIZE + 1536)
+    nvm.persist(None, nvm.region("after", 1000), b"a" * 1000)
+    base, capacity = pwb.base, pwb.capacity
+    assert base % PAGE_SIZE and (base + capacity) % PAGE_SIZE  # unaligned ends
+    edges = {base // PAGE_SIZE, (base + capacity - 1) // PAGE_SIZE}
+    inside = range(base // PAGE_SIZE + 1, (base + capacity) // PAGE_SIZE)
+    records = {}
+
+    def append(size):
+        value = bytes([len(records) % 251 + 1]) * size
+        records[pwb.append(len(records), value)] = (len(records), value)
+
+    releases = 0
+    while pwb.tail < 2 * capacity:
+        # A reclaim triggers at a quarter full and drains what it saw;
+        # a few appends land before its release.
+        while pwb.used < capacity // 4:
+            append(100 + 37 * len(records) % 900)
+        upto = pwb.head
+        for _ in range(len(records) % 3):
+            append(300)
+        released = (pwb.tail, upto)
+        pwb.release_through(upto)
+        releases += 1
+        live = _pages_touched(pwb, pwb.tail, pwb.head)
+        resident = [idx for idx in inside if idx in nvm._pages]
+        assert len(resident) <= len(live) + 2
+        for idx in _pages_touched(pwb, *released) - live - edges:
+            assert nvm.load(None, idx * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
+        for offset in pwb._offsets:
+            assert pwb.read(offset) == records[offset]
+    assert releases >= 8
+    assert nvm.load(None, nvm.regions["before"][0], 1000) == b"b" * 1000
+    assert nvm.load(None, nvm.regions["after"][0], 1000) == b"a" * 1000
 
 
 @settings(max_examples=40, deadline=None)

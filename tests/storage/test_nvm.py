@@ -3,7 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.vthread import VThread
 from repro.storage.base import OutOfSpaceError, StorageError
-from repro.storage.nvm import CACHE_LINE, LOADS_IN_FLIGHT, NVMDevice, PersistentHeap
+from repro.storage.nvm import (
+    CACHE_LINE,
+    LOADS_IN_FLIGHT,
+    PAGE_SIZE,
+    NVMDevice,
+    PersistentHeap,
+)
 
 
 class TestAllocation:
@@ -168,6 +174,67 @@ class TestTiming:
         nvm.load(thread, addr, 100)
         assert nvm.bytes_read == 100
 
+
+
+class TestDiscard:
+    """``discard`` drops whole pages, like ``SSDDevice.discard``: the
+    range reads zeros, nothing is timed or counted, and a page that
+    still holds an unflushed line stays so ``crash`` can roll it back."""
+
+    def test_takes_whole_pages_only(self, nvm):
+        with pytest.raises(StorageError, match="page-aligned"):
+            nvm.discard(100, PAGE_SIZE)
+        with pytest.raises(StorageError, match="page-aligned"):
+            nvm.discard(PAGE_SIZE, PAGE_SIZE + 1)
+        with pytest.raises(StorageError, match="out of range"):
+            nvm.discard(nvm.capacity, PAGE_SIZE)
+        with pytest.raises(StorageError, match="out of range"):
+            nvm.discard(-PAGE_SIZE, PAGE_SIZE)
+
+    def test_discarded_range_reads_zeros(self, nvm):
+        nvm.write_durable(None, 0, b"a" * (4 * PAGE_SIZE))
+        nvm.discard(PAGE_SIZE, 2 * PAGE_SIZE)
+        assert sorted(nvm._pages) == [0, 3]
+        assert nvm.load(None, PAGE_SIZE, 2 * PAGE_SIZE) == bytes(2 * PAGE_SIZE)
+        assert nvm.load(None, 0, PAGE_SIZE) == b"a" * PAGE_SIZE
+        assert nvm.load(None, 3 * PAGE_SIZE, PAGE_SIZE) == b"a" * PAGE_SIZE
+        nvm.discard(5 * PAGE_SIZE, PAGE_SIZE)  # never written: a no-op
+        assert sorted(nvm._pages) == [0, 3]
+
+    def test_page_with_unflushed_line_survives(self, nvm):
+        nvm.persist(None, 0, b"d" * (2 * PAGE_SIZE))
+        nvm.store(None, PAGE_SIZE + 3 * CACHE_LINE, b"volatile")
+        nvm.discard(0, 2 * PAGE_SIZE)
+        assert sorted(nvm._pages) == [1]
+        assert nvm.load(None, PAGE_SIZE + 3 * CACHE_LINE, 8) == b"volatile"
+        nvm.crash()
+        assert nvm.load(None, 0, PAGE_SIZE) == bytes(PAGE_SIZE)
+        assert nvm.load(None, PAGE_SIZE, PAGE_SIZE) == b"d" * PAGE_SIZE
+        nvm.discard(PAGE_SIZE, PAGE_SIZE)  # flushed state: now it goes
+        assert nvm._pages == {}
+
+    def test_is_untimed_and_uncounted(self, nvm, thread):
+        nvm.persist(thread, 0, b"x" * (3 * PAGE_SIZE))
+        counters = (
+            nvm.bytes_written,
+            nvm.bytes_read,
+            nvm.bytes_flushed,
+            nvm.flushes,
+            nvm.fences,
+            nvm.unflushed_lines(),
+        )
+        now = thread.now
+        nvm.discard(0, 3 * PAGE_SIZE)
+        assert nvm._pages == {}
+        assert counters == (
+            nvm.bytes_written,
+            nvm.bytes_read,
+            nvm.bytes_flushed,
+            nvm.flushes,
+            nvm.fences,
+            nvm.unflushed_lines(),
+        )
+        assert thread.now == now
 
 class TestLoadGather:
     """Independent loads issued together: a wave of at most

@@ -47,9 +47,10 @@ def test_limits_name_benchmark_metrics_on_the_right_side():
         for name, limit in GATES[workload]["limits"].items():
             kind = "ceiling" if better[name] == "lower" else "floor"
             assert set(limit) == {"measured", kind}
-            # 3 % for the call count, 1 % for virtual time and byte
-            # counts; never tighter than the value it was set from.
-            margin = 0.03 if name.startswith("host_") else 0.01
+            # 3 % for the call count, 10 % for peak RSS (host memory,
+            # which moves with the allocator), 1 % for virtual time and
+            # byte counts; never tighter than the value it was set from.
+            margin = {"host_calls_per_op": 0.03, "peak_rss_mib": 0.10}.get(name, 0.01)
             slack = limit[kind] / limit["measured"] - 1
             assert 0 < (slack if kind == "ceiling" else -slack) <= margin + 1e-3
         # The interpreter pin goes with the call count, and only with it.
