@@ -2,8 +2,9 @@
 
 Each function builds the stores at the paper's cost-parity
 configuration (scaled), runs the workloads, and returns a structured
-result; the ``benchmarks/`` suite calls these and prints paper-style
-tables next to the values the paper reports.
+result; next to it, a ``check_*`` function turns the figure's shape
+claims (who wins, by what ratio) into gates, quoting the paper's
+number where it gives one.
 
 Scale: ``REPRO_SCALE`` (env var, default 1.0) multiplies dataset and
 op counts.  Results are virtual-time metrics, so ratios — not absolute
@@ -14,18 +15,21 @@ of picklable arguments that builds its own store and returns one
 point's result (:func:`mix_unit` already is that for "these workloads
 on this store"); one public *run* function that takes its sizes from
 :func:`sizing`, fans the unit out over its points with :func:`sweep`
-and returns the nested dict; and one row in ``EXPERIMENTS``
-(``repro/bench/__main__.py``) naming the run function, its ``--smoke``
-sizing, a printer and the gates.  The CLI, ``figs``, ``list``, CI's
-``bench-smoke`` job and the digest tests all read that row.
+and returns the nested dict; a ``check_*`` of the results returning
+its gates; and one row in ``EXPERIMENTS`` (``repro/bench/__main__.py``)
+naming the run function, its ``--smoke`` sizing, a printer, the gates
+and which of them hold only at full size.  The CLI, ``figs``, ``list``,
+CI's ``bench-smoke`` and ``figs`` jobs and the digest tests all read
+that row.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import product
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.bench.report import Gate, ratio_gate
 from repro.bench.runner import RunResult, preload, run_workload
 from repro.bench.stores import build_kvell, build_prism, build_store
 from repro.core.prism import Prism
@@ -54,6 +58,7 @@ SCAN_OPS_DIVISOR = 5  # scans touch ~50 values each; fewer ops suffice
 
 # Fig. 7's four stores, in the figure's order.
 STANDARD_STORES = ("Prism", "KVell", "MatrixKV", "RocksDB-NVM")
+LSM_STORES = ("MatrixKV", "RocksDB-NVM")
 
 
 def sizing(
@@ -178,6 +183,36 @@ def ycsb_comparison(
     )
 
 
+def check_ycsb(results: Dict[str, Dict[str, RunResult]]) -> List[Gate]:
+    """Fig. 7 / Table 3: Prism out-runs every store on LOAD, B and C, the
+    LSM stores by over 2x on A; on D, where an LSM's memtable holds the
+    hot set too, it keeps within 10 % of them.  Microsecond medians, a
+    tail within 5 % of KVell's, a lower write average than the LSMs."""
+    prism, kvell = results["Prism"], results["KVell"]
+
+    def vs(wl: str, store: str) -> float:
+        return prism[wl].throughput / results[store][wl].throughput
+
+    return [ratio_gate(*row) for row in (
+        *((f"  {wl} Prism/{store}", vs(wl, store), ">", 1.0)
+          for wl in ("LOAD", "B", "C") for store in STANDARD_STORES[1:]),
+        *((f"  {wl} Prism/KVell", vs(wl, "KVell"), ">", 1.0, paper)
+          for wl, paper in (("A", "1.3x"), ("D", ""), ("E", "2.3x"))),
+        ("  E Prism/MatrixKV", vs("E", "MatrixKV"), ">", 1.0),
+        *((f"  A Prism/{store}", vs("A", store), ">", 2.0, "up to 13.1x")
+          for store in LSM_STORES),
+        *((f"  D Prism/{store}", vs("D", store), ">", 0.9) for store in LSM_STORES),
+        *((f"  {wl} Prism median us", prism[wl].latency.median(), "<", 10, paper)
+          for wl, paper in (("A", "2 us"), ("C", "1 us"))),
+        *((f"  {wl} p99 Prism/KVell",
+           prism[wl].latency.p99() / kvell[wl].latency.p99(), "<=", 1.05, paper)
+          for wl, paper in (("A", "1/8.7"), ("C", ""))),
+        *((f"  A avg latency Prism/{store}",
+           prism["A"].latency.average() / results[store]["A"].latency.average(),
+           "<", 1.0) for store in LSM_STORES),
+    )]
+
+
 # ----------------------------------------------------------------------
 # Figure 8 + Table 4: Prism vs SLM-DB, single thread
 # ----------------------------------------------------------------------
@@ -203,6 +238,20 @@ def _slmdb_unit(
         name, workloads, num_keys, num_ops, 1,
         svc_capacity=1 * MB, pwb_total=1 * MB,
     )
+
+
+def check_slmdb(results: Dict[str, Dict[str, RunResult]]) -> List[Gate]:
+    """Fig. 8 / Table 4: Prism out-writes and out-scans single-threaded
+    SLM-DB, whose flush stalls give it the worse write tail."""
+    prism, slmdb = results["Prism"], results["SLM-DB"]
+    return [
+        *(ratio_gate(f"  {wl} Prism/SLM-DB",
+                     prism[wl].throughput / slmdb[wl].throughput, ">", 1.0, paper)
+          for wl, paper in (("LOAD", ""), ("A", "up to 22.7x"), ("E", "2.5x"))),
+        ratio_gate("  A p99 SLM-DB/Prism",
+                   slmdb["A"].latency.p99() / prism["A"].latency.p99(), ">", 1.0,
+                   "1363/90 us"),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +285,24 @@ def skew_sweep(
 def _skew_unit(name: str, theta: float, *series) -> Dict[str, RunResult]:
     """One (store, theta) cell of the skew sweep (fresh store)."""
     return mix_unit(name, *series, theta=theta)
+
+
+def check_skew(results: Dict) -> List[Gate]:
+    """Fig. 9: Prism speeds up with skew on A, B and C (Zipfian 1.5 over
+    1.2 over 0.5) and gains more from it on A than KVell, whose hot
+    keys become hot workers; the LSM stores speed up on B."""
+    def gain(store: str, wl: str, hi: float, lo: float) -> float:
+        return results[store][wl][hi].throughput / results[store][wl][lo].throughput
+
+    return [ratio_gate(*row) for row in (
+        *((f"  {wl} Prism {hi}/{lo}", gain("Prism", wl, hi, lo), ">", 1.0,
+           "rises with skew")
+          for wl in ("A", "B", "C") for hi, lo in ((1.5, 1.2), (1.2, 0.5))),
+        ("  A 1.5/0.5 gain Prism/KVell",
+         gain("Prism", "A", 1.5, 0.5) / gain("KVell", "A", 1.5, 0.5), ">", 1.0),
+        *((f"  B {store} 1.5/0.5", gain(store, "B", 1.5, 0.5), ">", 1.0)
+          for store in LSM_STORES),
+    )]
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +367,20 @@ def _nutanix_unit(
     )
 
 
+def check_large(results: Dict[str, Dict]) -> List[Gate]:
+    """Fig. 10: with the caches dwarfed Prism still beats KVell on at
+    least four of the five workloads, and on the Nutanix mix."""
+    big, nutanix = results["large"], results["nutanix"]
+    wins = sum(run.throughput > big["KVell"][wl].throughput
+               for wl, run in big["Prism"].items())
+    return [
+        ratio_gate("  large: workloads Prism wins", wins, ">=", 4, "5 of 5"),
+        ratio_gate("  Nutanix Prism/KVell",
+                   nutanix["Prism"].throughput / nutanix["KVell"].throughput,
+                   ">", 1.0, "1.44x"),
+    ]
+
+
 # ----------------------------------------------------------------------
 # Figure 11: thread combining vs timeout-based async IO
 # ----------------------------------------------------------------------
@@ -340,6 +421,27 @@ def _combining_unit(
         VALUE_SIZE,
         warmup_ops=num_ops // 4,
     )
+
+
+def check_combining(results: Dict[str, Dict[int, RunResult]]) -> List[Gate]:
+    """Fig. 11: thread combining keeps up with the 100 us timeout
+    strawman at every depth and gains over 1.5x from the shallowest
+    queue to the deepest, where the strawman pays its window in
+    latency; the gap does not close with depth."""
+    tc, ta = results["TC"], results["TA"]
+    lo, hi = min(tc), max(tc)
+
+    def gap(qd: int) -> float:
+        return tc[qd].throughput / ta[qd].throughput
+
+    return [ratio_gate(*row) for row in (
+        *((f"  QD {qd} TC/TA", gap(qd), ">=", 1.0) for qd in sorted(tc)),
+        (f"  TC QD {hi}/QD {lo}", tc[hi].throughput / tc[lo].throughput,
+         ">", 1.5, "11.7x"),
+        (f"  QD {hi} avg latency TA/TC",
+         ta[hi].latency.average() / tc[hi].latency.average(), ">", 1.0),
+        (f"  TC/TA QD {hi} over QD {lo}", gap(hi) / gap(lo), ">=", 0.9),
+    )]
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +495,38 @@ def _waf_unit(
     return ssd / app if app else 0.0
 
 
+# Fig. 12's WAF at Zipfian 0.5, 0.99 and 1.2, per value size.
+PAPER_WAF = {
+    512: {"Prism": (0.7, 0.3, 0.1), "KVell": (2.7, 1.6, 1.3),
+          "MatrixKV": (3.0, 5.3, 16.2)},
+    1024: {"Prism": (0.9, 0.4, 0.1), "KVell": (1.2, 0.9, 0.5),
+           "MatrixKV": (2.5, 4.6, 13.3)},
+}
+
+
+def check_waf(results: Dict) -> List[Gate]:
+    """Fig. 12: Prism writes the least to flash at every skew and value
+    size, and under 1.5 bytes per byte put at 0.99; skew lowers Prism's
+    and KVell's WAF (rewrites of hot keys coalesce before flash)."""
+    gates = []
+    for size, waf in results.items():
+        paper = PAPER_WAF[size]
+        gates += [
+            *(ratio_gate(f"  {size} B z{theta} WAF Prism vs {store}",
+                         waf["Prism"][theta], "<=", waf[store][theta],
+                         f"{paper['Prism'][i]} vs {paper[store][i]}")
+              for i, theta in enumerate((0.5, 0.99, 1.2))
+              for store in ("KVell", "MatrixKV")),
+            *(ratio_gate(f"  {size} B {store} WAF z1.2 vs z0.5",
+                         waf[store][1.2], op, waf[store][0.5],
+                         f"{paper[store][2]} vs {paper[store][0]}")
+              for store, op in (("Prism", "<"), ("KVell", "<="))),
+            ratio_gate(f"  {size} B z0.99 WAF Prism", waf["Prism"][0.99], "<",
+                       1.5, str(paper["Prism"][1])),
+        ]
+    return gates
+
+
 # ----------------------------------------------------------------------
 # Figures 13–14: number of SSDs
 # ----------------------------------------------------------------------
@@ -425,6 +559,22 @@ def _ssd_scaling_unit(
         name, workloads, num_keys, num_ops, num_threads,
         num_ssds=n, expected_keys=num_keys * 2,
     )
+
+
+def check_ssd_scaling(results: Dict) -> List[Gate]:
+    """Figs. 13–14: Prism out-writes KVell at every SSD count, and its
+    average YCSB-C latency stays within 1.2x of KVell's (the paper:
+    always lower)."""
+    prism, kvell = results["Prism"], results["KVell"]
+    return [
+        *(ratio_gate(f"  A {n} SSDs Prism/KVell",
+                     prism["A"][n].throughput / kvell["A"][n].throughput, ">", 1.0)
+          for n in sorted(prism["A"])),
+        *(ratio_gate(f"  C {n} SSDs avg latency Prism/KVell",
+                     prism["C"][n].latency.average()
+                     / kvell["C"][n].latency.average(), "<=", 1.2, "below 1")
+          for n in sorted(prism["C"])),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -490,6 +640,26 @@ def _buffer_unit(
     return {"C": c, "E": e}
 
 
+def check_buffers(results: Dict) -> List[Gate]:
+    """Fig. 15: LOAD stays within 2x across PWB sizes (background
+    reclaim keeps up), A does not fall by over 5 % with the largest PWB,
+    and C rises with the largest SVC."""
+    loads = [runs["LOAD"].throughput for runs in results["pwb"].values()]
+
+    def largest_over_smallest(kind: str, wl: str) -> Tuple[str, float]:
+        by_size = results[kind]
+        lo, hi = min(by_size), max(by_size)
+        label = f"  {wl} {kind.upper()} {hi >> 20}MB/{lo >> 20}MB"
+        return label, by_size[hi][wl].throughput / by_size[lo][wl].throughput
+
+    return [
+        ratio_gate("  LOAD min/max over PWB sizes", min(loads) / max(loads),
+                   ">", 0.5, "flat"),
+        ratio_gate(*largest_over_smallest("pwb", "A"), ">=", 0.95, "rises"),
+        ratio_gate(*largest_over_smallest("svc", "C"), ">", 1.0, "rises"),
+    ]
+
+
 # ----------------------------------------------------------------------
 # Figure 16: multicore scalability
 # ----------------------------------------------------------------------
@@ -518,6 +688,28 @@ def _multicore_unit(
     return mix_unit(
         name, workloads, num_keys, num_ops, t, expected_keys=num_keys * 2
     )
+
+
+def check_scalability(results: Dict) -> List[Gate]:
+    """Fig. 16: from 1 thread to the most, Prism scales over 5x on A, C
+    and E and ends ahead of MatrixKV, whose compaction debt caps its A
+    speedup under 10x; KVell at QD 64 out-reads KVell at QD 1."""
+    def kops(store: str, wl: str, threads: int) -> float:
+        return results[store][wl][threads].throughput
+
+    lo, hi = min(results["Prism"]["A"]), max(results["Prism"]["A"])
+    return [ratio_gate(*row) for row in (
+        *((f"  {wl} Prism {hi}/{lo} threads",
+           kops("Prism", wl, hi) / kops("Prism", wl, lo), ">", 5, "near linear")
+          for wl in results["Prism"]),
+        *((f"  {wl} {hi} threads Prism/MatrixKV",
+           kops("Prism", wl, hi) / kops("MatrixKV", wl, hi), ">", 1.0)
+          for wl in results["Prism"]),
+        (f"  C {hi} threads KVell QD64/QD1",
+         kops("KVell(QD64)", "C", hi) / kops("KVell(QD1)", "C", hi), ">", 1.0),
+        (f"  A MatrixKV {hi}/{lo} threads",
+         kops("MatrixKV", "A", hi) / kops("MatrixKV", "A", lo), "<", 10),
+    )]
 
 
 # ----------------------------------------------------------------------
@@ -560,6 +752,37 @@ def gc_timeline(
     return result, store
 
 
+def _well_formed_gc(event: Dict) -> bool:
+    """Which Value Storage ran, what it moved and read, how long it took."""
+    return (
+        event["kind"] == "gc"
+        and min(event[k] for k in ("at", "vs_id", "duration", "moved_records")) >= 0
+        and event["read_bytes"] >= event["moved_bytes"]
+    )
+
+
+def check_gc_timeline(results: Dict) -> List[Gate]:
+    """Fig. 17: GC runs during the window and the slowest bucket keeps
+    over 0.79 of the fastest (the paper: flat).  The run's metrics carry
+    every round as a well-formed ``gc`` event, each one also in the
+    store's log, and the store still holds its data."""
+    result, store = results["timeline"], results["store"]
+    events = result.metrics["events"].get("gc", [])
+    malformed = sum(not _well_formed_gc(e) for e in events)
+    logged = len(store.events.of_kind("gc"))
+    return [
+        ratio_gate("  GC rounds", sum(vs.gc_runs for vs in store.storages),
+                   ">", 0, "begins mid-run"),
+        ratio_gate("  throughput min/max", result.timeline.min_over_max(),
+                   ">", 0.79, "flat"),
+        ratio_gate("  ops measured", result.ops, ">", 0),
+        ratio_gate("  keys stored", len(store), ">", 0),
+        ("  gc events", bool(events) and not malformed and logged >= len(events),
+         f"{len(events)} in the run, {malformed} malformed, {logged} in the "
+         f"store's log (gate: > 0, none malformed, all logged)"),
+    ]
+
+
 # ----------------------------------------------------------------------
 # §7.6 ablations: the impact of individual techniques
 # ----------------------------------------------------------------------
@@ -590,6 +813,22 @@ def ablations(
 
 def _ablation_unit(variant: str, *sizes) -> Dict[str, RunResult]:
     return mix_unit("Prism", ("A", "C", "E"), *sizes, **ABLATIONS[variant])
+
+
+def check_ablations(results: Dict[str, Dict[str, RunResult]]) -> List[Gate]:
+    """§7.6: each technique pays for itself where the paper says — the
+    PWB on A, the SVC on C and E, scan-aware eviction on E,
+    value-granule caching and thread combining on C."""
+    return [
+        ratio_gate(f"  {wl} full/{variant}",
+                   results["full"][wl].throughput / results[variant][wl].throughput,
+                   ">", 1.0, paper)
+        for variant, wl, paper in (
+            ("no-pwb", "A", "1.23x"), ("no-svc", "C", "9.6x"),
+            ("no-svc", "E", "4.4x"), ("no-scan-aware", "E", "~1.1x"),
+            ("page-granule-svc", "C", ""), ("sync-read", "C", "up to 11.7x"),
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -632,6 +871,19 @@ def recovery_comparison(
         "prism_keys": float(report.recovered_keys),
         "kvell_seconds": kvell.recovery_time(),
     }
+
+
+def check_scalars(results: Dict[str, Dict[str, float]]) -> List[Gate]:
+    """§7.6: HSIT plus key index cost tens of NVM bytes per key, and
+    Prism recovers from NVM metadata faster than KVell scans its SSDs."""
+    per_key, rec = results["nvm_space"]["bytes_per_key"], results["recovery"]
+    return [
+        ratio_gate("  NVM bytes/key", per_key, ">", 10, "~54"),
+        ratio_gate("  NVM bytes/key", per_key, "<", 200, "~54"),
+        ratio_gate("  recovery Prism/KVell",
+                   rec["prism_seconds"] / rec["kvell_seconds"], "<", 1.0,
+                   "6.9 s/10.4 s"),
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,10 @@ the same cost-parity harness as the evaluation:
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict
+from typing import Dict, List
 
 from repro.bench.experiments import NUM_THREADS, mix_unit, sizing, sweep
+from repro.bench.report import Gate, ratio_gate
 from repro.bench.runner import RunResult
 from repro.bench.stores import DEFAULT_SSD_CAPACITY
 from repro.storage.specs import (
@@ -56,3 +57,18 @@ def media_matrix(
 def _media_unit(label: str, *sizes) -> Dict[str, RunResult]:
     """One device-generation variant of the media matrix."""
     return mix_unit("Prism", ("A", "C", "E"), *sizes, **MEDIA[label])
+
+
+def check_media(results: Dict[str, Dict[str, RunResult]]) -> List[Gate]:
+    """One CXL hop keeps the write path at microseconds and A's
+    throughput between 0.4x and 1.05x of DCPMM's (degraded, not
+    broken); every variant serves every workload."""
+    cxl = results["cxl-nvm+gen4"]["A"]
+    ratio = cxl.throughput / results["dcpmm+gen4 (paper)"]["A"].throughput
+    slowest = min(runs[wl].kops for runs in results.values() for wl in "ACE")
+    return [
+        ratio_gate("  cxl-nvm A p50 us", cxl.latency.median(), "<", 20),
+        ratio_gate("  A cxl-nvm/dcpmm", ratio, "<", 1.05),
+        ratio_gate("  A cxl-nvm/dcpmm", ratio, ">", 0.4),
+        ratio_gate("  slowest variant Kops", slowest, ">", 0),
+    ]

@@ -25,7 +25,7 @@ def _run_experiment(
     name: str, scale: Optional[float], smoke: bool
 ) -> Tuple[str, dict, bool]:
     """One whole experiment (spawn-safe): returns (stdout, metrics
-    payload, whether its gates passed)."""
+    payload, whether its judged gates passed)."""
     # Imported lazily: this module is itself imported by the CLI.
     from repro.bench.__main__ import run_experiment
     from repro.bench.report import metrics_payload
@@ -44,7 +44,7 @@ def run_figs(
     write_metrics: bool = True,
 ) -> bool:
     """Run every ``figure`` entry of ``EXPERIMENTS``; print and persist
-    results in table order.  True if every gate passed."""
+    results in table order.  True if every judged gate passed."""
     from repro.bench.__main__ import EXPERIMENTS
     from repro.bench.report import write_metrics_json
     from repro.parallel import parallel_map

@@ -3,9 +3,32 @@
 from __future__ import annotations
 
 import json
+import operator
 from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.bench.runner import RunResult
+
+# (label as printed, passed, message) — one judged claim of an
+# experiment's ``gates``.
+Gate = Tuple[str, bool, str]
+
+_COMPARE = {
+    ">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le,
+}
+
+
+def ratio_gate(
+    label: str, value: float, op: str, limit: float, paper: str = ""
+) -> Gate:
+    """A figure's shape as a gate: ``value`` (a ratio of two runs, or a
+    measured quantity) against its floor or ceiling, ``op`` one of
+    ``>``, ``>=``, ``<``, ``<=``; the message quotes the paper's number
+    where there is one."""
+    shown = str(value) if isinstance(value, int) else f"{value:.3f}"
+    quoted = f"; paper {paper}" if paper else ""
+    return label, _COMPARE[op](value, limit), (
+        f"{shown} (gate: {op} {limit:.4g}{quoted})"
+    )
 
 
 def format_table(

@@ -56,12 +56,6 @@ class RunResult:
     timeline: Optional[Timeline] = None
     metrics: Optional[Dict[str, object]] = None
 
-    def histogram(self, name: str) -> Dict[str, object]:
-        """A recorded histogram summary (e.g. ``op.all``) by name."""
-        if not self.metrics:
-            raise KeyError(f"run carries no metrics (wanted {name!r})")
-        return self.metrics["histograms"][name]
-
     @property
     def throughput(self) -> float:
         """Operations per virtual second."""

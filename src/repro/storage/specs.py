@@ -157,20 +157,3 @@ DEVICE_CATALOG: Dict[str, DeviceSpec] = {
         QLC_SSD_SPEC,
     )
 }
-
-
-def format_catalog() -> str:
-    """Render Figure 1's table for the device-catalog benchmark."""
-    header = (
-        f"{'Model':24} {'Kind':5} {'R-BW GB/s':>9} {'W-BW GB/s':>9} "
-        f"{'R-lat us':>9} {'W-lat us':>9} {'$/TB':>8}"
-    )
-    rows = [header, "-" * len(header)]
-    for spec in DEVICE_CATALOG.values():
-        rows.append(
-            f"{spec.name:24} {spec.kind:5} "
-            f"{spec.read_bandwidth / GB:>9.1f} {spec.write_bandwidth / GB:>9.1f} "
-            f"{spec.read_latency / US:>9.2f} {spec.write_latency / US:>9.2f} "
-            f"{spec.cost_per_tb:>8.0f}"
-        )
-    return "\n".join(rows)

@@ -6,7 +6,9 @@ import pytest
 
 from repro.bench import experiments as ex
 from repro.bench.__main__ import COMMANDS, EXPERIMENTS, main
+from repro.bench.runner import RunResult
 from repro.parallel import get_jobs
+from repro.sim.stats import LatencyRecorder
 from tests import digests
 
 # The bench digests that take over two seconds each (23, 5, 5, 2 s).
@@ -111,6 +113,79 @@ def test_failed_gate_exits_nonzero_and_writes_no_metrics(
     assert exit_info.value.code == 1
     assert "robustness check: FAIL" in capsys.readouterr().out
     assert not out_path.exists()
+
+
+def _run(kops=1.0, latency_us=10.0):
+    """A canned run: ``kops`` and a flat latency, no simulation."""
+    latency = LatencyRecorder()
+    latency.samples = [latency_us * 1e-6] * 10
+    return RunResult("canned", "canned", 1000, 1.0 / kops, latency, {}, 1.0)
+
+
+def _canned(stores, workloads, kops=1.0, latency_us=10.0):
+    return {
+        store: {wl: _run(kops, latency_us) for wl in workloads}
+        for store in stores
+    }
+
+
+def _canned_row(monkeypatch, name, results):
+    monkeypatch.setitem(
+        EXPERIMENTS, name, replace(EXPERIMENTS[name], run=lambda: results)
+    )
+
+
+def _verdicts(out):
+    """Gate label -> PASS / FAIL / SKIP, from what a row printed."""
+    return {
+        line.split(":")[0].strip(): line.split(":")[1].split()[0]
+        for line in out.splitlines()
+        if line.startswith("  ") and " — " in line
+    }
+
+
+def test_fig7_fails_when_prism_trails_kvell_on_a(capsys, monkeypatch):
+    """Fig. 7's shape is a gate: Prism below KVell on A is a FAIL line
+    and exit status 1; the orderings that still hold pass."""
+    workloads = ("LOAD", "A", "B", "C", "D", "E")
+    results = _canned(ex.STANDARD_STORES[1:], workloads)
+    results.update(_canned(("Prism",), workloads, kops=3.0, latency_us=1.0))
+    results["Prism"]["A"] = _run(kops=0.5, latency_us=1.0)
+    _canned_row(monkeypatch, "fig7", results)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig7", "--metrics-out", "none"])
+    assert exit_info.value.code == 1
+    verdicts = _verdicts(capsys.readouterr().out)
+    assert verdicts["A Prism/KVell"] == "FAIL"
+    assert verdicts["C Prism/KVell"] == verdicts["A Prism median us"] == "PASS"
+
+
+def test_full_size_only_gate_skips_below_full_size(capsys, monkeypatch):
+    """Fig. 8's scan gate holds only at full size: below it the gate
+    prints SKIP with its reason and is not judged; at full size it is."""
+    workloads = ("LOAD", "A", "E")
+    results = _canned(("SLM-DB",), workloads)
+    results.update(_canned(("Prism",), workloads, kops=2.0, latency_us=1.0))
+    results["Prism"]["E"] = _run(kops=0.5, latency_us=1.0)
+    _canned_row(monkeypatch, "fig8", results)
+    assert main(["fig8", "--scale", "0.05", "--metrics-out", "none"]) == 0
+    reason = EXPERIMENTS["fig8"].full_size_only["  E Prism/SLM-DB"]
+    out = capsys.readouterr().out
+    assert f"SKIP — full size only: {reason}" in out
+    assert _verdicts(out)["E Prism/SLM-DB"] == "SKIP"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig8", "--scale", "1", "--metrics-out", "none"])
+    assert exit_info.value.code == 1
+    assert _verdicts(capsys.readouterr().out)["E Prism/SLM-DB"] == "FAIL"
+
+
+def test_every_figure_row_has_gates():
+    """Each of the paper's figure rows is judged by a ``check_*`` of
+    its own."""
+    checks = [entry.gates for entry in EXPERIMENTS.values() if entry.figure]
+    assert len(checks) == 13
+    assert all(check.__name__.startswith("check_") for check in checks)
+    assert len(set(checks)) == len(checks)
 
 
 def test_docs_experiment_table_lists_the_registry():

@@ -1,7 +1,9 @@
 """Smoke tests for the experiment definitions (tiny parameters).
 
-The full paper-scale runs live in benchmarks/; here we only verify
-that each experiment function executes and returns sane structure.
+Here we only verify that each experiment function executes and returns
+sane structure.  Whether a figure keeps the paper's shape is its row's
+gates (``python -m repro.bench <row>``, every figure at once with
+``figs``); ``tests/bench/test_cli.py`` judges them at ``--smoke``.
 """
 
 import pytest

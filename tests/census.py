@@ -45,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 REPORT = ROOT / "docs" / "census.md"
 # Trees whose code can set a knob; tests are counted apart from the rest.
-SITE_TREES = ("src", "examples", "benchmarks", "perfbench", "tests")
+SITE_TREES = ("src", "examples", "perfbench", "tests")
 
 CONFIG_CLASSES = (
     "repro.core.config:PrismConfig",
@@ -67,8 +67,8 @@ PERFBENCH_SCALE = 1 / 3
 # ----------------------------------------------------------------------
 # Verdicts.  A function is ``module:qualname``; a reason covers every
 # function listed under it.  The rule: code goes only when no input
-# reaches it and no caller in src/, examples/, benchmarks/ or
-# perfbench/ names it; safety code (raises, containment, repair) stays.
+# reaches it and no caller in src/, examples/ or perfbench/ names it;
+# safety code (raises, containment, repair) stays.
 # ----------------------------------------------------------------------
 KEPT: Dict[str, Tuple[str, ...]] = {
     "`perfbench/trace.py` patches it by name (traced mode)": (
@@ -84,12 +84,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.obs.metrics:merge_registries",
         "repro.obs.metrics:LatencyHistogram.merge",
     ),
-    "`benchmarks/` calls it (pytest-benchmark, not a census input)": (
-        "repro.bench.runner:RunResult.histogram",
-        "repro.obs.metrics:EventLog.of_kind",
-        "repro.sim.stats:Timeline.min_over_max",
-        "repro.storage.specs:format_catalog",
-    ),
     "writes the metrics JSON; every census input passes `--metrics-out none`": (
         "repro.bench.report:iter_run_results",
         "repro.bench.report:metrics_payload",
@@ -97,6 +91,7 @@ KEPT: Dict[str, Tuple[str, ...]] = {
     ),
     "reached only at full size": (
         "repro.bench.cache:cluster_hot_spread",
+        "repro.bench.experiments:_well_formed_gc",
         "repro.sim.stats:Timeline.mark",
         "repro.sim.resources:BandwidthChannel._prune",
         "repro.baselines.slmdb:SLMDB._compact_table",
@@ -399,6 +394,10 @@ DELETED: Dict[str, str] = {
         "repro.storage.dram:DRAMDevice.release",
         "repro.storage.dram:DRAMDevice.would_fit",
     ), "test-only API: deleted with its tests"),
+    **dict.fromkeys((
+        "repro.bench.runner:RunResult.histogram",
+        "repro.storage.specs:format_catalog",
+    ), "only the deleted `benchmarks/` suite called it"),
 }
 
 

@@ -6,7 +6,6 @@ from repro.storage.specs import (
     FLASH_SSD_GEN4_SPEC,
     NVM_SPEC,
     QLC_SSD_SPEC,
-    format_catalog,
 )
 
 GB = 1024**3
@@ -76,9 +75,3 @@ def test_endurance_gap():
 
 def test_dram_endurance_infinite():
     assert DRAM_SPEC.endurance_bytes() == float("inf")
-
-
-def test_format_catalog_mentions_every_device():
-    table = format_catalog()
-    for name in DEVICE_CATALOG:
-        assert name in table
