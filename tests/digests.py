@@ -109,6 +109,14 @@ exactly the two entries whose scenario kills a shard were re-recorded:
 ``bench/cluster`` (its failover leg; stdout also gained the
 killed/baseline throughput gate) and ``cluster_scan_failover``.
 
+When the paper's figure rows got gates (each prints its shape claims
+as ``PASS``/``FAIL``/``SKIP`` lines after its tables), exactly the
+thirteen figure entries were re-recorded, and only their
+``stdout_sha256``: ``bench/ablations``, ``fig7``, ``fig8``, ``fig9``,
+``fig10``, ``fig11``, ``fig12``, ``fig13``, ``fig15``, ``fig16``,
+``fig17``, ``media`` and ``scalars`` print gate lines they did not
+have.  Every ``metrics_sha256`` and every other entry did not move.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
