@@ -4,7 +4,9 @@ Freed HSIT entries and evicted SVC entries must not be recycled while
 a concurrent reader may still dereference them.  Prism waits for two
 epochs: the first guarantees no *new* thread can reach the retired
 object, the second that every reader from the previous epoch has
-finished.
+finished.  What waits is the slot a reader may hold, not its payload:
+a freed SVC entry drops its value bytes at once and only its
+``entries`` slot is retired here.
 
 Threads bracket operations with :meth:`enter` / :meth:`exit`.  The
 epoch advances only when every registered thread has passed through a

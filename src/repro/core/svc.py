@@ -11,6 +11,11 @@ drops a copy leaves the key in :attr:`ScanAwareValueCache.refills`,
 and the PWB reclaim that moves the new value to Value Storage caches
 it again, on the reclaim thread, with the value it already holds.
 
+A freed copy (invalidated, evicted, or the victim of a chain
+write-back) gives its capacity and its value bytes back at once; only
+its slot in :attr:`ScanAwareValueCache.entries` waits two epochs
+(§5.4), for readers that may still hold the entry id.
+
 Eviction uses a 2Q LRU: first-touch values sit on an *inactive* list;
 a second access promotes to the *active* list; the active list's tail
 demotes back when it outgrows its share; evictions come from the
@@ -46,7 +51,8 @@ _BG_OP_COST = 0.3e-6
 
 
 class SVCEntry:
-    """One cached value."""
+    """One cached value.  ``value`` is ``None`` once the entry is
+    freed: a freed entry keeps only its slot until its epochs pass."""
 
     __slots__ = (
         "entry_id",
@@ -66,7 +72,7 @@ class SVCEntry:
         self.entry_id = entry_id
         self.hsit_idx = hsit_idx
         self.key = key
-        self.value = value
+        self.value: Optional[bytes] = value
         self.charged = charged  # bytes accounted against capacity
         self.list_name = ""  # "", "inactive", "active"
         self.scan_prev: Optional[int] = None
@@ -198,9 +204,10 @@ class ScanAwareValueCache:
     def invalidate(self, entry_id: int, thread: Optional[VThread] = None) -> None:
         """Logically delete a cached copy (its value changed or died).
 
-        The caller has already cleared the HSIT SVC word; physical
-        memory is reclaimed after two epochs so in-flight readers of
-        the old copy stay safe (§5.4).
+        The caller has already cleared the HSIT SVC word.  The value
+        bytes go at once; the entry's slot is reclaimed after two
+        epochs, so an in-flight reader holding the old id finds a freed
+        entry rather than a recycled one (§5.4).
         """
         entry = self.entries.get(entry_id)
         if entry is None or entry.freed:
@@ -210,14 +217,17 @@ class ScanAwareValueCache:
         self.epoch.retire(partial(self.entries.pop, entry_id, None))
 
     def _logical_free(self, entry: SVCEntry) -> None:
-        """Disconnect an entry and release its capacity immediately.
+        """Disconnect an entry and release its capacity and its value
+        bytes immediately.
 
-        The *memory* (the entries-dict slot readers may still hold) is
-        reclaimed only after two epochs, but the byte budget frees now —
-        otherwise capacity enforcement would see a full cache and evict
-        live entries in a storm while retirements age.
+        Only the entries-dict slot, which readers may still hold, waits
+        two epochs.  No path serves a freed entry's value, so the bytes
+        go now, and so does the byte budget: otherwise capacity
+        enforcement would see a full cache and evict live entries in a
+        storm while retirements age.
         """
         entry.freed = True
+        entry.value = None
         self._unchain(entry)
         self.used -= entry.charged
         if entry.list_name == "active":

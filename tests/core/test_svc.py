@@ -65,7 +65,7 @@ class TestAdmissionLookup:
         hsit, epoch, svc, vs, _ = env
         _, entry_id, _ = _cache_from_vs(hsit, svc, vs, b"k", b"v")
         svc.invalidate(entry_id)
-        assert entry_id in svc.entries  # logically freed, memory retained
+        assert entry_id in svc.entries  # slot retained, bytes released
         epoch.drain()
         assert entry_id not in svc.entries
 
@@ -281,6 +281,69 @@ class TestScanChains:
         svc._writeback_chain(bg, victim, [vs])
         live = [eid for eid in ids if svc.lookup(eid) is not None]
         assert len(live) == 2  # only the victim left the cache
+
+
+class TestFreedBytes:
+    """Each free path drops the entry's value at once; only its
+    ``entries`` slot waits two epochs for readers (§5.4)."""
+
+    @staticmethod
+    def _freed(svc, epoch, entry_id):
+        entry = svc.entries[entry_id]
+        assert entry.freed and entry.value is None
+        epoch.drain()
+        assert entry_id not in svc.entries
+
+    def test_invalidate_releases_the_value(self, env):
+        hsit, epoch, svc, vs, _ = env
+        idx, entry_id, _ = _cache_from_vs(hsit, svc, vs, b"k", b"v" * 100)
+        hsit.clear_svc(idx)
+        svc.invalidate(entry_id)
+        self._freed(svc, epoch, entry_id)
+
+    def test_eviction_releases_the_value(self, env):
+        hsit, epoch, svc, vs, bg = env
+        ids = [
+            _cache_from_vs(hsit, svc, vs, b"k%d" % i, b"v" * 2000)[1]
+            for i in range(3)
+        ]
+        svc.process_background(bg, [vs])
+        assert svc.evictions == 1
+        self._freed(svc, epoch, ids[0])
+
+    def test_chain_writeback_releases_only_the_victim(self, env):
+        hsit, epoch, svc, vs, bg = env
+        ids = []
+        for i in (2, 0, 1):
+            _, eid, _ = _cache_from_vs(hsit, svc, vs, b"k%d" % i, b"w%d" % i)
+            ids.append(eid)
+        svc.process_background(bg, [vs])
+        svc.link_scan_chain(sorted(ids))
+        svc._writeback_chain(bg, svc.entries[ids[0]], [vs])
+        assert svc.scan_writebacks == 1
+        for eid, value in zip(ids[1:], (b"w0", b"w1")):
+            assert svc.entries[eid].value == value
+        self._freed(svc, epoch, ids[0])
+        assert svc.lookup(ids[1]) == b"w0" and svc.lookup(ids[2]) == b"w1"
+
+    def test_retired_copies_hold_no_bytes_under_churn(self):
+        """Sixteen readers, uniform over five times the cache: evicted
+        copies wait for epochs, but the bytes still reachable from the
+        cache are its live entries' alone."""
+        from repro.bench.runner import preload, run_workload
+        from repro.core.prism import Prism
+        from repro.workloads.ycsb import WorkloadSpec
+        from tests.conftest import KB, small_prism_config
+
+        store = Prism(small_prism_config(num_threads=16, svc_capacity=64 * KB))
+        preload(store, 80, value_size=4 * KB)
+        spec = WorkloadSpec(name="C-uniform", read=1.0, distribution="uniform")
+        run_workload(store, spec, 2_000, 80, num_threads=16,
+                     value_size=4 * KB, collect_metrics=False)
+        svc = store.svc
+        assert svc.evictions > 0 and store.epoch.pending > 0
+        held = sum(len(e.value) for e in svc.entries.values() if e.value is not None)
+        assert held <= svc.capacity
 
 
 def test_crash_empties_cache():
