@@ -164,18 +164,18 @@ def default_shard_factory(
     shard_id: int, clock: VirtualClock, **overrides
 ) -> Prism:
     """A modest store per shard, fault-injectable (zero rates — bit-
-    identical to no injector) so whole-shard death works, with a
-    shard-prefixed metrics registry so instruments never collide.
+    identical to no injector) so whole-shard death works.  It traces
+    phases only when the overrides set ``enable_metrics``, into a
+    shard-prefixed registry so instruments never collide.
 
     ``overrides`` are :class:`PrismConfig` fields: the factory of a
     cluster of differently configured shards is
     ``functools.partial(default_shard_factory, **overrides)``."""
     config = PrismConfig(faults=FaultConfig(seed=9000 + shard_id), **overrides)
-    return Prism(
-        config,
-        metrics=MetricsRegistry(prefix=f"shard{shard_id}/"),
-        clock=clock,
+    registry = (
+        MetricsRegistry(prefix=f"shard{shard_id}/") if config.enable_metrics else None
     )
+    return Prism(config, metrics=registry, clock=clock)
 
 
 class _ShardOpError(Exception):

@@ -589,7 +589,8 @@ class TestFacade:
         c = PrismCluster(
             ClusterConfig(num_shards=2),
             shard_factory=partial(
-                default_shard_factory, svc_capacity=1 * MB, enable_read_cache=True
+                default_shard_factory, svc_capacity=1 * MB, enable_read_cache=True,
+                enable_metrics=True,
             ),
         )
         c.add_shard()
@@ -600,6 +601,12 @@ class TestFacade:
             assert config.svc_capacity == 1 * MB and config.enable_read_cache
             assert config.faults.seed == 9000 + sid
             assert shard.store.metrics.prefix == f"shard{sid}/"
+
+    def test_default_factory_traces_no_phases_unless_asked(self):
+        c = PrismCluster(ClusterConfig(num_shards=2))
+        fill(c, 20, VThread(1, c.clock))
+        assert all(not s.store.metrics.enabled for s in c.shards)
+        assert c.merged_shard_metrics().to_dict()["histograms"] == {}
 
     def test_shared_clock_enforced(self):
         with pytest.raises(ValueError):
