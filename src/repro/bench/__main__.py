@@ -260,13 +260,14 @@ def _grayfail(results):
     for label in ("healthy", "undefended", "defended"):
         res = results[label]
         reads = res.run.per_kind["read"]
-        counters = (res.run.metrics or {}).get("counters", {})
         hedges = ""
         if label == "defended":
-            hedges = (f"  hedges {counters.get('hedge.fired', 0)} fired / "
-                      f"{counters.get('hedge.won', 0)} won / "
-                      f"{counters.get('hedge.wasted', 0)} wasted; "
-                      f"breaker opened {counters.get('breaker.opened', 0)}x")
+            won, wasted, opened = (
+                gf.event_count(res, kind)
+                for kind in ("hedge_won", "hedge_wasted", "breaker_open")
+            )
+            hedges = (f"  hedges {won + wasted} fired / {won} won / "
+                      f"{wasted} wasted; breaker opened {opened}x")
         print(f"  {label:10} read p50 {reads.median():7.1f}us  "
               f"p99 {reads.p99():7.1f}us{hedges}")
     print()

@@ -1035,13 +1035,6 @@ def _scrub_unit(
     from repro.faults.injector import FaultConfig
     from repro.repair import Scrubber, rebuild_storage
 
-    counter_names = (
-        "corruption.detected",
-        "corruption.repaired",
-        "corruption.unrecoverable",
-        "scrub.chunks_scanned",
-        "scrub.mirrors_refreshed",
-    )
     # The injector is always attached here: even the rate-0 leg needs
     # it for at-rest corruption and the device kill.
     faults = FaultConfig(seed=29, bitflip_rate=rate, torn_write_rate=rate / 10)
@@ -1110,24 +1103,16 @@ def _scrub_unit(
         else:
             if got != value:
                 wrong += 1
-    # Fold the integrity counters into the run's metrics snapshot
-    # (scrub and rebuild happen after the workload's registry swap).
-    if result.metrics is not None:
-        counters = result.metrics.setdefault("counters", {})
-        for name in counter_names:
-            counters[name] = float(counters.get(name, 0)) + float(
-                store.metrics.counter(name).value
-            )
-        result.metrics.setdefault("gauges", {})["repair.rebuild_seconds"] = (
-            store.metrics.gauge("repair.rebuild_seconds").value
-        )
-    combined = result.metrics["counters"] if result.metrics else {}
+    # Read-repairs are events; the rebuild counts its own records.
+    events = store.events
     stats = {
         "silent_injected": float(store.injector.silent_injected),
         "at_rest_corrupted": float(n_corrupt),
-        "detected": float(combined.get("corruption.detected", 0.0)),
-        "repaired": float(combined.get("corruption.repaired", 0.0)),
-        "unrecoverable": float(combined.get("corruption.unrecoverable", 0.0)),
+        "detected": float(store.corruption_detected),
+        "repaired": float(len(events.of_kind("repair")) + rebuild.records_repaired),
+        "unrecoverable": float(
+            len(events.of_kind("corruption_unrecoverable")) + rebuild.records_lost
+        ),
         "chunks_scanned": float(scrub.chunks_scanned),
         "scrub_repaired": float(scrub.repaired),
         "mirrors_refreshed": float(scrub.mirrors_refreshed),

@@ -133,10 +133,14 @@ def check_tail(
     )
 
 
+def event_count(result: ClusterRunResult, kind: str) -> int:
+    """How many ``kind`` events the run's window logged."""
+    return len((result.run.metrics or {}).get("events", {}).get(kind, ()))
+
+
 def check_overhead(defended: ClusterRunResult) -> Tuple[bool, str]:
     """Gate: speculation stays cheap — wasted hedges < 10% of reads."""
-    counters = (defended.run.metrics or {}).get("counters", {})
-    wasted = counters.get("hedge.wasted", 0)
+    wasted = event_count(defended, "hedge_wasted")
     reads = defended.run.per_kind.get("read")
     total = len(reads) if reads is not None else 0
     if total == 0:

@@ -115,13 +115,20 @@ def iter_run_results(obj, prefix: Tuple = ()) -> Iterator[Tuple[str, RunResult]]
             yield from iter_run_results(value, prefix + (idx,))
 
 
+# The metrics JSON's layout version.  2: a discrete happening is only
+# an event (its count is the number of events of its kind) and a
+# component's own count is only a ``stats.*`` gauge; the counters that
+# copied them are gone (EXPERIMENTS.md, "Metrics JSON").
+METRICS_SCHEMA = 2
+
+
 def metrics_payload(experiment: str, results) -> Dict[str, object]:
     """Bundle every run's metrics snapshot for one experiment."""
     runs: Dict[str, object] = {}
     for path, run in iter_run_results(results):
         if run.metrics is not None:
             runs[path] = run.metrics
-    return {"experiment": experiment, "runs": runs}
+    return {"experiment": experiment, "runs": runs, "schema": METRICS_SCHEMA}
 
 
 def write_metrics_json(path: str, payload: Dict[str, object]) -> None:

@@ -272,14 +272,18 @@ def finish_run(
     registry: Optional[MetricsRegistry] = None,
     gauges: Optional[Dict[str, float]] = None,
     timeline: Optional[Timeline] = None,
+    events: Optional[List[Dict[str, object]]] = None,
 ) -> RunResult:
     """Turn a window into its :class:`RunResult`; with a ``registry``,
     first complete it — the run gauges plus the caller's ``gauges``,
-    ``stats.*``, and the window's events — and snapshot it."""
+    ``stats.*``, and the window's events (``events``, when the caller
+    took them before doing more work on the target) — and snapshot it."""
     stats = target.stats()
     metrics: Optional[Dict[str, object]] = None
     if registry is not None:
-        for event in window_events(target, window.start):
+        if events is None:
+            events = window_events(target, window.start)
+        for event in events:
             registry.events(str(event["kind"])).events.append(dict(event))
         run_gauges = {
             "ops": window.ops, "duration_s": window.duration, "waf": window.waf,

@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set
 
-from repro.obs.metrics import EventLog, MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import EventLog
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
@@ -120,7 +120,7 @@ class CircuitBreaker:
     """Closed → open → half-open, driven by gray verdicts in virtual time."""
 
     __slots__ = (
-        "shard_id", "config", "metrics", "events",
+        "shard_id", "config", "events",
         "state", "gray_streak", "opened_at", "probes_ok",
     )
 
@@ -128,12 +128,10 @@ class CircuitBreaker:
         self,
         shard_id: int,
         config: HealthConfig,
-        metrics: "MetricsRegistry" = NULL_REGISTRY,
         events: Optional[EventLog] = None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config
-        self.metrics = metrics
         self.events = events if events is not None else EventLog("breaker")
         self.state = STATE_CLOSED
         self.gray_streak = 0
@@ -162,7 +160,6 @@ class CircuitBreaker:
         self.opened_at = at
         self.gray_streak = 0
         self.probes_ok = 0
-        self.metrics.counter("breaker.opened").inc()
         self.events.emit(
             at, "breaker_open", shard=self.shard_id, reopened=reopen
         )
@@ -171,7 +168,6 @@ class CircuitBreaker:
         self.state = STATE_CLOSED
         self.gray_streak = 0
         self.probes_ok = 0
-        self.metrics.counter("breaker.closed").inc()
         self.events.emit(at, "breaker_closed", shard=self.shard_id)
 
     def on_verdict(self, gray: bool, at: float) -> None:
@@ -200,17 +196,15 @@ class HealthMonitor:
         self,
         num_shards: int,
         config: HealthConfig,
-        metrics: "MetricsRegistry" = NULL_REGISTRY,
         events: Optional[EventLog] = None,
     ) -> None:
         self.config = config
-        self.metrics = metrics
         self.events = events if events is not None else EventLog("health")
         self.shards: Dict[int, ShardHealth] = {
             sid: ShardHealth(sid) for sid in range(num_shards)
         }
         self.breakers: Dict[int, CircuitBreaker] = {
-            sid: CircuitBreaker(sid, config, metrics, self.events)
+            sid: CircuitBreaker(sid, config, self.events)
             for sid in range(num_shards)
         }
         # Pooled recent read latencies feeding the hedge-delay quantile.
@@ -223,14 +217,6 @@ class HealthMonitor:
         self.exempt: Set[int] = set()
 
     # ------------------------------------------------------------------
-    # the router swaps its registry per run; keep breakers in sync
-    # ------------------------------------------------------------------
-    def set_metrics(self, metrics: "MetricsRegistry") -> None:
-        self.metrics = metrics
-        for breaker in self.breakers.values():
-            breaker.metrics = metrics
-
-    # ------------------------------------------------------------------
     # membership (live resharding adds shards after construction)
     # ------------------------------------------------------------------
     def register(self, shard_id: int) -> None:
@@ -238,9 +224,7 @@ class HealthMonitor:
         if shard_id in self.shards:
             return
         self.shards[shard_id] = ShardHealth(shard_id)
-        self.breakers[shard_id] = CircuitBreaker(
-            shard_id, self.config, self.metrics, self.events
-        )
+        self.breakers[shard_id] = CircuitBreaker(shard_id, self.config, self.events)
 
     def set_exempt(self, shard_id: int, exempt: bool) -> None:
         """Suspend (or resume) verdicts for one shard.
@@ -308,7 +292,6 @@ class HealthMonitor:
         if verdict is None:
             return
         if verdict and breaker.state == STATE_CLOSED and breaker.gray_streak == 0:
-            self.metrics.counter("health.gray_verdicts").inc()
             self.events.emit(
                 at,
                 "shard_gray",

@@ -18,8 +18,8 @@ per-migration state machine that carries out all three:
   genuinely interleaves with — and contends for device bandwidth
   with — the live workload.
 * **dual-read window** — until a key has been handed off, reads are
-  *forwarded* to its surviving old owners (counted in
-  ``rebalance.forwarded_reads``); once copied, or overwritten by a
+  *forwarded* to its surviving old owners (counted in the router's
+  ``forwarded_reads``); once copied, or overwritten by a
   migration-window write, reads route to the new owner.  A range whose
   last key is disposed of emits a ``range_cutover`` event — the
   per-range cutover barrier.
@@ -175,6 +175,7 @@ class Migration:
         self.keys_moved = 0
         self.keys_lost = 0
         self.keys_retired = 0
+        self.redirected_writes = 0  # keys made fresh by a window write
         # Per-range accounting: range id -> keys still pending.
         self.range_pending: Dict[int, int] = {}
         self.range_total: Dict[int, int] = {}
@@ -278,7 +279,7 @@ class Migration:
         if key in self.moves and key not in self.moved:
             self.moved.add(key)
             self.fresh.add(key)
-            self.cluster.metrics.counter("rebalance.redirected_writes").inc()
+            self.redirected_writes += 1
 
     # ------------------------------------------------------------------
     # the migrator (pumped lazily from foreground operations)
@@ -342,7 +343,6 @@ class Migration:
             # No surviving source holds the key (every owner died):
             # the data is gone; count it rather than hide it.
             self.keys_lost += 1
-            cluster.metrics.counter("rebalance.keys_lost").inc()
             return
         if value is None:
             return  # deleted at the source since planning; nothing to move
@@ -362,7 +362,6 @@ class Migration:
         if t.now < floor:
             t.now = floor
         self.keys_moved += 1
-        cluster.metrics.counter("rebalance.keys_moved").inc()
 
     def _dispose(self, key: bytes) -> None:
         """Per-range accounting; emits the cutover event at zero."""
@@ -408,7 +407,6 @@ class Migration:
                 try:
                     if shard.store.delete(key, t):
                         self.keys_retired += 1
-                        cluster.metrics.counter("rebalance.keys_retired").inc()
                 except (DeviceError, DegradedError):
                     continue
         cluster.ring = self.new_ring
@@ -420,14 +418,8 @@ class Migration:
         self.state = MIG_DONE
         self.finished_at = t.now
         cluster._end_migration(self)
-        cluster.metrics.gauge("rebalance.cutover_seconds").set(
-            self.cutover_at - self.started_at
-        )
-        duration = self.finished_at - self.started_at
-        cluster.metrics.gauge("rebalance.duration_seconds").set(duration)
-        if self.action == ACTION_FAIL:
-            # The window in which some key had fewer than RF copies.
-            cluster.metrics.gauge("cluster.recovery_seconds").set(duration)
+        # A fail migration's duration is the window in which some key
+        # had fewer than RF copies.
         cluster.events.emit(
             self.started_at,
             "rebalance_done",
@@ -436,8 +428,9 @@ class Migration:
             keys_moved=self.keys_moved,
             keys_lost=self.keys_lost,
             keys_retired=self.keys_retired,
+            redirected_writes=self.redirected_writes,
             cutover_seconds=self.cutover_at - self.started_at,
-            duration=duration,
+            duration=self.finished_at - self.started_at,
         )
 
     def pending_retires(self) -> List[bytes]:
@@ -504,7 +497,6 @@ class Migration:
         self.state = MIG_ABORTED
         self.finished_at = t.now
         cluster._end_migration(self)
-        cluster.metrics.counter("rebalance.aborted").inc()
         cluster.events.emit(
             t.now,
             "rebalance_aborted",
@@ -527,6 +519,7 @@ class Migration:
             "keys_moved": self.keys_moved,
             "keys_lost": self.keys_lost,
             "keys_retired": self.keys_retired,
+            "redirected_writes": self.redirected_writes,
             "ranges": len(self.range_total),
             "ranges_cut": sum(
                 1 for left in self.range_pending.values() if left == 0

@@ -22,8 +22,9 @@ horizontally scaled serving layer:
 
 Every client operation reaches a shard the same way, through one
 method.  :meth:`PrismCluster._attempt` is the routed path in the order
-it happens — **admit** (the shard's admission controller; a shed or a
-draining rejection is counted and raised untouched), **pump** (apply
+it happens — **admit** (the shard's admission controller, which counts
+a shed or a draining rejection and raises it; the router lets it
+through untouched), **pump** (apply
 the shard's due asynchronous-replication backlog), **call** (the store
 operation, a bound method plus its arguments) and **account the
 failure** (a ``DeviceError``/``DegradedError`` is recorded against the
@@ -70,7 +71,6 @@ from repro.cluster.admission import (
 from repro.cluster.errors import (
     RebalanceInProgressError,
     ShardDrainingError,
-    ShardOverloadedError,
     ShardUnavailableError,
 )
 from repro.cluster.health import HealthConfig, HealthMonitor
@@ -91,7 +91,7 @@ from repro.faults.errors import (
     NoHealthyStorageError,
 )
 from repro.faults.injector import FaultConfig, slow_store_devices
-from repro.obs.metrics import Counter, EventLog, MetricsRegistry, merge_registries
+from repro.obs.metrics import EventLog, MetricsRegistry, merge_registries
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
 
@@ -212,7 +212,6 @@ class PrismCluster:
                     "build it with Prism(..., clock=clock)"
                 )
         self.ring = HashRing(range(cfg.num_shards), vnodes=cfg.vnodes)
-        self.metrics = MetricsRegistry()
         self.events = EventLog("cluster")
         self._down: Set[int] = set()
         # Live resharding: at most one membership change in flight.
@@ -229,17 +228,17 @@ class PrismCluster:
         self._hot_sketch: Optional[FrequencySketch] = None
         if cfg.hot_key_threshold is not None:
             self._hot_sketch = FrequencySketch(width=1024)
-        self._hot_reads_registry: Optional[MetricsRegistry] = None
-        self._hot_reads: Optional[Counter] = None  # of that registry
+        # Reads the hot-key defense spread, and reads the dual-read
+        # window forwarded to a key's old owner.
+        self.hot_spread_reads = 0
+        self.forwarded_reads = 0
         # Gray-failure defense: health monitor plus one reusable
         # virtual thread for speculative (hedged) reads.  Both are None
         # with health off, so the undefended read path is untouched.
         self._health: Optional[HealthMonitor] = None
         self._hedge_thread: Optional[VThread] = None
         if cfg.health is not None:
-            self._health = HealthMonitor(
-                cfg.num_shards, cfg.health, self.metrics, self.events
-            )
+            self._health = HealthMonitor(cfg.num_shards, cfg.health, self.events)
             self._hedge_thread = VThread(
                 -60, self.clock, name="hedge-read", background=True
             )
@@ -298,6 +297,11 @@ class PrismCluster:
         totals["cluster_shed"] = float(
             sum(s.admission.shed_queue + s.admission.shed_rate for s in self.shards)
         )
+        totals["cluster_drain_rejects"] = float(
+            sum(s.admission.drain_rejects for s in self.shards)
+        )
+        totals["cluster_hot_spread_reads"] = float(self.hot_spread_reads)
+        totals["cluster_forwarded_reads"] = float(self.forwarded_reads)
         totals["cluster_repl_applied"] = float(
             sum(s.repl_applied for s in self.shards)
         )
@@ -379,15 +383,7 @@ class PrismCluster:
             # router has detected as hot; the cold tail keeps its
             # primary so per-shard read caches stay warm.
             if sketch.add(key) >= self.config.hot_key_threshold:
-                metrics = self.metrics
-                if metrics is not self._hot_reads_registry:
-                    # Resolved on the first hot read (not at build
-                    # time: the instrument must not appear earlier in
-                    # the metrics JSON) and again when a runner swaps
-                    # the registry.
-                    self._hot_reads_registry = metrics
-                    self._hot_reads = metrics.counter("cluster.hot_spread_reads")
-                self._hot_reads.inc()
+                self.hot_spread_reads += 1
                 return candidates[next(self._spread_rr) % len(candidates)]
         return candidates[0]
 
@@ -433,16 +429,7 @@ class PrismCluster:
         reports ``admission.complete`` — it alone knows when the op
         ends (after the hedge for reads, at the quorum ack for writes).
         """
-        try:
-            shard.admission.admit(thread.now, kind)
-        except ShardDrainingError:
-            # Not load shedding: the shard is leaving and the caller
-            # retries the write at the key's new owner.
-            self.metrics.counter("rebalance.drain_rejects").inc()
-            raise
-        except ShardOverloadedError:
-            self.metrics.counter("cluster.shed").inc()
-            raise
+        shard.admission.admit(thread.now, kind)
         if self._async:
             shard.pump(thread.now)
         try:
@@ -583,7 +570,7 @@ class PrismCluster:
                 ids, forward = mig.read_route(key, self._down or None)
                 if forward and not forwarded:
                     forwarded = True
-                    self.metrics.counter("rebalance.forwarded_reads").inc()
+                    self.forwarded_reads += 1
                 candidates = [
                     self.shards[i]
                     for i in ids
@@ -649,7 +636,6 @@ class PrismCluster:
                 break
         if alt is None:
             return primary_value  # nowhere healthy to hedge to
-        self.metrics.counter("hedge.fired").inc()
         ht = self._hedge_thread
         ht.now = fired_at
         try:
@@ -657,7 +643,9 @@ class PrismCluster:
                 alt, ht, KIND_INTERNAL, health, alt.store.get, key
             )
         except _ShardOpError:
-            self.metrics.counter("hedge.wasted").inc()
+            self.events.emit(
+                ht.now, "hedge_wasted", shard=alt.shard_id, over=primary.shard_id
+            )
             return primary_value
         t2 = ht.now
         health.record_read(alt.shard_id, t2 - fired_at, t2)
@@ -665,7 +653,6 @@ class PrismCluster:
         # (an async replica may not have received it yet — a faster
         # miss must not shadow the primary's hit).
         if t2 < t1 and not (alt_value is None and primary_value is not None):
-            self.metrics.counter("hedge.won").inc()
             self.events.emit(
                 t2,
                 "hedge_won",
@@ -675,7 +662,7 @@ class PrismCluster:
             )
             thread.now = t2
             return alt_value
-        self.metrics.counter("hedge.wasted").inc()
+        self.events.emit(t2, "hedge_wasted", shard=alt.shard_id, over=primary.shard_id)
         return primary_value
 
     def scan(
@@ -817,20 +804,6 @@ class PrismCluster:
         mig = Migration(self, action, shard_id, new_ring, bandwidth, at)
         mig.plan(self.config.replication_factor)
         self._migration = mig
-        # Pre-touch every migration instrument so the run's metrics
-        # JSON carries them (zero-valued) even when the window sees no
-        # traffic of that sort.
-        for name in (
-            "rebalance.keys_moved",
-            "rebalance.forwarded_reads",
-            "rebalance.redirected_writes",
-            "rebalance.drain_rejects",
-            "rebalance.keys_lost",
-            "rebalance.keys_retired",
-        ):
-            self.metrics.counter(name)
-        self.metrics.gauge("rebalance.cutover_seconds")
-        self.metrics.gauge("rebalance.duration_seconds")
         if self._health is not None:
             # Breakers must not trip on migration traffic: the member
             # being bulk-loaded (add), drained (remove) or re-replicated
@@ -882,7 +855,6 @@ class PrismCluster:
         armed) will notice.  Returns the inflated device names."""
         at = self.clock.now if at is None else at
         names = slow_store_devices(self.shards[shard_id].store, at, multiplier)
-        self.metrics.counter("cluster.gray_injected").inc()
         self.events.emit(
             at,
             "shard_gray_injected",
@@ -901,7 +873,6 @@ class PrismCluster:
         shard = self.shards[shard_id]
         shard.state = STATE_DOWN
         self._down.add(shard_id)
-        self.metrics.counter("cluster.failovers").inc()
         dropped = shard.drop_all()
         for other in self.shards:
             if other.shard_id == shard_id or not other.up:
@@ -913,8 +884,6 @@ class PrismCluster:
         self.events.emit(
             at, "shard_down", shard=shard_id, repl_dropped=dropped
         )
-        if dropped:
-            self.metrics.counter("cluster.repl.dropped").inc(dropped)
         if self._migration is not None:
             # Resolve the membership change first, so the re-replication
             # starts from one consistent ring: death of the joining

@@ -165,14 +165,6 @@ class ClusterRunResult:
         return self.run.throughput
 
 
-def _slow_injections(cluster: PrismCluster) -> int:
-    return sum(
-        s.store.injector.slow_injections
-        for s in cluster.shards
-        if s.store.injector is not None
-    )
-
-
 def run_cluster_workload(
     cluster: PrismCluster,
     spec: WorkloadSpec,
@@ -210,8 +202,7 @@ def run_cluster_workload(
     if kill_plan is not None or rebalance_plan is not None:
         # Due at the op count, so after the last op: drain the remaining
         # copy stream (still at the bandwidth budget) inside the window,
-        # while the run's metrics registry is installed, so the
-        # recovery/cutover/duration gauges land in this run's JSON.
+        # so its ``rebalance_done`` event is one of this run's.
         actions.append((num_ops, lambda _thread: cluster.finish_rebalance()))
     if rebalance_plan is not None:
         # Phase-split read latencies for the elasticity gate: reads while
@@ -221,44 +212,20 @@ def run_cluster_workload(
             True: LatencyRecorder("read_migrating"),
         }
         read_split = lambda: reads[cluster.rebalancing].samples
-    registry: Optional[MetricsRegistry] = None
-    restore = None
-    if collect_metrics:
-        registry = MetricsRegistry()
-        restore = cluster.metrics
-        cluster.metrics = registry
-        if cluster._health is not None:
-            # The monitor's breakers hold their own registry reference;
-            # keep them writing into this run's registry, and pre-touch
-            # the defense counters so they appear in the metrics JSON
-            # even when a healthy run never fires them.
-            cluster._health.set_metrics(registry)
-            for name in (
-                "hedge.fired", "hedge.won", "hedge.wasted",
-                "breaker.opened", "breaker.closed",
-            ):
-                registry.counter(name).inc(0)
-        if gray_plan is not None:
-            registry.counter("fault.slow_injections").inc(0)
-    slow_before = _slow_injections(cluster) if gray_plan is not None else 0
+    registry = MetricsRegistry() if collect_metrics else None
     ledger = WriteLedger()
-    try:
-        window = closed_loop(
-            cluster,
-            threads,
-            split_ops(streams, num_ops),
-            registry=registry,
-            actions=actions,
-            shed_errors=(ShardOverloadedError,),
-            failed_errors=(ClusterError, StorageError, SimulatedCrash),
-            ledger=ledger,
-            read_split=read_split,
-        )
-    finally:
-        if restore is not None:
-            cluster.metrics = restore
-            if cluster._health is not None:
-                cluster._health.set_metrics(restore)
+    window = closed_loop(
+        cluster,
+        threads,
+        split_ops(streams, num_ops),
+        registry=registry,
+        actions=actions,
+        shed_errors=(ShardOverloadedError,),
+        failed_errors=(ClusterError, StorageError, SimulatedCrash),
+        ledger=ledger,
+        read_split=read_split,
+    )
+    # Taken before the audit, whose read-back is not the run's.
     events = window_events(cluster, window.start)
 
     def last(kind: str, action: str) -> Optional[Dict[str, object]]:
@@ -270,7 +237,7 @@ def run_cluster_workload(
     gauges: Dict[str, float] = {
         "ops_ok": ok, "ops_shed": window.shed, "ops_failed": window.failed,
     }
-    # The fail migration's finish set ``cluster.recovery_seconds``.
+    # A fail migration's duration is the RF-1 window.
     recovered = last("rebalance_done", ACTION_FAIL)
     recovery = float(recovered["duration"]) if recovered else None
     reb_shard: Optional[int] = None
@@ -309,12 +276,8 @@ def run_cluster_workload(
         for key, value in audit_report.items():
             if isinstance(value, (int, float)):
                 gauges[f"audit.{key}"] = float(value)
-    if registry is not None and gray_plan is not None:
-        registry.counter("fault.slow_injections").inc(
-            _slow_injections(cluster) - slow_before
-        )
     return ClusterRunResult(
-        run=finish_run(cluster, spec.name, window, registry, gauges),
+        run=finish_run(cluster, spec.name, window, registry, gauges, events=events),
         ops_ok=ok,
         ops_shed=window.shed,
         ops_failed=window.failed,

@@ -134,9 +134,7 @@ class Prism:
         # (dead devices, fault schedule) outlives a restart.
         self.injector: Optional[FaultInjector] = None
         if cfg.faults is not None:
-            self.injector = FaultInjector(
-                cfg.faults, events=self.events, metrics=self.metrics
-            )
+            self.injector = FaultInjector(cfg.faults, events=self.events)
             self.nvm.attach_injector(self.injector)
             for ssd in self.ssds + self.cold_ssds + self.mirror_ssds:
                 ssd.attach_injector(self.injector)
@@ -153,6 +151,9 @@ class Prism:
         self.deletes = 0
         self.scans = 0
         self.reclaims = 0
+        # Records whose checksum failed, on any path (read, scan, GC,
+        # scrub, recovery).
+        self.corruption_detected = 0
         self._crashed = False
         self._attach()
 
@@ -243,9 +244,7 @@ class Prism:
         self._gc_active: set = set()
 
         # --- retries ---------------------------------------------------
-        self.retry_exec = RetryExecutor(
-            cfg.retry, self.injector, events=self.events, metrics=self.metrics
-        )
+        self.retry_exec = RetryExecutor(cfg.retry, self.injector, events=self.events)
         if self.injector is not None:
             # Failed flushes retry inside the device, covering every
             # persist point (PWB appends, HSIT publishes) at once.
@@ -594,8 +593,6 @@ class Prism:
                     if phase is None:
                         self._maybe_gc(vs, bg.now)
             refreshed = self.svc.refreshes - refreshes
-            if refreshed:
-                self.metrics.counter("svc.refreshes").inc(refreshed)
             if phase is not None:
                 # Leave the PWB window unreleased: a failed write never
                 # stuck, and after a partial publish some entries still
@@ -606,7 +603,6 @@ class Prism:
                 self.events.emit(
                     start_at, "reclaim_failed", pwb_id=pwb.pwb_id, phase=phase
                 )
-                self.metrics.counter("faults.reclaim_failures").inc()
                 return
         pwb.pending_release = (upto, bg.now)
         pwb.reclaim_done_at = bg.now
@@ -740,7 +736,7 @@ class Prism:
             # A rotted record would poison the GC move; heal it from a
             # repair source, or leave it in place (it stays valid; a
             # later read surfaces the typed error and retries the repair).
-            self.metrics.counter("corruption.detected").inc()
+            self.corruption_detected += 1
             from repro.repair import fetch_value
 
             fetched = fetch_value(self, idx, vs.vs_id, chunk_id, offset)
@@ -781,7 +777,6 @@ class Prism:
             self.events.emit(
                 start_at, "gc_failed", vs_id=vs.vs_id, phase=phase, read_bytes=read_bytes
             )
-            self.metrics.counter("faults.gc_failures").inc()
             return
         moved_bytes = sum(len(entry[1]) for entry in moves)
         if moves:
@@ -890,7 +885,7 @@ class Prism:
             try:
                 _, value = vs.parse_record(raw)
             except CorruptionError:
-                m.counter("corruption.detected").inc()
+                self.corruption_detected += 1
                 value = self._repair_read(
                     idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread
                 )
@@ -1043,7 +1038,7 @@ class Prism:
                     thread.wait_until(completion)
 
                 def heal(chunk_id: int, offset: int, tag: Tuple[int, bytes]) -> bytes:
-                    m.counter("corruption.detected").inc()
+                    self.corruption_detected += 1
                     idx, key = tag
                     return self._repair_read(idx, key, vs_id, chunk_id, offset, thread)
 
@@ -1177,8 +1172,14 @@ class Prism:
             "nvm_bytes_used": self.nvm_bytes_used(),
             "hsit_entries": self.hsit.allocations - self.hsit.frees,
         }
-        # Only present when the tier is on, so cache-off metrics JSONs
-        # stay byte-identical to builds without the cache subsystem.
+        # A subsystem's counts are present only when it is on, so a
+        # metrics JSON without it stays byte-identical to a build
+        # without its code: checksums, the fault injector, the cache.
+        if self.config.enable_checksums:
+            stats["corruption_detected"] = self.corruption_detected
+        if self.injector is not None:
+            stats["slow_injections"] = self.injector.slow_injections
+            stats["retry_exhausted"] = self.retry_exec.exhausted
         if self.read_cache is not None:
             stats.update(self.read_cache.stats())
         # Same contract for placement: its surface exists only when

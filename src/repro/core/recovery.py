@@ -115,7 +115,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
                         ),
                     )
                 except CorruptionError:
-                    prism.metrics.counter("corruption.detected").inc()
+                    prism.corruption_detected += 1
                     # Keep the slot (with the clamped stored size) so
                     # the pointer never dangles: reads of a lost record
                     # surface a typed error, never a silent absence.
@@ -126,7 +126,6 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
                         repair_flush.append((idx, value))
                     else:
                         corrupt_lost += 1
-                        prism.metrics.counter("corruption.unrecoverable").inc()
                     continue
             if back != idx:
                 dropped.append(key)
@@ -198,8 +197,6 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
             else:
                 flushed = len(pwb_flush)
                 corrupt_repaired = len(repair_flush)
-                for _ in repair_flush:
-                    prism.metrics.counter("corruption.repaired").inc()
     if not flush_ok:
         for pwb in prism.pwbs:
             pwb.adopt(sorted(

@@ -38,7 +38,7 @@ from repro.faults.errors import (
     TransientReadError,
     TransientWriteError,
 )
-from repro.obs.metrics import EventLog, MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import EventLog
 from repro.storage.base import NULL_INJECTOR  # re-export for convenience
 
 __all__ = ["FaultConfig", "FaultInjector", "NULL_INJECTOR", "SlowFault"]
@@ -123,12 +123,10 @@ class FaultInjector:
         self,
         config: FaultConfig,
         events: Optional[EventLog] = None,
-        metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         self.config = config
         self.rng = random.Random(config.seed)
         self.events = events if events is not None else EventLog("faults")
-        self.metrics = metrics
         self.dead: set = set()
         self.injected: Dict[str, int] = {}
         self.consults = 0
@@ -137,7 +135,7 @@ class FaultInjector:
         # pass can possibly find anything.
         self.silent_injected = 0
         # Fail-slow: active schedules, per-device onset announcements,
-        # and the count of delayed IOs (``fault.slow_injections``).
+        # and the count of delayed IOs (the store's ``slow_injections``).
         self._slow: List[SlowFault] = []
         self._slow_seen: set = set()
         self.slow_injections = 0
@@ -152,7 +150,6 @@ class FaultInjector:
     def _emit(self, at: float, device: str, op: str, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
         self.events.emit(at, "fault", device=device, op=op, fault=kind)
-        self.metrics.counter(f"faults.injected.{kind}").inc()
 
     # ------------------------------------------------------------------
     # permanent death
@@ -163,7 +160,6 @@ class FaultInjector:
             return
         self.dead.add(name)
         self.events.emit(at, "device_dead", device=name)
-        self.metrics.counter("faults.device_deaths").inc()
 
     def kill_devices(self, names: Iterable[str], at: float = 0.0) -> None:
         """Kill several devices at one instant (correlated failure)."""
@@ -204,7 +200,6 @@ class FaultInjector:
             penalty += fault.penalty(base, at)
         if penalty > 0.0:
             self.slow_injections += 1
-            self.metrics.counter("fault.slow_injections").inc()
             if name not in self._slow_seen:
                 self._slow_seen.add(name)
                 self.events.emit(

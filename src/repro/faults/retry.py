@@ -19,8 +19,9 @@ Backoff before retry ``n`` is ``backoff_base × backoff_factor**n``
 virtual seconds (plus a stuck IO's timeout): a pure function of the
 attempt, so retries draw no randomness.
 
-Retries are observable: every attempt emits a ``retry`` event and bumps
-``faults.retries``; exhaustion bumps ``faults.retry_exhausted``.
+Retries are observable: every attempt emits a ``retry`` event and
+bumps :attr:`RetryExecutor.retries`; exhaustion bumps
+:attr:`RetryExecutor.exhausted`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, TypeVar
 
 from repro.faults.errors import DeviceDeadError, RetryExhaustedError, TransientIOError
-from repro.obs.metrics import EventLog, MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import EventLog
 from repro.sim.vthread import VThread
 
 T = TypeVar("T")
@@ -69,12 +70,10 @@ class RetryExecutor:
         policy: RetryPolicy,
         injector=None,
         events: Optional[EventLog] = None,
-        metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         self.policy = policy
         self.injector = injector
         self.events = events if events is not None else EventLog("retries")
-        self.metrics = metrics
         self.consecutive: Dict[str, int] = {}
         self.retries = 0
         self.exhausted = 0
@@ -107,7 +106,6 @@ class RetryExecutor:
         self, at: float, device: str, op: str, attempt: int, exc: Exception
     ) -> None:
         self.retries += 1
-        self.metrics.counter("faults.retries").inc()
         self.events.emit(
             at,
             "retry",
@@ -119,7 +117,6 @@ class RetryExecutor:
 
     def _give_up(self, device: str, op: str, attempts: int, exc: Exception) -> None:
         self.exhausted += 1
-        self.metrics.counter("faults.retry_exhausted").inc()
         raise RetryExhaustedError(device, op, attempts) from exc
 
     # ------------------------------------------------------------------

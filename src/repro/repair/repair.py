@@ -146,7 +146,6 @@ def read_repair(
     where = f"vs{vs_id} chunk {chunk_id} off {offset}"
     fetched = fetch_value(store, idx, vs_id, chunk_id, offset, at=at)
     if fetched is None:
-        store.metrics.counter("corruption.unrecoverable").inc()
         store.events.emit(
             at,
             "corruption_unrecoverable",
@@ -157,7 +156,6 @@ def read_repair(
         raise UnrecoverableCorruptionError(vs.ssd.name, where, key)
     value, source = fetched
     target = _rewrite(store, [(idx, value, vs, chunk_id, offset)], thread)
-    store.metrics.counter("corruption.repaired").inc()
     store.events.emit(
         at,
         "repair",
@@ -211,7 +209,6 @@ def rebuild_storage(
         _rewrite(store, pending, rt)
         report.records_repaired += len(pending)
         report.bytes_restored += sum(len(entry[1]) for entry in pending)
-        store.metrics.counter("corruption.repaired").inc(len(pending))
         pending.clear()
 
     for _key, idx in list(store.index.items()):
@@ -224,7 +221,6 @@ def rebuild_storage(
         )
         if fetched is None:
             report.records_lost += 1
-            store.metrics.counter("corruption.unrecoverable").inc()
             store.events.emit(
                 rt.now,
                 "rebuild_lost",
@@ -238,7 +234,6 @@ def rebuild_storage(
             _flush_batch()
     _flush_batch()
     report.duration = rt.now - start
-    store.metrics.gauge("repair.rebuild_seconds").set(report.duration)
     store.events.emit(
         start,
         "rebuild",

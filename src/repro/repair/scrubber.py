@@ -82,7 +82,6 @@ class Scrubber:
         if t.now < store.clock.now:
             t.now = store.clock.now
         start = t.now
-        m = store.metrics
         for vs in store.storages:
             if store._vs_dead(vs):
                 continue  # rebuild_storage owns records on dead devices
@@ -101,7 +100,6 @@ class Scrubber:
                 t.wait_until(max(io_done, io_start + span / self.bandwidth))
                 report.chunks_scanned += 1
                 report.bytes_read += span
-                m.counter("scrub.chunks_scanned").inc()
                 for offset, slot in list(info.slots.items()):
                     if not slot.valid:
                         continue
@@ -110,7 +108,7 @@ class Scrubber:
                         vs.read_record_raw(chunk_id, offset)
                     except CorruptionError:
                         report.corrupt_found += 1
-                        m.counter("corruption.detected").inc()
+                        store.corruption_detected += 1
                         store.events.emit(
                             t.now,
                             "scrub_corruption",
@@ -167,7 +165,6 @@ class Scrubber:
         except StorageError:
             return  # mirror device failing; try again next pass
         report.mirrors_refreshed += 1
-        store.metrics.counter("scrub.mirrors_refreshed").inc()
         store.events.emit(
             self.thread.now,
             "scrub_mirror_refresh",

@@ -8,8 +8,8 @@ high-capacity QLC cold SSDs.  A per-key :class:`TemperatureTracker`
 records; GC and reclamation consult it to demote cold survivors onto
 the cold tier, and re-access promotes values back through the normal
 write path.  :class:`TierManager` is the one placement policy: every
-tier decision and every tier move, the promotion queue, and the tier.*
-observability surface.
+tier decision and every tier move, the promotion queue, and the
+``tier_*`` keys of ``stats()``.
 """
 
 from repro.tiering.temperature import TemperatureTracker

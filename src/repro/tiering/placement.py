@@ -45,7 +45,7 @@ PROMOTION_BATCH = 64
 
 
 class TierManager:
-    """Placement decisions, tier moves, temperature state, tier.* counters."""
+    """Placement decisions, tier moves, temperature state, tier counts."""
 
     def __init__(
         self, store: Prism, fast: List[ValueStorage], cold: List[ValueStorage]
@@ -61,7 +61,7 @@ class TierManager:
         self.placement = fast if self.temperature else fast + cold
         self.fast_headroom = cfg.tier_fast_headroom
         self.gc_free_threshold = cfg.gc_free_threshold
-        # Counters surfaced through stats()/metrics.
+        # Counts surfaced through stats().
         self.demotions = 0  # records moved fast -> cold
         self.promotions = 0  # records moved cold -> fast
         self.promotions_stale = 0  # dropped: key superseded since read
@@ -141,7 +141,7 @@ class TierManager:
     ) -> Optional[str]:
         """Relocate ``batch`` to ``dest`` with the store's primitive.
 
-        Once the batch has landed it is counted in ``tier.<counter>``;
+        Once the batch has landed it is counted in ``self.<counter>``;
         a GC or drain move (``start_at`` given) also adds its bytes and
         logs the event its label names (``tier.promote`` →
         ``tier_promote``).  Then GC follows the batch to ``dest``.
@@ -154,7 +154,6 @@ class TierManager:
         if counter is not None:
             records = len(batch)
             setattr(self, counter, getattr(self, counter) + records)
-            store.metrics.counter("tier." + counter).inc(records)
             if start_at is not None:
                 nbytes = sum(len(entry[1]) for entry in batch)
                 if counter == "promotions":
@@ -319,7 +318,7 @@ class TierManager:
             )
 
     def stats(self) -> dict:
-        """The tier.* surface merged into ``Prism.stats()``."""
+        """The ``tier_*`` keys merged into ``Prism.stats()``."""
         fast_used = sum(vs.used_bytes() for vs in self.fast)
         cold_used = sum(vs.used_bytes() for vs in self.cold)
         fast_cap = sum(vs.ssd.spec.capacity for vs in self.fast)

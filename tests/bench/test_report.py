@@ -74,6 +74,7 @@ def test_metrics_payload_and_writer(tmp_path):
     results = {"Prism": {"A": with_metrics, "B": _result("Prism", "B")}}
     payload = metrics_payload("fig7", results)
     assert payload["experiment"] == "fig7"
+    assert payload["schema"] == 2
     assert set(payload["runs"]) == {"Prism/A"}  # runs without metrics skipped
     out = tmp_path / "fig7.metrics.json"
     write_metrics_json(str(out), payload)

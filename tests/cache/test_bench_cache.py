@@ -49,10 +49,6 @@ def test_cluster_hot_spread_serves_hot_keys_from_replicas():
     primary, spread = ca.cluster_hot_spread(
         num_keys=800, num_ops=4000, clients_per_shard=2
     )
-    spread_reads = spread.run.metrics.get("counters", {}).get(
-        "cluster.hot_spread_reads", 0
-    )
+    spread_reads = spread.run.stats["cluster_hot_spread_reads"]
     assert spread_reads > 0, "hot-key detector never routed a spread read"
-    assert primary.run.metrics.get("counters", {}).get(
-        "cluster.hot_spread_reads", 0
-    ) == 0
+    assert primary.run.stats["cluster_hot_spread_reads"] == 0

@@ -30,9 +30,8 @@ class TestGrayPlan:
 
     def test_gray_shard_is_injected_and_run_stays_green(self, smoke_runs):
         undefended = smoke_runs["undefended"]
-        counters = undefended.run.metrics["counters"]
-        assert counters["fault.slow_injections"] > 0
-        assert counters["cluster.gray_injected"] == 1
+        assert undefended.run.stats["slow_injections"] > 0
+        assert gf.event_count(undefended, "shard_gray_injected") == 1
         # Gray failure is silent: nothing errors, nothing is lost.
         assert undefended.ops_failed == 0
         assert undefended.audit["lost_acked"] == 0
@@ -41,26 +40,25 @@ class TestGrayPlan:
 
 class TestDefense:
     def test_defense_counters_present_in_metrics_json(self, smoke_runs):
-        """The metrics JSON schema: every defense counter is present
-        (pre-touched) even when a mechanism never fired."""
-        counters = smoke_runs["defended"].run.metrics["counters"]
-        for name in (
-            "hedge.fired", "hedge.won", "hedge.wasted",
-            "breaker.opened", "breaker.closed", "fault.slow_injections",
-        ):
-            assert name in counters, f"missing counter {name}"
+        """The metrics JSON carries every defense count: the delayed
+        IOs as a ``stats.*`` gauge, hedges and breaker trips as the
+        window's events."""
+        metrics = smoke_runs["defended"].run.metrics
+        assert metrics["gauges"]["stats.slow_injections"] > 0
+        for kind in ("hedge_won", "hedge_wasted", "breaker_open", "shard_gray"):
+            assert metrics["events"].get(kind), f"no {kind} event"
 
     def test_hedges_fire_and_accounting_adds_up(self, smoke_runs):
-        counters = smoke_runs["defended"].run.metrics["counters"]
-        assert counters["hedge.fired"] > 0
-        assert (
-            counters["hedge.won"] + counters["hedge.wasted"]
-            == counters["hedge.fired"]
-        )
+        """A fired hedge is one ``hedge_won`` or one ``hedge_wasted``,
+        each at a replica other than the one it raced."""
+        events = smoke_runs["defended"].run.metrics["events"]
+        hedges = events["hedge_won"] + events["hedge_wasted"]
+        assert hedges
+        assert all(e["shard"] != e["over"] for e in hedges)
 
     def test_breaker_opens_on_the_gray_shard(self, smoke_runs):
-        counters = smoke_runs["defended"].run.metrics["counters"]
-        assert counters["breaker.opened"] > 0
+        opened = smoke_runs["defended"].run.metrics["events"]["breaker_open"]
+        assert gf.GRAY_SHARD in {e["shard"] for e in opened}
 
     def test_defended_tail_beats_undefended(self, smoke_runs):
         defended = gf.read_p99(smoke_runs["defended"])
@@ -128,7 +126,6 @@ class TestHealthyDefenseOverhead:
         from repro.bench.cluster import cluster_leg
 
         armed = cluster_leg(**gf.gray_leg(HealthConfig(), 1200, 4000))
-        counters = armed.run.metrics["counters"]
-        assert counters["breaker.opened"] == 0
+        assert gf.event_count(armed, "breaker_open") == 0
         ok, msg = gf.check_overhead(armed)
         assert ok, msg

@@ -10,7 +10,6 @@ from repro.cluster.health import (
     HealthConfig,
     HealthMonitor,
 )
-from repro.obs.metrics import MetricsRegistry
 
 US = 1e-6
 
@@ -42,13 +41,12 @@ class TestHealthConfig:
 
 class TestCircuitBreaker:
     def test_closed_to_open_after_gray_streak(self):
-        metrics = MetricsRegistry()
-        b = CircuitBreaker(0, _config(), metrics)
+        b = CircuitBreaker(0, _config())
         b.on_verdict(True, at=1.0)
         assert b.state == STATE_CLOSED
         b.on_verdict(True, at=2.0)
         assert b.state == STATE_OPEN
-        assert metrics.counter("breaker.opened").value == 1
+        assert len(b.events.of_kind("breaker_open")) == 1
 
     def test_healthy_verdict_resets_streak(self):
         b = CircuitBreaker(0, _config())
@@ -65,15 +63,14 @@ class TestCircuitBreaker:
         assert b.state == STATE_HALF_OPEN
 
     def test_half_open_closes_after_probe_successes(self):
-        metrics = MetricsRegistry()
-        b = CircuitBreaker(0, _config(), metrics)
+        b = CircuitBreaker(0, _config())
         b.trip(at=0.0)
         b.allow(at=2e-3)
         b.on_verdict(False, at=2e-3)
         assert b.state == STATE_HALF_OPEN  # one probe is not enough
         b.on_verdict(False, at=3e-3)
         assert b.state == STATE_CLOSED
-        assert metrics.counter("breaker.closed").value == 1
+        assert len(b.events.of_kind("breaker_closed")) == 1
 
     def test_half_open_gray_probe_reopens(self):
         b = CircuitBreaker(0, _config())
@@ -156,11 +153,3 @@ class TestHedgeDelay:
         _warm(m, (0, 1), latency=1 * US, n=32)
         assert m.hedge_delay() == pytest.approx(100 * US)
 
-
-class TestSnapshotAndMetrics:
-    def test_set_metrics_rebinds_breakers(self):
-        m = HealthMonitor(2, _config())
-        fresh = MetricsRegistry()
-        m.set_metrics(fresh)
-        m.breakers[0].trip(at=0.0)
-        assert fresh.counter("breaker.opened").value == 1

@@ -41,7 +41,7 @@ from repro.cluster.runner import (
 )
 from repro.cluster.shard import STATE_DRAINING, STATE_RETIRED
 from repro.faults.ledger import WriteLedger
-from repro.obs.metrics import EventLog, MetricsRegistry
+from repro.obs.metrics import EventLog
 from repro.sim.vthread import VThread
 from repro.workloads.ycsb import WorkloadSpec
 
@@ -208,7 +208,7 @@ class TestDrainAdmission:
         key = next(k for k in KEYS[:40] if cluster.ring.lookup(k) == 0)
         cluster.shards[0].start_drain()
         cluster.put(key, b"after-drain", t)
-        assert cluster.metrics.counter("rebalance.drain_rejects").value >= 1
+        assert cluster.stats()["cluster_drain_rejects"] >= 1
         # The write landed on live non-draining owners.
         prefs = cluster.ring.preference_list(key, 2, exclude={0})
         got = cluster.shards[prefs[0]].store.get(key, t)
@@ -221,9 +221,7 @@ class TestDrainAdmission:
 # ----------------------------------------------------------------------
 class TestHealthExemption:
     def _monitor(self):
-        return HealthMonitor(
-            2, HealthConfig(), MetricsRegistry(), EventLog("t")
-        )
+        return HealthMonitor(2, HealthConfig(), EventLog("t"))
 
     def test_register_adds_new_member(self):
         mon = self._monitor()
@@ -265,10 +263,8 @@ class TestLiveResharding:
             want = (b"v1-" if i % 3 == 0 else b"v0-") + k
             assert cluster.get(k, t) == want
         assert len(cluster) == len(KEYS)
-        moved = cluster.metrics.counter("rebalance.keys_moved").value
-        forwarded = cluster.metrics.counter("rebalance.forwarded_reads").value
-        assert moved > 0 and forwarded > 0
-        assert cluster.events.of_kind("rebalance_done")
+        (done,) = cluster.events.of_kind("rebalance_done")
+        assert done["keys_moved"] > 0 and cluster.forwarded_reads > 0
         assert cluster.events.of_kind("range_cutover")
 
     def test_remove_shard_drains_and_retires(self):
@@ -335,7 +331,7 @@ class TestCrashDuringMigration:
         cluster.kill_shard(sid)
         assert not cluster.rebalancing
         assert sorted(cluster.ring.shards) == [0, 1, 2]
-        assert cluster.metrics.counter("rebalance.aborted").value == 1
+        assert len(cluster.events.of_kind("rebalance_aborted")) == 1
         for i, k in enumerate(KEYS):
             want = (b"v1-" if i % 4 == 0 else b"v0-") + k
             assert cluster.get(k, t) == want
@@ -445,11 +441,10 @@ class TestLedgerMidMigration:
         assert result.rebalanced_shard == 3
         assert result.rebalance["completed"] and not result.rebalance["aborted"]
         assert result.rebalance["time_to_rebalance"] > 0
-        counters = result.run.metrics["counters"]
-        assert counters["rebalance.keys_moved"] > 0
-        gauges = result.run.metrics["gauges"]
-        assert "rebalance.cutover_seconds" in gauges
-        assert "rebalance.time_to_rebalance_seconds" in gauges
+        (done,) = result.run.metrics["events"]["rebalance_done"]
+        assert done["keys_moved"] == result.rebalance["keys_moved"] > 0
+        assert done["cutover_seconds"] == result.rebalance["cutover_seconds"]
+        assert "rebalance.time_to_rebalance_seconds" in result.run.metrics["gauges"]
 
 
 # ----------------------------------------------------------------------
@@ -469,8 +464,7 @@ class TestDeterminism:
                     cluster.put(k, b"v1-" + k, t)
                 cluster.get(k, t)
             cluster.finish_rebalance()
-            moved = cluster.metrics.counter("rebalance.keys_moved").value
-            return repr(t.now), moved
+            return repr(t.now), cluster.events.of_kind("rebalance_done")
 
         assert one() == one()
 

@@ -155,7 +155,8 @@ class TestRunWithKill:
         assert res.audit["wrong_value"] == 0
         assert res.recovery_seconds is not None and res.recovery_seconds > 0
         assert res.run.stats["cluster_shards_down"] == 1.0
-        assert res.run.metrics["gauges"]["cluster.recovery_seconds"] > 0
+        (done,) = res.run.metrics["events"]["rebalance_done"]
+        assert done["action"] == "fail" and done["duration"] == res.recovery_seconds
 
     def test_rf1_kill_reports_losses(self):
         """At RF=1 a dead shard's keys are genuinely gone — the audit
@@ -189,7 +190,6 @@ class TestRunWithKill:
         )
         assert second.killed_shard is None
         assert second.recovery_seconds is None
-        assert "cluster.recovery_seconds" not in second.run.metrics["gauges"]
         assert "rebalance_done" not in second.run.metrics["events"]
 
 

@@ -277,8 +277,8 @@ class TestFaultsOnTheSecondStorage:
         loc = _rot(store, b"k07")
         assert loc.vs_id == 1  # submitted second, parsed second
         assert store.scan(b"k00", 20) == self.EXPECT
-        assert store.metrics.counter("corruption.detected").value == 1
-        assert store.metrics.counter("corruption.repaired").value == 1
+        assert store.stats()["corruption_detected"] == 1
+        assert len(store.events.of_kind("repair")) == 1
         assert store.scan(b"k00", 20) == self.EXPECT  # healed, and cached
 
     def test_corrupt_record_without_a_copy_is_typed_loss(self):

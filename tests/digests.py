@@ -359,7 +359,7 @@ def cluster_a() -> Tuple[object, Dict[str, str]]:
 
 def _routed(config: ClusterConfig, spec, keys: int, ops: int, **plan):
     """A seeded run through the router over tight shards (values on
-    flash); returns the cluster, the run and its metrics counters."""
+    flash); returns the cluster, the run and the window's events."""
     cluster = PrismCluster(
         config, shard_factory=partial(default_shard_factory, **TIGHT_SHARD)
     )
@@ -367,19 +367,19 @@ def _routed(config: ClusterConfig, spec, keys: int, ops: int, **plan):
     result = run_cluster_workload(
         cluster, spec, ops, keys, clients_per_shard=2, seed=3, **plan
     )
-    return cluster, result, result.run.metrics["counters"]
+    return cluster, result, result.run.metrics["events"]
 
 
 def cluster_scan_failover() -> Tuple[object, Dict[str, str]]:
     """YCSB-E through a 3-shard RF=2 quorum cluster that loses shard 1
     half way: the scan fan-out and merge, before and after failover."""
-    cluster, result, counters = _routed(
+    cluster, result, events = _routed(
         ClusterConfig(num_shards=3, replication_factor=2),
         WORKLOADS["E"], 600, 400, kill_plan=KillPlan(1, 0.5),
     )
     _require_exercised({
         "scans": len(result.run.per_kind["scan"].samples),
-        "failovers": counters["cluster.failovers"],
+        "failovers": len(events.get("shard_down", ())),
     })
     return cluster, _digest(cluster, result.run.metrics)
 
@@ -387,8 +387,8 @@ def cluster_scan_failover() -> Tuple[object, Dict[str, str]]:
 def cluster_async_spread() -> Tuple[object, Dict[str, str]]:
     """Async replication, the hot-key spread read policy, a queue-depth
     cap and a rate limit tight enough to shed: the backlog pump,
-    ``_pick_reader`` and the shed counters."""
-    cluster, result, counters = _routed(
+    ``_pick_reader`` and the shed counts."""
+    cluster, result, _events = _routed(
         ClusterConfig(
             num_shards=3, replication_factor=2, replication_mode="async",
             read_policy="spread", hot_key_threshold=4,
@@ -398,8 +398,8 @@ def cluster_async_spread() -> Tuple[object, Dict[str, str]]:
     )
     _require_exercised({
         "ops_shed": result.ops_shed,
-        "cluster.shed": counters["cluster.shed"],
-        "hot spread reads": counters["cluster.hot_spread_reads"],
+        "cluster shed": result.run.stats["cluster_shed"],
+        "hot spread reads": cluster.hot_spread_reads,
         "async applies": sum(s.repl_applied for s in cluster.shards),
     })
     return cluster, _digest(cluster, result.run.metrics)
@@ -409,17 +409,17 @@ def cluster_gray_rebalance() -> Tuple[object, Dict[str, str]]:
     """Health scoring and hedging armed, one shard gray-failed, and a
     member added in the same run: breaker steering, the hedge, and the
     migration window's bypass of both."""
-    cluster, result, counters = _routed(
+    cluster, result, events = _routed(
         ClusterConfig(num_shards=3, replication_factor=2, health=HealthConfig()),
         WORKLOADS["B"], 600, 2400,
         gray_plan=GrayPlan(shard_id=1, at_fraction=0.2, multiplier=10.0),
         rebalance_plan=RebalancePlan("add", at_fraction=0.6),
     )
     _require_exercised({
-        "hedges": counters["hedge.fired"],
-        "breaker trips": counters["breaker.opened"],
-        "forwarded reads": counters["rebalance.forwarded_reads"],
-        "keys moved": counters["rebalance.keys_moved"],
+        "hedges": len(events.get("hedge_won", ())) + len(events.get("hedge_wasted", ())),
+        "breaker trips": len(events.get("breaker_open", ())),
+        "forwarded reads": cluster.forwarded_reads,
+        "keys moved": sum(e["keys_moved"] for e in events.get("rebalance_done", ())),
     })
     return cluster, _digest(cluster, result.run.metrics)
 

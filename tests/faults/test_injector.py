@@ -10,7 +10,6 @@ from repro.faults.errors import (
     TransientWriteError,
 )
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.obs.metrics import MetricsRegistry
 
 
 class FakeDevice:
@@ -84,12 +83,10 @@ def test_dead_device_raises_permanently():
 
 
 def test_kill_device_idempotent_and_observable():
-    metrics = MetricsRegistry()
-    inj = FaultInjector(FaultConfig(), metrics=metrics)
+    inj = FaultInjector(FaultConfig())
     inj.kill_device("ssd0", at=1.0)
     inj.kill_device("ssd0", at=2.0)
     assert inj.is_dead("ssd0")
-    assert metrics.counter("faults.device_deaths").value == 1
     assert len(inj.events.of_kind("device_dead")) == 1
 
 

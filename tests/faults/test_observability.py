@@ -1,5 +1,5 @@
-"""Fault and retry activity is observable through the PR-1 obs layer:
-structured events on the store's EventLog, counters in the registry."""
+"""Fault and retry activity is observable: structured events on the
+store's EventLog, and the injector's and executor's own counts."""
 
 from repro.core.prism import Prism
 from repro.faults.injector import FaultConfig
@@ -39,13 +39,14 @@ def test_counters_track_injections_and_retries():
     store = _faulty_store()
     for i in range(60):
         store.put(b"k%03d" % i, b"v" * 300)
-    counters = store.metrics.counters
     injected = store.injector.total_injected
     assert injected > 0
-    assert counters["faults.injected.flush_error"].value == injected
-    assert counters["faults.retries"].value == injected
-    assert "faults.retry_exhausted" not in counters  # nothing gave up
+    assert store.injector.injected == {"flush_error": injected}
+    assert len(store.events.of_kind("fault")) == injected
     assert store.retry_exec.retries == injected
+    stats = store.stats()
+    assert stats["retry_exhausted"] == 0  # nothing gave up
+    assert stats["slow_injections"] == 0
 
 
 def test_silent_injector_emits_nothing():
@@ -56,4 +57,5 @@ def test_silent_injector_emits_nothing():
         store.put(b"k%03d" % i, b"v" * 300)
     assert store.events.of_kind("fault") == []
     assert store.events.of_kind("retry") == []
-    assert not any(name.startswith("faults.") for name in store.metrics.counters)
+    assert store.injector.total_injected == 0
+    assert store.retry_exec.retries == 0

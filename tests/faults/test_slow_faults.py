@@ -11,14 +11,13 @@ from repro.faults.injector import (
     slow_store_devices,
     store_device_names,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.vthread import VThread
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC
 from repro.storage.ssd import SSDDevice
 
 
-def _injector(*slow, metrics=None):
-    inj = FaultInjector(FaultConfig(), metrics=metrics or MetricsRegistry())
+def _injector(*slow):
+    inj = FaultInjector(FaultConfig())
     for fault in slow:
         inj.add_slow_fault(fault)
     return inj
@@ -80,14 +79,12 @@ class TestInjectorSlowPath:
         assert inj.slow_injections == 0
 
     def test_never_raises_and_counts_metrics(self):
-        metrics = MetricsRegistry()
-        inj = _injector(SlowFault(multiplier=2.0), metrics=metrics)
+        inj = _injector(SlowFault(multiplier=2.0))
         ssd = SSDDevice(FLASH_SSD_GEN4_SPEC, name="ssd0")
         ssd.attach_injector(inj)
         for i in range(5):
             ssd.read(VThread(i), 0, 4096)
         assert inj.slow_injections == 5
-        assert metrics.counter("fault.slow_injections").value == 5
         assert [e["kind"] for e in inj.events].count("slow_onset") == 1
 
     def test_zero_config_draws_nothing_and_returns_zero(self):

@@ -81,8 +81,8 @@ class TestReadRepair:
         # The corrupt primary fails its checksum; the read repairs from
         # the mirror and returns the right bytes.
         assert store.get(key) == expect
-        assert store.metrics.counter("corruption.detected").value >= 1
-        assert store.metrics.counter("corruption.repaired").value >= 1
+        assert store.stats()["corruption_detected"] >= 1
+        assert store.events.of_kind("repair")
         # The healed record was re-published: reading again is clean.
         assert store.get(key) == expect
         assert audit(store).ok
@@ -95,7 +95,7 @@ class TestReadRepair:
         with pytest.raises(UnrecoverableCorruptionError) as err:
             store.get(key)
         assert err.value.key == key
-        assert store.metrics.counter("corruption.unrecoverable").value >= 1
+        assert store.events.of_kind("corruption_unrecoverable")
         # Typed loss, not silent absence: the pointer stays, later
         # reads keep failing loudly.
         with pytest.raises(UnrecoverableCorruptionError):
@@ -116,7 +116,7 @@ class TestReadRepair:
             vs.ssd, c * vs.chunk_size + o, vs.header_size + len(value)
         )
         assert store.get(key) == value  # healed from the PWB copy
-        assert store.metrics.counter("corruption.repaired").value >= 1
+        assert [e["source"] for e in store.events.of_kind("repair")] == ["pwb"]
 
     def test_pwb_scan_counts_each_byte_once(self):
         """A fetch that falls through to the PWBs adds each record's
@@ -158,7 +158,7 @@ class TestRecoveryRepair:
         report = store.recover()
         assert report.corrupt_records_repaired == 1
         assert store.get(key) == expect
-        assert store.metrics.counter("corruption.detected").value == 1
+        assert store.corruption_detected == 1
         assert audit(store).ok
 
     def test_rotted_mirror_too_is_typed_loss(self, store):
@@ -169,7 +169,7 @@ class TestRecoveryRepair:
         store.crash()
         report = store.recover()
         assert report.corrupt_records_lost == 1
-        assert store.metrics.counter("corruption.unrecoverable").value == 1
+        assert store.corruption_detected == 1
         with pytest.raises(UnrecoverableCorruptionError):
             store.get(key)
 
@@ -216,7 +216,8 @@ class TestDeadDevice:
             except ReadDegradedError:
                 degraded += 1
         assert degraded == 0
-        assert store.metrics.gauge("repair.rebuild_seconds").value == report.duration
+        (event,) = store.events.of_kind("rebuild")
+        assert event["duration"] == report.duration
         assert audit(store).ok
 
     def test_rebuild_publish_failure_mid_batch_is_contained(self, store, monkeypatch):

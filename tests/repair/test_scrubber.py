@@ -47,7 +47,9 @@ def test_scrub_finds_and_repairs_seeded_corruption(store):
     assert report.unrecoverable == 0
     assert report.chunks_scanned > 0
     assert report.duration > 0
-    assert store.metrics.counter("scrub.chunks_scanned").value == report.chunks_scanned
+    (event,) = store.events.of_kind("scrub")
+    assert event["chunks"] == report.chunks_scanned
+    assert store.corruption_detected == 5
     # Post-scrub the store is pristine: audit (incl. I7) is clean and
     # every value reads back.
     assert audit(store).ok
