@@ -284,20 +284,26 @@ def _grayfail_gates(results):
 def _rebalance(results):
     print("Elasticity — live resharding under load (YCSB-A uniform, "
           "RF=2, quorum)")
+    control = results[rb.CONTROL]
     for label, res in results.items():
+        line = (f"  {label:9} {res.run.kops:9.1f} Kops/s  "
+                f"ok/shed/failed {res.ops_ok}/{res.ops_shed}/{res.ops_failed}")
+        if label == rb.CONTROL:
+            print(line + "  no membership change")
+            continue
         reb = res.rebalance
-        print(f"  {label:9} {res.run.kops:9.1f} Kops/s  "
-              f"ok/shed/failed {res.ops_ok}/{res.ops_shed}/{res.ops_failed}  "
-              f"moved {reb.get('keys_moved', 0)} keys  "
-              f"forwarded-read p99 window {reb.get('read_p99_migrating', 0.0):6.1f}us "
-              f"vs steady {reb.get('read_p99_steady', 0.0):6.1f}us")
+        print(f"{line}  moved {reb.get('keys_moved', 0)} keys  "
+              f"migration-window read p99 {reb.get('read_p99_migrating', 0.0):6.1f}us "
+              f"vs control {rb.control_read_p99(res, control):6.1f}us")
         yield  # this leg's gate
 
 
 def _rebalance_gates(results):
+    control = results[rb.CONTROL]
     return [
-        (f"  {label} gate", *rb.check_rebalance(res))
+        (f"  {label} gate", *rb.check_rebalance(res, control))
         for label, res in results.items()
+        if label != rb.CONTROL
     ]
 
 

@@ -147,7 +147,7 @@ def closed_loop(
     shed_errors: Tuple[type, ...] = (),
     failed_errors: Tuple[type, ...] = (),
     ledger: Optional[WriteLedger] = None,
-    read_split: Optional[Callable[[], List[float]]] = None,
+    read_split: Optional[Callable[[float], List[float]]] = None,
 ) -> Window:
     """Pop the earliest virtual thread, run its next op, push it back —
     until every thread's iterator (``iters[i]`` feeds ``threads[i]``;
@@ -167,8 +167,8 @@ def closed_loop(
       instead of raised (refused before any work / failed part-way);
       anything else ends the run.  ``ledger`` is fed the writes:
       acknowledged, or — failed — interrupted;
-    * ``read_split`` — called before each read, returns one more sample
-      list for that read's latency.
+    * ``read_split`` — called before each read with its start time,
+      returns one more sample list for that read's latency.
     """
     start = max([t.now for t in threads])
     heap = [(t.now, i) for i, t in enumerate(threads)]
@@ -201,7 +201,7 @@ def closed_loop(
         while pending and executed >= pending[-1][0]:
             pending.pop()[1](thread)
         kind = op.kind
-        split = read_split() if read_split is not None and kind == "read" else None
+        split = read_split(thread.now) if read_split is not None and kind == "read" else None
         before = thread.now
         try:
             if kind == "read":

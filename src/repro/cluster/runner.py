@@ -159,6 +159,8 @@ class ClusterRunResult:
     # Live-resharding outcomes (RebalancePlan runs only).
     rebalanced_shard: Optional[int] = None
     rebalance: Dict[str, object] = field(default_factory=dict)
+    # Read latencies by start time (``log_reads`` runs only).
+    read_log: Dict[float, List[float]] = field(default_factory=dict)
 
     @property
     def throughput(self) -> float:
@@ -179,6 +181,7 @@ def run_cluster_workload(
     rebalance_plan: Optional[RebalancePlan] = None,
     collect_metrics: bool = True,
     audit: bool = True,
+    log_reads: bool = False,
 ) -> ClusterRunResult:
     """Execute ``num_ops`` of ``spec`` against a preloaded cluster.
 
@@ -187,6 +190,10 @@ def run_cluster_workload(
     Failed operations (shard overloaded / unavailable mid-failover)
     are counted, not raised; the run continues, as real clients would.
     Plans due at the same op fire kill, then gray, then rebalance.
+    ``log_reads`` keeps every read's latency by its start time, so a
+    window of this run can be compared with the same virtual-time
+    window of another (a run with a rebalance plan splits its reads by
+    the migration instead).
     """
     if num_ops < 1:
         raise ValueError(f"need at least one op: {num_ops}")
@@ -204,14 +211,17 @@ def run_cluster_workload(
         # copy stream (still at the bandwidth budget) inside the window,
         # so its ``rebalance_done`` event is one of this run's.
         actions.append((num_ops, lambda _thread: cluster.finish_rebalance()))
+    read_log: Dict[float, List[float]] = {}
     if rebalance_plan is not None:
-        # Phase-split read latencies for the elasticity gate: reads while
-        # the migration is in flight vs. steady-state reads around it.
+        # Reads while the migration is in flight (the elasticity gate
+        # judges these) vs. the reads around it.
         reads = {
             False: LatencyRecorder("read_steady"),
             True: LatencyRecorder("read_migrating"),
         }
-        read_split = lambda: reads[cluster.rebalancing].samples
+        read_split = lambda _at: reads[cluster.rebalancing].samples
+    elif log_reads:
+        read_split = lambda at: read_log.setdefault(at, [])
     registry = MetricsRegistry() if collect_metrics else None
     ledger = WriteLedger()
     window = closed_loop(
@@ -244,11 +254,13 @@ def run_cluster_workload(
     reb_report: Dict[str, object] = {}
     if rebalance_plan is not None:
         action = rebalance_plan.action
-        reb_shard = last("rebalance_started", action)["shard"]
+        started = last("rebalance_started", action)
+        reb_shard = started["shard"]
         done = last("rebalance_done", action)
         reb_report = {
             "action": action,
             "shard": reb_shard,
+            "started_at": float(started["at"]),
             "completed": done is not None,
             "aborted": last("rebalance_aborted", action) is not None,
             "read_p99_steady": reads[False].p99(),
@@ -286,4 +298,5 @@ def run_cluster_workload(
         killed_shard=kill_plan.shard_id if kill_plan else None,
         rebalanced_shard=reb_shard,
         rebalance=reb_report,
+        read_log=read_log,
     )

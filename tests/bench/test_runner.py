@@ -332,13 +332,14 @@ def test_read_split_is_asked_before_each_read_and_only_reads():
     asked = []
     stub = Stub()
 
-    def split():
-        asked.append(len(stub.log))
+    def split(at):
+        asked.append((len(stub.log), at == thread.now))
         return phases[b"a"] if len(stub.log) < 2 else phases[b"c"]
 
+    thread = VThread(0)
     ops = [Op("read", b"a"), Op("update", b"b", b"v"), Op("read", b"c")]
-    window = closed_loop(stub, [VThread(0)], [iter(ops)], read_split=split)
-    assert asked == [0, 2]
+    window = closed_loop(stub, [thread], [iter(ops)], read_split=split)
+    assert asked == [(0, True), (2, True)]
     assert phases[b"a"] + phases[b"c"] == window.per_kind["read"].samples
 
 

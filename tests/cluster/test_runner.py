@@ -130,6 +130,16 @@ class TestRunWithoutFailure:
         assert res.run.duration > 0
         assert res.run.metrics is not None
 
+    def test_log_reads_keeps_every_read_by_its_start_time(self):
+        c = build()
+        preload(c, 300, num_threads=2, seed=1)
+        res = run_cluster_workload(
+            c, SPEC_A, 600, 300, clients_per_shard=2, seed=2, log_reads=True
+        )
+        logged = [lat for lats in res.read_log.values() for lat in lats]
+        assert sorted(logged) == sorted(res.run.per_kind["read"].samples)
+        assert max(res.read_log) < res.run.duration + min(res.read_log)
+
     def test_shed_ops_are_counted_not_raised(self):
         c = build(num_shards=1, replication_factor=1, max_queue_depth=1)
         preload(c, 100, num_threads=1, seed=1)
