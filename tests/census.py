@@ -152,11 +152,13 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.cluster.health:HealthMonitor.set_exempt",
     ),
     "null object: answers the interface while the feature is off": (
+        "repro.obs.metrics:NullRegistry.counter",
         "repro.obs.metrics:NullRegistry.events",
         "repro.obs.metrics:NullRegistry.gauge",
         "repro.obs.metrics:NullRegistry.histogram",
         "repro.obs.metrics:NullRegistry.phase",
         "repro.obs.metrics:NullRegistry.timeseries",
+        "repro.obs.metrics:_NullCounter.inc",
         "repro.obs.metrics:_NullEventLog.emit",
         "repro.obs.metrics:_NullGauge.set",
         "repro.obs.metrics:_NullHistogram.merge",
