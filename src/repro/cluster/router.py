@@ -163,8 +163,10 @@ class ClusterConfig:
 def default_shard_factory(
     shard_id: int, clock: VirtualClock, **overrides
 ) -> Prism:
-    """A modest store per shard, fault-injectable (zero rates — bit-
-    identical to no injector) so whole-shard death works.  It traces
+    """A modest store per shard, fault-injectable so whole-shard death
+    and gray failure work.  Its injector has zero rates, so it stays
+    unarmed, and the shard runs the calls and virtual time of a store
+    with no injector, until a kill or slow fault arms it.  It traces
     phases only when the overrides set ``enable_metrics``, into a
     shard-prefixed registry so instruments never collide.
 

@@ -123,10 +123,12 @@ class PrismConfig:
     # or it would immediately thrash against demotion.
     tier_fast_headroom: float = 0.05
 
-    # Fault injection: None (default) leaves every device on the no-op
-    # null injector — runs are bit-identical to a build without the
-    # fault subsystem.  A FaultConfig attaches a seeded injector to the
-    # SSDs and the NVM DIMM.
+    # Fault injection: None (default) leaves every device on the null
+    # injector — runs are bit-identical to a build without the fault
+    # subsystem.  A FaultConfig attaches a seeded injector to the SSDs
+    # and the NVM DIMM; it costs nothing until it is armed (a rate
+    # above zero, or the first kill_device / add_slow_fault), and is
+    # needed to kill or slow the store's devices at run time.
     faults: Optional[FaultConfig] = None
     # Retry/backoff/escalation for transient device errors.
     retry: RetryPolicy = field(default_factory=RetryPolicy)

@@ -205,12 +205,7 @@ class HSIT:
         nvm = self.nvm
         cp = self.crash_point
         cp_active = cp.active
-        if (
-            thread is not None
-            and not cp_active
-            and nvm._retry is None
-            and not nvm.injector.enabled
-        ):
+        if thread is not None and not cp_active and not nvm.injector.enabled:
             # Fused CAS sequence (one bounds check, one page lookup);
             # bit-identical timing — see NVMDevice.publish_word.
             old, svc_word = nvm.publish_word(

@@ -247,7 +247,8 @@ class Prism:
         self.retry_exec = RetryExecutor(cfg.retry, self.injector, events=self.events)
         if self.injector is not None:
             # Failed flushes retry inside the device, covering every
-            # persist point (PWB appends, HSIT publishes) at once.
+            # persist point (PWB appends, HSIT publishes) at once.  Both
+            # act only once the injector is armed.
             nvm.attach_retry(self.retry_exec)
             for combiner in self.combiners:
                 combiner.retry = self.retry_exec
@@ -275,19 +276,27 @@ class Prism:
         if self._crashed:
             raise RuntimeError("store crashed; call recover() first")
 
+    # Every fault guard below tests the injector's armed bit: an absent
+    # or unarmed injector has killed nothing and can fail nothing, so
+    # the path is the one of a store built with ``faults=None``.
+    def _device_dead(self, name: str) -> bool:
+        injector = self.injector
+        return injector is not None and injector.enabled and name in injector.dead
+
     def _vs_dead(self, vs: ValueStorage) -> bool:
-        return self.injector is not None and self.injector.is_dead(vs.ssd.name)
+        injector = self.injector
+        return (
+            injector is not None and injector.enabled and vs.ssd.name in injector.dead
+        )
 
     def _alive(self, storages: List[ValueStorage]) -> List[ValueStorage]:
-        """``storages`` minus those whose device is dead (degraded mode).
-
-        With no injector this is the list passed in — zero overhead on
-        the fault-free path.
-        """
-        if self.injector is None:
+        """``storages`` minus those whose device is dead (degraded mode);
+        the list passed in while the injector is absent or unarmed."""
+        injector = self.injector
+        if injector is None or not injector.enabled:
             return storages
-        is_dead = self.injector.is_dead
-        return [vs for vs in storages if not is_dead(vs.ssd.name)]
+        dead = injector.dead
+        return [vs for vs in storages if vs.ssd.name not in dead]
 
     def _retrying_write(
         self, vs: ValueStorage, at: float, records: List[Tuple[int, bytes]]
@@ -298,7 +307,8 @@ class Prism:
         appends from the open chunk and releases the chunks it
         allocated, so a repeat attempt starts clean.
         """
-        if self.injector is None:
+        injector = self.injector
+        if injector is None or not injector.enabled:
             return vs.write_records(at, records)
         return self.retry_exec.run_at(
             lambda t: vs.write_records(t, records),
@@ -477,7 +487,8 @@ class Prism:
         self, vs: ValueStorage, thread: VThread, idx: int, value: bytes
     ) -> Tuple[int, int]:
         """append_record_sync with retry (no-PWB ablation path)."""
-        if self.injector is None:
+        injector = self.injector
+        if injector is None or not injector.enabled:
             return vs.append_record_sync(thread, idx, value)
         return self.retry_exec.run(
             lambda: vs.append_record_sync(thread, idx, value),

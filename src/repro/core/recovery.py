@@ -227,7 +227,7 @@ def _mirror_copy(prism: "Prism", vs, loc: ptr.Location, idx: int):
     or None when the mirror is absent, dead, rotted, or stale."""
     if vs.mirror is None:
         return None
-    if prism.injector is not None and prism.injector.is_dead(vs.mirror.name):
+    if prism._device_dead(vs.mirror.name):
         return None
     base = loc.chunk_id * vs.chunk_size + loc.vs_offset
     header = vs.mirror.read_raw(base, vs.header_size)

@@ -190,15 +190,19 @@ class ThreadCombiner:
 
     def _place(self, at: float, req: IORequest) -> float:
         """Put one SQE on the ring, retrying transient faults if the
-        store attached a retry executor."""
-        if self.retry is None:
-            return self.ring.submit_one(at, req)
-        return self.retry.run_at(
-            lambda t: self.ring.submit_one(t, req),
-            at,
-            device=self.ring.device.name,
-            op="read",
-        )
+        store attached a retry executor and its injector is armed (a
+        retry with no injector always retries)."""
+        retry = self.retry
+        if retry is not None:
+            injector = retry.injector
+            if injector is None or injector.enabled:
+                return retry.run_at(
+                    lambda t: self.ring.submit_one(t, req),
+                    at,
+                    device=self.ring.device.name,
+                    op="read",
+                )
+        return self.ring.submit_one(at, req)
 
     def read_one(
         self,

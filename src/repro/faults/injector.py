@@ -19,10 +19,17 @@ fault) or raises a typed error from :mod:`repro.faults.errors`:
 
 Determinism: faults are drawn from one ``random.Random(seed)`` in
 consult order, and a consult whose rates are all zero draws nothing.
-With no injector attached (the default ``NULL_INJECTOR`` in
-:mod:`repro.storage.base`) the hooks are no-ops that never touch
-virtual time or randomness, so a fault-free run is bit-identical to a
-build without the subsystem.
+
+Armed and unarmed: an injector that cannot fire is not consulted.
+:attr:`FaultInjector.enabled` (*armed*) is true from construction only
+when some :class:`FaultConfig` rate is above zero, and turns on for
+good at the first :meth:`~FaultInjector.kill_device` or
+:meth:`~FaultInjector.add_slow_fault`.  Every hook site gates on that
+one bit and, while it is off, takes the path of a store with no
+injector at all (the default ``NULL_INJECTOR`` of
+:mod:`repro.storage.base`, never armed), so a fault-free run is
+bit-identical to a build without the subsystem and costs the same
+calls.
 """
 
 from __future__ import annotations
@@ -75,6 +82,18 @@ class SlowFault:
         return (self.multiplier - 1.0) * base_latency
 
 
+# The per-consult probabilities of a FaultConfig: one above zero arms
+# the injector from construction.
+_RATES = (
+    "read_error_rate",
+    "write_error_rate",
+    "flush_error_rate",
+    "stuck_rate",
+    "bitflip_rate",
+    "torn_write_rate",
+)
+
+
 @dataclass
 class FaultConfig:
     """Knobs of one fault schedule.
@@ -99,14 +118,7 @@ class FaultConfig:
     torn_write_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "read_error_rate",
-            "write_error_rate",
-            "flush_error_rate",
-            "stuck_rate",
-            "bitflip_rate",
-            "torn_write_rate",
-        ):
+        for name in _RATES:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]: {rate}")
@@ -115,9 +127,14 @@ class FaultConfig:
 
 
 class FaultInjector:
-    """Decides, per IO, whether a device misbehaves."""
+    """Decides, per IO, whether a device misbehaves.
 
-    enabled = True
+    ``enabled`` is the armed bit the hook sites gate on (module
+    docstring): derived from the config's rates, then set for good by
+    the first death or fail-slow schedule.  ``consults`` counts the
+    calls of :meth:`before_io` / :meth:`before_flush`, which the hook
+    sites make only while armed.
+    """
 
     def __init__(
         self,
@@ -125,6 +142,7 @@ class FaultInjector:
         events: Optional[EventLog] = None,
     ) -> None:
         self.config = config
+        self.enabled = any(getattr(config, name) > 0.0 for name in _RATES)
         self.rng = random.Random(config.seed)
         self.events = events if events is not None else EventLog("faults")
         self.dead: set = set()
@@ -155,9 +173,11 @@ class FaultInjector:
     # permanent death
     # ------------------------------------------------------------------
     def kill_device(self, name: str, at: float = 0.0) -> None:
-        """Mark a device permanently failed (idempotent)."""
+        """Mark a device permanently failed (idempotent); arms the
+        injector, so the device's next IO raises."""
         if name in self.dead:
             return
+        self.enabled = True
         self.dead.add(name)
         self.events.emit(at, "device_dead", device=name)
 
@@ -173,7 +193,9 @@ class FaultInjector:
     # fail-slow (gray failures): latency inflation, never raising
     # ------------------------------------------------------------------
     def add_slow_fault(self, fault: SlowFault, at: float = 0.0) -> None:
-        """Attach one fail-slow schedule mid-run (gray-failure onset)."""
+        """Attach one fail-slow schedule mid-run (gray-failure onset);
+        arms the injector."""
+        self.enabled = True
         self._slow.append(fault)
         self.events.emit(
             at,

@@ -36,11 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def _mirror_dead(store: "Prism", vs) -> bool:
-    return (
-        vs.mirror is not None
-        and store.injector is not None
-        and store.injector.is_dead(vs.mirror.name)
-    )
+    return vs.mirror is not None and store._device_dead(vs.mirror.name)
 
 
 def fetch_value(

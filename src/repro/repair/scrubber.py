@@ -148,7 +148,7 @@ class Scrubber:
         store = self.store
         if vs.mirror is None:
             return
-        if store.injector is not None and store.injector.is_dead(vs.mirror.name):
+        if store._device_dead(vs.mirror.name):
             return
         try:
             vs.read_record_mirror(chunk_id, offset)

@@ -18,33 +18,16 @@ class OutOfSpaceError(StorageError):
 
 
 class _NullFaultInjector:
-    """The default no-fault injector: hooks are no-ops.
+    """The default no-fault injector: never armed.
 
     The real injector lives in :mod:`repro.faults.injector`; devices
-    hold this shared sentinel until one is attached, so the fault-free
-    path costs one attribute lookup and a no-op call per IO and never
-    touches virtual time or randomness.
+    hold this shared sentinel until one is attached.  Every hook site
+    tests ``enabled`` (the injector's armed bit) before it consults,
+    so the fault-free path costs one attribute test per IO, never a
+    call, and never touches virtual time or randomness.
     """
 
     enabled = False
-
-    # The consult hooks return the fail-slow latency penalty (extra
-    # virtual seconds the device adds to the IO); the null injector
-    # never delays anything.
-    def before_io(self, device, op: str, at: float) -> float:
-        return 0.0
-
-    def before_flush(self, device, at: float) -> float:
-        return 0.0
-
-    def corrupt_write(self, device, at: float, offset: int, data: bytes) -> bytes:
-        return data
-
-    def is_dead(self, name: str) -> bool:
-        return False
-
-    def kill_device(self, name: str, at: float = 0.0) -> None:
-        raise RuntimeError("no fault injector attached")
 
 
 NULL_INJECTOR = _NullFaultInjector()
@@ -82,7 +65,8 @@ class Device:
         self.bytes_read = 0
         self.bytes_written = 0
         # Fault injection: consulted by the timed IO paths of concrete
-        # devices.  The shared null sentinel keeps the default free.
+        # devices while it is armed (``injector.enabled``).  The shared
+        # null sentinel is never armed, which keeps the default free.
         self.injector = NULL_INJECTOR
 
     def attach_injector(self, injector) -> None:

@@ -322,27 +322,28 @@ class NVMDevice(Device):
             if now > clock._now:
                 clock._now = now
 
+    def _consult_flush(self, thread: Optional[VThread]) -> float:
+        """Ask the armed injector about one flush, through the retry
+        executor when one is attached; returns the fail-slow penalty."""
+        def consult() -> float:
+            return self.injector.before_flush(
+                self, thread.now if thread is not None else 0.0
+            )
+
+        if self._retry is None:
+            return consult()
+        return self._retry.run(consult, thread=thread, device=self.name, op="flush")
+
     def flush(self, thread: Optional[VThread], addr: int, size: int) -> None:
         """clwb/clflushopt: persist the cache lines covering the range.
 
         A fault-injected flush failure surfaces *before* any line is
         persisted: the covered lines stay volatile, so the operation
         can be retried wholesale (and is, when a retry executor is
-        attached)."""
+        attached).  An unarmed injector is not consulted."""
         penalty = 0.0
-        if self._retry is not None:
-            def consult() -> float:
-                return self.injector.before_flush(
-                    self, thread.now if thread is not None else 0.0
-                )
-
-            penalty = self._retry.run(
-                consult, thread=thread, device=self.name, op="flush"
-            )
-        elif self.injector.enabled:
-            penalty = self.injector.before_flush(
-                self, thread.now if thread is not None else 0.0
-            )
+        if self.injector.enabled:
+            penalty = self._consult_flush(thread)
         undo = self._undo
         first = addr >> _LINE_SHIFT
         last = (addr + (size or 1) - 1) >> _LINE_SHIFT
@@ -398,18 +399,17 @@ class NVMDevice(Device):
         pages = self._pages
         first = addr >> _LINE_SHIFT
         last = (addr + (size or 1) - 1) >> _LINE_SHIFT
-        if self._retry is None and not self.injector.enabled:
+        snapshot_lines = self.injector.enabled
+        if not snapshot_lines:
             # Nothing can interrupt between the store and flush phases
-            # here (the only raise points are the gated-off injector
-            # hooks), so the per-line snapshot the store phase would
-            # take is popped unread by the flush phase.  Skip both:
-            # drop pre-existing undo entries and count every line in
-            # range as flushed — exactly what the two phases net to.
+            # here (the only raise point is the flush consult of an
+            # armed injector), so the per-line snapshot the store phase
+            # would take is popped unread by the flush phase.  Skip
+            # both: drop pre-existing undo entries and count every line
+            # in range as flushed — exactly what the two phases net to.
             for line in range(first, last + 1):
                 undo.pop(line, None)
-            snapshot_lines = False
         else:
-            snapshot_lines = True
             # Snapshot each touched line exactly once.  A 256 B line
             # never straddles a 4 KB page, so the snapshot is one page
             # slice (_read_raw inlined: a value-sized record touches
@@ -441,19 +441,7 @@ class NVMDevice(Device):
         # -- flush --
         penalty = 0.0
         if snapshot_lines:
-            if self._retry is not None:
-                def consult() -> float:
-                    return self.injector.before_flush(
-                        self, thread.now if thread is not None else 0.0
-                    )
-
-                penalty = self._retry.run(
-                    consult, thread=thread, device=self.name, op="flush"
-                )
-            else:
-                penalty = self.injector.before_flush(
-                    self, thread.now if thread is not None else 0.0
-                )
+            penalty = self._consult_flush(thread)
             if first == last:
                 flushed = 1 if undo.pop(first, None) is not None else 0
             else:
@@ -503,9 +491,10 @@ class NVMDevice(Device):
         with one bounds check and one page lookup.  Every virtual-time
         charge is issued in the same order with the same operands, so
         completion times are bit-identical to the discrete sequence.
-        Callers must gate on: a real thread, no active crash points, no
-        retry executor, and a disabled injector — the only behaviours
-        the discrete steps add beyond this fast path.  Returns the raw
+        Callers must gate on: a real thread, no active crash points and
+        an unarmed injector — the only behaviours the discrete steps
+        add beyond this fast path (an attached retry executor acts only
+        on an armed injector's failures).  Returns the raw
         previous word and the word after it (one 16-byte load: an HSIT
         entry's location and SVC words).
         """

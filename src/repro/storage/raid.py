@@ -5,7 +5,8 @@ The paper's baselines aggregate eight SSDs with mdadm/dm-stripe RAID-0
 Storage per SSD — so this module exists for the baselines (and for the
 #SSD sweeps of Figures 13–14, where KVell runs on a stripe set).
 
-Fault behaviour: every IO consults each member's fault injector, and a
+Fault behaviour: every IO consults each member's armed fault injector
+(an unarmed one is skipped, as the SSD's own IO paths skip it), and a
 member failure surfaces as the device's own :class:`StorageError` with
 ``raid_member`` set to the failing member's index — RAID-0 has no
 redundancy, so the stripe set cannot mask the error.
@@ -55,11 +56,15 @@ class RAID0:
 
     @staticmethod
     def _consult(member: int, dev: SSDDevice, op: str, at: float) -> float:
-        """Let the member's injector veto the IO; tag failures with the
-        member index so callers know which leg of the stripe died.
-        Returns the member's fail-slow latency penalty (0.0 normally)."""
+        """Let the member's armed injector veto the IO; tag failures
+        with the member index so callers know which leg of the stripe
+        died.  Returns the member's fail-slow latency penalty (0.0
+        normally, and while the injector is unarmed)."""
+        injector = dev.injector
+        if not injector.enabled:
+            return 0.0
         try:
-            return dev.injector.before_io(dev, op, at)
+            return injector.before_io(dev, op, at)
         except StorageError as exc:
             exc.raid_member = member
             raise

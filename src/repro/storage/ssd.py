@@ -10,8 +10,8 @@ Durability: a write is durable once its device service completes.  The
 cross-media protocols under test never rely on SSD write atomicity —
 Prism's commit point is the HSIT update on NVM — so the device does
 not model torn block writes by default (the paper's Value Storage
-assumes the same, recovering purely from HSIT).  With a fault injector
-attached, the timed write paths additionally consult
+assumes the same, recovering purely from HSIT).  With an armed fault
+injector attached, the timed write paths additionally consult
 ``injector.corrupt_write``: seeded *silent* bit flips and torn writes
 mutate the stored bytes while the device still reports success, so
 only record checksums can catch them.
@@ -114,9 +114,12 @@ class SSDDevice(Device):
     # ------------------------------------------------------------------
     def read(self, thread: Optional[VThread], offset: int, size: int) -> bytes:
         """Blocking read: the thread waits for device completion."""
-        penalty = self.injector.before_io(
-            self, "read", thread.now if thread is not None else 0.0
-        )
+        injector = self.injector
+        penalty = 0.0
+        if injector.enabled:
+            penalty = injector.before_io(
+                self, "read", thread.now if thread is not None else 0.0
+            )
         data = self.read_raw(offset, size)
         self.read_ios += 1
         self.charge_read(thread, size)
@@ -126,12 +129,17 @@ class SSDDevice(Device):
 
     def write(self, thread: Optional[VThread], offset: int, data: bytes) -> None:
         """Blocking write."""
-        at = thread.now if thread is not None else 0.0
-        penalty = self.injector.before_io(self, "write", at)
-        # Silent-corruption hook: the stored bytes may differ from the
-        # submitted ones (bit flip / torn write) while the device still
-        # reports success — timing and accounting cover the full size.
-        self.write_raw(offset, self.injector.corrupt_write(self, at, offset, data))
+        injector = self.injector
+        penalty = 0.0
+        if injector.enabled:
+            at = thread.now if thread is not None else 0.0
+            penalty = injector.before_io(self, "write", at)
+            # Silent-corruption hook: the stored bytes may differ from
+            # the submitted ones (bit flip / torn write) while the
+            # device still reports success — timing and accounting
+            # cover the full size.
+            data = injector.corrupt_write(self, at, offset, data)
+        self.write_raw(offset, data)
         self.write_ios += 1
         self.charge_write(thread, len(data))
         if penalty and thread is not None:
@@ -142,15 +150,20 @@ class SSDDevice(Device):
     # ------------------------------------------------------------------
     def read_async(self, at: float, offset: int, size: int) -> float:
         """Start a read at virtual time ``at``; returns completion time."""
-        penalty = self.injector.before_io(self, "read", at)
+        injector = self.injector
+        penalty = injector.before_io(self, "read", at) if injector.enabled else 0.0
         self.read_ios += 1
         end = self.charge_read_async(at, size)
         return end + penalty if penalty else end
 
     def write_async(self, at: float, offset: int, data: bytes) -> float:
         """Start a write at ``at``; data is durable at the returned time."""
-        penalty = self.injector.before_io(self, "write", at)
-        self.write_raw(offset, self.injector.corrupt_write(self, at, offset, data))
+        injector = self.injector
+        penalty = 0.0
+        if injector.enabled:
+            penalty = injector.before_io(self, "write", at)
+            data = injector.corrupt_write(self, at, offset, data)
+        self.write_raw(offset, data)
         self.write_ios += 1
         end = self.charge_write_async(at, len(data))
         return end + penalty if penalty else end

@@ -164,9 +164,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.obs.metrics:_NullHistogram.merge",
         "repro.obs.metrics:_NullHistogram.record",
         "repro.obs.metrics:_NullTimeSeries.append",
-        "repro.storage.base:_NullFaultInjector.before_flush",
-        "repro.storage.base:_NullFaultInjector.is_dead",
-        "repro.storage.base:_NullFaultInjector.kill_device",
         "repro.storage.crash:_NullCrashPoint.arm",
         "repro.storage.crash:_NullCrashPoint.maybe_crash",
     ),
@@ -306,6 +303,13 @@ DELETED: Dict[str, str] = {
         "repro.storage.raid:RAID0.degraded_read",
         "repro.storage.raid:RAID0._dead_members",
     ), "only its own tests called it"),
+    **dict.fromkeys((
+        "repro.storage.base:_NullFaultInjector.before_io",
+        "repro.storage.base:_NullFaultInjector.before_flush",
+        "repro.storage.base:_NullFaultInjector.corrupt_write",
+        "repro.storage.base:_NullFaultInjector.is_dead",
+        "repro.storage.base:_NullFaultInjector.kill_device",
+    ), "every hook site tests the armed bit first; the null injector is never armed"),
     **dict.fromkeys((
         "PrismConfig.dram_spec",
         "PrismConfig.read_cache_sketch_width",

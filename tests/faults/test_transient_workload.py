@@ -82,6 +82,7 @@ def test_zero_fault_run_bit_identical_to_uninstrumented():
     _ycsb_a(hooked)
     assert plain.clock.now == hooked.clock.now  # exact, not approx
     assert hooked.injector.total_injected == 0
-    assert hooked.injector.consults > 0  # the hooks really were in play
+    # Zero rates leave the injector unarmed: no hook site consulted it.
+    assert not hooked.injector.enabled and hooked.injector.consults == 0
     for key, idx in plain.index.items():
         assert hooked.hsit.location_word(idx) == plain.hsit.location_word(idx)
