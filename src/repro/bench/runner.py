@@ -273,12 +273,15 @@ def finish_run(
     gauges: Optional[Dict[str, float]] = None,
     timeline: Optional[Timeline] = None,
     events: Optional[List[Dict[str, object]]] = None,
+    stats: Optional[Dict[str, float]] = None,
 ) -> RunResult:
     """Turn a window into its :class:`RunResult`; with a ``registry``,
     first complete it — the run gauges plus the caller's ``gauges``,
-    ``stats.*``, and the window's events (``events``, when the caller
-    took them before doing more work on the target) — and snapshot it."""
-    stats = target.stats()
+    ``stats.*``, and the window's events — and snapshot it.  A caller
+    that does more work on the target after the window passes the
+    ``events`` and ``stats`` it took where the window ended."""
+    if stats is None:
+        stats = target.stats()
     metrics: Optional[Dict[str, object]] = None
     if registry is not None:
         if events is None:

@@ -237,6 +237,7 @@ def run_cluster_workload(
     )
     # Taken before the audit, whose read-back is not the run's.
     events = window_events(cluster, window.start)
+    stats = cluster.stats()
 
     def last(kind: str, action: str) -> Optional[Dict[str, object]]:
         """The window's last ``kind`` event of migration ``action``."""
@@ -289,7 +290,9 @@ def run_cluster_workload(
             if isinstance(value, (int, float)):
                 gauges[f"audit.{key}"] = float(value)
     return ClusterRunResult(
-        run=finish_run(cluster, spec.name, window, registry, gauges, events=events),
+        run=finish_run(
+            cluster, spec.name, window, registry, gauges, events=events, stats=stats
+        ),
         ops_ok=ok,
         ops_shed=window.shed,
         ops_failed=window.failed,
