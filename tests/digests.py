@@ -117,6 +117,17 @@ thirteen figure entries were re-recorded, and only their
 ``fig17``, ``media`` and ``scalars`` print gate lines they did not
 have.  Every ``metrics_sha256`` and every other entry did not move.
 
+When a cluster run came to take its ``stats.*`` where its window ends,
+as it already took its events, instead of after the audit's
+``cluster.flush()`` and read-back, exactly the seven entries whose
+scenario audits a cluster run were re-recorded, and only their
+``metrics_sha256``: ``cluster_a``, ``cluster_scan_failover``,
+``cluster_async_spread``, ``cluster_gray_rebalance``, ``bench/cluster``,
+``bench/grayfail`` and ``bench/rebalance``.  Only ``stats.*`` gauges
+moved (EXPERIMENTS.md has them key by key); no stdout, event or final
+vtime did.  ``bench/cache`` did not move: its runs use the single-store
+driver.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
