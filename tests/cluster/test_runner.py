@@ -130,6 +130,21 @@ class TestRunWithoutFailure:
         assert res.run.duration > 0
         assert res.run.metrics is not None
 
+    def test_the_audit_stays_out_of_the_windows_stats(self):
+        """The stats are the window's: the audit's flush and read-back
+        after it leave them, and the metrics JSON's ``stats.*``, as a
+        run without the audit has them."""
+        runs = {}
+        for audit in (False, True):
+            c = build()
+            preload(c, 300, num_threads=2, seed=1)
+            runs[audit] = run_cluster_workload(
+                c, SPEC_A, 600, 300, clients_per_shard=2, seed=2, audit=audit
+            ).run
+        assert runs[True].stats == runs[False].stats
+        gauges = runs[True].metrics["gauges"]
+        assert gauges["stats.gets"] == runs[False].stats["gets"]
+
     def test_log_reads_keeps_every_read_by_its_start_time(self):
         c = build()
         preload(c, 300, num_threads=2, seed=1)
