@@ -281,12 +281,12 @@ class Prism:
     # the path is the one of a store built with ``faults=None``.
     def _device_dead(self, name: str) -> bool:
         injector = self.injector
-        return injector is not None and injector.enabled and name in injector.dead
+        return injector is not None and injector.enabled and injector.is_dead(name)
 
     def _vs_dead(self, vs: ValueStorage) -> bool:
         injector = self.injector
         return (
-            injector is not None and injector.enabled and vs.ssd.name in injector.dead
+            injector is not None and injector.enabled and injector.is_dead(vs.ssd.name)
         )
 
     def _alive(self, storages: List[ValueStorage]) -> List[ValueStorage]:
@@ -295,8 +295,8 @@ class Prism:
         injector = self.injector
         if injector is None or not injector.enabled:
             return storages
-        dead = injector.dead
-        return [vs for vs in storages if vs.ssd.name not in dead]
+        is_dead = injector.is_dead
+        return [vs for vs in storages if not is_dead(vs.ssd.name)]
 
     def _retrying_write(
         self, vs: ValueStorage, at: float, records: List[Tuple[int, bytes]]
