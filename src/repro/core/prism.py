@@ -965,7 +965,9 @@ class Prism:
             # key -> its PWB location or its live SVC entry, in key order
             copies: Dict[bytes, Union[ptr.Location, SVCEntry]] = {}
             repairs: List[Tuple[bytes, int, ptr.Location]] = []
-            misses: Dict[int, List[Tuple[int, int, Tuple[int, bytes]]]] = {}
+            misses: Dict[
+                int, List[Tuple[int, int, Tuple[int, bytes, ptr.Location]]]
+            ] = {}
             cached_as: Dict[bytes, int] = {}  # key -> SVC entry id
             # Bound hot callables once: the loops below run per matched
             # key and these attribute chains dominated their cost.
@@ -987,13 +989,15 @@ class Prism:
                 if entry_id is not None and enable_svc:
                     entry = svc_entries_get(entry_id)
                     if entry is not None and not entry.freed:
+                        # The gather just decoded where the value sits.
+                        entry.slot = loc
                         copies[key] = entry
                         continue
                 if self._vs_dead(storages[loc.vs_id]):
                     repairs.append((key, idx, loc))
                     continue
                 misses_setdefault(loc.vs_id, []).append(
-                    (loc.chunk_id, loc.vs_offset, (idx, key))
+                    (loc.chunk_id, loc.vs_offset, (idx, key, loc))
                 )
             # 2. Submit to every SSD at once: each storage's reads on
             # its ring, records that sit back to back merged into one
@@ -1048,16 +1052,18 @@ class Prism:
                     waited += completion - thread.now
                     thread.wait_until(completion)
 
-                def heal(chunk_id: int, offset: int, tag: Tuple[int, bytes]) -> bytes:
+                def heal(
+                    chunk_id: int, offset: int, tag: Tuple[int, bytes, ptr.Location]
+                ) -> bytes:
                     self.corruption_detected += 1
-                    idx, key = tag
+                    idx, key, _loc = tag
                     return self._repair_read(idx, key, vs_id, chunk_id, offset, thread)
 
                 fetched = storages[vs_id].parse_reads((req,), heal)
-                for _chunk, _offset, (idx, key), value in fetched:
+                for _chunk, _offset, (idx, key, loc), value in fetched:
                     results[key] = value
                     if enable_svc:
-                        cached_as[key] = svc.admit(idx, key, value, thread)
+                        cached_as[key] = svc.admit(idx, key, value, thread, slot=loc)
             if enable_svc and self.config.svc_scan_aware:
                 # Chained in key order, which is the order of the walk.
                 svc.link_scan_chain(

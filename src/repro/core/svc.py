@@ -26,6 +26,17 @@ doubly-linked list.  When one chain member is evicted, the whole chain
 is sorted by key and written back *together* into a fresh Value
 Storage chunk, restoring spatial locality that the log-structured
 store destroyed — later scans over the range need far fewer SSD IOs.
+
+Once a range has been rewritten, later chains over it already sit
+together, and the write-back must not pay an HSIT gather to learn
+that.  A scan records on each entry the slot its own gather (or its
+flash read) found the value in; a write-back whose every slot is still
+valid and tagged with its member's HSIT index, and whose slots pass the
+contiguity rule in key order, unchains and drops the victim without
+loading an HSIT entry.  Such a slot *is* the member's location: every
+mover writes, then publishes, then invalidates the old slot.  Any other
+chain — a slot stale or unknown, or the run scattered — takes the
+gather and is rewritten as before.
 """
 
 from __future__ import annotations
@@ -64,10 +75,17 @@ class SVCEntry:
         "scan_prev",
         "scan_next",
         "freed",
+        "slot",
     )
 
     def __init__(
-        self, entry_id: int, hsit_idx: int, key: bytes, value: bytes, charged: int
+        self,
+        entry_id: int,
+        hsit_idx: int,
+        key: bytes,
+        value: bytes,
+        charged: int,
+        slot: Optional[ptr.Location] = None,
     ) -> None:
         self.entry_id = entry_id
         self.hsit_idx = hsit_idx
@@ -78,6 +96,10 @@ class SVCEntry:
         self.scan_prev: Optional[int] = None
         self.scan_next: Optional[int] = None
         self.freed = False
+        # The Value Storage slot a scan last saw the value in (None when
+        # unknown).  A hint, never trusted unchecked: the chain
+        # write-back uses it only while ValueStorage.holds confirms it.
+        self.slot = slot
 
 
 class ScanAwareValueCache:
@@ -138,6 +160,7 @@ class ScanAwareValueCache:
         value: bytes,
         thread: Optional[VThread] = None,
         copied: bool = False,
+        slot: Optional[ptr.Location] = None,
     ) -> int:
         """Cache a value read from Value Storage.
 
@@ -148,6 +171,9 @@ class ScanAwareValueCache:
         page cache fills).  ``copied`` is for a value copied into a new
         DRAM buffer instead, which the thread waits for.
 
+        ``slot`` is where the value was read from, when the caller
+        knows it (:attr:`SVCEntry.slot`).
+
         Makes the entry reachable immediately (HSIT SVC word), then
         queues the LRU insertion for the background thread.  Returns
         the entry id.
@@ -155,7 +181,7 @@ class ScanAwareValueCache:
         entry_id = self._next_id
         self._next_id += 1
         charged = self._charge_of(value)
-        entry = SVCEntry(entry_id, hsit_idx, key, value, charged)
+        entry = SVCEntry(entry_id, hsit_idx, key, value, charged, slot)
         self.entries[entry_id] = entry
         self.used += charged
         if copied or thread is None:
@@ -241,7 +267,8 @@ class ScanAwareValueCache:
     # scan chains
     # ------------------------------------------------------------------
     def link_scan_chain(self, entry_ids: List[int]) -> None:
-        """Doubly link entries fetched by the same scan (§4.4)."""
+        """Doubly link entries fetched by the same scan (§4.4), given in
+        key order."""
         if not self.scan_aware:
             return
         live = [
@@ -270,27 +297,28 @@ class ScanAwareValueCache:
     MAX_CHAIN = 256
 
     def _chain_of(self, entry: SVCEntry) -> List[SVCEntry]:
-        """Live chain members around ``entry``, leftmost first (bounded)."""
+        """Live chain members around ``entry``, leftmost first (bounded).
+
+        ``scan_next`` only ever points at a greater key and ``scan_prev``
+        at a smaller one (:meth:`link_scan_chain` links in key order,
+        :meth:`_unchain` joins a member's neighbours), so neither walk
+        can cycle, and the chain comes out in key order.
+        """
+        entries_get = self.entries.get
         first = entry
-        seen = {entry.entry_id}
-        while first.scan_prev is not None and len(seen) < self.MAX_CHAIN // 2:
-            prev = self.entries.get(first.scan_prev)
-            if prev is None or prev.freed or prev.entry_id in seen:
+        for _ in range(self.MAX_CHAIN // 2 - 1):
+            if first.scan_prev is None:
                 break
-            seen.add(prev.entry_id)
+            prev = entries_get(first.scan_prev)
+            if prev is None or prev.freed:
+                break
             first = prev
         chain = []
-        seen = set()
         node: Optional[SVCEntry] = first
-        while (
-            node is not None
-            and node.entry_id not in seen
-            and len(chain) < self.MAX_CHAIN
-        ):
-            seen.add(node.entry_id)
+        while node is not None and len(chain) < self.MAX_CHAIN:
             if not node.freed:
                 chain.append(node)
-            node = self.entries.get(node.scan_next) if node.scan_next is not None else None
+            node = entries_get(node.scan_next) if node.scan_next is not None else None
         return chain
 
     # ------------------------------------------------------------------
@@ -392,9 +420,11 @@ class ScanAwareValueCache:
         return [loc for loc, _svc in self.hsit.read_entries(idxs, bg)]
 
     @staticmethod
-    def _already_contiguous(locs: List) -> bool:
-        """True when a key-sorted chain already sits in one chunk in
-        ascending offset order — rewriting it would buy nothing."""
+    def _already_contiguous(locs: List[ptr.Location]) -> bool:
+        """True when a key-sorted chain's locations mostly run in order
+        already: at least 80 % of its neighbouring pairs sit in the same
+        chunk of the same storage, the second at a higher offset.
+        Rewriting such a chain would buy little."""
         if len(locs) < 2:
             return True
         stays = 0
@@ -407,11 +437,48 @@ class ScanAwareValueCache:
                 stays += 1
         return stays >= 0.8 * (len(locs) - 1)
 
+    @classmethod
+    def _settled(cls, chain: List[SVCEntry], storages: List[ValueStorage]) -> bool:
+        """True when the members' recorded slots show that a rewrite of
+        the key-ordered ``chain`` would move nothing: every slot is
+        still its member's location (:meth:`ValueStorage.holds`), and
+        together they pass :meth:`_already_contiguous`.  No NVM access."""
+        for member in chain:
+            slot = member.slot
+            if slot is None or not storages[slot.vs_id].holds(
+                slot.chunk_id, slot.vs_offset, member.hsit_idx
+            ):
+                return False
+        return cls._already_contiguous([member.slot for member in chain])
+
     def _writeback_chain(
         self, bg: VThread, entry: SVCEntry, storages: List[ValueStorage]
     ) -> None:
-        """Sort a scan chain and rewrite it contiguously (§4.4 ➎➏)."""
+        """Evict ``entry`` and dissolve its scan chain, rewriting the
+        chain sorted and contiguous first when that moves anything
+        (§4.4 ➎➏).
+
+        A chain of one, or one whose recorded slots prove it
+        :meth:`_settled`, is decided without loading an HSIT entry;
+        any other goes through :meth:`_rewrite`'s gather.
+        """
         chain = self._chain_of(entry)
+        if len(chain) > 1 and not self._settled(chain, storages):
+            self._rewrite(bg, chain, storages)
+        # The chain's purpose — spatial locality on flash — is now
+        # fulfilled, so dissolve it; only the evicted value leaves the
+        # cache (Figure 3: the victim is freed, its range-mates were
+        # merely rewritten together).
+        for member in chain:
+            self._unchain(member)
+        self._drop(entry, bg)
+
+    def _rewrite(
+        self, bg: VThread, chain: List[SVCEntry], storages: List[ValueStorage]
+    ) -> None:
+        """Rewrite a chain's members that still sit in Value Storage,
+        key-sorted, into one batch at a storage's log head — unless
+        they already run in order (:meth:`_already_contiguous`)."""
         # One gather serves both the filter and the contiguity test:
         # nothing runs between them that could move a member.
         located = [
@@ -428,61 +495,52 @@ class ScanAwareValueCache:
         movable = [member for member, _ in located]
         if self._already_contiguous([loc for _, loc in located]):
             movable = []
-        if len(movable) > 1:
-            target = min(storages, key=lambda vs: vs.ring.inflight_at(bg.now))
-            records = [(m.hsit_idx, m.value) for m in movable]
-            try:
-                placements, done = target.write_records(bg.now, records)
-            except StorageError:
-                # Reorganization is an optimization: on device trouble
-                # (or a full store) skip the rewrite — the durable
-                # copies stand and eviction proceeds as a plain drop.
-                placements = None
-            if placements is not None:
-                bg.wait_until(done)
-                # Re-read: a foreground write may have landed meanwhile.
-                olds = self._locations(movable, bg)
-                published = 0
-                try:
-                    for member, old, (chunk_id, offset, size) in zip(
-                        movable, olds, placements
-                    ):
-                        self.hsit.publish_location_word(
-                            member.hsit_idx,
-                            ptr.encode_vs(target.vs_id, chunk_id, offset),
-                            bg,
-                        )
-                        published += 1
-                        if old.medium == ptr.MEDIUM_VS:
-                            storages[old.vs_id].invalidate(
-                                old.chunk_id, old.vs_offset
-                            )
-                except DeviceError:
-                    resolve_partial_publish(
-                        self.hsit,
-                        target,
-                        [
-                            (
-                                m.hsit_idx,
-                                placement,
-                                storages[old.vs_id] if old.in_vs else None,
-                                old.chunk_id,
-                                old.vs_offset,
-                            )
-                            for m, old, placement in zip(movable, olds, placements)
-                        ],
-                        published,
+        if len(movable) < 2:
+            return
+        target = min(storages, key=lambda vs: vs.ring.inflight_at(bg.now))
+        records = [(m.hsit_idx, m.value) for m in movable]
+        try:
+            placements, done = target.write_records(bg.now, records)
+        except StorageError:
+            # Reorganization is an optimization: on device trouble
+            # (or a full store) skip the rewrite — the durable
+            # copies stand and eviction proceeds as a plain drop.
+            return
+        bg.wait_until(done)
+        # Re-read: a foreground write may have landed meanwhile.
+        olds = self._locations(movable, bg)
+        published = 0
+        try:
+            for member, old, (chunk_id, offset, size) in zip(
+                movable, olds, placements
+            ):
+                self.hsit.publish_location_word(
+                    member.hsit_idx,
+                    ptr.encode_vs(target.vs_id, chunk_id, offset),
+                    bg,
+                )
+                published += 1
+                if old.medium == ptr.MEDIUM_VS:
+                    storages[old.vs_id].invalidate(old.chunk_id, old.vs_offset)
+        except DeviceError:
+            resolve_partial_publish(
+                self.hsit,
+                target,
+                [
+                    (
+                        m.hsit_idx,
+                        placement,
+                        storages[old.vs_id] if old.in_vs else None,
+                        old.chunk_id,
+                        old.vs_offset,
                     )
-                else:
-                    self.scan_writebacks += 1
-                    self.writeback_values += len(movable)
-        # The chain's purpose — spatial locality on flash — is now
-        # fulfilled, so dissolve it; only the evicted value leaves the
-        # cache (Figure 3: the victim is freed, its range-mates were
-        # merely rewritten together).
-        for member in chain:
-            self._unchain(member)
-        self._drop(entry, bg)
+                    for m, old, placement in zip(movable, olds, placements)
+                ],
+                published,
+            )
+        else:
+            self.scan_writebacks += 1
+            self.writeback_values += len(movable)
 
     # ------------------------------------------------------------------
     # introspection

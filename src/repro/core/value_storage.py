@@ -527,6 +527,21 @@ class ValueStorage:
     def is_valid(self, chunk_id: int, offset: int) -> bool:
         return self._slot(chunk_id, offset).valid
 
+    def holds(self, chunk_id: int, offset: int, hsit_idx: int) -> bool:
+        """Is the record at ``(chunk_id, offset)`` valid and ``hsit_idx``'s?
+
+        Such a record is ``hsit_idx``'s HSIT location: every mover
+        writes, then publishes, then invalidates the old slot, and
+        :meth:`write_records` takes an aborted batch's slots back.  An
+        untimed DRAM lookup, so a caller can check a remembered
+        location without loading the HSIT entry.
+        """
+        try:
+            slot = self._chunks[chunk_id].slots[offset]
+        except KeyError:
+            return False
+        return slot.valid and slot.hsit_idx == hsit_idx
+
     def invalidate(self, chunk_id: int, offset: int) -> None:
         """Clear a record's validity bit (its value moved or died)."""
         info = self._chunks.get(chunk_id)

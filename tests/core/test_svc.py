@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.epoch import EpochManager
 from repro.core.hsit import HSIT
@@ -269,6 +270,64 @@ class TestScanChains:
         assert svc.scan_writebacks == 0
         assert hsit.nvm.bytes_read - read_before == 4 * 16  # one load a member
 
+    @staticmethod
+    def _contiguous_chain(hsit, svc, vs):
+        """Four records written as one run, each cached with the slot
+        the read that fetched it recorded; returns their entry ids."""
+        idx_list = [hsit.allocate() for _ in range(4)]
+        records = [(idx, b"v%d" % i) for i, idx in enumerate(idx_list)]
+        placements, _ = vs.write_records(0.0, records)
+        ids = []
+        for (idx, val), (c, o, _s) in zip(records, placements):
+            word = ptr.encode_vs(0, c, o)
+            hsit.publish_location(idx, word)
+            ids.append(svc.admit(idx, val, val, slot=ptr.decode(word)))
+        svc.link_scan_chain(ids)
+        return ids
+
+    def test_recorded_slots_spare_the_gather(self, env, monkeypatch):
+        hsit, _, svc, vs, bg = env
+        ids = self._contiguous_chain(hsit, svc, vs)
+        gathers = []
+        monkeypatch.setattr(hsit, "read_entries", lambda *a: gathers.append(a))
+        writes_before = vs.chunk_writes
+        read_before = hsit.nvm.bytes_read
+        svc._writeback_chain(bg, svc.entries[ids[1]], [vs])
+        assert gathers == []
+        assert hsit.nvm.bytes_read == read_before
+        assert vs.chunk_writes == writes_before and svc.scan_writebacks == 0
+        # Decided all the same: the victim is gone, the chain dissolved.
+        assert svc.entries[ids[1]].freed and svc.evictions == 1
+        assert all(
+            svc.entries[eid].scan_prev is None and svc.entries[eid].scan_next is None
+            for eid in ids
+        )
+
+    def test_a_stale_slot_takes_the_gather(self, env):
+        hsit, _, svc, vs, bg = env
+        ids = self._contiguous_chain(hsit, svc, vs)
+        # Move the second member, as a GC round would: write, publish,
+        # invalidate the slot its entry still records.
+        moved = svc.entries[ids[1]]
+        ((c, o, _),), _ = vs.write_records(0.0, [(moved.hsit_idx, moved.value)])
+        hsit.publish_location(moved.hsit_idx, ptr.encode_vs(0, c, o))
+        vs.invalidate(moved.slot.chunk_id, moved.slot.vs_offset)
+        read_before = hsit.nvm.bytes_read
+        svc._writeback_chain(bg, svc.entries[ids[0]], [vs])
+        assert hsit.nvm.bytes_read - read_before >= 4 * 16
+
+    def test_a_lone_member_takes_no_gather(self, env):
+        hsit, _, svc, vs, bg = env
+        _, eid, _ = _cache_from_vs(hsit, svc, vs, b"k1", b"v")
+        _, gone, _ = _cache_from_vs(hsit, svc, vs, b"k2", b"v")
+        svc.link_scan_chain([eid, gone])
+        svc._logical_free(svc.entries[gone])
+        svc.entries[eid].scan_next = gone  # a neighbour freed since
+        read_before = hsit.nvm.bytes_read
+        svc._writeback_chain(bg, svc.entries[eid], [vs])
+        assert hsit.nvm.bytes_read == read_before
+        assert svc.entries[eid].freed
+
     def test_chain_members_stay_cached_after_writeback(self, env):
         hsit, _, svc, vs, bg = env
         ids = []
@@ -281,6 +340,88 @@ class TestScanChains:
         svc._writeback_chain(bg, victim, [vs])
         live = [eid for eid in ids if svc.lookup(eid) is not None]
         assert len(live) == 2  # only the victim left the cache
+
+
+# Scan-chain operations for the ordering invariant: a scan over some
+# keys (each served by its newest live entry, or cached anew, then all
+# linked), a lone admission, invalidating or writing back the n-th live
+# entry, an eviction, and epochs passing.
+_CHAIN_KEYS = 10
+_CHAIN_OPS = st.one_of(
+    st.tuples(
+        st.just("scan"),
+        st.lists(st.integers(0, _CHAIN_KEYS - 1), min_size=2, max_size=8, unique=True),
+    ),
+    st.tuples(st.just("admit"), st.integers(0, _CHAIN_KEYS - 1)),
+    st.tuples(st.just("invalidate"), st.integers(0, 31)),
+    st.tuples(st.just("writeback"), st.integers(0, 31)),
+    st.tuples(st.just("evict"), st.just(0)),
+    st.tuples(st.just("drain"), st.just(0)),
+)
+
+
+class TestChainOrder:
+    """Keys strictly increase along ``scan_next`` and decrease along
+    ``scan_prev``, whatever links, frees and write-backs ran: the
+    reason ``_chain_of``'s walks cannot cycle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_CHAIN_OPS, min_size=4, max_size=40))
+    def test_links_point_to_greater_keys(self, ops):
+        hsit = HSIT(NVMDevice(), capacity=256)
+        epoch = EpochManager()
+        svc = ScanAwareValueCache(
+            DRAMDevice(DRAM_SPEC.with_capacity(4 * MB)), 1 << 20, hsit, epoch
+        )
+        vs = ValueStorage(
+            0, SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(4 * MB)), chunk_size=16 * 1024
+        )
+        bg = VThread(-1, name="bg", background=True)
+        keys = [b"k%02d" % i for i in range(_CHAIN_KEYS)]
+        idxs = []
+        for key in reversed(keys):  # scattered: later keys sit first
+            idx = hsit.allocate()
+            ((c, o, _),), _ = vs.write_records(0.0, [(idx, b"v" + key)])
+            hsit.publish_location(idx, ptr.encode_vs(0, c, o))
+            idxs.insert(0, idx)
+        newest = {}  # key number -> its latest entry id
+
+        def live():
+            return [e for e in svc.entries.values() if not e.freed]
+
+        def admit(k):
+            loc = ptr.decode(ptr.clear_dirty(hsit.location_word(idxs[k])))
+            newest[k] = svc.admit(idxs[k], keys[k], b"v", slot=loc)
+            return newest[k]
+
+        for op, arg in ops:
+            if op == "scan":
+                svc.link_scan_chain([
+                    newest[k] if svc.lookup(newest.get(k, -1)) else admit(k)
+                    for k in sorted(arg)
+                ])
+            elif op == "admit":
+                admit(arg)
+            elif op == "evict":
+                svc.process_background(bg, [vs])
+                svc._evict_one(bg, [vs])
+            elif op == "drain":
+                epoch.drain()
+            elif live():
+                entry = live()[arg % len(live())]
+                if op == "invalidate":
+                    hsit.clear_svc(entry.hsit_idx)
+                    svc.invalidate(entry.entry_id)
+                else:
+                    svc._writeback_chain(bg, entry, [vs])
+            for entry in svc.entries.values():
+                nxt = svc.entries.get(entry.scan_next)
+                prev = svc.entries.get(entry.scan_prev)
+                assert nxt is None or nxt.key > entry.key
+                assert prev is None or prev.key < entry.key
+            for entry in live():
+                chain = [m.key for m in svc._chain_of(entry)]
+                assert chain == sorted(set(chain))
 
 
 class TestFreedBytes:

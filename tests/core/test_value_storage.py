@@ -99,6 +99,16 @@ class TestValidityBitmap:
         vs.invalidate(c, o)
         assert vs.free_chunks == free_before + 1
 
+    def test_holds_a_valid_slot_of_that_index_only(self, vs):
+        placements, _ = vs.write_records(0.0, [(1, b"a"), (2, b"b")])
+        (c, o, _), (c2, o2, _) = placements
+        assert vs.holds(c, o, 1) and not vs.holds(c, o, 2)
+        assert not vs.holds(c, o + 1, 1) and not vs.holds(c + 1, o, 1)
+        vs.invalidate(c, o)
+        assert not vs.holds(c, o, 1)
+        vs.invalidate(c2, o2)  # the chunk is released
+        assert not vs.holds(c2, o2, 2)
+
     def test_double_invalidate_harmless(self, vs):
         placements, _ = vs.write_records(0.0, [(1, b"a"), (2, b"b")])
         c, o, _ = placements[0]
