@@ -128,6 +128,15 @@ moved (EXPERIMENTS.md has them key by key); no stdout, event or final
 vtime did.  ``bench/cache`` did not move: its runs use the single-store
 driver.
 
+When a scan chain whose recorded slots prove that a rewrite would move
+nothing came to be evicted without its HSIT gather, exactly the
+entries whose scenario evicts scan chains were re-recorded: the
+gather's NVM loads no longer advance the cache's background thread.
+``ycsb_e_scan`` (its ``final_vtime`` too), ``cluster_scan_failover``
+and ``bench/fig7`` moved their metrics JSON; ``bench/ablations``,
+``fig9``, ``fig10``, ``fig16`` and ``media`` their stdout as well.
+Each of these runs YCSB-E; no other entry moved.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
