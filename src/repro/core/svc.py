@@ -27,6 +27,19 @@ is sorted by key and written back *together* into a fresh Value
 Storage chunk, restoring spatial locality that the log-structured
 store destroyed — later scans over the range need far fewer SSD IOs.
 
+The bookkeeping holds entries by reference: a chain link is the
+neighbouring :class:`SVCEntry`, each LRU list maps entry id to entry,
+and the request queue carries the entry.  :attr:`entries` only
+resolves the HSIT SVC word (readers, the scan's classify, the
+checker) and holds a freed entry's slot for its two epochs.  Links
+are not always symmetric: a scan that overlaps an earlier one relinks
+the members it shares, so a member's old neighbour can keep pointing
+at it while it points elsewhere, and a live entry can point at a
+freed one.  A walk therefore skips a freed entry and goes on through
+its link while the entry's slot stands; once the slot is retired the
+link ends the walk, exactly as a link by id ended when its id no
+longer resolved.
+
 Once a range has been rewritten, later chains over it already sit
 together, and the write-back must not pay an HSIT gather to learn
 that.  A scan records on each entry the slot its own gather (or its
@@ -41,9 +54,9 @@ gather and is rewritten as before.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from functools import partial
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.containment import resolve_partial_publish
 from repro.core.epoch import EpochManager
@@ -93,8 +106,8 @@ class SVCEntry:
         self.value: Optional[bytes] = value
         self.charged = charged  # bytes accounted against capacity
         self.list_name = ""  # "", "inactive", "active"
-        self.scan_prev: Optional[int] = None
-        self.scan_next: Optional[int] = None
+        self.scan_prev: Optional[SVCEntry] = None
+        self.scan_next: Optional[SVCEntry] = None
         self.freed = False
         # The Value Storage slot a scan last saw the value in (None when
         # unknown).  A hint, never trusted unchecked: the chain
@@ -127,11 +140,12 @@ class ScanAwareValueCache:
         self.page_size = page_size
         self.entries: Dict[int, SVCEntry] = {}
         self._next_id = 0
-        self.inactive: "OrderedDict[int, None]" = OrderedDict()
-        self.active: "OrderedDict[int, None]" = OrderedDict()
+        self.inactive: "OrderedDict[int, SVCEntry]" = OrderedDict()
+        self.active: "OrderedDict[int, SVCEntry]" = OrderedDict()
         self.used = 0
         self.active_bytes = 0
-        self._pending: Deque[Tuple[str, int]] = deque()
+        # ("admit" | "touch", entry) requests for the background thread.
+        self._pending: List[Tuple[str, SVCEntry]] = []
         # hsit_idx -> key, for each key whose cached copy a put to a PWB
         # dropped: the reclaim that moves the new value to Value Storage
         # caches it again (:meth:`refill`).  Every index here has its
@@ -147,12 +161,6 @@ class ScanAwareValueCache:
     # ------------------------------------------------------------------
     # foreground path
     # ------------------------------------------------------------------
-    def _charge_of(self, value: bytes) -> int:
-        if self.page_mode:
-            pages = -(-len(value) // self.page_size)
-            return pages * self.page_size
-        return len(value)
-
     def admit(
         self,
         hsit_idx: int,
@@ -179,8 +187,10 @@ class ScanAwareValueCache:
         the entry id.
         """
         entry_id = self._next_id
-        self._next_id += 1
-        charged = self._charge_of(value)
+        self._next_id = entry_id + 1
+        charged = len(value)
+        if self.page_mode:
+            charged = -(-charged // self.page_size) * self.page_size
         entry = SVCEntry(entry_id, hsit_idx, key, value, charged, slot)
         self.entries[entry_id] = entry
         self.used += charged
@@ -189,7 +199,7 @@ class ScanAwareValueCache:
         else:
             self.dram.charge_write_async(thread.now, len(value))
         self.hsit.set_svc(hsit_idx, entry_id, thread)
-        self._pending.append(("admit", entry_id))
+        self._pending.append(("admit", entry))
         self.admissions += 1
         return entry_id
 
@@ -222,8 +232,8 @@ class ScanAwareValueCache:
             entry = self.entries.get(entry_id)
             if entry is None or entry.freed:
                 return None
-        self.dram.read(thread, len(entry.value))
-        self._pending.append(("touch", entry_id))
+        self.dram.charge_read(thread, len(entry.value))
+        self._pending.append(("touch", entry))
         self.hits += 1
         return entry.value
 
@@ -254,13 +264,14 @@ class ScanAwareValueCache:
         """
         entry.freed = True
         entry.value = None
-        self._unchain(entry)
+        if entry.scan_prev is not None or entry.scan_next is not None:
+            self._unchain(entry)
         self.used -= entry.charged
         if entry.list_name == "active":
-            self.active.pop(entry.entry_id, None)
+            del self.active[entry.entry_id]
             self.active_bytes -= entry.charged
         elif entry.list_name == "inactive":
-            self.inactive.pop(entry.entry_id, None)
+            del self.inactive[entry.entry_id]
         entry.list_name = ""
 
     # ------------------------------------------------------------------
@@ -271,24 +282,26 @@ class ScanAwareValueCache:
         key order."""
         if not self.scan_aware:
             return
+        entries = self.entries
         live = [
-            eid
+            entries[eid]
             for eid in entry_ids
-            if eid in self.entries and not self.entries[eid].freed
+            if eid in entries and not entries[eid].freed
         ]
-        for prev_id, next_id in zip(live, live[1:]):
-            self.entries[prev_id].scan_next = next_id
-            self.entries[next_id].scan_prev = prev_id
+        for prev, nxt in zip(live, live[1:]):
+            prev.scan_next = nxt
+            nxt.scan_prev = prev
 
     def _unchain(self, entry: SVCEntry) -> None:
-        if entry.scan_prev is not None:
-            prev = self.entries.get(entry.scan_prev)
-            if prev is not None:
-                prev.scan_next = entry.scan_next
-        if entry.scan_next is not None:
-            nxt = self.entries.get(entry.scan_next)
-            if nxt is not None:
-                nxt.scan_prev = entry.scan_prev
+        """Join ``entry``'s neighbours to each other and clear its links.
+        A neighbour may be freed, even retired: what it is given is only
+        read while its slot stands (:meth:`_chain_of`)."""
+        prev = entry.scan_prev
+        nxt = entry.scan_next
+        if prev is not None:
+            prev.scan_next = nxt
+        if nxt is not None:
+            nxt.scan_prev = prev
         entry.scan_prev = None
         entry.scan_next = None
 
@@ -302,23 +315,27 @@ class ScanAwareValueCache:
         ``scan_next`` only ever points at a greater key and ``scan_prev``
         at a smaller one (:meth:`link_scan_chain` links in key order,
         :meth:`_unchain` joins a member's neighbours), so neither walk
-        can cycle, and the chain comes out in key order.
+        can cycle, and the chain comes out in key order.  The walk left
+        stops at a freed entry; the walk right skips one and goes on
+        through its link, unless its slot is retired.
         """
-        entries_get = self.entries.get
         first = entry
         for _ in range(self.MAX_CHAIN // 2 - 1):
-            if first.scan_prev is None:
-                break
-            prev = entries_get(first.scan_prev)
+            prev = first.scan_prev
             if prev is None or prev.freed:
                 break
             first = prev
-        chain = []
-        node: Optional[SVCEntry] = first
-        while node is not None and len(chain) < self.MAX_CHAIN:
+        entries = self.entries
+        chain = [first]
+        room = self.MAX_CHAIN - 1
+        node = first.scan_next
+        while node is not None and room:
             if not node.freed:
                 chain.append(node)
-            node = entries_get(node.scan_next) if node.scan_next is not None else None
+                room -= 1
+            elif node.entry_id not in entries:
+                break
+            node = node.scan_next
         return chain
 
     # ------------------------------------------------------------------
@@ -330,9 +347,8 @@ class ScanAwareValueCache:
         storages: List[ValueStorage],
     ) -> None:
         """Drain the request queue and enforce capacity (off critical path)."""
-        popleft = self._pending.popleft
-        entries_get = self.entries.get
-        if self._pending:
+        pending = self._pending
+        if pending:
             # bg.spend(_BG_OP_COST) batched: the same per-request float
             # additions accumulate in locals, and the thread/clock
             # write-back happens once after the drain.  Bit-identical
@@ -340,19 +356,27 @@ class ScanAwareValueCache:
             # bg.now or the clock until _balance_active/_evict_one.
             now = bg.now
             cpu = bg.cpu_time
-            while self._pending:
-                op, entry_id = popleft()
+            inactive = self.inactive
+            active = self.active
+            for op, entry in pending:
                 now = now + _BG_OP_COST
                 cpu += _BG_OP_COST
-                entry = entries_get(entry_id)
-                if entry is None or entry.freed:
+                if entry.freed:
                     continue
+                list_name = entry.list_name
                 if op == "admit":
-                    if entry.list_name == "":
-                        self.inactive[entry_id] = None
+                    if list_name == "":
+                        inactive[entry.entry_id] = entry
                         entry.list_name = "inactive"
-                elif op == "touch":
-                    self._touch(entry)
+                elif list_name == "inactive":
+                    # Second access: promote (2Q).
+                    del inactive[entry.entry_id]
+                    active[entry.entry_id] = entry
+                    entry.list_name = "active"
+                    self.active_bytes += entry.charged
+                elif list_name == "active":
+                    active.move_to_end(entry.entry_id)
+            pending.clear()
             bg.now = now
             bg.cpu_time = cpu
             clock = bg.clock
@@ -363,40 +387,25 @@ class ScanAwareValueCache:
             if not self._evict_one(bg, storages):
                 break
 
-    def _touch(self, entry: SVCEntry) -> None:
-        if entry.list_name == "inactive":
-            # Second access: promote (2Q).
-            self.inactive.pop(entry.entry_id, None)
-            self.active[entry.entry_id] = None
-            entry.list_name = "active"
-            self.active_bytes += entry.charged
-        elif entry.list_name == "active":
-            self.active.move_to_end(entry.entry_id)
-
     def _balance_active(self) -> None:
         limit = self.capacity * ACTIVE_SHARE
         while self.active and self.active_bytes > limit:
-            entry_id, _ = self.active.popitem(last=False)
-            entry = self.entries[entry_id]
+            entry_id, entry = self.active.popitem(last=False)
             entry.list_name = "inactive"
             self.active_bytes -= entry.charged
-            self.inactive[entry_id] = None
+            self.inactive[entry_id] = entry
 
     def _evict_one(self, bg: VThread, storages: List[ValueStorage]) -> bool:
-        """Evict from the inactive tail (falling back to active)."""
+        """Evict from the inactive tail (falling back to active).  The
+        victim leaves its list here; the rest of its free follows."""
         if self.inactive:
-            entry_id = next(iter(self.inactive))
+            _, entry = self.inactive.popitem(last=False)
         elif self.active:
-            entry_id = next(iter(self.active))
+            _, entry = self.active.popitem(last=False)
+            self.active_bytes -= entry.charged
         else:
             return False
-        entry = self.entries.get(entry_id)
-        if entry is None or entry.freed:
-            # Defensive: lists are cleaned at logical free, so this is
-            # residue from a bug rather than normal operation.
-            self.inactive.pop(entry_id, None)
-            self.active.pop(entry_id, None)
-            return True
+        entry.list_name = ""
         if self.scan_aware and (
             entry.scan_prev is not None or entry.scan_next is not None
         ):

@@ -165,7 +165,7 @@ class TestFetchPipeline:
         node = next(entry for entry in entries.values() if entry.key == b"k00")
         chain = [node.key]
         while node.scan_next is not None:
-            node = entries[node.scan_next]
+            node = node.scan_next
             chain.append(node.key)
         assert chain == sorted(key for key, _ in heavy + light)
 
@@ -379,15 +379,16 @@ class TestScanCallBudget:
         _place(store, 0, [(b"k%02d" % i, bytes([i]) * 512) for i in range(self.KEYS)])
         return store, VThread(0, store.clock)
 
-    # Measured 30.39 per key + 68.86 and 17.02 per key + 29.86 on
-    # CPython 3.11 (3.12: the same per key, 61.86 and 23.86 fixed); a
-    # miss paid one call more per key while its admission waited for a
-    # DRAM copy, 41.4 + 64 and 23.1 + 26 while each key paid two HSIT
-    # word loads, 52.4 and 30.0 per key before the scan path went per
-    # leaf and per run.
+    # Measured 29.39 per key + 67.86 and 16.02 per key + 29.86 on
+    # CPython 3.11 (3.12: the same per key, 60.86 and 23.86 fixed); one
+    # call more per key each while a hit went through ``DRAMDevice.read``
+    # and an admission through ``_charge_of``; a miss paid one call more
+    # per key while its admission waited for a DRAM copy, 41.4 + 64 and
+    # 23.1 + 26 while each key paid two HSIT word loads, 52.4 and 30.0
+    # per key before the scan path went per leaf and per run.
     @pytest.mark.parametrize(
         "cached, per_key_budget, fixed_budget",
-        [(False, 30.4, 69), (True, 17.5, 30)],
+        [(False, 29.4, 69), (True, 16.5, 30)],
         ids=["all_miss_range", "all_hit_range"],
     )
     def test_calls_per_returned_key(self, cached, per_key_budget, fixed_budget):
