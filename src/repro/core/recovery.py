@@ -31,12 +31,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.core import pointers as ptr
-from repro.core.containment import resolve_partial_publish
-from repro.faults.errors import CorruptionError, DeviceError, NoHealthyStorageError
+from repro.faults.errors import CorruptionError, NoHealthyStorageError
 from repro.sim.vthread import VThread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.prism import Prism
+    from repro.core.prism import Prism, RelocationEntry
 
 
 @dataclass
@@ -72,7 +71,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
         vs.vs_id: {} for vs in prism.storages
     }
     pwb_flush: List[Tuple[int, int, int, bytes]] = []  # (hsit_idx, pwb_id, offset, value)
-    repair_flush: List[Tuple[int, bytes]] = []  # corrupt records healed from mirror
+    repair_flush: List[RelocationEntry] = []  # corrupt records healed from mirror
     corrupt_lost = 0
     reachable = set()
     dropped: List[bytes] = []
@@ -123,7 +122,9 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
                     value = _mirror_copy(prism, vs, loc, idx)
                     if value is not None:
                         vs_header_bytes += vs.header_size + len(value)
-                        repair_flush.append((idx, value))
+                        repair_flush.append(
+                            (idx, value, vs, loc.chunk_id, loc.vs_offset)
+                        )
                     else:
                         corrupt_lost += 1
                     continue
@@ -156,52 +157,34 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
         vs.rebuild_from(live_vs[vs.vs_id])
 
     # (3) flush live PWB records out, leaving the buffers as they were
-    # attached: empty.  If the flush cannot complete (devices failing
-    # during recovery), the records — and the HSIT pointers naming them
-    # — stay in the PWBs, which adopt them: the store comes up
-    # consistent, just with non-empty write buffers.
+    # attached: empty.  The flush is one relocation (``_relocate``):
+    # PWB records have no Value Storage copy to retire, repaired ones
+    # retire the corrupt slot the bitmap rebuild above re-created.  If
+    # it cannot complete (devices failing during recovery), the records
+    # — and the HSIT pointers naming them — stay in the PWBs, which
+    # adopt them: the store comes up consistent, just with non-empty
+    # write buffers.
     flushed = 0
     corrupt_repaired = 0
-    flush_ok = True
-    publish_items = [(idx, value) for idx, _, _, value in pwb_flush] + repair_flush
-    if publish_items:
+    moves = [(idx, value, None, 0, 0) for idx, _, _, value in pwb_flush] + repair_flush
+    if moves:
         nvm_reread = sum(len(value) for *_, value in pwb_flush)
         if nvm_reread:
             prism.nvm.charge_read(rt, nvm_reread)
         try:
             vs = prism._pick_storage(rt.now)
-            placements, done = prism._retrying_write(vs, rt.now, publish_items)
-        except (DeviceError, NoHealthyStorageError):
-            flush_ok = False
-        if flush_ok:
-            rt.wait_until(done)
-            batch = [
-                (idx, placement, None, 0, 0)
-                for (idx, _v), placement in zip(publish_items, placements)
-            ]
-            published = 0
-            try:
-                for i, (idx, (chunk_id, offset, _sz), *_old) in enumerate(batch):
-                    old_word, svc_word = prism.hsit.publish_location_word(
-                        idx, ptr.encode_vs(vs.vs_id, chunk_id, offset), rt
-                    )
-                    if i >= len(pwb_flush):
-                        # Repaired records replace a corrupt VS slot
-                        # that the bitmap rebuild above re-created;
-                        # retire the old copy.
-                        prism._supersede_word(idx, old_word, svc_word, rt)
-                    published += 1
-            except DeviceError:
-                resolve_partial_publish(prism.hsit, vs, batch, published)
-                flush_ok = False
-            else:
-                flushed = len(pwb_flush)
-                corrupt_repaired = len(repair_flush)
-    if not flush_ok:
-        for pwb in prism.pwbs:
-            pwb.adopt(sorted(
-                offset for _, pwb_id, offset, _ in pwb_flush if pwb_id == pwb.pwb_id
-            ))
+        except NoHealthyStorageError:
+            phase = "write"
+        else:
+            phase = prism._relocate(vs, moves, rt, "recover")
+        if phase is None:
+            flushed = len(pwb_flush)
+            corrupt_repaired = len(repair_flush)
+        else:
+            for pwb in prism.pwbs:
+                pwb.adopt(sorted(
+                    offset for _, pwb_id, offset, _ in pwb_flush if pwb_id == pwb.pwb_id
+                ))
     prism.crash_point.maybe_crash("recover.flushed")
 
     # (5) reclaim allocated-but-unreachable entries (crashed inserts).

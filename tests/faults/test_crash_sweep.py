@@ -30,6 +30,8 @@ CORE_WORKLOAD_LABELS = {
 CORE_RECOVERY_LABELS = {
     "recover.index_done",
     "recover.walked",
+    "recover.pre_publish",
+    "recover.published",
     "recover.flushed",
     "recover.done",
 }
