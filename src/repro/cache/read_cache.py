@@ -11,9 +11,12 @@ flush the resident celebrity set; TinyLFU admission rejects those
 one-hit wonders at the door.
 
 Coherence is synchronous: every publish that changes or moves a key's
-authoritative copy (put, delete, GC relocation) invalidates the cached
-entry inside the same operation, before the mutation acknowledges, so
-the cache can never serve a value the store has superseded.
+authoritative copy invalidates the cached entry inside the same
+operation, before the mutation acknowledges, so the cache can never
+serve a value the store has superseded.  Put, delete and repair do it
+through ``Prism._supersede_word``; every move out of Value Storage (GC,
+tiering, the SVC's chain write-back, recovery's flush of a healed
+record) through ``Prism._relocate``.
 
 Everything is modeled in virtual time: hits charge the DRAM device's
 read latency/bandwidth, admissions charge the copy-in write, and

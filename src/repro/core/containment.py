@@ -1,8 +1,10 @@
 """Failure containment for multi-record placement publishes.
 
-Reclamation, GC, and scan-aware writeback all follow the same shape:
-append a batch of records to a Value Storage log, then publish
-each new location to the HSIT one entry at a time.  When a device error
+Every mover follows the same shape: append a batch of records to a
+Value Storage log, then publish each new location to the HSIT one entry
+at a time.  Two publish loops call this helper: ``Prism._relocate``
+(reclamation, GC, tiering, the SVC's scan-aware write-back and
+recovery's PWB flush) and repair's ``_rewrite``.  When a device error
 interrupts the publish loop, the batch is split three ways:
 
 * entries *before* the failure index are fully published (their old

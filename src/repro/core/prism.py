@@ -206,6 +206,7 @@ class Prism:
             cfg.svc_capacity,
             self.hsit,
             self.epoch,
+            self._relocate,
             scan_aware=cfg.svc_scan_aware,
             page_mode=cfg.svc_page_mode,
         )
@@ -643,8 +644,10 @@ class Prism:
     ) -> Optional[str]:
         """Move live records to the log head of ``dest``.
 
-        The one data-movement path: reclaim, GC and every move of the
-        placement policy select survivors, choose ``dest``, and call this.
+        The one data-movement path: reclaim, GC, every move of the
+        placement policy, the SVC's chain write-back and recovery's PWB
+        flush select survivors, choose ``dest``, and call this (repair's
+        ``_rewrite`` is the one mover that does not).
         It writes the batch, then per record swings the HSIT forward
         pointer and retires the old Value Storage copy — its slot and
         the read-cache entry coupled to it (``old_vs`` None: the old

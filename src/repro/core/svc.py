@@ -26,6 +26,12 @@ doubly-linked list.  When one chain member is evicted, the whole chain
 is sorted by key and written back *together* into a fresh Value
 Storage chunk, restoring spatial locality that the log-structured
 store destroyed — later scans over the range need far fewer SSD IOs.
+The cache decides what moves and where; the move itself is the
+store's relocation primitive (``Prism._relocate``, handed in at
+construction), so a write-back has the retry policy, the crash points
+(``writeback.pre_publish``, ``writeback.published``), the containment
+of a failed publish and the read-cache invalidation of every other
+mover.  A write-back that fails is skipped: the durable copies stand.
 
 The bookkeeping holds entries by reference: a chain link is the
 neighbouring :class:`SVCEntry`, each LRU list maps entry id to entry,
@@ -56,22 +62,22 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.containment import resolve_partial_publish
 from repro.core.epoch import EpochManager
 from repro.core.hsit import HSIT
 from repro.core import pointers as ptr
 from repro.core.value_storage import ValueStorage
-from repro.faults.errors import DeviceError
 from repro.sim.vthread import VThread
-from repro.storage.base import StorageError
 from repro.storage.dram import DRAMDevice
 
 # Fraction of cache capacity the active list may occupy.
 ACTIVE_SHARE = 0.5
 # Background CPU cost to process one queued cache-management request.
 _BG_OP_COST = 0.3e-6
+
+# ``Prism._relocate``: (dest, entries, thread, label) -> failed phase or None.
+Relocate = Callable[[ValueStorage, list, VThread, str], Optional[str]]
 
 
 class SVCEntry:
@@ -124,6 +130,7 @@ class ScanAwareValueCache:
         capacity: int,
         hsit: HSIT,
         epoch: EpochManager,
+        relocate: Relocate,
         scan_aware: bool = True,
         page_mode: bool = False,
         page_size: int = 4096,
@@ -134,6 +141,7 @@ class ScanAwareValueCache:
         self.capacity = capacity
         self.hsit = hsit
         self.epoch = epoch
+        self.relocate = relocate
         self.scan_aware = scan_aware
         # Ablation: charge page granularity like prior-work page caches.
         self.page_mode = page_mode
@@ -487,9 +495,12 @@ class ScanAwareValueCache:
     ) -> None:
         """Rewrite a chain's members that still sit in Value Storage,
         key-sorted, into one batch at a storage's log head — unless
-        they already run in order (:meth:`_already_contiguous`)."""
-        # One gather serves both the filter and the contiguity test:
-        # nothing runs between them that could move a member.
+        they already run in order (:meth:`_already_contiguous`).  The
+        move is the store's relocation primitive, labelled
+        ``"writeback"``."""
+        # One gather serves the filter, the contiguity test and the
+        # move: an op runs atomically, so nothing moves a member between
+        # this gather and the publish.
         located = [
             (member, loc)
             for member, loc in zip(chain, self._locations(chain, bg))
@@ -501,55 +512,19 @@ class ScanAwareValueCache:
             and storages[loc.vs_id].is_valid(loc.chunk_id, loc.vs_offset)
         ]
         located.sort(key=lambda pair: pair[0].key)
-        movable = [member for member, _ in located]
+        # Fewer than two members count as contiguous.
         if self._already_contiguous([loc for _, loc in located]):
-            movable = []
-        if len(movable) < 2:
             return
         target = min(storages, key=lambda vs: vs.ring.inflight_at(bg.now))
-        records = [(m.hsit_idx, m.value) for m in movable]
-        try:
-            placements, done = target.write_records(bg.now, records)
-        except StorageError:
-            # Reorganization is an optimization: on device trouble
-            # (or a full store) skip the rewrite — the durable
-            # copies stand and eviction proceeds as a plain drop.
-            return
-        bg.wait_until(done)
-        # Re-read: a foreground write may have landed meanwhile.
-        olds = self._locations(movable, bg)
-        published = 0
-        try:
-            for member, old, (chunk_id, offset, size) in zip(
-                movable, olds, placements
-            ):
-                self.hsit.publish_location_word(
-                    member.hsit_idx,
-                    ptr.encode_vs(target.vs_id, chunk_id, offset),
-                    bg,
-                )
-                published += 1
-                if old.medium == ptr.MEDIUM_VS:
-                    storages[old.vs_id].invalidate(old.chunk_id, old.vs_offset)
-        except DeviceError:
-            resolve_partial_publish(
-                self.hsit,
-                target,
-                [
-                    (
-                        m.hsit_idx,
-                        placement,
-                        storages[old.vs_id] if old.in_vs else None,
-                        old.chunk_id,
-                        old.vs_offset,
-                    )
-                    for m, old, placement in zip(movable, olds, placements)
-                ],
-                published,
-            )
-        else:
+        entries = [
+            (m.hsit_idx, m.value, storages[loc.vs_id], loc.chunk_id, loc.vs_offset)
+            for m, loc in located
+        ]
+        # A failed write or publish was contained by the primitive: the
+        # durable copies stand and eviction proceeds as a plain drop.
+        if self.relocate(target, entries, bg, "writeback") is None:
             self.scan_writebacks += 1
-            self.writeback_values += len(movable)
+            self.writeback_values += len(entries)
 
     # ------------------------------------------------------------------
     # introspection

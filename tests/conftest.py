@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import gc
 import sys
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
 
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
+from repro.core.svc import ScanAwareValueCache
 from repro.faults.injector import FaultConfig
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
+from repro.storage.crash import CrashPoint
 from repro.storage.nvm import NVMDevice
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC, QLC_SSD_SPEC
 from repro.storage.ssd import SSDDevice
@@ -77,6 +81,21 @@ def small_prism_config(**overrides) -> PrismConfig:
     )
     defaults.update(overrides)
     return PrismConfig(**defaults)
+
+
+def detached_svc(dram, capacity, hsit, epoch, cls=ScanAwareValueCache, **kwargs):
+    """An SVC outside a store.  Its chain write-backs run the store's
+    own relocation primitive, ``Prism._relocate``, on a host holding
+    only what that reads: no retry policy, no read cache, an unarmed
+    crash point."""
+    host = SimpleNamespace(
+        hsit=hsit,
+        read_cache=None,
+        crash_point=CrashPoint(),
+        _retrying_write=lambda vs, at, records: vs.write_records(at, records),
+    )
+    host.svc = cls(dram, capacity, hsit, epoch, partial(Prism._relocate, host), **kwargs)
+    return host.svc
 
 
 # Feature sets the restart walk and the stateful machine both run

@@ -1,32 +1,35 @@
-"""The one relocation primitive, failed at every step (ISSUE 13).
+"""The one relocation primitive, failed at every step.
 
-Reclaim, local GC, GC demotion, GC promotion and the read-triggered
-promotion drain all move data through ``Prism._relocate``: write the
-batch, publish each forward pointer, contain a partial publish.  For
-each mover this injects a device error at the batch write and at the
-first, middle and last publish (before the pointer lands, and after it
-landed but before the mover heard back), then checks that the store is
-consistent, nothing acknowledged was lost, the mover reported the
-failure the way it always has, and a retry finishes the job.
+Reclaim, local GC, GC demotion, GC promotion, the read-triggered
+promotion drain, the SVC's chain write-back and recovery's PWB flush
+all move data through ``Prism._relocate``: write the batch, publish
+each forward pointer, contain a partial publish.  For each mover this
+injects a device error at the batch write and at the first, middle and
+last publish (before the pointer lands, and after it landed but before
+the mover heard back), then checks that the store is consistent,
+nothing acknowledged was lost, the mover reported the failure the way
+it always has, and a retry finishes the job.
 
-A structural test keeps the primitive single: a fifth hand-rolled
-publish loop in ``core/prism.py`` fails it.
+A structural test keeps the primitive single: a hand-rolled publish
+loop anywhere in ``src/repro`` other than repair's fails it.
 """
 
 from __future__ import annotations
 
-import re
+import ast
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
 import pytest
 
+import repro
 from repro.core import pointers as ptr
-from repro.core import prism as prism_module
 from repro.core.checker import audit
 from repro.core.prism import Prism
+from repro.core.svc import ScanAwareValueCache
 from repro.faults.errors import DeviceError
+from repro.faults.injector import FaultConfig
 from repro.sim.vthread import VThread
 from repro.storage.specs import QLC_SSD_SPEC
 from repro.tiering import TierManager
@@ -217,46 +220,54 @@ FAILURES = [("write", False, "write")] + [
 ]
 
 
-def _inject(store: Prism, label: str, bg: VThread, step: str, lands: bool) -> list:
-    """Fail the first ``_relocate`` call with this label on this thread.
+def _inject(
+    store: Prism, label: str, bg: Optional[VThread], step: str, lands: bool
+) -> list:
+    """Fail the first ``_relocate`` call with this label on this thread
+    (on any thread when ``bg`` is None: recovery makes its own).
 
     Returns a list that receives the size of the batch that was hit.
     """
     real_relocate = store._relocate
     real_write = store._retrying_write
-    real_publish = store.hsit.publish_location_word
     hit: list = []
     state = {"armed": False, "fail_at": -1, "publishes": 0}
 
     def relocate(dest, entries, thread, lbl):
-        if lbl == label and thread is bg and not hit:
+        # Read at call time: a recovery builds a new HSIT.
+        hsit = store.hsit
+        real_publish = hsit.publish_location_word
+
+        def publish(idx, word, thread=None):
+            if state["armed"]:
+                index = state["publishes"]
+                state["publishes"] += 1
+                if index == state["fail_at"]:
+                    if lands:
+                        real_publish(idx, word, thread)
+                    raise DeviceError("nvm0", "injected publish failure")
+            return real_publish(idx, word, thread)
+
+        if lbl == label and (bg is None or thread is bg) and not hit:
             hit.append(len(entries))
             n = len(entries)
             state["fail_at"] = {"first": 0, "middle": n // 2, "last": n - 1}.get(step, -1)
             state["armed"], state["publishes"] = True, 0
+            hsit.publish_location_word = publish
         try:
             return real_relocate(dest, entries, thread, lbl)
         finally:
             state["armed"] = False
+            hsit.__dict__.pop("publish_location_word", None)
 
     def write(vs, at, records):
         if state["armed"] and step == "write":
             raise DeviceError(vs.ssd.name, "injected write failure")
         return real_write(vs, at, records)
 
-    def publish(idx, word, thread=None):
-        if state["armed"]:
-            index = state["publishes"]
-            state["publishes"] += 1
-            if index == state["fail_at"]:
-                if lands:
-                    real_publish(idx, word, thread)
-                raise DeviceError("nvm0", "injected publish failure")
-        return real_publish(idx, word, thread)
-
     store._relocate = relocate
+    store.svc.relocate = relocate  # the SVC holds the one it was built with
     store._retrying_write = write
-    store.hsit.publish_location_word = publish
     return hit
 
 
@@ -315,6 +326,136 @@ def test_failed_relocation_is_contained_and_retryable(mover, step, lands, phase)
         assert store.get(key) == value
 
 
+# ----------------------------------------------------------------------
+# the movers that report no event: chain write-back and recovery's flush
+# ----------------------------------------------------------------------
+def _slot(loc: ptr.Location) -> tuple:
+    return loc.medium, loc.vs_id, loc.chunk_id, loc.vs_offset
+
+
+def _writeback() -> Scenario:
+    """A scan chain over keys that sit in Value Storage in reverse key
+    order, so evicting a member rewrites all of them."""
+    store = Prism(small_prism_config(num_ssds=1, enable_checksums=True))
+    t = VThread(0, store.clock)
+    expect = {b"w%02d" % i: bytes([i]) * 900 for i in range(BATCH)}
+    for key in sorted(expect, reverse=True):
+        store.put(key, expect[key], t)
+    store.flush()
+    before = {_slot(_location(store, key)) for key in expect}
+    first = min(expect)
+    bg = store._bg_cache
+
+    def run():
+        store.scan(first, BATCH, t)  # caches the range and chains it
+        svc = store.svc
+        victim = next(e for e in svc.entries.values() if e.key == first and not e.freed)
+        bg.now = max(bg.now, store.clock.now)
+        svc._writeback_chain(bg, victim, store.storages)
+
+    return Scenario(
+        store, expect, run, "writeback", bg, None, "",
+        lambda loc: _slot(loc) not in before,
+    )
+
+
+ROTTED = b"v00"  # the recover scenario's record with a rotted primary
+
+
+def _recover() -> Scenario:
+    """BATCH - 1 live PWB records and one Value Storage record whose
+    primary copy rotted: a recovery flushes all of them, the rotted one
+    healed from its mirror and last in the batch."""
+    store = Prism(
+        small_prism_config(
+            enable_checksums=True, mirror_chunks=True, faults=FaultConfig()
+        )
+    )
+    t = VThread(0, store.clock)
+    expect = {ROTTED: b"h" * 900}
+    store.put(ROTTED, expect[ROTTED], t)
+    store.flush()
+    rotted = _location(store, ROTTED)
+    vs = store.storages[rotted.vs_id]
+    store.injector.corrupt_at_rest(
+        vs.ssd,
+        rotted.chunk_id * vs.chunk_size + rotted.vs_offset,
+        vs.header_size + vs.slot_size(rotted.chunk_id, rotted.vs_offset),
+    )
+    for i in range(1, BATCH):
+        key = b"v%02d" % i
+        expect[key] = bytes([i]) * 900
+        store.put(key, expect[key], t)
+
+    def run():
+        store.crash()
+        store.recover()
+
+    return Scenario(
+        store, expect, run, "recover", None, None, "",
+        lambda loc: loc.in_vs and _slot(loc) != _slot(rotted),
+    )
+
+
+QUIET_MOVERS = {"writeback": _writeback, "recover": _recover}
+
+
+@pytest.mark.parametrize("step,lands,phase", FAILURES)
+@pytest.mark.parametrize("mover", sorted(QUIET_MOVERS))
+def test_failed_writeback_or_flush_is_contained_and_retryable(mover, step, lands, phase):
+    """The chain write-back counts only a batch that landed; the
+    recovery flush leaves what it could not move in the PWBs."""
+    sc = QUIET_MOVERS[mover]()
+    store = sc.store
+    hit = _inject(store, sc.label, sc.bg, step, lands)
+
+    sc.run()
+
+    assert hit == [BATCH], f"{mover} never reached _relocate({sc.label!r})"
+    arrived = [key for key in sc.expect if sc.arrived(_location(store, key))]
+    violations = audit(store).violations
+    if mover == "recover" and ROTTED not in arrived:
+        # Still the rotted copy, which I7 reports as it did before the
+        # crash: the heal is what the retry finishes.
+        rotted = [v for v in violations if v.startswith(f"I7: corrupt VS record for {ROTTED!r}")]
+        assert len(rotted) == 1
+        violations = [v for v in violations if v not in rotted]
+    assert violations == []
+    fail_at = {"first": 0, "middle": BATCH // 2, "last": BATCH - 1}.get(step, 0)
+    assert len(arrived) == fail_at + lands
+    if mover == "writeback":
+        assert store.svc.scan_writebacks == 0
+        for key, value in sc.expect.items():
+            assert _stored(store, key) == value
+    else:
+        # Records still pointing into a PWB were adopted by it.
+        in_pwb = [key for key in sc.expect if _location(store, key).in_pwb]
+        assert set(in_pwb) == set(sc.expect) - set(arrived) - {ROTTED}
+        assert len(store.pwbs[0]._offsets) == BATCH - 1
+        for key in in_pwb:
+            assert _stored(store, key) == sc.expect[key]
+
+    def in_order() -> bool:
+        locs = [_location(store, key) for key in sorted(sc.expect)]
+        return ScanAwareValueCache._already_contiguous(locs)
+
+    scattered = not in_order()
+
+    sc.run()  # the retry meets no fault and finishes the job
+
+    report = audit(store)
+    assert report.ok, report.violations[:3]
+    if mover == "writeback":
+        # ...which is a chain in key order, rewritten only if it was
+        # still scattered.
+        assert in_order()
+        assert store.svc.scan_writebacks == scattered
+    else:
+        assert all(sc.arrived(_location(store, key)) for key in sc.expect)
+    for key, value in sc.expect.items():
+        assert store.get(key) == value
+
+
 def test_a_gc_round_that_fails_at_its_write_reports_what_it_read():
     """The failed round read the same victims as the retry that
     succeeds: its ``gc_failed`` event carries the same ``read_bytes``
@@ -334,14 +475,51 @@ def test_a_gc_round_that_fails_at_its_write_reports_what_it_read():
 # ----------------------------------------------------------------------
 # structure: the primitive stays single
 # ----------------------------------------------------------------------
-def test_prism_has_exactly_one_publish_and_contain_path():
-    source = Path(prism_module.__file__).read_text()
+def _callers(name: str) -> set:
+    """``module:qualname`` of every function under ``src/repro`` that
+    names ``name`` — a function or a method, called or taken as a local
+    alias, as ``_relocate`` does on its hot loop."""
+    root = Path(repro.__file__).parent
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == name) or (
+                isinstance(child, ast.Name) and child.id == name
+            ):
+                found.add(f"{module}:{'.'.join(scope)}")
+            visit(child, module, scope)
+
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        visit(ast.parse(path.read_text()), module, [])
+    return found
+
+
+def test_the_package_has_one_publish_and_contain_path():
+    """Every mover publishes through ``Prism._relocate``.  Repair's
+    ``_rewrite`` is the one named exception: its caller needs the typed
+    write error, and it retires old copies with ``_supersede_word``."""
+    relocate = "repro.core.prism:Prism._relocate"
+    repair = "repro.repair.repair:_rewrite"
+    assert _callers("resolve_partial_publish") == {relocate, repair}
+    assert _callers("publish_location_word") == {
+        "repro.core.prism:Prism.put",
+        "repro.core.prism:Prism.delete",
+        relocate,
+        repair,
+        "repro.core.hsit:HSIT.publish_location",  # the decoding view...
+    }
+    assert _callers("publish_location") == set()  # ...which nothing calls
+    # Both crash points are built from the mover's label, in one place.
     code = "\n".join(
-        line for line in source.splitlines() if not line.lstrip().startswith("#")
+        line
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if not line.lstrip().startswith("#")
     )
-    assert len(re.findall(r"resolve_partial_publish\(", code)) == 1
     for suffix in (".pre_publish", ".published"):
-        assert len(re.findall(re.escape(f'"{suffix}"'), code)) == 1, suffix
-    # ...and both crash points are built from the caller's label.
-    assert 'label + ".pre_publish"' in code
-    assert 'label + ".published"' in code
+        assert code.count(f'label + "{suffix}"') == 1, suffix

@@ -11,7 +11,7 @@ from repro.storage.dram import DRAMDevice
 from repro.storage.nvm import NVMDevice
 from repro.storage.specs import DRAM_SPEC, FLASH_SSD_GEN4_SPEC
 from repro.storage.ssd import SSDDevice
-from tests.conftest import count_calls
+from tests.conftest import count_calls, detached_svc
 
 KB = 1024
 MB = 1024**2
@@ -22,7 +22,7 @@ def env(nvm):
     hsit = HSIT(nvm, capacity=1024)
     epoch = EpochManager()
     dram = DRAMDevice(DRAM_SPEC.with_capacity(4 * MB))
-    svc = ScanAwareValueCache(dram, capacity=4096, hsit=hsit, epoch=epoch)
+    svc = detached_svc(dram, capacity=4096, hsit=hsit, epoch=epoch)
     ssd = SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(16 * MB))
     vs = ValueStorage(0, ssd, chunk_size=16 * 1024)
     bg = VThread(-1, name="bg", background=True)
@@ -74,7 +74,7 @@ class TestAdmissionLookup:
 
     def test_page_mode_charges_full_pages(self, nvm):
         hsit = HSIT(nvm, 16)
-        svc = ScanAwareValueCache(
+        svc = detached_svc(
             DRAMDevice(DRAM_SPEC), 1 << 20, hsit, EpochManager(), page_mode=True
         )
         idx = hsit.allocate()
@@ -83,14 +83,14 @@ class TestAdmissionLookup:
 
     def test_capacity_validation(self, nvm):
         with pytest.raises(ValueError):
-            ScanAwareValueCache(
+            detached_svc(
                 DRAMDevice(DRAM_SPEC), 0, HSIT(nvm, 4), EpochManager()
             )
 
 
 def _fresh_cache():
     hsit = HSIT(NVMDevice(), capacity=64)
-    return hsit, ScanAwareValueCache(DRAMDevice(DRAM_SPEC), 1 << 20, hsit, EpochManager())
+    return hsit, detached_svc(DRAMDevice(DRAM_SPEC), 1 << 20, hsit, EpochManager())
 
 
 def _copy_time(nbytes):
@@ -219,7 +219,7 @@ class TestScanChains:
 
     def test_linking_disabled_when_not_scan_aware(self, nvm):
         hsit = HSIT(nvm, 64)
-        svc = ScanAwareValueCache(
+        svc = detached_svc(
             DRAMDevice(DRAM_SPEC), 1 << 20, hsit, EpochManager(), scan_aware=False
         )
         ids = []
@@ -246,9 +246,9 @@ class TestScanChains:
         read_before = hsit.nvm.bytes_read
         svc._writeback_chain(bg, svc.entries[ids[0][1]], [vs])
         assert svc.scan_writebacks == 1
-        # Each of the 5 entries is loaded once to plan the move, once
-        # more after the write (a put may have landed), once by the CAS.
-        assert hsit.nvm.bytes_read - read_before == 3 * 5 * 16
+        # Each of the 5 entries is loaded once to plan the move and
+        # once by the publish CAS.
+        assert hsit.nvm.bytes_read - read_before == 2 * 5 * 16
         # all members now contiguous in one chunk, ascending offsets
         locs = [hsit.read_location(idx) for _, idx in idxs]
         assert len({(l.vs_id, l.chunk_id) for l in locs}) == 1
@@ -380,7 +380,7 @@ class TestChainOrder:
     def test_links_point_to_greater_keys(self, ops):
         hsit = HSIT(NVMDevice(), capacity=256)
         epoch = EpochManager()
-        svc = ScanAwareValueCache(
+        svc = detached_svc(
             DRAMDevice(DRAM_SPEC.with_capacity(4 * MB)), 1 << 20, hsit, epoch
         )
         vs = ValueStorage(
@@ -450,7 +450,7 @@ class TestBackgroundCallBudget:
 
     def _cache(self, length):
         hsit = HSIT(NVMDevice(), capacity=1024)
-        svc = ScanAwareValueCache(
+        svc = detached_svc(
             DRAMDevice(DRAM_SPEC.with_capacity(4 * MB)), 1 << 20, hsit, EpochManager()
         )
         vs = ValueStorage(

@@ -27,6 +27,7 @@ from repro.storage.dram import DRAMDevice
 from repro.storage.nvm import NVMDevice
 from repro.storage.specs import DRAM_SPEC, FLASH_SSD_GEN4_SPEC
 from repro.storage.ssd import SSDDevice
+from tests.conftest import detached_svc
 
 MB = 1024**2
 
@@ -220,8 +221,9 @@ class _Run:
         self.hsit = HSIT(NVMDevice(), capacity=256)
         self.epoch = EpochManager()
         # Room for about ten of the values below: scans overflow it.
-        self.svc = cls(
-            DRAMDevice(DRAM_SPEC.with_capacity(4 * MB)), 1200, self.hsit, self.epoch
+        self.svc = detached_svc(
+            DRAMDevice(DRAM_SPEC.with_capacity(4 * MB)), 1200, self.hsit, self.epoch,
+            cls=cls,
         )
         self.vs = ValueStorage(
             0, SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(4 * MB)), chunk_size=16 * 1024
