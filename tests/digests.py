@@ -137,6 +137,20 @@ and ``bench/fig7`` moved their metrics JSON; ``bench/ablations``,
 ``fig9``, ``fig10``, ``fig16`` and ``media`` their stdout as well.
 Each of these runs YCSB-E; no other entry moved.
 
+When recovery's PWB flush became a call of the relocation primitive
+(``Prism._relocate``), nothing simulated moved: only the
+``crash_labels_sha256`` of ``ycsb_a_gc`` and ``tiered_gc``, whose
+censuses now count the flush's ``recover.pre_publish`` and
+``recover.published``.  When the SVC's chain write-back became one too,
+exactly the entries whose scenario rewrites scan chains were
+re-recorded, the same set as above: the write-back no longer loads
+every member's HSIT entry a second time after its batch write, so the
+cache's background thread spends less virtual time on each rewrite.
+``ycsb_e_scan`` (its ``final_vtime`` too), ``cluster_scan_failover``,
+``bench/fig9`` and ``media`` moved their metrics JSON;
+``bench/ablations``, ``fig7``, ``fig10`` and ``fig16`` their stdout as
+well.  No other entry moved.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
