@@ -374,9 +374,11 @@ class Prism:
             self.tiering.drain()
 
     def _run_cache_maintenance(self) -> None:
-        if self._bg_cache.now < self.clock.now:
-            self._bg_cache.now = self.clock.now
-        self.svc.process_background(self._bg_cache, self.storages)
+        bg = self._bg_cache
+        now = self.clock._now
+        if bg.now < now:
+            bg.now = now
+        self.svc.process_background(bg, self.storages)
 
     # ------------------------------------------------------------------
     # write path

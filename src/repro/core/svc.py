@@ -254,33 +254,8 @@ class ScanAwareValueCache:
         entry rather than a recycled one (§5.4).
         """
         entry = self.entries.get(entry_id)
-        if entry is None or entry.freed:
-            return
-        self._logical_free(entry)
-        # The entries-dict slot goes once no reader can still hold it.
-        self.epoch.retire(partial(self.entries.pop, entry_id, None))
-
-    def _logical_free(self, entry: SVCEntry) -> None:
-        """Disconnect an entry and release its capacity and its value
-        bytes immediately.
-
-        Only the entries-dict slot, which readers may still hold, waits
-        two epochs.  No path serves a freed entry's value, so the bytes
-        go now, and so does the byte budget: otherwise capacity
-        enforcement would see a full cache and evict live entries in a
-        storm while retirements age.
-        """
-        entry.freed = True
-        entry.value = None
-        if entry.scan_prev is not None or entry.scan_next is not None:
-            self._unchain(entry)
-        self.used -= entry.charged
-        if entry.list_name == "active":
-            del self.active[entry.entry_id]
-            self.active_bytes -= entry.charged
-        elif entry.list_name == "inactive":
-            del self.inactive[entry.entry_id]
-        entry.list_name = ""
+        if entry is not None:
+            self._drop(entry, thread, evicted=False)
 
     # ------------------------------------------------------------------
     # scan chains
@@ -390,13 +365,15 @@ class ScanAwareValueCache:
             clock = bg.clock
             if now > clock._now:
                 clock._now = now
-        self._balance_active()
+        limit = self.capacity * ACTIVE_SHARE
+        if self.active_bytes > limit:
+            self._balance_active(limit)
         while self.used > self.capacity:
             if not self._evict_one(bg, storages):
                 break
 
-    def _balance_active(self) -> None:
-        limit = self.capacity * ACTIVE_SHARE
+    def _balance_active(self, limit: float) -> None:
+        """Demote from the active head until it holds ``limit`` bytes."""
         while self.active and self.active_bytes > limit:
             entry_id, entry = self.active.popitem(last=False)
             entry.list_name = "inactive"
@@ -422,13 +399,35 @@ class ScanAwareValueCache:
             self._drop(entry, bg)
         return True
 
-    def _drop(self, entry: SVCEntry, bg: VThread) -> None:
-        """Plain eviction: the durable copy in Value Storage stands."""
+    def _drop(
+        self, entry: SVCEntry, thread: Optional[VThread], evicted: bool = True
+    ) -> None:
+        """Disconnect an entry and release its capacity and its value
+        bytes immediately; an eviction also clears its HSIT SVC word
+        (the durable copy in Value Storage stands).
+
+        Only the entries-dict slot, which readers may still hold, waits
+        two epochs.  No path serves a freed entry's value, so the bytes
+        go now, and so does the byte budget: otherwise capacity
+        enforcement would see a full cache and evict live entries in a
+        storm while retirements age.
+        """
         if entry.freed:
             return
-        self.hsit.clear_svc(entry.hsit_idx, bg)
-        self._logical_free(entry)
-        self.evictions += 1
+        if evicted:
+            self.hsit.clear_svc(entry.hsit_idx, thread)
+            self.evictions += 1
+        entry.freed = True
+        entry.value = None
+        if entry.scan_prev is not None or entry.scan_next is not None:
+            self._unchain(entry)
+        self.used -= entry.charged
+        if entry.list_name == "active":
+            del self.active[entry.entry_id]
+            self.active_bytes -= entry.charged
+        elif entry.list_name == "inactive":
+            del self.inactive[entry.entry_id]
+        entry.list_name = ""
         self.epoch.retire(partial(self.entries.pop, entry.entry_id, None))
 
     def _locations(self, members: List[SVCEntry], bg: VThread) -> List[ptr.Location]:

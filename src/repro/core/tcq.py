@@ -19,7 +19,7 @@ requests before submitting, which wrecks latency at low concurrency.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.sim.vthread import VThread
@@ -28,7 +28,6 @@ from repro.storage.iouring import (
     IOUring,
     SQE_PREP_COST,
     SUBMIT_SYSCALL_COST,
-    split_into_batches,
 )
 
 # Leader's TCQ traversal window: the time it keeps collecting follower
@@ -72,10 +71,6 @@ class ThreadCombiner:
         self.batches = 0
         self.combined_requests = 0
 
-    @property
-    def coalescing_limit(self) -> int:
-        return self.ring.queue_depth
-
     def submit(
         self,
         thread: VThread,
@@ -109,20 +104,25 @@ class ThreadCombiner:
             if self.mode == MODE_THREAD_COMBINING
             else self.timeout_window
         )
+        # SQEs go through the retry executor when the store attached one
+        # and its injector is armed (one with no injector always
+        # retries).  Decided once: only a retry can arm the injector,
+        # and nothing disarms it.
+        place = self.ring.submit_one
+        retry = self.retry
+        if retry is not None and (retry.injector is None or retry.injector.enabled):
+            place = self._place
+        n = len(requests)
+        limit = self.ring.queue_depth  # the coalescing limit
         t = thread.now
-        limit = self.coalescing_limit
         if t > self._batch_close:
             # The open batch's window has passed: its count must not
             # leak into admission decisions for the next batch.
             self._batch_count = 0
-        joins = (
-            t <= self._batch_close
-            and self._batch_count + len(requests) <= limit
-        )
         done = t
-        if joins:
+        if t <= self._batch_close and self._batch_count + n <= limit:
             # Follower: swap into the TCQ and hand over the request.
-            self._batch_count += len(requests)
+            self._batch_count += n
             # thread.spend(FOLLOWER_HANDOFF_COST) inlined (hot path).
             now = thread.now + FOLLOWER_HANDOFF_COST
             thread.now = now
@@ -131,38 +131,40 @@ class ThreadCombiner:
             if now > clock._now:
                 clock._now = now
             floor = self._batch_close
-            self.combined_requests += len(requests)
+            self.combined_requests += n
             for req in requests:
-                done = max(done, self._place(floor, req))
+                end = place(floor, req)
+                if end > done:
+                    done = end
         else:
             # Leader: open fresh batches.  A request list larger than
             # the coalescing limit (the queue depth) is split at QD —
             # each split is its own io_uring submission, so batch
             # accounting (Figure 11) never sees an oversized batch.
-            chunks = split_into_batches(requests, limit)
             floor = t
-            for i, chunk in enumerate(chunks):
-                last = i == len(chunks) - 1
-                if last and len(chunk) < limit:
+            for first in range(0, n, limit):
+                size = n - first
+                if size < limit:
                     # Only a partial trailing batch waits out the
                     # window for followers; full batches are closed
                     # the moment they fill and submit immediately.
-                    self._batch_close = t + window
-                    self._batch_count = len(chunk)
-                    floor = self._batch_close
+                    floor = self._batch_close = t + window
+                    self._batch_count = size
                 else:
-                    floor = t
+                    size = limit
                 self.batches += 1
-                self.combined_requests += len(chunk)
-                for req in chunk:
-                    done = max(done, self._place(floor, req))
-            if len(chunks[-1]) >= limit:
+                self.combined_requests += size
+                for i in range(first, first + size):
+                    end = place(floor, requests[i])
+                    if end > done:
+                        done = end
+            if n % limit == 0:
                 self._batch_close = t  # no partial batch left open
                 self._batch_count = 0
             # thread.spend(...) inlined (hot path).
             cost = (
-                SUBMIT_SYSCALL_COST * len(chunks)
-                + SQE_PREP_COST * len(requests)
+                SUBMIT_SYSCALL_COST * ((n + limit - 1) // limit)
+                + SQE_PREP_COST * n
             )
             now = thread.now + cost
             thread.now = now
@@ -189,20 +191,14 @@ class ThreadCombiner:
         return done
 
     def _place(self, at: float, req: IORequest) -> float:
-        """Put one SQE on the ring, retrying transient faults if the
-        store attached a retry executor and its injector is armed (a
-        retry with no injector always retries)."""
-        retry = self.retry
-        if retry is not None:
-            injector = retry.injector
-            if injector is None or injector.enabled:
-                return retry.run_at(
-                    lambda t: self.ring.submit_one(t, req),
-                    at,
-                    device=self.ring.device.name,
-                    op="read",
-                )
-        return self.ring.submit_one(at, req)
+        """Put one SQE on the ring through the store's retry executor,
+        which re-submits it at a backed-off time on a transient fault."""
+        return self.retry.run_at(
+            lambda t: self.ring.submit_one(t, req),
+            at,
+            device=self.ring.device.name,
+            op="read",
+        )
 
     def read_one(
         self,
@@ -211,7 +207,7 @@ class ThreadCombiner:
         metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> bytes:
         """Convenience wrapper for a single-record read."""
-        self.read(thread, [request], metrics)
+        thread.wait_until(self.submit(thread, [request], metrics))
         assert request.result is not None
         return request.result
 

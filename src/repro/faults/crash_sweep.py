@@ -83,7 +83,7 @@ class Scenario:
     # Typed failures that leave an operation cleanly un-acknowledged
     # (and make a key *unreadable* when they surface at audit time).
     clean_errors: Tuple[type, ...] = (StorageError,)
-    # First line of the report; see SweepReport.summary for the fields.
+    # Head of the report; see SweepReport.summary for the fields.
     headline = (
         "crash sweep: {workload} workload labels, "
         "{recovery} recovery labels, {crashes} crashes injected"
@@ -115,6 +115,7 @@ class StoreScenario(Scenario):
     more, so the *recovered* state is itself proven durable."""
 
     factory: Callable[[], Prism]  # module-level, so the scenario pickles
+    headline: str = Scenario.headline
 
     def build(self):
         return self.factory()
@@ -171,6 +172,7 @@ class SweepReport:
                 recovery=len(self.recovery_labels),
                 crashes=len(self.outcomes),
                 watched=self.watched,
+                labels=", ".join(sorted(self.workload_labels)),
             )
         ]
         for outcome in self.failures():
@@ -458,9 +460,22 @@ def tiered_store_factory() -> Prism:
     )
 
 
+def writeback_store_factory() -> Prism:
+    """A 1 KB SVC, a handful of the workload's values: a scan's chain
+    is evicted within a few ops, and one whose keys were written in
+    another order is rewritten at a storage's log head, which reaches
+    the scan write-back labels (``writeback.*``) that the 32 KB SVC of
+    :func:`default_store_factory` never evicts."""
+    return Prism(tight_store_config(svc_capacity=1024))
+
+
 STORE_SCENARIOS: Dict[str, Scenario] = {
     "store": StoreScenario(default_store_factory),
     "tiered": StoreScenario(tiered_store_factory),
+    "writeback": StoreScenario(
+        writeback_store_factory,
+        headline=Scenario.headline + "\nworkload labels: {labels}",
+    ),
 }
 
 
@@ -468,7 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     # The CLI is the top of the stack: it alone looks upward, at the
-    # registry that adds the cluster-scope scenarios to the two above.
+    # registry that adds the cluster-scope scenarios to the three above.
     from repro.cluster.crash_sweep import REBALANCE_ROLES, SCENARIOS
 
     parser = argparse.ArgumentParser(
@@ -504,6 +519,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="single tiered store: also sweeps the hot/cold placement "
              "crash points (tier.demote.*, tier.promote.*)",
     )
+    mode.add_argument(
+        "--writeback", action="store_true",
+        help="single store with a 1 KB SVC: also sweeps the scan chain "
+             "write-back crash points (writeback.*)",
+    )
     parser.add_argument(
         "--gray", type=int, default=None, metavar="SHARD",
         help="with --cluster: also latency-inflate this shard's devices "
@@ -524,8 +544,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         scenarios = [replace(SCENARIOS["gray"], gray_shard=args.gray)]
     elif args.cluster:
         scenarios = [SCENARIOS["cluster"]]
+    elif args.tiering:
+        scenarios = [SCENARIOS["tiered"]]
+    elif args.writeback:
+        scenarios = [SCENARIOS["writeback"]]
     else:
-        scenarios = [SCENARIOS["tiered" if args.tiering else "store"]]
+        scenarios = [SCENARIOS["store"]]
 
     ops = default_ops(args.ops, args.keys, args.seed)
     ok = True

@@ -2,11 +2,60 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.sim.resources import BandwidthChannel
 from repro.sim.vthread import VThread
 from repro.storage.specs import DeviceSpec
+
+
+# SSD and NVM keep their bytes as a sparse map of 4 KB pages, made at
+# their first write; a page not in the map reads back as zeros.
+PAGE_SIZE = 4096
+PAGE_SHIFT = 12  # log2(PAGE_SIZE)
+PAGE_MASK = PAGE_SIZE - 1
+
+
+def gather_pages(pages: Dict[int, bytearray], addr: int, size: int) -> bytes:
+    """The ``size`` bytes at ``addr`` of a page map."""
+    idx = addr >> PAGE_SHIFT
+    off = addr & PAGE_MASK
+    if off + size <= PAGE_SIZE:  # one page: nearly every access
+        if idx in pages:
+            return bytes(pages[idx][off : off + size])
+        return bytes(size)
+    out = bytearray(size)
+    pos = 0
+    while pos < size:
+        # A page's slice stops at the page's end or at ``size``,
+        # whichever comes first, and so does its place in ``out``.
+        if idx in pages:
+            out[pos : pos + PAGE_SIZE - off] = pages[idx][off : off + size - pos]
+        pos += PAGE_SIZE - off
+        idx += 1
+        off = 0
+    return bytes(out)
+
+
+def scatter_pages(pages: Dict[int, bytearray], addr: int, data: bytes) -> None:
+    """Write ``data`` at ``addr`` into a page map, making the pages it
+    reaches: the counterpart of :func:`gather_pages`."""
+    size = len(data)
+    idx = addr >> PAGE_SHIFT
+    off = addr & PAGE_MASK
+    if off + size <= PAGE_SIZE:  # one page: nearly every access
+        if idx not in pages:
+            pages[idx] = bytearray(PAGE_SIZE)
+        pages[idx][off : off + size] = data
+        return
+    pos = 0
+    while pos < size:
+        if idx not in pages:
+            pages[idx] = bytearray(PAGE_SIZE)
+        pages[idx][off : off + size - pos] = data[pos : pos + PAGE_SIZE - off]
+        pos += PAGE_SIZE - off
+        idx += 1
+        off = 0
 
 
 class StorageError(Exception):

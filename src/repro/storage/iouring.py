@@ -17,8 +17,7 @@ utilization but queueing delays individual completions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.sim.resources import WaitList
 from repro.storage.base import StorageError
@@ -31,25 +30,34 @@ SUBMIT_SYSCALL_COST = 2.0e-6
 SQE_PREP_COST = 0.15e-6
 
 
-@dataclass
 class IORequest:
-    """One submission-queue entry."""
+    """One submission-queue entry.  The device fills in ``completion``
+    (and ``result`` for a read); ``context`` is the caller's cookie
+    (e.g. an HSIT index)."""
 
-    op: str  # "read" | "write"
-    offset: int
-    size: int
-    data: Optional[bytes] = None
-    context: object = None  # caller cookie (e.g. HSIT index)
-    completion: float = field(default=0.0, compare=False)
-    result: Optional[bytes] = field(default=None, compare=False)
+    __slots__ = ("op", "offset", "size", "data", "context", "completion", "result")
 
-    def __post_init__(self) -> None:
-        if self.op not in ("read", "write"):
-            raise ValueError(f"unknown op: {self.op}")
-        if self.op == "write":
-            if self.data is None:
+    def __init__(
+        self,
+        op: str,  # "read" | "write"
+        offset: int,
+        size: int,
+        data: Optional[bytes] = None,
+        context: object = None,
+    ) -> None:
+        if op == "write":
+            if data is None:
                 raise ValueError("write request needs data")
-            self.size = len(self.data)
+            size = len(data)
+        elif op != "read":
+            raise ValueError(f"unknown op: {op}")
+        self.op = op
+        self.offset = offset
+        self.size = size
+        self.data = data
+        self.context = context
+        self.completion = 0.0
+        self.result = None
 
 
 class IOUring:
@@ -157,13 +165,3 @@ class IOUring:
         (possibly ahead) clock would change stall decisions for threads
         still behind it."""
         return self._outstanding.count_after(at)
-
-
-def split_into_batches(
-    requests: Sequence[IORequest], queue_depth: int
-) -> List[List[IORequest]]:
-    """Chop an arbitrarily long request list into QD-sized batches."""
-    return [
-        list(requests[i : i + queue_depth])
-        for i in range(0, len(requests), queue_depth)
-    ]

@@ -29,16 +29,21 @@ from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.vthread import VThread
-from repro.storage.base import Device, OutOfSpaceError, StorageError
+from repro.storage.base import (
+    PAGE_MASK,
+    PAGE_SHIFT,
+    PAGE_SIZE,  # the simulated page: what a discard drops
+    Device,
+    OutOfSpaceError,
+    StorageError,
+    gather_pages,
+    scatter_pages,
+)
 from repro.storage.specs import NVM_SPEC, DeviceSpec
 
 CACHE_LINE = 256  # Optane DCPMM internal access granularity (XPLine)
 _LINE_SHIFT = 8  # log2(CACHE_LINE)
-PAGE_SIZE = 4096  # simulated page: what a discard drops
-_PAGE = PAGE_SIZE
-_PAGE_SHIFT = 12  # log2(_PAGE)
-_PAGE_MASK = _PAGE - 1
-_LINES_PER_PAGE_SHIFT = _PAGE_SHIFT - _LINE_SHIFT
+_LINES_PER_PAGE_SHIFT = PAGE_SHIFT - _LINE_SHIFT
 # Durable content of a never-written line (shared undo snapshot).
 _ZERO_LINE = bytes(CACHE_LINE)
 # Independent loads one thread keeps in flight (a core's line-fill
@@ -116,45 +121,8 @@ class NVMDevice(Device):
     # ------------------------------------------------------------------
     # raw page access
     # ------------------------------------------------------------------
-    def _page(self, idx: int) -> bytearray:
-        page = self._pages.get(idx)
-        if page is None:
-            page = bytearray(_PAGE)
-            self._pages[idx] = page
-        return page
-
     def _read_raw(self, addr: int, size: int) -> bytes:
-        # Fast path: the access stays within one 4 KB page (true for
-        # every word/cache-line access, the bulk of NVM traffic).
-        off = addr & _PAGE_MASK
-        if off + size <= _PAGE:
-            page = self._pages.get(addr >> _PAGE_SHIFT)
-            if page is None:
-                return bytes(size)
-            return bytes(page[off : off + size])
-        out = bytearray(size)
-        pos = 0
-        while pos < size:
-            page_idx, off = divmod(addr + pos, _PAGE)
-            take = min(_PAGE - off, size - pos)
-            page = self._pages.get(page_idx)
-            if page is not None:
-                out[pos : pos + take] = page[off : off + take]
-            pos += take
-        return bytes(out)
-
-    def _write_raw(self, addr: int, data: bytes) -> None:
-        size = len(data)
-        off = addr & _PAGE_MASK
-        if off + size <= _PAGE:
-            self._page(addr >> _PAGE_SHIFT)[off : off + size] = data
-            return
-        pos = 0
-        while pos < size:
-            page_idx, off = divmod(addr + pos, _PAGE)
-            take = min(_PAGE - off, size - pos)
-            self._page(page_idx)[off : off + take] = data[pos : pos + take]
-            pos += take
+        return gather_pages(self._pages, addr, size)
 
     def _lines(self, addr: int, size: int) -> range:
         first = addr >> _LINE_SHIFT
@@ -177,7 +145,7 @@ class NVMDevice(Device):
                 clock = thread.clock
                 if end > clock._now:
                     clock._now = end
-        return self._read_raw(addr, size)
+        return gather_pages(self._pages, addr, size)
 
     def load_gather(
         self,
@@ -233,8 +201,8 @@ class NVMDevice(Device):
                 clock = thread.clock
                 if now > clock._now:
                     clock._now = now
-        read_raw = self._read_raw
-        return [read_raw(addr, size) for addr, size in zip(addrs, sizes)]
+        pages = self._pages
+        return [gather_pages(pages, addr, size) for addr, size in zip(addrs, sizes)]
 
     def load_word(self, thread: Optional[VThread], addr: int) -> int:
         """8-byte load returning an int: identical timing/accounting to
@@ -250,10 +218,10 @@ class NVMDevice(Device):
                 clock = thread.clock
                 if end > clock._now:
                     clock._now = end
-        off = addr & _PAGE_MASK
-        if off + 8 > _PAGE:  # pragma: no cover - words are 8-aligned
-            return int.from_bytes(self._read_raw(addr, 8), "little")
-        page = self._pages.get(addr >> _PAGE_SHIFT)
+        off = addr & PAGE_MASK
+        if off + 8 > PAGE_SIZE:  # pragma: no cover - words are 8-aligned
+            return int.from_bytes(gather_pages(self._pages, addr, 8), "little")
+        page = self._pages.get(addr >> PAGE_SHIFT)
         if page is None:
             return 0
         return int.from_bytes(page[off : off + 8], "little")
@@ -265,25 +233,25 @@ class NVMDevice(Device):
             raise StorageError(
                 f"{self.name}: store [{addr}, {addr + 8}) out of range"
             )
-        off = addr & _PAGE_MASK
-        if off + 8 > _PAGE:  # pragma: no cover - words are 8-aligned
+        off = addr & PAGE_MASK
+        if off + 8 > PAGE_SIZE:  # pragma: no cover - words are 8-aligned
             self.store(thread, addr, word.to_bytes(8, "little"))
             return
         undo = self._undo
         first = addr >> _LINE_SHIFT
         last = (addr + 7) >> _LINE_SHIFT
-        page_idx = addr >> _PAGE_SHIFT
+        page_idx = addr >> PAGE_SHIFT
         page = self._pages.get(page_idx)
         if page is None:
-            page = self._pages[page_idx] = bytearray(_PAGE)
+            page = self._pages[page_idx] = bytearray(PAGE_SIZE)
         if first not in undo:
             # A 256 B line never straddles a 4 KB page, so the snapshot
             # is a single slice of the page just fetched (_read_raw
             # inlined).
-            loff = (first << _LINE_SHIFT) & _PAGE_MASK
+            loff = (first << _LINE_SHIFT) & PAGE_MASK
             undo[first] = page[loff : loff + CACHE_LINE]
         if last != first and last not in undo:
-            undo[last] = self._read_raw(last << _LINE_SHIFT, CACHE_LINE)
+            undo[last] = gather_pages(self._pages, last << _LINE_SHIFT, CACHE_LINE)
         page[off : off + 8] = word.to_bytes(8, "little")
         if thread is not None:
             now = thread.now + 5e-9
@@ -302,16 +270,17 @@ class NVMDevice(Device):
             )
         # Snapshot durable content of each touched line exactly once.
         undo = self._undo
+        pages = self._pages
         first = addr >> _LINE_SHIFT
         last = (addr + (size or 1) - 1) >> _LINE_SHIFT
         if first == last:
             if first not in undo:
-                undo[first] = self._read_raw(first << _LINE_SHIFT, CACHE_LINE)
+                undo[first] = gather_pages(pages, first << _LINE_SHIFT, CACHE_LINE)
         else:
             for line in range(first, last + 1):
                 if line not in undo:
-                    undo[line] = self._read_raw(line << _LINE_SHIFT, CACHE_LINE)
-        self._write_raw(addr, data)
+                    undo[line] = gather_pages(pages, line << _LINE_SHIFT, CACHE_LINE)
+        scatter_pages(pages, addr, data)
         if thread is not None:
             # Stores land in the CPU cache: cheap, but not free
             # (thread.spend(5e-9) inlined).
@@ -417,20 +386,20 @@ class NVMDevice(Device):
             for line in range(first, last + 1):
                 if line not in undo:
                     laddr = line << _LINE_SHIFT
-                    page = pages.get(laddr >> _PAGE_SHIFT)
+                    page = pages.get(laddr >> PAGE_SHIFT)
                     if page is None:
                         undo[line] = _ZERO_LINE
                     else:
-                        loff = laddr & _PAGE_MASK
+                        loff = laddr & PAGE_MASK
                         undo[line] = page[loff : loff + CACHE_LINE]
-        off = addr & _PAGE_MASK
-        if off + size <= _PAGE:
-            page = pages.get(addr >> _PAGE_SHIFT)
+        off = addr & PAGE_MASK
+        if off + size <= PAGE_SIZE:
+            page = pages.get(addr >> PAGE_SHIFT)
             if page is None:
-                page = pages[addr >> _PAGE_SHIFT] = bytearray(_PAGE)
+                page = pages[addr >> PAGE_SHIFT] = bytearray(PAGE_SIZE)
             page[off : off + size] = data
         else:
-            self._write_raw(addr, data)
+            scatter_pages(pages, addr, data)
         if thread is not None:
             now = thread.now + 5e-9
             thread.now = now
@@ -502,8 +471,8 @@ class NVMDevice(Device):
             raise StorageError(
                 f"{self.name}: load [{addr}, {addr + 16}) out of range"
             )
-        off = addr & _PAGE_MASK
-        if off + 16 > _PAGE:  # pragma: no cover - HSIT entries are 16-aligned
+        off = addr & PAGE_MASK
+        if off + 16 > PAGE_SIZE:  # pragma: no cover - HSIT entries are 16-aligned
             raw = self.load(thread, addr, 16)
             self.store_word(thread, addr, dirty_word)
             thread.spend(cas_cost)
@@ -521,10 +490,10 @@ class NVMDevice(Device):
         if end > now:
             now = end
         pages = self._pages
-        page_idx = addr >> _PAGE_SHIFT
+        page_idx = addr >> PAGE_SHIFT
         page = pages.get(page_idx)
         if page is None:
-            page = pages[page_idx] = bytearray(_PAGE)
+            page = pages[page_idx] = bytearray(PAGE_SIZE)
             old = neighbour = 0
         else:
             old = int.from_bytes(page[off : off + 8], "little")
@@ -580,14 +549,14 @@ class NVMDevice(Device):
         # Any pending cached stores to these lines are superseded.
         for line in self._lines(addr, len(data)):
             self._undo.pop(line, None)
-        self._write_raw(addr, data)
+        scatter_pages(self._pages, addr, data)
         self.charge_write(thread, len(data))
 
     def write_durable_async(self, at: float, addr: int, data: bytes) -> float:
         """Background-timed variant of :meth:`write_durable`."""
         for line in self._lines(addr, len(data)):
             self._undo.pop(line, None)
-        self._write_raw(addr, data)
+        scatter_pages(self._pages, addr, data)
         return self.charge_write_async(at, len(data))
 
     def discard(self, addr: int, size: int) -> None:
@@ -603,7 +572,7 @@ class NVMDevice(Device):
             raise StorageError(
                 f"{self.name}: discard [{addr}, {addr + size}) out of range"
             )
-        if (addr | size) & _PAGE_MASK:
+        if (addr | size) & PAGE_MASK:
             raise StorageError(
                 f"{self.name}: discard [{addr}, {addr + size}) is not page-aligned"
             )
@@ -619,7 +588,7 @@ class NVMDevice(Device):
                 lines = undo.keys() & range(first, end)
             keep = {line >> _LINES_PER_PAGE_SHIFT for line in lines}
         pages = self._pages
-        for idx in range(addr >> _PAGE_SHIFT, (addr + size) >> _PAGE_SHIFT):
+        for idx in range(addr >> PAGE_SHIFT, (addr + size) >> PAGE_SHIFT):
             if idx in pages and idx not in keep:
                 del pages[idx]
 
@@ -630,7 +599,7 @@ class NVMDevice(Device):
         """Power failure: every unflushed line reverts to durable state
         (and the software that retried flushes is gone)."""
         for line, durable in self._undo.items():
-            self._write_raw(line * CACHE_LINE, durable)
+            scatter_pages(self._pages, line * CACHE_LINE, durable)
         self._undo.clear()
         self._retry = None
         self.crashes += 1

@@ -22,12 +22,16 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.sim.vthread import VThread
-from repro.storage.base import Device, StorageError
+from repro.storage.base import (
+    PAGE_MASK,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    Device,
+    StorageError,
+    gather_pages,
+    scatter_pages,
+)
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC, DeviceSpec
-
-PAGE_SIZE = 4096
-_PAGE_SHIFT = 12  # log2(PAGE_SIZE)
-_PAGE_MASK = PAGE_SIZE - 1
 
 
 class SSDDevice(Device):
@@ -42,13 +46,6 @@ class SSDDevice(Device):
     # ------------------------------------------------------------------
     # raw storage
     # ------------------------------------------------------------------
-    def _page(self, idx: int) -> bytearray:
-        page = self._pages.get(idx)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[idx] = page
-        return page
-
     def _check(self, offset: int, size: int) -> None:
         if offset < 0 or size < 0 or offset + size > self._capacity:
             raise StorageError(
@@ -58,37 +55,11 @@ class SSDDevice(Device):
     def read_raw(self, offset: int, size: int) -> bytes:
         """Untimed data access (used by timed paths and recovery)."""
         self._check(offset, size)
-        # Fast path: access within a single 4 KB page (typical record).
-        off = offset & _PAGE_MASK
-        if off + size <= PAGE_SIZE:
-            page = self._pages.get(offset >> _PAGE_SHIFT)
-            if page is None:
-                return bytes(size)
-            return bytes(page[off : off + size])
-        out = bytearray(size)
-        pos = 0
-        while pos < size:
-            page_idx, off = divmod(offset + pos, PAGE_SIZE)
-            take = min(PAGE_SIZE - off, size - pos)
-            page = self._pages.get(page_idx)
-            if page is not None:
-                out[pos : pos + take] = page[off : off + take]
-            pos += take
-        return bytes(out)
+        return gather_pages(self._pages, offset, size)
 
     def write_raw(self, offset: int, data: bytes) -> None:
-        size = len(data)
-        self._check(offset, size)
-        off = offset & _PAGE_MASK
-        if off + size <= PAGE_SIZE:
-            self._page(offset >> _PAGE_SHIFT)[off : off + size] = data
-            return
-        pos = 0
-        while pos < size:
-            page_idx, off = divmod(offset + pos, PAGE_SIZE)
-            take = min(PAGE_SIZE - off, size - pos)
-            self._page(page_idx)[off : off + take] = data[pos : pos + take]
-            pos += take
+        self._check(offset, len(data))
+        scatter_pages(self._pages, offset, data)
 
     def discard(self, offset: int, size: int) -> None:
         """TRIM whole pages: the range reads back as zeros afterwards.
@@ -99,13 +70,13 @@ class SSDDevice(Device):
         has already dropped every reference to.
         """
         self._check(offset, size)
-        if (offset | size) & _PAGE_MASK:
+        if (offset | size) & PAGE_MASK:
             raise StorageError(
                 f"{self.name}: discard [{offset}, {offset + size}) is not "
                 f"page-aligned"
             )
         pages = self._pages
-        for idx in range(offset >> _PAGE_SHIFT, (offset + size) >> _PAGE_SHIFT):
+        for idx in range(offset >> PAGE_SHIFT, (offset + size) >> PAGE_SHIFT):
             if idx in pages:
                 del pages[idx]
 

@@ -10,7 +10,7 @@ input reach, all in this one process:
 
 * **tier-1**: ``pytest.main`` with the default (``not slow``) selection;
 * **product**: ``python -m repro.bench <name> --smoke`` for every
-  experiment, the five crash-sweep invocations CI runs,
+  experiment, the six crash-sweep invocations CI runs,
   ``perfbench.child --mode untraced`` for every workload at
   ``--scale 1/3``, and every script under ``examples/``.
 
@@ -61,7 +61,9 @@ CONFIG_CLASSES = (
     "repro.baselines.kvell:KVellConfig",
 )
 
-CRASH_SWEEPS = ("", "--tiering", "--cluster", "--cluster --gray 1", "--rebalance")
+CRASH_SWEEPS = (
+    "", "--tiering", "--writeback", "--cluster", "--cluster --gray 1", "--rebalance"
+)
 PERFBENCH_SCALE = 1 / 3
 
 # ----------------------------------------------------------------------
@@ -78,6 +80,7 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.core.hsit:HSIT.read_location",
         "repro.storage.ssd:SSDDevice.read",
         "repro.storage.ssd:SSDDevice.write",
+        "repro.core.tcq:ThreadCombiner.read",
     ),
     "perfbench's traced mode calls it (`merged_shard_metrics`)": (
         "repro.cluster.router:PrismCluster.merged_shard_metrics",
@@ -310,6 +313,14 @@ DELETED: Dict[str, str] = {
         "repro.storage.base:_NullFaultInjector.is_dead",
         "repro.storage.base:_NullFaultInjector.kill_device",
     ), "every hook site tests the armed bit first; the null injector is never armed"),
+    **dict.fromkeys((
+        "repro.storage.iouring:split_into_batches",
+        "repro.core.tcq:ThreadCombiner.coalescing_limit",
+        "repro.storage.ssd:SSDDevice._page",
+        "repro.storage.nvm:NVMDevice._page",
+        "repro.storage.nvm:NVMDevice._write_raw",
+        "repro.core.svc:ScanAwareValueCache._logical_free",
+    ), "a cold read miss walks batches by index, pages through one gather/scatter pair, and frees an SVC entry in _drop"),
     **dict.fromkeys((
         "PrismConfig.dram_spec",
         "PrismConfig.read_cache_sketch_width",
@@ -739,7 +750,7 @@ def report(
         f"| reached by tier-1 only | {len(by_tier1)} | {_pct(len(by_tier1), total)} |",
         f"| reached by nothing | {nothing} | {_pct(nothing, total)} |",
         "",
-        "Product inputs: every experiment at `--smoke`, the five CI crash "
+        "Product inputs: every experiment at `--smoke`, the six CI crash "
         "sweeps, the four perfbench workloads (`--mode untraced`, "
         "`--scale 1/3`) and `examples/`.",
         "",

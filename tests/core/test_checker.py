@@ -261,7 +261,7 @@ class TestChecksumInvariant:
         pos = pwb.base + loc.pwb_offset % pwb.capacity + pwb.header_size
         raw = bytearray(store.nvm._read_raw(pos, 1))
         raw[0] ^= 0x20
-        store.nvm._write_raw(pos, bytes(raw))
+        store.nvm.write_durable(None, pos, bytes(raw))
         report = audit(store)
         assert any("I7" in v for v in report.violations)
 

@@ -431,7 +431,7 @@ def test_reclaim_rejects_a_damaged_record(field):
     # The top byte of the backward pointer (an index far outside the
     # HSIT), of the size (a record past the ring's end), or a payload byte.
     at = pwb.base + dead % pwb.capacity + {"backptr": 7, "size": 11, "value": 20}[field]
-    store.nvm._write_raw(at, bytes([store.nvm._read_raw(at, 1)[0] ^ 0x40]))
+    store.nvm.write_durable(None, at, bytes([store.nvm._read_raw(at, 1)[0] ^ 0x40]))
     tail = pwb.tail
     with pytest.raises(CorruptionError):
         store._reclaim(pwb, _quiet(store, t))

@@ -162,7 +162,7 @@ class TestReclamationIteration:
             pwb = PersistentWriteBuffer(nvm, 0, capacity=8192, checksums=checksums)
             offset = pwb.append(3, b"v" * 40)
             pos = pwb.base + offset % pwb.capacity + at
-            nvm._write_raw(pos, bytes([nvm._read_raw(pos, 1)[0] ^ 0x40]))
+            nvm.write_durable(None, pos, bytes([nvm._read_raw(pos, 1)[0] ^ 0x40]))
             offsets, _backptrs, headers = pwb.gather_headers(None)
             with pytest.raises(CorruptionError):
                 pwb.gather_values(None, offsets, headers)

@@ -13,6 +13,7 @@ counts, virtual time and HSIT words.
 """
 
 from collections import deque
+from functools import partial
 from typing import Deque, List, Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
@@ -36,8 +37,9 @@ class IdLinkedSVC(ScanAwareValueCache):
     """The id-linked bookkeeping: ``scan_prev``/``scan_next`` hold entry
     ids, the LRU lists map id to ``None``, the queue holds ids, and
     every hop resolves its id through ``entries``.  Eviction decisions
-    and write-backs (``_drop``, ``_writeback_chain``, ``_rewrite``) are
-    inherited: they did not change."""
+    and write-backs (``_writeback_chain``, ``_rewrite``) are inherited:
+    they did not change.  ``_drop`` is the eviction and invalidation
+    tail as it was, around the id-linked ``_logical_free``."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -74,6 +76,16 @@ class IdLinkedSVC(ScanAwareValueCache):
         self._pending.append(("touch", entry_id))
         self.hits += 1
         return entry.value
+
+    def _drop(self, entry: SVCEntry, thread, evicted: bool = True) -> None:
+        if entry.freed:
+            return
+        if evicted:
+            self.hsit.clear_svc(entry.hsit_idx, thread)
+        self._logical_free(entry)
+        if evicted:
+            self.evictions += 1
+        self.epoch.retire(partial(self.entries.pop, entry.entry_id, None))
 
     def _logical_free(self, entry: SVCEntry) -> None:
         entry.freed = True
@@ -242,9 +254,10 @@ class _Run:
         svc = self.svc
         drop, chain_of = svc._drop, svc._chain_of
 
-        def recording_drop(entry, bg):
-            self.victims.append(entry.entry_id)
-            drop(entry, bg)
+        def recording_drop(entry, bg, evicted=True):
+            if evicted:
+                self.victims.append(entry.entry_id)
+            drop(entry, bg, evicted)
 
         def recording_chain_of(entry):
             chain = chain_of(entry)

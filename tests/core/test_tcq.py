@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.tcq import (
     FOLLOWER_HANDOFF_COST,
@@ -9,6 +10,7 @@ from repro.core.tcq import (
 )
 from repro.faults.errors import TransientReadError
 from repro.faults.retry import RetryExecutor, RetryPolicy
+from repro.obs.metrics import NULL_REGISTRY
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
 from repro.storage.iouring import (
@@ -135,7 +137,7 @@ class TestOversizedLeader:
         combiner.read(t, reqs)
         assert combiner.batches == 3
         assert combiner.combined_requests == 150
-        assert combiner.average_batch() <= combiner.coalescing_limit
+        assert combiner.average_batch() <= combiner.ring.queue_depth
         assert all(r.completion is not None for r in reqs)
 
     def test_exact_multiple_leaves_no_open_window(self, ring):
@@ -163,7 +165,7 @@ class TestOversizedLeader:
             now += rng.choice([0.0, 0.3e-6, 5e-6])
             t.now = now
             combiner.read(t, [_read(j * 4096) for j in range(rng.randint(1, 100))])
-        assert combiner.average_batch() <= combiner.coalescing_limit
+        assert combiner.average_batch() <= combiner.ring.queue_depth
 
     def test_stale_batch_count_does_not_block_followers(self, ring):
         """After a batch's window expires, its count must not make the
@@ -193,13 +195,14 @@ class TestReadCallBudget:
     """Python + C calls of one leader's ``ThreadCombiner.read`` (metrics
     off), fixed part and per-request part, from a read of 1 request and
     one of ``N``.  Per request: its SQE placement on the ring (reap,
-    stall, the SSD's timed read and its payload) and the ``max`` of
-    completions.  Measured 15 + 17 per request on CPython 3.11 (3.12:
-    14 + 17), pinned with no headroom."""
+    stall, the SSD's timed read and its payload).  Measured 5 + 14 per
+    request on CPython 3.11 and 3.12, pinned with no headroom; 15 + 16
+    while a submission built a list of QD-sized batches, took a ``max``
+    per completion and placed each SQE through ``_place``."""
 
     N = 16
-    FIXED = 15
-    PER_REQUEST = 17
+    FIXED = 5
+    PER_REQUEST = 14
 
     def test_calls_per_request(self):
         calls = {}
@@ -355,3 +358,152 @@ class TestSubmitDoesNotWait:
     def test_empty_submit(self, ring):
         t = VThread(0)
         assert ThreadCombiner(ring).submit(t, []) == t.now == 0.0
+
+
+# ---------------------------------------------------------------------------
+# submit == the chunk-splitting submit it replaced
+# ---------------------------------------------------------------------------
+def _split_into_batches(requests, queue_depth):
+    return [
+        list(requests[i : i + queue_depth])
+        for i in range(0, len(requests), queue_depth)
+    ]
+
+
+class ChunkSplittingCombiner(ThreadCombiner):
+    """The combiner as it was when a leader split its requests into a
+    list of QD-sized batches, each completion went through ``max`` and
+    every SQE decided afresh whether to retry: the oracle for
+    :meth:`ThreadCombiner.submit`'s walk by index.  Its two inlined
+    ``thread.spend`` copies are written as the call, which does the
+    same float additions in the same order."""
+
+    def submit(self, thread, requests, metrics=NULL_REGISTRY):
+        if not requests:
+            return thread.now
+        if self.mode == MODE_SYNC:
+            start = thread.now
+            done = self.ring.submit_and_wait(thread.now, requests)
+            thread.wait_until(done)
+            if metrics.enabled:
+                metrics.phase("read", "ssd_wait", done - start)
+            return done
+        window = (
+            self.combine_window
+            if self.mode == MODE_THREAD_COMBINING
+            else self.timeout_window
+        )
+        t = thread.now
+        limit = self.ring.queue_depth
+        if t > self._batch_close:
+            self._batch_count = 0
+        joins = (
+            t <= self._batch_close
+            and self._batch_count + len(requests) <= limit
+        )
+        done = t
+        if joins:
+            self._batch_count += len(requests)
+            thread.spend(FOLLOWER_HANDOFF_COST)
+            floor = self._batch_close
+            self.combined_requests += len(requests)
+            for req in requests:
+                done = max(done, self._place(floor, req))
+        else:
+            chunks = _split_into_batches(requests, limit)
+            floor = t
+            for i, chunk in enumerate(chunks):
+                last = i == len(chunks) - 1
+                if last and len(chunk) < limit:
+                    self._batch_close = t + window
+                    self._batch_count = len(chunk)
+                    floor = self._batch_close
+                else:
+                    floor = t
+                self.batches += 1
+                self.combined_requests += len(chunk)
+                for req in chunk:
+                    done = max(done, self._place(floor, req))
+            if len(chunks[-1]) >= limit:
+                self._batch_close = t
+                self._batch_count = 0
+            thread.spend(
+                SUBMIT_SYSCALL_COST * len(chunks) + SQE_PREP_COST * len(requests)
+            )
+        if metrics.enabled:
+            submit_at = max(min(floor, done), t)
+            metrics.phase("read", "combining_wait", submit_at - t)
+            metrics.phase("read", "ssd_wait", max(0.0, done - submit_at))
+        return done
+
+    def _place(self, at, req):
+        retry = self.retry
+        if retry is not None:
+            injector = retry.injector
+            if injector is None or injector.enabled:
+                return retry.run_at(
+                    lambda t: self.ring.submit_one(t, req),
+                    at,
+                    device=self.ring.device.name,
+                    op="read",
+                )
+        return self.ring.submit_one(at, req)
+
+
+_QD = 4
+# Gaps between arrivals: inside the combining window (1.5 us), past it,
+# inside the timeout window (100 us) and past that.
+_GAPS = (0.0, 0.4e-6, 1.4e-6, 3e-6, 60e-6, 150e-6)
+
+
+class TestSubmitMatchesChunkSplitting:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from([MODE_THREAD_COMBINING, MODE_TIMEOUT_ASYNC]),
+        failures=st.sampled_from([None, 0, 2]),
+        calls=st.lists(
+            st.tuples(
+                st.integers(0, 3),  # thread
+                st.sampled_from(_GAPS),
+                st.integers(1, 3 * _QD + 1),  # requests
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_same_state_after_every_call(self, mode, failures, calls):
+        """Completion times, thread clocks and CPU, batch counts, the
+        open window and the ring's outstanding completions match the
+        chunk-splitting submit after every call: leaders of 1 to
+        3·QD+1 requests, followers joining an open window or missing
+        it, with no retry executor, one with nothing to retry
+        (``failures`` 0) and one whose first two reads fail."""
+        sides = []
+        for cls in (ThreadCombiner, ChunkSplittingCombiner):
+            ring = IOUring(SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(64 * MB)), _QD)
+            combiner = cls(ring, mode=mode)
+            if failures is not None:
+                combiner.retry = RetryExecutor(RetryPolicy(backoff_base=10e-6))
+                _flaky_reads(ring.device, failures)
+            clock = VirtualClock()
+            threads = [VThread(tid, clock) for tid in range(4)]
+            sides.append((combiner, threads, _Phases()))
+        arrival = 0.0
+        for step, (tid, gap, count) in enumerate(calls):
+            arrival += gap
+            seen = []
+            for combiner, threads, metrics in sides:
+                thread = threads[tid]
+                thread.now = max(thread.now, arrival)
+                reqs = [_read((step * 64 + i) * 4096) for i in range(count)]
+                done = combiner.submit(thread, reqs, metrics)
+                outstanding = combiner.ring._outstanding
+                seen.append(repr((
+                    done, thread.now, thread.cpu_time, thread.clock.now,
+                    combiner.batches, combiner.combined_requests,
+                    combiner._batch_close, combiner._batch_count,
+                    outstanding._times[outstanding._head:],
+                    [(r.completion, r.result) for r in reqs],
+                    metrics.samples,
+                )))
+            assert seen[0] == seen[1], (step, tid, gap, count)

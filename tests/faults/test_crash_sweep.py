@@ -41,6 +41,7 @@ TIER_LABELS = {
     "tier.promote.pre_publish",
     "tier.promote.published",
 }
+WRITEBACK_LABELS = {"writeback.pre_publish", "writeback.published"}
 # scenario → (labels the workload must reach, recovery labels it must
 # reach, the member the report must name)
 EXPECT = {
@@ -51,6 +52,7 @@ EXPECT = {
     "rebalance-source": (CORE_WORKLOAD_LABELS, set(), 0),
     "rebalance-target": (CORE_WORKLOAD_LABELS, set(), 3),
     "rebalance-leaving": (CORE_WORKLOAD_LABELS, set(), 1),
+    "writeback": (CORE_WORKLOAD_LABELS | WRITEBACK_LABELS, CORE_RECOVERY_LABELS, None),
 }
 
 

@@ -73,7 +73,7 @@ class TestPWBFraming:
         pos = pwb.base + off % pwb.capacity + pwb.header_size
         raw = bytearray(nvm._read_raw(pos, 5))
         raw[0] ^= 0x80
-        nvm._write_raw(pos, bytes(raw))
+        nvm.write_durable(None, pos, bytes(raw))
         with pytest.raises(CorruptionError):
             pwb.read(off)
 

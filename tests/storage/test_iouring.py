@@ -1,6 +1,6 @@
 import pytest
 
-from repro.storage.iouring import IORequest, IOUring, split_into_batches
+from repro.storage.iouring import IORequest, IOUring
 from repro.storage.specs import FLASH_SSD_GEN4_SPEC
 from repro.storage.ssd import SSDDevice
 
@@ -113,9 +113,3 @@ class TestSubmission:
         with pytest.raises(ValueError):
             IOUring(ssd, 0)
 
-
-def test_split_into_batches():
-    reqs = [IORequest("read", i, 1) for i in range(10)]
-    batches = split_into_batches(reqs, 4)
-    assert [len(b) for b in batches] == [4, 4, 2]
-    assert batches[0][0] is reqs[0]
