@@ -31,6 +31,7 @@ from repro.core.containment import PublishEntry, resolve_partial_publish
 from repro.core.epoch import EpochManager
 from repro.core.hsit import HSIT
 from repro.core.pwb import PersistentWriteBuffer, PWBFullError
+from repro.core.record import parse
 from repro.core.svc import ScanAwareValueCache, SVCEntry
 from repro.core.tcq import ThreadCombiner
 from repro.core.value_storage import ValueStorage
@@ -38,7 +39,6 @@ from repro.faults.errors import (
     CorruptionError,
     DeviceError,
     NoHealthyStorageError,
-    ReadDegradedError,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryExecutor
@@ -209,6 +209,7 @@ class Prism:
             self._relocate,
             scan_aware=cfg.svc_scan_aware,
             page_mode=cfg.svc_page_mode,
+            placement=self._placement_storages,
         )
         # DRAM read-cache tier (ISSUE 6): consulted by get() before the
         # index.  None when disabled — the read path then costs one
@@ -283,12 +284,6 @@ class Prism:
     def _device_dead(self, name: str) -> bool:
         injector = self.injector
         return injector is not None and injector.enabled and injector.is_dead(name)
-
-    def _vs_dead(self, vs: ValueStorage) -> bool:
-        injector = self.injector
-        return (
-            injector is not None and injector.enabled and injector.is_dead(vs.ssd.name)
-        )
 
     def _alive(self, storages: List[ValueStorage]) -> List[ValueStorage]:
         """``storages`` minus those whose device is dead (degraded mode);
@@ -719,7 +714,7 @@ class Prism:
     # garbage collection in Value Storage (§5.2)
     # ------------------------------------------------------------------
     def _maybe_gc(self, vs: ValueStorage, at: float) -> None:
-        if self._vs_dead(vs):
+        if self._device_dead(vs.ssd.name):
             return  # read-degraded storage: nothing to collect into
         if vs.free_fraction() >= self.config.gc_free_threshold:
             return
@@ -749,9 +744,11 @@ class Prism:
         )
 
         def heal(chunk_id: int, offset: int, idx: int) -> Optional[bytes]:
-            # A rotted record would poison the GC move; heal it from a
-            # repair source, or leave it in place (it stays valid; a
-            # later read surfaces the typed error and retries the repair).
+            # A rotted record would poison the GC move; fetch a copy
+            # from a repair source, or leave it in place (it stays
+            # valid; a later read surfaces the typed error and retries
+            # the repair).  Fetch only, not read_repair: the GC moves
+            # the healed value itself, with the rest of the victims.
             self.corruption_detected += 1
             from repro.repair import fetch_value
 
@@ -886,24 +883,27 @@ class Prism:
         if enabled:
             m.counter("read.svc_misses").inc()
         vs = self.storages[loc.vs_id]
-        if self._vs_dead(vs):
-            # The durable copy sits on a dead device.  With a repair
-            # source configured the read re-materialises the record
-            # onto healthy storage (read-repair); otherwise the key is
-            # read-degraded, not silently missing.
-            value = self._repair_read(
-                idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread,
-                dead_device=True,
+        if self._device_dead(vs.ssd.name):
+            # The durable copy sits on a dead device.  With a mirror the
+            # read re-materialises the record onto healthy storage
+            # (read-repair); otherwise the key is read-degraded, not
+            # silently missing.
+            from repro.repair import read_repair
+
+            value = read_repair(
+                self, idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread,
+                dead=True,
             )
         else:
             req = vs.record_request(loc.chunk_id, loc.vs_offset)
             raw = self.combiners[loc.vs_id].read_one(thread, req, m)
             try:
-                _, value = vs.parse_record(raw)
+                _, value = parse(raw, vs.checksums, vs.ssd.name)
             except CorruptionError:
-                self.corruption_detected += 1
-                value = self._repair_read(
-                    idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread
+                from repro.repair import read_repair
+
+                value = read_repair(
+                    self, idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread
                 )
         if tier is not None:
             tier.flash_read(idx, vs, loc, value)
@@ -913,32 +913,6 @@ class Prism:
             if enabled:
                 m.phase("get", "svc_admit", thread.now - t0)
         return value
-
-    def _repair_read(
-        self,
-        idx: int,
-        key: bytes,
-        vs_id: int,
-        chunk_id: int,
-        offset: int,
-        thread: VThread,
-        dead_device: bool = False,
-    ) -> bytes:
-        """Heal one unreadable Value Storage record in the read path.
-
-        Re-materialises the value from a repair source (mirror chunk,
-        then an unreclaimed PWB copy), rewrites it through the normal
-        publish path onto healthy storage, and returns it.  Raises
-        :class:`UnrecoverableCorruptionError` when no intact copy
-        exists — typed loss, never silently wrong bytes.  A dead device
-        without a mirror keeps PR 2's :class:`ReadDegradedError`.
-        """
-        vs = self.storages[vs_id]
-        if dead_device and vs.mirror is None:
-            raise ReadDegradedError(vs.ssd.name, key)
-        from repro.repair import read_repair
-
-        return read_repair(self, idx, key, vs_id, chunk_id, offset, thread)
 
     # ------------------------------------------------------------------
     # scan (§4.4)
@@ -998,7 +972,7 @@ class Prism:
                         entry.slot = loc
                         copies[key] = entry
                         continue
-                if self._vs_dead(storages[loc.vs_id]):
+                if self._device_dead(storages[loc.vs_id].ssd.name):
                     repairs.append((key, idx, loc))
                     continue
                 misses_setdefault(loc.vs_id, []).append(
@@ -1038,9 +1012,11 @@ class Prism:
                             found.pwb_offset, thread
                         )
             for key, idx, loc in repairs:
-                value = self._repair_read(
-                    idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset,
-                    thread, dead_device=True,
+                from repro.repair import read_repair
+
+                value = read_repair(
+                    self, idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset,
+                    thread, dead=True,
                 )
                 results[key] = value
                 if enable_svc:
@@ -1052,18 +1028,21 @@ class Prism:
             # tie): parse it, heal what fails its checksum, cache it.
             t0 = thread.now
             waited = 0.0
+
+            def heal(
+                chunk_id: int, offset: int, tag: Tuple[int, bytes, ptr.Location]
+            ) -> bytes:
+                from repro.repair import read_repair
+
+                idx, key, loc = tag
+                return read_repair(
+                    self, idx, key, loc.vs_id, chunk_id, offset, thread
+                )
+
             for completion, _pos, vs_id, req in landing:
                 if completion > thread.now:
                     waited += completion - thread.now
                     thread.wait_until(completion)
-
-                def heal(
-                    chunk_id: int, offset: int, tag: Tuple[int, bytes, ptr.Location]
-                ) -> bytes:
-                    self.corruption_detected += 1
-                    idx, key, _loc = tag
-                    return self._repair_read(idx, key, vs_id, chunk_id, offset, thread)
-
                 fetched = storages[vs_id].parse_reads((req,), heal)
                 for _chunk, _offset, (idx, key, loc), value in fetched:
                     results[key] = value

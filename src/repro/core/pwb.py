@@ -21,15 +21,13 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.value_storage import record_crc
+from repro.core.record import CHECKED_RECORD_HEADER, PLAIN, RECORD_HEADER, frame, verify
 from repro.faults.errors import CorruptionError
 from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
 from repro.storage.crash import NULL_CRASH_POINT
 from repro.storage.nvm import PAGE_SIZE, NVMDevice
 
-RECORD_HEADER = 12  # backward pointer (8B) + value size (4B)
-CHECKED_RECORD_HEADER = 16  # backward pointer (8B) + size (4B) + CRC32 (4B)
 _ALIGN = 8
 
 
@@ -92,17 +90,6 @@ class PersistentWriteBuffer:
         raw = self.header_size + value_len
         return -(-raw // _ALIGN) * _ALIGN
 
-    def _parse(self, header: bytes, value: bytes, offset: int) -> Tuple[int, bytes]:
-        """Verify (when enabled) and split a record already loaded."""
-        hsit_idx = int.from_bytes(header[:8], "little")
-        if self.checksums:
-            stored = int.from_bytes(header[12:16], "little")
-            if record_crc(header[:12], value) != stored:
-                raise CorruptionError(
-                    self.nvm.name, f"pwb {self.pwb_id} off {offset}"
-                )
-        return hsit_idx, value
-
     def _advance_over_wrap(self, offset: int, need: int) -> int:
         """Skip tail padding so the record stays contiguous."""
         pos = offset % self.capacity
@@ -151,11 +138,10 @@ class PersistentWriteBuffer:
         if cp.active:
             cp.maybe_crash("pwb.append.pre")
         self.head = start + need
-        header = hsit_idx.to_bytes(8, "little") + vlen.to_bytes(4, "little")
         if self.checksums:
-            record = header + record_crc(header, value).to_bytes(4, "little") + value
+            record = frame(hsit_idx, value, True)
         else:
-            record = header + value
+            record = PLAIN.pack(hsit_idx, vlen) + value
         self.nvm.persist(thread, self.base + start % capacity, record)
         if cp.active:
             cp.maybe_crash("pwb.append.persisted")
@@ -177,12 +163,11 @@ class PersistentWriteBuffer:
         header_size = self.header_size
         nvm = self.nvm
         header = nvm.load(thread, pos, header_size)
-        size = int.from_bytes(header[8:12], "little")
+        back, size = PLAIN.unpack_from(header)
         value = nvm.load(None, pos + header_size, size)
-        # _parse inlined for the common no-checksum configuration.
         if self.checksums:
-            return self._parse(header, value, offset)
-        return int.from_bytes(header[:8], "little"), value
+            verify(header, value, nvm.name, f"pwb {self.pwb_id} off {offset}")
+        return back, value
 
     def read_backptr(self, offset: int, thread: Optional[VThread] = None) -> int:
         pos = self.base + offset % self.capacity
@@ -203,11 +188,8 @@ class PersistentWriteBuffer:
         headers = self.nvm.load_gather(
             thread, [base + offset % capacity for offset in offsets], self.header_size
         )
-        return (
-            offsets,
-            [int.from_bytes(header[:8], "little") for header in headers],
-            headers,
-        )
+        unpack = PLAIN.unpack_from
+        return offsets, [unpack(header)[0] for header in headers], headers
 
     def gather_values(
         self,
@@ -225,7 +207,8 @@ class PersistentWriteBuffer:
         end = base + capacity
         header_size = self.header_size
         addrs = [base + offset % capacity + header_size for offset in offsets]
-        sizes = [int.from_bytes(header[8:12], "little") for header in headers]
+        unpack = PLAIN.unpack_from
+        sizes = [unpack(header)[1] for header in headers]
         nvm = self.nvm
         for offset, addr, size in zip(offsets, addrs, sizes):
             if addr + size > end:
@@ -235,9 +218,8 @@ class PersistentWriteBuffer:
                 )
         values = nvm.load_gather(thread, addrs, sizes)
         if self.checksums:
-            parse = self._parse
             for offset, header, value in zip(offsets, headers, values):
-                parse(header, value, offset)
+                verify(header, value, nvm.name, f"pwb {self.pwb_id} off {offset}")
         return values
 
     def release_through(self, upto: int) -> None:
@@ -292,9 +274,11 @@ class PersistentWriteBuffer:
         ``[tail, head)`` — a freshly attached buffer has no cursors."""
         pos = self.base + offset % self.capacity
         header = self.nvm.load(None, pos, self.header_size)
-        size = int.from_bytes(header[8:12], "little")
+        back, size = PLAIN.unpack_from(header)
         value = self.nvm.load(None, pos + self.header_size, size)
-        return self._parse(header, value, offset)
+        if self.checksums:
+            verify(header, value, self.nvm.name, f"pwb {self.pwb_id} off {offset}")
+        return back, value
 
     def adopt(self, offsets: Sequence[int]) -> None:
         """Take over the live records recovery found but could not move

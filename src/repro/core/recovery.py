@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.core import pointers as ptr
+from repro.core.record import PLAIN, parse
 from repro.faults.errors import CorruptionError, NoHealthyStorageError
 from repro.sim.vthread import VThread
 
@@ -59,6 +60,8 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
     """Bring a crashed Prism instance back to a consistent state."""
     if recovery_threads < 1:
         raise ValueError(f"recovery_threads must be >= 1: {recovery_threads}")
+    from repro.repair import mirror_value
+
     rt = VThread(-9, prism.clock, name="recovery", background=True)
     start = rt.now = prism.clock.now
 
@@ -94,8 +97,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
             vs = prism.storages[loc.vs_id]
             base = loc.chunk_id * vs.chunk_size + loc.vs_offset
             header = vs.ssd.read_raw(base, vs.header_size)
-            back = int.from_bytes(header[:8], "little")
-            size = int.from_bytes(header[8:12], "little")
+            back, size = PLAIN.unpack_from(header)
             vs_header_bytes += vs.header_size
             if vs.checksums:
                 # CRC-verify the full record before trusting the
@@ -106,20 +108,19 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
                 payload = vs.ssd.read_raw(base + vs.header_size, span)
                 vs_header_bytes += span
                 try:
-                    back, _value = vs.parse_record(
-                        header + payload,
-                        where=(
-                            f"vs{loc.vs_id} chunk {loc.chunk_id} "
-                            f"off {loc.vs_offset}"
-                        ),
-                    )
+                    parse(header + payload, True, vs.ssd.name)
                 except CorruptionError:
                     prism.corruption_detected += 1
-                    # Keep the slot (with the clamped stored size) so
-                    # the pointer never dangles: reads of a lost record
-                    # surface a typed error, never a silent absence.
-                    live_vs[loc.vs_id][(loc.chunk_id, loc.vs_offset)] = (idx, span)
-                    value = _mirror_copy(prism, vs, loc, idx)
+                    # The bitmaps are not rebuilt yet: the mirror copy
+                    # is sized by its own header.
+                    value = mirror_value(prism, vs, loc.chunk_id, loc.vs_offset, idx)
+                    # Keep the slot so the pointer never dangles: reads
+                    # of a lost record surface a typed error, never a
+                    # silent absence.  An intact copy gives its true
+                    # size; a lost one keeps the clamped stored size.
+                    live_vs[loc.vs_id][(loc.chunk_id, loc.vs_offset)] = (
+                        idx, span if value is None else len(value)
+                    )
                     if value is not None:
                         vs_header_bytes += vs.header_size + len(value)
                         repair_flush.append(
@@ -144,7 +145,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
     if vs_header_bytes:
         done = rt.now
         for vs in prism.storages:
-            if prism._vs_dead(vs):
+            if prism._device_dead(vs.ssd.name):
                 # Record headers on a dead device were read through the
                 # simulator's omniscient view; no real IO to charge.
                 continue
@@ -203,33 +204,6 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
         corrupt_records_repaired=corrupt_repaired,
         corrupt_records_lost=corrupt_lost,
     )
-
-
-def _mirror_copy(prism: "Prism", vs, loc: ptr.Location, idx: int):
-    """An intact, well-coupled mirror copy of the record at ``loc``,
-    or None when the mirror is absent, dead, rotted, or stale."""
-    if vs.mirror is None:
-        return None
-    if prism._device_dead(vs.mirror.name):
-        return None
-    base = loc.chunk_id * vs.chunk_size + loc.vs_offset
-    header = vs.mirror.read_raw(base, vs.header_size)
-    size = int.from_bytes(header[8:12], "little")
-    room = vs.chunk_size - loc.vs_offset - vs.header_size
-    if not 0 <= size <= room:
-        return None
-    payload = vs.mirror.read_raw(base + vs.header_size, size)
-    try:
-        back, value = vs.parse_record(
-            header + payload,
-            where=f"mirror of vs{loc.vs_id} chunk {loc.chunk_id}",
-            device=vs.mirror.name,
-        )
-    except CorruptionError:
-        return None
-    if back != idx:
-        return None
-    return value
 
 
 def _reclaim_unreachable(prism: "Prism", reachable: set, rt: VThread) -> int:

@@ -68,6 +68,7 @@ from repro.core.epoch import EpochManager
 from repro.core.hsit import HSIT
 from repro.core import pointers as ptr
 from repro.core.value_storage import ValueStorage
+from repro.faults.errors import NoHealthyStorageError
 from repro.sim.vthread import VThread
 from repro.storage.dram import DRAMDevice
 
@@ -134,6 +135,7 @@ class ScanAwareValueCache:
         scan_aware: bool = True,
         page_mode: bool = False,
         page_size: int = 4096,
+        placement: Optional[Callable[[], List[ValueStorage]]] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"SVC capacity must be positive: {capacity}")
@@ -142,6 +144,9 @@ class ScanAwareValueCache:
         self.hsit = hsit
         self.epoch = epoch
         self.relocate = relocate
+        # The owning store's live placement storages, asked only when a
+        # chain is rewritten; None (no store) takes those passed in.
+        self.placement = placement
         self.scan_aware = scan_aware
         # Ablation: charge page granularity like prior-work page caches.
         self.page_mode = page_mode
@@ -493,9 +498,10 @@ class ScanAwareValueCache:
         self, bg: VThread, chain: List[SVCEntry], storages: List[ValueStorage]
     ) -> None:
         """Rewrite a chain's members that still sit in Value Storage,
-        key-sorted, into one batch at a storage's log head — unless
-        they already run in order (:meth:`_already_contiguous`).  The
-        move is the store's relocation primitive, labelled
+        key-sorted, into one batch at the log head of the placement
+        storage with the fewest reads in flight (the first on a tie) —
+        unless they already run in order (:meth:`_already_contiguous`).
+        The move is the store's relocation primitive, labelled
         ``"writeback"``."""
         # One gather serves the filter, the contiguity test and the
         # move: an op runs atomically, so nothing moves a member between
@@ -514,7 +520,11 @@ class ScanAwareValueCache:
         # Fewer than two members count as contiguous.
         if self._already_contiguous([loc for _, loc in located]):
             return
-        target = min(storages, key=lambda vs: vs.ring.inflight_at(bg.now))
+        try:
+            candidates = storages if self.placement is None else self.placement()
+        except NoHealthyStorageError:
+            return  # nowhere to write: eviction proceeds as a plain drop
+        target = min(candidates, key=lambda vs: vs.ring.inflight_at(bg.now))
         entries = [
             (m.hsit_idx, m.value, storages[loc.vs_id], loc.chunk_id, loc.vs_offset)
             for m, loc in located

@@ -3,12 +3,10 @@
 Space is divided into fixed-size chunks (512 KB by default).  A chunk
 holds records of ``[backward pointer (8B)][size (4B)][value]`` — the
 per-value metadata that makes recovery possible without logs.  With
-``checksums`` enabled the header grows a CRC32 over header + payload
-(``[backptr (8B)][size (4B)][crc32 (4B)][value]``), verified on every
-read path; a mismatch raises a typed
-:class:`~repro.faults.errors.CorruptionError`.  Each
-chunk keeps a validity bitmap *in DRAM* (rebuildable from the HSIT, so
-it needs no persistence), tracking which records are up to date.
+``checksums`` enabled the header grows a CRC32, verified on every read
+path (:mod:`repro.core.record` holds the format).  Each chunk keeps a
+validity bitmap *in DRAM* (rebuildable from the HSIT, so it needs no
+persistence), tracking which records are up to date.
 
 Writes are batches, asynchronous, through the io_uring ring, and the
 storage is a log: one chunk is *open* (the log head) and a batch
@@ -30,12 +28,12 @@ the live records.  Scans and GC read through one planner
 
 from __future__ import annotations
 
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.record import CHECKED_RECORD_HEADER, PLAIN, RECORD_HEADER, frame, parse
 from repro.faults.errors import CorruptionError
 from repro.sim.resources import VLock
 from repro.sim.vthread import VThread
@@ -44,15 +42,7 @@ from repro.storage.crash import NULL_CRASH_POINT
 from repro.storage.iouring import IORequest, IOUring
 from repro.storage.ssd import PAGE_SIZE, SSDDevice
 
-RECORD_HEADER = 12  # backward pointer (8B) + value size (4B)
-# Checksummed framing adds a CRC32 over header + payload (ISSUE 3).
-CHECKED_RECORD_HEADER = 16  # backward pointer (8B) + size (4B) + CRC32 (4B)
 DEFAULT_CHUNK_SIZE = 512 * 1024
-
-
-def record_crc(header12: bytes, value: bytes) -> int:
-    """CRC32 over the logical header (backptr + size) and the payload."""
-    return zlib.crc32(value, zlib.crc32(header12))
 
 
 @dataclass(slots=True)
@@ -183,13 +173,6 @@ class ValueStorage:
     def record_bytes(self, value_len: int) -> int:
         return self.header_size + value_len
 
-    def _frame(self, hsit_idx: int, value: bytes) -> bytes:
-        """Build one on-media record: header (+ optional CRC) + value."""
-        header = hsit_idx.to_bytes(8, "little") + len(value).to_bytes(4, "little")
-        if not self.checksums:
-            return header + value
-        return header + record_crc(header, value).to_bytes(4, "little") + value
-
     def _mirror_write(self, at: float, offset: int, data: bytes) -> float:
         """Best-effort duplicate of a chunk write onto the mirror SSD.
 
@@ -277,7 +260,7 @@ class ValueStorage:
         # (chunk_id, start offset within the chunk, bytes to write there)
         pieces: List[Tuple[int, int, bytearray]] = []
         header = self.header_size
-        frame = self._frame
+        checked = self.checksums
         remaining = iter(records)
         for n, count in enumerate(counts):
             if n:
@@ -292,7 +275,7 @@ class ValueStorage:
             pieces.append((chunk_id, offset, buffer))
             for hsit_idx, value in islice(remaining, count):
                 size = len(value)
-                buffer += frame(hsit_idx, value)
+                buffer += frame(hsit_idx, value, checked)
                 slots[offset] = _Slot(hsit_idx, offset, size)
                 info.live_bytes += size
                 placements.append((chunk_id, offset, size))
@@ -356,7 +339,7 @@ class ValueStorage:
             info = self._chunks[chunk_id]
             self._open_sync[tid] = chunk_id
         offset = info.write_head
-        record = self._frame(hsit_idx, value)
+        record = frame(hsit_idx, value, self.checksums)
         io_size = min(-(-need // 4096) * 4096, self.chunk_size - offset)
         req = IORequest(
             "write",
@@ -392,9 +375,6 @@ class ValueStorage:
             self.header_size + slot.size,
             context=(chunk_id, offset),
         )
-
-    def slot_size(self, chunk_id: int, offset: int) -> int:
-        return self._slot(chunk_id, offset).size
 
     def plan_reads(self, records: Iterable[Tuple[int, int, Any]]) -> List[IORequest]:
         """One read request per run of records that sit back to back in
@@ -446,7 +426,8 @@ class ValueStorage:
         to use, or None to leave the record out.
         """
         header = self.header_size
-        parse = self.parse_record
+        checked = self.checksums
+        device = self.ssd.name
         out: List[Tuple[int, int, Any, bytes]] = []
         append = out.append
         for req in requests:
@@ -457,7 +438,7 @@ class ValueStorage:
                 rel = offset - base
                 try:
                     # Exactly this record's bytes, not the run's tail.
-                    _, value = parse(data[rel : rel + header + size])
+                    _, value = parse(data[rel : rel + header + size], checked, device)
                 except CorruptionError:
                     value = heal(chunk_id, offset, tag)
                     if value is None:
@@ -465,50 +446,33 @@ class ValueStorage:
                 append((chunk_id, offset, tag, value))
         return out
 
-    def parse_record(
-        self, raw: bytes, where: str = "", device: str = ""
-    ) -> Tuple[int, bytes]:
-        """Split a raw record into (backward pointer, value).
-
-        With checksums enabled the stored CRC32 is verified over header
-        + payload; a mismatch raises :class:`CorruptionError` naming
-        ``device`` (defaults to the primary SSD) and ``where``.
-        """
-        hsit_idx = int.from_bytes(raw[:8], "little")
-        size = int.from_bytes(raw[8:12], "little")
-        if not self.checksums:
-            return hsit_idx, raw[12 : 12 + size]
-        stored = int.from_bytes(raw[12:16], "little")
-        value = raw[16 : 16 + size]
-        if len(value) != size or record_crc(raw[:12], value) != stored:
-            raise CorruptionError(
-                device or self.ssd.name, where or f"vs{self.vs_id} record"
-            )
-        return hsit_idx, value
-
     def read_record_raw(self, chunk_id: int, offset: int) -> Tuple[int, bytes]:
         """Untimed record read (audits, scrub, tests); checksum-verified."""
         slot = self._slot(chunk_id, offset)
         raw = self.ssd.read_raw(
             chunk_id * self.chunk_size + offset, self.header_size + slot.size
         )
-        return self.parse_record(
-            raw, where=f"vs{self.vs_id} chunk {chunk_id} off {offset}"
+        return parse(
+            raw, self.checksums, self.ssd.name,
+            f"vs{self.vs_id} chunk {chunk_id} off {offset}",
         )
 
     def read_record_mirror(self, chunk_id: int, offset: int) -> Tuple[int, bytes]:
-        """Untimed record read from the mirror copy; checksum-verified."""
-        if self.mirror is None:
+        """Untimed read of a record's mirror copy, checksum-verified: the
+        one reader of mirror bytes.  The size comes from the copy's own
+        header, so it works before recovery rebuilds the slots; a size
+        that runs past the chunk raises :class:`CorruptionError`."""
+        mirror = self.mirror
+        if mirror is None:
             raise StorageError(f"vs{self.vs_id}: no mirror configured")
-        slot = self._slot(chunk_id, offset)
-        raw = self.mirror.read_raw(
-            chunk_id * self.chunk_size + offset, self.header_size + slot.size
-        )
-        return self.parse_record(
-            raw,
-            where=f"mirror of vs{self.vs_id} chunk {chunk_id} off {offset}",
-            device=self.mirror.name,
-        )
+        where = f"mirror of vs{self.vs_id} chunk {chunk_id} off {offset}"
+        start = chunk_id * self.chunk_size + offset
+        header = mirror.read_raw(start, self.header_size)
+        size = PLAIN.unpack_from(header)[1]
+        if offset + self.header_size + size > self.chunk_size:
+            raise CorruptionError(mirror.name, where)
+        payload = mirror.read_raw(start + self.header_size, size)
+        return parse(header + payload, self.checksums, mirror.name, where)
 
     # ------------------------------------------------------------------
     # validity bitmap

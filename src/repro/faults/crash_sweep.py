@@ -469,8 +469,14 @@ def writeback_store_factory() -> Prism:
     return Prism(tight_store_config(svc_capacity=1024))
 
 
+def mirrored_store_factory() -> Prism:
+    """The default store, every chunk write duplicated on a mirror SSD."""
+    return Prism(tight_store_config(mirror_chunks=True))
+
+
 STORE_SCENARIOS: Dict[str, Scenario] = {
     "store": StoreScenario(default_store_factory),
+    "mirrored": StoreScenario(mirrored_store_factory),
     "tiered": StoreScenario(tiered_store_factory),
     "writeback": StoreScenario(
         writeback_store_factory,
@@ -483,7 +489,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     # The CLI is the top of the stack: it alone looks upward, at the
-    # registry that adds the cluster-scope scenarios to the three above.
+    # registry that adds the cluster-scope scenarios to the four above.
     from repro.cluster.crash_sweep import REBALANCE_ROLES, SCENARIOS
 
     parser = argparse.ArgumentParser(

@@ -8,6 +8,7 @@ background :class:`Scrubber`, and the explicit dead-device rebuild.
 from repro.repair.repair import (
     RebuildReport,
     fetch_value,
+    mirror_value,
     read_repair,
     rebuild_storage,
 )
@@ -18,6 +19,7 @@ __all__ = [
     "ScrubReport",
     "Scrubber",
     "fetch_value",
+    "mirror_value",
     "read_repair",
     "rebuild_storage",
 ]

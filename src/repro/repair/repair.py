@@ -4,7 +4,8 @@ Repair sources, in order:
 
 1. **Mirror chunk** — when the storage was built with ``mirror_chunks``
    every chunk write was duplicated onto a dedicated mirror SSD; the
-   copy is checksum-verified and well-coupledness-checked before use.
+   copy (:func:`mirror_value`) is checksum-verified and
+   well-coupledness-checked before use.
 2. **Unreclaimed PWB copy** — a record whose reclamation published the
    Value Storage pointer but whose PWB window has not been released yet
    still has its exact bytes on NVM.  A PWB copy is accepted only when
@@ -27,7 +28,11 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core import pointers as ptr
 from repro.core.containment import resolve_partial_publish
-from repro.faults.errors import DeviceError, UnrecoverableCorruptionError
+from repro.faults.errors import (
+    DeviceError,
+    ReadDegradedError,
+    UnrecoverableCorruptionError,
+)
 from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
 
@@ -35,8 +40,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.prism import Prism
 
 
-def _mirror_dead(store: "Prism", vs) -> bool:
-    return vs.mirror is not None and store._device_dead(vs.mirror.name)
+def mirror_value(
+    store: "Prism", vs, chunk_id: int, offset: int, idx: int
+) -> Optional[bytes]:
+    """The value of ``idx``'s intact, well-coupled mirror copy at
+    (chunk_id, offset), or None when the mirror is absent, dead, rotted
+    or holds another record.  Untimed; the caller charges the read."""
+    mirror = vs.mirror
+    if mirror is None or store._device_dead(mirror.name):
+        return None
+    try:
+        back, value = vs.read_record_mirror(chunk_id, offset)
+    except StorageError:
+        return None
+    return value if back == idx else None
 
 
 def fetch_value(
@@ -55,16 +72,11 @@ def fetch_value(
     """
     vs = store.storages[vs_id]
     # 1. mirror copy (checksum- and coupling-verified)
-    if vs.mirror is not None and not _mirror_dead(store, vs):
-        try:
-            nbytes = vs.header_size + vs.slot_size(chunk_id, offset)
-            back, value = vs.read_record_mirror(chunk_id, offset)
-            if back == idx:
-                if at is not None:
-                    vs.mirror.charge_read_async(at, nbytes)
-                return value, "mirror"
-        except StorageError:
-            pass  # mirror copy rotted too (or slot gone); fall through
+    value = mirror_value(store, vs, chunk_id, offset, idx)
+    if value is not None:
+        if at is not None:
+            vs.mirror.charge_read_async(at, vs.header_size + len(value))
+        return value, "mirror"
     # 2. latest unambiguous PWB copy
     candidates: List[bytes] = []
     for pwb in store.pwbs:
@@ -129,16 +141,26 @@ def read_repair(
     chunk_id: int,
     offset: int,
     thread: VThread,
+    dead: bool = False,
 ) -> bytes:
-    """Heal one record in place: fetch an intact copy, rewrite it
-    through the normal publish path, and flip the pointer.
+    """Heal one record a read could not use: count the failure, fetch
+    an intact copy, rewrite it through the normal publish path (the
+    pointer flips) and return it — or raise typed loss.
 
-    The caller's thread pays the repair latency (this *is* read-repair).
-    Raises :class:`UnrecoverableCorruptionError` when no source has an
-    intact copy.
+    The one heal of the read path (point read, scan landing,
+    scrubber).  The caller's thread pays the repair latency (this *is*
+    read-repair).  A record on a ``dead`` device is no checksum failure
+    and is not counted; with no mirror to read it from, its key is
+    read-degraded (:class:`ReadDegradedError`).  Raises
+    :class:`UnrecoverableCorruptionError` when no source has an intact
+    copy.
     """
     at = thread.now
     vs = store.storages[vs_id]
+    if not dead:
+        store.corruption_detected += 1
+    elif vs.mirror is None:
+        raise ReadDegradedError(vs.ssd.name, key)
     where = f"vs{vs_id} chunk {chunk_id} off {offset}"
     fetched = fetch_value(store, idx, vs_id, chunk_id, offset, at=at)
     if fetched is None:

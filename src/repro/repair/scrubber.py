@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.faults.errors import CorruptionError, UnrecoverableCorruptionError
-from repro.repair.repair import read_repair
+from repro.repair.repair import mirror_value, read_repair
 from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
 
@@ -83,7 +83,7 @@ class Scrubber:
             t.now = store.clock.now
         start = t.now
         for vs in store.storages:
-            if store._vs_dead(vs):
+            if store._device_dead(vs.ssd.name):
                 continue  # rebuild_storage owns records on dead devices
             for chunk_id in sorted(vs._chunks):
                 info = vs._chunks.get(chunk_id)
@@ -108,7 +108,6 @@ class Scrubber:
                         vs.read_record_raw(chunk_id, offset)
                     except CorruptionError:
                         report.corrupt_found += 1
-                        store.corruption_detected += 1
                         store.events.emit(
                             t.now,
                             "scrub_corruption",
@@ -125,7 +124,7 @@ class Scrubber:
                         except UnrecoverableCorruptionError:
                             report.unrecoverable += 1
                         continue
-                    self._refresh_mirror(vs, chunk_id, offset, report)
+                    self._refresh_mirror(vs, chunk_id, slot, report)
         self.passes += 1
         report.duration = t.now - start
         store.events.emit(
@@ -141,23 +140,16 @@ class Scrubber:
         )
         return report
 
-    def _refresh_mirror(
-        self, vs, chunk_id: int, offset: int, report: ScrubReport
-    ) -> None:
-        """Re-duplicate a clean primary record whose mirror copy rotted."""
+    def _refresh_mirror(self, vs, chunk_id: int, slot, report: ScrubReport) -> None:
+        """Re-duplicate a clean primary record whose mirror copy rotted
+        (or holds another record)."""
         store = self.store
-        if vs.mirror is None:
+        if vs.mirror is None or store._device_dead(vs.mirror.name):
             return
-        if store._device_dead(vs.mirror.name):
-            return
-        try:
-            vs.read_record_mirror(chunk_id, offset)
+        offset = slot.offset
+        if mirror_value(store, vs, chunk_id, offset, slot.hsit_idx) is not None:
             return  # mirror copy intact
-        except CorruptionError:
-            pass
-        except StorageError:
-            return
-        nbytes = vs.header_size + vs.slot_size(chunk_id, offset)
+        nbytes = vs.header_size + slot.size
         addr = chunk_id * vs.chunk_size + offset
         prim = vs.ssd.read_raw(addr, nbytes)
         try:

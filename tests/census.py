@@ -140,13 +140,16 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.core.checker:AuditReport.fail",
         "repro.core.containment:resolve_partial_publish",
         "repro.core.prism:Prism._gc.<locals>.heal",
-        "repro.core.prism:Prism._repair_read",
         "repro.core.prism:Prism.scan.<locals>.heal",
         "repro.core.pwb:PersistentWriteBuffer.adopt",
         "repro.faults.crash_sweep:_shown",
         "repro.faults.retry:RetryExecutor._give_up",
         "repro.storage.nvm:PersistentHeap.free",
         "repro.storage.raid:RAID0.crash",
+    ),
+    "a crash-sweep scenario with no CLI flag: tier-1 sweeps it "
+    "(`test_every_label_keeps_the_contract`)": (
+        "repro.faults.crash_sweep:mirrored_store_factory",
     ),
     "a case only tier-1 sets up: rate limits, health with resharding": (
         "repro.cluster.admission:TokenBucket.__init__",
@@ -282,10 +285,7 @@ TEST_KNOBS: Dict[str, str] = {
     "SLMDBConfig.max_compaction_lag": "SLM-DB sizing: tests shrink it to reach write stalls",
     "SLMDBConfig.os_page_cache_bytes": "SLM-DB sizing: tests shrink it to reach misses",
 }
-TESTED: Dict[str, str] = {
-    "repro.core.recovery:_mirror_copy":
-        "`tests/repair/test_repair.py::TestRecoveryRepair`",
-}
+TESTED: Dict[str, str] = {}
 # What the subtractions removed; the report checks each is gone.
 DELETED: Dict[str, str] = {
     **dict.fromkeys((
@@ -321,6 +321,19 @@ DELETED: Dict[str, str] = {
         "repro.storage.nvm:NVMDevice._write_raw",
         "repro.core.svc:ScanAwareValueCache._logical_free",
     ), "a cold read miss walks batches by index, pages through one gather/scatter pair, and frees an SVC entry in _drop"),
+    **dict.fromkeys((
+        "repro.core.pwb:PersistentWriteBuffer._parse",
+        "repro.core.value_storage:ValueStorage._frame",
+        "repro.core.value_storage:ValueStorage.parse_record",
+        "repro.core.value_storage:ValueStorage.slot_size",
+        "repro.core.value_storage:record_crc",
+        "repro.core.recovery:_mirror_copy",
+        "repro.repair.repair:_mirror_dead",
+        "repro.core.prism:Prism._vs_dead",
+        "repro.core.prism:Prism._repair_read",
+    ), "the record format lives in repro.core.record, a mirror copy has one reader "
+       "(ValueStorage.read_record_mirror via repair.mirror_value), and the read "
+       "path's heal is repair.read_repair"),
     **dict.fromkeys((
         "PrismConfig.dram_spec",
         "PrismConfig.read_cache_sketch_width",

@@ -175,3 +175,59 @@ def test_early_returns_agree_with_the_gather_first_write_back(mix, seed):
     assert oracle.settled > 0
     assert oracle.rewritten > 0
     assert audit(store).ok
+
+
+
+def _writeback_targets(store):
+    """Record, for every chain write-back of ``store``, the storage it
+    lands on and whether that storage's device was dead then."""
+    targets = []
+    relocate = store.svc.relocate
+
+    def recording(target, entries, bg, label):
+        if label == "writeback":
+            targets.append((target, store._device_dead(target.ssd.name)))
+        return relocate(target, entries, bg, label)
+
+    store.svc.relocate = recording
+    return targets
+
+
+def _busiest(vs):
+    """Make ``vs`` report more reads in flight than any other ring, so
+    a write-back that ranks every storage by in-flight reads alone
+    passes it over."""
+    vs.ring.inflight_at = lambda at: 1_000
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_tiered_store_never_writes_a_chain_back_to_a_cold_storage(seed):
+    """Under the temperature policy new data goes to the fast tier only;
+    a chain write-back is new data, so it lands there too, even when
+    the fast storage is the busier one."""
+    config, drive, _reached = MIXES["tiered"]
+    store = Prism(small_prism_config(**config))
+    assert store.tiering.temperature
+    targets = _writeback_targets(store)
+    _busiest(store.tiering.fast[0])
+    _drive(store, seed, ops=800, keys=400, **drive)
+    assert targets
+    assert all(vs in store.tiering.fast for vs, _dead in targets)
+    assert audit(store).ok
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_chain_write_back_never_picks_a_killed_storage(seed):
+    """Storage 1 dies at op 400 and storage 0, the one left, is the
+    busier ring: every write-back after the death still lands on
+    storage 0."""
+    config, drive, _reached = MIXES["killed_device_with_mirrors"]
+    store = Prism(small_prism_config(**config))
+    targets = _writeback_targets(store)
+    _busiest(store.storages[0])
+    _drive(store, seed, ops=800, keys=400, **drive)
+    assert store.injector.is_dead(store.storages[1].ssd.name)
+    # Before the death storage 1, the idler ring, takes every one.
+    assert any(vs is store.storages[0] for vs, _dead in targets)
+    assert not any(dead for _vs, dead in targets)
+    assert audit(store).ok

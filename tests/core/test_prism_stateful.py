@@ -97,7 +97,7 @@ class PrismMachine(RuleBasedStateMachine):
         runs = []
         for key, idx in store.index.items():
             loc = store.hsit.read_location(idx)
-            if not loc.in_vs or store._vs_dead(store.storages[loc.vs_id]):
+            if not loc.in_vs or store._device_dead(store.storages[loc.vs_id].ssd.name):
                 continue
             vs = store.storages[loc.vs_id]
             spans = [

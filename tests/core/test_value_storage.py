@@ -17,7 +17,8 @@ from hypothesis.stateful import (
 from repro.core.checker import AuditReport, audit, check_chunk_geometry
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
-from repro.core.value_storage import RECORD_HEADER, ValueStorage
+from repro.core.record import RECORD_HEADER, parse
+from repro.core.value_storage import ValueStorage
 from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
 from repro.storage.crash import SimulatedCrash
@@ -65,11 +66,11 @@ class TestWriteRead:
         ((chunk_id, offset, _),) = vs.write_records(0.0, [(1, b"abc")])[0]
         req = vs.record_request(chunk_id, offset)
         assert req.size == 12 + 3
-        assert vs.slot_size(chunk_id, offset) == 3
+        assert vs.live_records_of(chunk_id)[0].size == 3
 
     def test_parse_record(self, vs):
         raw = (5).to_bytes(8, "little") + (3).to_bytes(4, "little") + b"xyz!!"
-        assert vs.parse_record(raw) == (5, b"xyz")
+        assert parse(raw, vs.checksums, vs.ssd.name) == (5, b"xyz")
 
     def test_unknown_slot_rejected(self, vs):
         with pytest.raises(StorageError):

@@ -53,6 +53,7 @@ EXPECT = {
     "rebalance-target": (CORE_WORKLOAD_LABELS, set(), 3),
     "rebalance-leaving": (CORE_WORKLOAD_LABELS, set(), 1),
     "writeback": (CORE_WORKLOAD_LABELS | WRITEBACK_LABELS, CORE_RECOVERY_LABELS, None),
+    "mirrored": (CORE_WORKLOAD_LABELS, CORE_RECOVERY_LABELS, None),
 }
 
 

@@ -1,20 +1,28 @@
 """Checksummed record framing: roundtrips, corruption detection, and
 bit-identity of the legacy format when checksums are off."""
 
-import pytest
+import ast
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
 from repro.core.pwb import PersistentWriteBuffer
-from repro.core.value_storage import (
+from repro.core.record import (
     CHECKED_RECORD_HEADER,
     RECORD_HEADER,
-    ValueStorage,
+    frame,
+    parse,
     record_crc,
 )
+from repro.core.value_storage import ValueStorage
 from repro.faults.errors import CorruptionError
 from repro.faults.injector import FaultConfig, FaultInjector
 from tests.conftest import small_prism_config
+from tests.core.test_relocation import _callers
 
 KB = 1024
 
@@ -59,6 +67,39 @@ class TestVSFraming:
         assert record_crc(h, b"abc") != record_crc(h, b"abd")
         h2 = (2).to_bytes(8, "little") + (3).to_bytes(4, "little")
         assert record_crc(h, b"abc") != record_crc(h2, b"abc")
+
+
+class TestCodec:
+    """:mod:`repro.core.record` on its own: every record shape it
+    frames parses back, and a checked record notices any flipped bit."""
+
+    @settings(max_examples=200)
+    @given(
+        idx=st.integers(min_value=0, max_value=2**64 - 1),
+        value=st.binary(min_size=0, max_size=300),
+        checked=st.booleans(),
+    )
+    def test_frame_parse_roundtrip(self, idx, value, checked):
+        raw = frame(idx, value, checked)
+        header = CHECKED_RECORD_HEADER if checked else RECORD_HEADER
+        assert len(raw) == header + len(value)
+        assert parse(raw, checked, "dev") == (idx, value)
+        # A parse takes exactly its record from a longer buffer.
+        assert parse(raw + b"tail", checked, "dev") == (idx, value)
+
+    def test_every_flipped_bit_is_detected(self):
+        raw = frame(0x0123456789ABCDEF, b"precious", True)
+        for bit in range(len(raw) * 8):
+            rotted = bytearray(raw)
+            rotted[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(CorruptionError) as err:
+                parse(bytes(rotted), True, "ssd9", "chunk 3 off 40")
+            assert (err.value.device, err.value.where) == ("ssd9", "chunk 3 off 40")
+
+    def test_a_size_past_the_buffer_is_detected(self):
+        raw = frame(5, b"abc", True)
+        with pytest.raises(CorruptionError):
+            parse(raw[:-1], True, "dev")
 
 
 class TestPWBFraming:
@@ -111,12 +152,26 @@ class TestInjectorSilentFaults:
         assert sum(bin(b).count("1") for b in data) == 1
 
 
+# The on-media bytes of record (9, b"abc"), plain and checked, as the
+# format has always laid them out: backptr, size, [CRC32,] value.
+LEGACY_LAYOUT = {
+    False: bytes.fromhex("090000000000000003000000" "616263"),
+    True: bytes.fromhex("090000000000000003000000" "c5962c5a" "616263"),
+}
+
+
 class TestBitIdentity:
-    def test_checksums_off_matches_legacy_layout(self, ssd):
-        plain = ValueStorage(0, ssd, chunk_size=16 * KB)
-        ((c, o, _s),) = plain.write_records(0.0, [(9, b"abc")])[0]
-        raw = ssd.read_raw(c * plain.chunk_size + o, 12 + 3)
-        assert raw == (9).to_bytes(8, "little") + (3).to_bytes(4, "little") + b"abc"
+    def test_checksums_off_matches_legacy_layout(self, ssd, nvm):
+        assert LEGACY_LAYOUT[False] == (
+            (9).to_bytes(8, "little") + (3).to_bytes(4, "little") + b"abc"
+        )
+        for checked, expect in LEGACY_LAYOUT.items():
+            vs = ValueStorage(int(checked), ssd, chunk_size=16 * KB, checksums=checked)
+            ((c, o, _s),) = vs.write_records(0.0, [(9, b"abc")])[0]
+            assert ssd.read_raw(c * vs.chunk_size + o, len(expect)) == expect
+            pwb = PersistentWriteBuffer(nvm, int(checked), 16 * KB, checksums=checked)
+            off = pwb.append(9, b"abc")
+            assert nvm.load(None, pwb.base + off, len(expect)) == expect
 
     def test_store_runs_identically_with_integrity_switches_off(self):
         def run(cfg):
@@ -133,3 +188,88 @@ class TestBitIdentity:
         base = run(small_prism_config())
         again = run(small_prism_config(enable_checksums=False, mirror_chunks=False))
         assert base == again
+
+
+# ----------------------------------------------------------------------
+# structure: the record format and the mirror read each live in one place
+# ----------------------------------------------------------------------
+CODEC = "repro.core.record"
+
+
+def _header_slice(node: ast.Subscript) -> bool:
+    """A slice at a record header's field boundaries: a bound of 12
+    (the end of backptr + size), a start of 16 (the end of the checked
+    header), or the size field ``[8:12]``."""
+    if not isinstance(node.slice, ast.Slice):
+        return False
+    lower, upper = (
+        bound.value if isinstance(bound, ast.Constant) else None
+        for bound in (node.slice.lower, node.slice.upper)
+    )
+    return 12 in (lower, upper) or lower == 16
+
+
+def _walk_functions(tree, visit, scope=()):
+    """Call ``visit(node, qualname)`` for every node, with the name of
+    the function or class it sits in."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _walk_functions(child, visit, scope + (child.name,))
+            continue
+        visit(child, ".".join(scope))
+        _walk_functions(child, visit, scope)
+
+
+def test_the_record_format_and_the_mirror_read_each_have_one_home():
+    """Only :mod:`repro.core.record` defines the header sizes, the
+    header structs and ``record_crc``, or slices a header by byte
+    offset; exactly one function reads a mirror record, and the read
+    path's heal is one function."""
+    root = Path(repro.__file__).parent
+    defined, sliced, mirror_reads = set(), set(), set()
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+
+        def visit(node, qualname):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id in ("RECORD_HEADER", "CHECKED_RECORD_HEADER"):
+                    defined.add(f"{module}:{node.id}")
+            elif isinstance(node, ast.Constant) and node.value in ("<QI", "<QII"):
+                defined.add(f"{module}:{node.value}")
+            elif isinstance(node, ast.Subscript) and _header_slice(node):
+                sliced.add(f"{module}:{qualname}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "read_raw"
+                and "mirror" in ast.unparse(node.func.value)
+            ):
+                mirror_reads.add(f"{module}:{qualname}")
+
+        tree = ast.parse(path.read_text())
+        _walk_functions(tree, visit)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "record_crc":
+                defined.add(f"{module}:record_crc")
+    assert defined == {
+        f"{CODEC}:RECORD_HEADER",
+        f"{CODEC}:CHECKED_RECORD_HEADER",
+        f"{CODEC}:<QI",
+        f"{CODEC}:<QII",
+        f"{CODEC}:record_crc",
+    }
+    assert sliced == set()
+    reader = "repro.core.value_storage:ValueStorage.read_record_mirror"
+    assert mirror_reads == {reader}
+    assert _callers("read_record_mirror") == {"repro.repair.repair:mirror_value"}
+    assert _callers("mirror_value") == {
+        "repro.repair.repair:fetch_value",
+        "repro.core.recovery:recover",
+        "repro.repair.scrubber:Scrubber._refresh_mirror",
+    }
+    assert _callers("read_repair") == {
+        "repro.core.prism:Prism._read_value",
+        "repro.core.prism:Prism.scan",
+        "repro.core.prism:Prism.scan.heal",
+        "repro.repair.scrubber:Scrubber.scrub_once",
+    }

@@ -55,11 +55,10 @@ def _vs_keys(store):
 
 def _rot_primary(store, vs_id, loc):
     vs = store.storages[vs_id]
-    size = vs.slot_size(loc.chunk_id, loc.vs_offset)
     store.injector.corrupt_at_rest(
         vs.ssd,
         loc.chunk_id * vs.chunk_size + loc.vs_offset,
-        vs.header_size + size,
+        vs.record_request(loc.chunk_id, loc.vs_offset).size,
     )
 
 
@@ -154,6 +153,23 @@ class TestRecoveryRepair:
         key, loc = _vs_keys(store)[0][0]
         expect = store.get(key)
         _rot_primary(store, 0, loc)
+        store.crash()
+        report = store.recover()
+        assert report.corrupt_records_repaired == 1
+        assert store.get(key) == expect
+        assert store.corruption_detected == 1
+        assert audit(store).ok
+
+    def test_rotted_size_field_heals_from_the_mirrors_own_header(self, store):
+        """The primary's size field says 2 GiB: recovery cannot size the
+        mirror copy from it (nor from a slot: the bitmaps are rebuilt
+        after the walk), so the copy is read by its own header."""
+        _load(store)
+        key, loc = _vs_keys(store)[0][0]
+        expect = store.get(key)
+        vs = store.storages[0]
+        top = loc.chunk_id * vs.chunk_size + loc.vs_offset + 11  # size's top byte
+        vs.ssd.write_raw(top, bytes([vs.ssd.read_raw(top, 1)[0] ^ 0x80]))
         store.crash()
         report = store.recover()
         assert report.corrupt_records_repaired == 1
