@@ -20,8 +20,10 @@ every virtual-time result of the window: pinned, it makes the gate
 bit-for-bit, so any change of simulated behaviour fails it until the
 digest is re-recorded on purpose.  It is the same under CPython 3.11
 and 3.12.
-After a deliberate change, re-measure with the command this script
-prints and move the numbers in the same PR.
+A call count more than 1 % *below* its pinned ``measured`` fails too:
+the ceiling above it has gone stale, and would let a regression of
+that size through.  After a deliberate change, re-measure with the
+command this script prints and move the numbers in the same PR.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from typing import List
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
+# A call count this far below its pinned ``measured`` is a stale pin.
+STALE_CALLS = 0.01
 
 
 def load_gates() -> dict:
@@ -46,9 +50,17 @@ def digest_of(stdout: str) -> str:
     return stdout.splitlines()[0].split("vt_digest=")[1].split()[0]
 
 
-def check(gate: dict, result: dict, interpreter: str, digest: str) -> List[str]:
+def perfbench_args(workload: str, gate: dict) -> List[str]:
+    """The interpreter's arguments that run ``workload``'s gate."""
+    return ["-m", "perfbench", "--workload", workload,
+            "--seed", str(gate["seed"]), "--seconds", "10", "--trace", "0"]
+
+
+def check(
+    workload: str, gate: dict, result: dict, interpreter: str, digest: str
+) -> List[str]:
     """Every way ``result`` (perfbench's last stdout line) and ``digest``
-    (its first) fail ``gate``."""
+    (its first) fail ``workload``'s ``gate``."""
     failures = []
     if not result["correct"]:
         failures.append(f"run not correct: {result['failed']} failed operations")
@@ -65,6 +77,17 @@ def check(gate: dict, result: dict, interpreter: str, digest: str) -> List[str]:
             failures.append(f"{name} = {got:.3f} is above its ceiling {limit['ceiling']}")
         if "floor" in limit and got < limit["floor"]:
             failures.append(f"{name} = {got:.3f} is below its floor {limit['floor']}")
+    calls = gate["limits"].get("host_calls_per_op")
+    if calls is not None:
+        got = result["metrics"]["host_calls_per_op"]["value"]
+        if got < calls["measured"] * (1 - STALE_CALLS):
+            failures.append(
+                f"host_calls_per_op = {got:.3f} is more than 1 % below its "
+                f"pinned measured {calls['measured']}: re-pin it, and the "
+                f"ceiling 3 % above it, from `python3 "
+                f"{' '.join(perfbench_args(workload, gate))}` on CPython "
+                f"{gate['interpreter']}"
+            )
     return failures
 
 
@@ -74,8 +97,7 @@ def main(argv: List[str]) -> int:
     failed = False
     for workload in argv or sorted(gates):
         gate = gates[workload]
-        cmd = [sys.executable, "-m", "perfbench", "--workload", workload,
-               "--seed", str(gate["seed"]), "--seconds", "10", "--trace", "0"]
+        cmd = [sys.executable, *perfbench_args(workload, gate)]
         print("$", " ".join(cmd), flush=True)
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
         print(proc.stdout, end="")
@@ -85,7 +107,9 @@ def main(argv: List[str]) -> int:
         line = proc.stdout.splitlines()[-1]
         with open(os.path.join(ROOT, f"PERFBENCH_{workload}.json"), "w") as fh:
             fh.write(line + "\n")
-        failures = check(gate, json.loads(line), interpreter, digest_of(proc.stdout))
+        failures = check(
+            workload, gate, json.loads(line), interpreter, digest_of(proc.stdout)
+        )
         for failure in failures:
             print(f"GATE FAILED {workload}: {failure}")
         if not failures:

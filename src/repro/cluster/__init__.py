@@ -11,7 +11,6 @@ from repro.cluster.admission import AdmissionController, TokenBucket
 from repro.cluster.errors import (
     ClusterError,
     RebalanceInProgressError,
-    ShardDrainingError,
     ShardOverloadedError,
     ShardUnavailableError,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "RebalanceInProgressError",
     "RingError",
     "Shard",
-    "ShardDrainingError",
     "ShardOverloadedError",
     "ShardUnavailableError",
     "TokenBucket",

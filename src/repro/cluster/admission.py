@@ -15,18 +15,17 @@ grow without limit.  Two independent mechanisms, both optional:
   ``burst``; each admitted operation consumes one.  An empty bucket
   sheds with a ``retry_after`` hint of the refill time.
 
-A third, migration-aware gate rides on top: a **draining** shard (one
-being decommissioned by a live reshard) rejects *new writes* with a
-typed :class:`~repro.cluster.errors.ShardDrainingError` — the router
-retries them at the key's new owner — while reads (the dual-read
-window serves unmoved keys from the old owner) and ``internal``
-traffic (the migrator's own copies, replication catch-up) keep
-flowing and are never shed.
+``internal`` traffic — what the router fans out behind an admitted op
+(replica writes, hedges) and the migrator's own copies — is never
+shed.  Admission does not gate membership: a shard being drained by a
+live reshard needs no write gate, because its ``remove`` migration
+routes every write to a ring without it
+(:class:`~repro.cluster.membership.Membership`).
 
-With both knobs disabled and the shard not draining (the default)
-:meth:`admit` returns immediately without reading the clock or
-allocating — the fault-free, unlimited configuration stays
-bit-identical to a build without admission control.
+With both knobs disabled (the default) :meth:`admit` returns
+immediately without reading the clock or allocating — the fault-free,
+unlimited configuration stays bit-identical to a build without
+admission control.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
-from repro.cluster.errors import ShardDrainingError, ShardOverloadedError
+from repro.cluster.errors import ShardOverloadedError
 
 KIND_READ = "read"
 KIND_WRITE = "write"
@@ -89,19 +88,6 @@ class AdmissionController:
         self.admitted = 0
         self.shed_queue = 0
         self.shed_rate = 0
-        self.draining = False
-        self.drain_rejects = 0
-
-    # ------------------------------------------------------------------
-    # drain lifecycle (live resharding)
-    # ------------------------------------------------------------------
-    def start_drain(self) -> None:
-        """Stop admitting new writes; reads and internal traffic flow."""
-        self.draining = True
-
-    def stop_drain(self) -> None:
-        """Drain over (handoff complete, or the migration aborted)."""
-        self.draining = False
 
     def inflight_at(self, at: float) -> int:
         ends = self._inflight_ends
@@ -112,16 +98,12 @@ class AdmissionController:
     def admit(self, at: float, kind: str = KIND_READ) -> None:
         """Gate one operation starting at virtual time ``at``.
 
-        Raises :class:`ShardDrainingError` for new writes on a
-        draining shard and :class:`ShardOverloadedError` when
-        shedding; otherwise records nothing yet — the caller reports
-        the op's end time via :meth:`complete` so later admissions see
-        it in flight.  ``kind`` is one of ``read`` / ``write`` /
-        ``internal``; internal (migration) traffic is never gated.
+        Raises :class:`ShardOverloadedError` when shedding; otherwise
+        records nothing yet — the caller reports the op's end time via
+        :meth:`complete` so later admissions see it in flight.  ``kind``
+        is one of ``read`` / ``write`` / ``internal``; internal
+        (migration) traffic is never gated.
         """
-        if self.draining and kind == KIND_WRITE:
-            self.drain_rejects += 1
-            raise ShardDrainingError(self.shard_id)
         if kind == KIND_INTERNAL:
             return
         if self.max_queue_depth is None and self.bucket is None:

@@ -125,10 +125,10 @@ class RebalanceScenario(ClusterScenario):
       owner (shard 1, receiving the copy stream) dies mid-migration
       (the handoff fast-forwards onto the remaining members).
 
-    Every crash label lives on a mutation path, and a draining shard
-    admits no mutations — it has no torn mid-operation state to
-    explore — so the scale-in role kills the member with inbound
-    stream writes instead; the draining shard's own (state-less) death
+    Every crash label lives on a mutation path, and no write routes to
+    a draining shard — it has no torn mid-operation state to explore —
+    so the scale-in role kills the member with inbound stream writes
+    instead; the draining shard's own (state-less) death
     is covered by the direct kill-mid-drain tests.
     """
 

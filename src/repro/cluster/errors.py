@@ -40,22 +40,6 @@ class ShardOverloadedError(ClusterError):
         self.retry_after = retry_after
 
 
-class ShardDrainingError(ClusterError):
-    """The shard is being decommissioned and admits no *new* writes.
-
-    Raised by admission control on a draining member: in-flight
-    operations and migration traffic still flow, reads still serve
-    (the dual-read window needs them), but fresh writes must go to the
-    key's new owner — the router catches this and retries there.
-    """
-
-    def __init__(self, shard_id: int) -> None:
-        super().__init__(
-            f"shard {shard_id} is draining; new writes go to the new owner"
-        )
-        self.shard_id = shard_id
-
-
 class RebalanceInProgressError(ClusterError):
     """Only one membership change may run at a time.
 

@@ -2,8 +2,9 @@
 
 ``PrismCluster.add_shard`` / ``remove_shard`` change membership while
 the workload is running, and ``fail_shard`` turns a shard's death into
-the same kind of change (the ring without it).  This module owns the
-per-migration state machine that carries out all three:
+the same kind of change (the ring without it).
+:class:`~repro.cluster.membership.Membership` decides and records each
+change; this module carries one out — it plans, paces and copies:
 
 * **planning** — the :class:`HashRing` pins down exactly the affected
   keys: :func:`plan_moves` compares old- and new-ring preference lists
@@ -28,22 +29,16 @@ per-migration state machine that carries out all three:
   never clobbers them with a stale copy and the ``WriteLedger`` audit
   stays green across the transition (zero lost acked writes, no stale
   reads after cutover).
-* **crash safety** — a shard death during migration resolves the
-  migration *synchronously* inside ``fail_shard``, before the death's
-  own migration starts.  Death of the shard being added aborts the
-  migration: old owners are re-synced from the surviving new owners
-  (migration-window writes landed there) and routing reverts to the
-  old ring, which never held the joiner, so nothing more starts.  Any
-  other death fast-forwards the handoff to completion (safety outranks
-  the bandwidth budget once a member is gone); then a ``fail``
-  migration to the ring without the dead member restores RF, paced
-  like any other.  Keys whose every copy died are counted in
-  ``keys_lost``.
+* **crash safety** — ``Membership.fail`` resolves a migration before
+  the death's own ``fail`` migration starts: the joiner's death aborts
+  it (:meth:`Migration.abort`: old owners re-synced from the new ones,
+  routing back on the old ring); any other death fast-forwards it
+  (:meth:`Migration.fast_forward`).  Keys whose every copy died are
+  counted in ``keys_lost``.
 
-Removal is the mirror image: the leaving shard drains (admission
-rejects new writes with a typed
-:class:`~repro.cluster.errors.ShardDrainingError`; reads and migration
-traffic still flow), its keys stream to the surviving owners, and the
+Removal is the mirror image: the leaving shard drains (reads and
+migration traffic still reach it; writes route to the new ring, which
+does not hold it), its keys stream to the surviving owners, and the
 shard retires once the handoff completes.
 
 Everything is deterministic — key enumeration is sorted, pacing is
@@ -64,7 +59,7 @@ from repro.faults.errors import DegradedError, DeviceError
 from repro.sim.vthread import VThread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.router import PrismCluster
+    from repro.cluster.membership import Membership
 
 ACTION_ADD = "add"
 ACTION_REMOVE = "remove"
@@ -73,6 +68,10 @@ ACTION_FAIL = "fail"  # re-replication after a member died
 MIG_COPYING = "copying"
 MIG_DONE = "done"
 MIG_ABORTED = "aborted"
+
+# Default key-migration stream budget for live resharding and
+# re-replication, in bytes of value payload per virtual second.
+DEFAULT_REBALANCE_BANDWIDTH = 8.0 * 1024 * 1024
 
 # Moves whose key's primary arc is unchanged (only replica membership
 # shifted) are accounted in this pseudo-range.
@@ -143,7 +142,7 @@ class Migration:
 
     def __init__(
         self,
-        cluster: "PrismCluster",
+        members: "Membership",
         action: str,
         shard_id: int,
         new_ring: HashRing,
@@ -154,7 +153,8 @@ class Migration:
             raise ValueError(f"unknown migration action: {action}")
         if bandwidth <= 0:
             raise ValueError(f"migration bandwidth must be positive: {bandwidth}")
-        self.cluster = cluster
+        self.members = members
+        self.cluster = cluster = members.cluster
         self.action = action
         self.shard_id = shard_id  # the member joining, leaving or dead
         self.new_ring = new_ring
@@ -219,11 +219,12 @@ class Migration:
                     seen.add(key)
                     keys.append(key)
         keys.sort()
-        self.moves = plan_moves(cluster.ring, self.new_ring, keys, rf)
+        old_ring = self.members.ring
+        self.moves = plan_moves(old_ring, self.new_ring, keys, rf)
         # Cutover ranges are the changed shard's primary arcs: on the
         # new ring for a joining member (the ranges it takes over), on
         # the old ring for a leaving or dead one (the ranges it vacates).
-        arc_ring = self.new_ring if self.action == ACTION_ADD else cluster.ring
+        arc_ring = self.new_ring if self.action == ACTION_ADD else old_ring
         self._arcs = arc_ring.owned_ranges(self.shard_id)
         self._arc_his = [hi for _lo, hi in self._arcs]
         for key, move in self.moves.items():
@@ -320,8 +321,9 @@ class Migration:
         """``key`` as the first of ``owners`` that is up, serving and
         answers has it (None: deleted there); ``_MISSING`` if none does."""
         cluster = self.cluster
+        down = self.members.down
         for sid in owners:
-            if sid in cluster._down or not cluster.shards[sid].serving:
+            if sid in down or not cluster.shards[sid].serving:
                 continue
             try:
                 return cluster.shards[sid].store.get(key, self.thread)
@@ -336,7 +338,7 @@ class Migration:
         if not move.targets:
             return  # replica shuffle only: every new owner already holds it
         t = self.thread
-        down = cluster._down
+        down = self.members.down
         copy_start = t.now
         value = self._read_first(key, move.old_owners)
         if value is _MISSING:
@@ -349,8 +351,7 @@ class Migration:
         for sid in move.targets:
             if sid in down or not cluster.shards[sid].serving:
                 continue
-            # Migration traffic is ``internal``: it passes a draining
-            # shard's write gate and is never load-shed.
+            # Migration traffic is ``internal``: never load-shed.
             cluster.shards[sid].admission.admit(t.now, KIND_INTERNAL)
             try:
                 cluster.shards[sid].store.put(key, value, t)
@@ -386,8 +387,10 @@ class Migration:
     # completion, failure, abort
     # ------------------------------------------------------------------
     def _finish(self) -> None:
-        """Every range handed off: retire stale copies, swap the ring."""
+        """Every range handed off: retire stale copies, then let
+        membership swap the ring."""
         cluster = self.cluster
+        down = self.members.down
         t = self.thread
         if self.cutover_at is None:
             self.cutover_at = t.now  # nothing needed moving
@@ -399,7 +402,7 @@ class Migration:
             for sid in move.drop:
                 if self.action == ACTION_REMOVE and sid == self.shard_id:
                     continue
-                if sid in cluster._down:
+                if sid in down:
                     continue
                 shard = cluster.shards[sid]
                 if not shard.serving:
@@ -409,15 +412,9 @@ class Migration:
                         self.keys_retired += 1
                 except (DeviceError, DegradedError):
                     continue
-        cluster.ring = self.new_ring
-        if self.action == ACTION_REMOVE:
-            shard = cluster.shards[self.shard_id]
-            if shard.serving:
-                shard.retire()
-                cluster.events.emit(t.now, "shard_retired", shard=self.shard_id)
         self.state = MIG_DONE
         self.finished_at = t.now
-        cluster._end_migration(self)
+        self.members.settle(self)
         # A fail migration's duration is the window in which some key
         # had fewer than RF copies.
         cluster.events.emit(
@@ -444,25 +441,14 @@ class Migration:
             if self.moves[key].drop and key in self.moved
         ]
 
-    def on_shard_failed(self, shard_id: int, at: float) -> None:
-        """A member died mid-migration (``fail_shard`` calls this
-        *before* the death's own migration starts).  Death of the
-        joining shard aborts — nothing else can complete its handoff.
-        Any other death fast-forwards the migration to completion
-        immediately: with a member gone, finishing the handoff (so the
-        next migration starts from one consistent ring) outranks the
-        bandwidth budget.
-        """
-        if self.state != MIG_COPYING:
-            return
-        if self.action == ACTION_ADD and shard_id == self.shard_id:
-            self._abort(at)
-        else:
-            if self.thread.now < at:
-                self.thread.now = at
-            self.pump(float("inf"))
+    def fast_forward(self, at: float) -> None:
+        """A member other than the joiner died: finish the handoff now,
+        from ``at``, without the bandwidth budget."""
+        if self.thread.now < at:
+            self.thread.now = at
+        self.pump(float("inf"))
 
-    def _abort(self, at: float) -> None:
+    def abort(self, at: float) -> None:
         """The joining shard died: revert routing to the old ring.
 
         Migration-window writes were acknowledged by the *new* owners,
@@ -475,7 +461,7 @@ class Migration:
         t = self.thread
         if t.now < at:
             t.now = at
-        down = cluster._down
+        down = self.members.down
         resynced = 0
         for key in sorted(self.fresh):
             move = self.moves[key]
@@ -496,7 +482,7 @@ class Migration:
                     continue
         self.state = MIG_ABORTED
         self.finished_at = t.now
-        cluster._end_migration(self)
+        self.members.settle(self)
         cluster.events.emit(
             t.now,
             "rebalance_aborted",

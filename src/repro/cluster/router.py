@@ -14,7 +14,10 @@ horizontally scaled serving layer:
   marked down, and its death is a membership change: a ``fail``
   migration to the ring without it (:mod:`repro.cluster.rebalance`)
   restores every key's replication factor under the bandwidth budget
-  — the cluster-level analogue of ``repair.rebuild_storage``;
+  — the cluster-level analogue of ``repair.rebuild_storage``.  Who is
+  a member, and in what state, is written by
+  :class:`~repro.cluster.membership.Membership` alone; the router only
+  routes;
 * **admission control** — per-shard queue-depth caps and token-bucket
   rate limiting shed load with typed
   :class:`~repro.cluster.errors.ShardOverloadedError` instead of
@@ -23,8 +26,7 @@ horizontally scaled serving layer:
 Every client operation reaches a shard the same way, through one
 method.  :meth:`PrismCluster._attempt` is the routed path in the order
 it happens — **admit** (the shard's admission controller, which counts
-a shed or a draining rejection and raises it; the router lets it
-through untouched), **pump** (apply
+a shed and raises it; the router lets it through untouched), **pump** (apply
 the shard's due asynchronous-replication backlog), **call** (the store
 operation, a bound method plus its arguments) and **account the
 failure** (a ``DeviceError``/``DegradedError`` is recorded against the
@@ -34,8 +36,8 @@ which errors those are).  What differs between operations is only what
 they loop over: ``get`` tries one candidate at a time (the migration's
 route inside a dual-read window, else the key's read shards filtered by
 breakers and the read policy), ``put``/``delete`` attempt the primary
-and then each replica, retrying once past a draining primary and once
-past a failed-over one, ``scan`` attempts every serving shard and merges
+and then each replica, retrying once past a failed-over one, ``scan``
+attempts every serving shard and merges
 each key from the first of its owners that answered, and a hedge is one
 more attempt on its own thread.  ``docs/simulation-model.md`` ("Routed
 operation") tabulates what each does with each failure.
@@ -68,20 +70,12 @@ from repro.cluster.admission import (
     KIND_WRITE,
     AdmissionController,
 )
-from repro.cluster.errors import (
-    RebalanceInProgressError,
-    ShardDrainingError,
-    ShardUnavailableError,
-)
+from repro.cluster.errors import ShardUnavailableError
 from repro.cluster.health import HealthConfig, HealthMonitor
-from repro.cluster.rebalance import (
-    ACTION_ADD,
-    ACTION_FAIL,
-    ACTION_REMOVE,
-    Migration,
-)
-from repro.cluster.ring import HashRing, LastShardError, UnknownShardError
-from repro.cluster.shard import STATE_DOWN, STATE_DRAINING, STATE_RETIRED, Shard
+from repro.cluster.membership import Membership
+from repro.cluster.rebalance import DEFAULT_REBALANCE_BANDWIDTH
+from repro.cluster.ring import HashRing
+from repro.cluster.shard import STATE_RETIRED, Shard
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
 from repro.faults.errors import (
@@ -90,7 +84,11 @@ from repro.faults.errors import (
     DeviceError,
     NoHealthyStorageError,
 )
-from repro.faults.injector import FaultConfig, slow_store_devices
+from repro.faults.injector import (
+    FaultConfig,
+    kill_store_devices,
+    slow_store_devices,
+)
 from repro.obs.metrics import EventLog, MetricsRegistry, merge_registries
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
@@ -101,10 +99,6 @@ MODE_SYNC = "sync"
 
 READ_PRIMARY = "primary"
 READ_SPREAD = "spread"
-
-# Default key-migration stream budget for live resharding and
-# re-replication, in bytes of value payload per virtual second.
-DEFAULT_REBALANCE_BANDWIDTH = 8.0 * 1024 * 1024
 
 
 @dataclass
@@ -204,23 +198,12 @@ class PrismCluster:
         factory = shard_factory or default_shard_factory
         self._shard_factory = factory  # add_shard builds members with it
         self.shards: List[Shard] = [
-            Shard(sid, factory(sid, self.clock), self._admission_for(sid))
-            for sid in range(cfg.num_shards)
+            self._new_shard(sid, factory) for sid in range(cfg.num_shards)
         ]
-        for shard in self.shards:
-            if shard.store.clock is not self.clock:
-                raise ValueError(
-                    f"shard {shard.shard_id} does not share the cluster clock; "
-                    "build it with Prism(..., clock=clock)"
-                )
-        self.ring = HashRing(range(cfg.num_shards), vnodes=cfg.vnodes)
         self.events = EventLog("cluster")
-        self._down: Set[int] = set()
-        # Live resharding: at most one membership change in flight.
-        # Every hook on the hot paths is behind this None check, so a
-        # run with no membership change stays byte-identical to the
-        # pre-elasticity tree.
-        self._migration: Optional[Migration] = None
+        self.membership = Membership(
+            self, HashRing(range(cfg.num_shards), vnodes=cfg.vnodes)
+        )
         self._default_thread = VThread(0, self.clock, name="cluster-caller")
         self._spread_rr = itertools.count()
         self._async = cfg.replication_mode == MODE_ASYNC
@@ -295,12 +278,9 @@ class PrismCluster:
         totals["cluster_shards"] = float(
             sum(1 for s in self.shards if s.state != STATE_RETIRED)
         )
-        totals["cluster_shards_down"] = float(len(self._down))
+        totals["cluster_shards_down"] = float(len(self.membership.down))
         totals["cluster_shed"] = float(
             sum(s.admission.shed_queue + s.admission.shed_rate for s in self.shards)
-        )
-        totals["cluster_drain_rejects"] = float(
-            sum(s.admission.drain_rejects for s in self.shards)
         )
         totals["cluster_hot_spread_reads"] = float(self.hot_spread_reads)
         totals["cluster_forwarded_reads"] = float(self.forwarded_reads)
@@ -324,42 +304,50 @@ class PrismCluster:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _admission_for(self, shard_id: int) -> AdmissionController:
+    def _new_shard(self, shard_id: int, factory: Callable) -> Shard:
+        """Member ``shard_id``: a store from ``factory`` on the cluster
+        clock behind an admission controller with the config's knobs."""
+        store = factory(shard_id, self.clock)
+        if store.clock is not self.clock:
+            raise ValueError(
+                f"shard {shard_id} does not share the cluster clock; "
+                "build it with Prism(..., clock=clock)"
+            )
         cfg = self.config
-        return AdmissionController(
+        return Shard(
             shard_id,
-            max_queue_depth=cfg.max_queue_depth,
-            rate=cfg.rate_limit_ops,
-            burst=cfg.rate_burst,
+            store,
+            AdmissionController(
+                shard_id,
+                max_queue_depth=cfg.max_queue_depth,
+                rate=cfg.rate_limit_ops,
+                burst=cfg.rate_burst,
+            ),
         )
 
     @property
     def rebalancing(self) -> bool:
-        return self._migration is not None
+        return self.membership.migration is not None
 
-    def _write_shards(self, key: bytes, exclude_draining: bool) -> List[Shard]:
+    def _write_shards(self, key: bytes) -> List[Shard]:
         """Live owners, primary first — where a write must land.
 
         Mid-migration, writes route to the key's *new* owners (the
         migrator marks such keys fresh so it never clobbers them with
-        a stale copy).  ``exclude_draining`` is the retry posture after
-        a :class:`ShardDrainingError`: an operator-drained shard is
-        skipped and the ring walk promotes the next owner.
+        a stale copy); the new ring of a ``remove`` holds no leaving
+        shard, so no write reaches one.
         """
-        exclude = self._down
-        if exclude_draining:
-            exclude = exclude | {
-                s.shard_id for s in self.shards if s.state == STATE_DRAINING
-            }
-        mig = self._migration
+        members = self.membership
+        down = members.down
+        mig = members.migration
         if mig is not None:
-            ids = mig.write_owners(key, exclude)
+            ids = mig.write_owners(key, down)
         else:
-            ids = self.ring.preference_list(
-                key, self.config.replication_factor, exclude
+            ids = members.ring.preference_list(
+                key, self.config.replication_factor, down
             )
         if not ids:
-            raise ShardUnavailableError(key, self.ring.shards | self._down)
+            raise ShardUnavailableError(key, members.ring.shards | down)
         return [self.shards[i] for i in ids]
 
     def _read_shards(self, key: bytes) -> List[Shard]:
@@ -368,9 +356,10 @@ class PrismCluster:
         when its ``fail`` migration finishes; until then reads take
         the migration's route instead)."""
         rf = self.config.replication_factor
-        ids = static = self.ring.preference_list(key, rf)
-        if self._down:
-            ids = self.ring.preference_list(key, rf, exclude=self._down)
+        members = self.membership
+        ids = static = members.ring.preference_list(key, rf)
+        if members.down:
+            ids = members.ring.preference_list(key, rf, exclude=members.down)
         if not ids:
             raise ShardUnavailableError(key, static)
         return [self.shards[i] for i in ids]
@@ -403,8 +392,9 @@ class PrismCluster:
         catch up to the op's start."""
         if thread is None:
             thread = self._default_thread
-        if self._migration is not None:
-            self._migration.pump(thread.now)
+        mig = self.membership.migration
+        if mig is not None:
+            mig.pump(thread.now)
         return body(*args, thread)
 
     def _attempt(
@@ -424,8 +414,8 @@ class PrismCluster:
         itself fans out behind an admitted op (replica writes, hedges),
         which is never shed.  ``health`` is the monitor scoring this
         attempt, None when none is in play (writes, scans, reads inside
-        a migration window).  A shed or draining shard raises its typed
-        error untouched; a store failure is recorded, fails the shard
+        a migration window).  A shed shard raises its typed error
+        untouched; a store failure is recorded, fails the shard
         over when it condemns it, and surfaces as :class:`_ShardOpError`
         so no caller has to know which errors those are.  The caller
         reports ``admission.complete`` — it alone knows when the op
@@ -439,8 +429,8 @@ class PrismCluster:
         except (DeviceError, DegradedError) as exc:
             if health is not None:
                 health.record_failure(shard.shard_id, thread.now)
-            if self._permanent(exc) and shard.shard_id not in self._down:
-                self.fail_shard(shard.shard_id, thread.now)
+            if self._permanent(exc):
+                self.membership.fail(shard.shard_id, thread.now)
             raise _ShardOpError(exc) from exc
 
     # ------------------------------------------------------------------
@@ -456,19 +446,11 @@ class PrismCluster:
         return bool(self._client_op(self._mutate, thread, key, None))
 
     def _mutate(self, key: bytes, value: Optional[bytes], thread: VThread) -> object:
-        exclude_draining = False
         last_error: Optional[_ShardOpError] = None
-        # The first try, at most one drain retry, at most one failover.
-        for _ in range(3):
+        # The first try and at most one failover.
+        for _ in range(2):
             try:
-                return self._replicated_apply(key, value, thread, exclude_draining)
-            except ShardDrainingError:
-                if exclude_draining:
-                    raise
-                # The primary is being decommissioned: retry once
-                # with draining members excluded so the ring walk
-                # promotes the key's next (new) owner.
-                exclude_draining = True
+                return self._replicated_apply(key, value, thread)
             except _ShardOpError as err:
                 retry = last_error is None and self._permanent(err.cause)
                 last_error = err
@@ -479,13 +461,9 @@ class PrismCluster:
         raise last_error.cause
 
     def _replicated_apply(
-        self,
-        key: bytes,
-        value: Optional[bytes],
-        thread: VThread,
-        exclude_draining: bool,
+        self, key: bytes, value: Optional[bytes], thread: VThread
     ) -> object:
-        owners = self._write_shards(key, exclude_draining)
+        owners = self._write_shards(key)
         primary, replicas = owners[0], owners[1:]
         args = (key,) if value is None else (key, value)
         result = self._attempt(
@@ -511,7 +489,7 @@ class PrismCluster:
                     )
                     ends.append(thread.now)
                 # The mode's ack count is capped at the owners that
-                # actually exist: when failures (or a drain) leave
+                # actually exist: when failures (or a scale-in) leave
                 # fewer live owners than the replication factor, the
                 # write acknowledges at every surviving copy rather
                 # than waiting for replicas that cannot exist.
@@ -521,10 +499,11 @@ class PrismCluster:
                     thread.now = ends[need - 2]
                 else:
                     thread.now = primary_end
-        if self._migration is not None:
+        mig = self.membership.migration
+        if mig is not None:
             # Acked mid-migration at the new owners: the target's copy
             # is now the newest — the migrator must not overwrite it.
-            self._migration.note_write(key)
+            mig.note_write(key)
         primary.admission.complete(thread.now)
         return result
 
@@ -560,8 +539,9 @@ class PrismCluster:
         tried: Set[int] = set()
         last_error: Optional[_ShardOpError] = None
         forwarded = False
+        members = self.membership
         for _ in range(1 + self.config.replication_factor):
-            mig = self._migration
+            mig = members.migration
             if mig is None:
                 health = self._health
                 candidates = [
@@ -569,7 +549,7 @@ class PrismCluster:
                 ]
             else:
                 health = None
-                ids, forward = mig.read_route(key, self._down or None)
+                ids, forward = mig.read_route(key, members.down or None)
                 if forward and not forwarded:
                     forwarded = True
                     self.forwarded_reads += 1
@@ -606,7 +586,7 @@ class PrismCluster:
             return value
         if last_error is not None:
             raise last_error.cause
-        raise ShardUnavailableError(key, self.ring.shards | self._down)
+        raise ShardUnavailableError(key, members.ring.shards | members.down)
 
     def _hedge(
         self,
@@ -682,11 +662,12 @@ class PrismCluster:
         """The first of ``answers`` in ``key``'s read order: the shard
         whose copy is authoritative right now (migration-aware: the old
         owner inside the dual-read window), else the next owner."""
-        mig = self._migration
+        members = self.membership
+        mig = members.migration
         if mig is None:
             owners = self._read_shards(key)
         else:
-            ids, _forwarded = mig.read_route(key, self._down or None)
+            ids, _forwarded = mig.read_route(key, members.down or None)
             owners = [self.shards[i] for i in ids]
         for shard in owners:
             if shard in answers:
@@ -700,13 +681,14 @@ class PrismCluster:
         # Draining members still serve scans — unmoved keys have no
         # other authoritative copy until the migrator hands them off.
         serving = [s for s in self.shards if s.serving]
+        members = self.membership
         if not serving:
-            raise ShardUnavailableError(start, self.ring.shards)
+            raise ShardUnavailableError(start, members.ring.shards)
         # Copies of any one key the serving shards hold between them:
         # one fewer while a dead member is still on the ring (its fail
         # migration has not moved every key it owned yet).
         copies = min(self.config.replication_factor, len(serving)) - len(
-            self._down & self.ring.shards
+            members.down & members.ring.shards
         )
         answers: Dict[Shard, List[Tuple[bytes, bytes]]] = {}
         last_error: Optional[_ShardOpError] = None
@@ -735,7 +717,7 @@ class PrismCluster:
         return [(key, merged[key]) for key in sorted(merged)[:count]]
 
     # ------------------------------------------------------------------
-    # elasticity (live resharding)
+    # elasticity and failure: membership changes (Membership writes them)
     # ------------------------------------------------------------------
     def add_shard(
         self,
@@ -749,23 +731,8 @@ class PrismCluster:
         keeps running throughout — reads of not-yet-moved keys forward
         to the old owners, writes route to the new owners.
         """
-        if self._migration is not None:
-            raise RebalanceInProgressError(repr(self._migration.snapshot()))
         at = self.clock.now if at is None else at
-        sid = len(self.shards)
-        factory = shard_factory or self._shard_factory
-        store = factory(sid, self.clock)
-        if store.clock is not self.clock:
-            raise ValueError(
-                f"shard {sid} does not share the cluster clock; "
-                "build it with Prism(..., clock=clock)"
-            )
-        self.shards.append(Shard(sid, store, self._admission_for(sid)))
-        if self._health is not None:
-            self._health.register(sid)
-        new_ring = self.ring.with_shard_added(sid)
-        self._start_migration(ACTION_ADD, sid, new_ring, bandwidth, at)
-        return sid
+        return self.membership.add(shard_factory or self._shard_factory, bandwidth, at)
 
     def remove_shard(
         self,
@@ -773,77 +740,28 @@ class PrismCluster:
         at: Optional[float] = None,
         bandwidth: float = DEFAULT_REBALANCE_BANDWIDTH,
     ) -> None:
-        """Scale in by one member, live: the shard drains (admission
-        rejects new writes, reads keep serving), its keys stream to
-        the surviving owners, and it retires at handoff.  Raises
+        """Scale in by one member, live: the shard drains (reads keep
+        serving, writes route to the ring without it), its keys stream
+        to the surviving owners, and it retires at handoff.  Raises
         :class:`~repro.cluster.ring.LastShardError` for the last
         member and :class:`~repro.cluster.ring.UnknownShardError` for
         an id not on the ring (both typed, both before any state
         changes)."""
-        if self._migration is not None:
-            raise RebalanceInProgressError(repr(self._migration.snapshot()))
         at = self.clock.now if at is None else at
-        new_ring = self.ring.with_shard_removed(shard_id)  # typed raises
-        shard = self.shards[shard_id]
-        if not shard.up:
-            raise ValueError(
-                f"cannot remove shard {shard_id}: state is {shard.state!r} "
-                "(a failed shard leaves the ring by its own fail "
-                "migration, not by drain)"
-            )
-        shard.start_drain()
-        self.events.emit(at, "shard_draining", shard=shard_id)
-        self._start_migration(ACTION_REMOVE, shard_id, new_ring, bandwidth, at)
-
-    def _start_migration(
-        self,
-        action: str,
-        shard_id: int,
-        new_ring: HashRing,
-        bandwidth: float,
-        at: float,
-    ) -> None:
-        mig = Migration(self, action, shard_id, new_ring, bandwidth, at)
-        mig.plan(self.config.replication_factor)
-        self._migration = mig
-        if self._health is not None:
-            # Breakers must not trip on migration traffic: the member
-            # being bulk-loaded (add), drained (remove) or re-replicated
-            # (fail) is exempt from health scoring until the migration
-            # resolves.
-            self._health.set_exempt(shard_id, True)
-        self.events.emit(
-            at,
-            "rebalance_started",
-            action=action,
-            shard=shard_id,
-            keys=len(mig.moves),
-            ranges=len(mig.range_total),
-            bandwidth=bandwidth,
-        )
-        mig.pump(at)  # an empty plan resolves immediately
-
-    def _end_migration(self, mig: Migration) -> None:
-        """Called by the migration itself on finish or abort."""
-        self._migration = None
-        if self._health is not None:
-            self._health.set_exempt(mig.shard_id, False)
+        self.membership.remove(shard_id, bandwidth, at)
 
     def finish_rebalance(self) -> None:
         """Drive any active migration to completion (drains the
         remaining copy stream at the bandwidth budget)."""
-        mig = self._migration
+        mig = self.membership.migration
         if mig is not None:
             mig.pump(float("inf"))
 
-    # ------------------------------------------------------------------
-    # failure handling
-    # ------------------------------------------------------------------
     def kill_shard(self, shard_id: int, at: Optional[float] = None) -> None:
         """Whole-node death: fail every device, then run failover."""
         at = self.clock.now if at is None else at
-        self.shards[shard_id].kill(at)
-        self.fail_shard(shard_id, at)
+        kill_store_devices(self.shards[shard_id].store, at)
+        self.membership.fail(shard_id, at)
 
     def slow_shard(
         self,
@@ -869,37 +787,7 @@ class PrismCluster:
     def fail_shard(self, shard_id: int, at: Optional[float] = None) -> None:
         """Mark a shard down, drop its unsent replication backlog, and
         start the migration that restores every affected key's RF."""
-        if shard_id in self._down:
-            return
-        at = self.clock.now if at is None else at
-        shard = self.shards[shard_id]
-        shard.state = STATE_DOWN
-        self._down.add(shard_id)
-        dropped = shard.drop_all()
-        for other in self.shards:
-            if other.shard_id == shard_id or not other.up:
-                continue
-            # Apply whatever the dead primary had already shipped...
-            other.pump(at)
-            # ...and lose what it had not.
-            dropped += other.drop_from(shard_id)
-        self.events.emit(
-            at, "shard_down", shard=shard_id, repl_dropped=dropped
-        )
-        if self._migration is not None:
-            # Resolve the membership change first, so the re-replication
-            # starts from one consistent ring: death of the joining
-            # member aborts (routing reverts to the old ring,
-            # migration-window writes resynced back), any other death
-            # fast-forwards the handoff to completion.
-            self._migration.on_shard_failed(shard_id, at)
-        try:
-            new_ring = self.ring.with_shard_removed(shard_id)
-        except (UnknownShardError, LastShardError):
-            return  # an aborted joiner, or the last member: nothing to move
-        self._start_migration(
-            ACTION_FAIL, shard_id, new_ring, DEFAULT_REBALANCE_BANDWIDTH, at
-        )
+        self.membership.fail(shard_id, self.clock.now if at is None else at)
 
     # ------------------------------------------------------------------
     # lifecycle

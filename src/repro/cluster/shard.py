@@ -1,8 +1,9 @@
 """One cluster member: a full Prism instance plus serving state.
 
 A :class:`Shard` wraps the store with everything the router needs to
-treat it as a node: up/down state, an admission controller, and an
-inbound asynchronous-replication queue.
+treat it as a node: a lifecycle state, an admission controller, and an
+inbound asynchronous-replication queue.  A shard is born ``up``; every
+later state is written by :class:`~repro.cluster.membership.Membership`.
 
 The replication queue models the *primary's outbound lag* for async
 replication: an acknowledged write is enqueued at its ack time and
@@ -28,14 +29,13 @@ from typing import Deque, Optional, Tuple
 
 from repro.cluster.admission import AdmissionController
 from repro.core.prism import Prism
-from repro.faults.injector import kill_store_devices
 from repro.sim.vthread import VThread
 
 STATE_UP = "up"
 STATE_DOWN = "down"
 # Live-resharding lifecycle: a DRAINING shard is healthy but being
-# decommissioned (serves reads and migration traffic, admits no new
-# writes); a RETIRED shard has handed off every key and left the ring
+# decommissioned (serves reads and migration traffic; no write routes
+# to it); a RETIRED shard has handed off every key and left the ring
 # (its store is intact but the router never touches it again).
 STATE_DRAINING = "draining"
 STATE_RETIRED = "retired"
@@ -79,18 +79,6 @@ class Shard:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Shard({self.shard_id}, {self.state}, queued={len(self.queue)})"
-
-    # ------------------------------------------------------------------
-    # decommissioning (live resharding)
-    # ------------------------------------------------------------------
-    def start_drain(self) -> None:
-        self.state = STATE_DRAINING
-        self.admission.start_drain()
-
-    def retire(self) -> None:
-        """Handoff complete: leave the serving set for good."""
-        self.state = STATE_RETIRED
-        self.admission.stop_drain()
 
     # ------------------------------------------------------------------
     # asynchronous replication
@@ -143,11 +131,3 @@ class Shard:
         self.queue.clear()
         self.repl_dropped += dropped
         return dropped
-
-    # ------------------------------------------------------------------
-    # death
-    # ------------------------------------------------------------------
-    def kill(self, at: float) -> None:
-        """Whole-node failure: every device of the store dies at once."""
-        kill_store_devices(self.store, at)
-        self.state = STATE_DOWN

@@ -75,7 +75,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
     }
     pwb_flush: List[Tuple[int, int, int, bytes]] = []  # (hsit_idx, pwb_id, offset, value)
     repair_flush: List[RelocationEntry] = []  # corrupt records healed from mirror
-    corrupt_lost = 0
+    lost: List[Tuple[int, int, int]] = []  # (vs_id, chunk_id, offset) of lost records
     reachable = set()
     dropped: List[bytes] = []
     vs_header_bytes = 0
@@ -127,7 +127,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
                             (idx, value, vs, loc.chunk_id, loc.vs_offset)
                         )
                     else:
-                        corrupt_lost += 1
+                        lost.append((loc.vs_id, loc.chunk_id, loc.vs_offset))
                     continue
             if back != idx:
                 dropped.append(key)
@@ -137,6 +137,17 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
             dropped.append(key)
     for key in dropped:
         prism.index.delete(key)
+    # A lost record's stored size is what rotted, perhaps: bound its
+    # slot by the next live slot in its chunk, or it would cover every
+    # later record and count their bytes as its own.
+    for vs_id, chunk_id, offset in lost:
+        vs, live = prism.storages[vs_id], live_vs[vs_id]
+        end = min(
+            (o for c, o in live if c == chunk_id and o > offset),
+            default=vs.chunk_size,
+        )
+        idx, size = live[(chunk_id, offset)]
+        live[(chunk_id, offset)] = (idx, min(size, end - offset - vs.header_size))
     prism.crash_point.maybe_crash("recover.walked")
 
     # Account the NVM scan: index leaves + one HSIT entry per key.
@@ -202,7 +213,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
         ill_coupled_dropped=len(dropped),
         duration=duration,
         corrupt_records_repaired=corrupt_repaired,
-        corrupt_records_lost=corrupt_lost,
+        corrupt_records_lost=len(lost),
     )
 
 

@@ -201,16 +201,16 @@ class ScanAwareValueCache:
         """
         entry_id = self._next_id
         self._next_id = entry_id + 1
-        charged = len(value)
+        size = charged = len(value)
         if self.page_mode:
             charged = -(-charged // self.page_size) * self.page_size
         entry = SVCEntry(entry_id, hsit_idx, key, value, charged, slot)
         self.entries[entry_id] = entry
         self.used += charged
         if copied or thread is None:
-            self.dram.charge_write(thread, len(value))
+            self.dram.charge_write(thread, size)
         else:
-            self.dram.charge_write_async(thread.now, len(value))
+            self.dram.charge_write_async(thread.now, size)
         self.hsit.set_svc(hsit_idx, entry_id, thread)
         self._pending.append(("admit", entry))
         self.admissions += 1

@@ -478,15 +478,16 @@ class ValueStorage:
     # validity bitmap
     # ------------------------------------------------------------------
     def _slot(self, chunk_id: int, offset: int) -> _Slot:
-        info = self._chunks.get(chunk_id)
-        if info is None:
-            raise StorageError(f"vs{self.vs_id}: chunk {chunk_id} not in use")
-        slot = info.slots.get(offset)
-        if slot is None:
+        try:
+            return self._chunks[chunk_id].slots[offset]
+        except KeyError:
+            if chunk_id not in self._chunks:
+                raise StorageError(
+                    f"vs{self.vs_id}: chunk {chunk_id} not in use"
+                ) from None
             raise StorageError(
                 f"vs{self.vs_id}: no record at chunk {chunk_id} offset {offset}"
-            )
-        return slot
+            ) from None
 
     def is_valid(self, chunk_id: int, offset: int) -> bool:
         return self._slot(chunk_id, offset).valid

@@ -118,7 +118,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
     ),
     "typed error on a failure path (safety code)": (
         "repro.cluster.errors:RebalanceInProgressError.__init__",
-        "repro.cluster.errors:ShardDrainingError.__init__",
         "repro.cluster.errors:ShardOverloadedError.__init__",
         "repro.cluster.errors:ShardUnavailableError.__init__",
         "repro.cluster.ring:DuplicateShardError.__init__",
@@ -334,6 +333,20 @@ DELETED: Dict[str, str] = {
     ), "the record format lives in repro.core.record, a mirror copy has one reader "
        "(ValueStorage.read_record_mirror via repair.mirror_value), and the read "
        "path's heal is repair.read_repair"),
+    **dict.fromkeys((
+        "repro.cluster.errors:ShardDrainingError.__init__",
+        "repro.cluster.admission:AdmissionController.start_drain",
+        "repro.cluster.admission:AdmissionController.stop_drain",
+        "repro.cluster.shard:Shard.start_drain",
+        "repro.cluster.shard:Shard.retire",
+        "repro.cluster.shard:Shard.kill",
+        "repro.cluster.router:PrismCluster._admission_for",
+        "repro.cluster.router:PrismCluster._start_migration",
+        "repro.cluster.router:PrismCluster._end_migration",
+        "repro.cluster.rebalance:Migration.on_shard_failed",
+        "repro.cluster.rebalance:Migration._abort",
+    ), "no write routes to a draining shard, so it needs no gate; "
+       "repro.cluster.membership writes membership: add, remove, fail, settle"),
     **dict.fromkeys((
         "PrismConfig.dram_spec",
         "PrismConfig.read_cache_sketch_width",

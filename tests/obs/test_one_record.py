@@ -51,7 +51,7 @@ def test_the_serving_layer_holds_no_registry():
     for i in range(20):
         cluster.put(b"k%02d" % i, b"v", thread)
     cluster.add_shard(at=thread.now, bandwidth=1.0)  # too slow to finish
-    migration = cluster._migration
+    migration = cluster.membership.migration
     assert migration is not None
     monitor = cluster._health
     for obj in (cluster, monitor, *monitor.breakers.values(), migration):

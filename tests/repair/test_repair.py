@@ -177,6 +177,35 @@ class TestRecoveryRepair:
         assert store.corruption_detected == 1
         assert audit(store).ok
 
+    def test_rotted_size_field_without_a_mirror_is_bounded_typed_loss(self):
+        """No mirror to heal from: the lost record keeps its slot, but
+        its size field says 2 GiB, so the slot ends where the next live
+        record in its chunk starts — not at the chunk's end, over every
+        later record (audit I9) and their bytes in ``live_bytes``."""
+        store = Prism(_integrity_config(mirror_chunks=False))
+        _load(store)
+        entries = _vs_keys(store)[0]
+        starts = {(loc.chunk_id, loc.vs_offset) for _, loc in entries}
+        key, loc = next(
+            (key, loc) for key, loc in entries
+            if any(c == loc.chunk_id and o > loc.vs_offset for c, o in starts)
+        )
+        vs = store.storages[0]
+        top = loc.chunk_id * vs.chunk_size + loc.vs_offset + 11  # size's top byte
+        vs.ssd.write_raw(top, bytes([vs.ssd.read_raw(top, 1)[0] ^ 0x80]))
+        store.crash()
+        report = store.recover()
+        assert report.corrupt_records_lost == 1
+        # The audit still names the lost record (I7: corruption never
+        # hides from it), and nothing else: no slot overlaps another.
+        assert audit(store).violations == [
+            f"I7: corrupt VS record for {key!r}: ssd0: checksum mismatch at "
+            f"vs0 chunk {loc.chunk_id} off {loc.vs_offset}"
+        ]
+        assert store.storages[0]._chunks[loc.chunk_id].live_bytes < vs.chunk_size
+        with pytest.raises(UnrecoverableCorruptionError):
+            store.get(key)
+
     def test_rotted_mirror_too_is_typed_loss(self, store):
         _load(store)
         key, loc = _vs_keys(store)[0][0]

@@ -34,7 +34,7 @@ def _check(workload, result, interpreter=None, digest=None):
     interpreter and pinned digest."""
     g = GATES[workload]
     return gate.check(
-        g, result, interpreter or g["interpreter"], digest or g["vt_digest"]
+        workload, g, result, interpreter or g["interpreter"], digest or g["vt_digest"]
     )
 
 
@@ -102,6 +102,17 @@ def test_check_fails_each_metric_past_its_limit(workload):
 
 
 @pytest.mark.parametrize("workload", sorted(GATES))
+def test_check_fails_a_stale_call_count_pin(workload):
+    """A call count more than 1 % below its pinned ``measured`` leaves
+    the ceiling stale: the gate fails and names the re-pin command."""
+    measured = GATES[workload]["limits"]["host_calls_per_op"]["measured"]
+    assert _check(workload, _result(workload, host_calls_per_op=measured * 0.991)) == []
+    failures = _check(workload, _result(workload, host_calls_per_op=measured * 0.989))
+    assert len(failures) == 1 and "host_calls_per_op" in failures[0]
+    assert f"python3 -m perfbench --workload {workload} --seed 1" in failures[0]
+
+
+@pytest.mark.parametrize("workload", sorted(GATES))
 def test_check_fails_a_digest_mismatch(workload):
     """Every metric inside its limits, one virtual-time bit elsewhere."""
     other = "0" * 64
@@ -122,5 +133,6 @@ def test_check_fails_an_incorrect_run_and_a_foreign_interpreter():
     # since PR 24) names no interpreter and runs on any; it is still a
     # gate on correctness, and pins no digest unless it says so.
     unpinned = {"limits": {"vt_kops": g["limits"]["vt_kops"]}}
-    assert gate.check(unpinned, _result("ycsb_e_scan"), "2.7", "0" * 64) == []
-    assert gate.check(unpinned, _result("ycsb_e_scan", correct=False), "2.7", "")
+    scan = "ycsb_e_scan"
+    assert gate.check(scan, unpinned, _result(scan), "2.7", "0" * 64) == []
+    assert gate.check(scan, unpinned, _result(scan, correct=False), "2.7", "")
