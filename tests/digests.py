@@ -151,6 +151,17 @@ cache's background thread spends less virtual time on each rewrite.
 ``bench/ablations``, ``fig7``, ``fig10`` and ``fig16`` their stdout as
 well.  No other entry moved.
 
+When the draining write gate was deleted (no write routes to a
+draining shard, so ``AdmissionController`` lost its drain check and
+``stats()`` its ``cluster_drain_rejects``), exactly the seven entries
+whose scenario audits a cluster run were re-recorded, and only their
+``metrics_sha256``: ``cluster_a``, ``cluster_scan_failover``,
+``cluster_async_spread``, ``cluster_gray_rebalance``, ``bench/cluster``,
+``bench/grayfail`` and ``bench/rebalance``.  Each metrics JSON differs
+from the one before only by the lines
+``"stats.cluster_drain_rejects": 0.0,`` (one per run); no stdout,
+event, final vtime or crash-label digest moved.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
