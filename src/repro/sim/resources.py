@@ -19,7 +19,8 @@ in virtual time consistent.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import DefaultDict, List, Optional, Tuple
 
 from repro.sim.vthread import VThread
 
@@ -239,7 +240,10 @@ class BandwidthChannel:
         self.bandwidth = float(bandwidth) * lanes
         self.lanes = lanes
         self.bucket = bucket
-        self._used: Dict[int, float] = {}
+        # bucket index -> bytes booked.  A missing bucket reads as 0.0
+        # by subscript, and request() books every bucket it reads that
+        # has room, so no bucket in the map holds 0.0.
+        self._used: DefaultDict[int, float] = defaultdict(float)
         self._capacity = self.bandwidth * bucket
         self._horizon = 0  # buckets below this are forgotten (treated full)
         # All buckets in [_horizon, _full_floor) are known full: lets a
@@ -284,7 +288,7 @@ class BandwidthChannel:
         # (int/float comparison and addition are exact here — nbytes is
         # far below 2**53 — so skipping the float() conversion keeps the
         # arithmetic bit-identical.)
-        used = used_map.get(idx, 0.0)
+        used = used_map[idx]
         free = cap - used
         if free >= nbytes:
             new_used = used + nbytes
@@ -301,7 +305,7 @@ class BandwidthChannel:
         remaining = float(nbytes)
         end = at
         while remaining > 0:
-            used = used_map.get(idx, 0.0)
+            used = used_map[idx]
             free = cap - used
             if free > 0:
                 take = min(free, remaining)
@@ -324,7 +328,9 @@ class BandwidthChannel:
 
     def _prune(self, newest_idx: int) -> None:
         cutoff = newest_idx - int(self.PRUNE_WINDOW / self.bucket)
-        self._used = {i: v for i, v in self._used.items() if i >= cutoff}
+        self._used = defaultdict(
+            float, {i: v for i, v in self._used.items() if i >= cutoff}
+        )
         if cutoff > self._horizon:
             self._horizon = cutoff
         if cutoff > self._full_floor:

@@ -195,14 +195,15 @@ class TestReadCallBudget:
     """Python + C calls of one leader's ``ThreadCombiner.read`` (metrics
     off), fixed part and per-request part, from a read of 1 request and
     one of ``N``.  Per request: its SQE placement on the ring (reap,
-    stall, the SSD's timed read and its payload).  Measured 5 + 14 per
-    request on CPython 3.11 and 3.12, pinned with no headroom; 15 + 16
+    stall, the SSD's timed read and its payload).  Measured 5 + 13 per
+    request on CPython 3.11 and 3.12, pinned with no headroom; 5 + 14
+    while a channel request read its bucket with ``dict.get``; 15 + 16
     while a submission built a list of QD-sized batches, took a ``max``
     per completion and placed each SQE through ``_place``."""
 
     N = 16
     FIXED = 5
-    PER_REQUEST = 14
+    PER_REQUEST = 13
 
     def test_calls_per_request(self):
         calls = {}
