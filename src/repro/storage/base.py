@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.sim.resources import BandwidthChannel
 from repro.sim.vthread import VThread
@@ -35,6 +35,24 @@ def gather_pages(pages: Dict[int, bytearray], addr: int, size: int) -> bytes:
         idx += 1
         off = 0
     return bytes(out)
+
+
+def gather_many(
+    pages: Dict[int, bytearray], addrs: List[int], sizes: Iterable[int]
+) -> List[bytes]:
+    """:func:`gather_pages` of each address with its size, in one frame
+    for a whole gather: a load inside one present page is a slice of
+    it, the rest (a page never written, a load across pages) is
+    :func:`gather_pages`."""
+    out = list(addrs)
+    for i, (addr, size) in enumerate(zip(addrs, sizes)):
+        idx = addr >> PAGE_SHIFT
+        off = addr & PAGE_MASK
+        if off + size <= PAGE_SIZE and idx in pages:
+            out[i] = bytes(pages[idx][off : off + size])
+        else:
+            out[i] = gather_pages(pages, addr, size)
+    return out
 
 
 def scatter_pages(pages: Dict[int, bytearray], addr: int, data: bytes) -> None:
