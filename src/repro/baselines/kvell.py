@@ -36,6 +36,8 @@ from repro.storage.ssd import SSDDevice
 _SLAB_CLASSES = (128, 256, 512, 1024, 2048, 4096)
 _ITEM_HEADER = 6  # key length (2B) + value length (4B)
 PAGE_SIZE = 4096  # the unit of slab IO and of the page cache
+# Worker threads per SSD, each with its own slab region and IO ring.
+WORKERS_PER_SSD = 3
 # Worker loop: index lookup, slab math, request management.
 WORKER_CPU_COST = 1.2e-6
 # Client-side enqueue cost.
@@ -52,14 +54,13 @@ class KVellConfig:
     """Scaled-down version of the paper's KVell setup (Table 1)."""
 
     num_ssds: int = 2
-    workers_per_ssd: int = 3
     ssd_spec: DeviceSpec = field(default_factory=lambda: FLASH_SSD_GEN4_SPEC)
     page_cache_bytes: int = 64 * 1024 * 1024
     queue_depth: int = 64
 
     def __post_init__(self) -> None:
-        if self.num_ssds < 1 or self.workers_per_ssd < 1:
-            raise ValueError("need at least one SSD and one worker per SSD")
+        if self.num_ssds < 1:
+            raise ValueError("need at least one SSD")
 
 
 class _Worker:
@@ -240,7 +241,7 @@ class _Worker:
 
 
 class KVell(KVStore):
-    """Hash-sharded store over ``num_ssds * workers_per_ssd`` workers."""
+    """Hash-sharded store over ``num_ssds * WORKERS_PER_SSD`` workers."""
 
     def __init__(self, config: Optional[KVellConfig] = None) -> None:
         self.config = config or KVellConfig()
@@ -248,10 +249,10 @@ class KVell(KVStore):
         self.clock = VirtualClock()
         self.ssds = [SSDDevice(cfg.ssd_spec, name=f"ssd{i}") for i in range(cfg.num_ssds)]
         self.workers: List[_Worker] = []
-        total_workers = cfg.num_ssds * cfg.workers_per_ssd
+        total_workers = cfg.num_ssds * WORKERS_PER_SSD
         for wid in range(total_workers):
             ssd = self.ssds[wid % cfg.num_ssds]
-            per_worker = ssd.capacity // cfg.workers_per_ssd
+            per_worker = ssd.capacity // WORKERS_PER_SSD
             base = (wid // cfg.num_ssds) * per_worker
             self.workers.append(_Worker(wid, ssd, base, per_worker, cfg.queue_depth))
         cache_pages = cfg.page_cache_bytes // PAGE_SIZE

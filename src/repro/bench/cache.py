@@ -198,7 +198,6 @@ def cluster_hot_spread(
             config=ClusterConfig(
                 num_shards=num_shards,
                 replication_factor=2,
-                replication_mode="quorum",
                 read_policy=read_policy,
                 hot_key_threshold=threshold,
             ),

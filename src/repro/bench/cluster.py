@@ -111,10 +111,7 @@ def cluster_scaling(
     num_keys, num_ops = sizing(num_keys, num_ops, 20_000, 40_000)
     return run_legs({
         shards: dict(
-            config=ClusterConfig(
-                num_shards=shards, replication_factor=1,
-                replication_mode="quorum",
-            ),
+            config=ClusterConfig(num_shards=shards, replication_factor=1),
             spec=YCSB_C_UNIFORM, num_keys=num_keys, num_ops=num_ops,
             clients_per_shard=clients_per_shard, seed=2,
         )
@@ -129,7 +126,6 @@ def cluster_failover(
     clients_per_shard: int = 4,
     kill_shard: int = 1,
     kill_fraction: float = 0.4,
-    replication_mode: str = "quorum",
 ) -> Tuple[ClusterRunResult, ClusterRunResult]:
     """YCSB-A at RF=2 with and without a mid-run shard death.
 
@@ -138,10 +134,7 @@ def cluster_failover(
     ``kill_fraction`` of the ops.
     """
     num_keys, num_ops = sizing(num_keys, num_ops, 10_000, 20_000)
-    baseline = rf2_leg(
-        num_shards, replication_mode, num_keys, num_ops, clients_per_shard,
-        seed=3,
-    )
+    baseline = rf2_leg(num_shards, num_keys, num_ops, clients_per_shard, seed=3)
     kill = KillPlan(shard_id=kill_shard, at_fraction=kill_fraction)
     legs = run_legs(
         {"baseline": baseline, "killed": {**baseline, "kill_plan": kill}}
@@ -151,19 +144,15 @@ def cluster_failover(
 
 def rf2_leg(
     num_shards: int,
-    replication_mode: str,
     num_keys: int,
     num_ops: int,
     clients_per_shard: int,
     seed: int,
 ) -> Dict:
     """The leg failover and rebalance share: uniform YCSB-A on an RF=2
-    cluster of default shards."""
+    quorum cluster of default shards."""
     return dict(
-        config=ClusterConfig(
-            num_shards=num_shards, replication_factor=2,
-            replication_mode=replication_mode,
-        ),
+        config=ClusterConfig(num_shards=num_shards, replication_factor=2),
         spec=YCSB_A_UNIFORM, num_keys=num_keys, num_ops=num_ops,
         clients_per_shard=clients_per_shard, seed=seed,
     )

@@ -81,7 +81,6 @@ def gray_leg(
         config=ClusterConfig(
             num_shards=3,
             replication_factor=2,
-            replication_mode="quorum",
             health=health,
         ),
         spec=READ_HEAVY_UNIFORM, num_keys=num_keys, num_ops=num_ops,
@@ -103,11 +102,13 @@ def grayfail_comparison(
         at_fraction=GRAY_AT_FRACTION,
         multiplier=multiplier,
     )
-    sizes = (num_keys, num_ops, clients_per_shard)
+    sizes = dict(
+        num_keys=num_keys, num_ops=num_ops, clients_per_shard=clients_per_shard
+    )
     return run_legs({
-        "healthy": gray_leg(None, *sizes),
-        "undefended": gray_leg(None, *sizes, gray_plan=plan),
-        "defended": gray_leg(HealthConfig(), *sizes, gray_plan=plan),
+        "healthy": gray_leg(None, **sizes),
+        "undefended": gray_leg(None, gray_plan=plan, **sizes),
+        "defended": gray_leg(health=HealthConfig(), gray_plan=plan, **sizes),
     })
 
 

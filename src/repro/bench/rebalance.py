@@ -54,7 +54,6 @@ def cluster_rebalance(
     clients_per_shard: int = 4,
     at_fraction: float = 0.25,
     bandwidth: float = REBALANCE_BANDWIDTH,
-    replication_mode: str = "quorum",
 ) -> Dict[str, ClusterRunResult]:
     """YCSB-A with a mid-run scale-out, a mid-run scale-in, and neither.
 
@@ -64,10 +63,7 @@ def cluster_rebalance(
     read p99s, the control's ``read_log`` its reads by start time.
     """
     num_keys, num_ops = sizing(num_keys, num_ops, 8_000, 16_000)
-    leg = rf2_leg(
-        num_shards, replication_mode, num_keys, num_ops, clients_per_shard,
-        seed=5,
-    )
+    leg = rf2_leg(num_shards, num_keys, num_ops, clients_per_shard, seed=5)
     plans = {
         "scale_out": RebalancePlan(
             action="add", at_fraction=at_fraction, bandwidth=bandwidth

@@ -74,7 +74,6 @@ def build_prism(
 
 def build_kvell(
     num_ssds: int = 2,
-    workers_per_ssd: int = 3,
     dataset_bytes: int = DEFAULT_DATASET,
     page_cache: Optional[int] = None,
     ssd_capacity: int = DEFAULT_SSD_CAPACITY,
@@ -87,7 +86,6 @@ def build_kvell(
     return KVell(
         KVellConfig(
             num_ssds=num_ssds,
-            workers_per_ssd=workers_per_ssd,
             ssd_spec=_ssd_spec(ssd_capacity),
             page_cache_bytes=page_cache,
             **overrides,

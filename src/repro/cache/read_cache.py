@@ -51,17 +51,12 @@ class _Entry:
 class ReadCache:
     """LRU-ordered value cache guarded by a TinyLFU admission sketch."""
 
-    def __init__(
-        self,
-        dram: DRAMDevice,
-        capacity: int,
-        sketch_width: int = 4096,
-    ) -> None:
+    def __init__(self, dram: DRAMDevice, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"read cache capacity must be positive: {capacity}")
         self.dram = dram
         self.capacity = capacity
-        self.sketch = FrequencySketch(width=sketch_width)
+        self.sketch = FrequencySketch(width=4096)
         # LRU order: oldest first, most recently used last.
         self.entries: "OrderedDict[bytes, _Entry]" = OrderedDict()
         # HSIT index -> cached key, so relocation publishes (which know

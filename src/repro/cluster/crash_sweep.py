@@ -37,9 +37,7 @@ def default_cluster_factory() -> PrismCluster:
     """A 3-shard RF=2 quorum cluster of the sweep's deliberately tight
     stores, so each shard's workload slice reaches its crash labels."""
     return PrismCluster(
-        ClusterConfig(
-            num_shards=3, replication_factor=2, replication_mode="quorum"
-        ),
+        ClusterConfig(num_shards=3, replication_factor=2),
         shard_factory=partial(default_shard_factory, **TIGHT_STORE),
     )
 

@@ -7,8 +7,8 @@ horizontally scaled serving layer:
   (stable under membership change: only ranges owned by a failed shard
   re-map);
 * **replication** — writes apply to the key's primary and replicate to
-  ``replication_factor - 1`` further shards, synchronously, at quorum,
-  or asynchronously (see :class:`repro.cluster.shard.Shard`);
+  ``replication_factor - 1`` further shards, at quorum or
+  asynchronously (see :class:`repro.cluster.shard.Shard`);
 * **failover** — a shard whose devices die (via the
   :class:`FaultInjector`, or explicitly with :meth:`kill_shard`) is
   marked down, and its death is a membership change: a ``fail``
@@ -95,7 +95,6 @@ from repro.sim.vthread import VThread
 
 MODE_ASYNC = "async"
 MODE_QUORUM = "quorum"
-MODE_SYNC = "sync"
 
 READ_PRIMARY = "primary"
 READ_SPREAD = "spread"
@@ -107,9 +106,10 @@ class ClusterConfig:
 
     num_shards: int = 2
     replication_factor: int = 1
-    replication_mode: str = MODE_QUORUM  # "async" | "quorum" | "sync"
+    # "quorum" acks a write once a majority of its copies are durable,
+    # "async" once the primary's is.
+    replication_mode: str = MODE_QUORUM
     read_policy: str = READ_PRIMARY  # "primary" | "spread"
-    vnodes: int = 64
     # Admission control; None disables the corresponding mechanism.
     max_queue_depth: Optional[int] = None
     rate_limit_ops: Optional[float] = None  # tokens (ops) per virtual second
@@ -134,7 +134,7 @@ class ClusterConfig:
                 f"replication factor must be in [1, {self.num_shards}]: "
                 f"{self.replication_factor}"
             )
-        if self.replication_mode not in (MODE_ASYNC, MODE_QUORUM, MODE_SYNC):
+        if self.replication_mode not in (MODE_ASYNC, MODE_QUORUM):
             raise ValueError(f"unknown replication mode: {self.replication_mode}")
         if self.read_policy not in (READ_PRIMARY, READ_SPREAD):
             raise ValueError(f"unknown read policy: {self.read_policy}")
@@ -146,11 +146,8 @@ class ClusterConfig:
     @property
     def write_acks_required(self) -> int:
         """Copies that must be durable before a write acknowledges."""
-        rf = self.replication_factor
-        if self.replication_mode == MODE_SYNC:
-            return rf
         if self.replication_mode == MODE_QUORUM:
-            return rf // 2 + 1
+            return self.replication_factor // 2 + 1
         return 1  # async: primary only
 
 
@@ -201,9 +198,7 @@ class PrismCluster:
             self._new_shard(sid, factory) for sid in range(cfg.num_shards)
         ]
         self.events = EventLog("cluster")
-        self.membership = Membership(
-            self, HashRing(range(cfg.num_shards), vnodes=cfg.vnodes)
-        )
+        self.membership = Membership(self, HashRing(range(cfg.num_shards)))
         self._default_thread = VThread(0, self.clock, name="cluster-caller")
         self._spread_rr = itertools.count()
         self._async = cfg.replication_mode == MODE_ASYNC

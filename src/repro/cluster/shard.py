@@ -12,8 +12,8 @@ the queue in FIFO order.  Items are applied lazily — :meth:`pump`
 applies everything whose turn starts at or before the pumping time —
 so a replica read genuinely observes staleness, and a primary that
 dies with backlog still unsent loses exactly that backlog
-(:meth:`drop_from`).  Under quorum/sync replication the queue is never
-used and pumping is a no-op, keeping those modes bit-identical to a
+(:meth:`drop_from`).  Under quorum replication the queue is never
+used and pumping is a no-op, keeping that mode bit-identical to a
 build without the queue.
 
 Per-key ordering is preserved structurally: every mutation of a key

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.faults.injector import FaultConfig
-from repro.faults.retry import RetryPolicy
-from repro.core.tcq import (
-    COMBINE_WINDOW,
-    MODE_SYNC,
-    MODE_THREAD_COMBINING,
-    MODE_TIMEOUT_ASYNC,
-    TIMEOUT_WINDOW,
-)
+from repro.core.tcq import MODE_SYNC, MODE_THREAD_COMBINING, MODE_TIMEOUT_ASYNC
 from repro.storage.specs import (
     FLASH_SSD_GEN4_SPEC,
     NVM_SPEC,
@@ -76,8 +69,6 @@ class PrismConfig:
 
     # Read path
     read_batching: str = MODE_THREAD_COMBINING  # "tc" | "ta" | "sync"
-    combine_window: float = COMBINE_WINDOW
-    timeout_window: float = TIMEOUT_WINDOW
 
     # HSIT
     hsit_capacity: int = 1_000_000
@@ -130,8 +121,6 @@ class PrismConfig:
     # above zero, or the first kill_device / add_slow_fault), and is
     # needed to kill or slow the store's devices at run time.
     faults: Optional[FaultConfig] = None
-    # Retry/backoff/escalation for transient device errors.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.num_threads < 1:

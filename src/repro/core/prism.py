@@ -42,7 +42,7 @@ from repro.faults.errors import (
     NoHealthyStorageError,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.retry import RetryExecutor
+from repro.faults.retry import RetryExecutor, RetryPolicy
 from repro.obs.metrics import EventLog, MetricsRegistry, NULL_REGISTRY
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
@@ -197,13 +197,7 @@ class Prism:
             for i, ssd in enumerate(media.ssds + media.cold_ssds)
         ]
         self.combiners: List[ThreadCombiner] = [
-            ThreadCombiner(
-                vs.ring,
-                mode=cfg.read_batching,
-                combine_window=cfg.combine_window,
-                timeout_window=cfg.timeout_window,
-            )
-            for vs in self.storages
+            ThreadCombiner(vs.ring, mode=cfg.read_batching) for vs in self.storages
         ]
         self.svc = ScanAwareValueCache(
             media.dram,
@@ -250,7 +244,9 @@ class Prism:
         self._gc_active: set = set()
 
         # --- retries ---------------------------------------------------
-        self.retry_exec = RetryExecutor(cfg.retry, self.injector, events=self.events)
+        self.retry_exec = RetryExecutor(
+            RetryPolicy(), self.injector, events=self.events
+        )
         if self.injector is not None:
             # Failed flushes retry inside the device, covering every
             # persist point (PWB appends, HSIT publishes) at once.  Both

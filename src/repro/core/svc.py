@@ -70,6 +70,7 @@ from repro.core import pointers as ptr
 from repro.core.value_storage import ValueStorage
 from repro.faults.errors import NoHealthyStorageError
 from repro.sim.vthread import VThread
+from repro.storage.base import PAGE_SIZE
 from repro.storage.dram import DRAMDevice
 
 # Fraction of cache capacity the active list may occupy.
@@ -134,7 +135,6 @@ class ScanAwareValueCache:
         relocate: Relocate,
         scan_aware: bool = True,
         page_mode: bool = False,
-        page_size: int = 4096,
         placement: Optional[Callable[[], List[ValueStorage]]] = None,
     ) -> None:
         if capacity <= 0:
@@ -150,7 +150,6 @@ class ScanAwareValueCache:
         self.scan_aware = scan_aware
         # Ablation: charge page granularity like prior-work page caches.
         self.page_mode = page_mode
-        self.page_size = page_size
         self.entries: Dict[int, SVCEntry] = {}
         self._next_id = 0
         self.inactive: "OrderedDict[int, SVCEntry]" = OrderedDict()
@@ -203,7 +202,7 @@ class ScanAwareValueCache:
         self._next_id = entry_id + 1
         size = charged = len(value)
         if self.page_mode:
-            charged = -(-charged // self.page_size) * self.page_size
+            charged = -(-charged // PAGE_SIZE) * PAGE_SIZE
         entry = SVCEntry(entry_id, hsit_idx, key, value, charged, slot)
         self.entries[entry_id] = entry
         self.used += charged

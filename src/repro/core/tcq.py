@@ -58,14 +58,12 @@ class ThreadCombiner:
         ring: IOUring,
         mode: str = MODE_THREAD_COMBINING,
         combine_window: float = COMBINE_WINDOW,
-        timeout_window: float = TIMEOUT_WINDOW,
     ) -> None:
         if mode not in (MODE_THREAD_COMBINING, MODE_TIMEOUT_ASYNC, MODE_SYNC):
             raise ValueError(f"unknown read-batching mode: {mode}")
         self.ring = ring
         self.mode = mode
         self.combine_window = combine_window
-        self.timeout_window = timeout_window
         self._batch_close = -1.0
         self._batch_count = 0
         self.batches = 0
@@ -102,7 +100,7 @@ class ThreadCombiner:
         window = (
             self.combine_window
             if self.mode == MODE_THREAD_COMBINING
-            else self.timeout_window
+            else TIMEOUT_WINDOW
         )
         # SQEs go through the retry executor when the store attached one
         # and its injector is armed (one with no injector always

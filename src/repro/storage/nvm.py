@@ -207,9 +207,12 @@ class NVMDevice(Device):
     def load_word(self, thread: Optional[VThread], addr: int) -> int:
         """8-byte load returning an int: identical timing/accounting to
         ``load(thread, addr, 8)`` without the intermediate bytes object.
-        HSIT pointer words are the hottest NVM traffic in the store."""
-        if addr < 0 or addr + 8 > self._capacity:
-            raise StorageError(f"{self.name}: load [{addr}, {addr + 8}) out of range")
+        HSIT pointer words are the hottest NVM traffic in the store.
+        ``addr`` must be 8-aligned, so the word sits in one page."""
+        if addr < 0 or addr + 8 > self._capacity or addr & 7:
+            raise StorageError(
+                f"{self.name}: load [{addr}, {addr + 8}) out of range or unaligned"
+            )
         self.bytes_read += 8
         if thread is not None:
             end = self._read_request(thread.now, 8, self._read_latency)
@@ -219,8 +222,6 @@ class NVMDevice(Device):
                 if end > clock._now:
                     clock._now = end
         off = addr & PAGE_MASK
-        if off + 8 > PAGE_SIZE:  # pragma: no cover - words are 8-aligned
-            return int.from_bytes(gather_pages(self._pages, addr, 8), "little")
         page_idx = addr >> PAGE_SHIFT
         pages = self._pages
         if page_idx not in pages:
@@ -229,18 +230,15 @@ class NVMDevice(Device):
 
     def store_word(self, thread: Optional[VThread], addr: int, word: int) -> None:
         """8-byte store: identical semantics (undo snapshot, volatile
-        view, CPU cost) to ``store(thread, addr, word.to_bytes(8))``."""
-        if addr < 0 or addr + 8 > self._capacity:
+        view, CPU cost) to ``store(thread, addr, word.to_bytes(8))``.
+        ``addr`` must be 8-aligned, so the word sits in one line."""
+        if addr < 0 or addr + 8 > self._capacity or addr & 7:
             raise StorageError(
-                f"{self.name}: store [{addr}, {addr + 8}) out of range"
+                f"{self.name}: store [{addr}, {addr + 8}) out of range or unaligned"
             )
         off = addr & PAGE_MASK
-        if off + 8 > PAGE_SIZE:  # pragma: no cover - words are 8-aligned
-            self.store(thread, addr, word.to_bytes(8, "little"))
-            return
         undo = self._undo
         first = addr >> _LINE_SHIFT
-        last = (addr + 7) >> _LINE_SHIFT
         page_idx = addr >> PAGE_SHIFT
         pages = self._pages
         if page_idx in pages:
@@ -253,8 +251,6 @@ class NVMDevice(Device):
             # inlined).
             loff = (first << _LINE_SHIFT) & PAGE_MASK
             undo[first] = page[loff : loff + CACHE_LINE]
-        if last != first and last not in undo:
-            undo[last] = gather_pages(pages, last << _LINE_SHIFT, CACHE_LINE)
         page[off : off + 8] = word.to_bytes(8, "little")
         if thread is not None:
             now = thread.now + 5e-9
@@ -468,24 +464,14 @@ class NVMDevice(Device):
         add beyond this fast path (an attached retry executor acts only
         on an armed injector's failures).  Returns the raw
         previous word and the word after it (one 16-byte load: an HSIT
-        entry's location and SVC words).
+        entry's location and SVC words).  ``addr`` must be 16-aligned,
+        as HSIT entries are.
         """
-        if addr < 0 or addr + 16 > self._capacity:
+        if addr < 0 or addr + 16 > self._capacity or addr & 15:
             raise StorageError(
-                f"{self.name}: load [{addr}, {addr + 16}) out of range"
+                f"{self.name}: load [{addr}, {addr + 16}) out of range or unaligned"
             )
         off = addr & PAGE_MASK
-        if off + 16 > PAGE_SIZE:  # pragma: no cover - HSIT entries are 16-aligned
-            raw = self.load(thread, addr, 16)
-            self.store_word(thread, addr, dirty_word)
-            thread.spend(cas_cost)
-            self.flush(thread, addr, 8)
-            self.fence(thread)
-            self.store_word(thread, addr, clean_word)
-            return (
-                int.from_bytes(raw[:8], "little"),
-                int.from_bytes(raw[8:], "little"),
-            )
         # -- load(addr, 16) --
         self.bytes_read += 16
         now = thread.now

@@ -34,7 +34,6 @@ class TemperatureTracker:
 
     def __init__(
         self,
-        sketch_width: int = 8192,
         hot_threshold: int = 2,
         promote_threshold: int = 2,
         recency_window: int = 2048,
@@ -47,7 +46,7 @@ class TemperatureTracker:
             )
         if recency_window < 0:
             raise ValueError(f"recency_window must be >= 0: {recency_window}")
-        self.sketch = FrequencySketch(width=sketch_width)
+        self.sketch = FrequencySketch(width=8192)
         self.hot_threshold = hot_threshold
         self.promote_threshold = promote_threshold
         self.recency_window = recency_window

@@ -12,7 +12,6 @@ MB = 1024**2
 def small_config(**over):
     defaults = dict(
         num_ssds=2,
-        workers_per_ssd=2,
         ssd_spec=FLASH_SSD_GEN4_SPEC.with_capacity(64 * MB),
         page_cache_bytes=256 * 1024,
     )

@@ -34,6 +34,7 @@ import ast
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import os
 import runpy
@@ -267,6 +268,9 @@ TEST_KNOBS: Dict[str, str] = {
         "with admission once the next `[benchmark]` change stops reading it",
     "ClusterConfig.rate_burst":
         "token-bucket admission: goes with `rate_limit_ops`",
+    "ClusterConfig.replication_mode":
+        "async replication: perfbench reads `Shard.repl_applied`/`repl_dropped`; "
+        "goes with them once the next `[benchmark]` change stops reading them",
     "HealthConfig.ewma_alpha": "calibration: weight of the newest latency sample",
     "HealthConfig.min_samples": "calibration: observations before a shard is judged",
     "HealthConfig.gray_factor": "calibration: score over peer median that is gray",
@@ -441,7 +445,47 @@ DELETED: Dict[str, str] = {
         "repro.bench.runner:RunResult.histogram",
         "repro.storage.specs:format_catalog",
     ), "only the deleted `benchmarks/` suite called it"),
+    **dict.fromkeys((
+        "PrismConfig.combine_window",
+        "PrismConfig.timeout_window",
+        "ClusterConfig.vnodes",
+    ), "the store only forwarded it; `ThreadCombiner` and `HashRing` keep their "
+       "own defaults, which their tests tune"),
+    "PrismConfig.retry":
+        "nothing set it; the store's retry executor takes `RetryPolicy()`",
+    "KVellConfig.workers_per_ssd":
+        "only a test set it; now the module constant `WORKERS_PER_SSD`",
+    **dict.fromkeys((
+        "repro.cache.read_cache:ReadCache.__init__(sketch_width)",
+        "repro.tiering.temperature:TemperatureTracker.__init__(sketch_width)",
+        "repro.core.svc:ScanAwareValueCache.__init__(page_size)",
+        "repro.core.tcq:ThreadCombiner.__init__(timeout_window)",
+        "repro.bench.stores:build_kvell(workers_per_ssd)",
+        "repro.bench.cluster:cluster_failover(replication_mode)",
+        "repro.bench.cluster:rf2_leg(replication_mode)",
+        "repro.bench.rebalance:cluster_rebalance(replication_mode)",
+    ), "every caller left it at its default"),
+    "repro.cluster.router:MODE_SYNC":
+        "sync replication: only its own test ran it; quorum and async remain",
 }
+
+
+def _present(name: str, present: Set[str]) -> bool:
+    """Whether a :data:`DELETED` entry is still in the tree: a function
+    or knob (``present``), a parameter ``module:qualname(param)`` or a
+    module constant ``module:NAME``."""
+    if name in present:
+        return True
+    module, _, qual = name.partition(":")
+    qual, _, param = qual.partition("(")
+    if not (param or qual.isupper()):
+        return False  # a function is judged by the code objects alone
+    obj = importlib.import_module(module)
+    for part in qual.split("."):
+        obj = getattr(obj, part, None)
+        if obj is None:
+            return False
+    return not param or param.rstrip(")") in inspect.signature(obj).parameters
 
 
 def _verdict(name: str) -> str:
@@ -523,20 +567,52 @@ def _is_default(value: ast.AST, knobs: List[Knob]) -> bool:
                for k in knobs)
 
 
-def knob_sites() -> List[Knob]:
-    """:func:`config_knobs`, each with every ``path:line`` that sets it
-    to a value other than its default.
+def _forwards(name: str, value: ast.AST) -> bool:
+    """``name=name``, ``name=cfg.name``, ``name=self.name``: a value
+    passed on under its own name, set (if at all) where it came from."""
+    return (isinstance(value, ast.Name) and value.id == name) or (
+        isinstance(value, ast.Attribute) and value.attr == name
+    )
 
-    A field is set by a keyword argument, a string key in a dict
-    literal, ``setattr(obj, "name", …)`` or an assignment to
-    ``obj.name`` (not ``self.name``).  Names are matched, not types: a
-    keyword counts for every config with a field of that name, except
-    in a call to a config class, where it counts for that class (or the
-    base that declares the field).  So a shared name such as
-    ``num_ssds`` can look set when it is not; a name nothing uses never
-    looks set.
+
+def _is_config_object(node: ast.AST) -> bool:
+    """``cfg``, ``config``, ``self.config``, ``store_cfg``: an object
+    named as a config, the only kind whose attributes are knobs."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name.lower().endswith(("cfg", "config"))
+
+
+def knob_sites() -> List[Knob]:
+    """:func:`config_knobs`, each with every ``path:line`` under
+    :data:`SITE_TREES` that sets it to a value other than its default.
+
+    A set is a value that reaches a config field, named as the field:
+
+    * a keyword argument to a config class (it counts for that class,
+      or the base that declares the field) or to a function, such as a
+      builder or ``dataclasses.replace`` (it counts for every config
+      with a field of that name); a keyword to any other class (a name
+      that starts upper-case, such as ``ThreadCombiner``) is that
+      class's own parameter;
+    * a string key in a dict literal (the keywords of a later call);
+    * ``setattr(obj, "name", …)`` or an assignment to ``obj.name``,
+      where ``obj`` is named as a config (:func:`_is_config_object`).
+
+    A value passed on under its own name (:func:`_forwards`) is not a
+    set, nor is a literal equal to the default.  A function keyword is
+    matched by name, so a builder's own parameter that shares a field's
+    name counts for it; a field nothing names never looks set.
     """
     knobs = config_knobs()
+    for path in _python_files():
+        rel = path.relative_to(ROOT).as_posix()
+        note_sets(knobs, rel, ast.parse(path.read_text(), filename=rel))
+    return knobs
+
+
+def note_sets(knobs: List[Knob], rel: str, tree: ast.AST) -> None:
+    """Add to ``knobs`` every set (:func:`knob_sites`) in ``tree``, the
+    parsed source of the file at ``rel``."""
     by_name: Dict[str, List[Knob]] = {}
     for knob in knobs:
         by_name.setdefault(knob.name, []).append(knob)
@@ -545,40 +621,38 @@ def knob_sites() -> List[Knob]:
 
     def note(name: str, value: ast.AST, where: str, callee: str = "") -> None:
         targets = by_name.get(name)
-        if not targets:
+        if not targets or _forwards(name, value):
             return
         if callee in mro:
             targets = [k for k in targets if k.owner in mro[callee]]
+        elif callee[:1].isupper():
+            return
         if not targets or _is_default(value, targets):
             return
         for knob in targets:
             knob.sites.append(where)
 
-    for path in _python_files():
-        rel = path.relative_to(ROOT).as_posix()
-        tree = ast.parse(path.read_text(), filename=rel)
-        for node in ast.walk(tree):
-            where = f"{rel}:{getattr(node, 'lineno', 0)}"
-            if isinstance(node, ast.Call):
-                callee = _callee(node)
-                for kw in node.keywords:
-                    if kw.arg is not None:
-                        note(kw.arg, kw.value, where, callee)
-                if (callee == "setattr" and len(node.args) == 3
-                        and isinstance(node.args[1], ast.Constant)):
-                    note(str(node.args[1].value), node.args[2], where)
-            elif isinstance(node, ast.Dict):
-                for key, value in zip(node.keys, node.values):
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        note(key.value, value, f"{rel}:{key.lineno}")
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if (isinstance(target, ast.Attribute)
-                            and not (isinstance(target.value, ast.Name)
-                                     and target.value.id == "self")):
-                        note(target.attr, node.value, where)
-    return knobs
+    for node in ast.walk(tree):
+        where = f"{rel}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Call):
+            callee = _callee(node)
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    note(kw.arg, kw.value, where, callee)
+            if (callee == "setattr" and len(node.args) == 3
+                    and isinstance(node.args[1], ast.Constant)
+                    and _is_config_object(node.args[0])):
+                note(str(node.args[1].value), node.args[2], where)
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    note(key.value, value, f"{rel}:{key.lineno}")
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if (isinstance(target, ast.Attribute)
+                        and _is_config_object(target.value)):
+                    note(target.attr, node.value, where)
 
 
 # ----------------------------------------------------------------------
@@ -803,12 +877,12 @@ def report(
     out += ["", f"## Deleted ({len(DELETED)})", "",
             "| what | verdict |", "|---|---|"]
     for name, reason in DELETED.items():
-        verdict = "**still present**" if name in present else "deleted"
+        verdict = "**still present**" if _present(name, present) else "deleted"
         out.append(f"| `{name}` | {verdict}: {reason} |")
     unjudged = (
         sum(1 for fn in only_tier1 + unreached if _verdict(fn.name) == "**unjudged**")
         + sum(1 for k in knobs if _knob_verdict(k) == "**unjudged**")
-        + sum(1 for name in DELETED if name in present)
+        + sum(1 for name in DELETED if _present(name, present))
     )
     return "\n".join(out) + "\n", unjudged
 

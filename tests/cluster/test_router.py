@@ -94,23 +94,24 @@ class TestBasicOps:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(num_shards=2, replication_factor=3)
-        with pytest.raises(ValueError):
-            ClusterConfig(replication_mode="gossip")
+        for mode in ("gossip", "sync"):
+            with pytest.raises(ValueError):
+                ClusterConfig(replication_mode=mode)
         with pytest.raises(ValueError):
             ClusterConfig(read_policy="nearest")
 
 
 class TestReplicationModes:
-    def test_sync_waits_for_all_quorum_for_majority(self):
+    def test_async_acks_no_later_than_quorum(self):
         """Per-mode ack timing: async returns at the primary's ack,
-        quorum at the majority ack, sync at the slowest replica."""
+        quorum at the majority ack."""
         ends = {}
-        for mode in ("async", "quorum", "sync"):
+        for mode in ("async", "quorum"):
             c = build(num_shards=3, replication_factor=3, replication_mode=mode)
             t = VThread(1, c.clock)
             c.put(b"k", b"v", t)
             ends[mode] = t.now
-        assert ends["async"] <= ends["quorum"] <= ends["sync"]
+        assert ends["async"] <= ends["quorum"]
 
     def test_async_backlog_applies_on_read(self):
         """Async replication converges lazily: the replica applies its

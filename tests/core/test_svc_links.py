@@ -24,6 +24,7 @@ from repro.core import pointers as ptr
 from repro.core.svc import ACTIVE_SHARE, SVCEntry, ScanAwareValueCache, _BG_OP_COST
 from repro.core.value_storage import ValueStorage
 from repro.sim.vthread import VThread
+from repro.storage.base import PAGE_SIZE
 from repro.storage.dram import DRAMDevice
 from repro.storage.nvm import NVMDevice
 from repro.storage.specs import DRAM_SPEC, FLASH_SSD_GEN4_SPEC
@@ -47,8 +48,8 @@ class IdLinkedSVC(ScanAwareValueCache):
 
     def _charge_of(self, value: bytes) -> int:
         if self.page_mode:
-            pages = -(-len(value) // self.page_size)
-            return pages * self.page_size
+            pages = -(-len(value) // PAGE_SIZE)
+            return pages * PAGE_SIZE
         return len(value)
 
     def admit(self, hsit_idx, key, value, thread=None, copied=False, slot=None):

@@ -6,6 +6,7 @@ from repro.core.tcq import (
     MODE_SYNC,
     MODE_THREAD_COMBINING,
     MODE_TIMEOUT_ASYNC,
+    TIMEOUT_WINDOW,
     ThreadCombiner,
 )
 from repro.faults.errors import TransientReadError
@@ -113,7 +114,7 @@ class TestCombining:
 
 class TestTimeoutStrawman:
     def test_ta_latency_includes_timeout(self, ring):
-        combiner = ThreadCombiner(ring, mode=MODE_TIMEOUT_ASYNC, timeout_window=100e-6)
+        combiner = ThreadCombiner(ring, mode=MODE_TIMEOUT_ASYNC)
         t = VThread(0)
         combiner.read(t, [_read()])
         assert t.now > 100e-6
@@ -392,7 +393,7 @@ class ChunkSplittingCombiner(ThreadCombiner):
         window = (
             self.combine_window
             if self.mode == MODE_THREAD_COMBINING
-            else self.timeout_window
+            else TIMEOUT_WINDOW
         )
         t = thread.now
         limit = self.ring.queue_depth

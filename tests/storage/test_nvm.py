@@ -50,6 +50,19 @@ class TestLoadStore:
         with pytest.raises(StorageError):
             nvm.store(None, -1, b"x")
 
+    @pytest.mark.parametrize("addr", [PAGE_SIZE - 4, CACHE_LINE - 4, 8 + 1])
+    def test_word_ops_refuse_an_unaligned_address(self, nvm, thread, addr):
+        """A word op takes one page slice and snapshots one line, which
+        holds only for an aligned word; an unaligned one is refused, as
+        the HSIT (every caller) never asks for one."""
+        with pytest.raises(StorageError, match="unaligned"):
+            nvm.load_word(thread, addr)
+        with pytest.raises(StorageError, match="unaligned"):
+            nvm.store_word(thread, addr, 1)
+        with pytest.raises(StorageError, match="unaligned"):
+            nvm.publish_word(thread, addr & ~7, 1, 2, 0.0)
+        assert nvm.bytes_read == 0 and not nvm._pages
+
     def test_store_crossing_page_boundary(self, nvm):
         addr = 4090  # crosses the 4096 page edge
         payload = bytes(range(12))

@@ -8,10 +8,18 @@ subsystem kept for now; ``tests/census.py`` ``TEST_KNOBS`` holds that
 reason, one line per knob."""
 
 import ast
+import textwrap
 
 import pytest
 
-from tests.census import CONFIG_CLASSES, ROOT, TEST_KNOBS, knob_sites
+from tests.census import (
+    CONFIG_CLASSES,
+    ROOT,
+    TEST_KNOBS,
+    config_knobs,
+    knob_sites,
+    note_sets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +51,26 @@ def test_a_knob_only_tests_set_has_a_reason(knobs):
     assert not bare, f"config fields only tests set, with no reason in TEST_KNOBS: {bare}"
     stale = sorted(set(TEST_KNOBS) - test_only)
     assert not stale, f"TEST_KNOBS reasons for knobs that are not test-only: {stale}"
+
+
+def _sets(source):
+    knobs = config_knobs()
+    note_sets(knobs, "x.py", ast.parse(textwrap.dedent(source)))
+    return {(knob.label, site) for knob in knobs for site in knob.sites}
+
+
+@pytest.mark.parametrize("source, sets", [
+    ("PrismConfig(queue_depth=8)", {"PrismConfig.queue_depth"}),
+    ("build_prism(queue_depth=qd)",
+     {"PrismConfig.queue_depth", "KVellConfig.queue_depth"}),
+    ("cfg.chunk_size = 4096", {"PrismConfig.chunk_size"}),
+    ("store.config.chunk_size = 4096", {"PrismConfig.chunk_size"}),
+    ("build_prism(queue_depth=cfg.queue_depth)", set()),
+    ("build_prism(queue_depth=self.queue_depth)", set()),
+    ("build_prism(queue_depth=queue_depth)", set()),
+    ("PrismConfig(queue_depth=64)", set()),
+    ("IOUring(ssd, queue_depth=4)", set()),
+    ("store.enable_metrics = True", set()),
+])
+def test_a_set_is_a_value_that_reaches_a_config_field(source, sets):
+    assert _sets(source) == {(label, "x.py:1") for label in sets}
