@@ -8,7 +8,6 @@ subsystem kept for now; ``tests/census.py`` ``TEST_KNOBS`` holds that
 reason, one line per knob."""
 
 import ast
-import textwrap
 
 import pytest
 
@@ -55,7 +54,7 @@ def test_a_knob_only_tests_set_has_a_reason(knobs):
 
 def _sets(source):
     knobs = config_knobs()
-    note_sets(knobs, "x.py", ast.parse(textwrap.dedent(source)))
+    note_sets(knobs, "x.py", ast.parse(source))
     return {(knob.label, site) for knob in knobs for site in knob.sites}
 
 
