@@ -77,10 +77,7 @@ class HSIT:
         return self._base + idx * ENTRY_BYTES
 
     def _load_word(self, thread: Optional[VThread], addr: int) -> int:
-        return self.nvm.load_word(thread, addr)
-
-    def _store_word(self, thread: Optional[VThread], addr: int, word: int) -> None:
-        self.nvm.store_word(thread, addr, word)
+        return int.from_bytes(self.nvm.load(thread, addr, 8), "little")
 
     def _persist_word(self, thread: Optional[VThread], addr: int, word: int) -> None:
         self.nvm.persist(thread, addr, word.to_bytes(8, "little"))
@@ -133,7 +130,7 @@ class HSIT:
             self._persist_word(
                 thread, self._addr(idx), ptr.encode_free_link(head_plus1)
             )
-            self._store_word(thread, self._addr(idx) + 8, 0)
+            self.nvm.store_word(thread, self._addr(idx) + 8, 0)
             self.nvm.persist(thread, self._header, (idx + 1).to_bytes(8, "little"))
             self.frees += 1
         finally:
@@ -224,13 +221,7 @@ class HSIT:
         # (1) atomic store of the new pointer with the dirty bit set
         nvm.store_word(thread, addr, word | ptr.DIRTY_BIT)
         if thread is not None:
-            # thread.spend(_CAS_COST) inlined — once per publish.
-            now = thread.now + _CAS_COST
-            thread.now = now
-            thread.cpu_time += _CAS_COST
-            clock = thread.clock
-            if now > clock._now:
-                clock._now = now
+            thread.spend(_CAS_COST)
         if cp_active:
             cp.maybe_crash("hsit.publish.dirty")
         # (2) flush + fence: the dirty pointer is now durable

@@ -45,8 +45,6 @@ from repro.storage.specs import NVM_SPEC, DeviceSpec
 CACHE_LINE = 256  # Optane DCPMM internal access granularity (XPLine)
 _LINE_SHIFT = 8  # log2(CACHE_LINE)
 _LINES_PER_PAGE_SHIFT = PAGE_SHIFT - _LINE_SHIFT
-# Durable content of a never-written line (shared undo snapshot).
-_ZERO_LINE = bytes(CACHE_LINE)
 # Independent loads one thread keeps in flight (a core's line-fill
 # buffers): the width of one wave of NVMDevice.load_gather.  A buffer
 # holds one 64 B CPU cache line, so a load longer than that takes one
@@ -137,7 +135,7 @@ class NVMDevice(Device):
         """Read ``size`` bytes (sees unflushed stores, like a real CPU)."""
         if addr < 0 or addr + size > self._capacity:
             raise StorageError(f"{self.name}: load [{addr}, {addr + size}) out of range")
-        # charge_read inlined: word loads dominate NVM traffic.
+        # charge_read inlined: every point read loads its HSIT entry here.
         self.bytes_read += size
         if thread is not None:
             end = self._read_request(thread.now, size, self._read_latency)
@@ -204,30 +202,6 @@ class NVMDevice(Device):
                     clock._now = now
         return gather_many(self._pages, addrs, sizes)
 
-    def load_word(self, thread: Optional[VThread], addr: int) -> int:
-        """8-byte load returning an int: identical timing/accounting to
-        ``load(thread, addr, 8)`` without the intermediate bytes object.
-        HSIT pointer words are the hottest NVM traffic in the store.
-        ``addr`` must be 8-aligned, so the word sits in one page."""
-        if addr < 0 or addr + 8 > self._capacity or addr & 7:
-            raise StorageError(
-                f"{self.name}: load [{addr}, {addr + 8}) out of range or unaligned"
-            )
-        self.bytes_read += 8
-        if thread is not None:
-            end = self._read_request(thread.now, 8, self._read_latency)
-            if end > thread.now:
-                thread.now = end
-                clock = thread.clock
-                if end > clock._now:
-                    clock._now = end
-        off = addr & PAGE_MASK
-        page_idx = addr >> PAGE_SHIFT
-        pages = self._pages
-        if page_idx not in pages:
-            return 0
-        return int.from_bytes(pages[page_idx][off : off + 8], "little")
-
     def store_word(self, thread: Optional[VThread], addr: int, word: int) -> None:
         """8-byte store: identical semantics (undo snapshot, volatile
         view, CPU cost) to ``store(thread, addr, word.to_bytes(8))``.
@@ -270,25 +244,12 @@ class NVMDevice(Device):
         # Snapshot durable content of each touched line exactly once.
         undo = self._undo
         pages = self._pages
-        first = addr >> _LINE_SHIFT
-        last = (addr + (size or 1) - 1) >> _LINE_SHIFT
-        if first == last:
-            if first not in undo:
-                undo[first] = gather_pages(pages, first << _LINE_SHIFT, CACHE_LINE)
-        else:
-            for line in range(first, last + 1):
-                if line not in undo:
-                    undo[line] = gather_pages(pages, line << _LINE_SHIFT, CACHE_LINE)
+        for line in self._lines(addr, size):
+            if line not in undo:
+                undo[line] = gather_pages(pages, line << _LINE_SHIFT, CACHE_LINE)
         scatter_pages(pages, addr, data)
         if thread is not None:
-            # Stores land in the CPU cache: cheap, but not free
-            # (thread.spend(5e-9) inlined).
-            now = thread.now + 5e-9
-            thread.now = now
-            thread.cpu_time += 5e-9
-            clock = thread.clock
-            if now > clock._now:
-                clock._now = now
+            thread.spend(5e-9)  # stores land in the CPU cache: cheap, not free
 
     def _consult_flush(self, thread: Optional[VThread]) -> float:
         """Ask the armed injector about one flush, through the retry
@@ -312,85 +273,53 @@ class NVMDevice(Device):
         penalty = 0.0
         if self.injector.enabled:
             penalty = self._consult_flush(thread)
-        undo = self._undo
-        first = addr >> _LINE_SHIFT
-        last = (addr + (size or 1) - 1) >> _LINE_SHIFT
-        if first == last:
-            flushed = 1 if undo.pop(first, None) is not None else 0
-        else:
-            flushed = 0
-            for line in range(first, last + 1):
-                if undo.pop(line, None) is not None:
-                    flushed += 1
+        flushed = 0
+        for line in self._lines(addr, size):
+            if self._undo.pop(line, None) is not None:
+                flushed += 1
         self.flushes += 1
         self.bytes_flushed += flushed * CACHE_LINE
-        # The write to the DIMM media happens now (charge_write inlined:
-        # flushes run once or more per put).
-        nbytes = (flushed if flushed > 1 else 1) * CACHE_LINE
-        self.bytes_written += nbytes
-        if thread is not None:
-            end = self._write_request(thread.now, nbytes, self._write_latency)
-            if penalty:
-                end += penalty  # fail-slow inflation (gray failure)
-            if end > thread.now:
-                thread.now = end
-                clock = thread.clock
-                if end > clock._now:
-                    clock._now = end
+        # The write to the DIMM media happens now.
+        end = self.charge_write(thread, max(flushed, 1) * CACHE_LINE)
+        if penalty and thread is not None:
+            thread.wait_until(end + penalty)  # fail-slow inflation (gray failure)
 
     def fence(self, thread: Optional[VThread]) -> None:
         """sfence: ordering point; modelled as a small CPU cost."""
         self.fences += 1
         if thread is not None:
-            # thread.spend(10e-9) inlined — one fence per persist.
-            now = thread.now + 10e-9
-            thread.now = now
-            thread.cpu_time += 10e-9
-            clock = thread.clock
-            if now > clock._now:
-                clock._now = now
+            thread.spend(10e-9)
 
     def persist(self, thread: Optional[VThread], addr: int, data: bytes) -> None:
         """store + flush + fence in one step.
 
-        The three phases are inlined (same statements, same order) —
-        persist() runs at least once per put and the call transitions
-        were measurable.
+        While the injector is armed a flush can fail between the steps,
+        so they run as themselves.  Otherwise nothing can interrupt
+        them, and they run fused (same charges, same order): persist()
+        runs at least once per put and the call transitions were
+        measurable.
         """
+        if self.injector.enabled:
+            self.store(thread, addr, data)
+            self.flush(thread, addr, len(data))
+            self.fence(thread)
+            return
         # -- store --
         size = len(data)
         if addr < 0 or addr + size > self._capacity:
             raise StorageError(
                 f"{self.name}: store [{addr}, {addr + size}) out of range"
             )
+        # The per-line snapshot the store would take is popped unread by
+        # the flush, so skip both: drop pre-existing undo entries and
+        # count every line in range as flushed — what the two steps net
+        # to.
         undo = self._undo
         pages = self._pages
         first = addr >> _LINE_SHIFT
         last = (addr + (size or 1) - 1) >> _LINE_SHIFT
-        snapshot_lines = self.injector.enabled
-        if not snapshot_lines:
-            # Nothing can interrupt between the store and flush phases
-            # here (the only raise point is the flush consult of an
-            # armed injector), so the per-line snapshot the store phase
-            # would take is popped unread by the flush phase.  Skip
-            # both: drop pre-existing undo entries and count every line
-            # in range as flushed — exactly what the two phases net to.
-            for line in range(first, last + 1):
-                undo.pop(line, None)
-        else:
-            # Snapshot each touched line exactly once.  A 256 B line
-            # never straddles a 4 KB page, so the snapshot is one page
-            # slice (_read_raw inlined: a value-sized record touches
-            # ~5 lines).
-            for line in range(first, last + 1):
-                if line not in undo:
-                    laddr = line << _LINE_SHIFT
-                    page = pages.get(laddr >> PAGE_SHIFT)
-                    if page is None:
-                        undo[line] = _ZERO_LINE
-                    else:
-                        loff = laddr & PAGE_MASK
-                        undo[line] = page[loff : loff + CACHE_LINE]
+        for line in range(first, last + 1):
+            undo.pop(line, None)
         off = addr & PAGE_MASK
         if off + size <= PAGE_SIZE:
             page = pages.get(addr >> PAGE_SHIFT)
@@ -407,28 +336,13 @@ class NVMDevice(Device):
             if now > clock._now:
                 clock._now = now
         # -- flush --
-        penalty = 0.0
-        if snapshot_lines:
-            penalty = self._consult_flush(thread)
-            if first == last:
-                flushed = 1 if undo.pop(first, None) is not None else 0
-            else:
-                flushed = 0
-                for line in range(first, last + 1):
-                    if undo.pop(line, None) is not None:
-                        flushed += 1
-        else:
-            # The store phase guaranteed (then dropped) an undo entry
-            # for every line in range, so all of them count as flushed.
-            flushed = last - first + 1
+        flushed = last - first + 1
         self.flushes += 1
         self.bytes_flushed += flushed * CACHE_LINE
         nbytes = (flushed if flushed > 1 else 1) * CACHE_LINE
         self.bytes_written += nbytes
         if thread is not None:
             end = self._write_request(thread.now, nbytes, self._write_latency)
-            if penalty:
-                end += penalty  # fail-slow inflation (gray failure)
             if end > thread.now:
                 thread.now = end
                 clock = thread.clock

@@ -467,6 +467,10 @@ DELETED: Dict[str, str] = {
     ), "every caller left it at its default"),
     "repro.cluster.router:MODE_SYNC":
         "sync replication: only its own test ran it; quorum and async remain",
+    **dict.fromkeys((
+        "repro.storage.nvm:NVMDevice.load_word",
+        "repro.core.hsit:HSIT._store_word",
+    ), "no measured path ran it: `load(thread, addr, 8)` and `NVMDevice.store_word` are the one plain path"),
 }
 
 
@@ -506,6 +510,9 @@ class Knob:
     name: str
     default: object
     sites: List[str] = dataclasses.field(default_factory=list)
+    # The sites that set the field itself (:func:`knob_sites`), not a
+    # field of that name through a function keyword.
+    direct: Set[str] = dataclasses.field(default_factory=set)
 
     @property
     def label(self) -> str:
@@ -514,6 +521,11 @@ class Knob:
     def split(self) -> Tuple[List[str], List[str]]:
         tests = [s for s in self.sites if s.startswith("tests/")]
         return [s for s in self.sites if not s.startswith("tests/")], tests
+
+    def cite(self, sites: List[str]) -> str:
+        """The one site a knob-table row names: the first that sets the
+        field itself, else the first function keyword."""
+        return next((s for s in sites if s in self.direct), sites[0])
 
 
 def _config_classes() -> List[type]:
@@ -594,9 +606,17 @@ def knob_sites() -> List[Knob]:
       with a field of that name); a keyword to any other class (a name
       that starts upper-case, such as ``ThreadCombiner``) is that
       class's own parameter;
-    * a string key in a dict literal (the keywords of a later call);
+    * a string key in a dict literal that becomes keywords in the same
+      file: the literal is a ``**`` operand, or sits (at any depth) in
+      the value assigned to a name some call expands as ``**NAME`` or
+      ``**NAME[…]``;
     * ``setattr(obj, "name", …)`` or an assignment to ``obj.name``,
       where ``obj`` is named as a config (:func:`_is_config_object`).
+
+    A keyword to the field's config class, to a builder that hands its
+    ``**`` keywords to that class (:func:`config_builders`), or a store
+    on a config object sets the field itself (``Knob.direct``); the
+    knob table cites such a site before a function keyword.
 
     A value passed on under its own name (:func:`_forwards`) is not a
     set, nor is a literal equal to the default.  A function keyword is
@@ -604,33 +624,96 @@ def knob_sites() -> List[Knob]:
     name counts for it; a field nothing names never looks set.
     """
     knobs = config_knobs()
+    trees = {}
     for path in _python_files():
         rel = path.relative_to(ROOT).as_posix()
-        note_sets(knobs, rel, ast.parse(path.read_text(), filename=rel))
+        trees[rel] = ast.parse(path.read_text(), filename=rel)
+    builders: Dict[str, Set[str]] = {}
+    for tree in trees.values():
+        for name, classes in config_builders(tree).items():
+            builders.setdefault(name, set()).update(classes)
+    for rel, tree in trees.items():
+        note_sets(knobs, rel, tree, builders)
     return knobs
 
 
-def note_sets(knobs: List[Knob], rel: str, tree: ast.AST) -> None:
+def config_builders(tree: ast.AST) -> Dict[str, Set[str]]:
+    """Function name -> the config classes it calls with its own
+    ``**`` parameter (``build_kvell(**overrides)`` builds
+    ``KVellConfig(..., **overrides)``)."""
+    classes = {cls.__name__ for cls in _config_classes()}
+    builders: Dict[str, Set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.args.kwarg is not None:
+            kwarg = node.args.kwarg.arg
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and _callee(call) in classes and any(
+                    kw.arg is None and isinstance(kw.value, ast.Name)
+                    and kw.value.id == kwarg
+                    for kw in call.keywords
+                ):
+                    builders.setdefault(node.name, set()).add(_callee(call))
+    return builders
+
+
+def _keyword_dicts(tree: ast.AST) -> Set[int]:
+    """The ids of the dict literals in ``tree`` whose keys become
+    keywords (:func:`knob_sites`)."""
+    operands, expanded = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg is None:
+                    value = kw.value
+                    while isinstance(value, ast.Subscript):
+                        value = value.value
+                    if isinstance(value, ast.Name):
+                        expanded.add(value.id)
+                    elif isinstance(value, ast.Dict):
+                        operands.append(value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id in expanded for t in targets):
+            operands.extend(d for d in ast.walk(node.value) if isinstance(d, ast.Dict))
+    return {id(d) for d in operands}
+
+
+def note_sets(
+    knobs: List[Knob], rel: str, tree: ast.AST, builders: Dict[str, Set[str]]
+) -> None:
     """Add to ``knobs`` every set (:func:`knob_sites`) in ``tree``, the
-    parsed source of the file at ``rel``."""
+    parsed source of the file at ``rel``; ``builders`` is
+    :func:`config_builders` of every file."""
     by_name: Dict[str, List[Knob]] = {}
     for knob in knobs:
         by_name.setdefault(knob.name, []).append(knob)
     mro = {cls.__name__: {c.__name__ for c in cls.__mro__}
            for cls in _config_classes()}
+    keyword_dicts = _keyword_dicts(tree)
 
-    def note(name: str, value: ast.AST, where: str, callee: str = "") -> None:
+    def note(
+        name: str, value: ast.AST, where: str, callee: str = "", direct: bool = False
+    ) -> None:
         targets = by_name.get(name)
         if not targets or _forwards(name, value):
             return
         if callee in mro:
             targets = [k for k in targets if k.owner in mro[callee]]
+            direct = True
         elif callee[:1].isupper():
             return
         if not targets or _is_default(value, targets):
             return
+        built = set().union(*(mro[c] for c in builders.get(callee, ())))
         for knob in targets:
             knob.sites.append(where)
+            if direct or knob.owner in built:
+                knob.direct.add(where)
 
     for node in ast.walk(tree):
         where = f"{rel}:{getattr(node, 'lineno', 0)}"
@@ -642,8 +725,8 @@ def note_sets(knobs: List[Knob], rel: str, tree: ast.AST) -> None:
             if (callee == "setattr" and len(node.args) == 3
                     and isinstance(node.args[1], ast.Constant)
                     and _is_config_object(node.args[0])):
-                note(str(node.args[1].value), node.args[2], where)
-        elif isinstance(node, ast.Dict):
+                note(str(node.args[1].value), node.args[2], where, direct=True)
+        elif isinstance(node, ast.Dict) and id(node) in keyword_dicts:
             for key, value in zip(node.keys, node.values):
                 if isinstance(key, ast.Constant) and isinstance(key.value, str):
                     note(key.value, value, f"{rel}:{key.lineno}")
@@ -652,7 +735,7 @@ def note_sets(knobs: List[Knob], rel: str, tree: ast.AST) -> None:
             for target in targets:
                 if (isinstance(target, ast.Attribute)
                         and _is_config_object(target.value)):
-                    note(target.attr, node.value, where)
+                    note(target.attr, node.value, where, direct=True)
 
 
 # ----------------------------------------------------------------------
@@ -805,9 +888,9 @@ def _function_rows(functions: List[Function]) -> List[str]:
 def _knob_verdict(knob: Knob) -> str:
     product, tests = knob.split()
     if product:
-        return f"kept: set at `{product[0]}`"
+        return f"kept: set at `{knob.cite(product)}`"
     if tests and knob.label in TEST_KNOBS:
-        return f"kept: {TEST_KNOBS[knob.label]} (`{tests[0]}`)"
+        return f"kept: {TEST_KNOBS[knob.label]} (`{knob.cite(tests)}`)"
     return "**unjudged**"
 
 

@@ -227,7 +227,7 @@ def _word_by_word(hsit, idx, thread):
     load of the SVC word."""
     nvm = hsit.nvm
     addr = hsit._addr(idx)
-    word = nvm.load_word(thread, addr)
+    word = int.from_bytes(nvm.load(thread, addr, 8), "little")
     if word & ptr.DIRTY_BIT:
         word &= ~ptr.DIRTY_BIT
         nvm.flush(thread, addr, 8)
@@ -236,7 +236,7 @@ def _word_by_word(hsit, idx, thread):
         if thread is not None:
             thread.spend(25e-9)
         hsit.reader_flushes += 1
-    svc_word = nvm.load_word(thread, addr + 8)
+    svc_word = int.from_bytes(nvm.load(thread, addr + 8, 8), "little")
     return ptr.decode(word), svc_word - 1 if svc_word else None
 
 

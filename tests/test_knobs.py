@@ -15,6 +15,8 @@ from tests.census import (
     CONFIG_CLASSES,
     ROOT,
     TEST_KNOBS,
+    _knob_verdict,
+    config_builders,
     config_knobs,
     knob_sites,
     note_sets,
@@ -54,7 +56,8 @@ def test_a_knob_only_tests_set_has_a_reason(knobs):
 
 def _sets(source):
     knobs = config_knobs()
-    note_sets(knobs, "x.py", ast.parse(source))
+    tree = ast.parse(source)
+    note_sets(knobs, "x.py", tree, config_builders(tree))
     return {(knob.label, site) for knob in knobs for site in knob.sites}
 
 
@@ -70,6 +73,42 @@ def _sets(source):
     ("PrismConfig(queue_depth=64)", set()),
     ("IOUring(ssd, queue_depth=4)", set()),
     ("store.enable_metrics = True", set()),
+    # A dict literal's keys are keywords only where a ** expands it:
+    # a table of override rows (bench/experiments.py ABLATIONS) counts,
+    # a table of test scripts (tests/core/test_tcq.py _SCRIPTS) does not.
+    ("ROWS = {'a': {'queue_depth': 8}}; mix_unit('Prism', **ROWS['a'])",
+     {"PrismConfig.queue_depth", "KVellConfig.queue_depth"}),
+    ("unit(**{'queue_depth': 8})",
+     {"PrismConfig.queue_depth", "KVellConfig.queue_depth"}),
+    ("SCRIPTS = {'queue_depth': (8, 2)}; play(*SCRIPTS['queue_depth'])", set()),
 ])
 def test_a_set_is_a_value_that_reaches_a_config_field(source, sets):
     assert _sets(source) == {(label, "x.py:1") for label in sets}
+
+
+def test_a_row_cites_a_set_of_the_field_itself():
+    """A keyword to the field's config class, to a builder that hands
+    its ``**`` keywords to that class, or a store on a config object is
+    cited before a keyword to some other function of the same name."""
+    knobs = {knob.label: knob for knob in config_knobs()}
+    tree = ast.parse(
+        "build_prism(queue_depth=qd, num_ssds=n)\n"
+        "def build_kvell(**overrides):\n"
+        "    return KVell(KVellConfig(**overrides))\n"
+        "build_kvell(queue_depth=1)\n"
+        "LSMConfig(num_ssds=4)\n"
+        "def tune(cfg):\n"
+        "    cfg.num_ssds = 3\n"
+    )
+    note_sets(list(knobs.values()), "x.py", tree, config_builders(tree))
+    cited = {
+        label: _knob_verdict(knobs[label])
+        for label in ("PrismConfig.queue_depth", "KVellConfig.queue_depth",
+                      "LSMConfig.num_ssds", "SLMDBConfig.num_ssds")
+    }
+    assert cited == {
+        "PrismConfig.queue_depth": "kept: set at `x.py:1`",
+        "KVellConfig.queue_depth": "kept: set at `x.py:4`",
+        "LSMConfig.num_ssds": "kept: set at `x.py:5`",
+        "SLMDBConfig.num_ssds": "kept: set at `x.py:7`",
+    }

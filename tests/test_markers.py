@@ -8,7 +8,7 @@ import re
 from tests.census import ROOT
 
 MARKER = re.compile(r"\b(inlined|fast path|fused)\b", re.IGNORECASE)
-LIMIT = 23
+LIMIT = 18
 
 
 def test_marker_lines_do_not_grow():
