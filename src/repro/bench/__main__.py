@@ -51,8 +51,9 @@ class Experiment:
 
     ``run(**sizes)`` does the simulation and returns the results dict
     (every :class:`RunResult` in it lands in the metrics JSON under its
-    path); ``render(results)`` prints it and ``gates(results)`` judges
-    it, neither touching the simulator.  Gate lines follow the output;
+    path); ``render(results)`` prints it and ``gates(results)``, the
+    ``check_*`` beside ``run`` in the experiment's module, judges it,
+    neither touching the simulator.  Gate lines follow the output;
     a render that prints several tables may ``yield`` where the next
     one belongs instead.  ``full_size_only`` maps the label of a gate
     that holds only at full size (``REPRO_SCALE`` 1 or more) to why;
@@ -95,10 +96,6 @@ def _fig9(results):
             base = series[0.99].throughput
             rel = " ".join(f"{t}:{series[t].throughput / base:5.2f}" for t in thetas)
             print(f"  {store:14} {wl:3} {rel}")
-
-
-def _fig10_run():
-    return {"large": ex.large_dataset(), "nutanix": ex.nutanix_run()}
 
 
 def _fig10(results):
@@ -153,11 +150,6 @@ def _fig16(results):
             print(f"  {store:14} {wl:3} {row}")
 
 
-def _fig17_run():
-    result, store = ex.gc_timeline()
-    return {"timeline": result, "store": store}
-
-
 def _fig17(results):
     result, store = results["timeline"], results["store"]
     print("Figure 17 — throughput timeline under GC")
@@ -181,10 +173,6 @@ def _media(results):
     for label, runs in results.items():
         row = " ".join(f"{wl}:{runs[wl].kops:8.1f}" for wl in ("A", "C", "E"))
         print(f"  {label:22} {row}")
-
-
-def _scalars_run():
-    return {"nvm_space": ex.nvm_space(), "recovery": ex.recovery_comparison()}
 
 
 def _scalars(results):
@@ -225,13 +213,6 @@ def _scrub(results):
 # ----------------------------------------------------------------------
 # The serving layer
 # ----------------------------------------------------------------------
-def _cluster_run(scaling: Mapping = {}, failover: Mapping = {}):
-    results = {"scaling": cl.cluster_scaling(**scaling)}
-    baseline, killed = cl.cluster_failover(**failover)
-    results["failover"] = {"baseline": baseline, "killed": killed}
-    return results
-
-
 def _cluster(results):
     scaling, failover = results["scaling"], results["failover"]
     print("Cluster — aggregate throughput vs shard count (YCSB-C uniform, RF=1)")
@@ -245,13 +226,6 @@ def _cluster(results):
     for label, res in failover.items():
         print(f"  {label:8} {res.run.kops:10.1f} Kops/s  "
               f"ok/shed/failed {res.ops_ok}/{res.ops_shed}/{res.ops_failed}")
-
-
-def _cluster_gates(results):
-    return [
-        ("  scaling gate", *cl.check_scaling(results["scaling"])),
-        ("  failover gate", *cl.check_failover(**results["failover"])),
-    ]
 
 
 def _grayfail(results):
@@ -273,14 +247,6 @@ def _grayfail(results):
     print()
 
 
-def _grayfail_gates(results):
-    return [
-        ("  tail gate",
-         *gf.check_tail(results["healthy"], results["defended"])),
-        ("  overhead gate", *gf.check_overhead(results["defended"])),
-    ]
-
-
 def _rebalance(results):
     print("Elasticity — live resharding under load (YCSB-A uniform, "
           "RF=2, quorum)")
@@ -296,26 +262,6 @@ def _rebalance(results):
               f"migration-window read p99 {reb.get('read_p99_migrating', 0.0):6.1f}us "
               f"vs control {rb.control_read_p99(res, control):6.1f}us")
         yield  # this leg's gate
-
-
-def _rebalance_gates(results):
-    control = results[rb.CONTROL]
-    return [
-        (f"  {label} gate", *rb.check_rebalance(res, control))
-        for label, res in results.items()
-        if label != rb.CONTROL
-    ]
-
-
-def _cache_run(
-    storm: Mapping = {}, sweep: Mapping = {}, hot_spread: Optional[Mapping] = {}
-):
-    off, on = ca.storm_comparison(**storm)
-    results = {"storm": {"off": off, "on": on}, "sweep": ca.cache_sweep(**sweep)}
-    if hot_spread is not None:
-        primary, spread = ca.cluster_hot_spread(**hot_spread)
-        results["cluster"] = {"primary": primary, "spread": spread}
-    return results
 
 
 def _cache(results):
@@ -342,22 +288,6 @@ def _cache(results):
     print()
 
 
-def _cache_gates(results):
-    off, on = results["storm"]["off"], results["storm"]["on"]
-    return [
-        ("  hit-ratio gate", *ca.check_hit_ratio(on)),
-        ("  p99 gate", *ca.check_read_p99(off, on)),
-    ]
-
-
-def _tiering_run(**sizes):
-    tiered, spread, allfast, ratios = ti.tiering_comparison(**sizes)
-    return {
-        "tiered": tiered, "spread": spread, "allfast": allfast,
-        "ratios": ratios,
-    }
-
-
 def _tiering(results):
     print("Tiering — Zipfian YCSB-B, working set 2x the fast tier "
           f"(seed {ti.GATE_SEEDS[0]})")
@@ -378,15 +308,6 @@ def _tiering(results):
           f"fast occupancy {stats.get('tier_fast_occupancy', 0.0):5.1%}  "
           f"cold occupancy {stats.get('tier_cold_occupancy', 0.0):5.1%}")
     print()
-
-
-def _tiering_gates(results):
-    tiered, allfast = results["tiered"], results["allfast"]
-    return [
-        ("  p99 gate", *ti.check_read_p99(results["ratios"])),
-        ("  cost gate", *ti.check_cost_per_op(tiered, allfast)),
-        ("  waf gate", *ti.check_demotion_waf(tiered)),
-    ]
 
 
 # The figure suite's entries come first, heavier sweeps leading so that
@@ -418,7 +339,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "flushes or compacts and serves A and E from DRAM",
         ),
     ),
-    "fig10": Experiment(_fig10_run, _fig10, ex.check_large, figure=True),
+    "fig10": Experiment(ex.large_dataset, _fig10, ex.check_large, figure=True),
     "fig11": Experiment(
         ex.thread_combining_sweep, _fig11, ex.check_combining, figure=True
     ),
@@ -430,7 +351,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         },
     ),
     "fig17": Experiment(
-        _fig17_run, _fig17, ex.check_gc_timeline, figure=True,
+        ex.gc_timeline, _fig17, ex.check_gc_timeline, figure=True,
         full_size_only=dict.fromkeys(
             ("  GC rounds", "  gc events"),
             "below it Value Storage keeps its 8 MB floor (300 KB of data "
@@ -441,22 +362,16 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ex.ablations, _ablations, ex.check_ablations, figure=True
     ),
     "media": Experiment(media_matrix, _media, check_media, figure=True),
-    "scalars": Experiment(
-        _scalars_run, _scalars, ex.check_scalars, figure=True
-    ),
-    "faults": Experiment(
-        ex.fault_recovery, _faults,
-        gates=lambda r: [("robustness check", *ex.check_faults(r))],
-    ),
+    "scalars": Experiment(ex.scalars, _scalars, ex.check_scalars, figure=True),
+    "faults": Experiment(ex.fault_recovery, _faults, ex.check_faults),
     "scrub": Experiment(
-        ex.scrub_sweep, _scrub,
-        gates=lambda r: [("integrity check", *ex.check_scrub(r))],
+        ex.scrub_sweep, _scrub, ex.check_scrub,
         smoke=dict(
             bitflip_rates=(0.0, 1e-3), num_keys=600, num_ops=600, num_threads=2
         ),
     ),
     "cluster": Experiment(
-        _cluster_run, _cluster, _cluster_gates,
+        cl.cluster_run, _cluster, cl.check_cluster,
         smoke=dict(
             scaling=dict(
                 shard_counts=(1, 4), num_keys=2000, num_ops=4000,
@@ -468,18 +383,18 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
     ),
     "grayfail": Experiment(
-        gf.grayfail_comparison, _grayfail, _grayfail_gates,
+        gf.grayfail_comparison, _grayfail, gf.check_grayfail,
         smoke=dict(num_keys=1200, num_ops=4000),
     ),
     "rebalance": Experiment(
-        rb.cluster_rebalance, _rebalance, _rebalance_gates,
+        rb.cluster_rebalance, _rebalance, rb.check_rebalance,
         smoke=dict(
             num_keys=1200, num_ops=3000, clients_per_shard=2,
             bandwidth=64.0 * 1024,
         ),
     ),
     "cache": Experiment(
-        _cache_run, _cache, _cache_gates,
+        ca.cache_run, _cache, ca.check_cache,
         smoke=dict(
             storm=dict(num_keys=2500, num_ops=5000),
             sweep=dict(
@@ -490,7 +405,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
     ),
     "tiering": Experiment(
-        _tiering_run, _tiering, _tiering_gates,
+        ti.tiering_comparison, _tiering, ti.check_tiering,
         smoke=dict(num_keys=1000, num_ops=6000),
     ),
 }
@@ -526,7 +441,7 @@ def _print_gates(group: List[Gate], skip: Mapping[str, str]) -> bool:
 
 
 def run_experiment(
-    name: str, scale: Optional[float] = None, smoke: bool = False
+    name: str, scale: Optional[float], smoke: bool
 ) -> Tuple[Dict, bool]:
     """Run → render → print gates.  Returns the results and whether
     every judged gate passed (below full size, the row's

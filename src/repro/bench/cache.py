@@ -6,7 +6,7 @@ Three questions the DRAM value cache must answer:
   celebrity keys taking >30% of reads), does the cache absorb the hot
   set?  The acceptance gates require a >= 50% hit ratio and a read
   p99 below the identical cache-off run's, once the cache-on run is
-  charged the copy-in its misses pay (:func:`check_read_p99`).
+  charged the copy-in its misses pay (:func:`check_cache`).
 * **sweep** — how does hit ratio trade against cache size and skew?
   A grid of storm runs over (capacity, theta).
 * **cluster** — with per-shard caches and the router's hot-key
@@ -20,10 +20,11 @@ All runs are seeded and virtual-time deterministic.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.bench.cluster import run_legs
 from repro.bench.experiments import sizing, sweep
+from repro.bench.report import Gate
 from repro.bench.runner import RunResult, preload, run_workload
 from repro.bench.stores import MB, build_prism
 from repro.cluster.router import ClusterConfig
@@ -51,6 +52,8 @@ STORM_VALUE_SIZE = 32 * 1024
 STORM_THREADS = 8
 STORM_SSDS = 1
 DEFAULT_CACHE_CAPACITY = 16 * MB
+# The storm's cache-on hit ratio must reach this.
+MIN_HIT_RATIO = 0.5
 
 
 def storm_run(
@@ -88,23 +91,17 @@ def storm_run(
 
 
 def storm_comparison(
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-    num_threads: int = STORM_THREADS,
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-    theta: float = DEFAULT_THETA,
-) -> Tuple[RunResult, RunResult]:
-    """The same storm, cache off vs on (identical seeds and sizing).
-
-    Returns ``(off, on)``.
-    """
+    num_keys: Optional[int] = None, num_ops: Optional[int] = None
+) -> Dict[str, RunResult]:
+    """The same storm, cache off vs on (identical seeds and sizing):
+    ``{"off": ..., "on": ...}``."""
     num_keys, num_ops = sizing(num_keys, num_ops, 4_000, 16_000)
     runs = sweep(
         storm_run,
-        [(theta, 0), (theta, cache_capacity)],
-        (num_keys, num_ops, num_threads),
-    )[theta]
-    return runs[0], runs[cache_capacity]
+        [(DEFAULT_THETA, 0), (DEFAULT_THETA, DEFAULT_CACHE_CAPACITY)],
+        (num_keys, num_ops, STORM_THREADS),
+    )[DEFAULT_THETA]
+    return {"off": runs[0], "on": runs[DEFAULT_CACHE_CAPACITY]}
 
 
 def cache_sweep(
@@ -113,7 +110,6 @@ def cache_sweep(
     num_keys: Optional[int] = None,
     num_ops: Optional[int] = None,
     num_threads: int = 4,
-    value_size: int = 1024,
 ) -> Dict[str, Dict[str, RunResult]]:
     """Hit ratio vs cache size vs skew: a (theta, capacity) grid of
     storm runs with the cache on (1 KB values — the grid is about
@@ -122,7 +118,7 @@ def cache_sweep(
     grid = sweep(
         storm_run,
         product(thetas, capacities),
-        (num_keys, num_ops, num_threads, value_size, 2),
+        (num_keys, num_ops, num_threads, 1024, 2),
     )
     return {
         f"theta={theta}": {_size_label(cap): run for cap, run in row.items()}
@@ -142,61 +138,57 @@ def hit_ratio(result: RunResult) -> float:
     return hits / total if total else 0.0
 
 
-def check_hit_ratio(on: RunResult, minimum: float = 0.5) -> Tuple[bool, str]:
-    """Acceptance gate: the storm's hit ratio must reach ``minimum``."""
-    ratio = hit_ratio(on)
-    ok = ratio >= minimum
-    return ok, f"storm hit ratio {ratio:.1%} (gate: >= {minimum:.0%})"
-
-
-def check_read_p99(off: RunResult, on: RunResult) -> Tuple[bool, str]:
-    """Acceptance gate: cache-on read p99 strictly below cache-off's
-    plus one copy-in.
+def check_cache(results: Dict) -> List[Gate]:
+    """The storm's acceptance gates: the cache-on hit ratio reaches
+    ``MIN_HIT_RATIO``, and cache-on read p99 is strictly below
+    cache-off's plus one copy-in.
 
     Both runs' p99 reads are flash misses, and a miss with the cache on
     also admits its value: one ``STORM_VALUE_SIZE`` DRAM write that the
-    cache-off miss never pays.  Comparing like with like, the gate
+    cache-off miss never pays.  Comparing like with like, the p99 gate
     charges the cache-off tail that copy; whatever else the cache adds
     to or takes off the tail decides it."""
+    off, on = results["storm"]["off"], results["storm"]["on"]
+    ratio = hit_ratio(on)
     p_off = off.per_kind["read"].p99()
     p_on = on.per_kind["read"].p99()
     copy_in = (
         DRAM_SPEC.write_latency + STORM_VALUE_SIZE / DRAM_SPEC.write_bandwidth
     ) / US
-    ok = p_on < p_off + copy_in
-    return ok, (
-        f"read p99 {p_on:.1f}us with cache vs {p_off:.1f}us without "
-        f"(gate: lower than {p_off:.1f}us + {copy_in:.1f}us copy-in)"
-    )
+    return [
+        ("  hit-ratio gate", ratio >= MIN_HIT_RATIO,
+         f"storm hit ratio {ratio:.1%} (gate: >= {MIN_HIT_RATIO:.0%})"),
+        ("  p99 gate", p_on < p_off + copy_in, (
+            f"read p99 {p_on:.1f}us with cache vs {p_off:.1f}us without "
+            f"(gate: lower than {p_off:.1f}us + {copy_in:.1f}us copy-in)"
+        )),
+    ]
 
 
 # ----------------------------------------------------------------------
 # Cluster hot-key defense (full mode only)
 # ----------------------------------------------------------------------
 def cluster_hot_spread(
-    num_shards: int = 4,
     num_keys: Optional[int] = None,
     num_ops: Optional[int] = None,
     clients_per_shard: int = 4,
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-    hot_key_threshold: int = 8,
-    theta: float = DEFAULT_THETA,
-    value_size: int = STORM_VALUE_SIZE,
-) -> Tuple[ClusterRunResult, ClusterRunResult]:
-    """Storm on a replicated cluster: primary reads vs hot-key spread.
+) -> Dict[str, ClusterRunResult]:
+    """Storm on a 4-shard replicated cluster: primary reads vs hot-key
+    spread.
 
     Both clusters run RF=2 with per-shard read caches; the second adds
-    the router's hot-key defense so celebrity reads round-robin across
-    replicas instead of hammering one shard.  Storm-sized (32 KB)
-    values make the celebrity shard's DRAM channel the bottleneck —
-    the serving capacity the spread doubles.  Returns
-    ``(primary, spread)`` as :class:`ClusterRunResult`.
+    the router's hot-key defense (a key is hot once its recent read
+    count in the router's sketch reaches 8) so celebrity reads
+    round-robin across replicas instead of hammering one shard.
+    Storm-sized (32 KB) values make the celebrity shard's DRAM channel
+    the bottleneck — the serving capacity the spread doubles.  Returns
+    ``{"primary": ..., "spread": ...}``.
     """
     num_keys, num_ops = sizing(num_keys, num_ops, 2_000, 16_000)
-    legs = run_legs({
+    return run_legs({
         read_policy: dict(
             config=ClusterConfig(
-                num_shards=num_shards,
+                num_shards=4,
                 replication_factor=2,
                 read_policy=read_policy,
                 hot_key_threshold=threshold,
@@ -205,12 +197,22 @@ def cluster_hot_spread(
             clients_per_shard=clients_per_shard, seed=3,
             # Like the default shard, plus a per-shard read cache.
             shard_overrides=dict(
-                enable_read_cache=True, read_cache_capacity=cache_capacity
+                enable_read_cache=True,
+                read_cache_capacity=DEFAULT_CACHE_CAPACITY,
             ),
-            value_size=value_size, theta=theta,
+            value_size=STORM_VALUE_SIZE, theta=DEFAULT_THETA,
         )
-        for read_policy, threshold in (
-            ("primary", None), ("spread", hot_key_threshold)
-        )
+        for read_policy, threshold in (("primary", None), ("spread", 8))
     })
-    return legs["primary"], legs["spread"]
+
+
+def cache_run(
+    storm: Mapping = {}, sweep: Mapping = {}, hot_spread: Optional[Mapping] = {}
+) -> Dict:
+    """The ``cache`` experiment: :func:`storm_comparison`,
+    :func:`cache_sweep` and, unless ``hot_spread`` is None,
+    :func:`cluster_hot_spread`, each with its own sizes."""
+    results = {"storm": storm_comparison(**storm), "sweep": cache_sweep(**sweep)}
+    if hot_spread is not None:
+        results["cluster"] = cluster_hot_spread(**hot_spread)
+    return results

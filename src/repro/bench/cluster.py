@@ -23,9 +23,10 @@ shard), and closed.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 from repro.bench.experiments import sizing
+from repro.bench.report import Gate
 from repro.bench.runner import preload
 from repro.cluster.router import (
     ClusterConfig,
@@ -124,22 +125,28 @@ def cluster_failover(
     num_keys: Optional[int] = None,
     num_ops: Optional[int] = None,
     clients_per_shard: int = 4,
-    kill_shard: int = 1,
-    kill_fraction: float = 0.4,
-) -> Tuple[ClusterRunResult, ClusterRunResult]:
+) -> Dict[str, ClusterRunResult]:
     """YCSB-A at RF=2 with and without a mid-run shard death.
 
-    Returns ``(baseline, killed)``: the same workload on identical
-    clusters, one undisturbed, one losing ``kill_shard`` at
-    ``kill_fraction`` of the ops.
+    Returns ``{"baseline": ..., "killed": ...}``: the same workload on
+    identical clusters, one undisturbed, one losing shard 1 at 40 % of
+    the ops.
     """
     num_keys, num_ops = sizing(num_keys, num_ops, 10_000, 20_000)
     baseline = rf2_leg(num_shards, num_keys, num_ops, clients_per_shard, seed=3)
-    kill = KillPlan(shard_id=kill_shard, at_fraction=kill_fraction)
-    legs = run_legs(
+    kill = KillPlan(shard_id=1, at_fraction=0.4)
+    return run_legs(
         {"baseline": baseline, "killed": {**baseline, "kill_plan": kill}}
     )
-    return legs["baseline"], legs["killed"]
+
+
+def cluster_run(scaling: Mapping = {}, failover: Mapping = {}) -> Dict:
+    """The ``cluster`` experiment: :func:`cluster_scaling` and
+    :func:`cluster_failover`, each with its own sizes."""
+    return {
+        "scaling": cluster_scaling(**scaling),
+        "failover": cluster_failover(**failover),
+    }
 
 
 def rf2_leg(
@@ -158,22 +165,14 @@ def rf2_leg(
     )
 
 
-def check_scaling(results: Dict[int, ClusterRunResult]) -> Tuple[bool, str]:
-    """The acceptance gate: 4-shard aggregate ≥ 2.5× 1-shard."""
-    if 1 not in results or 4 not in results:
-        return True, "scaling gate skipped (need 1- and 4-shard runs)"
-    base = results[1].throughput
-    four = results[4].throughput
-    speedup = four / base if base else 0.0
-    ok = speedup >= 2.5
-    return ok, f"4-shard speedup {speedup:.2f}x (gate: >= 2.5x)"
-
-
-def check_failover(
-    baseline: ClusterRunResult, killed: ClusterRunResult
-) -> Tuple[bool, str]:
-    """The acceptance gate: no acked write lost, recovery completed,
-    killed/baseline throughput at or above ``FAILOVER_FLOOR``."""
+def check_cluster(results: Dict) -> List[Gate]:
+    """The acceptance gates: the 4-shard aggregate at least 2.5× the
+    1-shard one; after the kill, no acked write lost, recovery
+    completed and killed/baseline throughput at or above
+    ``FAILOVER_FLOOR``."""
+    scaling = results["scaling"]
+    speedup = scaling[4].throughput / scaling[1].throughput
+    baseline, killed = results["failover"]["baseline"], results["failover"]["killed"]
     problems = []
     lost = killed.audit.get("lost_acked")
     wrong = killed.audit.get("wrong_value")
@@ -193,10 +192,13 @@ def check_failover(
         problems.append(
             f"killed/baseline throughput {ratio:.3f} < {FAILOVER_FLOOR:g}"
         )
-    if problems:
-        return False, "; ".join(problems)
-    return True, (
+    failover = "; ".join(problems) or (
         f"zero lost acked writes over {killed.audit.get('keys_checked', 0)} keys; "
         f"recovery {killed.recovery_seconds:.6f}s virtual; "
         f"killed/baseline throughput {ratio:.3f} (gate: >= {FAILOVER_FLOOR:g})"
     )
+    return [
+        ("  scaling gate", speedup >= 2.5,
+         f"4-shard speedup {speedup:.2f}x (gate: >= 2.5x)"),
+        ("  failover gate", not problems, failover),
+    ]

@@ -10,17 +10,20 @@ Scale: ``REPRO_SCALE`` (env var, default 1.0) multiplies dataset and
 op counts.  Results are virtual-time metrics, so ratios — not absolute
 Kops — are the comparable quantities.
 
-How to add an experiment: write one *unit* — a module-level function
-of picklable arguments that builds its own store and returns one
-point's result (:func:`mix_unit` already is that for "these workloads
-on this store"); one public *run* function that takes its sizes from
-:func:`sizing`, fans the unit out over its points with :func:`sweep`
-and returns the nested dict; a ``check_*`` of the results returning
-its gates; and one row in ``EXPERIMENTS`` (``repro/bench/__main__.py``)
-naming the run function, its ``--smoke`` sizing, a printer, the gates
-and which of them hold only at full size.  The CLI, ``figs``, ``list``,
-CI's ``bench-smoke`` and ``figs`` jobs and the digest tests all read
-that row.
+How to add an experiment: in one module, write one *unit* — a
+module-level function of picklable arguments that builds its own store
+and returns one point's result (:func:`mix_unit` already is that for
+"these workloads on this store"); beside it one public *run* function
+that fans the unit out over its points with :func:`sweep` and returns
+the results dict, taking as parameters only the sizes a ``--smoke``
+row or a test sets (every other size is a constant, times
+``REPRO_SCALE`` through :func:`scaled`); and beside that a
+``check_*(results) -> List[Gate]`` with one labelled gate per claim.
+Then add one row to ``EXPERIMENTS`` (``repro/bench/__main__.py``)
+naming the run and the check, its ``--smoke`` sizing, a printer and
+which gates hold only at full size.  The CLI, ``figs``, ``list``, CI's
+``bench-smoke`` and ``figs`` jobs and the digest tests all read that
+row.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.bench.report import Gate, ratio_gate
 from repro.bench.runner import RunResult, preload, run_workload
 from repro.bench.stores import build_kvell, build_prism, build_store
-from repro.core.prism import Prism
 from repro.parallel import parallel_map
 from repro.workloads import NUTANIX, WORKLOADS, WorkloadSpec
 
@@ -308,60 +310,42 @@ def check_skew(results: Dict) -> List[Gate]:
 # ----------------------------------------------------------------------
 # Figure 10: large dataset + Nutanix production mix
 # ----------------------------------------------------------------------
-def large_dataset(
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-    num_threads: int = NUM_THREADS,
-) -> Dict[str, Dict[str, RunResult]]:
-    """Fig. 10a: the 1-billion-pair run, scaled 10x over the default
-    dataset so cache:data ratios shrink the way the paper's did."""
-    num_keys, num_ops = sizing(num_keys, num_ops, 40_000, 10_000)
+def large_dataset() -> Dict[str, Dict]:
+    """Fig. 10, Prism vs KVell: (a) ``large``, the 1-billion-pair run,
+    scaled 10x over the default dataset so cache:data ratios shrink the
+    way the paper's did; (b) ``nutanix``, the Nutanix production mix."""
     # Cache budgets stay at the default (small) dataset's size: the
     # dataset outgrew the hardware, exactly like 1 TB vs 36 GB.
     small = scaled(NUM_KEYS) * VALUE_SIZE
-    return sweep(
-        _large_dataset_unit,
-        product(("Prism", "KVell")),
-        (small, num_keys, num_ops, num_threads),
-    )
+    stores = [("Prism",), ("KVell",)]
+    return {
+        "large": sweep(
+            _large_dataset_unit, stores, (small, scaled(40_000), scaled(10_000))
+        ),
+        "nutanix": sweep(_nutanix_unit, stores, (scaled(NUM_KEYS), scaled(NUM_OPS))),
+    }
 
 
 def _large_dataset_unit(
-    name: str, small: int, num_keys: int, num_ops: int, num_threads: int
+    name: str, small: int, num_keys: int, num_ops: int
 ) -> Dict[str, RunResult]:
     return mix_unit(
-        name, ("A", "B", "C", "D", "E"), num_keys, num_ops, num_threads,
+        name, ("A", "B", "C", "D", "E"), num_keys, num_ops, NUM_THREADS,
         dataset_bytes=small, expected_keys=num_keys * 2,
     )
 
 
-def nutanix_run(
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-    num_threads: int = NUM_THREADS,
-) -> Dict[str, RunResult]:
-    """Fig. 10b: the Nutanix production mix, Prism vs KVell."""
-    num_keys, num_ops = sizing(num_keys, num_ops)
-    return sweep(
-        _nutanix_unit,
-        product(("Prism", "KVell")),
-        (num_keys, num_ops, num_threads),
-    )
-
-
-def _nutanix_unit(
-    name: str, num_keys: int, num_ops: int, num_threads: int
-) -> RunResult:
+def _nutanix_unit(name: str, num_keys: int, num_ops: int) -> RunResult:
     store = build_store(
-        name, num_keys * VALUE_SIZE, num_threads, expected_keys=num_keys * 3
+        name, num_keys * VALUE_SIZE, NUM_THREADS, expected_keys=num_keys * 3
     )
-    preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
+    preload(store, num_keys, VALUE_SIZE, num_threads=NUM_THREADS)
     return run_workload(
         store,
         NUTANIX,
         num_ops,
         num_keys,
-        num_threads,
+        NUM_THREADS,
         VALUE_SIZE,
         warmup_ops=num_ops // 2,
     )
@@ -530,33 +514,22 @@ def check_waf(results: Dict) -> List[Gate]:
 # ----------------------------------------------------------------------
 # Figures 13–14: number of SSDs
 # ----------------------------------------------------------------------
-def ssd_scaling(
-    ssd_counts: Sequence[int] = (1, 2, 4, 8),
-    workloads: Sequence[str] = ("A", "C"),
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-    num_threads: int = NUM_THREADS,
-) -> Dict[str, Dict[str, Dict[int, RunResult]]]:
-    """Figs. 13–14: throughput and latency vs aggregated SSDs."""
-    num_keys, num_ops = sizing(num_keys, num_ops, ops=8_000)
+def ssd_scaling() -> Dict[str, Dict[str, Dict[int, RunResult]]]:
+    """Figs. 13–14: YCSB A and C throughput and latency over 1–8
+    aggregated SSDs."""
     return sweep(
         _ssd_scaling_unit,
-        product(("Prism", "KVell"), ssd_counts),
-        (tuple(workloads), num_keys, num_ops, num_threads),
+        product(("Prism", "KVell"), (1, 2, 4, 8)),
+        (scaled(NUM_KEYS), scaled(8_000)),
         pivot=True,
     )
 
 
 def _ssd_scaling_unit(
-    name: str,
-    n: int,
-    workloads: Tuple[str, ...],
-    num_keys: int,
-    num_ops: int,
-    num_threads: int,
+    name: str, n: int, num_keys: int, num_ops: int
 ) -> Dict[str, RunResult]:
     return mix_unit(
-        name, workloads, num_keys, num_ops, num_threads,
+        name, ("A", "C"), num_keys, num_ops, NUM_THREADS,
         num_ssds=n, expected_keys=num_keys * 2,
     )
 
@@ -580,51 +553,45 @@ def check_ssd_scaling(results: Dict) -> List[Gate]:
 # ----------------------------------------------------------------------
 # Figure 15: PWB and SVC sizing
 # ----------------------------------------------------------------------
-def buffer_size_sweep(
-    pwb_sizes: Sequence[int] = (1 * MB, 2 * MB, 4 * MB, 8 * MB, 16 * MB),
-    svc_sizes: Sequence[int] = (1 * MB, 2 * MB, 4 * MB, 8 * MB, 12 * MB),
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-    num_threads: int = NUM_THREADS,
-) -> Dict[str, Dict[int, Dict[str, RunResult]]]:
-    """Fig. 15: (a) LOAD/A vs PWB size, (b) C/E vs SVC size."""
-    num_keys, num_ops = sizing(num_keys, num_ops, ops=8_000)
+def buffer_size_sweep() -> Dict[str, Dict[int, Dict[str, RunResult]]]:
+    """Fig. 15: (a) LOAD/A over PWB sizes 1–16 MB, (b) C/E over SVC
+    sizes 1–12 MB."""
     return sweep(
         _buffer_unit,
-        [("pwb", size) for size in pwb_sizes]
-        + [("svc", size) for size in svc_sizes],
-        (num_keys, num_ops, num_threads),
+        [("pwb", size * MB) for size in (1, 2, 4, 8, 16)]
+        + [("svc", size * MB) for size in (1, 2, 4, 8, 12)],
+        (scaled(NUM_KEYS), scaled(8_000)),
     )
 
 
 def _buffer_unit(
-    kind: str, size: int, num_keys: int, num_ops: int, num_threads: int
+    kind: str, size: int, num_keys: int, num_ops: int
 ) -> Dict[str, RunResult]:
     if kind == "pwb":
         store = build_prism(
-            num_threads=num_threads,
+            num_threads=NUM_THREADS,
             pwb_total=size,
             expected_keys=num_keys * 3,
         )
         load = run_workload(
-            store, WORKLOADS["LOAD"], num_keys, num_keys, num_threads, VALUE_SIZE
+            store, WORKLOADS["LOAD"], num_keys, num_keys, NUM_THREADS, VALUE_SIZE
         )
         a = run_workload(
-            store, WORKLOADS["A"], num_ops, num_keys, num_threads, VALUE_SIZE
+            store, WORKLOADS["A"], num_ops, num_keys, NUM_THREADS, VALUE_SIZE
         )
         return {"LOAD": load, "A": a}
     store = build_prism(
-        num_threads=num_threads,
+        num_threads=NUM_THREADS,
         svc_capacity=size,
         expected_keys=num_keys * 3,
     )
-    preload(store, num_keys, VALUE_SIZE, num_threads=num_threads)
+    preload(store, num_keys, VALUE_SIZE, num_threads=NUM_THREADS)
     c = run_workload(
         store,
         WORKLOADS["C"],
         num_ops,
         num_keys,
-        num_threads,
+        NUM_THREADS,
         VALUE_SIZE,
         warmup_ops=num_ops // 2,
     )
@@ -633,7 +600,7 @@ def _buffer_unit(
         WORKLOADS["E"],
         max(200, num_ops // SCAN_OPS_DIVISOR),
         num_keys,
-        num_threads,
+        NUM_THREADS,
         VALUE_SIZE,
         warmup_ops=num_ops // 10,
     )
@@ -663,30 +630,24 @@ def check_buffers(results: Dict) -> List[Gate]:
 # ----------------------------------------------------------------------
 # Figure 16: multicore scalability
 # ----------------------------------------------------------------------
-def multicore_scalability(
-    thread_counts: Sequence[int] = (1, 2, 4, 8, 16),
-    workloads: Sequence[str] = ("A", "C", "E"),
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-) -> Dict[str, Dict[str, Dict[int, RunResult]]]:
-    """Fig. 16: throughput vs core count — Prism, KVell (QD 64 and
-    QD 1), MatrixKV."""
-    num_keys, num_ops = sizing(num_keys, num_ops, 8_000, 8_000)
+def multicore_scalability() -> Dict[str, Dict[str, Dict[int, RunResult]]]:
+    """Fig. 16: YCSB A/C/E throughput over 1–16 threads — Prism, KVell
+    (QD 64 and QD 1), MatrixKV."""
     return sweep(
         _multicore_unit,
         product(
-            ("Prism", "KVell(QD64)", "KVell(QD1)", "MatrixKV"), thread_counts
+            ("Prism", "KVell(QD64)", "KVell(QD1)", "MatrixKV"), (1, 2, 4, 8, 16)
         ),
-        (tuple(workloads), num_keys, num_ops),
+        (scaled(8_000), scaled(8_000)),
         pivot=True,
     )
 
 
 def _multicore_unit(
-    name: str, t: int, workloads: Tuple[str, ...], num_keys: int, num_ops: int
+    name: str, t: int, num_keys: int, num_ops: int
 ) -> Dict[str, RunResult]:
     return mix_unit(
-        name, workloads, num_keys, num_ops, t, expected_keys=num_keys * 2
+        name, ("A", "C", "E"), num_keys, num_ops, t, expected_keys=num_keys * 2
     )
 
 
@@ -719,9 +680,10 @@ def gc_timeline(
     num_keys: Optional[int] = None,
     num_ops: Optional[int] = None,
     num_threads: int = NUM_THREADS,
-) -> Tuple[RunResult, Prism]:
+) -> Dict[str, object]:
     """Fig. 17: YCSB-A throughput over time on a space-constrained
-    Value Storage, with GC events marked."""
+    Value Storage, with GC events marked: the run as ``timeline``, the
+    store it ran on as ``store``."""
     num_keys, num_ops = sizing(num_keys, num_ops, 6_000, 30_000)
     data = num_keys * VALUE_SIZE
     # Squeeze Value Storage so GC must run: each of the two stores gets
@@ -749,7 +711,7 @@ def gc_timeline(
         timeline_bucket=2e-3,
         warmup_ops=num_ops // 4,
     )
-    return result, store
+    return {"timeline": result, "store": store}
 
 
 def _well_formed_gc(event: Dict) -> bool:
@@ -797,17 +759,14 @@ ABLATIONS: Dict[str, Dict] = {
 }
 
 
-def ablations(
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-    num_threads: int = NUM_THREADS,
-) -> Dict[str, Dict[str, RunResult]]:
+def ablations() -> Dict[str, Dict[str, RunResult]]:
     """Per-technique ablation matrix (§7.6 "Impact of individual
     techniques"): async bandwidth-optimized writes (PWB), thread
     combining, SVC, scan-aware eviction."""
-    num_keys, num_ops = sizing(num_keys, num_ops, ops=8_000)
     return sweep(
-        _ablation_unit, product(ABLATIONS), (num_keys, num_ops, num_threads)
+        _ablation_unit,
+        product(ABLATIONS),
+        (scaled(NUM_KEYS), scaled(8_000), NUM_THREADS),
     )
 
 
@@ -873,6 +832,12 @@ def recovery_comparison(
     }
 
 
+def scalars() -> Dict[str, Dict[str, float]]:
+    """§7.6's two scalars: :func:`nvm_space` and
+    :func:`recovery_comparison`."""
+    return {"nvm_space": nvm_space(), "recovery": recovery_comparison()}
+
+
 def check_scalars(results: Dict[str, Dict[str, float]]) -> List[Gate]:
     """§7.6: HSIT plus key index cost tens of NVM bytes per key, and
     Prism recovers from NVM metadata faster than KVell scans its SSDs."""
@@ -920,7 +885,7 @@ def _by_rate(units: Dict[float, Tuple[RunResult, Dict]], stats_key: str) -> Dict
     return out
 
 
-def check_faults(results: Dict[str, object]) -> Tuple[bool, str]:
+def check_faults(results: Dict[str, object]) -> List[Gate]:
     """The gate :func:`fault_recovery` describes: at every error rate
     the audit finds no violation and recovery brings keys back."""
     bad = [
@@ -929,11 +894,13 @@ def check_faults(results: Dict[str, object]) -> Tuple[bool, str]:
         if stats["audit_violations"] or not stats["recovered_keys"] > 0
     ]
     if bad:
-        return False, "audit violations or nothing recovered at " + ", ".join(bad)
-    return True, (
-        f"no audit violation and keys recovered at all "
-        f"{len(results['faults'])} error rates"
-    )
+        message = "audit violations or nothing recovered at " + ", ".join(bad)
+    else:
+        message = (
+            f"no audit violation and keys recovered at all "
+            f"{len(results['faults'])} error rates"
+        )
+    return [("robustness check", not bad, message)]
 
 
 def _fault_unit(
@@ -985,9 +952,12 @@ def _fault_unit(
 # ----------------------------------------------------------------------
 # Integrity: YCSB-A under silent corruption + scrub/repair/rebuild
 # ----------------------------------------------------------------------
+# The share of stored records :func:`scrub_sweep` corrupts at rest.
+CORRUPT_FRACTION = 0.01
+
+
 def scrub_sweep(
     bitflip_rates: Sequence[float] = (0.0, 1e-3, 1e-2),
-    corrupt_fraction: float = 0.01,
     num_keys: Optional[int] = None,
     num_ops: Optional[int] = None,
     num_threads: int = NUM_THREADS,
@@ -995,7 +965,7 @@ def scrub_sweep(
     """End-to-end integrity sweep (checksums + mirroring enabled).
 
     For each write-path bit-flip rate: run YCSB-A, then (1) corrupt
-    ``corrupt_fraction`` of the stored records at rest, (2) run one
+    ``CORRUPT_FRACTION`` of the stored records at rest, (2) run one
     background scrub pass (detect + repair), (3) kill one Value
     Storage device and rebuild it onto the survivors, and (4) re-read
     every key against a pre-corruption snapshot.  The store must end
@@ -1004,14 +974,12 @@ def scrub_sweep(
     """
     num_keys, num_ops = sizing(num_keys, num_ops)
     units = sweep(
-        _scrub_unit,
-        product(bitflip_rates),
-        (corrupt_fraction, num_keys, num_ops, num_threads),
+        _scrub_unit, product(bitflip_rates), (num_keys, num_ops, num_threads)
     )
     return _by_rate(units, "scrub")
 
 
-def check_scrub(results: Dict[str, object]) -> Tuple[bool, str]:
+def check_scrub(results: Dict[str, object]) -> List[Gate]:
     """The gate :func:`scrub_sweep` describes: no wrong value and no
     degraded read at any bit-flip rate.  No message: the table above
     the verdict already shows both columns per rate."""
@@ -1019,15 +987,11 @@ def check_scrub(results: Dict[str, object]) -> Tuple[bool, str]:
         stats["wrong_values"] or stats["degraded_reads"]
         for stats in results["scrub"].values()
     )
-    return ok, ""
+    return [("integrity check", ok, "")]
 
 
 def _scrub_unit(
-    rate: float,
-    corrupt_fraction: float,
-    num_keys: int,
-    num_ops: int,
-    num_threads: int,
+    rate: float, num_keys: int, num_ops: int, num_threads: int
 ) -> Tuple[RunResult, Dict[str, float]]:
     import random as _random
 
@@ -1077,7 +1041,7 @@ def _scrub_unit(
                 if slot.valid:
                     records.append((vs, chunk_id, offset, slot.size))
     rng = _random.Random(31)
-    n_corrupt = int(len(records) * corrupt_fraction)
+    n_corrupt = int(len(records) * CORRUPT_FRACTION)
     for vs, chunk_id, offset, size in rng.sample(records, n_corrupt):
         store.injector.corrupt_at_rest(
             vs.ssd,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 from typing import Optional, Tuple
 
 
@@ -36,28 +35,23 @@ def _run_experiment(
     return buf.getvalue(), metrics_payload(name, results), ok
 
 
-def run_figs(
-    jobs: Optional[int] = None,
-    scale: Optional[float] = None,
-    smoke: bool = False,
-    metrics_dir: str = ".",
-    write_metrics: bool = True,
-) -> bool:
+def run_figs(scale: Optional[float], smoke: bool, write_metrics: bool) -> bool:
     """Run every ``figure`` entry of ``EXPERIMENTS``; print and persist
-    results in table order.  True if every judged gate passed."""
+    results (``./<experiment>.metrics.json``) in table order.  True if
+    every judged gate passed."""
     from repro.bench.__main__ import EXPERIMENTS
     from repro.bench.report import write_metrics_json
     from repro.parallel import parallel_map
 
     suite = [name for name, entry in EXPERIMENTS.items() if entry.figure]
     outputs = parallel_map(
-        _run_experiment, [(name, scale, smoke) for name in suite], jobs=jobs
+        _run_experiment, [(name, scale, smoke) for name in suite]
     )
     for name, (text, payload, _ok) in zip(suite, outputs):
         print(f"=== {name} ===")
         print(text, end="")
         if write_metrics:
-            out = os.path.join(metrics_dir, f"{name}.metrics.json")
+            out = f"./{name}.metrics.json"
             write_metrics_json(out, payload)
             print(f"metrics: {out} ({len(payload['runs'])} runs)")
         print()

@@ -30,10 +30,11 @@ Acceptance gates:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.bench.cluster import run_legs
 from repro.bench.experiments import sizing
+from repro.bench.report import Gate
 from repro.cluster.health import HealthConfig
 from repro.cluster.router import ClusterConfig
 from repro.cluster.runner import ClusterRunResult, GrayPlan
@@ -68,11 +69,7 @@ TIGHT_SHARD = dict(
 
 
 def gray_leg(
-    health: Optional[HealthConfig],
-    num_keys: int,
-    num_ops: int,
-    clients_per_shard: int = 2,
-    **plan,
+    health: Optional[HealthConfig], num_keys: int, num_ops: int, **plan
 ) -> Dict:
     """One leg's :func:`~repro.bench.cluster.cluster_leg` arguments: the
     3-shard RF=2 quorum cluster of tight shards, defended by ``health``
@@ -84,27 +81,22 @@ def gray_leg(
             health=health,
         ),
         spec=READ_HEAVY_UNIFORM, num_keys=num_keys, num_ops=num_ops,
-        clients_per_shard=clients_per_shard, seed=5,
+        clients_per_shard=2, seed=5,
         shard_overrides=TIGHT_SHARD, preload_threads=2, **plan,
     )
 
 
 def grayfail_comparison(
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-    clients_per_shard: int = 2,
-    multiplier: float = GRAY_MULTIPLIER,
+    num_keys: Optional[int] = None, num_ops: Optional[int] = None
 ) -> Dict[str, ClusterRunResult]:
     """The three runs: healthy, undefended gray, defended gray."""
     num_keys, num_ops = sizing(num_keys, num_ops, 2_000, 8_000)
     plan = GrayPlan(
         shard_id=GRAY_SHARD,
         at_fraction=GRAY_AT_FRACTION,
-        multiplier=multiplier,
+        multiplier=GRAY_MULTIPLIER,
     )
-    sizes = dict(
-        num_keys=num_keys, num_ops=num_ops, clients_per_shard=clients_per_shard
-    )
+    sizes = dict(num_keys=num_keys, num_ops=num_ops)
     return run_legs({
         "healthy": gray_leg(None, **sizes),
         "undefended": gray_leg(None, gray_plan=plan, **sizes),
@@ -118,37 +110,35 @@ def read_p99(result: ClusterRunResult) -> float:
     return reads.p99() if reads is not None else 0.0
 
 
-def check_tail(
-    healthy: ClusterRunResult, defended: ClusterRunResult
-) -> Tuple[bool, str]:
-    """Gate: hedging + breaker keep the gray read p99 near baseline."""
-    base = read_p99(healthy)
-    got = read_p99(defended)
-    if base <= 0.0:
-        return False, "healthy baseline recorded no reads"
-    ratio = got / base
-    ok = ratio <= TAIL_GATE
-    return ok, (
-        f"defended read p99 {got:.1f}us = {ratio:.2f}x healthy "
-        f"{base:.1f}us (gate: <= {TAIL_GATE:.1f}x)"
-    )
-
-
 def event_count(result: ClusterRunResult, kind: str) -> int:
     """How many ``kind`` events the run's window logged."""
     return len((result.run.metrics or {}).get("events", {}).get(kind, ()))
 
 
-def check_overhead(defended: ClusterRunResult) -> Tuple[bool, str]:
-    """Gate: speculation stays cheap — wasted hedges < 10% of reads."""
+def check_grayfail(results: Dict[str, ClusterRunResult]) -> List[Gate]:
+    """The acceptance gates: hedging + breaker keep the defended gray
+    read p99 near the healthy baseline's, and speculation stays cheap —
+    wasted hedges under 10% of the defended run's reads."""
+    defended = results["defended"]
+    base = read_p99(results["healthy"])
+    got = read_p99(defended)
+    if base <= 0.0:
+        tail = False, "healthy baseline recorded no reads"
+    else:
+        ratio = got / base
+        tail = ratio <= TAIL_GATE, (
+            f"defended read p99 {got:.1f}us = {ratio:.2f}x healthy "
+            f"{base:.1f}us (gate: <= {TAIL_GATE:.1f}x)"
+        )
     wasted = event_count(defended, "hedge_wasted")
     reads = defended.run.per_kind.get("read")
     total = len(reads) if reads is not None else 0
     if total == 0:
-        return False, "defended run recorded no reads"
-    frac = wasted / total
-    ok = frac <= OVERHEAD_GATE
-    return ok, (
-        f"{wasted} wasted hedges over {total} reads = {frac:.1%} "
-        f"(gate: <= {OVERHEAD_GATE:.0%})"
-    )
+        overhead = False, "defended run recorded no reads"
+    else:
+        frac = wasted / total
+        overhead = frac <= OVERHEAD_GATE, (
+            f"{wasted} wasted hedges over {total} reads = {frac:.1%} "
+            f"(gate: <= {OVERHEAD_GATE:.0%})"
+        )
+    return [("  tail gate", *tail), ("  overhead gate", *overhead)]

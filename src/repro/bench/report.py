@@ -32,19 +32,14 @@ def ratio_gate(
 
 
 def format_table(
-    title: str,
-    rows: Sequence[str],
-    cols: Sequence[str],
-    cell,
-    col_width: int = 14,
+    title: str, rows: Sequence[str], cols: Sequence[str], cell
 ) -> str:
-    """Render a rows x cols table; ``cell(row, col)`` supplies strings."""
-    head = f"{'':14}" + "".join(f"{c:>{col_width}}" for c in cols)
+    """Render a rows x cols table of 14-wide columns; ``cell(row, col)``
+    supplies strings."""
+    head = f"{'':14}" + "".join(f"{c:>14}" for c in cols)
     lines = [title, "=" * len(head), head, "-" * len(head)]
     for row in rows:
-        line = f"{row:14}" + "".join(
-            f"{cell(row, col):>{col_width}}" for col in cols
-        )
+        line = f"{row:14}" + "".join(f"{cell(row, col):>14}" for col in cols)
         lines.append(line)
     return "\n".join(lines)
 
@@ -53,20 +48,17 @@ def throughput_table(
     title: str,
     results: Dict[str, Dict[str, RunResult]],
     workloads: Sequence[str],
-    unit: str = "Kops",
 ) -> str:
-    """Stores as rows, workloads as columns (Figure 7 / 8 layout)."""
-    scale = 1e3 if unit == "Kops" else 1e6
+    """Stores as rows, workloads as columns, in Kops/s (Figure 7 / 8
+    layout)."""
 
     def cell(store: str, workload: str) -> str:
         result = results.get(store, {}).get(workload)
         if result is None:
             return "-"
-        return f"{result.throughput / scale:.1f}"
+        return f"{result.throughput / 1e3:.1f}"
 
-    return format_table(
-        f"{title}  ({unit}/s)", list(results), workloads, cell
-    )
+    return format_table(f"{title}  (Kops/s)", list(results), workloads, cell)
 
 
 def latency_table(

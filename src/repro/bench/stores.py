@@ -73,83 +73,59 @@ def build_prism(
 
 
 def build_kvell(
-    num_ssds: int = 2,
-    dataset_bytes: int = DEFAULT_DATASET,
-    page_cache: Optional[int] = None,
-    ssd_capacity: int = DEFAULT_SSD_CAPACITY,
-    **overrides,
+    num_ssds: int = 2, dataset_bytes: int = DEFAULT_DATASET, **overrides
 ) -> KVell:
     """KVell spending Prism's NVM budget on extra DRAM instead
     (32% of the dataset)."""
-    if page_cache is None:
-        page_cache = (dataset_bytes * 32) // 100
     return KVell(
         KVellConfig(
             num_ssds=num_ssds,
-            ssd_spec=_ssd_spec(ssd_capacity),
-            page_cache_bytes=page_cache,
+            ssd_spec=_ssd_spec(),
+            page_cache_bytes=(dataset_bytes * 32) // 100,
             **overrides,
         )
     )
 
 
 def build_matrixkv(
-    num_ssds: int = 2,
-    dataset_bytes: int = DEFAULT_DATASET,
-    block_cache: Optional[int] = None,
-    container: Optional[int] = None,
-    ssd_capacity: int = DEFAULT_SSD_CAPACITY,
-    **overrides,
+    num_ssds: int = 2, dataset_bytes: int = DEFAULT_DATASET, **overrides
 ) -> MatrixKV:
     """MatrixKV: 26% DRAM block cache + 8% NVM matrix container."""
-    if block_cache is None:
-        block_cache = (dataset_bytes * 26) // 100
-    if container is None:
-        container = (dataset_bytes * 8) // 100
     overrides.setdefault("memtable_bytes", max(64 * 1024, dataset_bytes // 100))
     return MatrixKV(
         MatrixKVConfig(
             num_ssds=num_ssds,
-            ssd_spec=_ssd_spec(ssd_capacity),
-            block_cache_bytes=block_cache,
-            container_bytes=container,
+            ssd_spec=_ssd_spec(),
+            block_cache_bytes=(dataset_bytes * 26) // 100,
+            container_bytes=(dataset_bytes * 8) // 100,
             **overrides,
         )
     )
 
 
 def build_rocksdb_nvm(
-    dataset_bytes: int = DEFAULT_DATASET,
-    block_cache: Optional[int] = None,
-    **overrides,
+    dataset_bytes: int = DEFAULT_DATASET, **overrides
 ) -> RocksDBNVM:
     """RocksDB with WAL + SSTables on NVM (cost-unbounded reference)."""
-    if block_cache is None:
-        block_cache = (dataset_bytes * 26) // 100
     overrides.setdefault("memtable_bytes", max(64 * 1024, dataset_bytes // 100))
     return RocksDBNVM(
         RocksDBNVMConfig(
-            block_cache_bytes=block_cache,
+            block_cache_bytes=(dataset_bytes * 26) // 100,
             **overrides,
         )
     )
 
 
-def build_slmdb(
-    num_ssds: int = 2,
-    memtable: int = 1 * MB,
-    ssd_capacity: int = DEFAULT_SSD_CAPACITY,
-    **overrides,
-) -> SLMDB:
+def build_slmdb(num_ssds: int = 2, **overrides) -> SLMDB:
     """SLM-DB: single-threaded, NVM memtable, persistent B+-tree.
 
     The paper gives SLM-DB a 64 MB memtable regardless of dataset; the
-    scaled default keeps that spirit."""
+    scaled one (1 MB) keeps that spirit."""
     return SLMDB(
         SLMDBConfig(
             num_ssds=num_ssds,
-            ssd_spec=_ssd_spec(ssd_capacity),
-            memtable_bytes=memtable,
+            ssd_spec=_ssd_spec(),
+            memtable_bytes=1 * MB,
             **overrides,
         )
     )

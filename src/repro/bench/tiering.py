@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from itertools import product
 from statistics import median
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.bench.experiments import sizing, sweep
+from repro.bench.report import Gate
 from repro.bench.runner import RunResult, preload, run_workload
 from repro.bench.stores import build_prism
 from repro.core.config import TIER_SPREAD, TIER_TEMPERATURE
@@ -55,15 +56,18 @@ MODES = ("tiered", "spread", "allfast")
 # median over these seeds; the rows printed, and the other two gates,
 # are the first one's.
 GATE_SEEDS = tuple(range(1, 17))
+# Tiered read p99 / spread read p99 (the seed median) must stay at or
+# below this.
+P99_LIMIT = 0.6
 
 
-def _build(mode: str, num_keys: int, num_threads: int, value_size: int):
+def _build(mode: str, num_keys: int):
     """One preloaded store; the dataset is 2x the fast-tier capacity.
 
     tiered/spread share hardware exactly (1 fast + 3 cold QLC);
     allfast matches their *total* capacity with 4 fast SSDs.
     """
-    dataset = num_keys * value_size
+    dataset = num_keys * TIER_VALUE_SIZE
     fast_capacity = dataset // 2  # dataset = 2x the fast tier
     # Every config gets 2.5x the dataset in total capacity, with the
     # cold pool supplying 2x of it.  Cheap capacity is the entire
@@ -73,7 +77,7 @@ def _build(mode: str, num_keys: int, num_threads: int, value_size: int):
     cold_capacity = (dataset * 2) // NUM_COLD_SSDS
     total_capacity = fast_capacity + NUM_COLD_SSDS * cold_capacity
     common = dict(
-        num_threads=num_threads,
+        num_threads=TIER_THREADS,
         dataset_bytes=dataset,
         # A deliberately thin DRAM cache (1% of the dataset): the
         # experiment is about device placement, and a dataset-sized
@@ -121,27 +125,21 @@ def _build(mode: str, num_keys: int, num_threads: int, value_size: int):
             tier_promote_threshold=3,
             **common,
         )
-    preload(store, num_keys, value_size=value_size, num_threads=num_threads)
+    preload(
+        store, num_keys, value_size=TIER_VALUE_SIZE, num_threads=TIER_THREADS
+    )
     return store
 
 
-def tier_run(
-    seed: int,
-    mode: str,
-    num_keys: int,
-    num_ops: int,
-    num_threads: int = TIER_THREADS,
-    theta: float = DEFAULT_THETA,
-    value_size: int = TIER_VALUE_SIZE,
-) -> RunResult:
+def tier_run(seed: int, mode: str, num_keys: int, num_ops: int) -> RunResult:
     """One seeded Zipfian read-heavy run (YCSB-B mix) in one mode."""
     if mode not in MODES:
         raise ValueError(f"unknown tiering mode: {mode}")
-    store = _build(mode, num_keys, num_threads, value_size)
+    store = _build(mode, num_keys)
     result = run_workload(
         store, YCSB_B, num_ops, num_keys,
-        num_threads=num_threads, value_size=value_size, theta=theta,
-        seed=seed, warmup_ops=num_ops // 4,
+        num_threads=TIER_THREADS, value_size=TIER_VALUE_SIZE,
+        theta=DEFAULT_THETA, seed=seed, warmup_ops=num_ops // 4,
     )
     # Dollars of storage per million ops/s of delivered throughput —
     # the capacity story in one number.  Only the SSDs are priced
@@ -156,31 +154,27 @@ def tier_run(
 
 
 def tiering_comparison(
-    num_keys: Optional[int] = None,
-    num_ops: Optional[int] = None,
-    num_threads: int = TIER_THREADS,
-    theta: float = DEFAULT_THETA,
-) -> Tuple[RunResult, RunResult, RunResult, List[float]]:
+    num_keys: Optional[int] = None, num_ops: Optional[int] = None
+) -> Dict[str, object]:
     """The same workload, tiered vs spread vs all-fast.
 
-    Returns ``(tiered, spread, allfast, ratios)``: the three runs at
-    ``GATE_SEEDS[0]`` and the tiered/spread read-p99 ratio at every
-    gate seed, in ``GATE_SEEDS`` order.
+    Returns the three runs at ``GATE_SEEDS[0]`` by mode, and as
+    ``ratios`` the tiered/spread read-p99 ratio at every gate seed, in
+    ``GATE_SEEDS`` order.
     """
     num_keys, num_ops = sizing(num_keys, num_ops, 3_000, 12_000)
     runs = sweep(
         tier_run,
         list(product(GATE_SEEDS, ("tiered", "spread")))
         + [(GATE_SEEDS[0], "allfast")],
-        (num_keys, num_ops, num_threads, theta),
+        (num_keys, num_ops),
     )
     ratios = [
         runs[seed]["tiered"].per_kind["read"].p99()
         / runs[seed]["spread"].per_kind["read"].p99()
         for seed in GATE_SEEDS
     ]
-    first = runs[GATE_SEEDS[0]]
-    return first["tiered"], first["spread"], first["allfast"], ratios
+    return {**runs[GATE_SEEDS[0]], "ratios": ratios}
 
 
 def cost_per_mop(result: RunResult) -> float:
@@ -190,41 +184,33 @@ def cost_per_mop(result: RunResult) -> float:
     return result.stats["ssd_cost"] / (result.throughput / 1e6)
 
 
-def check_read_p99(ratios: List[float], limit: float = 0.6) -> Tuple[bool, str]:
-    """Acceptance gate: tiered read p99 <= limit x the spread baseline,
-    judged on the median of the per-seed ratios."""
+def check_tiering(results: Dict[str, object]) -> List[Gate]:
+    """The acceptance gates: tiered read p99 <= ``P99_LIMIT`` x the
+    spread baseline, judged on the median of the per-seed ratios;
+    tiered $/Mop/s below the all-fast build of equal total capacity;
+    and demotion traffic accounted — the tier moved data cold and
+    reports the extra writes per application byte."""
+    ratios, tiered = results["ratios"], results["tiered"]
     mid = median(ratios)
     shown = ", ".join(
         f"{seed}: {ratio:.3f}" for seed, ratio in zip(GATE_SEEDS, ratios)
     )
-    return mid <= limit, (
-        f"read p99 tiered / spread, median over seeds = {mid:.3f} "
-        f"({shown}; gate: <= {limit:.1f}x)"
-    )
-
-
-def check_cost_per_op(
-    tiered: RunResult, allfast: RunResult
-) -> Tuple[bool, str]:
-    """Acceptance gate: tiered $/Mop/s below the all-fast build of
-    equal total capacity."""
     c_tiered = cost_per_mop(tiered)
-    c_allfast = cost_per_mop(allfast)
-    ok = c_tiered < c_allfast
-    return ok, (
-        f"cost ${c_tiered:.2f}/Mops tiered vs ${c_allfast:.2f}/Mops "
-        f"all-fast (gate: lower)"
-    )
-
-
-def check_demotion_waf(tiered: RunResult) -> Tuple[bool, str]:
-    """Acceptance gate: demotion traffic is accounted — the tier
-    moved data cold and reports the extra writes per application byte."""
+    c_allfast = cost_per_mop(results["allfast"])
     waf = tiered.stats.get("tier_demotion_waf")
     demoted = tiered.stats.get("tier_demotions", 0)
-    ok = waf is not None and waf > 0 and demoted > 0
-    shown = "absent" if waf is None else f"{waf:.3f}"
-    return ok, (
-        f"demotion WAF {shown} ({int(demoted)} GC demotions; "
-        f"gate: present and > 0)"
-    )
+    shown_waf = "absent" if waf is None else f"{waf:.3f}"
+    return [
+        ("  p99 gate", mid <= P99_LIMIT, (
+            f"read p99 tiered / spread, median over seeds = {mid:.3f} "
+            f"({shown}; gate: <= {P99_LIMIT:.1f}x)"
+        )),
+        ("  cost gate", c_tiered < c_allfast, (
+            f"cost ${c_tiered:.2f}/Mops tiered vs ${c_allfast:.2f}/Mops "
+            f"all-fast (gate: lower)"
+        )),
+        ("  waf gate", waf is not None and waf > 0 and demoted > 0, (
+            f"demotion WAF {shown_waf} ({int(demoted)} GC demotions; "
+            f"gate: present and > 0)"
+        )),
+    ]

@@ -1,11 +1,14 @@
+import ast
 import json
 from dataclasses import replace
 from pathlib import Path
+from typing import List, get_type_hints
 
 import pytest
 
 from repro.bench import experiments as ex
 from repro.bench.__main__ import COMMANDS, EXPERIMENTS, main
+from repro.bench.report import Gate
 from repro.bench.runner import RunResult
 from repro.parallel import get_jobs
 from repro.sim.stats import LatencyRecorder
@@ -186,6 +189,32 @@ def test_every_figure_row_has_gates():
     assert len(checks) == 13
     assert all(check.__name__.startswith("check_") for check in checks)
     assert len(set(checks)) == len(checks)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_a_row_names_a_check_beside_its_run(name):
+    """One way to declare an experiment: the row's ``gates`` is a named
+    function, not a lambda and not a helper of the CLI, defined in the
+    module of the row's ``run`` and returning ``List[Gate]``."""
+    entry = EXPERIMENTS[name]
+    check = entry.gates
+    assert check.__name__ != "<lambda>"
+    assert check.__module__ != "repro.bench.__main__"
+    assert check.__module__ == entry.run.__module__
+    assert get_type_hints(check)["return"] == List[Gate]
+
+
+def test_no_bench_function_returns_a_bare_verdict():
+    """A gate is a labelled ``Gate``; nothing under ``repro.bench``
+    returns an unlabelled ``(ok, message)`` for a caller to label."""
+    bare = [
+        f"{path.name}:{node.name}"
+        for path in sorted(Path(ex.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.returns is not None
+        and ast.unparse(node.returns).lower() == "tuple[bool, str]"
+    ]
+    assert not bare
 
 
 def test_docs_experiment_table_lists_the_registry():

@@ -53,7 +53,7 @@ def test_waf_sweep_structure():
 
 
 def test_gc_timeline_structure():
-    result, store = ex.gc_timeline(num_keys=400, num_ops=1500, num_threads=2)
+    result = ex.gc_timeline(num_keys=400, num_ops=1500, num_threads=2)["timeline"]
     assert result.timeline is not None
     assert result.ops == 1500
 
@@ -82,10 +82,10 @@ def test_fault_recovery_structure():
         assert run.ops == 600
         assert results["faults"][label]["recovered_keys"] > 0
     assert results["faults"]["rate=0"]["injected"] == 0
-    ok, msg = ex.check_faults(results)
+    ((_, ok, msg),) = ex.check_faults(results)
     assert ok, msg
     results["faults"]["rate=0.005"]["recovered_keys"] = 0.0
-    ok, msg = ex.check_faults(results)
+    ((_, ok, msg),) = ex.check_faults(results)
     assert not ok and "rate=0.005" in msg
 
 
@@ -100,9 +100,11 @@ def test_scrub_sweep_structure():
         assert stats["at_rest_corrupted"] > 0
         assert stats["detected"] >= stats["at_rest_corrupted"]
         assert stats["rebuild_records"] > 0
-    assert ex.check_scrub(results)[0]
+    ((_, ok, _msg),) = ex.check_scrub(results)
+    assert ok
     results["scrub"]["rate=0"]["wrong_values"] = 1.0
-    assert not ex.check_scrub(results)[0]
+    ((_, ok, _msg),) = ex.check_scrub(results)
+    assert not ok
 
 
 def test_sweep_nests_by_point_and_pivots():

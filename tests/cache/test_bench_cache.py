@@ -20,15 +20,19 @@ def storm():
     return ca.storm_comparison(num_keys=2500, num_ops=5000)
 
 
+def _gate(storm, label):
+    """One of the storm's gates (its label, stripped) as (ok, message)."""
+    gates = ca.check_cache({"storm": storm})
+    return {name.strip(): (ok, msg) for name, ok, msg in gates}[label]
+
+
 def test_storm_hit_ratio_gate(storm):
-    _, on = storm
-    ok, detail = ca.check_hit_ratio(on, minimum=0.5)
+    ok, detail = _gate(storm, "hit-ratio gate")
     assert ok, detail
 
 
 def test_storm_read_p99_gate(storm):
-    off, on = storm
-    ok, detail = ca.check_read_p99(off, on)
+    ok, detail = _gate(storm, "p99 gate")
     assert ok, detail
 
 
@@ -46,9 +50,8 @@ def test_sweep_hit_ratio_grows_with_capacity():
 
 
 def test_cluster_hot_spread_serves_hot_keys_from_replicas():
-    primary, spread = ca.cluster_hot_spread(
-        num_keys=800, num_ops=4000, clients_per_shard=2
-    )
+    legs = ca.cluster_hot_spread(num_keys=800, num_ops=4000, clients_per_shard=2)
+    primary, spread = legs["primary"], legs["spread"]
     spread_reads = spread.run.stats["cluster_hot_spread_reads"]
     assert spread_reads > 0, "hot-key detector never routed a spread read"
     assert primary.run.stats["cluster_hot_spread_reads"] == 0

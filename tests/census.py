@@ -471,6 +471,89 @@ DELETED: Dict[str, str] = {
         "repro.storage.nvm:NVMDevice.load_word",
         "repro.core.hsit:HSIT._store_word",
     ), "no measured path ran it: `load(thread, addr, 8)` and `NVMDevice.store_word` are the one plain path"),
+    **dict.fromkeys((
+        "repro.bench.stores:build_kvell(page_cache)",
+        "repro.bench.stores:build_kvell(ssd_capacity)",
+        "repro.bench.stores:build_matrixkv(block_cache)",
+        "repro.bench.stores:build_matrixkv(container)",
+        "repro.bench.stores:build_matrixkv(ssd_capacity)",
+        "repro.bench.stores:build_rocksdb_nvm(block_cache)",
+        "repro.bench.stores:build_slmdb(memtable)",
+        "repro.bench.stores:build_slmdb(ssd_capacity)",
+        "repro.bench.experiments:large_dataset(num_keys)",
+        "repro.bench.experiments:large_dataset(num_ops)",
+        "repro.bench.experiments:large_dataset(num_threads)",
+        "repro.bench.experiments:ssd_scaling(ssd_counts)",
+        "repro.bench.experiments:ssd_scaling(workloads)",
+        "repro.bench.experiments:ssd_scaling(num_keys)",
+        "repro.bench.experiments:ssd_scaling(num_ops)",
+        "repro.bench.experiments:ssd_scaling(num_threads)",
+        "repro.bench.experiments:buffer_size_sweep(pwb_sizes)",
+        "repro.bench.experiments:buffer_size_sweep(svc_sizes)",
+        "repro.bench.experiments:buffer_size_sweep(num_keys)",
+        "repro.bench.experiments:buffer_size_sweep(num_ops)",
+        "repro.bench.experiments:buffer_size_sweep(num_threads)",
+        "repro.bench.experiments:multicore_scalability(thread_counts)",
+        "repro.bench.experiments:multicore_scalability(workloads)",
+        "repro.bench.experiments:multicore_scalability(num_keys)",
+        "repro.bench.experiments:multicore_scalability(num_ops)",
+        "repro.bench.experiments:ablations(num_keys)",
+        "repro.bench.experiments:ablations(num_ops)",
+        "repro.bench.experiments:ablations(num_threads)",
+        "repro.bench.experiments:scrub_sweep(corrupt_fraction)",
+        "repro.bench.cluster:cluster_failover(kill_shard)",
+        "repro.bench.cluster:cluster_failover(kill_fraction)",
+        "repro.bench.rebalance:cluster_rebalance(num_shards)",
+        "repro.bench.rebalance:cluster_rebalance(at_fraction)",
+        "repro.bench.rebalance:check_rebalance(blip_factor)",
+        "repro.bench.tiering:tiering_comparison(num_threads)",
+        "repro.bench.tiering:tiering_comparison(theta)",
+        "repro.bench.tiering:tier_run(num_threads)",
+        "repro.bench.tiering:tier_run(theta)",
+        "repro.bench.tiering:tier_run(value_size)",
+        "repro.bench.tiering:check_read_p99(limit)",
+        "repro.bench.cache:storm_comparison(num_threads)",
+        "repro.bench.cache:storm_comparison(cache_capacity)",
+        "repro.bench.cache:storm_comparison(theta)",
+        "repro.bench.cache:cache_sweep(value_size)",
+        "repro.bench.cache:check_hit_ratio(minimum)",
+        "repro.bench.cache:cluster_hot_spread(num_shards)",
+        "repro.bench.cache:cluster_hot_spread(cache_capacity)",
+        "repro.bench.cache:cluster_hot_spread(hot_key_threshold)",
+        "repro.bench.cache:cluster_hot_spread(theta)",
+        "repro.bench.cache:cluster_hot_spread(value_size)",
+        "repro.bench.grayfail:grayfail_comparison(clients_per_shard)",
+        "repro.bench.grayfail:grayfail_comparison(multiplier)",
+        "repro.bench.grayfail:gray_leg(clients_per_shard)",
+        "repro.bench.figs:run_figs(jobs)",
+        "repro.bench.figs:run_figs(metrics_dir)",
+        "repro.bench.report:format_table(col_width)",
+        "repro.bench.report:throughput_table(unit)",
+    ), "every caller left it at its default"),
+    **dict.fromkeys((
+        "repro.bench.cluster:check_scaling",
+        "repro.bench.cluster:check_failover",
+        "repro.bench.grayfail:check_tail",
+        "repro.bench.grayfail:check_overhead",
+        "repro.bench.cache:check_read_p99",
+        "repro.bench.tiering:check_cost_per_op",
+        "repro.bench.tiering:check_demotion_waf",
+        "repro.bench.__main__:_cluster_gates",
+        "repro.bench.__main__:_grayfail_gates",
+        "repro.bench.__main__:_rebalance_gates",
+        "repro.bench.__main__:_cache_gates",
+        "repro.bench.__main__:_tiering_gates",
+    ), "folded into its row's one `check_*`, which returns `List[Gate]`"),
+    **dict.fromkeys((
+        "repro.bench.__main__:_fig10_run",
+        "repro.bench.__main__:_fig17_run",
+        "repro.bench.__main__:_scalars_run",
+        "repro.bench.__main__:_tiering_run",
+        "repro.bench.__main__:_cluster_run",
+        "repro.bench.__main__:_cache_run",
+        "repro.bench.experiments:nutanix_run",
+    ), "the row names its run in the experiment's module (`large_dataset`, "
+       "`gc_timeline`, `scalars`, `tiering_comparison`, `cluster_run`, `cache_run`)"),
 }
 
 
@@ -605,11 +688,13 @@ def knob_sites() -> List[Knob]:
       builder or ``dataclasses.replace`` (it counts for every config
       with a field of that name); a keyword to any other class (a name
       that starts upper-case, such as ``ThreadCombiner``) is that
-      class's own parameter;
+      class's own parameter, and a keyword to a call used as a
+      decorator (Hypothesis's ``@given(start=…)``) is the decorator's;
     * a string key in a dict literal that becomes keywords in the same
       file: the literal is a ``**`` operand, or sits (at any depth) in
       the value assigned to a name some call expands as ``**NAME`` or
-      ``**NAME[…]``;
+      ``**NAME[…]``, or is one value of a ``pytest.mark.parametrize``
+      parameter that the decorated test expands as ``**NAME``;
     * ``setattr(obj, "name", …)`` or an assignment to ``obj.name``,
       where ``obj`` is named as a config (:func:`_is_config_object`).
 
@@ -656,10 +741,9 @@ def config_builders(tree: ast.AST) -> Dict[str, Set[str]]:
     return builders
 
 
-def _keyword_dicts(tree: ast.AST) -> Set[int]:
-    """The ids of the dict literals in ``tree`` whose keys become
-    keywords (:func:`knob_sites`)."""
-    operands, expanded = [], set()
+def _expanded(tree: ast.AST) -> Iterator[ast.AST]:
+    """The operand of every ``**`` keyword expansion in ``tree``, with
+    ``NAME[…]`` taken as ``NAME``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             for kw in node.keywords:
@@ -667,11 +751,38 @@ def _keyword_dicts(tree: ast.AST) -> Set[int]:
                     value = kw.value
                     while isinstance(value, ast.Subscript):
                         value = value.value
-                    if isinstance(value, ast.Name):
-                        expanded.add(value.id)
-                    elif isinstance(value, ast.Dict):
-                        operands.append(value)
+                    yield value
+
+
+def _parametrized_dicts(func: ast.FunctionDef) -> Iterator[ast.Dict]:
+    """The dict literals ``func``'s ``parametrize`` decorators give a
+    parameter that its body expands as ``**NAME``."""
+    expanded = {v.id for v in _expanded(func) if isinstance(v, ast.Name)}
+    for deco in func.decorator_list:
+        if not (isinstance(deco, ast.Call) and _callee(deco) == "parametrize"
+                and len(deco.args) >= 2 and isinstance(deco.args[0], ast.Constant)):
+            continue
+        names = [name.strip() for name in str(deco.args[0].value).split(",")]
+        for row in getattr(deco.args[1], "elts", ()):
+            values = getattr(row, "elts", ()) if len(names) > 1 else [row]
+            for name, value in zip(names, values):
+                if name in expanded and isinstance(value, ast.Dict):
+                    yield value
+
+
+def _keyword_dicts(tree: ast.AST) -> Set[int]:
+    """The ids of the dict literals in ``tree`` whose keys become
+    keywords (:func:`knob_sites`)."""
+    operands, expanded = [], set()
+    for value in _expanded(tree):
+        if isinstance(value, ast.Name):
+            expanded.add(value.id)
+        elif isinstance(value, ast.Dict):
+            operands.append(value)
     for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            operands.extend(_parametrized_dicts(node))
+            continue
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -695,6 +806,11 @@ def note_sets(
     mro = {cls.__name__: {c.__name__ for c in cls.__mro__}
            for cls in _config_classes()}
     keyword_dicts = _keyword_dicts(tree)
+    decorators = {
+        id(deco)
+        for node in ast.walk(tree)
+        for deco in getattr(node, "decorator_list", ())
+    }
 
     def note(
         name: str, value: ast.AST, where: str, callee: str = "", direct: bool = False
@@ -720,7 +836,7 @@ def note_sets(
         if isinstance(node, ast.Call):
             callee = _callee(node)
             for kw in node.keywords:
-                if kw.arg is not None:
+                if kw.arg is not None and id(node) not in decorators:
                     note(kw.arg, kw.value, where, callee)
             if (callee == "setattr" and len(node.args) == 3
                     and isinstance(node.args[1], ast.Constant)

@@ -18,6 +18,12 @@ from repro.faults.crash_sweep import CrashSweep, default_ops
 SMOKE = dict(num_keys=800, num_ops=2500)
 
 
+def _gates(results):
+    """The row's gates by label (stripped), each as (ok, message)."""
+    gates = gf.check_grayfail(results)
+    return {label.strip(): (ok, msg) for label, ok, msg in gates}
+
+
 @pytest.fixture(scope="module")
 def smoke_runs():
     return gf.grayfail_comparison(**SMOKE)
@@ -66,11 +72,10 @@ class TestDefense:
         assert defended < undefended
 
     def test_gates_pass_at_smoke_size(self, smoke_runs):
-        ok_tail, msg = gf.check_tail(
-            smoke_runs["healthy"], smoke_runs["defended"]
-        )
+        gates = _gates(smoke_runs)
+        ok_tail, msg = gates["tail gate"]
         assert ok_tail, msg
-        ok_cost, msg = gf.check_overhead(smoke_runs["defended"])
+        ok_cost, msg = gates["overhead gate"]
         assert ok_cost, msg
 
     def test_defended_run_loses_nothing(self, smoke_runs):
@@ -107,10 +112,10 @@ class TestGrayCrashSweep:
 @pytest.mark.slow
 class TestFullGates:
     def test_full_size_gates(self):
-        results = gf.grayfail_comparison()
-        ok_tail, msg = gf.check_tail(results["healthy"], results["defended"])
+        gates = _gates(gf.grayfail_comparison())
+        ok_tail, msg = gates["tail gate"]
         assert ok_tail, msg
-        ok_cost, msg = gf.check_overhead(results["defended"])
+        ok_cost, msg = gates["overhead gate"]
         assert ok_cost, msg
 
 
@@ -127,5 +132,6 @@ class TestHealthyDefenseOverhead:
 
         armed = cluster_leg(**gf.gray_leg(HealthConfig(), 1200, 4000))
         assert gf.event_count(armed, "breaker_open") == 0
-        ok, msg = gf.check_overhead(armed)
+        # Only the overhead gate is read: it judges the defended leg alone.
+        ok, msg = _gates({"healthy": armed, "defended": armed})["overhead gate"]
         assert ok, msg

@@ -477,9 +477,7 @@ class TestBenchGates:
             num_keys=1000, num_ops=2400, clients_per_shard=2,
             bandwidth=64 * 1024,
         )
-        control = results.pop("control")
-        for label, res in results.items():
-            ok, msg = check_rebalance(res, control)
+        for label, ok, msg in check_rebalance(results):
             assert ok, f"{label}: {msg}"
 
 

@@ -81,6 +81,18 @@ def _sets(source):
     ("unit(**{'queue_depth': 8})",
      {"PrismConfig.queue_depth", "KVellConfig.queue_depth"}),
     ("SCRIPTS = {'queue_depth': (8, 2)}; play(*SCRIPTS['queue_depth'])", set()),
+    # A keyword to a decorator is the decorator's own (Hypothesis's
+    # strategies in tests/storage/test_nvm.py), not SlowFault.start.
+    ("@given(start=floats(0.0, 1.0))\ndef test(start): pass", set()),
+    # A parametrize row the test expands with ** (tests/core/test_config.py).
+    ("@pytest.mark.parametrize('kw', [{'queue_depth': 8}])\n"
+     "def test(kw): PrismConfig(**kw)",
+     {"PrismConfig.queue_depth", "KVellConfig.queue_depth"}),
+    ("@pytest.mark.parametrize('n, kw', [(1, {'queue_depth': 8})])\n"
+     "def test(n, kw): PrismConfig(**kw)",
+     {"PrismConfig.queue_depth", "KVellConfig.queue_depth"}),
+    ("@pytest.mark.parametrize('kw', [{'queue_depth': 8}])\n"
+     "def test(kw): play(kw)", set()),
 ])
 def test_a_set_is_a_value_that_reaches_a_config_field(source, sets):
     assert _sets(source) == {(label, "x.py:1") for label in sets}
