@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import AbstractSet, Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cache.read_cache import ReadCache
 from repro.core import pointers as ptr
@@ -32,18 +32,14 @@ from repro.core.containment import PublishEntry, resolve_partial_publish
 from repro.core.epoch import EpochManager
 from repro.core.hsit import HSIT
 from repro.core.pwb import PersistentWriteBuffer, PWBFullError
-from repro.core.record import parse
 from repro.core.svc import ScanAwareValueCache, SVCEntry
 from repro.core.tcq import ThreadCombiner
 from repro.core.value_storage import ValueStorage
-from repro.faults.errors import (
-    CorruptionError,
-    DeviceError,
-    NoHealthyStorageError,
-)
+from repro.faults.errors import DeviceError, NoHealthyStorageError
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryExecutor, RetryPolicy
 from repro.obs.metrics import EventLog, MetricsRegistry, NULL_REGISTRY
+from repro.repair import fetch_value, read_repair
 from repro.sim.clock import VirtualClock
 from repro.sim.vthread import VThread
 from repro.storage.base import StorageError
@@ -59,14 +55,15 @@ from repro.tiering import TierManager
 # Ops between epoch-advance attempts.
 EPOCH_ADVANCE_EVERY = 64
 
-# What Prism._dead_vs_ids returns while nothing can have died.
-_NONE_DEAD: AbstractSet[int] = frozenset()
-
 # One record to relocate: (hsit_idx, value, old_vs, old_chunk, old_off) —
 # a containment.PublishEntry with the value in place of the placement.
 # old_vs None means the old copy is not in Value Storage (it sits in a
 # PWB), so there is no slot or read-cache entry to retire.
 RelocationEntry = Tuple[int, bytes, Optional[ValueStorage], int, int]
+
+# One key to read: ((key, hsit_idx), its HSIT entry (location, SVC entry
+# id or None)) — a get's one, or each a scan's index walk matched.
+ReadEntry = Tuple[Tuple[bytes, int], Tuple[ptr.Location, Optional[int]]]
 
 
 class Prism:
@@ -285,22 +282,14 @@ class Prism:
         injector = self.injector
         return injector is not None and injector.enabled and injector.is_dead(name)
 
-    def _dead_vs_ids(self) -> AbstractSet[int]:
-        """Ids of the storages whose device is dead (degraded mode);
-        empty while the injector is absent or unarmed."""
-        injector = self.injector
-        if injector is None or not injector.enabled:
-            return _NONE_DEAD
-        is_dead = injector.is_dead
-        return {vs.vs_id for vs in self.storages if is_dead(vs.ssd.name)}
-
     def _alive(self, storages: List[ValueStorage]) -> List[ValueStorage]:
         """``storages`` minus those whose device is dead (degraded mode);
-        the list passed in while none is."""
-        dead = self._dead_vs_ids()
-        if not dead:
+        the list passed in while the injector is absent or unarmed."""
+        injector = self.injector
+        if injector is None or not injector.enabled:
             return storages
-        return [vs for vs in storages if vs.vs_id not in dead]
+        is_dead = injector.is_dead
+        return [vs for vs in storages if not is_dead(vs.ssd.name)]
 
     def _retrying_write(
         self, vs: ValueStorage, at: float, records: List[Tuple[int, bytes]]
@@ -758,8 +747,6 @@ class Prism:
             # the repair).  Fetch only, not read_repair: the GC moves
             # the healed value itself, with the rest of the victims.
             self.corruption_detected += 1
-            from repro.repair import fetch_value
-
             fetched = fetch_value(self, idx, vs.vs_id, chunk_id, offset)
             if fetched is None:
                 self.events.emit(
@@ -816,7 +803,7 @@ class Prism:
         )
 
     # ------------------------------------------------------------------
-    # read path
+    # read path (§4.4): a point read is a scan of one key
     # ------------------------------------------------------------------
     def get(self, key: bytes, thread: Optional[VThread] = None) -> Optional[bytes]:
         """Point lookup; returns None for missing keys."""
@@ -847,8 +834,13 @@ class Prism:
                 m.phase("get", "index_lookup", thread.now - t0)
             if idx is None:
                 return None
-            value = self._read_value(idx, key, thread)
-            if rc is not None and value is not None:
+            values = self._fetch(
+                (((key, idx), self.hsit.read_entry(idx, thread)),), thread, "get"
+            )[0]
+            if key not in values:
+                return None
+            value = values[key]
+            if rc is not None:
                 t0 = thread.now
                 rc.admit(key, idx, value, thread)
                 if m.enabled:
@@ -858,73 +850,6 @@ class Prism:
             self.epoch.exit(thread.tid)
             self._tick()
 
-    def _read_value(self, idx: int, key: bytes, thread: VThread) -> Optional[bytes]:
-        m = self.metrics
-        enabled = m.enabled
-        tier = self.tiering
-        if tier is not None and tier.temperature:
-            tier.tracker.touch(idx)
-        loc, entry_id = self.hsit.read_entry(idx, thread)
-        # Compare the medium field directly: the is_null/in_pwb
-        # properties are descriptor calls and this runs on every read.
-        medium = loc.medium
-        if medium == ptr.MEDIUM_NULL:
-            return None
-        if medium == ptr.MEDIUM_PWB:
-            t0 = thread.now
-            _, value = self.pwbs[loc.pwb_id].read(loc.pwb_offset, thread)
-            if enabled:
-                m.phase("get", "pwb_read", thread.now - t0)
-                m.counter("read.pwb_hits").inc()
-            return value
-        # Value Storage — try the DRAM cache first (Figure 2 ➍ over ➌).
-        if entry_id is not None and self.config.enable_svc:
-            t0 = thread.now
-            cached = self.svc.lookup(entry_id, thread)
-            if cached is not None:
-                if enabled:
-                    m.phase("get", "svc_hit", thread.now - t0)
-                    m.counter("read.svc_hits").inc()
-                return cached
-            if enabled:
-                m.phase("get", "svc_miss", thread.now - t0)
-        if enabled:
-            m.counter("read.svc_misses").inc()
-        vs = self.storages[loc.vs_id]
-        if self._device_dead(vs.ssd.name):
-            # The durable copy sits on a dead device.  With a mirror the
-            # read re-materialises the record onto healthy storage
-            # (read-repair); otherwise the key is read-degraded, not
-            # silently missing.
-            from repro.repair import read_repair
-
-            value = read_repair(
-                self, idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread,
-                dead=True,
-            )
-        else:
-            req = vs.record_request(loc.chunk_id, loc.vs_offset)
-            raw = self.combiners[loc.vs_id].read_one(thread, req, m)
-            try:
-                _, value = parse(raw, vs.checksums, vs.ssd.name)
-            except CorruptionError:
-                from repro.repair import read_repair
-
-                value = read_repair(
-                    self, idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread
-                )
-        if tier is not None:
-            tier.flash_read(idx, vs, loc, value)
-        if self.config.enable_svc:
-            t0 = thread.now
-            self.svc.admit(idx, key, value, thread)
-            if enabled:
-                m.phase("get", "svc_admit", thread.now - t0)
-        return value
-
-    # ------------------------------------------------------------------
-    # scan (§4.4)
-    # ------------------------------------------------------------------
     def scan(
         self, start: bytes, count: int, thread: Optional[VThread] = None
     ) -> List[Tuple[bytes, bytes]]:
@@ -939,146 +864,161 @@ class Prism:
             if m.enabled:
                 m.phase("scan", "index_scan", thread.now - t0)
             # Every HSIT entry the scan needs is known now: one gather,
-            # then the walk below runs on DRAM copies.
+            # then the fetch runs on DRAM copies.
             t0 = thread.now
             entries = self.hsit.read_entries(map(itemgetter(1), matches), thread)
             if m.enabled:
                 m.phase("scan", "hsit_gather", thread.now - t0)
-            # The fetch is a pipeline: classify every key, put the flash
-            # reads on the rings, copy the in-memory values while they
-            # fly, then take each run as it lands.
-            t0 = thread.now
-            results: Dict[bytes, bytes] = {}
-            # key -> its PWB location or its live SVC entry, in key order
-            copies: Dict[bytes, Union[ptr.Location, SVCEntry]] = {}
-            repairs: List[Tuple[bytes, int, ptr.Location]] = []
-            misses: Dict[
-                int, List[Tuple[int, int, Tuple[int, bytes, ptr.Location]]]
-            ] = {}
-            cached_as: Dict[bytes, int] = {}  # key -> SVC entry id
-            # Bound hot callables once: the loops below run per matched
-            # key and these attribute chains dominated their cost.
-            enable_svc = self.config.enable_svc
-            svc = self.svc
-            svc_entries_get = svc.entries.get
-            storages = self.storages
-            # 1. Classify: nothing charged, nothing mutated.
-            for (key, idx), (loc, entry_id) in zip(matches, entries):
-                # The medium field, not the in_pwb/is_null properties:
-                # descriptor calls, per key (as in _read_value).
-                medium = loc.medium
-                if medium == ptr.MEDIUM_PWB:
-                    copies[key] = loc
-                    continue
-                if medium == ptr.MEDIUM_NULL:
-                    continue
-                if entry_id is not None and enable_svc:
-                    entry = svc_entries_get(entry_id)
-                    if entry is not None and not entry.freed:
-                        # The gather just decoded where the value sits.
-                        entry.slot = loc
-                        copies[key] = entry
-                        continue
-                vs_id = loc.vs_id
-                item = (loc.chunk_id, loc.vs_offset, (idx, key, loc))
-                if vs_id in misses:
-                    misses[vs_id].append(item)
-                else:
-                    misses[vs_id] = [item]
-            # A dead device's misses go to read-repair instead, in key
-            # order.
-            if misses:
-                dead = self._dead_vs_ids()
-                if dead:
-                    for vs_id in dead.intersection(misses):
-                        repairs.extend(
-                            (key, idx, loc)
-                            for _chunk, _offset, (idx, key, loc) in misses.pop(vs_id)
-                        )
-                    repairs.sort()
-            # 2. Submit to every SSD at once: each storage's reads on
-            # its ring, records that sit back to back merged into one
-            # request — where scan-aware reorganisation pays off.
-            landing: List[Tuple[float, int, int, IORequest]] = []
-            if misses:
-                pos = 0
-                for vs_id, items in misses.items():
-                    requests = storages[vs_id].plan_reads(sorted(items))
-                    self.combiners[vs_id].submit(thread, requests, m)
-                    for req in requests:
-                        landing.append((req.completion, pos, vs_id, req))
-                        pos += 1
-                if pos > 1:
-                    landing.sort()
-            if m.enabled:
-                m.phase("scan", "submit", thread.now - t0)
-            # 3. Copy while the reads fly, in key order; the repairs go
-            # last: each is a chunk write and a publish, and no copy
-            # should read state that a write has moved on from what
-            # classify saw.
-            t0 = thread.now
-            if copies:
-                pwbs = self.pwbs
-                svc_lookup = svc.lookup
-                for key, found in copies.items():
-                    if found.__class__ is SVCEntry:
-                        entry_id = found.entry_id
-                        results[key] = svc_lookup(entry_id, thread, found)
-                        cached_as[key] = entry_id
-                    else:
-                        _, results[key] = pwbs[found.pwb_id].read(
-                            found.pwb_offset, thread
-                        )
-            for key, idx, loc in repairs:
-                from repro.repair import read_repair
-
-                value = read_repair(
-                    self, idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset,
-                    thread, dead=True,
-                )
-                results[key] = value
-                if enable_svc:
-                    # Rewritten from a mirror: a copy, not a landed read.
-                    cached_as[key] = svc.admit(idx, key, value, thread, copied=True)
-            if m.enabled:
-                m.phase("scan", "memory_copy", thread.now - t0)
-            # 4. Land each run in completion order (plan order on a
-            # tie): parse it, heal what fails its checksum, cache it.
-            t0 = thread.now
-            waited = 0.0
-
-            def heal(
-                chunk_id: int, offset: int, tag: Tuple[int, bytes, ptr.Location]
-            ) -> bytes:
-                from repro.repair import read_repair
-
-                idx, key, loc = tag
-                return read_repair(
-                    self, idx, key, loc.vs_id, chunk_id, offset, thread
-                )
-
-            for completion, _pos, vs_id, req in landing:
-                if completion > thread.now:
-                    waited += completion - thread.now
-                    thread.wait_until(completion)
-                fetched = storages[vs_id].parse_reads((req,), heal)
-                for _chunk, _offset, (idx, key, loc), value in fetched:
-                    results[key] = value
-                    if enable_svc:
-                        cached_as[key] = svc.admit(idx, key, value, thread, slot=loc)
-            if enable_svc and self.config.svc_scan_aware:
+            results, cached_as = self._fetch(zip(matches, entries), thread, "scan")
+            if cached_as and self.config.svc_scan_aware:
                 # Chained in key order, which is the order of the walk.
-                svc.link_scan_chain(
+                self.svc.link_scan_chain(
                     [cached_as[key] for key, _ in matches if key in cached_as]
                 )
-            if m.enabled:
-                m.phase("scan", "flash_wait", waited)
-                m.phase("scan", "land", thread.now - t0 - waited)
             self.scans += 1
             return [(key, results[key]) for key, _ in matches if key in results]
         finally:
             self.epoch.exit(thread.tid)
             self._tick()
+
+    def _fetch(
+        self, reads: Iterable[ReadEntry], thread: VThread, op: str
+    ) -> Tuple[Dict[bytes, bytes], Dict[bytes, int]]:
+        """The one read of values (§4.4), for a get's one key or a
+        scan's range: PWB, then SVC, then Value Storage.  Classify every
+        key, put the flash reads on the rings, copy the in-memory values
+        while they fly, then take each run as it lands.  Returns key ->
+        value and key -> SVC entry id (each value cached or hit).  A
+        ``"get"`` books a phase per medium, a ``"scan"`` one per stage.
+        """
+        m = self.metrics
+        enabled = m.enabled
+        point = op == "get"
+        tier = self.tiering if point else None
+        touch = tier.tracker.touch if tier is not None and tier.temperature else None
+        t0 = thread.now
+        results: Dict[bytes, bytes] = {}
+        cached_as: Dict[bytes, int] = {}
+        # key -> its PWB location or its live SVC entry, in key order
+        copies: Dict[bytes, Union[ptr.Location, SVCEntry]] = {}
+        # vs_id -> (chunk_id, offset, (idx, key, loc)) per flash read
+        misses: Dict[int, List[Tuple[int, int, Tuple[int, bytes, ptr.Location]]]] = {}
+        several = False  # does any storage have more than one?
+        enable_svc = self.config.enable_svc
+        svc = self.svc
+        svc_entries = svc.entries
+        storages = self.storages
+        # 1. Classify: nothing charged, nothing mutated.
+        for (key, idx), (loc, entry_id) in reads:
+            if touch is not None:
+                touch(idx)
+            # The medium field, not the in_pwb/is_null properties:
+            # descriptor calls, per key.
+            medium = loc.medium
+            if medium == ptr.MEDIUM_PWB:
+                copies[key] = loc
+                continue
+            if medium == ptr.MEDIUM_NULL:
+                continue
+            if entry_id is not None and enable_svc:
+                entry = svc_entries[entry_id] if entry_id in svc_entries else None
+                if entry is not None and not entry.freed:
+                    entry.slot = loc  # the gather just decoded where it sits
+                    copies[key] = entry
+                    continue
+                if point and enabled:
+                    m.phase("get", "svc_miss", 0.0)  # decided at no cost
+            if point and enabled:
+                m.counter("read.svc_misses").inc()
+            item = (loc.chunk_id, loc.vs_offset, (idx, key, loc))
+            if loc.vs_id in misses:
+                misses[loc.vs_id].append(item)
+                several = True
+            else:
+                misses[loc.vs_id] = [item]
+        # A dead device's misses go to read-repair instead, in key order.
+        repairs: List[Tuple[int, bytes, ptr.Location]] = []
+        injector = self.injector
+        if misses and injector is not None and injector.enabled:
+            for vs_id in list(misses):
+                if injector.is_dead(storages[vs_id].ssd.name):
+                    repairs.extend(tag for _chunk, _offset, tag in misses.pop(vs_id))
+            repairs.sort(key=itemgetter(1))
+        # 2. Submit to every SSD at once: each storage's reads (in chunk
+        # and offset order) on its ring, records that sit back to back
+        # merged into one request — where scan-aware reorganisation pays
+        # off.  Each run lands at (completion, plan position).
+        landing: Dict[Tuple[float, int], Tuple[ValueStorage, IORequest]] = {}
+        pos = 0
+        for vs_id in misses:
+            vs = storages[vs_id]
+            items = misses[vs_id]
+            requests = vs.plan_reads(sorted(items) if several else items)
+            self.combiners[vs_id].submit(thread, requests, m)
+            for req in requests:
+                landing[req.completion, pos] = vs, req
+                pos += 1
+        if enabled and not point:
+            m.phase("scan", "submit", thread.now - t0)
+        # 3. Copy while the reads fly, in key order; the repairs go
+        # last: each is a chunk write and a publish, and no copy should
+        # read state that a write has moved on from what classify saw.
+        t0 = thread.now
+        for key in copies:
+            found = copies[key]
+            if found.__class__ is SVCEntry:
+                results[key] = svc.lookup(found.entry_id, thread, found)
+                cached_as[key] = found.entry_id
+            else:
+                _, results[key] = self.pwbs[found.pwb_id].read(found.pwb_offset, thread)
+        if copies and point and enabled:
+            if cached_as:
+                m.phase("get", "svc_hit", thread.now - t0)
+                m.counter("read.svc_hits").inc()
+            else:
+                m.phase("get", "pwb_read", thread.now - t0)
+                m.counter("read.pwb_hits").inc()
+        for idx, key, loc in repairs:
+            value = results[key] = read_repair(
+                self, idx, key, loc.vs_id, loc.chunk_id, loc.vs_offset, thread, dead=True
+            )
+            if tier is not None:
+                tier.flash_read(idx, storages[loc.vs_id], loc, value)
+            if enable_svc:
+                t1 = thread.now
+                # Rewritten from a mirror: a copy, not a landed read.
+                cached_as[key] = svc.admit(idx, key, value, thread, copied=True)
+                if point and enabled:
+                    m.phase("get", "svc_admit", thread.now - t1)
+        if enabled and not point:
+            m.phase("scan", "memory_copy", thread.now - t0)
+        # 4. Land each run in completion order (plan order on a tie):
+        # parse it, heal what fails its checksum, cache it.
+        t0 = thread.now
+        waited = 0.0
+
+        def heal(chunk_id: int, offset: int, tag: Tuple[int, bytes, ptr.Location]) -> bytes:
+            idx, key, loc = tag
+            return read_repair(self, idx, key, loc.vs_id, chunk_id, offset, thread)
+
+        for when in sorted(landing) if pos > 1 else landing:
+            vs, req = landing[when]
+            if when[0] > thread.now:
+                waited += when[0] - thread.now
+                thread.wait_until(when[0])
+            for _chunk, _offset, (idx, key, loc), value in vs.parse_reads((req,), heal):
+                results[key] = value
+                if tier is not None:
+                    tier.flash_read(idx, vs, loc, value)
+                if enable_svc:
+                    t1 = thread.now
+                    cached_as[key] = svc.admit(idx, key, value, thread, slot=loc)
+                    if point and enabled:
+                        m.phase("get", "svc_admit", thread.now - t1)
+        if enabled and not point:
+            m.phase("scan", "flash_wait", waited)
+            m.phase("scan", "land", thread.now - t0 - waited)
+        return results, cached_as
 
     # ------------------------------------------------------------------
     # delete

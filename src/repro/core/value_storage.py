@@ -362,24 +362,10 @@ class ValueStorage:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def record_request(self, chunk_id: int, offset: int) -> IORequest:
-        """Build the read request covering one record.
-
-        The record size comes from the DRAM-side slot metadata (the
-        same structure that backs the validity bitmap).
-        """
-        slot = self._slot(chunk_id, offset)
-        return IORequest(
-            "read",
-            chunk_id * self.chunk_size + offset,
-            self.header_size + slot.size,
-            context=(chunk_id, offset),
-        )
-
     def plan_reads(self, records: Iterable[Tuple[int, int, Any]]) -> List[IORequest]:
         """One read request per run of records that sit back to back in
-        a chunk — the one definition of "adjacent" the scan fetch and
-        GC share.
+        a chunk — the one definition of "adjacent" the read pipeline
+        (``Prism._fetch``) and GC share.
 
         ``records`` are ``(chunk_id, offset, tag)`` in the order to read
         them; a record joins the run before it when it starts, in the

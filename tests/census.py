@@ -139,8 +139,8 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.cluster.router:PrismCluster._permanent",
         "repro.core.checker:AuditReport.fail",
         "repro.core.containment:resolve_partial_publish",
+        "repro.core.prism:Prism._fetch.<locals>.heal",
         "repro.core.prism:Prism._gc.<locals>.heal",
-        "repro.core.prism:Prism.scan.<locals>.heal",
         "repro.core.pwb:PersistentWriteBuffer.adopt",
         "repro.faults.crash_sweep:_shown",
         "repro.faults.retry:RetryExecutor._give_up",
@@ -554,6 +554,12 @@ DELETED: Dict[str, str] = {
         "repro.bench.experiments:nutanix_run",
     ), "the row names its run in the experiment's module (`large_dataset`, "
        "`gc_timeline`, `scalars`, `tiering_comparison`, `cluster_run`, `cache_run`)"),
+    **dict.fromkeys((
+        "repro.core.prism:Prism._read_value",
+        "repro.core.prism:Prism._dead_vs_ids",
+        "repro.core.value_storage:ValueStorage.record_request",
+    ), "a point read is a scan of one key: get and scan read through Prism._fetch, "
+       "which plans a read with ValueStorage.plan_reads and tests the dead devices once"),
 }
 
 

@@ -464,7 +464,7 @@ def test_planned_runs_read_what_per_record_reads_read(sizes, batches, picks):
     requests = vs.plan_reads(wanted)
     vs.ring.submit(0.0, requests)
     one_each = [
-        ssd.read_raw(c * vs.chunk_size + o, vs.record_request(c, o).size)
+        ssd.read_raw(c * vs.chunk_size + o, vs.plan_reads([(c, o, None)])[0].size)
         for c, o, _ in wanted
     ]
     assert b"".join(req.result for req in requests) == b"".join(one_each)

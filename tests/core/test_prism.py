@@ -398,7 +398,7 @@ class TestPointCallBudget:
     def test_get_ssd_miss_over_pages(self):
         store, t = self._store(self.BIG, chunk_size=64 * 1024)
         loc = store.hsit.read_location(store.index.lookup(b"k0"))
-        req = store.storages[loc.vs_id].record_request(loc.chunk_id, loc.vs_offset)
+        (req,) = store.storages[loc.vs_id].plan_reads([(loc.chunk_id, loc.vs_offset, None)])
         assert (req.offset + req.size - 1) // 4096 - req.offset // 4096 + 1 >= 3
         assert count_calls(store.get, b"k0", t) <= self.GET_SSD_MISS_PAGES
 

@@ -380,7 +380,7 @@ def _recover() -> Scenario:
     store.injector.corrupt_at_rest(
         vs.ssd,
         rotted.chunk_id * vs.chunk_size + rotted.vs_offset,
-        vs.record_request(rotted.chunk_id, rotted.vs_offset).size,
+        vs.plan_reads([(rotted.chunk_id, rotted.vs_offset, None)])[0].size,
     )
     for i in range(1, BATCH):
         key = b"v%02d" % i

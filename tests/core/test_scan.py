@@ -7,7 +7,7 @@ budgeted."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.repair
+import repro.core.prism
 from repro.core import pointers as ptr
 from repro.core.prism import Prism
 from repro.core.pwb import PersistentWriteBuffer
@@ -201,7 +201,7 @@ class TestFetchPipeline:
         store.injector.kill_device(store.storages[1].ssd.name)
         log = []
         pwb_read = PersistentWriteBuffer.read
-        read_repair = repro.repair.read_repair
+        read_repair = repro.core.prism.read_repair
 
         def logged(name, fn):
             def call(*args, **kwargs):
@@ -211,7 +211,7 @@ class TestFetchPipeline:
             return call
 
         monkeypatch.setattr(PersistentWriteBuffer, "read", logged("copy", pwb_read))
-        monkeypatch.setattr(repro.repair, "read_repair", logged("repair", read_repair))
+        monkeypatch.setattr(repro.core.prism, "read_repair", logged("repair", read_repair))
         assert store.scan(b"k00", 20) == sorted(fresh + odd)
         assert log == ["copy"] * len(fresh) + ["repair"] * len(odd)
 
@@ -318,13 +318,13 @@ class TestFaultsOnTheSecondStorage:
                 on_dead_flash.append(key)
         assert on_dead_flash == [b"k%02d" % i for i in (3, 7, 11, 13, 15, 17, 19)]
         repaired = []
-        read_repair = repro.repair.read_repair
+        read_repair = repro.core.prism.read_repair
 
         def logged(store, idx, key, vs_id, chunk_id, offset, thread, dead=False):
             repaired.append((key, vs_id, dead))
             return read_repair(store, idx, key, vs_id, chunk_id, offset, thread, dead)
 
-        monkeypatch.setattr(repro.repair, "read_repair", logged)
+        monkeypatch.setattr(repro.core.prism, "read_repair", logged)
         got = store.scan(b"k00", 20, t)
         assert repaired == [(key, 1, True) for key in on_dead_flash]
         assert got == sorted(model.items())

@@ -62,9 +62,9 @@ class TestWriteRead:
         with pytest.raises(StorageError):
             vs.write_records(0.0, [(0, b"x" * (CHUNK + 1))])
 
-    def test_record_request_sizes(self, vs):
+    def test_plan_reads_sizes(self, vs):
         ((chunk_id, offset, _),) = vs.write_records(0.0, [(1, b"abc")])[0]
-        req = vs.record_request(chunk_id, offset)
+        (req,) = vs.plan_reads([(chunk_id, offset, None)])
         assert req.size == 12 + 3
         assert vs.live_records_of(chunk_id)[0].size == 3
 
@@ -73,8 +73,6 @@ class TestWriteRead:
         assert parse(raw, vs.checksums, vs.ssd.name) == (5, b"xyz")
 
     def test_unknown_slot_rejected(self, vs):
-        with pytest.raises(StorageError):
-            vs.record_request(0, 0)
         with pytest.raises(StorageError):
             vs.plan_reads([(0, 0, None)])
         ((chunk_id, offset, _),) = vs.write_records(0.0, [(1, b"abc")])[0]

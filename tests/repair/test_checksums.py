@@ -267,9 +267,10 @@ def test_the_record_format_and_the_mirror_read_each_have_one_home():
         "repro.core.recovery:recover",
         "repro.repair.scrubber:Scrubber._refresh_mirror",
     }
+    # The read path's one pipeline: its dead-device repair and its
+    # landing's heal.
     assert _callers("read_repair") == {
-        "repro.core.prism:Prism._read_value",
-        "repro.core.prism:Prism.scan",
-        "repro.core.prism:Prism.scan.heal",
+        "repro.core.prism:Prism._fetch",
+        "repro.core.prism:Prism._fetch.heal",
         "repro.repair.scrubber:Scrubber.scrub_once",
     }

@@ -58,7 +58,7 @@ def _rot_primary(store, vs_id, loc):
     store.injector.corrupt_at_rest(
         vs.ssd,
         loc.chunk_id * vs.chunk_size + loc.vs_offset,
-        vs.record_request(loc.chunk_id, loc.vs_offset).size,
+        vs.plan_reads([(loc.chunk_id, loc.vs_offset, None)])[0].size,
     )
 
 
