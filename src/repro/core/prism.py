@@ -894,7 +894,7 @@ class Prism:
         m = self.metrics
         enabled = m.enabled
         point = op == "get"
-        tier = self.tiering if point else None
+        tier = self.tiering  # a scanned key is a read too
         touch = tier.tracker.touch if tier is not None and tier.temperature else None
         t0 = thread.now
         results: Dict[bytes, bytes] = {}

@@ -162,6 +162,15 @@ from the one before only by the lines
 ``"stats.cluster_drain_rejects": 0.0,`` (one per run); no stdout,
 event, final vtime or crash-label digest moved.
 
+When scans came to count as reads for tiering (a scanned key is
+touched and its flash read goes to ``TierManager.flash_read``, as a
+``get``'s does), exactly one digest was re-recorded: ``tiered_gc``'s
+``crash_labels_sha256``.  Its census runs the tiered crash sweep's
+workload, whose scans now feed promotions too, so it reaches each
+``hsit.publish.*`` label 274 times instead of 273 (the
+``tier.promote.*`` labels twice, as before).  ``tiered_gc``'s own run is YCSB-A, with no
+scan, and its other digests did not move.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 

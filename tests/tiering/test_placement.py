@@ -177,6 +177,37 @@ def test_stale_promotion_never_clobbers_newer_value():
     assert store.get(key) == new_value
 
 
+def test_scans_count_cold_reads():
+    """A scan is a popularity read, as a get is: three scans over 8
+    cold keys count the same 8 cold reads and promote the same keys as
+    three rounds of gets over them."""
+    keys = [b"a%d" % i for i in range(8)]
+    outcomes = []
+    for read in ("get", "scan"):
+        store = freeze_everything_cold()
+        for i, key in enumerate(keys):
+            store.put(key, bytes([i + 1]) * 2048)
+        for i in range(60):
+            store.put(b"filler%03d" % i, bytes([i % 256]) * 2048)
+        store.flush()
+        assert [tier_of(store, key) for key in keys] == ["cold"] * len(keys)
+        for _ in range(3):
+            if read == "get":
+                got = [(key, store.get(key)) for key in keys]
+            else:
+                got = store.scan(keys[0], len(keys))
+            assert got == [(key, bytes([i + 1]) * 2048) for i, key in enumerate(keys)]
+        store.flush()
+        stats = store.stats()
+        outcomes.append((
+            stats["tier_cold_reads"],
+            stats["tier_promotions"],
+            [tier_of(store, key) for key in keys],
+        ))
+    assert outcomes[0] == (len(keys), len(keys), ["fast"] * len(keys))
+    assert outcomes[1] == outcomes[0]
+
+
 # ----------------------------------------------------------------------
 # spread baseline
 # ----------------------------------------------------------------------
