@@ -39,6 +39,16 @@ def _ssd_spec(capacity: int = DEFAULT_SSD_CAPACITY):
     return FLASH_SSD_GEN4_SPEC.with_capacity(capacity)
 
 
+def pwb_capacity(
+    dataset_bytes: int, num_threads: int, pwb_total: Optional[int] = None
+) -> int:
+    """One thread's PWB in :func:`build_prism`: ``pwb_total`` (16% of
+    the dataset unless given) split over the threads, at least 64 KB."""
+    if pwb_total is None:
+        pwb_total = (dataset_bytes * 16) // 100
+    return max(64 * 1024, pwb_total // num_threads)
+
+
 def build_prism(
     num_threads: int = 4,
     num_ssds: int = 2,
@@ -55,8 +65,6 @@ def build_prism(
     if config is None:
         if svc_capacity is None:
             svc_capacity = dataset_bytes // 5
-        if pwb_total is None:
-            pwb_total = (dataset_bytes * 16) // 100
         overrides.setdefault("ssd_spec", _ssd_spec(ssd_capacity))
         # Benchmarked instances trace per-op phases by default so every
         # experiment's metrics JSON carries latency attribution.
@@ -65,7 +73,7 @@ def build_prism(
             num_threads=num_threads,
             num_ssds=num_ssds,
             svc_capacity=svc_capacity,
-            pwb_capacity=max(64 * 1024, pwb_total // num_threads),
+            pwb_capacity=pwb_capacity(dataset_bytes, num_threads, pwb_total),
             hsit_capacity=max(64, expected_keys * 4),
             **overrides,
         )

@@ -30,8 +30,10 @@ from typing import Dict, List, Optional
 from repro.bench.experiments import sizing, sweep
 from repro.bench.report import Gate
 from repro.bench.runner import RunResult, preload, run_workload
-from repro.bench.stores import build_prism
+from repro.bench.stores import build_prism, pwb_capacity
+from repro.core import pwb
 from repro.core.config import TIER_SPREAD, TIER_TEMPERATURE
+from repro.core.record import RECORD_HEADER
 from repro.storage.specs import QLC_SSD_SPEC
 from repro.workloads.ycsb import YCSB_B
 
@@ -59,6 +61,38 @@ GATE_SEEDS = tuple(range(1, 17))
 # Tiered read p99 / spread read p99 (the seed median) must stay at or
 # below this.
 P99_LIMIT = 0.6
+# The default sizing, multiplied by REPRO_SCALE.
+NUM_KEYS, NUM_OPS = 3_000, 12_000
+
+
+class PWBTooSmallError(ValueError):
+    """The run is too small for one value to fit a thread's PWB: each
+    of the ``TIER_THREADS`` buffers is a share of 16% of the dataset,
+    so too few keys leave each too small for one record."""
+
+
+def _thread_pwb(num_keys: int) -> int:
+    """A thread's PWB capacity as :func:`build_prism` derives it."""
+    return pwb_capacity(num_keys * TIER_VALUE_SIZE, TIER_THREADS)
+
+
+def check_pwb_fits(num_keys: int) -> None:
+    """Raise :class:`PWBTooSmallError` unless one ``TIER_VALUE_SIZE``
+    record fits a thread's PWB at ``num_keys`` keys, naming the
+    smallest key count and ``REPRO_SCALE`` at which it does."""
+    capacity = _thread_pwb(num_keys)
+    if pwb.holds(capacity, RECORD_HEADER, TIER_VALUE_SIZE):
+        return
+    least = num_keys + 1
+    while not pwb.holds(_thread_pwb(least), RECORD_HEADER, TIER_VALUE_SIZE):
+        least += 1
+    least_scale = -(-least * 1000 // NUM_KEYS) / 1000
+    raise PWBTooSmallError(
+        f"tiering at {num_keys} keys: a {TIER_VALUE_SIZE}B value does "
+        f"not fit a thread's PWB of {capacity}B ({TIER_THREADS} threads "
+        f"share 16% of the dataset, and one record may fill at most half "
+        f"a PWB); it fits from {least} keys, scale {least_scale:g} or more"
+    )
 
 
 def _build(mode: str, num_keys: int):
@@ -162,7 +196,8 @@ def tiering_comparison(
     ``ratios`` the tiered/spread read-p99 ratio at every gate seed, in
     ``GATE_SEEDS`` order.
     """
-    num_keys, num_ops = sizing(num_keys, num_ops, 3_000, 12_000)
+    num_keys, num_ops = sizing(num_keys, num_ops, NUM_KEYS, NUM_OPS)
+    check_pwb_fits(num_keys)
     runs = sweep(
         tier_run,
         list(product(GATE_SEEDS, ("tiered", "spread")))

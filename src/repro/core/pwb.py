@@ -35,6 +35,13 @@ class PWBFullError(StorageError):
     """Raised when an append cannot fit even after reclamation."""
 
 
+def holds(capacity: int, header_size: int, value_len: int) -> bool:
+    """Can a PWB of ``capacity`` bytes take a value this long at all?
+    One record may fill at most half the ring (the first check of
+    :meth:`PersistentWriteBuffer.append`)."""
+    return -(-(header_size + value_len) // _ALIGN) * _ALIGN <= capacity // 2
+
+
 class PersistentWriteBuffer:
     """A per-thread append-only ring on NVM."""
 

@@ -7,9 +7,11 @@ from typing import List, get_type_hints
 import pytest
 
 from repro.bench import experiments as ex
+from repro.bench import tiering as ti
 from repro.bench.__main__ import COMMANDS, EXPERIMENTS, main
 from repro.bench.report import Gate
 from repro.bench.runner import RunResult
+from repro.core.pwb import PWBFullError
 from repro.parallel import get_jobs
 from repro.sim.stats import LatencyRecorder
 from tests import digests
@@ -46,6 +48,26 @@ def test_flags_do_not_outlive_the_command(capsys):
     assert ex.scale() == 1.0
     assert ex.scaled(12_000) == 12_000
     assert get_jobs() == 1
+
+
+def test_tiering_below_its_smallest_scale_says_why(capsys):
+    """At ``--scale 0.05`` (150 keys) a thread's PWB is too small for
+    one 48 KB value: the run stops before it builds a store, naming
+    the smallest size at which one fits, instead of failing in the
+    preload."""
+    with pytest.raises(ti.PWBTooSmallError, match="fits from 201 keys, scale 0.067"):
+        main(["tiering", "--scale", "0.05", "--metrics-out", "none"])
+    assert capsys.readouterr().out == ""
+
+
+def test_the_tiering_size_check_is_the_appends_own_rule():
+    """The check passes exactly where the preload stops failing."""
+    ti.check_pwb_fits(201)
+    ti._build("tiered", 201)
+    with pytest.raises(ti.PWBTooSmallError):
+        ti.check_pwb_fits(200)
+    with pytest.raises(PWBFullError, match="cannot fit"):
+        ti._build("tiered", 200)
 
 
 def test_experiment_emits_metrics_json(capsys, tmp_path):
