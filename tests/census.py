@@ -82,6 +82,7 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.storage.ssd:SSDDevice.read",
         "repro.storage.ssd:SSDDevice.write",
         "repro.core.tcq:ThreadCombiner.read",
+        "repro.core.tcq:ThreadCombiner.read_one",
     ),
     "perfbench's traced mode calls it (`merged_shard_metrics`)": (
         "repro.cluster.router:PrismCluster.merged_shard_metrics",

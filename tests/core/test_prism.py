@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import repro.core.prism
 from repro.core.checker import audit
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
@@ -329,6 +332,53 @@ def test_a_miss_admits_the_landed_value_without_a_copy():
     assert store.dram.bytes_written - written == len(value)
 
 
+def _read_decisions() -> dict:
+    """Method of ``Prism`` -> the read decisions its body makes: a
+    medium compared with ``MEDIUM_PWB`` / ``MEDIUM_NULL``, or a call of
+    ``svc.lookup``, ``svc.admit``, ``read_repair`` or ``flash_read``."""
+    tree = ast.parse(Path(repro.core.prism.__file__).read_text())
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Prism"]
+    found = {}
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        for node in ast.walk(method):
+            what = None
+            if isinstance(node, ast.Compare):
+                names = {
+                    side.attr for side in [node.left, *node.comparators]
+                    if isinstance(side, ast.Attribute)
+                }
+                what = next(iter(names & {"MEDIUM_PWB", "MEDIUM_NULL"}), None)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "read_repair":
+                    what = "read_repair"
+                elif isinstance(func, ast.Attribute):
+                    owner = func.value  # `svc` or `self.svc`, `tier`
+                    owner = getattr(owner, "attr", getattr(owner, "id", None))
+                    if func.attr == "flash_read" or (
+                        owner == "svc" and func.attr in ("lookup", "admit")
+                    ):
+                        what = f"{owner}.{func.attr}"
+            if what is not None:
+                found.setdefault(method.name, set()).add(what)
+    return found
+
+
+def test_one_method_decides_how_a_value_is_read():
+    """Where a value sits (PWB, nowhere, SVC, flash, a dead device) is
+    decided in the read pipeline alone: no other method of Prism
+    classifies a medium, looks up or admits an SVC entry, read-repairs
+    or reports a flash read to tiering."""
+    found = _read_decisions()
+    assert set(found) == {"_fetch"}, found
+    assert found["_fetch"] == {
+        "MEDIUM_PWB", "MEDIUM_NULL", "svc.lookup", "svc.admit", "read_repair",
+        "tier.flash_read",
+    }
+
+
 class TestPointCallBudget:
     """Python + C calls of one ``Prism.get`` and one ``Prism.put``
     (metrics off) on each point path, the events perfbench's
@@ -353,7 +403,9 @@ class TestPointCallBudget:
     # admission took len(value) twice and ValueStorage._slot looked its
     # chunk and slot up with two dict.get.
     GET_PWB_HIT = 32
-    GET_SVC_HIT = 33
+    # The SVC hit was 33 while a get read through its own path, which
+    # looked its SVC entry up a second time inside ``svc.lookup``.
+    GET_SVC_HIT = 32
     GET_SSD_MISS = 59
     PUT_FITS = 45
     PUT_OVER_SVC_COPY = 55

@@ -6,6 +6,7 @@ import pytest
 from repro.core import pointers as ptr
 from repro.core.checker import audit
 from repro.core.prism import Prism
+from repro.core.svc import ScanAwareValueCache
 from repro.faults.errors import (
     CorruptionError,
     DeviceError,
@@ -14,6 +15,7 @@ from repro.faults.errors import (
 )
 from repro.faults.injector import FaultConfig
 from repro.repair import fetch_value, rebuild_storage
+from repro.sim.vthread import VThread
 from tests.conftest import KB, small_prism_config
 
 
@@ -230,6 +232,37 @@ class TestDeadDevice:
         # instead of raising ReadDegradedError (PR 2 behaviour).
         for key, _loc in by_vs[0]:
             assert store.get(key) == expect[key]
+
+    def test_get_and_scan_admit_a_dead_devices_value_alike(self, monkeypatch):
+        """A value read-repaired from a dead device's mirror is a copy
+        in DRAM, not a landed flash read: a get and a scan of that one
+        key admit it to the SVC the same way and wait the same time."""
+        admits = []
+        real_admit = ScanAwareValueCache.admit
+
+        def admit(svc, idx, key, value, thread=None, copied=False, slot=None):
+            start = thread.now
+            entry_id = real_admit(svc, idx, key, value, thread, copied, slot)
+            admits.append((key, copied, thread.now - start))
+            return entry_id
+
+        monkeypatch.setattr(ScanAwareValueCache, "admit", admit)
+        seen = []
+        for read in ("get", "scan"):
+            store = Prism(_integrity_config(enable_svc=True))
+            _load(store)
+            key, _loc = _vs_keys(store)[0][0]
+            store.injector.kill_device(store.storages[0].ssd.name)
+            del admits[:]
+            t = VThread(0, store.clock)
+            got = store.get(key, t) if read == "get" else store.scan(key, 1, t)[0][1]
+            assert store.hsit.read_svc(store.index.lookup(key)) is not None
+            assert store.events.of_kind("repair")
+            seen.append((key, got, admits[:]))
+        (key, got, ((admitted, copied, waited),)) = seen[0]
+        assert got == bytes([int(key[1:]) % 256]) * 700
+        assert (admitted, copied) == (key, True) and waited > 0
+        assert seen[1] == seen[0]
 
     def test_dead_vs_without_mirror_still_degrades(self):
         store = Prism(_integrity_config(mirror_chunks=False))
