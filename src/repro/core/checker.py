@@ -193,7 +193,7 @@ def audit(store: "Prism") -> AuditReport:
                 if not pwb.tail <= off < pwb.head:
                     continue
                 try:
-                    pwb.read(off)
+                    pwb.read(off, None)
                 except CorruptionError as exc:
                     report.fail(
                         f"I7: corrupt PWB record at pwb {pwb.pwb_id} "

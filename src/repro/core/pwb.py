@@ -157,10 +157,10 @@ class PersistentWriteBuffer:
         self.bytes_appended += vlen
         return start
 
-    def read(
-        self, offset: int, thread: Optional[VThread] = None
-    ) -> Tuple[int, bytes]:
-        """Read (backward pointer, value) at an absolute offset."""
+    def read(self, offset: int, thread: Optional[VThread]) -> Tuple[int, bytes]:
+        """Read (backward pointer, value) at an absolute offset: the
+        header, then the value it sizes, each an NVM load on
+        ``thread``."""
         if not self.tail <= offset < self.head:
             raise StorageError(
                 f"pwb {self.pwb_id}: offset {offset} outside "
@@ -171,7 +171,7 @@ class PersistentWriteBuffer:
         nvm = self.nvm
         header = nvm.load(thread, pos, header_size)
         back, size = PLAIN.unpack_from(header)
-        value = nvm.load(None, pos + header_size, size)
+        value = nvm.load(thread, pos + header_size, size)
         if self.checksums:
             verify(header, value, nvm.name, f"pwb {self.pwb_id} off {offset}")
         return back, value

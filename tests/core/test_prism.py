@@ -9,6 +9,7 @@ from repro.core.checker import audit
 from repro.core.config import PrismConfig
 from repro.core.prism import Prism
 from repro.sim.vthread import VThread
+from repro.storage.specs import NVM_SPEC
 from tests.conftest import count_calls, small_prism_config
 
 
@@ -379,6 +380,27 @@ def test_one_method_decides_how_a_value_is_read():
     }
 
 
+class TestPWBHitPrice:
+    """A PWB hit loads the bytes it returns: the header, then the value
+    it sizes, each an NVM load on the reader's thread.  On an idle read
+    channel a load ends its transfer at line rate, so a value 15 KB
+    longer costs exactly 15 KB more of NVM read bandwidth."""
+
+    @pytest.mark.parametrize("checksums", [False, True])
+    def test_longer_value_pays_its_extra_bytes(self, checksums):
+        def pwb_hit(value_len):
+            store = Prism(small_prism_config(enable_checksums=checksums))
+            t = VThread(0, store.clock)
+            store.put(b"k", b"v" * value_len, t)
+            assert store.hsit.read_location(store.index.lookup(b"k")).in_pwb
+            start = t.now
+            store.get(b"k", t)
+            return t.now - start
+
+        extra = 15 * 1024 / NVM_SPEC.read_bandwidth
+        assert pwb_hit(16 * 1024) - pwb_hit(1024) == pytest.approx(extra, rel=1e-9)
+
+
 class TestPointCallBudget:
     """Python + C calls of one ``Prism.get`` and one ``Prism.put``
     (metrics off) on each point path, the events perfbench's
@@ -402,7 +424,9 @@ class TestPointCallBudget:
     # was three calls dearer (67, 67 and 79 below) while the SVC
     # admission took len(value) twice and ValueStorage._slot looked its
     # chunk and slot up with two dict.get.
-    GET_PWB_HIT = 32
+    # The PWB hit was 32 while its value load was untimed: loading it on
+    # the reader's thread adds that load's read-channel request.
+    GET_PWB_HIT = 33
     # The SVC hit was 33 while a get read through its own path, which
     # looked its SVC entry up a second time inside ``svc.lookup``.
     GET_SVC_HIT = 32

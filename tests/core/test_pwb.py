@@ -14,7 +14,7 @@ def pwb(nvm):
 class TestAppendRead:
     def test_roundtrip(self, pwb):
         offset = pwb.append(42, b"value-bytes")
-        back, value = pwb.read(offset)
+        back, value = pwb.read(offset, None)
         assert back == 42
         assert value == b"value-bytes"
 
@@ -25,7 +25,7 @@ class TestAppendRead:
     def test_append_is_durable(self, pwb, nvm):
         offset = pwb.append(1, b"durable")
         nvm.crash()
-        assert pwb.read(offset)[1] == b"durable"
+        assert pwb.read(offset, None)[1] == b"durable"
 
     def test_empty_value_rejected(self, pwb):
         with pytest.raises(ValueError):
@@ -39,7 +39,7 @@ class TestAppendRead:
         offset = pwb.append(1, b"x")
         pwb.release_through(pwb.head)
         with pytest.raises(StorageError):
-            pwb.read(offset)
+            pwb.read(offset, None)
 
     def test_oversized_value_rejected(self, pwb):
         with pytest.raises(PWBFullError):
@@ -73,7 +73,7 @@ class TestRing:
             if not pwb.would_fit(300):
                 pwb.release_through(pwb.head)
             offset = pwb.append(9, b"z" * 300)
-            back, value = pwb.read(offset)
+            back, value = pwb.read(offset, None)
             assert (back, value) == (9, b"z" * 300)
 
     def test_utilization(self, pwb):
@@ -218,7 +218,7 @@ def test_released_window_gives_its_pages_back(nvm):
         for idx in _pages_touched(pwb, *released) - live - edges:
             assert nvm.load(None, idx * PAGE_SIZE, PAGE_SIZE) == bytes(PAGE_SIZE)
         for offset in pwb._offsets:
-            assert pwb.read(offset) == records[offset]
+            assert pwb.read(offset, None) == records[offset]
     assert releases >= 8
     assert nvm.load(None, nvm.regions["before"][0], 1000) == b"b" * 1000
     assert nvm.load(None, nvm.regions["after"][0], 1000) == b"a" * 1000
@@ -239,7 +239,7 @@ def test_property_ring_roundtrip(values):
         offset = pwb.append(i, value)
         live[offset] = (i, value)
         for off, (idx, val) in live.items():
-            assert pwb.read(off) == (idx, val)
+            assert pwb.read(off, None) == (idx, val)
 
 
 # Sized so a few hundred appends force many trips around the ring.
@@ -308,7 +308,7 @@ def test_property_offsets_roundtrip_across_wraps(sizes):
         last_offset = offset
         live[offset] = (i, value)
         for off, (idx, val) in live.items():
-            assert pwb.read(off) == (idx, val)
+            assert pwb.read(off, None) == (idx, val)
     wraps = pwb.head // pwb.capacity
     # The generator sizes guarantee several trips around the ring.
     if sum(pwb.record_bytes(s) for s in sizes) > 3 * _WRAP_CAPACITY:

@@ -73,7 +73,7 @@ def _stored(store: Prism, key: bytes) -> bytes:
     would change what the retried mover selects."""
     loc = _location(store, key)
     if loc.in_pwb:
-        return store.pwbs[loc.pwb_id].read(loc.pwb_offset)[1]
+        return store.pwbs[loc.pwb_id].read(loc.pwb_offset, None)[1]
     return store.storages[loc.vs_id].read_record_raw(loc.chunk_id, loc.vs_offset)[1]
 
 

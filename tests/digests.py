@@ -171,6 +171,14 @@ workload, whose scans now feed promotions too, so it reaches each
 ``tier.promote.*`` labels twice, as before).  ``tiered_gc``'s own run is YCSB-A, with no
 scan, and its other digests did not move.
 
+When a PWB hit came to load its value on the reader's thread (the
+value bytes had been an untimed load, so a hit paid for its header
+alone), every entry whose scenario reads a value from a PWB was
+re-recorded: ``ycsb_a``, ``ycsb_a_gc``, ``tiered_gc``, ``ycsb_e_scan``,
+``store_crash_resume``, the four cluster scenarios and every
+``bench/*`` entry but ``fig12`` and ``scalars``, whose runs read
+nothing from a PWB.  ``bench/fig17`` moved only its metrics JSON.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 

@@ -106,7 +106,7 @@ class TestPWBFraming:
     def test_checked_roundtrip(self, nvm):
         pwb = PersistentWriteBuffer(nvm, 0, 16 * KB, checksums=True)
         off = pwb.append(5, b"value-bytes")
-        assert pwb.read(off) == (5, b"value-bytes")
+        assert pwb.read(off, None) == (5, b"value-bytes")
 
     def test_corruption_detected(self, nvm):
         pwb = PersistentWriteBuffer(nvm, 0, 16 * KB, checksums=True)
@@ -116,7 +116,7 @@ class TestPWBFraming:
         raw[0] ^= 0x80
         nvm.write_durable(None, pos, bytes(raw))
         with pytest.raises(CorruptionError):
-            pwb.read(off)
+            pwb.read(off, None)
 
 
 class TestInjectorSilentFaults:
