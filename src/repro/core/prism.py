@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.read_cache import ReadCache
 from repro.core import pointers as ptr
@@ -343,11 +343,15 @@ class Prism:
                 return vs
         return min(candidates, key=lambda s: s.ring.inflight_at(at))
 
-    def _pick_storage(self, at: float) -> ValueStorage:
-        """Where new data goes: a healthy placement storage."""
-        return self._idle_else_least_loaded(
-            self._placement_storages(), next(self._rr_storage), at
-        )
+    def _pick_storage(
+        self, at: float, records: Sequence[Tuple[int, bytes]] = ()
+    ) -> ValueStorage:
+        """Where new data goes: a healthy placement storage, picked
+        among those with room for ``records`` when any has."""
+        candidates = self._placement_storages()
+        if records:
+            candidates = [s for s in candidates if s.fits(records)] or candidates
+        return self._idle_else_least_loaded(candidates, next(self._rr_storage), at)
 
     def _tick(self) -> None:
         if self._crashed:
@@ -591,7 +595,7 @@ class Prism:
             else:
                 # The paper's placement: an idle Value Storage (§5.2).
                 try:
-                    vs = self._pick_storage(bg.now)
+                    vs = self._pick_storage(bg.now, live)
                 except NoHealthyStorageError:
                     phase = "write"
                 else:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench import experiments as ex
 from repro.bench import tiering as ti
-from repro.bench.__main__ import COMMANDS, EXPERIMENTS, main
+from repro.bench.__main__ import COMMANDS, EXPERIMENTS, main, run_experiment
 from repro.bench.report import Gate
 from repro.bench.runner import RunResult
 from repro.core.pwb import PWBFullError
@@ -68,6 +68,21 @@ def test_the_tiering_size_check_is_the_appends_own_rule():
         ti.check_pwb_fits(200)
     with pytest.raises(PWBFullError, match="cannot fit"):
         ti._build("tiered", 200)
+
+
+@pytest.mark.slow
+def test_tiering_runs_to_its_gates_at_a_tenth(capsys):
+    """At ``--scale 0.1`` the spread leg's fast SSD fills with live
+    data; the run reaches its gates because a reclaim writes to a
+    storage with room for its batch (it died in the preload with
+    ``PWBFullError`` while a reclaim could pick the full one).  The
+    cost and WAF gates hold at this size.  The p99 gate does not (seed
+    median 0.735 against 0.6): it is calibrated at full size, and
+    ROADMAP item 22 states the regime a gate holds in."""
+    results, _ = run_experiment("tiering", 0.1, smoke=False)
+    verdicts = {label.strip(): ok for label, ok, _ in ti.check_tiering(results)}
+    assert verdicts.keys() == {"p99 gate", "cost gate", "waf gate"}
+    assert verdicts["cost gate"] and verdicts["waf gate"]
 
 
 def test_experiment_emits_metrics_json(capsys, tmp_path):

@@ -242,6 +242,24 @@ def test_spread_policy_round_robins_over_every_tier():
     assert store.tiering.pending is None
 
 
+def test_spread_reclaim_skips_a_full_storage():
+    """A reclaim writes to a storage with room for its batch: once the
+    small fast SSD is full of live data, every reclaim lands on the
+    cold tier instead of failing on the fast one."""
+    store = build_tiered(
+        tier_policy=TIER_SPREAD,
+        ssd_spec=FLASH_SSD_GEN4_SPEC.with_capacity(128 * KB),
+    )
+    vals = {b"k%04d" % i: bytes([i % 251]) * 2048 for i in range(400)}
+    for k, v in vals.items():
+        store.put(k, v)
+    store.flush()
+    # 800 KB of live values; the fast SSD's four chunks hold 128 KB.
+    assert store.stats()["tier_cold_used_bytes"] > 600 * KB
+    assert not [e for e in store.events.events if e["kind"] == "reclaim_failed"]
+    assert all(store.get(k) == v for k, v in vals.items())
+
+
 # ----------------------------------------------------------------------
 # integrity across tiers
 # ----------------------------------------------------------------------
