@@ -155,7 +155,7 @@ class SSTable:
     def read_block(
         self,
         block_no: int,
-        thread: Optional[VThread] = None,
+        thread: Optional[VThread],
         block_cache: Optional[Dict] = None,
         miss_cost: float = 0.0,
         parse_cost: float = 0.0,
@@ -185,7 +185,7 @@ class SSTable:
         self,
         block_no: int,
         span: int,
-        thread: Optional[VThread] = None,
+        thread: Optional[VThread],
         block_cache: Optional[Dict] = None,
         miss_cost: float = 0.0,
     ) -> bytes:
@@ -266,14 +266,12 @@ class SSTable:
                         yield k, v
             block_no += span
 
-    def all_items(
-        self, thread: Optional[VThread] = None
-    ) -> List[Tuple[bytes, Optional[bytes]]]:
+    def all_items(self) -> List[Tuple[bytes, Optional[bytes]]]:
         """Bulk read for compaction (untimed; caller charges bandwidth)."""
         out: List[Tuple[bytes, Optional[bytes]]] = []
         for block_no in range(len(self.first_keys)):
             data = self.store.read(
                 None, self.offset + block_no * BLOCK_SIZE, BLOCK_SIZE
-            ) if thread is None else self.read_block(block_no, thread)
+            )
             out.extend(_unpack_block(data))
         return out

@@ -35,9 +35,7 @@ class WriteAheadLog:
         self._group_done = 0.0
         self._group_bytes = 0
 
-    def append(
-        self, key: bytes, value: Optional[bytes], thread: Optional[VThread] = None
-    ) -> None:
+    def append(self, key: bytes, value: Optional[bytes], thread: VThread) -> None:
         """Durably log one write; returns when the record is stable."""
         vbytes = value or b""
         record = (
@@ -54,9 +52,6 @@ class WriteAheadLog:
         self.head += len(record)
         self.appends += 1
         self.bytes_logged += len(record)
-        if thread is None:
-            self.store.write(None, offset, record)
-            return
         # Group commit: writes inside one window ride the same flush.
         if thread.now > self._group_close:
             self._group_close = thread.now + GROUP_COMMIT_WINDOW

@@ -187,7 +187,7 @@ class HSIT:
         return ptr.decode(self.publish_location_word(idx, word, thread)[0])
 
     def publish_location_word(
-        self, idx: int, word: int, thread: Optional[VThread] = None
+        self, idx: int, word: int, thread: Optional[VThread]
     ) -> Tuple[int, int]:
         """:meth:`publish_location` returning the raw old word and the
         raw SVC word (cached-copy id + 1, 0 when not cached) beside it.
@@ -237,7 +237,7 @@ class HSIT:
         return old & ~ptr.DIRTY_BIT, svc_word
 
     def read_entry(
-        self, idx: int, thread: Optional[VThread] = None
+        self, idx: int, thread: Optional[VThread]
     ) -> Tuple[ptr.Location, Optional[int]]:
         """One 16-byte load of an entry: its forward pointer and its
         cached-copy id (None when not cached)."""
@@ -249,7 +249,7 @@ class HSIT:
         )[0]
 
     def read_entries(
-        self, idxs: Iterable[int], thread: Optional[VThread] = None
+        self, idxs: Iterable[int], thread: Optional[VThread]
     ) -> List[Tuple[ptr.Location, Optional[int]]]:
         """:meth:`read_entry` for each of ``idxs``, loaded as one gather
         (:meth:`NVMDevice.load_gather`) instead of one round trip each."""
@@ -264,9 +264,7 @@ class HSIT:
             addrs, self.nvm.load_gather(thread, addrs, ENTRY_BYTES), thread
         )
 
-    def location_words(
-        self, idxs: Sequence[int], thread: Optional[VThread] = None
-    ) -> List[int]:
+    def location_words(self, idxs: Sequence[int], thread: VThread) -> List[int]:
         """The location words of ``idxs`` as stored (dirty bit and all),
         loaded as one gather of 8-byte loads: what the PWB reclaimer's
         well-coupledness test compares."""
@@ -326,7 +324,7 @@ class HSIT:
     # ------------------------------------------------------------------
     # SVC word (cache pointer; meaningless after a crash)
     # ------------------------------------------------------------------
-    def set_svc(self, idx: int, entry_id: int, thread: Optional[VThread] = None) -> None:
+    def set_svc(self, idx: int, entry_id: int, thread: Optional[VThread]) -> None:
         """Atomically point the entry at a DRAM-cached copy (id + 1)."""
         if not 0 <= idx < self.capacity:
             raise StorageError(f"HSIT index out of range: {idx}")

@@ -227,27 +227,22 @@ class ValueStorage:
             return False
 
     def write_records(
-        self,
-        at: float,
-        records: Sequence[Tuple[int, bytes]],
-        thread: Optional[VThread] = None,
+        self, at: float, records: Sequence[Tuple[int, bytes]]
     ) -> Tuple[List[Tuple[int, int, int]], float]:
         """Append (hsit_idx, value) records at the log head.
 
         The batch continues in the open chunk (page-aligned) and takes
         a fresh chunk only when the next record does not fit; the last
         chunk it touches stays open for the next batch.  One write IO
-        per chunk touched.  Starts at virtual time ``at`` (or the
-        thread's clock) and returns ``(placements, done_time)`` where
-        each placement is ``(chunk_id, offset, size)`` in record order.
-        The caller — a background reclaimer or the GC — updates HSIT
-        forward pointers only after ``done_time``.
+        per chunk touched.  Starts at virtual time ``at`` and returns
+        ``(placements, done_time)`` where each placement is
+        ``(chunk_id, offset, size)`` in record order.  The caller — a
+        background reclaimer or the GC — updates HSIT forward pointers
+        only after ``done_time``.
 
         Failure atomicity: a ``StorageError`` leaves the storage as the
         call found it, so it is safe to retry wholesale.
         """
-        if thread is not None:
-            at = max(at, thread.now)
         counts = self._split(records)
         if len(counts) - 1 > self.free_chunks:
             raise StorageError(f"vs{self.vs_id}: no free chunks")
@@ -264,7 +259,7 @@ class ValueStorage:
         remaining = iter(records)
         for n, count in enumerate(counts):
             if n:
-                chunk_id, offset = self._allocate_chunk(thread), 0
+                chunk_id, offset = self._allocate_chunk(None), 0
             elif count:
                 chunk_id, offset = reopened, head_before
             else:

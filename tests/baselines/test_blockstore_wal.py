@@ -109,8 +109,3 @@ class TestWAL:
         wal.append(b"k", b"v", thread)
         wal.truncate()
         assert wal.head == 0
-
-    def test_untimed_append(self, ssd):
-        wal = WriteAheadLog(BlockStore(ssd), capacity=1 * MB)
-        wal.append(b"k", b"v", None)
-        assert wal.appends == 1

@@ -23,9 +23,12 @@ The report lists the line totals, each function that tier-1 alone or
 nothing reaches, and every knob, each with its verdict: **kept** with
 the reason (:data:`KEPT`; for a knob only tests set,
 :data:`TEST_KNOBS`), **test added** (:data:`TESTED`), or **deleted**
-(:data:`DELETED`, checked to be gone).  An entry without a verdict, or
-filed under a verdict in :data:`RETIRED_VERDICTS`, is printed as
-**unjudged** and makes the exit status 1.
+(:data:`DELETED`, checked to be gone).  It then lists every site that
+moves a device's bytes with no thread to charge
+(:class:`UntimedRecorder`), each with its verdict in :data:`UNTIMED`.
+An entry without a verdict, or filed under a verdict in
+:data:`RETIRED_VERDICTS`, is printed as **unjudged** and makes the exit
+status 1.
 """
 
 from __future__ import annotations
@@ -564,6 +567,105 @@ DELETED: Dict[str, str] = {
 }
 
 
+# ----------------------------------------------------------------------
+# Untimed device access.  A site is the function a thread-less access
+# starts from (:class:`UntimedRecorder`); a reason begins with its kind,
+# one of :data:`UNTIMED_KINDS`, and covers every site listed under it.
+# ----------------------------------------------------------------------
+DEVICE_ENTRY_POINTS = (
+    "repro.storage.nvm:NVMDevice.load",
+    "repro.storage.nvm:NVMDevice.load_gather",
+    "repro.storage.nvm:NVMDevice._read_raw",
+    "repro.storage.ssd:SSDDevice.read",
+    "repro.storage.ssd:SSDDevice.read_raw",
+    "repro.storage.dram:DRAMDevice.read",
+    "repro.storage.nvm:PersistentHeap.get",
+)
+UNTIMED_KINDS = ("priced elsewhere", "audit", "recovery", "defect")
+UNTIMED: Dict[str, Tuple[str, ...]] = {
+    "priced elsewhere: the read was charged when it was queued "
+    "(`read_async` just before); `read_raw` hands its bytes back": (
+        "repro.storage.iouring:IOUring.submit",
+        "repro.storage.iouring:IOUring.submit_one",
+        "repro.storage.raid:RAID0.read_async",
+        "repro.baselines.lsm.blockstore:BlockStore.read_async",
+    ),
+    "priced elsewhere: `RAID0.read` charges each member's read channel "
+    "itself (`dev.read_channel.request`)": (
+        "repro.storage.raid:RAID0.read",
+    ),
+    "priced elsewhere: KVell takes a page's bytes, then charges the page on "
+    "its worker's ring unless its page cache holds it (`ring.submit_one`, "
+    "`ring.submit`)": (
+        "repro.baselines.kvell:KVell.scan",
+        "repro.baselines.kvell:_Worker._read_page",
+    ),
+    "priced elsewhere: a compaction charges each input table whole "
+    "(`table_store.read_async`) before it parses the blocks": (
+        "repro.baselines.lsm.sstable:SSTable.all_items",
+    ),
+    "priced elsewhere: the next line charges the leaf "
+    "(`PersistentHeap.charge_read`)": (
+        "repro.index.pactree:PACTree.scan",
+        "repro.index.pactree:PACTree.recover",
+    ),
+    "priced elsewhere: a split reads the neighbour leaf it re-links, and "
+    "charges the write of it (`heap.commit(old_next, thread)`)": (
+        "repro.index.pactree:PACTree._split",
+    ),
+    "priced elsewhere: the scrub pass charges the whole chunk "
+    "(`ssd.read_async`) before it verifies its records and refreshes their "
+    "mirrors; the audit's use is outside any measured window": (
+        "repro.core.value_storage:ValueStorage.read_record_raw",
+        "repro.repair.scrubber:Scrubber._refresh_mirror",
+    ),
+    "priced elsewhere: a background batch takes its fresh chunks with no "
+    "thread; the allocation moves no device bytes, and the batch's chunk "
+    "writes go on the storage's ring": (
+        "repro.core.value_storage:ValueStorage.write_records",
+    ),
+    "audit: `checker.audit` reads every structure to check the invariants, "
+    "between measured windows and after a run, never inside one": (
+        "repro.core.checker:audit",
+    ),
+    "audit: the HSIT's high-water mark, read by the audit, `stats()` and "
+    "recovery, none of them inside a measured op": (
+        "repro.core.hsit:HSIT.next_unused",
+    ),
+    "audit: a test and benchmark hook that flips one bit at rest; it models "
+    "corruption, not a read": (
+        "repro.faults.injector:FaultInjector.corrupt_at_rest",
+    ),
+    "recovery: the restart pass reads headers, PWB records and HSIT words "
+    "untimed and charges lumps; ROADMAP item 19 prices each read": (
+        "repro.core.recovery:recover",
+        "repro.core.recovery:_reclaim_unreachable",
+        "repro.core.pwb:PersistentWriteBuffer.peek",
+        "repro.core.hsit:HSIT.location_word",
+        "repro.core.hsit:HSIT.free_entries",
+    ),
+    "defect: the epoch-deferred HSIT free of a deleted key runs with no "
+    "thread, so its free-list header load and persists go uncharged": (
+        "repro.core.prism:Prism.delete.<locals>.<lambda>",
+    ),
+    "defect: a walk of every leaf, uncharged; recovery, the audit, repair's "
+    "rebuild and the cluster's key count use it outside a measured op, but "
+    "the rebalance planner's key listing runs inside one": (
+        "repro.index.pactree:PACTree.items",
+    ),
+    "defect: read-repair scans every PWB for a copy of the lost record "
+    "(`gather_headers(None)`) with no thread": (
+        "repro.repair.repair:fetch_value",
+    ),
+    "defect: a mirror copy's read is charged only when read-repair hands "
+    "`fetch_value` a time (`mirror.charge_read_async`); the GC's `heal` "
+    "passes none and the scrubber's mirror check (`mirror_value`) charges "
+    "nothing, so both read the mirror free (recovery's read is item 19's)": (
+        "repro.core.value_storage:ValueStorage.read_record_mirror",
+    ),
+}
+
+
 def _present(name: str, present: Set[str]) -> bool:
     """Whether a :data:`DELETED` entry is still in the tree: a function
     or knob (``present``), a parameter ``module:qualname(param)`` or a
@@ -950,6 +1052,85 @@ class Recorder:
             mon.free_tool_id(self.TOOL)
 
 
+@dataclasses.dataclass
+class UntimedSite:
+    lines: Set[str] = dataclasses.field(default_factory=set)  # path:line
+    entry_points: Set[str] = dataclasses.field(default_factory=set)
+    calls: int = 0
+    inputs: Set[str] = dataclasses.field(default_factory=set)
+
+
+class UntimedRecorder:
+    """``sys.monitoring`` PY_START of each :data:`DEVICE_ENTRY_POINTS`
+    function.  A call whose ``thread`` is None (``read_raw``,
+    ``_read_raw`` and ``PersistentHeap.get`` take none) is traced back
+    to its site, ``module:qualname``: the first caller not itself
+    handed ``thread=None``.  A raw read that a recorded entry point
+    makes is that entry point's, and a site outside ``src/repro`` (a
+    test reading state) is not one."""
+
+    TOOL = 3  # a free tool id: not the debugger, coverage or profiler one
+
+    def __init__(self) -> None:
+        self.prefix = str(SRC) + os.sep
+        self.codes: Dict[object, str] = {}
+        self.takes_thread: Dict[object, bool] = {}
+        self.sites: Dict[str, UntimedSite] = {}
+        self.input = ""
+
+    def _takes_thread(self, code) -> bool:
+        takes = self.takes_thread.get(code)
+        if takes is None:
+            args = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+            takes = self.takes_thread[code] = "thread" in args
+        return takes
+
+    def _start(self, code, offset):
+        frame = sys._getframe(1)
+        if self._takes_thread(code) and frame.f_locals["thread"] is not None:
+            return
+        caller = frame.f_back
+        if caller.f_code in self.codes:
+            return
+        while self._takes_thread(caller.f_code) and caller.f_locals["thread"] is None:
+            caller = caller.f_back
+        origin = caller.f_code
+        if not origin.co_filename.startswith(self.prefix):
+            return
+        path = Path(origin.co_filename)
+        name = f"{_module_name(path)}:{origin.co_qualname}"
+        site = self.sites.get(name)
+        if site is None:
+            site = self.sites[name] = UntimedSite()
+        site.lines.add(f"{path.relative_to(ROOT).as_posix()}:{caller.f_lineno}")
+        site.entry_points.add(self.codes[code])
+        site.calls += 1
+        site.inputs.add(self.input)
+
+    @contextlib.contextmanager
+    def phase(self, name: str) -> Iterator["UntimedRecorder"]:
+        # Imported here, inside the coverage phase entered first, so that
+        # the device modules' top level is credited to an input.
+        for spec in DEVICE_ENTRY_POINTS:
+            module, qual = spec.split(":")
+            obj = importlib.import_module(module)
+            for part in qual.split("."):
+                obj = getattr(obj, part)
+            self.codes[obj.__code__] = qual
+        mon = sys.monitoring
+        mon.use_tool_id(self.TOOL, "census-untimed")
+        mon.register_callback(self.TOOL, mon.events.PY_START, self._start)
+        for code in self.codes:
+            mon.set_local_events(self.TOOL, code, mon.events.PY_START)
+        self.input = name
+        try:
+            yield self
+        finally:
+            for code in self.codes:
+                mon.set_local_events(self.TOOL, code, 0)
+            mon.free_tool_id(self.TOOL)
+
+
 @contextlib.contextmanager
 def _quiet() -> Iterator[None]:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1008,6 +1189,39 @@ def _function_rows(functions: List[Function]) -> List[str]:
     return rows
 
 
+def _untimed_verdict(name: str) -> str:
+    for reason, names in UNTIMED.items():
+        if name in names and reason.startswith(UNTIMED_KINDS):
+            return reason
+    return "**unjudged**"
+
+
+def _untimed_rows(
+    functions: List[Function], reached: Dict[str, UntimedSite]
+) -> Tuple[List[str], int]:
+    """The untimed-access table and how many of its rows carry no
+    verdict.  A verdict that names a function no input reached is
+    listed with no calls, and is **stale** if the tree has no such
+    function."""
+    where = {fn.name: fn.where for fn in functions}
+    judged = {name for group in UNTIMED.values() for name in group}
+    rows = ["| site | calls from | entry points | calls | reached by | verdict |",
+            "|---|---|---|---:|---|---|"]
+    unjudged = 0
+    for name in sorted(set(reached) | judged):
+        site = reached.get(name, UntimedSite())
+        verdict = _untimed_verdict(name)
+        if name not in reached and name not in where:
+            verdict = "**stale**: no such function"
+        unjudged += verdict.startswith("**")
+        lines = ", ".join(f"`{ln}`" for ln in sorted(site.lines)) or f"`{where.get(name, '-')}`"
+        entry = ", ".join(f"`{e}`" for e in sorted(site.entry_points)) or "-"
+        inputs = ", ".join(sorted(site.inputs)) or "nothing"
+        rows.append(f"| `{name}` | {lines} | {entry} | {site.calls} | {inputs} "
+                    f"| {verdict} |")
+    return rows, unjudged
+
+
 def _knob_verdict(knob: Knob) -> str:
     product, tests = knob.split()
     if product:
@@ -1023,6 +1237,7 @@ def report(
     tier1: Recorder,
     product: Recorder,
     knobs: List[Knob],
+    untimed: Dict[str, UntimedSite],
 ) -> Tuple[str, int]:
     """The Markdown report and how many entries carry no verdict."""
     def reached(rec: Recorder) -> Set[Tuple[str, int]]:
@@ -1080,6 +1295,18 @@ def report(
         product_sites, test_sites = knob.split()
         out.append(f"| `{knob.label}` | {len(product_sites)} | {len(test_sites)} "
                    f"| {_knob_verdict(knob)} |")
+    untimed_rows, untimed_unjudged = _untimed_rows(functions, untimed)
+    out += [
+        "", f"## Untimed device access ({len(untimed_rows) - 2} sites)", "",
+        "Every call of a device entry point that moves bytes with no thread "
+        "to charge (`" + "`, `".join(e.split(":")[1] for e in DEVICE_ENTRY_POINTS)
+        + "`; `read_raw` and `PersistentHeap.get` take none), traced back "
+        "to its site: the first caller not itself handed `thread=None` "
+        "(`UntimedRecorder`).  A verdict is one of: "
+        + ", ".join(UNTIMED_KINDS) + ".",
+        "",
+        *untimed_rows,
+    ]
     out += ["", f"## Deleted ({len(DELETED)})", "",
             "| what | verdict |", "|---|---|"]
     for name, reason in DELETED.items():
@@ -1089,6 +1316,7 @@ def report(
         sum(1 for fn in only_tier1 + unreached if _verdict(fn.name) == "**unjudged**")
         + sum(1 for k in knobs if _knob_verdict(k) == "**unjudged**")
         + sum(1 for name in DELETED if _present(name, present))
+        + untimed_unjudged
     )
     return "\n".join(out) + "\n", unjudged
 
@@ -1099,14 +1327,16 @@ def main() -> int:
     os.chdir(ROOT)
     # Product first: a module's top level runs once, at its first
     # import, and is credited to whichever input imported it.
-    tier1, product = Recorder(), Recorder()
-    with product.phase():
+    tier1, product, untimed = Recorder(), Recorder(), UntimedRecorder()
+    with product.phase(), untimed.phase("product"):
         run_product()
-    with tier1.phase():
+    with tier1.phase(), untimed.phase("tier-1"):
         status = run_tier1()
     print(f"tier-1 exit status {status}", file=sys.stderr)
     lines, functions = executable()
-    text, unjudged = report(lines, functions, tier1, product, knob_sites())
+    text, unjudged = report(
+        lines, functions, tier1, product, knob_sites(), untimed.sites
+    )
     REPORT.write_text(text)
     print(f"census: {REPORT} ({unjudged} unjudged)", file=sys.stderr)
     return 1 if unjudged else 0

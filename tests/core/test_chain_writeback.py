@@ -77,9 +77,9 @@ class Oracle:
         for vs in storages:
             real[vs] = vs.write_records
 
-            def recording(at, records, thread=None, _write=vs.write_records):
+            def recording(at, records, _write=vs.write_records):
                 written.append(list(records))
-                return _write(at, records, thread)
+                return _write(at, records)
 
             vs.write_records = recording
         try:

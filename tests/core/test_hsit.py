@@ -161,9 +161,9 @@ class TestSVCWord:
     def test_set_read_clear(self, hsit):
         idx = hsit.allocate()
         assert hsit.read_svc(idx) is None
-        hsit.set_svc(idx, 0)
+        hsit.set_svc(idx, 0, None)
         assert hsit.read_svc(idx) == 0
-        hsit.set_svc(idx, 17)
+        hsit.set_svc(idx, 17, None)
         assert hsit.read_svc(idx) == 17
         hsit.clear_svc(idx)
         assert hsit.read_svc(idx) is None
@@ -171,13 +171,13 @@ class TestSVCWord:
     def test_svc_word_independent_of_location(self, hsit):
         idx = hsit.allocate()
         hsit.publish_location(idx, ptr.encode_vs(0, 1, 2))
-        hsit.set_svc(idx, 5)
+        hsit.set_svc(idx, 5, None)
         assert hsit.read_location(idx).in_vs
         assert hsit.read_svc(idx) == 5
 
     def test_free_clears_svc_word(self, hsit):
         idx = hsit.allocate()
-        hsit.set_svc(idx, 9)
+        hsit.set_svc(idx, 9, None)
         hsit.free(idx)
         reused = hsit.allocate()
         assert reused == idx
@@ -217,7 +217,7 @@ def _planted(entries):
             if state == "persisted":
                 nvm.flush(None, hsit._addr(idx), 8)
         if svc_id is not None:
-            hsit.set_svc(idx, svc_id)
+            hsit.set_svc(idx, svc_id, None)
     return hsit
 
 
@@ -332,8 +332,8 @@ class TestEntryLoadTiming:
 
     def test_untimed_reads_stay_untimed(self):
         hsit = self._hsit()
-        hsit.read_entry(3)
-        hsit.read_entries(range(20))
+        hsit.read_entry(3, None)
+        hsit.read_entries(range(20), None)
         assert hsit.nvm.read_channel.bytes_moved == 0
         assert hsit.nvm.bytes_read == 21 * ENTRY_BYTES
 

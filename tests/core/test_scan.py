@@ -312,7 +312,7 @@ class TestFaultsOnTheSecondStorage:
         svc = store.svc
         on_dead_flash = []
         for key in model:
-            loc, entry_id = store.hsit.read_entry(store.index.lookup(key))
+            loc, entry_id = store.hsit.read_entry(store.index.lookup(key), None)
             cached = entry_id in svc.entries and not svc.entries[entry_id].freed
             if loc.in_vs and loc.vs_id == 1 and not cached:
                 on_dead_flash.append(key)
