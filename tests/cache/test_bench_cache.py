@@ -1,7 +1,7 @@
 """Full read-cache bench gates (``slow``: excluded from tier-1).
 
 Tier-1 covers the cache's unit behavior; these run the actual storm
-and sweep experiments at near-CI-smoke scale and assert the two bench
+and sweep experiments at near-CI-smoke scale and assert the three bench
 gates CI's `bench-smoke` job enforces.
 """
 
@@ -33,6 +33,11 @@ def test_storm_hit_ratio_gate(storm):
 
 def test_storm_read_p99_gate(storm):
     ok, detail = _gate(storm, "p99 gate")
+    assert ok, detail
+
+
+def test_storm_throughput_gate(storm):
+    ok, detail = _gate(storm, "throughput gate")
     assert ok, detail
 
 
