@@ -13,10 +13,10 @@ its pre-failover value.
 
 :data:`SCENARIOS` lists every scenario the sweep knows — the
 single-store ones defined beside the engine included — and is what the
-CLI flags, CI and the table in ``docs/simulation-model.md`` ("Fault
-model") select from::
+CLI's ``--scenario``, CI and the table in ``docs/simulation-model.md``
+("Crash-sweep scenarios") select from::
 
-    PYTHONPATH=src python -m repro.faults.crash_sweep --cluster
+    PYTHONPATH=src python -m repro.faults.crash_sweep --scenario cluster
 """
 
 from __future__ import annotations
@@ -159,6 +159,3 @@ SCENARIOS: Dict[str, Scenario] = {
     "rebalance-target": RebalanceScenario(role="target", watch=None),
     "rebalance-leaving": RebalanceScenario(role="leaving", watch=1, add=False),
 }
-REBALANCE_ROLES = tuple(
-    s.role for s in SCENARIOS.values() if isinstance(s, RebalanceScenario)
-)

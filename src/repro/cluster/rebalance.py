@@ -214,7 +214,10 @@ class Migration:
         if self.action == ACTION_FAIL:
             holders.append(cluster.shards[self.shard_id])
         for shard in holders:
-            for key, _idx in shard.store.index.items():
+            # The migrator reads each serving index; a dead member's
+            # is only the simulator's record of what it held.
+            walker = self.thread if shard.serving else None
+            for key, _idx in shard.store.index.items(walker):
                 if key not in seen:
                     seen.add(key)
                     keys.append(key)

@@ -376,6 +376,13 @@ class Prism:
             bg.now = now
         self.svc.process_background(bg, self.storages)
 
+    def _free_retired(self, idx: int) -> None:
+        """Return a deleted key's HSIT entry to the free list once its
+        grace epochs have passed (§5.4), on the maintenance thread."""
+        bg = self._bg_cache
+        bg.wait_until(self.clock._now)
+        self.hsit.free(idx, bg)
+
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
@@ -746,12 +753,13 @@ class Prism:
 
         def heal(chunk_id: int, offset: int, idx: int) -> Optional[bytes]:
             # A rotted record would poison the GC move; fetch a copy
-            # from a repair source, or leave it in place (it stays
-            # valid; a later read surfaces the typed error and retries
-            # the repair).  Fetch only, not read_repair: the GC moves
-            # the healed value itself, with the rest of the victims.
+            # from a repair source, on the GC thread, or leave it in
+            # place (it stays valid; a later read surfaces the typed
+            # error and retries the repair).  Fetch only, not
+            # read_repair: the GC moves the healed value itself, with
+            # the rest of the victims.
             self.corruption_detected += 1
-            fetched = fetch_value(self, idx, vs.vs_id, chunk_id, offset)
+            fetched = fetch_value(self, idx, vs.vs_id, chunk_id, offset, bg)
             if fetched is None:
                 self.events.emit(
                     bg.now,
@@ -1050,7 +1058,7 @@ class Prism:
                 m.phase("delete", "publish", thread.now - t0)
             self.crash_point.maybe_crash("delete.published")
             # The HSIT entry rejoins the free list after two epochs (§5.4).
-            self.epoch.retire(lambda i=idx: self.hsit.free(i))
+            self.epoch.retire(lambda i=idx: self._free_retired(i))
             if self.tiering is not None and self.tiering.temperature:
                 self.tiering.tracker.forget(idx)
             self.deletes += 1

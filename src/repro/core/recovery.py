@@ -20,9 +20,10 @@ and cursors — and this pass fills it in from NVM and SSD:
 
 The recovery virtual time charges the same device traffic the paper
 describes: NVM scans of index + HSIT + live PWB data, plus record
-headers read from SSD.  Like the paper, the scan parallelizes over
-partitioned key ranges; we divide the single-threaded virtual time by
-``recovery_threads``.
+headers read from SSD (a mirror copy that heals a rotted record is
+read on the recovery thread itself).  Like the paper, the scan
+parallelizes over partitioned key ranges; we divide the
+single-threaded virtual time by ``recovery_threads``.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
                     prism.corruption_detected += 1
                     # The bitmaps are not rebuilt yet: the mirror copy
                     # is sized by its own header.
-                    value = mirror_value(prism, vs, loc.chunk_id, loc.vs_offset, idx)
+                    value = mirror_value(prism, vs, loc.chunk_id, loc.vs_offset, idx, rt)
                     # Keep the slot so the pointer never dangles: reads
                     # of a lost record surface a typed error, never a
                     # silent absence.  An intact copy gives its true
@@ -122,7 +123,6 @@ def recover(prism: "Prism", recovery_threads: int = 4) -> RecoveryReport:
                         idx, span if value is None else len(value)
                     )
                     if value is not None:
-                        vs_header_bytes += vs.header_size + len(value)
                         repair_flush.append(
                             (idx, value, vs, loc.chunk_id, loc.vs_offset)
                         )

@@ -438,22 +438,24 @@ class ValueStorage:
             f"vs{self.vs_id} chunk {chunk_id} off {offset}",
         )
 
-    def read_record_mirror(self, chunk_id: int, offset: int) -> Tuple[int, bytes]:
-        """Untimed read of a record's mirror copy, checksum-verified: the
-        one reader of mirror bytes.  The size comes from the copy's own
-        header, so it works before recovery rebuilds the slots; a size
-        that runs past the chunk raises :class:`CorruptionError`."""
+    def read_record_mirror(
+        self, chunk_id: int, offset: int, thread: VThread
+    ) -> Tuple[int, bytes]:
+        """Read a record's mirror copy, checksum-verified: the one reader
+        of mirror bytes.  The size comes from the copy's own header, so
+        it works before recovery rebuilds the slots; a size that runs
+        past the chunk raises :class:`CorruptionError`.  The record is
+        one read of the mirror device, and ``thread`` waits for it."""
         mirror = self.mirror
         if mirror is None:
             raise StorageError(f"vs{self.vs_id}: no mirror configured")
         where = f"mirror of vs{self.vs_id} chunk {chunk_id} off {offset}"
         start = chunk_id * self.chunk_size + offset
-        header = mirror.read_raw(start, self.header_size)
-        size = PLAIN.unpack_from(header)[1]
+        size = PLAIN.unpack_from(mirror.read_raw(start, self.header_size))[1]
         if offset + self.header_size + size > self.chunk_size:
             raise CorruptionError(mirror.name, where)
-        payload = mirror.read_raw(start + self.header_size, size)
-        return parse(header + payload, self.checksums, mirror.name, where)
+        raw = mirror.read(thread, start, self.header_size + size)
+        return parse(raw, self.checksums, mirror.name, where)
 
     # ------------------------------------------------------------------
     # validity bitmap

@@ -42,13 +42,13 @@ Both audits judge read-backs by
 operation index as the interval.  The scenarios themselves are listed
 in ``repro.cluster.crash_sweep.SCENARIOS``.  Run directly (CI)::
 
-    PYTHONPATH=src python -m repro.faults.crash_sweep --fuzz 5
+    PYTHONPATH=src python -m repro.faults.crash_sweep --scenario cluster --fuzz 5
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.checker import audit
@@ -490,12 +490,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # The CLI is the top of the stack: it alone looks upward, at the
     # registry that adds the cluster-scope scenarios to the four above.
-    from repro.cluster.crash_sweep import REBALANCE_ROLES, SCENARIOS
+    from repro.cluster.crash_sweep import SCENARIOS
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults.crash_sweep",
         description="Crash at every discovered crash point; verify the "
-                    "durability contract.  Flags select the scenario.",
+                    "durability contract.",
+    )
+    parser.add_argument(
+        "--scenario", choices=sorted(SCENARIOS), default="store",
+        help="what to build, crash and audit (docs/simulation-model.md, "
+             "\"Crash-sweep scenarios\")",
     )
     parser.add_argument("--ops", type=int, default=300, help="workload length")
     parser.add_argument("--keys", type=int, default=60, help="key-space size")
@@ -509,61 +514,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="verify crash labels across N worker processes "
              "(default: $REPRO_JOBS or 1); verdicts are identical to -j1",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--cluster", action="store_true",
-        help="kill a whole shard at each of its crash points and audit "
-             "durability through the router (repro.cluster)",
-    )
-    mode.add_argument(
-        "--rebalance", action="store_true",
-        help="kill a migration participant at every crash point reached "
-             "during a live reshard, and audit through the router",
-    )
-    mode.add_argument(
-        "--tiering", action="store_true",
-        help="single tiered store: also sweeps the hot/cold placement "
-             "crash points (tier.demote.*, tier.promote.*)",
-    )
-    mode.add_argument(
-        "--writeback", action="store_true",
-        help="single store with a 1 KB SVC: also sweeps the scan chain "
-             "write-back crash points (writeback.*)",
-    )
-    parser.add_argument(
-        "--gray", type=int, default=None, metavar="SHARD",
-        help="with --cluster: also latency-inflate this shard's devices "
-             "10x from the start (gray failure + fail-stop combined)",
-    )
-    parser.add_argument(
-        "--role", choices=REBALANCE_ROLES + ("all",), default="all",
-        help="with --rebalance: which participant dies",
-    )
     args = parser.parse_args(argv)
-    if args.gray is not None and not args.cluster:
-        parser.error("--gray requires --cluster")
-
-    if args.rebalance:
-        roles = REBALANCE_ROLES if args.role == "all" else (args.role,)
-        scenarios = [SCENARIOS[f"rebalance-{role}"] for role in roles]
-    elif args.gray is not None:
-        scenarios = [replace(SCENARIOS["gray"], gray_shard=args.gray)]
-    elif args.cluster:
-        scenarios = [SCENARIOS["cluster"]]
-    elif args.tiering:
-        scenarios = [SCENARIOS["tiered"]]
-    elif args.writeback:
-        scenarios = [SCENARIOS["writeback"]]
-    else:
-        scenarios = [SCENARIOS["store"]]
-
     ops = default_ops(args.ops, args.keys, args.seed)
-    ok = True
-    for scenario in scenarios:
-        report = CrashSweep(scenario, ops).run(args.jobs, args.fuzz, args.seed)
-        print(report.summary())
-        ok = ok and report.ok
-    return 0 if ok else 1
+    report = CrashSweep(SCENARIOS[args.scenario], ops).run(args.jobs, args.fuzz, args.seed)
+    print(report.summary())
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

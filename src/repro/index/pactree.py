@@ -224,11 +224,15 @@ class PACTree:
             self.heap.charge_read(thread, handle)
             idx = 0
 
-    def items(self) -> Iterator[Tuple[bytes, int]]:
-        """All pairs in key order (untimed; used by recovery and tests)."""
+    def items(self, thread: Optional[VThread] = None) -> Iterator[Tuple[bytes, int]]:
+        """All pairs in key order.  Each leaf is an NVM read on
+        ``thread``; with none (recovery, which charges its own walk,
+        the audit, tests) the walk is free and counts no bytes."""
         handle: Optional[int] = self._head_handle
         while handle:
             leaf = self.heap.get(handle)
+            if thread is not None:
+                self.heap.charge_read(thread, handle)
             yield from zip(leaf.keys, leaf.slots)
             handle = leaf.next_handle or None
 

@@ -41,16 +41,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def mirror_value(
-    store: "Prism", vs, chunk_id: int, offset: int, idx: int
+    store: "Prism", vs, chunk_id: int, offset: int, idx: int, thread: VThread
 ) -> Optional[bytes]:
     """The value of ``idx``'s intact, well-coupled mirror copy at
     (chunk_id, offset), or None when the mirror is absent, dead, rotted
-    or holds another record.  Untimed; the caller charges the read."""
+    or holds another record.  ``thread`` pays for the mirror read and
+    waits for it (:meth:`ValueStorage.read_record_mirror`)."""
     mirror = vs.mirror
     if mirror is None or store._device_dead(mirror.name):
         return None
     try:
-        back, value = vs.read_record_mirror(chunk_id, offset)
+        back, value = vs.read_record_mirror(chunk_id, offset, thread)
     except StorageError:
         return None
     return value if back == idx else None
@@ -62,28 +63,27 @@ def fetch_value(
     vs_id: int,
     chunk_id: int,
     offset: int,
-    at: Optional[float] = None,
+    thread: VThread,
 ) -> Optional[Tuple[bytes, str]]:
     """Find an intact copy of the record at (vs_id, chunk_id, offset).
 
     Returns ``(value, source)`` — source is ``"mirror"`` or ``"pwb"`` —
-    or ``None`` when no trustworthy copy exists.  ``at`` (optional)
-    timestamps the mirror read for bandwidth accounting.
+    or ``None`` when no trustworthy copy exists.  Every read is
+    ``thread``'s: the mirror copy, then the gathers of each PWB's
+    headers and values; it has the copy when this returns.
     """
     vs = store.storages[vs_id]
     # 1. mirror copy (checksum- and coupling-verified)
-    value = mirror_value(store, vs, chunk_id, offset, idx)
+    value = mirror_value(store, vs, chunk_id, offset, idx, thread)
     if value is not None:
-        if at is not None:
-            vs.mirror.charge_read_async(at, vs.header_size + len(value))
         return value, "mirror"
     # 2. latest unambiguous PWB copy
     candidates: List[bytes] = []
     for pwb in store.pwbs:
         best: Optional[bytes] = None
         try:
-            offsets, backptrs, headers = pwb.gather_headers(None)
-            values = pwb.gather_values(None, offsets, headers)
+            offsets, backptrs, headers = pwb.gather_headers(thread)
+            values = pwb.gather_values(thread, offsets, headers)
         except StorageError:
             continue  # corrupt PWB region: distrust this buffer entirely
         for back, value in zip(backptrs, values):
@@ -162,7 +162,7 @@ def read_repair(
     elif vs.mirror is None:
         raise ReadDegradedError(vs.ssd.name, key)
     where = f"vs{vs_id} chunk {chunk_id} off {offset}"
-    fetched = fetch_value(store, idx, vs_id, chunk_id, offset, at=at)
+    fetched = fetch_value(store, idx, vs_id, chunk_id, offset, thread)
     if fetched is None:
         store.events.emit(
             at,
@@ -207,12 +207,14 @@ def rebuild_storage(
     """Re-materialise every record of one Value Storage onto the
     remaining healthy devices (background, virtual-time-charged).
 
-    Walks the index, finds every key whose durable copy lives on
-    ``vs_id``, repairs each from a source (mirror first, then PWB), and
-    publishes the new locations in batches through the normal write
-    path.  Records with no intact copy anywhere are counted as lost —
-    their pointers stay, so reads surface typed errors rather than
-    silent absence.
+    Walks the index and each key's HSIT entry on the rebuild's thread,
+    finds every key whose durable copy lives on ``vs_id``, reads each
+    from a source (mirror first, then PWB), and publishes the new
+    locations in batches through the normal write path.  A batch's
+    reads are in flight together, and the rebuild waits for the last
+    of them before it writes the batch.  Records with no intact copy
+    anywhere are counted as lost — their pointers stay, so reads
+    surface typed errors rather than silent absence.
     """
     vs = store.storages[vs_id]
     rt = VThread(-8, store.clock, name=f"rebuild-vs{vs_id}", background=True)
@@ -220,8 +222,11 @@ def rebuild_storage(
     start = rt.now
     report = RebuildReport(vs_id=vs_id)
     pending: list = []  # (hsit_idx, value, old_vs, old_chunk, old_off)
+    landed: List[float] = []  # when each of the batch's reads completed
 
     def _flush_batch() -> None:
+        rt.wait_until(max(landed, default=rt.now))
+        landed.clear()
         if not pending:
             return
         _rewrite(store, pending, rt)
@@ -229,18 +234,19 @@ def rebuild_storage(
         report.bytes_restored += sum(len(entry[1]) for entry in pending)
         pending.clear()
 
-    for _key, idx in list(store.index.items()):
-        word = store.hsit.location_word(idx)
-        loc = ptr.decode(ptr.clear_dirty(word))
+    for _key, idx in list(store.index.items(rt)):
+        loc = store.hsit.read_location(idx, rt)
         if not loc.in_vs or loc.vs_id != vs_id:
             continue
-        fetched = fetch_value(
-            store, idx, vs_id, loc.chunk_id, loc.vs_offset, at=rt.now
-        )
+        # Each read starts where the walk is, on a reader of its own.
+        reader = VThread(rt.tid, store.clock, name=rt.name, background=True)
+        reader.now = rt.now
+        fetched = fetch_value(store, idx, vs_id, loc.chunk_id, loc.vs_offset, reader)
+        landed.append(reader.now)
         if fetched is None:
             report.records_lost += 1
             store.events.emit(
-                rt.now,
+                reader.now,
                 "rebuild_lost",
                 vs_id=vs_id,
                 chunk=loc.chunk_id,

@@ -147,7 +147,7 @@ class Scrubber:
         if vs.mirror is None or store._device_dead(vs.mirror.name):
             return
         offset = slot.offset
-        if mirror_value(store, vs, chunk_id, offset, slot.hsit_idx) is not None:
+        if mirror_value(store, vs, chunk_id, offset, slot.hsit_idx, self.thread) is not None:
             return  # mirror copy intact
         nbytes = vs.header_size + slot.size
         addr = chunk_id * vs.chunk_size + offset

@@ -10,7 +10,7 @@ input reach, all in this one process:
 
 * **tier-1**: ``pytest.main`` with the default (``not slow``) selection;
 * **product**: ``python -m repro.bench <name> --smoke`` for every
-  experiment, the six crash-sweep invocations CI runs,
+  experiment, the crash sweep of every scenario (as CI runs them),
   ``perfbench.child --mode untraced`` for every workload at
   ``--scale 1/3``, and every script under ``examples/``.
 
@@ -65,8 +65,10 @@ CONFIG_CLASSES = (
     "repro.baselines.kvell:KVellConfig",
 )
 
+# CI's crash-sweep matrix: every scenario of repro.cluster.crash_sweep.SCENARIOS.
 CRASH_SWEEPS = (
-    "", "--tiering", "--writeback", "--cluster", "--cluster --gray 1", "--rebalance"
+    "store", "mirrored", "tiered", "writeback", "cluster", "gray",
+    "rebalance-source", "rebalance-target", "rebalance-leaving",
 )
 PERFBENCH_SCALE = 1 / 3
 
@@ -150,10 +152,6 @@ KEPT: Dict[str, Tuple[str, ...]] = {
         "repro.faults.retry:RetryExecutor._give_up",
         "repro.storage.nvm:PersistentHeap.free",
         "repro.storage.raid:RAID0.crash",
-    ),
-    "a crash-sweep scenario with no CLI flag: tier-1 sweeps it "
-    "(`test_every_label_keeps_the_contract`)": (
-        "repro.faults.crash_sweep:mirrored_store_factory",
     ),
     "a case only tier-1 sets up: rate limits, health with resharding": (
         "repro.cluster.admission:TokenBucket.__init__",
@@ -581,7 +579,7 @@ DEVICE_ENTRY_POINTS = (
     "repro.storage.dram:DRAMDevice.read",
     "repro.storage.nvm:PersistentHeap.get",
 )
-UNTIMED_KINDS = ("priced elsewhere", "audit", "recovery", "defect")
+UNTIMED_KINDS = ("priced elsewhere", "audit", "recovery")
 UNTIMED: Dict[str, Tuple[str, ...]] = {
     "priced elsewhere: the read was charged when it was queued "
     "(`read_async` just before); `read_raw` hands its bytes back": (
@@ -608,6 +606,11 @@ UNTIMED: Dict[str, Tuple[str, ...]] = {
     "(`PersistentHeap.charge_read`)": (
         "repro.index.pactree:PACTree.scan",
         "repro.index.pactree:PACTree.recover",
+        "repro.index.pactree:PACTree.items",
+    ),
+    "priced elsewhere: the copy's header gives its size, and the record is "
+    "then one read of the mirror on the caller's thread (`mirror.read`)": (
+        "repro.core.value_storage:ValueStorage.read_record_mirror",
     ),
     "priced elsewhere: a split reads the neighbour leaf it re-links, and "
     "charges the write of it (`heap.commit(old_next, thread)`)": (
@@ -636,6 +639,18 @@ UNTIMED: Dict[str, Tuple[str, ...]] = {
     "corruption, not a read": (
         "repro.faults.injector:FaultInjector.corrupt_at_rest",
     ),
+    "audit: a walk of every key for a count or a snapshot, outside any "
+    "measured op: a cluster's `len` (perfbench's `space_amp`, after its "
+    "window), and the integrity experiment's copy of every value before "
+    "it damages them": (
+        "repro.cluster.router:PrismCluster.__len__.<locals>.<genexpr>",
+        "repro.bench.experiments:_scrub_unit",
+    ),
+    "recovery: a `fail` migration lists the dead member's keys from its "
+    "index, the simulator's record of what it held, to count the keys only "
+    "it held (`keys_lost`); no device of a dead machine is read": (
+        "repro.cluster.rebalance:Migration.plan",
+    ),
     "recovery: the restart pass reads headers, PWB records and HSIT words "
     "untimed and charges lumps; ROADMAP item 19 prices each read": (
         "repro.core.recovery:recover",
@@ -643,25 +658,6 @@ UNTIMED: Dict[str, Tuple[str, ...]] = {
         "repro.core.pwb:PersistentWriteBuffer.peek",
         "repro.core.hsit:HSIT.location_word",
         "repro.core.hsit:HSIT.free_entries",
-    ),
-    "defect: the epoch-deferred HSIT free of a deleted key runs with no "
-    "thread, so its free-list header load and persists go uncharged": (
-        "repro.core.prism:Prism.delete.<locals>.<lambda>",
-    ),
-    "defect: a walk of every leaf, uncharged; recovery, the audit, repair's "
-    "rebuild and the cluster's key count use it outside a measured op, but "
-    "the rebalance planner's key listing runs inside one": (
-        "repro.index.pactree:PACTree.items",
-    ),
-    "defect: read-repair scans every PWB for a copy of the lost record "
-    "(`gather_headers(None)`) with no thread": (
-        "repro.repair.repair:fetch_value",
-    ),
-    "defect: a mirror copy's read is charged only when read-repair hands "
-    "`fetch_value` a time (`mirror.charge_read_async`); the GC's `heal` "
-    "passes none and the scrubber's mirror check (`mirror_value`) charges "
-    "nothing, so both read the mirror free (recovery's read is item 19's)": (
-        "repro.core.value_storage:ValueStorage.read_record_mirror",
     ),
 }
 
@@ -1159,9 +1155,9 @@ def run_product() -> None:
     with _quiet():
         for name in sorted(EXPERIMENTS):
             _call(bench, [name, "--smoke", "--metrics-out", "none", "--jobs", "1"])
-        for flags in CRASH_SWEEPS:
-            _call(sweep, flags.split() + ["--ops", "200", "--keys", "40",
-                                          "--fuzz", "10", "--jobs", "1"])
+        for scenario in CRASH_SWEEPS:
+            _call(sweep, ["--scenario", scenario, "--ops", "200", "--keys", "40",
+                          "--fuzz", "10", "--jobs", "1"])
         for name in sorted(WORKLOADS):
             _call(child, ["--workload", name, "--seed", "1",
                           "--scale", repr(PERFBENCH_SCALE), "--mode", "untraced"])
@@ -1271,8 +1267,8 @@ def report(
         f"| reached by tier-1 only | {len(by_tier1)} | {_pct(len(by_tier1), total)} |",
         f"| reached by nothing | {nothing} | {_pct(nothing, total)} |",
         "",
-        "Product inputs: every experiment at `--smoke`, the six CI crash "
-        "sweeps, the four perfbench workloads (`--mode untraced`, "
+        "Product inputs: every experiment at `--smoke`, the CI crash "
+        "sweep of every scenario, the four perfbench workloads (`--mode untraced`, "
         "`--scale 1/3`) and `examples/`.",
         "",
         f"## Functions only tier-1 reaches ({len(only_tier1)})",

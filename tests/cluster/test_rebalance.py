@@ -25,7 +25,7 @@ from repro.cluster.admission import KIND_READ
 from repro.cluster.crash_sweep import default_cluster_factory
 from repro.cluster.errors import RebalanceInProgressError
 from repro.cluster.health import HealthConfig, HealthMonitor
-from repro.cluster.rebalance import plan_moves
+from repro.cluster.rebalance import Migration, plan_moves
 from repro.cluster.ring import (
     DuplicateShardError,
     HashRing,
@@ -223,6 +223,28 @@ class TestLiveResharding:
         (done,) = cluster.events.of_kind("rebalance_done")
         assert done["keys_moved"] > 0 and cluster.forwarded_reads > 0
         assert cluster.events.of_kind("range_cutover")
+
+    def test_first_copy_starts_after_the_planners_walk(self, monkeypatch):
+        """The planner lists every serving shard's keys on the
+        migrator's thread, one NVM read per index leaf; the stream
+        starts once that walk is done."""
+        cluster = small_cluster()
+        fill(cluster, KEYS)
+        starts = []
+        copy = Migration._copy_key
+
+        def spy(mig, key):
+            starts.append(mig.thread.now)
+            copy(mig, key)
+
+        monkeypatch.setattr(Migration, "_copy_key", spy)
+        at = cluster.clock.now
+        cluster.add_shard(at=at)
+        mig = cluster.membership.migration
+        assert mig.started_at == at and mig.thread.now > at
+        walked = mig.thread.now
+        cluster.finish_rebalance()
+        assert starts and starts[0] >= walked
 
     def test_remove_shard_drains_and_retires(self):
         cluster = small_cluster()

@@ -401,6 +401,38 @@ class TestPWBHitPrice:
         assert pwb_hit(16 * 1024) - pwb_hit(1024) == pytest.approx(extra, rel=1e-9)
 
 
+class TestDeferredFreePrice:
+    """A deleted key's HSIT entry rejoins the free list two epochs
+    later (§5.4), on a background thread of the store's: its free-list
+    header load and its persists are NVM traffic that thread pays."""
+
+    def test_deferred_free_advances_a_thread_on_the_nvm(self, monkeypatch):
+        store = Prism(small_prism_config())
+        t = VThread(0, store.clock)
+        store.put(b"k", b"v" * 100, t)
+        store.delete(b"k", t)
+        nvm = store.nvm
+        freed = []
+        free = store.hsit.free
+
+        def spy(idx, thread=None):
+            moved = nvm.read_channel.bytes_moved, nvm.write_channel.bytes_moved
+            start = thread.now if thread is not None else None
+            free(idx, thread)
+            freed.append((
+                thread, start,
+                nvm.read_channel.bytes_moved - moved[0],
+                nvm.write_channel.bytes_moved - moved[1],
+            ))
+
+        monkeypatch.setattr(store.hsit, "free", spy)
+        store.close()  # runs every retirement
+        ((thread, start, loaded, persisted),) = freed
+        assert thread is not None and thread.background
+        assert thread.now > start
+        assert loaded == 16 and persisted > 0
+
+
 class TestPointCallBudget:
     """Python + C calls of one ``Prism.get`` and one ``Prism.put``
     (metrics off) on each point path, the events perfbench's

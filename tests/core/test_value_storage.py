@@ -517,7 +517,7 @@ def test_released_chunk_is_trimmed():
     for device in (primary, mirror):
         assert device.read_raw(chunk_id * CHUNK, CHUNK) == bytes(CHUNK)
     assert vs.read_record_raw(*keep[0][:2]) == (1, b"k" * (CHUNK - 100))
-    assert vs.read_record_mirror(*keep[0][:2]) == (1, b"k" * (CHUNK - 100))
+    assert vs.read_record_mirror(*keep[0][:2], VThread(0)) == (1, b"k" * (CHUNK - 100))
 
 
 def test_discard_takes_whole_pages_only(ssd):

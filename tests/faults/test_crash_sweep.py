@@ -79,6 +79,17 @@ def test_docs_scenario_table_lists_the_registry():
     assert rows == sorted(SCENARIOS)
 
 
+def test_ci_and_the_census_sweep_every_scenario():
+    """CI's crash-sweep matrix and the census's product inputs name
+    each registered scenario once."""
+    from tests.census import CRASH_SWEEPS
+
+    ci = (Path(__file__).parents[2] / ".github" / "workflows" / "ci.yml").read_text()
+    job = ci.split("\n  crash-sweep:\n", 1)[1].split("    steps:", 1)[0]
+    matrix = [line.strip()[2:] for line in job.splitlines() if line.strip().startswith("- ")]
+    assert sorted(matrix) == sorted(CRASH_SWEEPS) == sorted(SCENARIOS)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_label_keeps_the_contract(name):
     """Crash at every label the scenario's default workload reaches —
@@ -180,14 +191,14 @@ def test_cli_smoke(capsys):
 @pytest.mark.parametrize(
     "flags, headline",
     [
-        (["--tiering"], "crash sweep:"),
-        (["--cluster"], "cluster crash sweep:"),
-        (["--cluster", "--gray", "2"], "cluster crash sweep:"),
-        (["--rebalance", "--role", "target"], "[role=target] cluster crash sweep:"),
+        (["--scenario", "tiered"], "crash sweep:"),
+        (["--scenario", "cluster"], "cluster crash sweep:"),
+        (["--scenario", "gray"], "cluster crash sweep:"),
+        (["--scenario", "rebalance-target"], "[role=target] cluster crash sweep:"),
     ],
 )
 def test_cli_flags_select_scenarios(capsys, flags, headline):
-    """One ``main``: every flag spelling honours --ops/--keys/--seed/--fuzz."""
+    """One ``main``: every scenario honours --ops/--keys/--seed/--fuzz."""
     common = ["--ops", "120", "--keys", "30", "--seed", "5", "--fuzz", "3"]
     assert main(flags + common) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -200,12 +211,11 @@ def test_cli_flags_select_scenarios(capsys, flags, headline):
     assert counts[-1] == labels + 3
 
 
-def test_cli_rebalance_sweeps_all_roles_by_default(capsys):
-    assert main(["--rebalance", "--ops", "120", "--keys", "30"]) == 0
-    out = capsys.readouterr().out
-    assert [l.split("]")[0] for l in out.splitlines() if l.startswith("[")] == [
-        "[role=source", "[role=target", "[role=leaving",
-    ]
+def test_cli_names_every_scenario(capsys):
+    with pytest.raises(SystemExit):
+        main(["--scenario", "no-such-scenario"])
+    err = capsys.readouterr().err
+    assert all(name in err for name in SCENARIOS)
 
 
 @pytest.mark.slow

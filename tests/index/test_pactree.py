@@ -88,6 +88,22 @@ class TestSplitsAndScan:
         tree.lookup(b"k", thread)
         assert thread.now > before
 
+    def test_items_charges_each_leaf_only_on_a_thread(self, tree, thread):
+        """A walk with a thread reads every leaf on it; an untimed one
+        (recovery charges its own walk) counts no bytes at all."""
+        for i in range(64):
+            tree.insert(f"k{i:02d}".encode(), i)
+        device = tree.heap.device
+        before = device.bytes_read
+        untimed = list(tree.items())
+        assert device.bytes_read == before
+        start = thread.now
+        assert list(tree.items(thread)) == untimed
+        leaves = tree.heap.live_objects
+        assert leaves > 1
+        assert device.bytes_read - before == sum(tree.heap._sizes.values())
+        assert thread.now > start
+
 
 class TestCrashRecovery:
     def test_committed_inserts_survive(self, tree):

@@ -132,14 +132,15 @@ class TestReadRepair:
         )
         idx = store.index.lookup(b"p3")
         before = store.nvm.bytes_read
-        assert fetch_value(store, idx, 0, 0, 0) == (bytes([4]) * 303, "pwb")
+        t = VThread(0, store.clock)
+        assert fetch_value(store, idx, 0, 0, 0, t) == (bytes([4]) * 303, "pwb")
         assert store.nvm.bytes_read - before == scanned
 
     def test_fetch_value_reports_source(self, store):
         _load(store)
         key, loc = _vs_keys(store)[0][0]
         idx = store.index.lookup(key)
-        fetched = fetch_value(store, idx, 0, loc.chunk_id, loc.vs_offset)
+        fetched = fetch_value(store, idx, 0, loc.chunk_id, loc.vs_offset, VThread(0, store.clock))
         assert fetched is not None
         value, source = fetched
         assert source == "mirror"
@@ -360,3 +361,99 @@ class TestDeadDevice:
         # honestly reported lost, nothing silently dropped.
         assert report.records_lost == len(by_vs[0])
         assert not report.ok
+
+
+class TestRepairReadsArePriced:
+    """Every read a repair makes is a load on the thread that needs the
+    bytes, and that thread has the copy before it uses it."""
+
+    @staticmethod
+    def _spy_mirror_reads(store, monkeypatch):
+        """(thread, completion) of every mirror read a charge books."""
+        booked = []
+        for vs in store.storages:
+            mirror = vs.mirror
+
+            def charge_read(thread, nbytes, real=mirror.charge_read):
+                end = real(thread, nbytes)
+                booked.append((thread, end))
+                return end
+
+            def charge_read_async(at, nbytes, real=mirror.charge_read_async):
+                end = real(at, nbytes)
+                booked.append((None, end))
+                return end
+
+            monkeypatch.setattr(mirror, "charge_read", charge_read)
+            monkeypatch.setattr(mirror, "charge_read_async", charge_read_async)
+        return booked
+
+    def test_gc_heal_charges_the_mirror_and_waits(self, store, monkeypatch):
+        _load(store)
+        key, loc = _vs_keys(store)[0][0]
+        expect = store.get(key)
+        _rot_primary(store, 0, loc)
+        vs = store.storages[0]
+        monkeypatch.setattr(vs, "gc_victims", lambda count: [loc.chunk_id])
+        booked = self._spy_mirror_reads(store, monkeypatch)
+        mirror_bytes = vs.mirror.bytes_read
+        store._gc(vs, store.clock.now)
+        ((thread, end),) = booked
+        assert thread is store._bg_gc and thread.now >= end
+        assert vs.mirror.bytes_read - mirror_bytes == vs.header_size + len(expect)
+        assert store.get(key) == expect
+
+    def test_read_repair_rewrites_after_its_mirror_read(self, store, monkeypatch):
+        _load(store)
+        key, loc = _vs_keys(store)[0][0]
+        expect = store.get(key)
+        _rot_primary(store, 0, loc)
+        booked = self._spy_mirror_reads(store, monkeypatch)
+        writes = []
+        real_write = store._retrying_write
+
+        def retrying_write(target, at, records):
+            writes.append(at)
+            return real_write(target, at, records)
+
+        monkeypatch.setattr(store, "_retrying_write", retrying_write)
+        t = VThread(0, store.clock)
+        t.now = store.clock.now
+        assert store.get(key, t) == expect
+        ((_thread, end),) = booked
+        (at,) = writes
+        assert at >= end
+
+    def test_fetch_values_pwb_scan_is_charged(self):
+        store = Prism(_integrity_config(mirror_chunks=False))
+        for i in range(6):
+            store.put(b"p%d" % i, bytes([i + 1]) * 300)
+        t = VThread(0, store.clock)
+        t.now = start = store.clock.now
+        idx = store.index.lookup(b"p3")
+        assert fetch_value(store, idx, 0, 0, 0, t) == (bytes([4]) * 300, "pwb")
+        assert t.now > start
+
+    def test_rebuild_walk_is_charged(self, store):
+        """Nothing lives in Value Storage yet, so all a rebuild does is
+        walk the index and the HSIT: that walk takes time."""
+        for i in range(40):
+            store.put(b"k%04d" % i, b"v" * 100)
+        assert not any(_vs_keys(store).values())
+        report = rebuild_storage(store, 0)
+        assert report.records_repaired == report.records_lost == 0
+        assert report.duration > 0
+
+    def test_rebuild_reads_a_batch_in_flight_together(self, store):
+        """One batch of mirror reads costs about one read's latency, not
+        one per record: the rebuild waits once, for the last of them."""
+        _load(store)
+        n = len(_vs_keys(store)[0])
+        assert n > 4
+        store.injector.kill_device(store.storages[0].ssd.name)
+        mirror = store.storages[0].mirror
+        before = mirror.bytes_read
+        report = rebuild_storage(store, 0, batch=n)
+        assert report.records_repaired == n
+        assert mirror.bytes_read > before
+        assert report.duration < n * mirror.spec.read_latency / 2

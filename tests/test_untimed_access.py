@@ -2,7 +2,7 @@
 section: every call under ``src/repro`` that hands a literal ``None``
 to a ``thread`` parameter moves bytes nobody pays for, so the function
 it sits in must carry a verdict in ``tests/census.py`` ``UNTIMED``
-(priced elsewhere, audit, recovery or defect).  ``python3.12 -m
+(priced elsewhere, audit or recovery).  ``python3.12 -m
 tests.census`` lists the sites the inputs reach, a default left unset
 included."""
 
@@ -84,4 +84,7 @@ def test_the_walk_finds_the_recovery_reads():
 
 
 def test_every_verdict_names_its_kind():
+    """A device read is paid on a thread, or it is one of these three;
+    an untimed read that belongs on a thread gets one, not a verdict."""
+    assert UNTIMED_KINDS == ("priced elsewhere", "audit", "recovery")
     assert all(reason.startswith(UNTIMED_KINDS) for reason in UNTIMED)
