@@ -182,6 +182,23 @@ With the PWB hit priced, the ``cache`` storm's p99 gate lost its
 copy-in allowance and a throughput gate joined it: ``bench/cache``
 was re-recorded for its stdout alone, the gate lines.
 
+When the device reads no thread paid for went on the thread that
+needs the bytes (a delete's deferred HSIT free, a repair's mirror and
+PWB reads, the rebalance planner's and the rebuild's index walks),
+five entries were re-recorded.  ``cluster_scan_failover``,
+``cluster_gray_rebalance``, ``bench/cluster`` (its failover leg's
+``fail`` migration) and ``bench/rebalance`` moved because the planner
+now reads every serving shard's index leaves on the migrator's thread,
+so each migration's first copy starts after that walk: with the walk
+left uncharged, all four equal their previous digests.
+``bench/scrub`` moved its stdout alone: its rebuild walks the index
+and the HSIT on its own thread and waits, once per batch, for the
+mirror copies it reads, so ``rebuild(ms)`` at ``--smoke`` went from
+0.345 to 0.783; the scrub and the rebuild run after the measured
+YCSB-A run, so its metrics JSON did not move.
+The deferred free moved no entry, and neither did any crash-label
+census.
+
 A deliberate behaviour change regenerates it, and the diff of
 ``digests.json`` is the one place to review it::
 
